@@ -33,12 +33,13 @@ def main() -> None:
 
     # -- the staged pipeline: ETS, NES, compiled tables ----------------------
     # Every app owns a Pipeline; compile options (backend, artifact
-    # cache, cache off-switches) are one frozen CompileOptions object on
-    # the app.  See repro.pipeline for the full knob list.  By default
-    # the ETS stage runs the symbolic all-states engine
-    # (CompileOptions(symbolic_extract=True)): one partial-evaluation
-    # pass over every state-component value, instantiated per state --
-    # the report below splits it into ets.symbolic / ets.instantiate.
+    # cache, retry/deadline) are one frozen CompileOptions object on
+    # the app.  An option exists only when two real callers need
+    # different values (see repro.pipeline); there is one compile path.
+    # The ETS stage runs the symbolic all-states engine: one
+    # partial-evaluation pass over every state-component value,
+    # instantiated per state -- the report below splits it into
+    # ets.symbolic / ets.instantiate.
     pipeline = app.pipeline
     print("Event-driven transition system:")
     print(pipeline.ets, "\n")

@@ -6,10 +6,11 @@ Figure 8 it runs on, an initial state vector, and the
 artifacts (:attr:`App.ets`, :attr:`App.nes`, :attr:`App.compiled`) all
 delegate to one cached :class:`~repro.pipeline.Pipeline`, so an app
 constructed with ``options.cache_dir`` set skips the whole toolchain on
-a warm artifact cache.  The default options build the ETS through the
-symbolic all-states engine (``symbolic_extract=True``); construct an
-app with ``options=CompileOptions(symbolic_extract=False)`` to route
-through the per-state reference walks instead.
+a warm artifact cache.  There is one compile path: the options carry
+only what real callers set differently (backend, cache placement and
+trust, retry/deadline, field order, locality, tag field, frontier
+bound), never which implementation computes a stage — the reference
+implementations live in their own layers and are called by tests.
 """
 
 from __future__ import annotations

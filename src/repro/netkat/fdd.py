@@ -25,7 +25,6 @@ star).  Links are handled one level up, by the path compiler in
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .ast import (
@@ -160,11 +159,6 @@ class FieldOrder:
         return 0
 
 
-# Sentinel marking the deprecated FDDBuilder keyword arguments; the
-# supported spelling is CompileOptions(...).make_builder().
-_DEPRECATED_KWARG = object()
-
-
 class FDDBuilder:
     """Factory and algebra for FDDs.
 
@@ -172,27 +166,22 @@ class FDDBuilder:
     combined together must come from the same builder.  Builders are
     **not** thread-safe; the pipeline's thread backend gives each worker
     thread a private builder.
+
+    ``ordered_insert=False`` (mask/union ITE) and ``ast_memo=False`` (no
+    id-keyed ``of_policy``/``of_predicate`` memos) select the reference
+    routes that differential tests compare against; the compile
+    pipeline always runs the defaults.
     """
 
     def __init__(
         self,
         order: Optional[FieldOrder] = None,
-        ordered_insert=_DEPRECATED_KWARG,
-        ast_memo=_DEPRECATED_KWARG,
+        ordered_insert: bool = True,
+        ast_memo: bool = True,
     ):
-        if ordered_insert is not _DEPRECATED_KWARG or ast_memo is not _DEPRECATED_KWARG:
-            warnings.warn(
-                "FDDBuilder(ordered_insert=..., ast_memo=...) is deprecated; "
-                "use repro.pipeline.CompileOptions(ordered_insert=..., "
-                "ast_memo=...).make_builder() instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.order = order or FieldOrder()
-        self.ordered_insert = (
-            True if ordered_insert is _DEPRECATED_KWARG else ordered_insert
-        )
-        self.ast_memo = True if ast_memo is _DEPRECATED_KWARG else ast_memo
+        self.ordered_insert = ordered_insert
+        self.ast_memo = ast_memo
         self._leaf_cache: Dict[ActionSet, Leaf] = {}
         self._branch_cache: Dict[Tuple[str, int, int, int], Branch] = {}
         self._next_id = 0
@@ -213,20 +202,6 @@ class FDDBuilder:
         self._memo_of_predicate: Dict[int, Tuple[object, FDD]] = {}
         self.drop = self.leaf(frozenset())
         self.id = self.leaf(frozenset((IDENTITY_MOD,)))
-
-    @classmethod
-    def from_options(cls, options) -> "FDDBuilder":
-        """A builder configured by a ``CompileOptions``-like object
-        (anything with ``field_order``, ``ordered_insert``, ``ast_memo``).
-
-        This is the supported way to get a non-default builder; the
-        ``ordered_insert=``/``ast_memo=`` constructor keywords are
-        deprecated.
-        """
-        builder = cls(order=FieldOrder(options.field_order))
-        builder.ordered_insert = options.ordered_insert
-        builder.ast_memo = options.ast_memo
-        return builder
 
     # -- node constructors ---------------------------------------------------
 

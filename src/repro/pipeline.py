@@ -1,11 +1,12 @@
 """The staged compilation pipeline: program -> ETS -> NES -> flow tables.
 
 The paper's toolchain (Figure 7) is a fixed sequence of stages; this
-module is its single front door.  :class:`CompileOptions` consolidates
-every compiler/FDD/cache knob in one validated, frozen place, and
-:class:`Pipeline` exposes the staged artifacts (:attr:`Pipeline.ets`,
-:attr:`Pipeline.nes`, :attr:`Pipeline.compiled`) lazily, with per-stage
-wall-clock timings and stats available via :meth:`Pipeline.report`.
+module is its single front door, with one compile path through it.
+:class:`CompileOptions` holds the options real callers set, validated
+and frozen, and :class:`Pipeline` exposes the staged artifacts
+(:attr:`Pipeline.ets`, :attr:`Pipeline.nes`, :attr:`Pipeline.compiled`)
+lazily, with per-stage wall-clock timings and stats available via
+:meth:`Pipeline.report`.
 
 Two scale axes hang off the options:
 
@@ -21,18 +22,25 @@ Two scale axes hang off the options:
   skips the ETS/NES/compile stages entirely and unpickles the
   :class:`~repro.runtime.compiler.CompiledNES` directly.
 
-Execution-only knobs (``backend``, ``max_workers``, ``cache_dir``) are
-deliberately excluded from the cache key: they cannot change the
-artifact bytes (the golden tests in ``tests/test_pipeline.py`` pin
-this), so serial and threaded runs share cache entries.
+Execution-only options (``backend``, ``max_workers``, ``cache_dir``, the
+fault-tolerance and cache-trust fields) are deliberately excluded from
+the cache key: they cannot change the artifact bytes (the golden tests
+in ``tests/test_pipeline.py`` pin this), so serial and threaded runs
+share cache entries.
 
-The rule for future knobs: any new compiler/cache switch lands as a
-:class:`CompileOptions` field (not a loose keyword argument), and ships
-with a byte-identity golden test for its off position.
+The rule for future options: a :class:`CompileOptions` field exists
+only when two real callers (not tests, not examples) need different
+values; with one value in use it is a constant.  A reference
+implementation that tests compare against lives in the layer that
+defines it (``stateful.ets.build_ets``,
+``netkat.compiler.compile_policy``, ``netkat.fdd.FDDBuilder``) and is
+called by tests directly, never selected through the options, the CLI
+or the wire — so one program has one artifact key.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import hmac
@@ -43,7 +51,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import faults
 from .events.ets_to_nes import nes_of_ets
@@ -52,12 +60,10 @@ from .obs import trace as obs_trace
 from .events.nes import NES
 from .netkat import ast as _ast
 from .netkat.ast import Policy
-from .netkat.fdd import DEFAULT_FIELD_ORDER, FDDBuilder
+from .netkat.fdd import DEFAULT_FIELD_ORDER, FDDBuilder, FieldOrder
 from .runtime.compiler import TAG_FIELD, CompiledNES, compile_nes
 from .stateful.ast import StateVector, vector_update
 from .stateful.ets import ETS, build_ets
-from .stateful.events import extract
-from .stateful.projection import project
 from .stateful.symbolic import (
     StateGuard,
     SymbolicProgram,
@@ -88,8 +94,10 @@ BACKENDS: Tuple[str, ...] = ("serial", "thread")
 
 # Bump when the pickled artifact layout changes incompatibly; old cache
 # entries then miss instead of unpickling garbage.  Format 2 added the
-# optional HMAC-SHA256 signing envelope (see ArtifactCache).
-ARTIFACT_FORMAT = 2
+# optional HMAC-SHA256 signing envelope (see ArtifactCache); format 3
+# shrank the options fingerprint to four fields and stopped persisting
+# execution-only option values (the signing key among them).
+ARTIFACT_FORMAT = 3
 
 # Options that select *how* the pipeline executes, never *what* it
 # produces; they are excluded from the artifact cache key.  The
@@ -144,12 +152,13 @@ class ArtifactCacheWarning(UserWarning):
 
 @dataclass(frozen=True)
 class CompileOptions:
-    """Every compiler/FDD/cache knob, in one validated place.
+    """Every option of the compile pipeline, in one validated place.
 
-    Output-affecting knobs (everything except the execution trio
-    ``backend`` / ``max_workers`` / ``cache_dir``) participate in the
-    artifact cache key and must keep their byte-identity golden tests
-    (see module docstring).
+    A field exists only because real callers need different values for
+    it (module docstring); which *implementation* computes a stage is
+    not an option.  Output-affecting fields (``field_order``,
+    ``enforce_locality``, ``tag_field``, ``max_frontier``) participate
+    in the artifact cache key; the execution-only rest never do.
 
     - ``backend``: ``"serial"`` compiles configurations one by one on a
       single shared :class:`FDDBuilder`; ``"thread"`` shards them across
@@ -174,19 +183,6 @@ class CompileOptions:
     - ``deadline_seconds``: wall-clock budget for the compile stage,
       checked between per-configuration compiles (cooperative — one
       configuration is never preempted); exceeded → :class:`StageError`.
-    - ``symbolic_extract``: build the ETS from one symbolic
-      partial-evaluation pass over all state-component values
-      (:class:`~repro.stateful.symbolic.SymbolicProgram`) instead of one
-      ``extract``/``project`` walk per state; ``False`` selects the
-      retained per-state reference walks.  Output-affecting by
-      convention (it participates in the artifact cache key), though
-      both paths are byte-identical by construction.
-    - ``knowledge_cache``: the per-builder knowledge-predicate FDD cache
-      from the second perf wave; ``False`` recompiles each knowledge
-      predicate from a fresh AST (reference path).
-    - ``ordered_insert``: the ordered-insert ITE strategy in the FDD
-      algebra; ``False`` selects the retained mask/union reference path.
-    - ``ast_memo``: the id-keyed ``of_policy``/``of_predicate`` memos.
     - ``field_order``: FDD branch-ordering precedence (``sw``/``pt``
       first keeps per-switch extraction cheap).
     - ``enforce_locality``: refuse NESs that are not locally determined
@@ -202,10 +198,6 @@ class CompileOptions:
     strict_cache: bool = False
     compile_retries: int = 2
     deadline_seconds: Optional[float] = None
-    symbolic_extract: bool = True
-    knowledge_cache: bool = True
-    ordered_insert: bool = True
-    ast_memo: bool = True
     field_order: Tuple[str, ...] = DEFAULT_FIELD_ORDER
     enforce_locality: bool = True
     tag_field: str = TAG_FIELD
@@ -241,8 +233,8 @@ class CompileOptions:
         return dataclasses.replace(self, **changes)
 
     def make_builder(self) -> FDDBuilder:
-        """A fresh :class:`FDDBuilder` configured by these options."""
-        return FDDBuilder.from_options(self)
+        """A fresh :class:`FDDBuilder` branching in ``field_order``."""
+        return FDDBuilder(FieldOrder(self.field_order))
 
     def semantic_fingerprint(self) -> str:
         """Canonical serialization of the output-affecting options."""
@@ -252,6 +244,16 @@ class CompileOptions:
             if f.name not in _EXECUTION_ONLY_FIELDS
         )
         return repr(pairs)
+
+    def output_affecting(self) -> "CompileOptions":
+        """A copy with every execution-only field back at its default:
+        the options an artifact persists.  How the storing run executed
+        (and its ``cache_hmac_key``) is not part of what it produced."""
+        return self.replace(**{
+            f.name: f.default
+            for f in dataclasses.fields(self)
+            if f.name in _EXECUTION_ONLY_FIELDS
+        })
 
     def resolved_cache_hmac_key(self) -> Optional[bytes]:
         """The effective cache-signing key as bytes: the explicit field,
@@ -617,20 +619,19 @@ class _PatchedInstantiation:
     States outside the delta's blast radius are served from the previous
     ETS, reusing its already-instantiated edge and configuration
     objects; affected (or newly reached) states fall through to the
-    fresh per-state source.  ``edge_guards`` / ``cell_guards`` of
-    ``None`` mean the blast radius is unknown — every state is fresh.
+    post-delta engine, which ``fresh`` returns (building it on first
+    use).  ``edge_guards`` / ``cell_guards`` of ``None`` mean the blast
+    radius is unknown — every state is fresh.
     """
 
     def __init__(
         self,
-        fresh_edges,
-        fresh_config,
+        fresh: Callable[[], SymbolicProgram],
         old_ets: Optional[ETS],
         edge_guards: Optional[FrozenSet[StateGuard]],
         cell_guards: Optional[FrozenSet[StateGuard]],
     ):
-        self._fresh_edges = fresh_edges
-        self._fresh_config = fresh_config
+        self._fresh = fresh
         self._old = old_ets
         self._old_states = (
             frozenset(old_ets.states()) if old_ets is not None else frozenset()
@@ -650,14 +651,14 @@ class _PatchedInstantiation:
         if self._unaffected(state, self._edge_guards):
             return self._old.out_edges(state)
         self.fresh.add(state)
-        return self._fresh_edges(state)
+        return self._fresh().edges_at(state)
 
     def configuration_at(self, state):
         self.seen.add(state)
         if self._unaffected(state, self._cell_guards):
             return self._old.configuration(state)
         self.fresh.add(state)
-        return self._fresh_config(state)
+        return self._fresh().configuration_at(state)
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +680,14 @@ class PipelineReport:
     stats: Tuple[Tuple[str, int], ...]
     backend: str
     artifact_cache: Optional[str]
-    # Sub-stage split of the ets stage under symbolic_extract:
-    # "ets.symbolic" (the one partial-evaluation pass) and
-    # "ets.instantiate" (per-state BFS instantiation).  These refine
-    # the "ets" entry of stage_seconds; total_seconds() ignores them.
-    # A pipeline produced by Pipeline.update() additionally carries an
-    # "update.delta" substage (delta application + blast-radius diff)
-    # and "update.*" entries in stats (reinstantiation/recompile/reuse
-    # counters).
+    # Sub-stage split of the ets stage: "ets.symbolic" (the one
+    # partial-evaluation pass) and "ets.instantiate" (per-state BFS
+    # instantiation; in an update, the blast-radius guard diff too).
+    # These refine the "ets" entry of stage_seconds; total_seconds()
+    # ignores them.  A pipeline produced by Pipeline.update()
+    # additionally carries an "update.delta" substage (delta application
+    # + warm-artifact check) and "update.*" entries in stats
+    # (reinstantiation/recompile/reuse counters).
     substages: Tuple[Tuple[str, float], ...] = ()
     # Failure/recovery counters: executor retries and serial fallbacks,
     # cache integrity rejections/quarantines, swallowed load/store
@@ -803,25 +804,33 @@ class Pipeline:
     def _count(self, counter: str) -> None:
         obs_metrics.count_health(self._health, counter)
 
-    @staticmethod
-    def _stage_boundary(name: str) -> None:
-        """The fault-injection hook at a stage boundary: an injected
-        fault surfaces as a typed :class:`StageError` with provenance."""
+    def _record_stage(self, name: str, seconds: float) -> None:
+        """The one writer of a stage timing: the report's view and the
+        installed registry's histogram."""
+        self._stage_seconds[name] = seconds
+        obs_metrics.observe(
+            "repro_pipeline_stage_seconds",
+            seconds,
+            stage=name,
+            help="Wall-clock seconds per pipeline stage run, by stage",
+        )
+
+    @contextlib.contextmanager
+    def _stage(self, name: str) -> Iterator[obs_trace.Span]:
+        """One stage run, cold or incremental: the fault boundary (an
+        injected fault surfaces as a typed :class:`StageError` with
+        provenance), then the body under a span and a wall-clock timer,
+        then :meth:`_record_stage`.  A body that raises records nothing.
+        """
         try:
             faults.check(f"stage.{name}")
         except faults.FaultInjected as exc:
             raise StageError(name, f"stage {name!r} failed: {exc}") from exc
-
-    @staticmethod
-    def _observe_stage(stage: str, seconds: float) -> None:
-        """Mirror a recorded stage timing into the installed registry
-        (the ``_stage_seconds`` dict stays the legacy report view)."""
-        obs_metrics.observe(
-            "repro_pipeline_stage_seconds",
-            seconds,
-            stage=stage,
-            help="Wall-clock seconds per pipeline stage run, by stage",
-        )
+        with obs_trace.span(name) as stage_span:
+            start = time.perf_counter()
+            yield stage_span
+            seconds = time.perf_counter() - start
+        self._record_stage(name, seconds)
 
     # -- staged artifacts ---------------------------------------------------
 
@@ -830,40 +839,26 @@ class Pipeline:
         if self._ets is None:
             with self._memo_lock:
                 if self._ets is None:
-                    self._stage_boundary("ets")
-                    with obs_trace.span("ets") as stage_span:
+                    # One symbolic partial evaluation, then the per-state
+                    # BFS instantiation (the report's "ets.*" substages).
+                    # The engine is retained: update() diffs it against
+                    # the post-delta program's to localize the delta.
+                    with self._stage("ets") as stage_span:
                         start = time.perf_counter()
-                        if self.options.symbolic_extract:
-                            # The symbolic path splits into the one-shot
-                            # partial evaluation and the per-state BFS
-                            # instantiation; the report carries both (the
-                            # "ets.*" substages) alongside the stage total.
-                            # The engine is retained: update() diffs it
-                            # against the post-delta program's to localize
-                            # a delta's blast radius.
-                            with obs_trace.span("ets.symbolic"):
-                                symbolic = SymbolicProgram(self.program)
-                            mid = time.perf_counter()
-                            with obs_trace.span("ets.instantiate"):
-                                ets = build_ets(
-                                    self.program,
-                                    self.initial_state,
-                                    symbolic=symbolic,
-                                )
-                            end = time.perf_counter()
-                            self._substage_seconds["ets.symbolic"] = mid - start
-                            self._substage_seconds["ets.instantiate"] = end - mid
-                            self._symbolic = symbolic
-                        else:
+                        with obs_trace.span("ets.symbolic"):
+                            symbolic = SymbolicProgram(self.program)
+                        mid = time.perf_counter()
+                        with obs_trace.span("ets.instantiate"):
                             ets = build_ets(
                                 self.program,
                                 self.initial_state,
-                                symbolic_extract=False,
+                                symbolic=symbolic,
                             )
-                            end = time.perf_counter()
+                        end = time.perf_counter()
                         stage_span.set(states=len(ets.states()))
-                    self._stage_seconds["ets"] = end - start
-                    self._observe_stage("ets", end - start)
+                    self._substage_seconds["ets.symbolic"] = mid - start
+                    self._substage_seconds["ets.instantiate"] = end - mid
+                    self._symbolic = symbolic
                     self._ets = ets
         return self._ets
 
@@ -882,14 +877,9 @@ class Pipeline:
                         self._nes = self._compiled.nes
                     else:
                         ets = self.ets
-                        self._stage_boundary("nes")
-                        with obs_trace.span("nes") as stage_span:
-                            start = time.perf_counter()
+                        with self._stage("nes") as stage_span:
                             nes = nes_of_ets(ets)
-                            seconds = time.perf_counter() - start
                             stage_span.set(events=len(nes.events))
-                        self._stage_seconds["nes"] = seconds
-                        self._observe_stage("nes", seconds)
                         self._nes = nes
         return self._nes
 
@@ -901,19 +891,14 @@ class Pipeline:
                     self._load_artifact()
                 if self._compiled is None:
                     nes = self.nes
-                    self._stage_boundary("compile")
-                    with obs_trace.span("compile") as stage_span:
-                        start = time.perf_counter()
+                    with self._stage("compile") as stage_span:
                         compiled = compile_nes(
                             nes,
                             self.topology,
                             options=self.options,
                             health=self._health,
                         )
-                        seconds = time.perf_counter() - start
                         stage_span.set(configurations=len(compiled.states))
-                    self._stage_seconds["compile"] = seconds
-                    self._observe_stage("compile", seconds)
                     self._compiled = compiled
                     self._store_artifact()
         return self._compiled
@@ -972,20 +957,12 @@ class Pipeline:
             help="Artifact cache loads by result",
         )
         if loaded is not None:
-            # The artifact was stored under possibly different
-            # execution-only options (they are excluded from the key);
-            # stamp in this run's, so compiled.options reflects how
-            # *this* pipeline executes, not how the storing one did.
-            loaded.options = loaded.options.replace(
-                **{
-                    name: getattr(self.options, name)
-                    for name in _EXECUTION_ONLY_FIELDS
-                }
-            )
+            # Same key, same output-affecting options; the
+            # execution-only rest is this run's, not the storing one's.
+            loaded.options = self.options
             self._artifact_cache_state = "hit"
-            seconds = time.perf_counter() - start
-            self._stage_seconds["compile"] = seconds
-            self._observe_stage("compile", seconds)
+            # On a hit the load *is* this pipeline's compile stage.
+            self._record_stage("compile", time.perf_counter() - start)
             self._compiled = loaded
         else:
             self._artifact_cache_state = "miss"
@@ -1048,8 +1025,17 @@ class Pipeline:
         old_ets = self._ets
         old_symbolic = self._symbolic
 
+        program_changed = new_program is not self.program
+        topology_changed = delta.topology is not None and (
+            _topology_fingerprint(new_topology)
+            != _topology_fingerprint(self.topology)
+        )
+
         # A warm artifact under the post-delta key beats any patching.
         updated._load_artifact()
+        updated._substage_seconds["update.delta"] = (
+            time.perf_counter() - t_delta
+        )
         if updated._compiled is not None:
             updated._update_stats = {
                 "update.states_reinstantiated": 0,
@@ -1058,89 +1044,53 @@ class Pipeline:
                 "update.configurations_reused": len(updated._compiled.states),
                 "update.reuse_percent": 100,
             }
-            updated._substage_seconds["update.delta"] = (
-                time.perf_counter() - t_delta
-            )
             return updated
 
-        program_changed = new_program is not self.program
-        topology_changed = delta.topology is not None and (
-            _topology_fingerprint(new_topology)
-            != _topology_fingerprint(self.topology)
-        )
-
-        # Blast radius from the symbolic guard diff.  ``None`` guards
-        # mean unknown (no diffable engine): every state is affected.
-        symbolic: Optional[SymbolicProgram] = None
-        edge_guards: Optional[FrozenSet[StateGuard]] = None
-        cell_guards: Optional[FrozenSet[StateGuard]] = None
+        # The post-delta engine is built at most once and only when
+        # needed: a fully-reused instantiation (the common no-op /
+        # state-only delta) never pays for a partial evaluation.
+        symbolic = None if program_changed else old_symbolic
         sym_seconds = 0.0
-        if self.options.symbolic_extract:
-            if not program_changed:
-                symbolic = old_symbolic  # may be None (warm source)
-                edge_guards = cell_guards = frozenset()
-            else:
+
+        def ensure_symbolic() -> SymbolicProgram:
+            nonlocal symbolic, sym_seconds
+            if symbolic is None:
                 t_sym = time.perf_counter()
                 symbolic = SymbolicProgram(new_program)
-                sym_seconds = time.perf_counter() - t_sym
-                if old_symbolic is not None:
-                    edge_guards = changed_edge_guards(
-                        old_symbolic.extraction, symbolic.extraction
-                    )
-                    cell_guards = changed_cell_guards(
-                        old_symbolic.cells, symbolic.cells
-                    )
-        elif not program_changed:
-            # Reference path (per-state walks): nothing to diff, but an
-            # unchanged program reuses every previous state verbatim.
-            edge_guards = cell_guards = frozenset()
-        updated._substage_seconds["update.delta"] = (
-            time.perf_counter() - t_delta - sym_seconds
-        )
-
-        # Fresh per-state fallbacks for affected/new states.  Under
-        # symbolic_extract the engine is built lazily: a fully-reused
-        # instantiation (the common no-op / state-only delta) never pays
-        # for a partial evaluation it does not use.
-        if self.options.symbolic_extract:
-            def _ensure_symbolic() -> SymbolicProgram:
-                nonlocal symbolic, sym_seconds
-                if symbolic is None:
-                    t0 = time.perf_counter()
-                    symbolic = SymbolicProgram(new_program)
-                    sym_seconds += time.perf_counter() - t0
-                return symbolic
-
-            fresh_edges = lambda s: _ensure_symbolic().edges_at(s)  # noqa: E731
-            fresh_config = lambda s: _ensure_symbolic().configuration_at(s)  # noqa: E731
-        else:
-            fresh_edges = lambda s: extract(new_program, s).edges  # noqa: E731
-            fresh_config = lambda s: project(new_program, s)  # noqa: E731
+                sym_seconds += time.perf_counter() - t_sym
+            return symbolic
 
         # Stage 1: the patched ETS.
-        self._stage_boundary("ets")
-        eager_sym_seconds = sym_seconds  # built before the ets window
-        t_ets = time.perf_counter()
-        source = _PatchedInstantiation(
-            fresh_edges, fresh_config, old_ets, edge_guards, cell_guards
-        )
-        with obs_trace.span("update.reinstantiate") as ets_span:
+        with updated._stage("ets") as ets_span:
+            t_ets = time.perf_counter()
+            # Blast radius from the symbolic guard diff.  ``None``
+            # guards mean unknown (a warm-cache source retained no
+            # engine to diff against): every state is affected.
+            edge_guards: Optional[FrozenSet[StateGuard]] = None
+            cell_guards: Optional[FrozenSet[StateGuard]] = None
+            if not program_changed:
+                edge_guards = cell_guards = frozenset()
+            elif old_symbolic is not None:
+                fresh = ensure_symbolic()
+                edge_guards = changed_edge_guards(
+                    old_symbolic.extraction, fresh.extraction
+                )
+                cell_guards = changed_cell_guards(
+                    old_symbolic.cells, fresh.cells
+                )
+            source = _PatchedInstantiation(
+                ensure_symbolic, old_ets, edge_guards, cell_guards
+            )
             new_ets = build_ets(new_program, new_initial, symbolic=source)
+            ets_seconds = time.perf_counter() - t_ets
             ets_span.set(
                 fresh_states=len(source.fresh),
                 reused_states=len(source.seen) - len(source.fresh),
             )
-        ets_seconds = time.perf_counter() - t_ets
-        lazy_sym_seconds = sym_seconds - eager_sym_seconds
-        updated._ets = new_ets
+        updated._substage_seconds["ets.symbolic"] = sym_seconds
+        updated._substage_seconds["ets.instantiate"] = ets_seconds - sym_seconds
         updated._symbolic = symbolic
-        updated._stage_seconds["ets"] = ets_seconds + eager_sym_seconds
-        self._observe_stage("ets", ets_seconds + eager_sym_seconds)
-        if self.options.symbolic_extract:
-            updated._substage_seconds["ets.symbolic"] = sym_seconds
-            updated._substage_seconds["ets.instantiate"] = (
-                ets_seconds - lazy_sym_seconds
-            )
+        updated._ets = new_ets
 
         # Stage 2: NES conversion, only if the ETS changed at all.  The
         # NES carries the configuration policies too, so a changed
@@ -1153,42 +1103,38 @@ class Pipeline:
             and new_ets.edges == old_ets.edges
             and new_ets.vertices == old_ets.vertices
         ):
-            updated._nes = old_nes
+            nes = old_nes
         else:
-            self._stage_boundary("nes")
-            t_nes = time.perf_counter()
-            with obs_trace.span("nes"):
-                updated._nes = nes_of_ets(new_ets)
-            nes_seconds = time.perf_counter() - t_nes
-            updated._stage_seconds["nes"] = nes_seconds
-            self._observe_stage("nes", nes_seconds)
-        nes = updated._nes
+            with updated._stage("nes") as nes_span:
+                nes = nes_of_ets(new_ets)
+                nes_span.set(events=len(nes.events))
+        updated._nes = nes
 
         # Stage 3: compile, adopting every configuration whose policy
         # and topology are unchanged (byte-identical by purity).
-        self._stage_boundary("compile")
-        t_compile = time.perf_counter()
-        reuse: Dict[StateVector, object] = {}
-        if not topology_changed:
-            for state in nes.configuration_states():
-                previous = old_compiled.configurations.get(state)
-                if previous is None:
-                    continue
-                old_policy = old_nes.configuration_policy(state)
-                new_policy = nes.configuration_policy(state)
-                if new_policy is old_policy or new_policy == old_policy:
-                    reuse[state] = previous
-        with obs_trace.span("compile", reused_configurations=len(reuse)):
-            updated._compiled = compile_nes(
+        with updated._stage("compile") as compile_span:
+            reuse: Dict[StateVector, object] = {}
+            if not topology_changed:
+                for state in nes.configuration_states():
+                    previous = old_compiled.configurations.get(state)
+                    if previous is None:
+                        continue
+                    old_policy = old_nes.configuration_policy(state)
+                    new_policy = nes.configuration_policy(state)
+                    if new_policy is old_policy or new_policy == old_policy:
+                        reuse[state] = previous
+            compiled = compile_nes(
                 nes,
                 new_topology,
                 options=self.options,
                 health=updated._health,
                 reuse_configurations=reuse,
             )
-        compile_seconds = time.perf_counter() - t_compile
-        updated._stage_seconds["compile"] = compile_seconds
-        self._observe_stage("compile", compile_seconds)
+            compile_span.set(
+                configurations=len(compiled.states),
+                reused_configurations=len(reuse),
+            )
+        updated._compiled = compiled
         updated._store_artifact()
 
         total = len(updated._compiled.states)

@@ -61,8 +61,10 @@ __all__ = [
 ]
 
 # Bumped on incompatible wire-shape changes; served by GET /version so a
-# fleet can gate rollouts on it.
-PROTOCOL_VERSION = 1
+# fleet can gate rollouts on it.  Version 2 shrank the requestable
+# option set to the fields below (a request naming any other field is a
+# ``bad_options`` 400, never ignored).
+PROTOCOL_VERSION = 2
 
 # CompileOptions fields a request may set.  Everything else is either
 # server-owned deployment policy (cache_dir, cache_hmac_key,
@@ -71,10 +73,6 @@ REQUESTABLE_OPTION_FIELDS: Tuple[str, ...] = (
     "backend",
     "max_workers",
     "compile_retries",
-    "symbolic_extract",
-    "knowledge_cache",
-    "ordered_insert",
-    "ast_memo",
     "field_order",
     "enforce_locality",
     "tag_field",

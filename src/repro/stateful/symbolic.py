@@ -25,7 +25,7 @@ of a fresh AST walk, which makes ETS construction near-linear in the
 chain depth for the cap apps.
 
 Byte identity with the per-state reference path
-(``CompileOptions(symbolic_extract=False)``) is load-bearing: both
+(``build_ets(..., symbolic_extract=False)``) is load-bearing: both
 walks apply the *same* smart constructors and formula combinators in
 the *same* order, so for every state consistent with a guard the
 instantiated edges, formulas, and configuration policies are equal --

@@ -1,10 +1,10 @@
 """Shared helpers for the byte-identity golden tests.
 
-One definition of the seven seed applications and of the canonical
-guarded-table serialization, imported by both
-``test_compiler_caching.py`` (cache off-switches) and
-``test_pipeline.py`` (backend/cache/façade identity) — so adding a seed
-app or changing the serialization updates every golden suite at once.
+One definition of the seven seed applications, of the canonical
+guarded-table serialization, and of the reference compile the goldens
+compare the pipeline against, imported by ``test_compiler_caching.py``
+and ``test_pipeline.py`` — so adding a seed app or changing the
+serialization updates every golden suite at once.
 """
 
 from repro.apps import (
@@ -16,7 +16,11 @@ from repro.apps import (
     learning_switch_app,
     ring_app,
 )
+from repro.events.ets_to_nes import nes_of_ets
+from repro.netkat.compiler import compile_policy
+from repro.netkat.fdd import FDDBuilder
 from repro.runtime.compiler import CompiledNES
+from repro.stateful.ets import ETS, build_ets
 
 APPS = (
     ("firewall", firewall_app),
@@ -34,3 +38,34 @@ def guarded_bytes(compiled: CompiledNES) -> bytes:
     tables = compiled.guarded_tables()
     lines = [f"switch {sw}:\n{tables[sw]!r}" for sw in sorted(tables)]
     return "\n".join(lines).encode()
+
+
+def reference_ets(app) -> ETS:
+    """The ETS by the Fig. 6 per-state ``extract``/``project`` walks."""
+    return build_ets(app.program, app.initial_state, symbolic_extract=False)
+
+
+def reference_compile(app, nes=None) -> CompiledNES:
+    """The compile path composed from the layer-level reference
+    implementations: per-state ``build_ets`` -> ``nes_of_ets`` -> one
+    uncached ``compile_policy`` per configuration on a mask/union,
+    memo-free ``FDDBuilder``.  Pass ``nes`` to start from an NES already
+    in hand (only the FDD/compiler references then differ from the
+    pipeline).  Every configuration is handed to ``CompiledNES``
+    through its ``reuse_configurations`` seam, so the pipeline's own
+    compile never runs; only the tag merge is shared.
+    """
+    if nes is None:
+        nes = nes_of_ets(reference_ets(app))
+    builder = FDDBuilder(ordered_insert=False, ast_memo=False)
+    configurations = {
+        state: compile_policy(
+            nes.configuration_policy(state),
+            app.topology,
+            builder=builder,
+            name=f"C{list(state)}",
+            knowledge_cache=False,
+        )
+        for state in nes.configuration_states()
+    }
+    return CompiledNES(nes, app.topology, reuse_configurations=configurations)

@@ -91,37 +91,14 @@ class TestCompile:
                      "--backend", "thread"]) == 0
         assert capsys.readouterr().out == serial
 
-    def test_no_knowledge_cache_matches_default(self, firewall_file, capsys):
-        assert main(["compile", firewall_file, "--topology", "firewall"]) == 0
-        default = capsys.readouterr().out
-        assert main(["compile", firewall_file, "--topology", "firewall",
-                     "--no-knowledge-cache"]) == 0
-        assert capsys.readouterr().out == default
-
-    def test_no_symbolic_extract_matches_default(self, firewall_file, capsys):
-        assert main(["compile", firewall_file, "--topology", "firewall"]) == 0
-        default = capsys.readouterr().out
-        assert main(["compile", firewall_file, "--topology", "firewall",
-                     "--no-symbolic-extract"]) == 0
-        assert capsys.readouterr().out == default
-
     def test_report_prints_stage_timings(self, firewall_file, capsys):
         assert main(["compile", firewall_file, "--topology", "firewall",
                      "--report"]) == 0
         out = capsys.readouterr().out
         assert "stage ets" in out and "stage nes" in out
         assert "stage compile" in out
-        # The default symbolic path reports its substage split.
+        # The ets stage reports its substage split.
         assert "ets.symbolic" in out and "ets.instantiate" in out
-
-    def test_report_without_symbolic_extract_has_no_split(
-        self, firewall_file, capsys
-    ):
-        assert main(["compile", firewall_file, "--topology", "firewall",
-                     "--no-symbolic-extract", "--report"]) == 0
-        out = capsys.readouterr().out
-        assert "stage ets" in out
-        assert "ets.symbolic" not in out
 
     def test_cache_dir_warm_hit(self, firewall_file, tmp_path, capsys):
         cache = str(tmp_path / "artifacts")

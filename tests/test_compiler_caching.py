@@ -1,68 +1,51 @@
 """Golden tests: the perf-wave caches must be invisible.
 
-The ordered-insert ITE strategy in the FDD algebra and the per-builder
-knowledge-FDD cache in the path compiler are pure optimizations; both
-can be switched off (``CompileOptions(ordered_insert=False,
-knowledge_cache=False)``), and this module asserts the guarded tables
-they produce are byte-identical on every seed application.  It also
-covers the memoized ``CompiledNES.guarded_tables``: cache reuse,
-defensive copies, and explicit invalidation.
+The ordered-insert ITE strategy in the FDD algebra, the id-keyed AST
+memos, and the per-builder knowledge-FDD cache in the path compiler are
+pure optimizations.  Their reference routes stay reachable at the layer
+that defines them (``FDDBuilder(ordered_insert=False, ast_memo=False)``,
+``compile_policy(knowledge_cache=False)``, ``build_ets(...,
+symbolic_extract=False)``); ``seed_apps.reference_compile`` composes
+them, and this module asserts the pipeline's guarded tables are
+byte-identical to it on every seed application.  It also covers the
+memoized ``CompiledNES.guarded_tables``: cache reuse, defensive copies,
+and explicit invalidation.
 """
 
 import pytest
 
-from repro import CompileOptions, Pipeline
 from repro.apps import bandwidth_cap_app, firewall_app, ids_app
 from repro.netkat.compiler import Knowledge, knowledge_fdd
 from repro.netkat.fdd import FDDBuilder
-from repro.runtime.compiler import CompiledNES
 
-from seed_apps import APPS, guarded_bytes
-
-
-def reference_compile(app) -> CompiledNES:
-    """Recompile with every perf-wave cache disabled."""
-    options = CompileOptions(
-        ordered_insert=False, ast_memo=False, knowledge_cache=False
-    )
-    return CompiledNES(app.nes, app.topology, options=options)
-
-
-def reference_pipeline_compile(app) -> CompiledNES:
-    """The full toolchain with every fast path off: per-state
-    extract/project ETS construction plus every perf-wave cache
-    disabled."""
-    options = CompileOptions(
-        symbolic_extract=False,
-        ordered_insert=False,
-        ast_memo=False,
-        knowledge_cache=False,
-    )
-    return Pipeline(app.program, app.topology, app.initial_state, options).compiled
+from seed_apps import APPS, guarded_bytes, reference_compile
 
 
 @pytest.mark.parametrize("name,make", APPS, ids=[name for name, _ in APPS])
 def test_guarded_tables_byte_identical(name, make):
+    """Every perf-wave cache off, on the pipeline's own NES."""
     app = make()
-    assert guarded_bytes(app.compiled) == guarded_bytes(reference_compile(app))
+    assert guarded_bytes(app.compiled) == guarded_bytes(
+        reference_compile(app, nes=app.nes)
+    )
 
 
 @pytest.mark.parametrize("name,make", APPS, ids=[name for name, _ in APPS])
 def test_guarded_tables_byte_identical_symbolic_off(name, make):
-    """Symbolic all-states extraction stacked with the cache
-    off-switches: the full fast-path pipeline (app defaults) against the
-    everything-off reference, end to end."""
+    """Per-state ETS extraction stacked with the cache-free compile:
+    the pipeline (app defaults) against the fully composed reference,
+    end to end."""
     app = make()
-    assert guarded_bytes(app.compiled) == guarded_bytes(
-        reference_pipeline_compile(app)
-    )
+    assert guarded_bytes(app.compiled) == guarded_bytes(reference_compile(app))
 
 
 @pytest.mark.slow
 def test_guarded_tables_byte_identical_deep_chain():
     """The deep bandwidth-cap chain, where the caches do the most work."""
     app = bandwidth_cap_app(16)
-    assert guarded_bytes(app.compiled) == guarded_bytes(reference_compile(app))
+    assert guarded_bytes(app.compiled) == guarded_bytes(
+        reference_compile(app, nes=app.nes)
+    )
 
 
 class TestKnowledgeFddCache:

@@ -40,7 +40,6 @@ from repro.netkat.ast import (
 from repro.netkat.ast import link
 from repro.netkat.fdd import FDDBuilder
 from repro.netkat.flowtable import table_of_fdd
-from repro.pipeline import CompileOptions
 from repro.netkat.packet import Packet
 from repro.netkat.semantics import eval_packet
 from repro.stateful.ast import StateTest, link_update
@@ -101,7 +100,7 @@ def random_packet(rng: random.Random) -> Packet:
 def assert_differential(policy: Policy, packets) -> None:
     """FDD eval, reference-FDD eval, and table apply all match semantics."""
     fast = FDDBuilder()
-    ref = CompileOptions(ordered_insert=False).make_builder()
+    ref = FDDBuilder(ordered_insert=False)
     d_fast = fast.of_policy(policy)
     d_ref = ref.of_policy(policy)
     # The two strategies must build the same canonical diagram.

@@ -397,6 +397,31 @@ class TestSignedArtifacts:
         assert warm.report().artifact_cache == "hit"
         assert warm.report().health == {}
 
+    def test_stored_artifact_holds_no_execution_only_option_values(
+        self, tmp_path, reference_tables
+    ):
+        """The file a key signs must not contain that key (nor where or
+        how the storing run executed); a warm load reports its own."""
+        app = firewall_app()
+        store_dir = tmp_path / "stored-under-this-path"
+        cold = fresh_pipeline(
+            app, self.options(store_dir, backend="thread", strict_cache=True)
+        )
+        cold.compiled
+        blob = ArtifactCache(store_dir).path(cold.artifact_key()).read_bytes()
+        assert KEY.encode() not in blob
+        assert store_dir.name.encode() not in blob
+
+        load_dir = tmp_path / "loaded-from-here"
+        store_dir.rename(load_dir)
+        warm = fresh_pipeline(app, self.options(load_dir))
+        assert guarded_bytes(warm.compiled) == reference_tables
+        assert warm.report().artifact_cache == "hit"
+        assert warm.compiled.options.backend == "serial"
+        assert warm.compiled.options.cache_dir == load_dir
+        assert warm.compiled.options.cache_hmac_key == KEY
+        assert warm.compiled.options.strict_cache is False
+
     @pytest.mark.parametrize("flip_at", ["payload", "digest", "magic"])
     def test_tampered_artifact_is_rejected_and_recompiled(
         self, tmp_path, reference_tables, flip_at

@@ -4,8 +4,8 @@ The pipeline's scale knobs must be invisible in the output: the thread
 backend, the persistent artifact cache (cold and warm), and the façade
 itself all have to produce guarded tables byte-identical to the legacy
 direct ``build_ets -> nes_of_ets -> compile_nes`` path, on every seed
-application.  The deprecation shims must keep old spellings working --
-with a warning -- and identical results.
+application.  The deprecation shims are gone: the old spellings fail
+loudly instead of being tolerated.
 """
 
 import pickle
@@ -22,7 +22,7 @@ from repro.pipeline import ArtifactCache, artifact_digest
 from repro.runtime.compiler import CompiledNES, compile_nes
 from repro.stateful.ets import build_ets
 
-from seed_apps import APPS, guarded_bytes
+from seed_apps import APPS, guarded_bytes, reference_compile, reference_ets
 
 
 def legacy_compile(app) -> CompiledNES:
@@ -69,30 +69,12 @@ def test_symbolic_extract_byte_identical(name, make):
     extract/project reference walks."""
     app = make()
     fast = Pipeline(app.program, app.topology, app.initial_state)
-    reference = Pipeline(
-        app.program,
-        app.topology,
-        app.initial_state,
-        CompileOptions(symbolic_extract=False),
-    )
-    assert fast.ets.initial == reference.ets.initial
-    assert fast.ets.vertices == reference.ets.vertices
-    assert fast.ets.edges == reference.ets.edges
-    assert repr(fast.ets) == repr(reference.ets)
-    assert guarded_bytes(fast.compiled) == guarded_bytes(reference.compiled)
-
-
-def test_symbolic_extract_is_in_the_artifact_key():
-    app = firewall_app()
-    base = CompileOptions()
-    assert artifact_digest(
-        app.program, app.topology, app.initial_state, base
-    ) != artifact_digest(
-        app.program,
-        app.topology,
-        app.initial_state,
-        base.replace(symbolic_extract=False),
-    )
+    reference = reference_ets(app)
+    assert fast.ets.initial == reference.initial
+    assert fast.ets.vertices == reference.vertices
+    assert fast.ets.edges == reference.edges
+    assert repr(fast.ets) == repr(reference)
+    assert guarded_bytes(fast.compiled) == guarded_bytes(reference_compile(app))
 
 
 def test_report_shows_the_symbolic_vs_instantiate_split():
@@ -109,15 +91,6 @@ def test_report_shows_the_symbolic_vs_instantiate_split():
         sum(s for _, s in report.stage_seconds)
     )
     assert "ets.symbolic" in str(report) and "ets.instantiate" in str(report)
-
-    reference = Pipeline(
-        app.program,
-        app.topology,
-        app.initial_state,
-        CompileOptions(symbolic_extract=False),
-    )
-    reference.ets
-    assert reference.report().substages == ()
 
 
 def test_app_facade_matches_legacy():
@@ -245,7 +218,7 @@ class TestArtifactCache:
             app.program,
             app.topology,
             app.initial_state,
-            base.replace(knowledge_cache=False),
+            base.replace(max_frontier=17),
         )
 
     def test_execution_only_options_share_the_key(self, tmp_path):
@@ -374,11 +347,29 @@ class TestCompileOptions:
         assert expanded == Path("~/repro-cache").expanduser()
 
     def test_make_builder_carries_the_knobs(self):
-        builder = CompileOptions(ordered_insert=False, ast_memo=False).make_builder()
-        assert builder.ordered_insert is False
-        assert builder.ast_memo is False
+        builder = CompileOptions(field_order=("pt", "sw")).make_builder()
+        assert builder.order.field_rank("pt") < builder.order.field_rank("sw")
         default = CompileOptions().make_builder()
-        assert default.ordered_insert is True and default.ast_memo is True
+        assert default.order.field_rank("sw") < default.order.field_rank("pt")
+        # Which FDD implementation runs is not an option: always the default.
+        assert builder.ordered_insert is True and builder.ast_memo is True
+
+    def test_output_affecting_resets_only_the_execution_fields(self, tmp_path):
+        options = CompileOptions(
+            backend="thread",
+            cache_dir=tmp_path,
+            cache_hmac_key="secret",
+            strict_cache=True,
+            tag_field="cfg",
+            max_frontier=17,
+        )
+        assert options.output_affecting() == CompileOptions(
+            tag_field="cfg", max_frontier=17
+        )
+        assert (
+            options.output_affecting().semantic_fingerprint()
+            == options.semantic_fingerprint()
+        )
 
 
 def test_compile_app_forms():
@@ -404,38 +395,31 @@ def test_compile_app_forms():
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shims: old spellings warn but produce identical results
+# Deprecation shims are deleted: old spellings are rejected, not tolerated
 # ---------------------------------------------------------------------------
 
 
 class TestDeprecationShims:
-    def test_compile_nes_knowledge_cache_kwarg(self):
+    def test_removed_spellings_are_rejected(self):
         app = firewall_app()
-        with pytest.warns(DeprecationWarning, match="CompileOptions"):
-            old = compile_nes(app.nes, app.topology, knowledge_cache=False)
-        new = compile_nes(
-            app.nes, app.topology, options=CompileOptions(knowledge_cache=False)
-        )
-        assert old.options.knowledge_cache is False
-        assert guarded_bytes(old) == guarded_bytes(new) == guarded_bytes(app.compiled)
-
-    def test_fddbuilder_ordered_insert_kwarg(self):
-        from repro.netkat.ast import assign, filter_, seq, test, union
-
-        link_free = union(
-            seq(filter_(test("pt", 2)), assign("pt", 1), assign("ip_dst", 4)),
-            seq(assign("ip_src", 1), filter_(test("pt", 1)), assign("pt", 2)),
-        )
-        with pytest.warns(DeprecationWarning, match="CompileOptions"):
-            old = FDDBuilder(ordered_insert=False, ast_memo=False)
-        new = CompileOptions(ordered_insert=False, ast_memo=False).make_builder()
-        assert old.ordered_insert is False and old.ast_memo is False
-        assert repr(old.of_policy(link_free)) == repr(new.of_policy(link_free))
+        for removed in (
+            "symbolic_extract", "knowledge_cache", "ordered_insert", "ast_memo"
+        ):
+            with pytest.raises(TypeError, match=removed):
+                CompileOptions(**{removed: False})
+        with pytest.raises(TypeError, match="knowledge_cache"):
+            compile_nes(app.nes, app.topology, knowledge_cache=False)
+        with pytest.raises(TypeError, match="enforce_locality"):
+            compile_nes(app.nes, app.topology, enforce_locality=False)
+        with pytest.raises(TypeError, match="knowledge_cache"):
+            CompiledNES(app.nes, app.topology, knowledge_cache=False)
+        assert not hasattr(FDDBuilder, "from_options")
 
     def test_default_construction_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             FDDBuilder()
+            FDDBuilder(ordered_insert=False, ast_memo=False)
             compile_nes(firewall_app().nes, firewall_app().topology)
 
 
@@ -617,21 +601,6 @@ class TestPipelineUpdate:
             cold_after(app, delta).compiled
         )
 
-    def test_reference_extraction_path_matches_cold_rebuild(self):
-        app = firewall_app()
-        options = CompileOptions(symbolic_extract=False)
-        base = Pipeline(app.program, app.topology, app.initial_state, options)
-        delta = Delta(set_state=((0, 1),))
-        cold = Pipeline(
-            app.program,
-            app.topology,
-            delta.apply_initial_state(app.initial_state),
-            options,
-        )
-        assert guarded_bytes(base.update(delta).compiled) == guarded_bytes(
-            cold.compiled
-        )
-
     def test_unaffected_configurations_are_reused_not_recompiled(self):
         app = bandwidth_cap_app()
         base = Pipeline(app.program, app.topology, app.initial_state)
@@ -741,7 +710,7 @@ class TestAppPipelineMemo:
         app = firewall_app()
         first = app.pipeline
         assert app.pipeline is first  # unchanged inputs share the pipeline
-        fresh = CompileOptions(symbolic_extract=False)
+        fresh = CompileOptions(max_frontier=17)
         object.__setattr__(app, "options", fresh)
         second = app.pipeline
         assert second is not first

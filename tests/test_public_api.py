@@ -41,6 +41,36 @@ def test_version():
     assert repro.__version__
 
 
+def test_compile_options_surface_is_pinned():
+    """Adding an option is a deliberate act (see the rule in the
+    ``repro.pipeline`` docstring): the field set is exactly this, and
+    every field that can change the tables is in the artifact key."""
+    import dataclasses
+
+    from repro.pipeline import _EXECUTION_ONLY_FIELDS, CompileOptions
+
+    names = [f.name for f in dataclasses.fields(CompileOptions)]
+    assert names == [
+        "backend",
+        "max_workers",
+        "cache_dir",
+        "cache_hmac_key",
+        "strict_cache",
+        "compile_retries",
+        "deadline_seconds",
+        "field_order",
+        "enforce_locality",
+        "tag_field",
+        "max_frontier",
+    ]
+    assert _EXECUTION_ONLY_FIELDS <= set(names)
+    fingerprint = CompileOptions().semantic_fingerprint()
+    for name in names:
+        assert (repr(name) in fingerprint) == (
+            name not in _EXECUTION_ONLY_FIELDS
+        ), name
+
+
 def test_readme_quickstart():
     """The exact quickstart from README.md."""
     from repro.apps import firewall_app

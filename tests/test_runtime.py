@@ -63,6 +63,7 @@ class TestCompiledNES:
     def test_locality_enforcement_can_be_disabled(self):
         from repro.events.ets_to_nes import nes_of_ets
         from repro.netkat.ast import filter_, seq, union
+        from repro.pipeline import CompileOptions
         from repro.stateful.ast import link_update, state_eq
         from repro.stateful.ets import build_ets
         from repro.topology import star_topology
@@ -72,7 +73,9 @@ class TestCompiledNES:
             seq(filter_(state_eq([0])), link_update("4:3", "2:1", [2])),
         )
         nes = nes_of_ets(build_ets(prog, (0,)))
-        compiled = compile_nes(nes, star_topology(), enforce_locality=False)
+        compiled = compile_nes(
+            nes, star_topology(), options=CompileOptions(enforce_locality=False)
+        )
         assert compiled is not None
 
 

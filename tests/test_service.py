@@ -348,6 +348,26 @@ class TestProtocolErrors:
         assert excinfo.value.status == 400
         assert "backnd" in str(excinfo.value)
 
+    def test_removed_implementation_switches_are_a_400(self, shared_service):
+        """Protocol 2 dropped four option names; a client still sending
+        one gets a structured ``bad_options`` listing what it may set —
+        never a 500, and never a compile that silently ignored it."""
+        app = firewall_app()
+        for removed in (
+            "symbolic_extract", "knowledge_cache", "ordered_insert", "ast_memo"
+        ):
+            with pytest.raises(ServiceError) as excinfo:
+                shared_service.compile(
+                    app.program, app.topology, app.initial_state,
+                    options={removed: False},
+                )
+            assert excinfo.value.status == 400
+            assert excinfo.value.code == "bad_options"
+            message = str(excinfo.value)
+            assert removed in message
+            for field in protocol.REQUESTABLE_OPTION_FIELDS:
+                assert field in message
+
     def test_missing_required_field_is_a_400(self, shared_service):
         status, body = raw_request(
             shared_service, "POST", "/compile",
@@ -527,6 +547,10 @@ class TestWireRoundTrips:
         options = CompileOptions(backend="thread", max_workers=3)
         wire = protocol.options_to_wire(options)
         json.dumps(wire)
+        assert sorted(wire) == [
+            "backend", "compile_retries", "enforce_locality", "field_order",
+            "max_frontier", "max_workers", "tag_field",
+        ]
         rebuilt = protocol.options_from_wire(wire, CompileOptions())
         for field in protocol.REQUESTABLE_OPTION_FIELDS:
             assert getattr(rebuilt, field) == getattr(options, field)
