@@ -30,12 +30,9 @@ the scaling cases from ``bench_scale_events.py`` (deep bandwidth-cap
 chains, wide multi-switch locality) that the bitset engine unlocked.
 
 The ``sim_benches`` section is the streaming events/sec lane: a
-100k-frame ring stream under the default :class:`repro.SimOptions`
-(``sim_events_per_sec_ring``) and under the retained record-identity
-reference path (``sim_events_per_sec_ring_reference``, same scenario,
-fewer rounds) -- their ratio is the streaming speedup -- plus a
-bandwidth-cap stream and the Definition 6 checker throughput on a warm
-firewall trace.  These run in ``--quick`` mode too.
+100k-frame ring stream (``sim_events_per_sec_ring``), a bandwidth-cap
+stream, and the Definition 6 checker throughput on a warm firewall
+trace.  These run in ``--quick`` mode too.
 
 ``obs_overhead_noop`` pins the uninstalled cost of the
 :mod:`repro.obs` instrumentation hooks (span / counter / histogram
@@ -226,11 +223,10 @@ def _bench_trie_heuristic(options: CompileOptions) -> None:
 # between rounds so one round's garbage does not tax the next.
 
 
-def _stream_net(app, sim_options, header, src, count, spacing):
+def _stream_net(app, header, src, count, spacing):
     from repro.network import CorrectLogic, FrameBatch, SimNetwork
 
-    logic = CorrectLogic(app.compiled, options=sim_options)
-    net = SimNetwork(app.topology, logic, seed=7, options=sim_options)
+    net = SimNetwork(app.topology, CorrectLogic(app.compiled), seed=7)
     net.inject_stream(
         src,
         FrameBatch(
@@ -253,46 +249,25 @@ def _timed_run(net) -> Tuple[int, float]:
 RING_STREAM_FRAMES = 100_000
 
 
-def _sim_ring(sim_options) -> Tuple[int, float]:
+def _bench_sim_events_ring() -> Tuple[int, float]:
     header = {
         "ip_src": HOSTS["H1"],
         "ip_dst": HOSTS["H2"],
         "kind": 0,
         "ident": 0,
     }
-    net = _stream_net(
-        ring_app(2), sim_options, header, "H1", RING_STREAM_FRAMES, 1e-6
-    )
+    net = _stream_net(ring_app(2), header, "H1", RING_STREAM_FRAMES, 1e-6)
     return _timed_run(net)
 
 
-def _bench_sim_events_ring() -> Tuple[int, float]:
-    from repro.sim_options import SimOptions
-
-    return _sim_ring(SimOptions())
-
-
-def _bench_sim_events_ring_reference() -> Tuple[int, float]:
-    # The retained record-identity reference path on the identical
-    # scenario: the recorded ratio against ``sim_events_per_sec_ring``
-    # is the streaming speedup the knobs buy.
-    from repro.sim_options import REFERENCE_SIM_OPTIONS
-
-    return _sim_ring(REFERENCE_SIM_OPTIONS)
-
-
 def _bench_sim_events_cap() -> Tuple[int, float]:
-    from repro.sim_options import SimOptions
-
     header = {
         "ip_src": HOSTS["H1"],
         "ip_dst": HOSTS["H4"],
         "kind": 0,
         "ident": 0,
     }
-    net = _stream_net(
-        bandwidth_cap_app(10), SimOptions(), header, "H1", 20_000, 1e-6
-    )
+    net = _stream_net(bandwidth_cap_app(10), header, "H1", 20_000, 1e-6)
     return _timed_run(net)
 
 
@@ -303,8 +278,6 @@ _TRACE_CACHE: Dict[str, object] = {}
 
 
 def _bench_trace_check_throughput() -> Tuple[int, float]:
-    from repro.sim_options import SimOptions
-
     trace = _TRACE_CACHE.get("firewall")
     if trace is None:
         app = firewall_app()
@@ -318,7 +291,7 @@ def _bench_trace_check_throughput() -> Tuple[int, float]:
         _TRACE_CACHE["firewall"] = trace
         _TRACE_CACHE["app"] = app
     app = _TRACE_CACHE["app"]
-    checker = NESChecker(app.nes, app.topology, options=SimOptions())
+    checker = NESChecker(app.nes, app.topology)
     start = time.perf_counter()
     report = checker.check(trace)
     elapsed = time.perf_counter() - start
@@ -326,25 +299,20 @@ def _bench_trace_check_throughput() -> Tuple[int, float]:
     return len(trace.packets), elapsed
 
 
-# (name, bench, max_rounds): the reference lane is ~10x slower on the
-# same scenario, so it caps its rounds instead of shrinking the stream
-# (the ratio must be read at matched scale).
-SIM_BENCHES: Tuple[Tuple[str, Callable[[], Tuple[int, float]], Optional[int]], ...] = (
-    ("sim_events_per_sec_ring", _bench_sim_events_ring, None),
-    ("sim_events_per_sec_ring_reference", _bench_sim_events_ring_reference, 3),
-    ("sim_events_per_sec_cap", _bench_sim_events_cap, None),
-    ("trace_check_throughput", _bench_trace_check_throughput, None),
+SIM_BENCHES: Tuple[Tuple[str, Callable[[], Tuple[int, float]]], ...] = (
+    ("sim_events_per_sec_ring", _bench_sim_events_ring),
+    ("sim_events_per_sec_cap", _bench_sim_events_cap),
+    ("trace_check_throughput", _bench_trace_check_throughput),
 )
 
 
 def run_sim(rounds: int) -> Dict[str, Dict[str, float]]:
     results: Dict[str, Dict[str, float]] = {}
-    for name, fn, max_rounds in SIM_BENCHES:
-        n_rounds = rounds if max_rounds is None else min(rounds, max_rounds)
+    for name, fn in SIM_BENCHES:
         fn()  # warm-up round (app compile caches, interned structures)
         times: List[float] = []
         units = 0
-        for _ in range(n_rounds):
+        for _ in range(rounds):
             gc.collect()
             units, elapsed = fn()
             times.append(elapsed)
@@ -354,7 +322,7 @@ def run_sim(rounds: int) -> Dict[str, Dict[str, float]]:
             "min_s": round(min(times), 6),
             "units": units,
             "events_per_sec": round(units / median, 1),
-            "rounds": n_rounds,
+            "rounds": rounds,
         }
         print(
             f"{name:32s} median {median:.6f}s  "

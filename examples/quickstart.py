@@ -131,22 +131,14 @@ def main() -> None:
     # For throughput experiments the discrete-event simulator takes
     # whole packet streams at once: a FrameBatch describes the frames
     # as columns (constant headers are interned to one shared Packet),
-    # and inject_stream schedules them all.  The SimOptions knobs
-    # (interned event masks, batched classification, lazy-heap
-    # scheduling) change *speed only* -- with the knobs off you get the
-    # same DeliveryRecord sequence, slower (see
-    # tests/test_sim_streaming.py for the pinned identity goldens).
+    # and inject_stream schedules them one ahead of the clock.  The
+    # records are those of calling inject once per frame, and of the
+    # frozenset Figure-7 logic (tests/test_sim_streaming.py pins both).
     import time
 
-    from repro import SimOptions
     from repro.network import CorrectLogic, FrameBatch, SimNetwork
 
-    stream_net = SimNetwork(
-        app.topology,
-        CorrectLogic(app.compiled, options=SimOptions()),
-        seed=7,
-        options=SimOptions(),
-    )
+    stream_net = SimNetwork(app.topology, CorrectLogic(app.compiled), seed=7)
     frames = 20_000
     stream_net.inject_stream(
         "H1",

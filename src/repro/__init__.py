@@ -60,7 +60,6 @@ from .pipeline import (
     StageError,
     compile_app,
 )
-from .sim_options import SimOptions
 from .topology import Host, Topology
 
 __all__ = [
@@ -79,7 +78,6 @@ __all__ = [
     "service",
     "Pipeline",
     "CompileOptions",
-    "SimOptions",
     "Delta",
     "compile_app",
     "PipelineError",

@@ -7,23 +7,24 @@ consistent update.  The checker searches the (finite) space of allowed
 sequences; it is the empirical counterpart of Theorem 1 and is exercised
 by the test suite against traces produced by the runtime semantics.
 
-With ``SimOptions(mask_digests=True)`` (the default) the whole search
-runs on interned event bitmasks: per-position match masks are computed
-once per trace, candidate sequences are pruned and enumerated on ints,
-first occurrences and the quiet case test single bits, and
-``Traces(C)`` membership is memoized across candidate sequences (the
-chains share prefixes, so the same (configuration, packet-trace) pairs
-recur).  Candidate sequences are enumerated *lazily* in the same
-preorder as before, so a correct trace early-exits after its first
-matching sequence -- ``sequences_tried`` counts how many Definition 2
-checks the last :meth:`NESChecker.check` actually ran.  The off-position
-(``SimOptions(mask_digests=False)``) retains the frozenset reference
-path; verdicts are identical either way.
+The search runs on interned event bitmasks: per-position match masks
+are computed once per trace, candidate sequences are pruned and
+enumerated on ints, first occurrences and the quiet case test single
+bits, and ``Traces(C)`` membership is memoized across candidate
+sequences (the chains share prefixes, so the same (configuration,
+packet-trace) pairs recur).  Candidate sequences are enumerated
+*lazily*, so a correct trace early-exits after its first matching
+sequence -- ``sequences_tried`` counts how many Definition 2 checks the
+last :meth:`NESChecker.check` actually ran.  The frozenset reference for
+each step lives at the layer that defines it:
+:func:`~repro.consistency.update.check_update_correctness` called
+without the mask keywords is Definition 2 on frozensets, and
+``Event.matches`` is the quiet-case test.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Tuple
 
 from ..events.event import Event
 from ..events.nes import NES
@@ -31,7 +32,6 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..netkat.compiler import Configuration, compile_policy
 from ..netkat.fdd import FDDBuilder
-from ..sim_options import SimOptions
 from ..stateful.ast import StateVector
 from ..topology import Topology
 from .traces import NetworkTrace, packet_trace_in_traces, position_event_masks
@@ -48,13 +48,10 @@ class NESChecker:
         nes: NES,
         topology: Topology,
         max_sequence_length: int = 12,
-        options: Optional[SimOptions] = None,
     ):
         self.nes = nes
         self.topology = topology
         self.max_sequence_length = max_sequence_length
-        self.options = options if options is not None else SimOptions()
-        self._mask = self.options.mask_digests
         self._builder = FDDBuilder()
         self._configs: Dict[StateVector, Configuration] = {}
         self._configs_by_mask: Dict[int, Configuration] = {}
@@ -109,36 +106,25 @@ class NESChecker:
 
     def _check_impl(self, trace: NetworkTrace) -> CorrectnessReport:
         self.sequences_tried = 0
-        masks = (
-            position_event_masks(trace, self.nes.structure.universe)
-            if self._mask
-            else None
-        )
-        quiet = self._check_no_events(trace, masks)
-        if quiet is not None:
-            return quiet
+        masks = position_event_masks(trace, self.nes.structure.universe)
+        if not any(masks):
+            return self._check_no_events(trace)
 
-        happens_before = None
-        membership = self._membership_memo() if self._mask else None
+        happens_before = trace.happens_before()
+        membership = self._membership_memo()
         ambient_mask = self.nes.structure.all_mask
         reports: List[CorrectnessReport] = []
-        for sequence, bits in self._candidate_sequences(trace, masks):
+        for sequence, bits in self._candidate_sequences(masks):
             self.sequences_tried += 1
-            update = self._update_of_sequence(sequence, bits)
-            if self._mask:
-                if happens_before is None:
-                    happens_before = trace.happens_before()
-                report = check_update_correctness(
-                    trace,
-                    update,
-                    happens_before=happens_before,
-                    position_masks=masks,
-                    event_bits=bits,
-                    ambient_mask=ambient_mask,
-                    membership=membership,
-                )
-            else:
-                report = check_update_correctness(trace, update)
+            report = check_update_correctness(
+                trace,
+                self._update_of_sequence(sequence, bits),
+                happens_before=happens_before,
+                position_masks=masks,
+                event_bits=bits,
+                ambient_mask=ambient_mask,
+                membership=membership,
+            )
             if report:
                 return report
             reports.append(report)
@@ -173,19 +159,9 @@ class NESChecker:
 
         return member
 
-    def _check_no_events(
-        self, trace: NetworkTrace, masks: Optional[Tuple[int, ...]] = None
-    ) -> Optional[CorrectnessReport]:
-        """The first disjunct of Definition 6, or None when events fire."""
-        if masks is not None:
-            if any(masks):
-                return None
-        elif any(
-            event.matches(lp)
-            for lp in trace.packets
-            for event in self.nes.events
-        ):
-            return None
+    def _check_no_events(self, trace: NetworkTrace) -> CorrectnessReport:
+        """The first disjunct of Definition 6, for a trace on which no
+        event fires."""
         initial = self.config_of_event_set(frozenset())
         for t in sorted(trace.trace_indices):
             if not packet_trace_in_traces(initial, trace.packet_trace(t)):
@@ -197,36 +173,29 @@ class NESChecker:
         return CorrectnessReport(True)
 
     def _candidate_sequences(
-        self, trace: NetworkTrace, masks: Optional[Tuple[int, ...]] = None
+        self, masks: Tuple[int, ...]
     ) -> Iterator[Tuple[Tuple[Event, ...], Tuple[int, ...]]]:
-        """Lazily enumerate allowed event sequences worth trying.
+        """Lazily enumerate allowed event sequences worth trying, given
+        the trace's per-position match masks.
 
         Only events matched by some trace position can have a first
         occurrence, so sequences are built from those (hugely pruning
-        the search).  Yields ``(sequence, per-event bits)`` pairs in the
-        same preorder as the old materialized list; being a generator,
-        a correct trace stops the enumeration at its first match.
+        the search).  Yields ``(sequence, per-event bits)`` pairs in
+        preorder; being a generator, a correct trace stops the
+        enumeration at its first match.
         """
         structure = self.nes.structure
-        if masks is not None:
-            seen = 0
-            for mask in masks:
-                seen |= mask
-            universe = structure.universe
-            matched = []
-            scan = seen
-            while scan:
-                low = scan & -scan
-                scan ^= low
-                # Ascending bit order == sorted-by-repr order: the
-                # universe is interned sorted by repr.
-                matched.append((universe[low.bit_length() - 1], low))
-        else:
-            matched = [
-                (event, 1 << structure.event_index[event])
-                for event in sorted(self.nes.events, key=repr)
-                if any(event.matches(lp) for lp in trace.packets)
-            ]
+        seen = 0
+        for mask in masks:
+            seen |= mask
+        universe = structure.universe
+        matched = []
+        while seen:
+            low = seen & -seen
+            seen ^= low
+            # Ascending bit order == sorted-by-repr order: the universe
+            # is interned sorted by repr.
+            matched.append((universe[low.bit_length() - 1], low))
         max_length = self.max_sequence_length
 
         def extend(
@@ -250,25 +219,16 @@ class NESChecker:
     def _update_of_sequence(
         self, sequence: Tuple[Event, ...], bits: Tuple[int, ...]
     ) -> EventDrivenUpdate:
-        configs: List[Configuration] = [self.config_of_event_set(frozenset())]
-        if self._mask:
-            collected_mask = 0
-            for bit in bits:
-                collected_mask |= bit
-                configs.append(self._config_of_mask(collected_mask))
-        else:
-            collected: FrozenSet[Event] = frozenset()
-            for event in sequence:
-                collected = collected | {event}
-                configs.append(self.config_of_event_set(collected))
+        configs: List[Configuration] = [self._config_of_mask(0)]
+        collected = 0
+        for bit in bits:
+            collected |= bit
+            configs.append(self._config_of_mask(collected))
         return EventDrivenUpdate(tuple(configs), tuple(sequence), self._ambient)
 
 
 def check_trace_against_nes(
-    trace: NetworkTrace,
-    nes: NES,
-    topology: Topology,
-    options: Optional[SimOptions] = None,
+    trace: NetworkTrace, nes: NES, topology: Topology
 ) -> CorrectnessReport:
     """One-shot convenience wrapper around :class:`NESChecker`."""
-    return NESChecker(nes, topology, options=options).check(trace)
+    return NESChecker(nes, topology).check(trace)

@@ -12,13 +12,18 @@ to a :class:`SwitchLogic` strategy.  The correct (tag-based) logic lives
 in :mod:`repro.network.switch_logic`; the uncoordinated baseline in
 :mod:`repro.baselines.uncoordinated`.
 
-Heavy-traffic streaming: :meth:`SimNetwork.inject_stream` bulk-injects a
-:class:`FrameBatch` (an array-of-fields stream description), interning
-identical headers to shared :class:`Packet` objects so the per-switch
-classification memos downstream hit.  The performance knobs live in
-:class:`repro.sim_options.SimOptions`; every knob's off-position is the
-record-identity reference path (same ``DeliveryRecord``/``DropRecord``
-sequences, only slower).
+There is one scheduling discipline.  Each switch keeps its processing
+backlog in a FIFO with only the head event on the heap; each link
+interns the relocation of a packet across it; and
+:meth:`SimNetwork.inject_stream` bulk-injects a :class:`FrameBatch` (an
+array-of-fields stream description), interning identical headers to
+shared :class:`Packet` objects and chaining arrivals one ahead, so a
+long stream costs one heap entry.  Two shortcuts are taken from what the
+plugged-in logic publishes, never from a setting: emission plans (see
+:class:`_Plan`) when it has ``plan_generations``, and allocation-free
+ingress when it has ``ingress_frame``.  A logic that publishes neither
+(the baselines, and ``Figure7Logic``, the frozenset reference the record
+goldens compare against) runs the same loop without them.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from typing import (
 from ..events.event import Event, EventSet
 from ..netkat.packet import Location, Packet, PT, SW
 from ..obs import metrics as obs_metrics
-from ..sim_options import SimOptions
 from ..topology import Host, Topology
 
 __all__ = [
@@ -56,7 +60,6 @@ __all__ = [
     "FrameBatch",
     "Simulator",
     "LinkParams",
-    "SimOptions",
     "SwitchLogic",
     "SimNetwork",
     "DeliveryRecord",
@@ -81,10 +84,11 @@ class Frame:
     Internally a frame stores *either* the frozenset view of its tag and
     digest or the interned bitmask view (``tag_mask``/``digest_mask``
     plus the owning :class:`~repro.events.structure.EventStructure`).
-    The hot path (``SimOptions(mask_digests=True)``) only ever touches
-    the ints; the frozenset properties decode lazily and are cached, so
-    equality, hashing, and repr remain exactly those of the original
-    frozen-dataclass frame.
+    ``CorrectLogic`` only ever touches the ints; frames from tests, the
+    baselines and :meth:`SimNetwork.inject` arrive as frozensets.  The
+    frozenset properties decode lazily and are cached, so equality,
+    hashing, and repr are those of a frozen dataclass over the
+    frozenset view.
     """
 
     __slots__ = (
@@ -423,22 +427,19 @@ class Simulator:
         try:
             if until is None:
                 # Drain until the pop itself raises: one branch per
-                # event instead of two.  An IndexError escaping an
-                # action while entries remain is re-raised; one raised
-                # exactly at heap exhaustion is indistinguishable from
-                # the normal exit (the action was already popped).
-                try:
-                    # A range loop keeps the event-count bookkeeping in
-                    # the iterator instead of a per-event compare+add.
-                    for processed in range(processed + 1, max_events + 1):
+                # event instead of two (the try is free until it
+                # raises).  A range loop keeps the event-count
+                # bookkeeping in the iterator instead of a per-event
+                # compare+add.
+                for processed in range(processed + 1, max_events + 1):
+                    try:
                         time, _seq, action = pop(heap)
-                        self.now = time
-                        action()
-                except IndexError:
-                    # The pop that raised processed nothing.
-                    processed -= 1
-                    if heap:
-                        raise
+                    except IndexError:
+                        # The pop that raised processed nothing.
+                        processed -= 1
+                        break
+                    self.now = time
+                    action()
             else:
                 while heap and processed < max_events:
                     time = heap[0][0]
@@ -447,8 +448,8 @@ class Simulator:
                         return until
                     time, _seq, action = pop(heap)
                     self.now = time
-                    action()
                     processed += 1
+                    action()
         finally:
             self.events_processed = processed
         if heap and processed >= max_events:
@@ -478,8 +479,8 @@ class Simulator:
                     return until
                 time, _seq, action = pop(heap)
                 self.now = time
-                action()
                 processed += 1
+                action()
         finally:
             self.events_processed = processed
             if registry is not None:
@@ -540,7 +541,7 @@ class _StreamArrival:
         # object as the processing event instead of allocating one.
         # ``chain`` is the shared [rows_iterator, inject_time, next_seq]
         # state of a lazily scheduled stream, or None when the whole
-        # batch was pushed eagerly.
+        # batch was pushed eagerly (an unsorted ``times`` column).
         self.frame = packed
 
     def __call__(self) -> None:
@@ -591,8 +592,6 @@ class _StreamArrival:
         self.frame = stamped
         self.__class__ = _Process
         entry = (now + (finish - now), next(sim._counter), self)
-        # Stream arrivals only exist in batch mode, where the switch
-        # backlog lives in a FIFO with just its head on the heap.
         fifo = net._switch_fifo[switch_id]
         fifo.append(entry)
         if len(fifo) == 1:
@@ -611,14 +610,14 @@ class _LinkState:
 
     __slots__ = ("dst", "latency", "capacity", "free_at", "move_memo")
 
-    def __init__(self, dst: Location, params: LinkParams, memoize: bool):
+    def __init__(self, dst: Location, params: LinkParams):
         self.dst = dst
         self.latency = params.latency
         self.capacity = params.capacity
         self.free_at = 0.0
         # Moving a packet across this link is a pure function of the
-        # packet; batch mode interns the relocation per source packet.
-        self.move_memo: Optional[Dict[Packet, Packet]] = {} if memoize else None
+        # packet, interned per source packet.
+        self.move_memo: Dict[Packet, Packet] = {}
 
 
 # Emission-plan target kinds.
@@ -691,19 +690,17 @@ class _Process:
         frame = self.frame
         switch_id = location.switch
         sim = net.sim
-        fifos = net._switch_fifo
-        if fifos is not None:
-            # Lazy-heap discipline (batch mode): this event was the
-            # head of its switch's FIFO backlog; retire it and promote
-            # the next queued processing event into the heap.  Per-
-            # switch finish times are monotone, so the promoted entry
-            # is always pushed at or before its fire time -- heap-pop
-            # order is identical to having pushed everything eagerly.
-            fifo = fifos.get(switch_id)
+        # Lazy-heap discipline: this event was the head of its switch's
+        # FIFO backlog; retire it and promote the next queued processing
+        # event into the heap.  Per-switch finish times are monotone, so
+        # the promoted entry is always pushed at or before its fire time
+        # -- heap-pop order is identical to having pushed everything
+        # eagerly.
+        fifo = net._switch_fifo.get(switch_id)
+        if fifo:
+            fifo.popleft()
             if fifo:
-                fifo.popleft()
-                if fifo:
-                    _heappush(sim._heap, fifo[0])
+                _heappush(sim._heap, fifo[0])
         plans = net._plans
         if plans is not None and frame._structure is not None:
             packet = frame.packet
@@ -893,8 +890,7 @@ class _Process:
             elif target.__class__ is Host:
                 emits.append((_PLAN_HOST, target.name, out_packet))
             else:
-                memo = target.move_memo
-                relocated = None if memo is None else memo.get(out_packet)
+                relocated = target.move_memo.get(out_packet)
                 if relocated is None:
                     relocated = out_packet.at(target.dst)
                 emits.append((_PLAN_LINK, target, relocated))
@@ -943,14 +939,10 @@ class _Arrival:
         # instead of allocating a fresh _Process.
         self.__class__ = _Process
         entry = (now + (finish - now), next(sim._counter), self)
-        fifos = net._switch_fifo
-        if fifos is None:
+        fifo = net._switch_fifo[switch_id]
+        fifo.append(entry)
+        if len(fifo) == 1:
             _heappush(sim._heap, entry)
-        else:
-            fifo = fifos[switch_id]
-            fifo.append(entry)
-            if len(fifo) == 1:
-                _heappush(sim._heap, entry)
 
 
 class SimNetwork:
@@ -964,11 +956,9 @@ class SimNetwork:
         link_params: Optional[Mapping[Tuple[Location, Location], LinkParams]] = None,
         default_link: LinkParams = LinkParams(),
         switch_delay: float = 0.0001,
-        options: Optional[SimOptions] = None,
     ):
         self.topology = topology
         self.logic = logic
-        self.options = options if options is not None else SimOptions()
         self.sim = Simulator(seed=seed)
         self.switch_delay = switch_delay
         self._default_link = default_link
@@ -980,14 +970,12 @@ class SimNetwork:
         # at logic construction, so it is cached once here.
         self._switch_free_at: Dict[int, float] = {n: 0.0 for n in topology.switches}
         self._hop_extra: float = getattr(logic, "extra_processing_delay", 0.0)
-        # Batch mode keeps each switch's processing backlog in a FIFO
-        # deque with only the head event on the heap (switch service is
-        # serial, so per-switch finish times are monotone and queued
-        # entries are already in fire order).  A heavy-traffic backlog
-        # then costs O(1) per event instead of sifting a deep heap.
-        self._switch_fifo: Optional[Dict[int, deque]] = (
-            {n: deque() for n in topology.switches} if self.options.batch else None
-        )
+        # Each switch's processing backlog is a FIFO deque with only the
+        # head event on the heap (switch service is serial, so per-switch
+        # finish times are monotone and queued entries are already in
+        # fire order).  A heavy-traffic backlog then costs O(1) per event
+        # instead of sifting a deep heap.
+        self._switch_fifo: Dict[int, deque] = {n: deque() for n in topology.switches}
         self.deliveries: List[DeliveryRecord] = []
         self.drops: List[DropRecord] = []
         self.auto_reply: Dict[str, Callable[["SimNetwork", str, Frame], None]] = {}
@@ -999,13 +987,12 @@ class SimNetwork:
         # order, as the per-packet sort used to pick).  Hosts shadow
         # links, as host_at did.  Int-keyed nested dicts keep the hot
         # path free of Location hashing.
-        memoize = self.options.batch
         self._ports: Dict[int, Dict[int, Union[Host, _LinkState]]] = {}
         for src, dst in topology.links():
             by_port = self._ports.setdefault(src.switch, {})
             if src.port not in by_port:
                 params = self._link_params.get((src, dst), default_link)
-                by_port[src.port] = _LinkState(dst, params, memoize)
+                by_port[src.port] = _LinkState(dst, params)
         for host in topology.hosts:
             attachment = host.attachment
             self._ports.setdefault(attachment.switch, {})[attachment.port] = host
@@ -1020,18 +1007,15 @@ class SimNetwork:
         self._last_buckets: Optional[Tuple[List[DeliveryRecord], ...]] = None
         self._indexed_up_to = 0
         # Steady-state emission plans (see _Plan): enabled when the
-        # batch knob is on and the logic publishes plan generations
-        # (CorrectLogic does on the mask path).  _header_overhead set
-        # means header_bytes is frame-independent, so plan replay can
-        # skip the per-frame call.
+        # logic publishes plan generations (CorrectLogic does).
+        # _header_overhead set means header_bytes is frame-independent,
+        # so plan replay can skip the per-frame call.
         self._plan_gens = getattr(logic, "plan_generations", None)
         self._plans: Optional[Dict[int, Dict[int, _Plan]]] = (
-            {n: {} for n in topology.switches}
-            if (memoize and self._plan_gens is not None)
-            else None
+            {n: {} for n in topology.switches} if self._plan_gens is not None else None
         )
         self._header_overhead: Optional[int] = getattr(logic, "header_overhead", None)
-        self._ingress_fast = getattr(logic, "ingress_frame", None) if memoize else None
+        self._ingress_fast = getattr(logic, "ingress_frame", None)
         # Plan-cache hit/miss counters, pre-resolved once here so the
         # per-event cost is one attribute load + None check (the
         # zero-overhead-uninstalled discipline for this hot path; the
@@ -1077,63 +1061,50 @@ class SimNetwork:
     def inject_stream(self, host_name: str, batch: FrameBatch) -> int:
         """Bulk-inject a :class:`FrameBatch` at a host; returns the count.
 
-        Scheduling order and times are identical to calling
-        :meth:`inject` once per frame (the record-identity contract);
-        with ``options.batch`` the per-frame closure and the up-front
-        Frame allocation are skipped and headers are interned.
+        Scheduling order, times and records are identical to calling
+        :meth:`inject` once per frame; the per-frame closure and the
+        up-front Frame allocation are skipped and headers are interned.
         """
-        host = self.topology.host(host_name)
-        location = host.attachment
-        schedule = self.sim.schedule
-        if self.options.batch:
-            sim = self.sim
-            rows = batch.rows(location)
-            times = batch.times
-            # Lazy one-ahead chaining: each arrival pushes its successor
-            # when it fires, so a 10^5-frame stream keeps one pending
-            # entry in the heap instead of 10^5.  Heap-pop order only
-            # depends on the (time, seq) keys of entries present before
-            # their fire time, so this is order-identical to the eager
-            # loop provided (a) the tie-break seq range is reserved up
-            # front and (b) injection times never decrease -- true for
-            # start + i*spacing; an explicit unsorted ``times`` column
-            # falls back to pushing everything eagerly.
-            chainable = times is None or all(
-                a <= b for a, b in zip(times, times[1:])
-            )
-            if chainable and batch.count:
-                now0 = sim.now
-                first_seq = next(sim._counter)
-                sim._counter = itertools.count(first_seq + batch.count)
-                at, packet, payload, flow, ident = next(rows)
-                delay = at - now0
-                if delay < 0.0:
-                    delay = 0.0
-                chain = [rows, now0, first_seq + 1]
-                _heappush(
-                    sim._heap,
-                    (
-                        now0 + delay,
-                        first_seq,
-                        _StreamArrival(
-                            self, location, (packet, payload, flow, ident, chain)
-                        ),
+        location = self.topology.host(host_name).attachment
+        sim = self.sim
+        rows = batch.rows(location)
+        times = batch.times
+        # Lazy one-ahead chaining: each arrival pushes its successor
+        # when it fires, so a 10^5-frame stream keeps one pending entry
+        # in the heap instead of 10^5.  Heap-pop order only depends on
+        # the (time, seq) keys of entries present before their fire
+        # time, so this is order-identical to the eager loop provided
+        # (a) the tie-break seq range is reserved up front and (b)
+        # injection times never decrease -- true for start + i*spacing;
+        # an explicit unsorted ``times`` column falls back to pushing
+        # everything eagerly.
+        chainable = times is None or all(a <= b for a, b in zip(times, times[1:]))
+        if chainable and batch.count:
+            now0 = sim.now
+            first_seq = next(sim._counter)
+            sim._counter = itertools.count(first_seq + batch.count)
+            at, packet, payload, flow, ident = next(rows)
+            delay = at - now0
+            if delay < 0.0:
+                delay = 0.0
+            chain = [rows, now0, first_seq + 1]
+            _heappush(
+                sim._heap,
+                (
+                    now0 + delay,
+                    first_seq,
+                    _StreamArrival(
+                        self, location, (packet, payload, flow, ident, chain)
                     ),
-                )
-            else:
-                for at, packet, payload, flow, ident in rows:
-                    schedule(
-                        max(0.0, at - sim.now),
-                        _StreamArrival(
-                            self, location, (packet, payload, flow, ident, None)
-                        ),
-                    )
+                ),
+            )
         else:
-            for at, packet, payload, flow, ident in batch.rows(location):
-                self.inject(
-                    host_name,
-                    Frame(packet=packet, payload_bytes=payload, flow=flow, ident=ident),
-                    at=at,
+            for at, packet, payload, flow, ident in rows:
+                sim.schedule(
+                    max(0.0, at - sim.now),
+                    _StreamArrival(
+                        self, location, (packet, payload, flow, ident, None)
+                    ),
                 )
         return batch.count
 
@@ -1158,8 +1129,7 @@ class SimNetwork:
         proc.location = location
         proc.frame = frame
         entry = (now + (finish - now), next(sim._counter), proc)
-        fifos = self._switch_fifo
-        fifo = None if fifos is None else fifos.get(switch_id)
+        fifo = self._switch_fifo.get(switch_id)
         if fifo is None:
             _heappush(sim._heap, entry)
         else:
@@ -1198,17 +1168,14 @@ class SimNetwork:
         link.free_at = finish
         dst = link.dst
         memo = link.move_memo
-        if memo is None:
-            moved = frame.with_location(dst)
-        else:
-            packet = frame.packet
-            relocated = memo.get(packet)
-            if relocated is None:
-                if len(memo) >= _MEMO_LIMIT:
-                    memo.clear()
-                relocated = packet.at(dst)
-                memo[packet] = relocated
-            moved = frame if relocated is packet else frame._with_packet(relocated)
+        packet = frame.packet
+        relocated = memo.get(packet)
+        if relocated is None:
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            relocated = packet.at(dst)
+            memo[packet] = relocated
+        moved = frame if relocated is packet else frame._with_packet(relocated)
         sim.schedule((finish - now) + link.latency, _Arrival(self, dst, moved))
 
     # -- delivery ----------------------------------------------------------------

@@ -1,22 +1,25 @@
 """The correct (tag-and-digest) switch logic for the simulator.
 
 This is the timed counterpart of the SWITCH/IN rules of Figure 7,
-identical in logic to :mod:`repro.runtime.semantics` but embedded in the
-discrete-event world: per-switch event registers, ingress stamping,
-digest gossip, optional controller assistance (CTRLSEND broadcasts after
-a configurable controller latency), and measurable header overhead for
-the tag and digest fields (Figure 16a's ~6% bandwidth cost).
+embedded in the discrete-event world: per-switch event registers,
+ingress stamping, digest gossip, optional controller assistance
+(CTRLSEND broadcasts after a configurable controller latency), and
+measurable header overhead for the tag and digest fields (Figure 16a's
+~6% bandwidth cost).
 
-With ``SimOptions(mask_digests=True)`` (the default) the whole SWITCH
-rule runs on interned event bitmasks: registers are ints, frames carry
-``tag_mask``/``digest_mask`` ints, and detection uses
-``enables_mask``/``con_mask`` -- no per-packet ``frozenset``.  The
-``registers`` attribute stays a mapping of set-like views backed by the
-masks, so code (and tests) that mutate ``logic.registers[sw]`` keeps
-working on either path.  With ``SimOptions(batch=True)`` a per-switch
+:class:`Figure7Logic` is the rule as the figure writes it: frozenset
+registers, tags and digests, with detection and the CTRLSEND merge
+taken from :mod:`repro.runtime.semantics`.  It keeps no memo and
+publishes none of the simulator's plan-cache protocol, and is the
+reference that ``tests/test_sim_streaming.py`` compares records
+against.  :class:`CorrectLogic` is the same rule on interned event
+bitmasks: registers are ints, frames carry ``tag_mask``/``digest_mask``
+ints, detection uses ``enables_mask``/``con_mask``, and a per-switch
 classification memo maps (tag, interned header) to the forwarding
-outputs so identical-header packets skip table re-evaluation.  Both
-knobs are behaviour-identical to the retained frozenset reference path.
+outputs so identical-header packets skip table re-evaluation.  Its
+``registers`` attribute is a mapping of set-like views backed by the
+masks, so code (and tests) that mutate ``logic.registers[sw]`` sees and
+drives the same state.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from ..events.event import Event, EventSet
 from ..netkat.packet import Location, Packet, PT, SW
 from ..runtime.compiler import CompiledNES
-from ..sim_options import SimOptions
+from ..runtime.semantics import detect_events, merge_in_enabling_order
 from .simulator import Frame, SimNetwork, SwitchLogic, _MEMO_LIMIT, _UNSET
 
-__all__ = ["CorrectLogic", "BASE_HEADER_BYTES"]
+__all__ = ["CorrectLogic", "Figure7Logic", "BASE_HEADER_BYTES"]
 
 # A plausible L2+L3+L4 header for an untagged packet (Ethernet + IPv4 +
 # TCP), used by both strategies so overhead comparisons are apples to
@@ -102,8 +105,8 @@ class _MaskRegister(MutableSet):
         return repr(set(self))
 
 
-class CorrectLogic:
-    """Tag-based forwarding with event detection and digest gossip."""
+class Figure7Logic:
+    """The SWITCH/IN/CTRLSEND rules of Figure 7 on frozensets."""
 
     def __init__(
         self,
@@ -112,7 +115,6 @@ class CorrectLogic:
         controller_latency: float = 0.05,
         event_notify_latency: float = 0.01,
         extra_processing_delay: float = 6e-6,
-        options: Optional[SimOptions] = None,
     ):
         self.compiled = compiled
         self.controller_assist = controller_assist
@@ -122,41 +124,9 @@ class CorrectLogic:
         # plain forwarding (the Figure 16a overhead knob; ~6 microseconds
         # approximates the paper's modified OpenFlow reference switch).
         self.extra_processing_delay = extra_processing_delay
-        self.options = options if options is not None else SimOptions()
-        structure = compiled.nes.structure
-        self._structure = structure
-        self._universe = structure.universe
-        self._mask = self.options.mask_digests
-        self._memo = self.options.batch
-        switches = compiled.topology.switches
-        # last_plan/plan_generations/header_overhead/ingress_frame are
-        # the simulator's plan-cache protocol (see simulator._Plan).
-        self.last_plan: Optional[Tuple] = None
-        if self._mask:
-            self.plan_generations: Dict[int, int] = {n: 0 for n in switches}
-            self._register_masks: Optional[Dict[int, int]] = {n: 0 for n in switches}
-            self.registers: Dict[int, Set[Event]] = {
-                n: _MaskRegister(
-                    self._register_masks, n, structure, self.plan_generations
-                )
-                for n in switches
-            }
-            self.ingress_frame = self._ingress_frame_masked
-        else:
-            self._register_masks = None
-            self.registers = {n: set() for n in switches}
-        # Events already reported to net.note_event_learned per switch
-        # (the reference path re-notes idempotently on every packet; the
-        # mask path decodes only never-before-noted bits).
-        self._noted_masks: Dict[int, int] = {n: 0 for n in switches}
-        # Normalized packet -> bitmask of events matching it (mask path).
-        self._match_memo: Dict[Packet, int] = {}
-        # tag -> normalized packet -> ((port, out_packet), ...) -- the
-        # per-switch classification memo of the batch knob, nested so a
-        # hit costs two cheap lookups instead of a tuple alloc + hash.
-        self._forward_memo: Dict[object, Dict[Packet, Tuple[Tuple[int, Packet], ...]]] = {}
-        # Tag (mask or frozenset) -> Configuration.
-        self._config_memo: Dict[object, object] = {}
+        self.registers: Dict[int, Set[Event]] = {
+            n: set() for n in compiled.topology.switches
+        }
         self.controller_view: Set[Event] = set()
         # Tag (one config id) + digest (one bit per event), rounded up to
         # whole bytes -- the "single unused header field" of section 4.1.
@@ -164,9 +134,6 @@ class CorrectLogic:
         n_states = max(2, len(compiled.states))
         self.tag_bytes = max(1, math.ceil(math.log2(n_states) / 8))
         self.digest_bytes = max(1, math.ceil(n_events / 8))
-        # header_bytes is frame-independent; publishing the constant
-        # lets the simulator's plan replay skip the per-frame call.
-        self.header_overhead = BASE_HEADER_BYTES + self.tag_bytes + self.digest_bytes
 
     # -- SwitchLogic interface -------------------------------------------------
 
@@ -175,29 +142,115 @@ class CorrectLogic:
 
     def on_ingress(self, net: SimNetwork, location: Location, frame: Frame) -> Frame:
         """The IN rule: stamp the tag of the local event-set."""
-        if self._mask:
-            return Frame(
-                packet=frame.packet.at(location),
-                payload_bytes=frame.payload_bytes,
-                flow=frame.flow,
-                ident=frame.ident,
-                injected_at=frame.injected_at,
-                tag_mask=self._register_masks[location.switch],
-                digest_mask=0,
-                structure=self._structure,
-            )
-        local = frozenset(self.registers[location.switch])
-        return Frame(
+        return frame.replace(
             packet=frame.packet.at(location),
-            payload_bytes=frame.payload_bytes,
-            tag=local,
+            tag=frozenset(self.registers[location.switch]),
             digest=frozenset(),
-            flow=frame.flow,
-            ident=frame.ident,
-            injected_at=frame.injected_at,
         )
 
-    def _ingress_frame_masked(
+    def process(
+        self, net: SimNetwork, location: Location, frame: Frame
+    ) -> List[Tuple[int, Frame]]:
+        """The SWITCH rule: learn, detect, forward by the packet's tag."""
+        switch_id = location.switch
+        register = self.registers[switch_id]
+        combined = frozenset(register) | frame.digest
+        detected = detect_events(self.compiled.nes, combined, frame.packet, location)
+        new_known = combined | frozenset(detected)
+        register.update(new_known)
+        for event in new_known:
+            net.note_event_learned(switch_id, event)
+        for event in detected:
+            self._notify_controller(net, event)
+
+        tag = frame.tag if frame.tag is not None else frozenset()
+        table = self.compiled.config_for_event_set(tag).table(switch_id)
+        outputs = sorted(table.apply(frame.packet.at(location)), key=repr)
+        return [
+            (out[PT], frame.replace(packet=out, tag=tag, digest=new_known))
+            for out in outputs
+        ]
+
+    # -- controller ---------------------------------------------------------------
+
+    def _notify_controller(self, net: SimNetwork, event: Event) -> None:
+        def receive() -> None:
+            self.controller_view.add(event)
+            if self.controller_assist:
+                net.sim.schedule(self.controller_latency, lambda: self._broadcast(net))
+
+        net.sim.schedule(self.event_notify_latency, receive)
+
+    def _broadcast(self, net: SimNetwork) -> None:
+        """CTRLSEND to every switch, merging in enabling order."""
+        structure = self.compiled.nes.structure
+        for switch_id, register in self.registers.items():
+            known = merge_in_enabling_order(structure, register, self.controller_view)
+            if known != register:
+                register.update(known)
+                for event in known:
+                    net.note_event_learned(switch_id, event)
+
+
+class CorrectLogic(Figure7Logic):
+    """Tag-based forwarding with event detection and digest gossip, on
+    interned event bitmasks."""
+
+    def __init__(
+        self,
+        compiled: CompiledNES,
+        controller_assist: bool = False,
+        controller_latency: float = 0.05,
+        event_notify_latency: float = 0.01,
+        extra_processing_delay: float = 6e-6,
+    ):
+        super().__init__(
+            compiled,
+            controller_assist,
+            controller_latency,
+            event_notify_latency,
+            extra_processing_delay,
+        )
+        structure = compiled.nes.structure
+        self._structure = structure
+        self._universe = structure.universe
+        switches = compiled.topology.switches
+        # last_plan/plan_generations/header_overhead/ingress_frame are
+        # the simulator's plan-cache protocol (see simulator._Plan).
+        self.last_plan: Optional[Tuple] = None
+        self.plan_generations: Dict[int, int] = {n: 0 for n in switches}
+        self._register_masks: Dict[int, int] = {n: 0 for n in switches}
+        self.registers = {
+            n: _MaskRegister(self._register_masks, n, structure, self.plan_generations)
+            for n in switches
+        }
+        # Events already reported to net.note_event_learned per switch
+        # (only never-before-noted bits are decoded).
+        self._noted_masks: Dict[int, int] = {n: 0 for n in switches}
+        # Normalized packet -> bitmask of events matching it.
+        self._match_memo: Dict[Packet, int] = {}
+        # tag mask -> normalized packet -> ((port, out_packet), ...) --
+        # the per-switch classification memo, nested so a hit costs two
+        # cheap lookups instead of a tuple alloc + hash.
+        self._forward_memo: Dict[int, Dict[Packet, Tuple[Tuple[int, Packet], ...]]] = {}
+        # Tag mask -> Configuration.
+        self._config_memo: Dict[int, object] = {}
+        # header_bytes is frame-independent; publishing the constant
+        # lets the simulator's plan replay skip the per-frame call.
+        self.header_overhead = BASE_HEADER_BYTES + self.tag_bytes + self.digest_bytes
+
+    def on_ingress(self, net: SimNetwork, location: Location, frame: Frame) -> Frame:
+        """The IN rule: stamp the tag of the local event-set."""
+        return self.ingress_frame(
+            location,
+            frame.packet,
+            frame.payload_bytes,
+            frame.flow,
+            frame.ident,
+            frame.injected_at,
+        )
+
+    def ingress_frame(
         self,
         location: Location,
         packet: Packet,
@@ -206,9 +259,8 @@ class CorrectLogic:
         ident: int,
         now: float,
     ) -> Frame:
-        """The IN rule without the intermediate unstamped Frame: exactly
-        ``on_ingress(net, location, Frame(packet, ...))`` on the mask
-        path (the batched-stream ingress hot path)."""
+        """The IN rule without an intermediate unstamped Frame (the
+        stream-ingress hot path)."""
         swpt = packet._swpt
         if swpt[0] != location.switch or swpt[1] != location.port:
             packet = packet.at(location)
@@ -226,77 +278,6 @@ class CorrectLogic:
         return stamped
 
     def process(
-        self, net: SimNetwork, location: Location, frame: Frame
-    ) -> List[Tuple[int, Frame]]:
-        """The SWITCH rule: learn, detect, forward by the packet's tag."""
-        if self._mask:
-            return self._process_masked(net, location, frame)
-        switch_id = location.switch
-        register = self.registers[switch_id]
-        combined = frozenset(register) | frame.digest
-
-        structure = self.compiled.nes.structure
-        detected: List[Event] = []
-        for event in sorted(self.compiled.nes.events, key=repr):
-            if event in combined:
-                continue
-            if not event.matches_packet(frame.packet, location):
-                continue
-            if not structure.enables(combined, event):
-                continue
-            if not structure.con(combined | frozenset(detected) | {event}):
-                continue
-            detected.append(event)
-
-        new_known = combined | frozenset(detected)
-        if new_known != frozenset(register):
-            register.clear()
-            register.update(new_known)
-        for event in new_known:
-            net.note_event_learned(switch_id, event)
-        for event in detected:
-            self._notify_controller(net, event)
-
-        tag = frame.tag if frame.tag is not None else frozenset()
-        applied = frame.packet.at(location)
-        by_packet = None
-        outputs = None
-        if self._memo:
-            by_packet = self._forward_memo.get(tag)
-            if by_packet is None:
-                by_packet = self._forward_memo[tag] = {}
-            outputs = by_packet.get(applied)
-        if outputs is None:
-            config = self.compiled.config_for_event_set(tag)
-            outputs = tuple(
-                (out_packet[PT], out_packet)
-                for out_packet in sorted(
-                    config.table(switch_id).apply(applied), key=repr
-                )
-            )
-            if by_packet is not None:
-                if len(by_packet) >= _MEMO_LIMIT:
-                    by_packet.clear()
-                by_packet[applied] = outputs
-        results: List[Tuple[int, Frame]] = []
-        for port, out_packet in outputs:
-            results.append(
-                (
-                    port,
-                    Frame(
-                        packet=out_packet,
-                        payload_bytes=frame.payload_bytes,
-                        tag=tag,
-                        digest=new_known,
-                        flow=frame.flow,
-                        ident=frame.ident,
-                        injected_at=frame.injected_at,
-                    ),
-                )
-            )
-        return results
-
-    def _process_masked(
         self, net: SimNetwork, location: Location, frame: Frame
     ) -> List[Tuple[int, Frame]]:
         """The SWITCH rule on interned bitmasks (no per-packet frozensets)."""
@@ -330,7 +311,7 @@ class CorrectLogic:
             match_memo[packet] = match_mask
 
         # Detection in bit order == sorted-by-repr order (the universe is
-        # interned sorted by repr), exactly as the reference loop.
+        # interned sorted by repr), exactly as semantics.detect_events.
         detected_mask = 0
         free = match_mask & ~combined
         if free:
@@ -369,13 +350,10 @@ class CorrectLogic:
 
         if tag_mask is None:
             tag_mask = 0
-        by_packet = None
-        outputs = None
-        if self._memo:
-            by_packet = self._forward_memo.get(tag_mask)
-            if by_packet is None:
-                by_packet = self._forward_memo[tag_mask] = {}
-            outputs = by_packet.get(packet)
+        by_packet = self._forward_memo.get(tag_mask)
+        if by_packet is None:
+            by_packet = self._forward_memo[tag_mask] = {}
+        outputs = by_packet.get(packet)
         if outputs is None:
             config = self._config_memo.get(tag_mask)
             if config is None:
@@ -387,10 +365,9 @@ class CorrectLogic:
                     config.table(switch_id).apply(packet), key=repr
                 )
             )
-            if by_packet is not None:
-                if len(by_packet) >= _MEMO_LIMIT:
-                    by_packet.clear()
-                by_packet[packet] = outputs
+            if len(by_packet) >= _MEMO_LIMIT:
+                by_packet.clear()
+            by_packet[packet] = outputs
         # Side-effect-free run: offer the outcome to the simulator's
         # emission-plan cache (valid until this switch's generation
         # bumps on any register/noted mutation).
@@ -415,35 +392,3 @@ class CorrectLogic:
             out._structure = structure
             results.append((port, out))
         return results
-
-    # -- controller ---------------------------------------------------------------
-
-    def _notify_controller(self, net: SimNetwork, event: Event) -> None:
-        def receive() -> None:
-            self.controller_view.add(event)
-            if self.controller_assist:
-                net.sim.schedule(self.controller_latency, lambda: self._broadcast(net))
-
-        net.sim.schedule(self.event_notify_latency, receive)
-
-    def _broadcast(self, net: SimNetwork) -> None:
-        """CTRLSEND to every switch, merging in enabling order."""
-        structure = self.compiled.nes.structure
-        for switch_id, register in self.registers.items():
-            known = set(register)
-            remaining = self.controller_view - known
-            progress = True
-            while progress and remaining:
-                progress = False
-                for event in sorted(remaining, key=repr):
-                    if structure.enables(frozenset(known), event) and structure.con(
-                        frozenset(known) | {event}
-                    ):
-                        known.add(event)
-                        remaining.discard(event)
-                        progress = True
-            if known != register:
-                register.clear()
-                register.update(known)
-                for event in known:
-                    net.note_event_learned(switch_id, event)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Set, Tuple
 
 from ..consistency.traces import NetworkTrace
 from ..events.event import Event, EventSet
@@ -20,7 +20,60 @@ from ..topology import Topology
 from .compiler import CompiledNES
 from .model import NetworkState, RuntimePacket, SwitchState, TraceRecorder
 
-__all__ = ["RuntimeInvariantError", "Transition", "Runtime"]
+__all__ = [
+    "RuntimeInvariantError",
+    "Transition",
+    "Runtime",
+    "detect_events",
+    "merge_in_enabling_order",
+]
+
+
+def detect_events(
+    nes, combined: EventSet, packet: Packet, location: Location
+) -> List[Event]:
+    """The detection half of the SWITCH rule: the events newly enabled
+    by ``packet`` arriving at ``location`` of a switch that knows
+    ``combined`` (its register joined with the packet's digest).
+
+    Enabling is judged against the pre-arrival view (E ∪ pkt.digest, as
+    in the figure); consistency additionally accounts for events chosen
+    in this very step so the register never becomes inconsistent.
+    """
+    structure = nes.structure
+    detected: List[Event] = []
+    for event in sorted(nes.events, key=repr):
+        if event in combined:
+            continue
+        if not event.matches_packet(packet, location):
+            continue
+        if not structure.enables(combined, event):
+            continue
+        if not structure.con(combined | frozenset(detected) | {event}):
+            continue
+        detected.append(event)
+    return detected
+
+
+def merge_in_enabling_order(
+    structure, known: Iterable[Event], incoming: Iterable[Event]
+) -> Set[Event]:
+    """The CTRLSEND merge: ``known`` plus every event of ``incoming``
+    that can be added in enabling order, so the result stays a valid
+    event-set."""
+    known = set(known)
+    remaining = set(incoming) - known
+    progress = True
+    while progress and remaining:
+        progress = False
+        for event in sorted(remaining, key=repr):
+            if structure.enables(frozenset(known), event) and structure.con(
+                frozenset(known) | {event}
+            ):
+                known.add(event)
+                remaining.discard(event)
+                progress = True
+    return known
 
 
 class RuntimeInvariantError(Exception):
@@ -118,27 +171,10 @@ class Runtime:
         switch = self.state.switch(switch_id)
         packet = switch.in_queues[port].popleft()
         location = Location(switch_id, port)
-        known = frozenset(switch.known_events)
-        combined = known | packet.digest
-
-        # Detect newly-enabled events matched by this arrival.  Enabling is
-        # judged against the pre-arrival view (E ∪ pkt.digest, as in the
-        # figure); consistency additionally accounts for events chosen in
-        # this very step so the register never becomes inconsistent.
-        structure = self.compiled.nes.structure
-        detected: List[Event] = []
-        for event in sorted(self.compiled.nes.events, key=repr):
-            if event in combined:
-                continue
-            if not event.matches_packet(packet.packet, location):
-                continue
-            if not structure.enables(combined, event):
-                continue
-            if not structure.con(combined | frozenset(detected) | {event}):
-                continue
-            detected.append(event)
-
-        new_events = frozenset(detected)
+        combined = frozenset(switch.known_events) | packet.digest
+        new_events = frozenset(
+            detect_events(self.compiled.nes, combined, packet.packet, location)
+        )
         new_known = combined | new_events
         self._require_event_set(new_known, f"SWITCH at {location}")
         switch.known_events = set(new_known)
@@ -211,19 +247,9 @@ class Runtime:
         switch register stays a valid event-set.
         """
         switch = self.state.switch(switch_id)
-        structure = self.compiled.nes.structure
-        known = set(switch.known_events)
-        remaining = set(self.state.controller) - known
-        progress = True
-        while progress and remaining:
-            progress = False
-            for event in sorted(remaining, key=repr):
-                if structure.enables(frozenset(known), event) and structure.con(
-                    frozenset(known) | {event}
-                ):
-                    known.add(event)
-                    remaining.discard(event)
-                    progress = True
+        known = merge_in_enabling_order(
+            self.compiled.nes.structure, switch.known_events, self.state.controller
+        )
         self._require_event_set(frozenset(known), f"CTRLSEND to switch {switch_id}")
         switch.known_events = known
 

@@ -71,6 +71,31 @@ def test_compile_options_surface_is_pinned():
         ), name
 
 
+def test_sim_options_are_gone():
+    """One simulator path: no ``SimOptions`` name, module or parameter."""
+    import inspect
+
+    import repro
+    from repro.apps import firewall_app
+    from repro.consistency import NESChecker, check_trace_against_nes
+    from repro.network import CorrectLogic, SimNetwork
+
+    assert "SimOptions" not in repro.__all__ + repro.network.__all__
+    assert not hasattr(repro, "SimOptions")
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.sim_options")
+    app = firewall_app()
+    for fn, args in (
+        (SimNetwork, (app.topology, None)),
+        (CorrectLogic, (app.compiled,)),
+        (NESChecker, (app.nes, app.topology)),
+        (check_trace_against_nes, (None, app.nes, app.topology)),
+    ):
+        assert "options" not in inspect.signature(fn).parameters
+        with pytest.raises(TypeError, match="options"):
+            fn(*args, options=None)
+
+
 def test_readme_quickstart():
     """The exact quickstart from README.md."""
     from repro.apps import firewall_app

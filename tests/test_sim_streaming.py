@@ -1,14 +1,19 @@
-"""Heavy-traffic streaming goldens: the SimOptions knobs change speed,
-never behaviour.
+"""Heavy-traffic streaming goldens: one simulator path, three oracles.
 
-Every test here pins the record-identity contract of
-:class:`repro.sim_options.SimOptions`: the off-position
-(``mask_digests=False, batch=False``) is the retained frozenset
-reference path, and every knob combination must produce byte-identical
-``DeliveryRecord``/``DropRecord`` sequences and checker verdicts.  The
-satellites ride along: the static egress map, the lazy checker
-enumeration, the delivery indices, and seeded determinism.
+Every record-identity test here runs its scenario through the one
+``SimNetwork`` and checks the ``DeliveryRecord``/``DropRecord``
+sequences of the default ``CorrectLogic`` against (i) the frozenset
+``Figure7Logic`` (the SWITCH/IN rules as Figure 7 writes them, no memo,
+no plan cache, no fast ingress), (ii) one ``inject`` per frame in place
+of ``inject_stream``, and (iii) a SHA-256 digest recorded from the
+eager-heap, no-memo frozenset simulator before it was deleted.  The
+checker's verdicts are compared with Definition 6 composed from the
+layer-level frozenset pieces.  The satellites ride along: the static
+egress map, the lazy checker enumeration, the delivery indices, the
+memo bounds, and seeded determinism.
 """
+
+import hashlib
 
 import pytest
 
@@ -24,24 +29,21 @@ from repro.apps import (
 )
 from repro.apps.base import HOSTS
 from repro.consistency import NESChecker
-from repro.netkat.packet import Packet
-from repro.network import (
-    CorrectLogic,
-    Frame,
-    FrameBatch,
-    SimNetwork,
-    SimOptions,
+from repro.consistency.traces import (
+    NetworkTrace,
+    packet_trace_in_traces,
+    position_event_masks,
 )
-from repro.sim_options import REFERENCE_SIM_OPTIONS
+from repro.consistency.update import (
+    CorrectnessReport,
+    EventDrivenUpdate,
+    check_update_correctness,
+)
+from repro.netkat.packet import LocatedPacket, Location, Packet
+from repro.network import CorrectLogic, Frame, FrameBatch, SimNetwork
+from repro.network import simulator, switch_logic
+from repro.network.switch_logic import Figure7Logic
 from repro.topology import Host
-
-# Every knob combination; index 0 is the reference path.
-ALL_OPTIONS = (
-    REFERENCE_SIM_OPTIONS,
-    SimOptions(mask_digests=False, batch=True),
-    SimOptions(mask_digests=True, batch=False),
-    SimOptions(mask_digests=True, batch=True),
-)
 
 APPS = (
     ("firewall", firewall_app),
@@ -53,22 +55,65 @@ APPS = (
     ("learning_multi", learning_multi_app),
 )
 
+# Record digests (see _record_digest) of each scenario below, generated
+# at commit a584c5d from SimNetwork/CorrectLogic under
+# REFERENCE_SIM_OPTIONS (frozenset registers and frames, every event
+# pushed on the heap eagerly, no link or classification memo).
+PINNED = {
+    "firewall": "b10056b9d0668f67ebdd85eb5855dcd4ddf067043fa55b23a86cb25deb4f6729",
+    "ids": "30b3abecbec578761847c926035eb46a778db5d13adb5559987ff00832b86d05",
+    "authentication": "30b3abecbec578761847c926035eb46a778db5d13adb5559987ff00832b86d05",
+    "ring": "643ecfd7c9b7e49424c9254a71f2d54d6edd8e49266c947662acc00a80f455d5",
+    "bandwidth_cap": "e9345d0e91fdd73236c3ae6b433a5aec4e016142ea1b5ab5e6e35fc595ae6c8e",
+    "learning_switch": "b10056b9d0668f67ebdd85eb5855dcd4ddf067043fa55b23a86cb25deb4f6729",
+    "learning_multi": "9a4eb1889420a32decb93d6ae70d093de43b982ce0ef353e3d2bf6f10bd5b4c4",
+    "firewall_blocked": "ccb3bb533688156f0073828fff3ce98aa5ca7b4d66e366305113b3eb8eca6cbc",
+    "ring_signal": "17972c59229c97e5c405c3352e35c7a9dbead24539766a51f09753a1c7ccd5eb",
+    "cap_stream": "5e953d1ce867c4f85835670b00586a6fefe1cb6610febfe19f587bd1701c7556",
+    "unsorted_times": "86cb2a80e04761ec53dc113412cffbe79ef24405717412873cb4b0884a3d4d5e",
+    "soak_prefix": "d01f840e37055c066fc6073964c64e3e1a408c6d1393b713dd3df29c301940ed",
+    "flood": "41e87c76ee01af97b8d5f943a48b363e4259c769a459d6eabac6a7c48fe332d2",
+}
 
-def _stream_records(make_app, options, src, dst, count, spacing=1e-5,
-                    signal=None):
+
+def _record_digest(deliveries, drops):
+    """SHA-256 over one line per record; event sets are written as
+    sorted reprs, so the digest does not depend on the hash seed."""
+
+    def events(event_set):
+        return None if event_set is None else sorted(map(repr, event_set))
+
+    lines = []
+    for kind, records in (("deliver", deliveries), ("drop", drops)):
+        for record in records:
+            frame = record.frame
+            lines.append(repr((
+                kind, *record[:2], *record[3:], frame.packet, frame.payload_bytes,
+                events(frame.tag), events(frame.digest), frame.flow,
+                frame.ident, frame.injected_at,
+            )))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _stream_records(make_app, src, dst, count, logic=CorrectLogic,
+                    per_frame=False, signal=None, flow=None, **timing):
     """Run a constant-header stream (plus an optional mid-stream signal
-    frame) and return the full record sequences."""
+    frame) and return the network and its full record sequences."""
     app = make_app()
-    logic = CorrectLogic(app.compiled, options=options)
-    net = SimNetwork(app.topology, logic, seed=7, options=options)
+    net = SimNetwork(app.topology, logic(app.compiled), seed=7)
     batch = FrameBatch(
         {"ip_src": HOSTS[src], "ip_dst": HOSTS[dst], "kind": 0, "ident": 0},
         count,
         payload_bytes=64,
-        flow=("bulk", src, dst),
-        spacing=spacing,
+        flow=("bulk", src, dst) if flow is None else flow,
+        **(timing or {"spacing": 1e-5}),
     )
-    net.inject_stream(src, batch)
+    if per_frame:
+        for at, packet, payload, row_flow, ident in batch.rows():
+            frame = Frame(packet, payload, flow=row_flow, ident=ident)
+            net.inject(src, frame, at=at)
+    else:
+        net.inject_stream(src, batch)
     if signal is not None:
         at, host, fields = signal
         net.inject(host, Frame(packet=Packet(fields), flow=("signal",)), at=at)
@@ -76,37 +121,36 @@ def _stream_records(make_app, options, src, dst, count, spacing=1e-5,
     return net, tuple(net.deliveries), tuple(net.drops)
 
 
+def _golden_records(pinned, *scenario, **kwargs):
+    """The scenario's CorrectLogic records, after checking them against
+    the Figure-7 logic, per-frame injection and the pinned digest."""
+    _, deliveries, drops = _stream_records(*scenario, **kwargs)
+    for variant in ({"logic": Figure7Logic}, {"per_frame": True}):
+        _, other_deliveries, other_drops = _stream_records(
+            *scenario, **kwargs, **variant
+        )
+        assert other_deliveries == deliveries, variant
+        assert other_drops == drops, variant
+    assert _record_digest(deliveries, drops) == PINNED[pinned]
+    return deliveries, drops
+
+
 class TestRecordIdentityGoldens:
-    """Same records under every knob combination, on every seed app."""
+    """Same records from every oracle, on every seed app."""
 
     @pytest.mark.parametrize("name,make_app", APPS, ids=[n for n, _ in APPS])
     def test_stream_records_identical_across_knobs(self, name, make_app):
         hosts = [h.name for h in make_app().topology.hosts]
-        src, dst = hosts[0], hosts[-1]
-        _, ref_deliveries, ref_drops = _stream_records(
-            make_app, REFERENCE_SIM_OPTIONS, src, dst, 120
-        )
+        deliveries, drops = _golden_records(name, make_app, hosts[0], hosts[-1], 120)
         # Every scenario must actually exercise the data plane.
-        assert len(ref_deliveries) + len(ref_drops) >= 120
-        for options in ALL_OPTIONS[1:]:
-            _, deliveries, drops = _stream_records(
-                make_app, options, src, dst, 120
-            )
-            assert deliveries == ref_deliveries, f"{name} @ {options}"
-            assert drops == ref_drops, f"{name} @ {options}"
+        assert len(deliveries) + len(drops) >= 120
 
     def test_firewall_blocked_direction_drop_records_identical(self):
         # Figure 10/11 shape: H4->H1 is dropped until a request goes out.
-        _, ref_deliveries, ref_drops = _stream_records(
-            firewall_app, REFERENCE_SIM_OPTIONS, "H4", "H1", 80
+        deliveries, drops = _golden_records(
+            "firewall_blocked", firewall_app, "H4", "H1", 80
         )
-        assert not ref_deliveries and len(ref_drops) == 80
-        for options in ALL_OPTIONS[1:]:
-            _, deliveries, drops = _stream_records(
-                firewall_app, options, "H4", "H1", 80
-            )
-            assert deliveries == ref_deliveries
-            assert drops == ref_drops
+        assert not deliveries and len(drops) == 80
 
     def test_ring_signal_under_traffic_identical(self):
         # Figure 16 shape: a signal frame flips the ring configuration
@@ -117,60 +161,62 @@ class TestRecordIdentityGoldens:
             "H1",
             {"ip_src": 1, SIGNAL_FIELD: 1, "kind": 0, "ident": 0},
         )
-        _, ref_deliveries, ref_drops = _stream_records(
-            lambda: ring_app(2), REFERENCE_SIM_OPTIONS, "H1", "H2", 400,
-            signal=signal,
+        deliveries, _ = _golden_records(
+            "ring_signal", lambda: ring_app(2), "H1", "H2", 400, signal=signal
         )
-        assert len(ref_deliveries) == 401  # 400 stream + the signal
-        for options in ALL_OPTIONS[1:]:
-            _, deliveries, drops = _stream_records(
-                lambda: ring_app(2), options, "H1", "H2", 400, signal=signal
-            )
-            assert deliveries == ref_deliveries
-            assert drops == ref_drops
+        assert len(deliveries) == 401  # 400 stream + the signal
 
     def test_bandwidth_cap_stream_identical(self):
         # Figure 14 shape: a bulk stream through the capped chain.
-        _, ref_deliveries, ref_drops = _stream_records(
-            bandwidth_cap_app, REFERENCE_SIM_OPTIONS, "H1", "H4", 200,
-            spacing=1e-6,
+        _golden_records(
+            "cap_stream", bandwidth_cap_app, "H1", "H4", 200, spacing=1e-6
         )
-        for options in ALL_OPTIONS[1:]:
-            _, deliveries, drops = _stream_records(
-                bandwidth_cap_app, options, "H1", "H4", 200, spacing=1e-6
-            )
-            assert deliveries == ref_deliveries
-            assert drops == ref_drops
 
     def test_unsorted_times_column_identical(self):
         # An explicitly unsorted times column defeats the lazy one-ahead
         # chain; the eager fallback must stay record-identical too.
-        def run(options):
-            app = ring_app(2)
-            net = SimNetwork(
-                app.topology,
-                CorrectLogic(app.compiled, options=options),
-                seed=7,
-                options=options,
-            )
-            batch = FrameBatch(
-                {"ip_src": 1, "ip_dst": 2, "kind": 0, "ident": 0},
-                6,
-                payload_bytes=64,
-                times=[5e-4, 1e-4, 3e-4, 2e-4, 6e-4, 0.0],
-            )
-            net.inject_stream("H1", batch)
-            net.run()
-            return tuple(net.deliveries), tuple(net.drops)
+        deliveries, drops = _golden_records(
+            "unsorted_times", lambda: ring_app(2), "H1", "H2", 6, flow=(),
+            times=[5e-4, 1e-4, 3e-4, 2e-4, 6e-4, 0.0],
+        )
+        assert len(deliveries) + len(drops) == 6
 
-        reference = run(REFERENCE_SIM_OPTIONS)
-        for options in ALL_OPTIONS[1:]:
-            assert run(options) == reference
+
+def _reference_check(checker, trace):
+    """Definition 6 composed from the layer-level frozenset pieces:
+    ``Event.matches`` for the quiet case, Definition 2 without the mask
+    keywords per candidate sequence."""
+    nes = checker.nes
+    if not any(e.matches(lp) for lp in trace.packets for e in nes.events):
+        initial = checker.config_of_event_set(frozenset())
+        for t in sorted(trace.trace_indices):
+            if not packet_trace_in_traces(initial, trace.packet_trace(t)):
+                return CorrectnessReport(
+                    False,
+                    "no event fires but a packet trace is not in Traces(g(∅))",
+                    t,
+                )
+        return CorrectnessReport(True)
+    masks = position_event_masks(trace, nes.structure.universe)
+    reports = []
+    for sequence, _bits in checker._candidate_sequences(masks):
+        chain = tuple(
+            checker.config_of_event_set(frozenset(sequence[:n]))
+            for n in range(len(sequence) + 1)
+        )
+        update = EventDrivenUpdate(chain, sequence, frozenset(nes.events))
+        reports.append(check_update_correctness(trace, update))
+        if reports[-1]:
+            return reports[-1]
+    assert reports, "every trace here has an allowed candidate sequence"
+    informative = [r for r in reports if r.reason != "FO(ntr, U) does not exist"]
+    return (informative or reports)[0]
 
 
 class TestCheckerVerdictIdentity:
-    """Definition 6 verdicts agree between the mask path and the
-    frozenset reference path on runtime traces from the seed apps."""
+    """Definition 6 verdicts and reasons agree between ``NESChecker``
+    and the composed frozenset reference, on runtime traces from the
+    seed apps and on the same traces with their last hop misdelivered."""
 
     @pytest.mark.parametrize("name,make_app", APPS, ids=[n for n, _ in APPS])
     def test_verdicts_identical(self, name, make_app):
@@ -182,14 +228,16 @@ class TestCheckerVerdictIdentity:
             rt.inject(src, {"ip_dst": HOSTS[dst], "ip_src": HOSTS[src], "ident": i})
             rt.run_until_quiescent()
         trace = rt.network_trace()
-        masked = NESChecker(
-            app.nes, app.topology, options=SimOptions(mask_digests=True)
-        ).check(trace)
-        reference = NESChecker(
-            app.nes, app.topology, options=SimOptions(mask_digests=False)
-        ).check(trace)
-        assert bool(masked) == bool(reference)
-        assert masked.reason == reference.reason
+        last = trace.packets[-1]
+        astray = Location(last.location.switch, 99)
+        wrong = NetworkTrace(
+            trace.packets[:-1] + (LocatedPacket(last.packet.at(astray), astray),),
+            trace.trace_indices,
+        )
+        checker = NESChecker(app.nes, app.topology)
+        assert checker.check(trace) and not checker.check(wrong)
+        for ntr in (trace, wrong):
+            assert checker.check(ntr) == _reference_check(checker, ntr)
 
 
 class TestLazyCheckerEnumeration:
@@ -208,7 +256,8 @@ class TestLazyCheckerEnumeration:
         checker = NESChecker(app.nes, app.topology)
         report = checker.check(trace)
         assert report
-        total = sum(1 for _ in checker._candidate_sequences(trace))
+        masks = position_event_masks(trace, app.nes.structure.universe)
+        total = sum(1 for _ in checker._candidate_sequences(masks))
         assert 1 <= checker.sequences_tried < total
 
 
@@ -233,27 +282,16 @@ class TestEgressMap:
 
     def test_flood_emission_order_identical_across_knobs(self):
         # Multi-emit (flood) outputs must come out in the same port
-        # order on the plan-replay path as on the reference path.
-        _, ref_deliveries, ref_drops = _stream_records(
-            learning_switch_app, REFERENCE_SIM_OPTIONS, "H1", "H4", 60
-        )
-        for options in ALL_OPTIONS[1:]:
-            _, deliveries, drops = _stream_records(
-                learning_switch_app, options, "H1", "H4", 60
-            )
-            assert deliveries == ref_deliveries
-            assert drops == ref_drops
+        # order on the plan-replay path as from the Figure-7 logic.
+        deliveries, _ = _golden_records("flood", learning_switch_app, "H4", "H1", 60)
+        assert [d.host for d in deliveries[:2]] == ["H1", "H2"]
+        assert len(deliveries) == 120
 
 
 class TestDeliveryIndices:
-    def _mixed_flow_net(self, options):
+    def _mixed_flow_net(self, logic=CorrectLogic):
         app = ring_app(2)
-        net = SimNetwork(
-            app.topology,
-            CorrectLogic(app.compiled, options=options),
-            seed=7,
-            options=options,
-        )
+        net = SimNetwork(app.topology, logic(app.compiled), seed=7)
         for ident, flow in enumerate(
             [("bulk", "H1", "H2"), ("ping", "H1", "H2"), ("bulk", "H1", "H2")]
         ):
@@ -269,9 +307,11 @@ class TestDeliveryIndices:
         net.run()
         return net
 
-    @pytest.mark.parametrize("options", ALL_OPTIONS, ids=str)
-    def test_indices_match_full_scan(self, options):
-        net = self._mixed_flow_net(options)
+    @pytest.mark.parametrize(
+        "logic", (Figure7Logic, CorrectLogic), ids=lambda cls: cls.__name__
+    )
+    def test_indices_match_full_scan(self, logic):
+        net = self._mixed_flow_net(logic)
         assert len(net.deliveries) == 120
         for host in ("H1", "H2"):
             scan = [r for r in net.deliveries if r.host == host]
@@ -285,7 +325,7 @@ class TestDeliveryIndices:
             assert net.delivered_flows(prefix) == scan
 
     def test_indices_fold_incrementally_between_runs(self):
-        net = self._mixed_flow_net(SimOptions())
+        net = self._mixed_flow_net()
         first = net.deliveries_to("H2")
         batch = FrameBatch(
             {"ip_src": 1, "ip_dst": 2, "kind": 0, "ident": 9},
@@ -304,87 +344,65 @@ class TestDeliveryIndices:
 class TestDeterminismAndOptions:
     def test_same_seed_same_records_in_one_process(self):
         runs = [
-            _stream_records(lambda: ring_app(2), SimOptions(), "H1", "H2", 300)
+            _stream_records(lambda: ring_app(2), "H1", "H2", 300)
             for _ in range(2)
         ]
         assert runs[0][1] == runs[1][1]
         assert runs[0][2] == runs[1][2]
         assert runs[0][0].sim.events_processed == runs[1][0].sim.events_processed
 
-    def test_sim_options_frozen_defaults(self):
-        options = SimOptions()
-        assert options.mask_digests and options.batch
-        assert REFERENCE_SIM_OPTIONS == SimOptions(
-            mask_digests=False, batch=False
-        )
-        with pytest.raises(Exception):
-            options.batch = False
-
     def test_plan_cache_invalidated_by_external_register_mutation(self):
         # Mutating logic.registers[sw] directly (the documented test
         # surface) must bump the plan generation so stale emission plans
         # are never replayed.
-        app = ring_app(2)
-        options = SimOptions()
-        logic = CorrectLogic(app.compiled, options=options)
-        net = SimNetwork(app.topology, logic, seed=7, options=options)
-        net.inject_stream(
-            "H1",
-            FrameBatch(
-                {"ip_src": 1, "ip_dst": 2, "kind": 0, "ident": 0},
-                20,
-                payload_bytes=64,
-                spacing=1e-5,
-            ),
-        )
-        net.run()
-        switch = app.topology.hosts[0].attachment.switch
+        net, _, _ = _stream_records(lambda: ring_app(2), "H1", "H2", 20)
+        logic = net.logic
+        switch = net.topology.hosts[0].attachment.switch
         before = logic.plan_generations[switch]
-        event = next(iter(app.nes.events))
+        event = next(iter(logic.compiled.nes.events))
         logic.registers[switch].add(event)
         assert logic.plan_generations[switch] > before
+
+    def test_memo_eviction_keeps_records(self, monkeypatch):
+        # Every memo (event match, classification, link relocation,
+        # emission plan) is cleared when it reaches _MEMO_LIMIT; with a
+        # limit smaller than the number of distinct headers the records
+        # must be those of the unbounded run.
+        def run():
+            app = ring_app(2)
+            net = SimNetwork(app.topology, CorrectLogic(app.compiled), seed=7)
+            header = {"ip_src": 1, "ip_dst": 2, "kind": 0}
+            batch = FrameBatch(
+                {**header, "ident": [i % 7 for i in range(60)]},
+                60,
+                payload_bytes=64,
+                spacing=1e-5,
+            )
+            net.inject_stream("H1", batch)
+            net.inject(
+                "H1", Frame(Packet({**header, SIGNAL_FIELD: 1})), at=2e-4
+            )
+            net.run()
+            assert len(net.deliveries) == 61
+            return tuple(net.deliveries), tuple(net.drops)
+
+        unbounded = run()
+        monkeypatch.setattr(simulator, "_MEMO_LIMIT", 3)
+        monkeypatch.setattr(switch_logic, "_MEMO_LIMIT", 3)
+        assert run() == unbounded
 
 
 @pytest.mark.slow
 class TestMillionFrameSoak:
     def test_million_frame_stream_delivers_all_and_matches_reference_prefix(self):
         count = 1_000_000
-        app = ring_app(2)
-        options = SimOptions()
-        net = SimNetwork(
-            app.topology, CorrectLogic(app.compiled, options=options),
-            seed=7, options=options,
-        )
-        batch = FrameBatch(
-            {"ip_src": 1, "ip_dst": 2, "kind": 0, "ident": 0},
-            count,
-            payload_bytes=64,
-            flow=("bulk", "H1", "H2"),
-            spacing=1e-6,
-        )
-        net.inject_stream("H1", batch)
-        net.run()
-        assert len(net.deliveries) == count
+        scenario = (lambda: ring_app(2), "H1", "H2")
+        net, deliveries, _ = _stream_records(*scenario, count, spacing=1e-6)
+        assert len(deliveries) == count
         assert net.sim.events_processed == 6 * count
         # Switch service is FIFO, so the first frames' records are
         # unaffected by the later backlog: the soak's prefix must be
-        # byte-identical to a reference-path run of just that prefix.
+        # byte-identical to every oracle's run of just that prefix.
         sample = 2000
-        ref = SimNetwork(
-            app.topology,
-            CorrectLogic(app.compiled, options=REFERENCE_SIM_OPTIONS),
-            seed=7,
-            options=REFERENCE_SIM_OPTIONS,
-        )
-        ref.inject_stream(
-            "H1",
-            FrameBatch(
-                {"ip_src": 1, "ip_dst": 2, "kind": 0, "ident": 0},
-                sample,
-                payload_bytes=64,
-                flow=("bulk", "H1", "H2"),
-                spacing=1e-6,
-            ),
-        )
-        ref.run()
-        assert tuple(net.deliveries[:sample]) == tuple(ref.deliveries)
+        prefix, _ = _golden_records("soak_prefix", *scenario, sample, spacing=1e-6)
+        assert deliveries[:sample] == prefix

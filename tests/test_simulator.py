@@ -56,6 +56,29 @@ class TestSimulatorCore:
         sim.run()
         assert log == ["x"] and sim.now == 2.0
 
+    @pytest.mark.parametrize("until", (None, 5.0))
+    def test_index_error_from_last_action_propagates(self, until):
+        # The drain loop ends on the IndexError of popping an empty
+        # heap; an IndexError raised by an action is the caller's.
+        sim = Simulator()
+        sim.schedule(0, lambda: None)
+        sim.schedule(1, lambda: [][0])
+        with pytest.raises(IndexError):
+            sim.run(until=until)
+        assert sim.events_processed == 2 and sim.now == 1.0
+
+    @pytest.mark.parametrize("until", (None, 5.0))
+    def test_max_events_bound(self, until):
+        sim = Simulator()
+
+        def tick():
+            sim.schedule(0.001, tick)
+
+        tick()
+        with pytest.raises(RuntimeError, match="simulation exceeded 50 events"):
+            sim.run(until=until, max_events=50)
+        assert sim.events_processed == 50
+
 
 class TestSimNetworkForwarding:
     def test_ping_roundtrip(self):
