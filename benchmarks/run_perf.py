@@ -125,10 +125,10 @@ def _bench_cap24_update_latency(options: CompileOptions) -> None:
 # A lazy module-level daemon for the warm-request bench, started (and
 # warmed with one cold cap-24 compile) on the harness's warm-up round so
 # the timed rounds pay the full HTTP round-trip of a warm request —
-# client-side program serialization, the wire, server-side parse +
-# artifact-key computation, the pipeline-memo hit, and the table
-# serialization back — but never a compile.  The server thread is a
-# daemon; process exit reaps it.
+# client-side program serialization, the wire (one kept-alive
+# connection), the server-side request fingerprint + index/memo hit, and
+# the response encoding of the cached wire tables — but never a parse or
+# a compile.  The server thread is a daemon; process exit reaps it.
 _SERVICE: Dict[str, object] = {}
 
 

@@ -7,11 +7,12 @@ compilation service for tables instead of linking the compiler:
 1. start the daemon in-process (``repro.service.serve_in_thread``;
    a deployment would run ``python -m repro serve --port 8008
    --cache-dir DIR`` instead) with a shared on-disk artifact cache;
-2. compile the stateful firewall over HTTP through the urllib
+2. compile the stateful firewall over HTTP through the keep-alive
    ``ServiceClient`` and check the served tables are byte-identical to
    a direct ``Pipeline`` build;
-3. repeat the request (an in-process memo hit) and push an
-   incremental ``Delta`` through ``POST /update``;
+3. repeat the request (an in-process memo hit, found by the request's
+   fingerprint, over the connection the first compile opened) and push
+   an incremental ``Delta`` through ``POST /update``;
 4. read ``GET /health`` and the memo/disk/cold/single-flight hit
    counters from ``GET /stats``;
 5. scrape ``GET /metrics`` and check the Prometheus text exposition
@@ -20,7 +21,8 @@ compilation service for tables instead of linking the compiler:
 Run:  python examples/service_demo.py
 
 This script doubles as the CI smoke step for the service: it exits
-non-zero if any served artifact deviates from the direct build.
+non-zero if any served artifact deviates from the direct build, or if
+the repeat compile is not a memo hit on the first compile's connection.
 """
 
 import tempfile
@@ -40,6 +42,17 @@ def main() -> None:
         server = create_server(
             options=CompileOptions(cache_dir=cache_dir), memo_size=64
         )
+        # Every connection the daemon accepts, to show the client keeps
+        # one open instead of reconnecting per request.
+        accepted = []
+        accept = server.get_request
+
+        def recording_accept():
+            connection, address = accept()
+            accepted.append(address)
+            return connection, address
+
+        server.get_request = recording_accept
         with serve_in_thread(server) as base_url:
             print(f"daemon listening on {base_url} (cache: {cache_dir})\n")
             client = ServiceClient(base_url)
@@ -69,8 +82,15 @@ def main() -> None:
             again = client.compile(
                 app.program, app.topology, app.initial_state
             )
-            print(f"\nPOST /compile (repeat) -> source={again['source']}")
+            print(
+                f"\nPOST /compile (repeat) -> source={again['source']}, "
+                f"{len(accepted)} connection(s) accepted so far"
+            )
             assert again["source"] == "memo"
+            assert len(accepted) == 1, (
+                f"the client reconnected: {len(accepted)} connections for "
+                "version + compile + repeat compile"
+            )
 
             # -- incremental recompilation over the wire ------------------
             delta = Delta(set_state=((0, 1),))
@@ -106,6 +126,7 @@ def main() -> None:
                     f"{row['errors']} errors, p50 {latency} ms"
                 )
             assert stats["compiles"]["memo_hits"] >= 1
+            assert stats["compiles"]["index_hits"] >= 1
             assert stats["compiles"]["cold"] >= 1
 
             # -- Prometheus exposition ------------------------------------
@@ -131,6 +152,7 @@ def main() -> None:
             print("\nGET /metrics -> Prometheus text exposition, e.g.")
             for line in scraped:
                 print(f"  {line}")
+            client.close()
 
     print("\ndaemon shut down cleanly; all served artifacts verified")
 

@@ -15,13 +15,14 @@ Layers:
   vectors, the requestable :class:`~repro.pipeline.CompileOptions`
   subset, and :class:`~repro.pipeline.Delta` round-tripping.
 - :mod:`repro.service.state` — the shared server state: pipeline memo
-  (LRU), per-key single-flight locks, request/latency stats, aggregated
-  health counters.
+  (LRU) with the request-fingerprint index in front of it, per-key
+  single-flight locks, request/latency stats, aggregated health
+  counters.
 - :mod:`repro.service.server` — the stdlib ``ThreadingHTTPServer`` core
   and endpoint handlers (``POST /compile``, ``POST /compile/batch``,
   ``POST /update``, ``GET /health``, ``GET /stats``, ``GET /version``).
-- :mod:`repro.service.client` — a thin urllib client used by the tests,
-  the examples, and the CI smoke step.
+- :mod:`repro.service.client` — the keep-alive ``http.client`` client
+  used by the tests, the examples, and the CI smoke step.
 - :mod:`repro.service.launcher` — the entry point
   (``python -m repro serve`` / ``python -m repro.service.launcher``).
 

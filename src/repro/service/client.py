@@ -1,4 +1,9 @@
-"""A thin urllib client for the compilation service.
+"""A keep-alive ``http.client`` client for the compilation service.
+
+Connections persist: a request takes an idle connection to the daemon
+(opening one only when none is idle, so concurrent callers each hold
+their own) and returns it afterwards, and a reused connection the
+daemon has since closed is replaced by one silent reconnect.
 
 Used by the end-to-end tests, ``examples/service_demo.py``, the CI
 smoke step, and the warm-request bench — and usable as the fleet-side
@@ -16,9 +21,8 @@ pipeline failures — stage provenance).
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..netkat.ast import Policy
@@ -51,7 +55,8 @@ class ServiceError(Exception):
 
 
 class ServiceClient:
-    """One compilation daemon, addressed by base URL.
+    """One compilation daemon, addressed by base URL; safe to share
+    between threads (each concurrent call holds its own connection).
 
     Tracing: every request carries an ``X-Repro-Trace-Id`` header when
     an ID is available — the explicit ``trace_id`` constructor argument,
@@ -71,6 +76,19 @@ class ServiceClient:
         self.timeout = timeout
         self.trace_id = trace_id
         self.last_trace_id: Optional[str] = None
+        scheme, _, rest = self.base_url.rpartition("://")
+        if scheme not in ("", "http"):
+            raise ValueError(f"the daemon speaks plain http, got {base_url!r}")
+        self._netloc, slash, prefix = rest.partition("/")
+        self._prefix = slash + prefix
+        # Idle keep-alive connections; list.pop/append are atomic, so
+        # threads sharing one client need no lock to take and return them.
+        self._idle: List[http.client.HTTPConnection] = []
+
+    def close(self) -> None:
+        """Close every idle connection (the next request reconnects)."""
+        while self._idle:
+            self._idle.pop().close()
 
     # -- transport ----------------------------------------------------------
 
@@ -85,28 +103,47 @@ class ServiceClient:
         trace_id = self.trace_id or obs_trace.current_trace_id()
         if trace_id is not None:
             headers["X-Repro-Trace-Id"] = trace_id
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=json.dumps(body).encode() if body is not None else None,
-            headers=headers,
-            method=method,
-        )
+        payload = json.dumps(body).encode() if body is not None else None
+        target = self._prefix + path
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                self.last_trace_id = resp.headers.get("X-Repro-Trace-Id")
-                return resp.status, json.loads(resp.read())
-        except urllib.error.HTTPError as exc:
-            self.last_trace_id = exc.headers.get("X-Repro-Trace-Id")
+            conn = self._idle.pop()
+        except IndexError:
+            conn = http.client.HTTPConnection(self._netloc, timeout=self.timeout)
+        reused = conn.sock is not None
+        try:
             try:
-                payload = json.loads(exc.read())
-            except (ValueError, OSError):
-                payload = {}
-            if allow_error_status:
-                return exc.code, payload
-            raise ServiceError(
-                exc.code,
-                payload.get("error", {"code": "error", "message": str(exc)}),
-            ) from exc
+                conn.request(method, target, body=payload, headers=headers)
+                resp = conn.getresponse()
+            except (ConnectionError, http.client.BadStatusLine):
+                # Only a *reused* socket can be stale (daemon restarted,
+                # idle timeout); a fresh one that fails is a real error.
+                # Re-sending is safe: every endpoint is idempotent.
+                conn.close()
+                if not reused:
+                    raise
+                conn.request(method, target, body=payload, headers=headers)
+                resp = conn.getresponse()
+            raw = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        self._idle.append(conn)
+        self.last_trace_id = resp.headers.get("X-Repro-Trace-Id")
+        if resp.status < 400:
+            return resp.status, json.loads(raw)
+        try:
+            answer = json.loads(raw)
+        except ValueError:
+            answer = {}
+        if allow_error_status:
+            return resp.status, answer
+        raise ServiceError(
+            resp.status,
+            answer.get(
+                "error",
+                {"code": "error", "message": f"HTTP {resp.status} {resp.reason}"},
+            ),
+        )
 
     def _post(self, path: str, body: Mapping[str, Any]) -> Dict[str, Any]:
         return self._request("POST", path, body)[1]

@@ -1,8 +1,8 @@
 """The compilation daemon's HTTP core (stdlib-only).
 
 A :class:`CompilationServer` is a ``ThreadingHTTPServer`` carrying one
-:class:`~repro.service.state.ServiceState`; each request runs on its own
-thread, so the memoized pipelines lean on
+:class:`~repro.service.state.ServiceState`; each connection (kept alive
+across requests) runs on its own thread, so the memoized pipelines lean on
 :class:`~repro.pipeline.Pipeline`'s lock-guarded lazy stages and the
 state's single-flight locks for correctness under concurrency.
 
@@ -121,7 +121,7 @@ def _status_of(exc: BaseException) -> int:
 
 
 class CompilationServer(ThreadingHTTPServer):
-    """The daemon: one thread per request, shared :class:`ServiceState`."""
+    """The daemon: one thread per connection, shared :class:`ServiceState`."""
 
     daemon_threads = True
 
@@ -147,6 +147,12 @@ class _Handler(BaseHTTPRequestHandler):
     # Bound blocking reads so an idle keep-alive connection releases its
     # thread instead of pinning it forever.
     timeout = 30
+    # One send per response: handle_one_request flushes head and body
+    # together.  A response beyond the buffer still leaves in pieces, and
+    # without TCP_NODELAY a kept-alive socket would hold the last one
+    # back for the peer's delayed ACK (~40 ms).
+    wbufsize = 64 * 1024
+    disable_nagle_algorithm = True
 
     server: CompilationServer  # narrowed for the helpers below
 
@@ -154,30 +160,49 @@ class _Handler(BaseHTTPRequestHandler):
     # being dispatched on this handler; set by _dispatch.
     _request_trace_id: Optional[str] = None
 
+    # Whether _read_json consumed the current request's body; _send,
+    # which ends every request, resets it.
+    _body_read = False
+
     # -- plumbing -----------------------------------------------------------
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if self.server.verbose:
             super().log_message(format, *args)
 
-    def _send_json(
+    def _send(
         self,
         status: int,
-        body: Mapping[str, Any],
+        payload: bytes,
         trace_id: Optional[str] = None,
+        content_type: str = "application/json",
     ) -> None:
-        payload = json.dumps(body).encode()
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
         if trace_id is not None:
             self.send_header(TRACE_HEADER, trace_id)
+        if not self._body_read and (
+            self.headers.get("Content-Length", "0") != "0"
+            or "Transfer-Encoding" in self.headers
+        ):
+            # Answered without consuming the declared body: what is left
+            # in the socket would be parsed as the next request line, so
+            # the connection ends here (this also sets close_connection).
+            self.send_header("Connection", "close")
+        self._body_read = False
         self.end_headers()
         self.wfile.write(payload)
 
     def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
+        declared = self.headers.get("Content-Length") or "0"
+        if not declared.isdecimal():
+            raise protocol.ProtocolError(
+                "bad_request",
+                f"Content-Length must be a non-negative integer, got {declared!r}",
+            )
+        length = int(declared)
+        if length == 0:
             raise protocol.ProtocolError(
                 "bad_request", "request requires a JSON body"
             )
@@ -188,6 +213,7 @@ class _Handler(BaseHTTPRequestHandler):
                 f"{_MAX_BODY_BYTES}-byte limit",
             )
         raw = self.rfile.read(length)
+        self._body_read = True
         try:
             return json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -232,7 +258,7 @@ class _Handler(BaseHTTPRequestHandler):
         state.stats.record_request(
             endpoint, time.perf_counter() - start, error=status >= 400
         )
-        self._send_json(status, body, trace_id=trace_id)
+        self._send(status, json.dumps(body).encode(), trace_id)
 
     # -- request cores ------------------------------------------------------
 
@@ -271,19 +297,28 @@ class _Handler(BaseHTTPRequestHandler):
             ),
             deadline_seconds=deadline,
         )
-        key, pipeline, source = state.compile_pipeline(
-            protocol.program_from_wire(wire["program"]),
-            protocol.topology_from_wire(wire["topology"]),
-            protocol.initial_state_from_wire(wire["initial_state"]),
-            options,
-        )
+        # A byte-identical repeat of a request whose pipeline is still
+        # memo-resident needs no parse and no key hashing.  Anything else
+        # takes the full path, and only its success is indexed.
+        fingerprint = state.request_fingerprint(wire, options)
+        hit = state.index_get(fingerprint)
+        if hit is not None:
+            key, pipeline = hit
+            source = "memo"
+        else:
+            key, pipeline, source = state.compile_pipeline(
+                protocol.program_from_wire(wire["program"]),
+                protocol.topology_from_wire(wire["topology"]),
+                protocol.initial_state_from_wire(wire["initial_state"]),
+                options,
+            )
+            state.index_put(fingerprint, key)
         return self._artifact_body(
             key, pipeline, source, wire.get("include_tables", True)
         )
 
-    @staticmethod
     def _artifact_body(
-        key: str, pipeline, source: str, include_tables: Any
+        self, key: str, pipeline, source: str, include_tables: Any
     ) -> Dict[str, Any]:
         body: Dict[str, Any] = {
             "artifact_key": key,
@@ -291,7 +326,7 @@ class _Handler(BaseHTTPRequestHandler):
             "report": pipeline.report().to_dict(),
         }
         if include_tables:
-            body["tables"] = protocol.tables_to_wire(pipeline.compiled)
+            body["tables"] = self.server.state.wire_tables(key, pipeline)
         return body
 
     # -- endpoints ----------------------------------------------------------
@@ -386,13 +421,9 @@ class _Handler(BaseHTTPRequestHandler):
         state = self.server.state
         start = time.perf_counter()
         payload = obs_export.prometheus_text(state.registry).encode("utf-8")
-        self.send_response(200)
-        self.send_header(
-            "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
+        self._send(
+            200, payload, content_type="text/plain; version=0.0.4; charset=utf-8"
         )
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
         state.stats.record_request(
             "metrics", time.perf_counter() - start, error=False
         )

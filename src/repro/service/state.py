@@ -7,7 +7,8 @@ cache hierarchy has three rungs, from hottest to coldest:
 
 1. the bounded in-process **pipeline memo** (an LRU of compiled
    :class:`~repro.pipeline.Pipeline` objects, which also keeps the
-   symbolic engine warm for ``POST /update``);
+   symbolic engine warm for ``POST /update``), each entry carrying its
+   wire-form tables once a response has needed them;
 2. the shared **on-disk artifact cache** behind every miss (enabled by
    the launcher's ``--cache-dir``; HMAC-verified when
    ``REPRO_CACHE_HMAC_KEY`` is set, hard-failing under
@@ -17,6 +18,13 @@ cache hierarchy has three rungs, from hottest to coldest:
    its pipeline (the ``compile.singleflight_coalesced`` counter in
    ``GET /stats`` is the observable).
 
+In front of the memo sits the **request index**, a bounded LRU from a
+request's fingerprint to the artifact key it produced: a byte-identical
+repeat of a request whose pipeline is still resident skips parsing and
+key hashing.  It caches a pure function and nothing else — an entry
+whose pipeline has left the memo is ignored, and the request takes the
+full path above.
+
 Health aggregation never double-counts: live pipelines are summed on
 demand and an evicted pipeline's counters are folded into a cumulative
 total exactly once, at eviction.
@@ -25,6 +33,8 @@ total exactly once, at eviction.
 from __future__ import annotations
 
 import collections
+import hashlib
+import json
 import threading
 import time
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -33,6 +43,7 @@ from ..netkat.ast import Policy
 from ..obs import metrics as obs_metrics
 from ..pipeline import CompileOptions, Delta, Pipeline
 from ..topology import Topology
+from . import protocol
 
 __all__ = ["ServiceState", "ServiceStats", "UnknownArtifactError"]
 
@@ -42,6 +53,20 @@ _LATENCY_WINDOW = 1024
 
 # Default pipeline-memo capacity (pipelines, not bytes).
 DEFAULT_MEMO_SIZE = 64
+
+# Request-index entries per memo slot (spellings of one request share a
+# pipeline; an entry is two hex digests).
+_INDEX_ENTRIES_PER_MEMO_SLOT = 4
+
+
+class _MemoEntry:
+    """A memoized pipeline and, once served, its wire-form tables."""
+
+    __slots__ = ("pipeline", "tables")
+
+    def __init__(self, pipeline: Pipeline):
+        self.pipeline = pipeline
+        self.tables: Optional[Dict[str, str]] = None
 
 
 class UnknownArtifactError(Exception):
@@ -150,7 +175,11 @@ class ServiceState:
         self.memo_size = memo_size
         self.stats = ServiceStats()
         self._memo_lock = threading.Lock()
-        self._memo: "collections.OrderedDict[str, Pipeline]" = (
+        self._memo: "collections.OrderedDict[str, _MemoEntry]" = (
+            collections.OrderedDict()
+        )
+        # fingerprint -> artifact key, guarded by _memo_lock
+        self._index: "collections.OrderedDict[str, str]" = (
             collections.OrderedDict()
         )
         self._evicted_health: Dict[str, int] = {}
@@ -189,15 +218,18 @@ class ServiceState:
 
     def memo_get(self, key: str) -> Optional[Pipeline]:
         with self._memo_lock:
-            pipeline = self._memo.get(key)
-            if pipeline is not None:
-                self._memo.move_to_end(key)
-            return pipeline
+            entry = self._memo.get(key)
+            if entry is None:
+                return None
+            self._memo.move_to_end(key)
+            return entry.pipeline
 
     def memo_put(self, key: str, pipeline: Pipeline) -> None:
         with self._memo_lock:
-            replaced = self._memo.get(key)
-            self._memo[key] = pipeline
+            entry = self._memo.get(key)
+            replaced = entry.pipeline if entry is not None else None
+            if replaced is not pipeline:
+                self._memo[key] = _MemoEntry(pipeline)
             self._memo.move_to_end(key)
             if replaced is not None and replaced is not pipeline:
                 # Replacing a resident key (e.g. an /update whose
@@ -213,7 +245,7 @@ class ServiceState:
                 # cumulative total exactly once, so /health keeps the
                 # full daemon history without double-counting the live
                 # scan below.
-                self._fold_health(evicted)
+                self._fold_health(evicted.pipeline)
 
     def _fold_health(self, pipeline: Pipeline) -> None:
         """Accumulate a memo-departing pipeline's health counters into
@@ -230,6 +262,55 @@ class ServiceState:
                 "capacity": self.memo_size,
                 "evictions": self.stats.counter("memo.evictions"),
             }
+
+    def wire_tables(self, key: str, pipeline: Pipeline) -> Dict[str, str]:
+        """``protocol.tables_to_wire`` of a compiled pipeline, computed
+        once per memo entry (the tables of a memoized pipeline never
+        change) and dropped with it."""
+        with self._memo_lock:
+            entry = self._memo.get(key)
+        if entry is None or entry.pipeline is not pipeline:
+            return protocol.tables_to_wire(pipeline.compiled)  # evicted since
+        if entry.tables is None:
+            entry.tables = protocol.tables_to_wire(pipeline.compiled)
+        return entry.tables
+
+    # -- request index ------------------------------------------------------
+
+    @staticmethod
+    def request_fingerprint(
+        wire: Mapping[str, Any], options: CompileOptions
+    ) -> str:
+        """SHA-256 over the canonical JSON of exactly what reaches
+        :func:`~repro.pipeline.artifact_digest`: program text, topology
+        and initial state as sent, effective output-affecting options."""
+        fields = [
+            wire["program"], wire["topology"], wire["initial_state"],
+            options.semantic_fingerprint(),
+        ]
+        canonical = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
+
+    def index_get(self, fingerprint: str) -> Optional[Tuple[str, Pipeline]]:
+        """The ``(artifact_key, pipeline)`` an identical request was
+        served, while that pipeline is memo-resident; else ``None``."""
+        with self._memo_lock:
+            key = self._index.get(fingerprint)
+            entry = self._memo.get(key) if key is not None else None
+            if entry is None:
+                return None
+            self._index.move_to_end(fingerprint)
+            self._memo.move_to_end(key)
+        self.stats.count("compile.index_hits")
+        self.stats.count("compile.memo_hits")
+        return key, entry.pipeline
+
+    def index_put(self, fingerprint: str, key: str) -> None:
+        with self._memo_lock:
+            self._index[fingerprint] = key
+            self._index.move_to_end(fingerprint)
+            if len(self._index) > _INDEX_ENTRIES_PER_MEMO_SLOT * self.memo_size:
+                self._index.popitem(last=False)
 
     # -- single-flight ------------------------------------------------------
 
@@ -298,7 +379,7 @@ class ServiceState:
         """Evicted-pipeline counters plus a live scan of the memo."""
         with self._memo_lock:
             total = dict(self._evicted_health)
-            live = list(self._memo.values())
+            live = [entry.pipeline for entry in self._memo.values()]
         for pipeline in live:
             for counter, value in pipeline.report().health.items():
                 total[counter] = total.get(counter, 0) + value
@@ -385,6 +466,15 @@ class ServiceState:
             "Configured pipeline-memo capacity",
         ))
         samples.append((
+            "repro_service_request_index_hits_total", "counter", {},
+            counters.get("compile.index_hits", 0),
+            "Compile requests answered by fingerprint, without a parse",
+        ))
+        samples.append((
+            "repro_service_request_index_entries", "gauge", {},
+            len(self._index), "Fingerprints resident in the request index",
+        ))
+        samples.append((
             "repro_service_memo_evictions_total", "counter", {},
             memo["evictions"],
             "Pipelines evicted from the memo LRU",
@@ -411,6 +501,7 @@ class ServiceState:
         counters = snapshot.pop("counters")
         compiles = {
             "memo_hits": counters.get("compile.memo_hits", 0),
+            "index_hits": counters.get("compile.index_hits", 0),
             "disk_hits": counters.get("compile.disk_hits", 0),
             "cold": counters.get("compile.cold", 0),
             "singleflight_coalesced": counters.get(

@@ -12,6 +12,7 @@ must never change what the compiler produces.
 import json
 import urllib.request
 import warnings
+from contextlib import closing
 
 import pytest
 
@@ -417,8 +418,9 @@ class TestServiceObservability:
     def test_metrics_endpoint_exposition(self):
         app = firewall_app()
         server = create_server()
-        with serve_in_thread(server) as url:
-            client = ServiceClient(url)
+        with serve_in_thread(server) as url, closing(
+            ServiceClient(url)
+        ) as client:
             client.compile(app.program, app.topology, app.initial_state)
             client.compile(app.program, app.topology, app.initial_state)
             status, headers, body = _raw_get(url, "/metrics")
@@ -435,8 +437,9 @@ class TestServiceObservability:
     def test_trace_id_round_trip(self):
         app = firewall_app()
         server = create_server()
-        with serve_in_thread(server) as url:
-            client = ServiceClient(url, trace_id="trace-abc.1")
+        with serve_in_thread(server) as url, closing(
+            ServiceClient(url, trace_id="trace-abc.1")
+        ) as client:
             client.compile(app.program, app.topology, app.initial_state)
             assert client.last_trace_id == "trace-abc.1"
             # error responses carry the ID in the structured body too
@@ -448,8 +451,9 @@ class TestServiceObservability:
     def test_ambient_span_propagates_trace_id(self):
         app = firewall_app()
         server = create_server()
-        with serve_in_thread(server) as url:
-            client = ServiceClient(url)
+        with serve_in_thread(server) as url, closing(
+            ServiceClient(url)
+        ) as client:
             with trace.recording():
                 with trace.span("controller.push", trace_id="ambient-7"):
                     client.compile(app.program, app.topology, app.initial_state)
@@ -458,10 +462,11 @@ class TestServiceObservability:
     def test_hostile_trace_id_is_dropped_not_echoed(self):
         app = firewall_app()
         server = create_server()
-        with serve_in_thread(server) as url:
-            # 100 chars of legal header value; rejected by the server's
-            # sanitizer (>64), so never echoed or stamped into errors.
-            client = ServiceClient(url, trace_id="x" * 100)
+        # 100 chars of legal header value; rejected by the server's
+        # sanitizer (>64), so never echoed or stamped into errors.
+        with serve_in_thread(server) as url, closing(
+            ServiceClient(url, trace_id="x" * 100)
+        ) as client:
             client.compile(app.program, app.topology, app.initial_state)
             assert client.last_trace_id is None
 

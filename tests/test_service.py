@@ -2,9 +2,9 @@
 
 Everything here runs against a live localhost daemon
 (:func:`repro.service.serve_in_thread` around a real
-``ThreadingHTTPServer``) talked to through the real urllib client — the
-wire, the handlers, and the shared state are all exercised exactly as a
-deployment would.  The invariants pinned:
+``ThreadingHTTPServer``) talked to through the real keep-alive
+``ServiceClient`` — the wire, the handlers, and the shared state are all
+exercised exactly as a deployment would.  The invariants pinned:
 
 - **byte identity**: tables served over HTTP equal a direct
   :class:`~repro.pipeline.Pipeline` build, per switch, byte for byte, on
@@ -19,14 +19,24 @@ deployment would.  The invariants pinned:
   error with stage provenance — never a wrong table — and the daemon
   serves correct tables immediately after;
 - **strict cache**: a tampered shared cache under ``--strict-cache``
-  surfaces as a 503 and flips ``GET /health`` non-200.
+  surfaces as a 503 and flips ``GET /health`` non-200;
+- **transport**: a client's calls share one accepted connection, a
+  daemon-side close is one silent reconnect, and a response that left a
+  request body unread ends its connection instead of poisoning it;
+- **request index**: a byte-identical repeat skips the parse, never
+  aliases two requests with different keys, never caches a failure,
+  and stays bounded by the memo.
 """
 
+import http.client
 import json
+import socket
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 
 import pytest
 
@@ -40,6 +50,7 @@ from repro.service import (
     serve_in_thread,
 )
 from repro.service import protocol
+from repro.service import server as service_server
 from repro.service.state import ServiceState, UnknownArtifactError
 
 from seed_apps import APPS
@@ -49,8 +60,8 @@ from seed_apps import APPS
 def fresh_service(**kwargs):
     """A throwaway daemon on an ephemeral port, torn down on exit."""
     server = create_server(**kwargs)
-    with serve_in_thread(server) as url:
-        yield ServiceClient(url), server
+    with serve_in_thread(server) as url, closing(ServiceClient(url)) as client:
+        yield client, server
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +70,22 @@ def shared_service(tmp_path_factory):
     tests; tests that assert on counters spin up their own."""
     cache_dir = tmp_path_factory.mktemp("service-cache")
     server = create_server(options=CompileOptions(cache_dir=str(cache_dir)))
-    with serve_in_thread(server) as url:
-        yield ServiceClient(url)
+    with serve_in_thread(server) as url, closing(ServiceClient(url)) as client:
+        yield client
+
+
+def accepted_connections(server):
+    """The sockets ``server`` accepts from now on, in order."""
+    accepted = []
+    get_request = server.get_request
+
+    def recording():
+        connection, address = get_request()
+        accepted.append(connection)
+        return connection, address
+
+    server.get_request = recording
+    return accepted
 
 
 def raw_request(client, method, path, data=None, headers=None):
@@ -405,6 +430,21 @@ class TestProtocolErrors:
             )
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("declared", ["twelve", "-5", "1e3", ""])
+    def test_malformed_content_length_is_a_400(self, shared_service, declared):
+        host, port = shared_service.base_url.rsplit("/", 1)[1].split(":")
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            sock.sendall(
+                b"POST /compile HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + declared.encode() + b"\r\n\r\n"
+            )
+            response = http.client.HTTPResponse(sock, method="POST")
+            response.begin()
+            body = json.loads(response.read())
+        assert response.status == 400
+        assert body["error"]["type"] == "ProtocolError"
+        assert body["error"]["code"] == "bad_request"
+
     def test_unknown_endpoint_is_a_404_with_an_index(self, shared_service):
         status, body = raw_request(shared_service, "GET", "/nope")
         assert status == 404
@@ -490,6 +530,411 @@ def test_index_lists_endpoints(shared_service):
     status, body = raw_request(shared_service, "GET", "/")
     assert status == 200
     assert "POST /update" in body["endpoints"]
+
+
+# ---------------------------------------------------------------------------
+# Transport: persistent connections, one silent reconnect, unread bodies
+# ---------------------------------------------------------------------------
+
+
+def kill(connections):
+    """What the peer of a dead daemon process sees on its sockets."""
+    for connection in connections:
+        try:
+            connection.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # the handler already closed it
+
+
+class TestTransport:
+    def test_sequential_calls_share_one_connection(self):
+        app = firewall_app()
+        with fresh_service() as (client, server):
+            accepted = accepted_connections(server)
+            client.version()
+            for _ in range(5):
+                client.compile(app.program, app.topology, app.initial_state)
+            with pytest.raises(ServiceError):  # a 4xx keeps the connection
+                client.compile("filter (", app.topology, (0,))
+            client.update(
+                client.compile(
+                    app.program, app.topology, app.initial_state
+                )["artifact_key"],
+                Delta(set_state=((0, 1),)),
+            )
+            assert client.stats()["endpoints"]["compile"]["count"] == 7
+            assert len(accepted) == 1
+
+    def test_restarted_daemon_is_one_silent_reconnect(self):
+        app = firewall_app()
+        first = create_server()
+        accepted = accepted_connections(first)
+        with closing(ServiceClient(first.base_url)) as client:
+            with serve_in_thread(first):
+                before = client.compile(
+                    app.program, app.topology, app.initial_state
+                )
+            kill(accepted)
+
+            # Nobody listening: the reused socket is stale, and the one
+            # reconnect it earns is refused -- which the caller must see.
+            with pytest.raises(ConnectionError):
+                client.version()
+
+            second = create_server(port=first.server_address[1])
+            reconnects = accepted_connections(second)
+            with serve_in_thread(second):
+                after = client.compile(
+                    app.program, app.topology, app.initial_state
+                )
+                assert after["source"] == "cold"  # the new daemon's own state
+                assert after["tables"] == before["tables"]
+                client.version()
+                assert len(reconnects) == 1
+                # Stale again, while the daemon is up: invisible.
+                kill(reconnects)
+                assert client.version()["protocol"] == protocol.PROTOCOL_VERSION
+                assert len(reconnects) == 2
+
+    def test_idle_timeout_close_is_invisible(self, monkeypatch):
+        monkeypatch.setattr(service_server._Handler, "timeout", 0.05)
+        with fresh_service() as (client, server):
+            accepted = accepted_connections(server)
+            client.version()
+            deadline = time.monotonic() + 5
+            while accepted[0].fileno() != -1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert accepted[0].fileno() == -1, "handler never timed out"
+            assert client.version()["protocol"] == protocol.PROTOCOL_VERSION
+            assert len(accepted) == 2
+
+    def test_refused_fresh_connection_raises(self):
+        with socket.socket() as placeholder:
+            placeholder.bind(("127.0.0.1", 0))
+            port = placeholder.getsockname()[1]
+        with pytest.raises(ConnectionRefusedError):
+            ServiceClient(f"http://127.0.0.1:{port}").version()
+
+    def test_one_client_shared_by_eight_threads(self):
+        apps = [make() for _, make in APPS] + [ring_app(4)]
+        expected = [
+            protocol.tables_to_wire(
+                Pipeline(app.program, app.topology, app.initial_state).compiled
+            )
+            for app in apps
+        ]
+        with fresh_service() as (client, server):
+            accepted = accepted_connections(server)
+            barrier = threading.Barrier(len(apps))
+            right = [0] * len(apps)
+
+            def worker(slot):
+                app = apps[slot]
+                barrier.wait()
+                for _ in range(6):
+                    result = client.compile(
+                        app.program, app.topology, app.initial_state
+                    )
+                    right[slot] += result["tables"] == expected[slot]
+
+            threads = [
+                threading.Thread(target=worker, args=(slot,))
+                for slot in range(len(apps))
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # shake the idle-connection pool
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert right == [6] * 8
+            # Never more connections than concurrent callers.
+            assert 1 <= len(accepted) <= len(apps)
+
+    def test_trace_id_echo_and_structured_errors_survive(self):
+        app = firewall_app()
+        with fresh_service() as (_, server), closing(
+            ServiceClient(server.base_url, trace_id="trace-abc.1")
+        ) as client:
+            client.compile(app.program, app.topology, app.initial_state)
+            assert client.last_trace_id == "trace-abc.1"
+            with pytest.raises(ServiceError) as excinfo:
+                client.update("0" * 64, Delta(set_state=((0, 1),)))
+            assert excinfo.value.status == 404
+            assert excinfo.value.code == "unknown_artifact_key"
+            assert excinfo.value.error["trace_id"] == "trace-abc.1"
+            assert client.last_trace_id == "trace-abc.1"
+            with faults.injected(
+                faults.FaultPlan({"stage.nes": faults.FaultRule(max_fires=1)})
+            ):
+                with pytest.raises(ServiceError) as excinfo:
+                    ids = ids_app()
+                    client.compile(ids.program, ids.topology, ids.initial_state)
+            assert excinfo.value.status == 422
+            assert excinfo.value.stage == "nes"
+
+    @pytest.mark.parametrize(
+        "method,path,headers,body",
+        [
+            ("POST", "/nope", {}, b'{"program": "drop"}'),
+            ("POST", "/compile", {"Content-Length": "99999999"}, b"{}"),
+            ("POST", "/compile", {"Content-Length": "junk"}, b"{}"),
+            ("GET", "/stats", {}, b"stray body"),
+        ],
+        ids=["unknown-path", "oversized", "bad-length", "get-with-body"],
+    )
+    def test_unread_body_never_poisons_the_next_request(
+        self, shared_service, method, path, headers, body
+    ):
+        """Contract (c): every failure is structured JSON -- including
+        the request after one whose body the daemon did not read."""
+        host = shared_service.base_url.rsplit("/", 1)[1]
+        connection = http.client.HTTPConnection(host, timeout=30)
+        try:
+            connection.putrequest(method, path)
+            for name, value in {
+                "Content-Length": str(len(body)), **headers
+            }.items():
+                connection.putheader(name, value)
+            connection.endheaders(body)
+            first = connection.getresponse()
+            answer = json.loads(first.read())
+            assert first.getheader("Content-Type") == "application/json"
+            if first.status != 200:
+                assert answer["error"]["code"] in (
+                    "unknown_endpoint", "bad_request"
+                )
+            # The daemon ended the connection rather than parse the
+            # leftover body as a request line; http.client reconnects.
+            assert first.getheader("Connection") == "close"
+            connection.request("GET", "/version")
+            second = connection.getresponse()
+            assert second.status == 200
+            assert json.loads(second.read())["protocol"] == (
+                protocol.PROTOCOL_VERSION
+            )
+        finally:
+            connection.close()
+
+    def test_consumed_body_keeps_the_connection(self, shared_service):
+        host = shared_service.base_url.rsplit("/", 1)[1]
+        connection = http.client.HTTPConnection(host, timeout=30)
+        try:
+            for _ in range(2):  # a 400 with its body read is no reason to close
+                connection.request("POST", "/compile", body=b"not json")
+                response = connection.getresponse()
+                assert response.status == 400
+                assert json.loads(response.read())["error"]["code"] == (
+                    "bad_request"
+                )
+                assert response.getheader("Connection") is None
+                assert connection.sock is not None
+        finally:
+            connection.close()
+
+
+# ---------------------------------------------------------------------------
+# Request index: byte-identical repeats skip the parse, nothing aliases
+# ---------------------------------------------------------------------------
+
+
+def index_hits(client):
+    return client.stats()["compiles"]["index_hits"]
+
+
+class TestRequestIndex:
+    def test_identical_repeat_is_an_index_hit(self):
+        app = firewall_app()
+        with fresh_service() as (client, _):
+            first = client.compile(app.program, app.topology, app.initial_state)
+            assert first["source"] == "cold" and index_hits(client) == 0
+            again = client.compile(app.program, app.topology, app.initial_state)
+            assert again["source"] == "memo"
+            assert again["artifact_key"] == first["artifact_key"]
+            assert again["tables"] == first["tables"]
+            compiles = client.stats()["compiles"]
+            assert compiles["index_hits"] == 1
+            assert compiles["memo_hits"] == 1  # a hit is counted as a memo hit
+
+    def test_batch_entries_consult_the_index(self):
+        app = firewall_app()
+        with fresh_service() as (client, _):
+            entry = client.compile_request(
+                app.program, app.topology, app.initial_state
+            )
+            results = client.compile_batch([entry, entry, entry])
+            assert [r["source"] for r in results] == ["cold", "memo", "memo"]
+            assert index_hits(client) == 2
+
+    def test_whitespace_variant_takes_the_full_path_to_the_same_key(self):
+        app = firewall_app()
+        text = protocol.program_to_wire(app.program)
+        spaced = "  " + text.replace(";", " ;\n ") + "\n"
+        assert spaced != text
+        with fresh_service() as (client, _):
+            first = client.compile(text, app.topology, app.initial_state)
+            variant = client.compile(spaced, app.topology, app.initial_state)
+            assert variant["artifact_key"] == first["artifact_key"]
+            assert variant["source"] == "memo"
+            assert index_hits(client) == 0  # found by key, not by fingerprint
+            client.compile(spaced, app.topology, app.initial_state)
+            assert index_hits(client) == 1
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"field_order": ["pt", "sw", "ip_dst", "ip_src"]},
+            {"tag_field": "vlan"},
+            {"enforce_locality": False},
+            {"max_frontier": 17},
+        ],
+        ids=lambda options: next(iter(options)),
+    )
+    def test_output_affecting_options_never_alias(self, options):
+        app = firewall_app()
+        with fresh_service() as (client, _):
+            for _ in range(2):  # second round: both answered by the index
+                plain = client.compile(
+                    app.program, app.topology, app.initial_state
+                )
+                tuned = client.compile(
+                    app.program, app.topology, app.initial_state,
+                    options=options,
+                )
+            assert index_hits(client) == 2
+            assert tuned["artifact_key"] != plain["artifact_key"]
+            direct = Pipeline(
+                app.program, app.topology, app.initial_state,
+                protocol.options_from_wire(options, CompileOptions()),
+            )
+            assert tuned["artifact_key"] == direct.artifact_key()
+            assert tuned["tables"] == protocol.tables_to_wire(direct.compiled)
+
+    def test_execution_only_fields_share_an_entry(self):
+        app = firewall_app()
+        with fresh_service() as (client, server):
+            first = client.compile(app.program, app.topology, app.initial_state)
+            timed = client.compile(
+                app.program, app.topology, app.initial_state,
+                deadline_seconds=60.0,
+            )
+            bare = client.compile(
+                app.program, app.topology, app.initial_state,
+                include_tables=False,
+            )
+            assert index_hits(client) == 2
+            assert timed["tables"] == first["tables"]
+            assert "tables" not in bare
+            assert (
+                first["artifact_key"]
+                == timed["artifact_key"]
+                == bare["artifact_key"]
+            )
+            assert len(server.state._index) == 1
+
+    def test_evicted_pipeline_falls_through_to_disk(self, tmp_path):
+        apps = [firewall_app(), ids_app(), ring_app(4)]
+        options = CompileOptions(cache_dir=str(tmp_path))
+        with fresh_service(options=options, memo_size=2) as (client, _):
+            served = [
+                client.compile(app.program, app.topology, app.initial_state)
+                for app in apps
+            ]
+            assert [r["source"] for r in served] == ["cold"] * 3
+            # The firewall's fingerprint is still indexed; its pipeline
+            # is not resident, so the hit is void and the disk answers.
+            again = client.compile(
+                apps[0].program, apps[0].topology, apps[0].initial_state
+            )
+            assert again["source"] == "disk"
+            assert again["tables"] == served[0]["tables"]
+            assert index_hits(client) == 0
+            compiles = client.stats()["compiles"]
+            assert (compiles["cold"], compiles["disk_hits"]) == (3, 1)
+
+    def test_failed_requests_never_enter_the_index(self):
+        app = firewall_app()
+        bad_topology = {"links": [["1:1"]]}
+        with fresh_service() as (client, server):
+            for _ in range(2):
+                with pytest.raises(ServiceError) as excinfo:
+                    client.compile("filter (", app.topology, (0,))
+                assert excinfo.value.code == "parse_error"
+                with pytest.raises(ServiceError) as excinfo:
+                    client.compile(app.program, bad_topology, (0,))
+                assert excinfo.value.code == "bad_topology"
+                entry = client.compile_request(
+                    app.program, app.topology, app.initial_state
+                )
+                (result,) = client.compile_batch(
+                    [{**entry, "initial_state": ["x"]}]
+                )
+                assert result["error"]["code"] == "bad_initial_state"
+            with faults.injected(
+                faults.FaultPlan({"stage.nes": faults.FaultRule(max_fires=1)})
+            ):
+                with pytest.raises(ServiceError):
+                    client.compile(app.program, app.topology, app.initial_state)
+            assert dict(server.state._index) == {}
+            good = client.compile(app.program, app.topology, app.initial_state)
+            assert good["source"] == "cold"
+            assert list(server.state._index.values()) == [
+                good["artifact_key"]
+            ]
+
+    def test_index_and_wire_tables_are_bounded_by_the_memo(self):
+        app = firewall_app()
+        memo_size = 3
+        with fresh_service(memo_size=memo_size) as (client, server):
+            state = server.state
+            for value in range(10 * memo_size):
+                program = protocol.program_to_wire(app.program).replace(
+                    "ip_dst=4", f"ip_dst={100 + value}"
+                )
+                # Two spellings per program: the index outgrows the memo.
+                for text in (program, program + " "):
+                    client.compile(text, app.topology, app.initial_state)
+            assert state.memo_snapshot()["size"] == memo_size
+            assert memo_size < len(state._index) <= 4 * memo_size
+            with state._memo_lock:
+                cached_tables = [
+                    entry.tables for entry in state._memo.values()
+                ]
+            assert len(cached_tables) == memo_size
+            assert all(tables is not None for tables in cached_tables)
+
+    def test_wire_tables_are_computed_once_per_memo_entry(self, monkeypatch):
+        app = firewall_app()
+        calls = []
+        real = protocol.tables_to_wire
+        monkeypatch.setattr(
+            protocol, "tables_to_wire",
+            lambda compiled: calls.append(1) or real(compiled),
+        )
+        with fresh_service() as (client, server):
+            first = client.compile(app.program, app.topology, app.initial_state)
+            for _ in range(3):
+                again = client.compile(
+                    app.program, app.topology, app.initial_state
+                )
+                assert again["tables"] == first["tables"]
+            assert len(calls) == 1
+            assert server.state.memo_get(first["artifact_key"]) is not None
+
+    def test_index_series_are_scraped(self):
+        app = firewall_app()
+        with fresh_service() as (client, server):
+            for _ in range(3):
+                client.compile(app.program, app.topology, app.initial_state)
+            exposition = service_server.obs_export.prometheus_text(
+                server.state.registry
+            )
+            assert "repro_service_request_index_hits_total 2" in exposition
+            assert "repro_service_request_index_entries 1" in exposition
 
 
 # ---------------------------------------------------------------------------
