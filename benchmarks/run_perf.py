@@ -2,8 +2,7 @@
 
 Usage::
 
-    PYTHONPATH=src python -m benchmarks.run_perf [--quick] \
-        [--backend serial|thread] [--out PATH]
+    PYTHONPATH=src python -m benchmarks.run_perf [--quick] [--out PATH]
 
 Runs each benchmark ``rounds`` times (3 with ``--quick``, 7 otherwise),
 records the per-bench median wall-clock seconds plus per-stage
@@ -18,11 +17,9 @@ delta) against a warm base pipeline; compare it with the cold
 round-trip against an in-process compilation daemon
 (:mod:`repro.service`) — the HTTP + wire overhead a controller pays
 over the raw memo hit.
-``--backend`` selects the pipeline executor for the full-app compile
-benches (the outputs are byte-identical; only the timing changes).  The file is
-checked in so the perf trajectory is visible PR over PR; re-run this
-after touching the compiler, the FDD algebra, or the event-structure
-engine, and commit the refreshed numbers.
+The file is checked in so the perf trajectory is visible PR over PR;
+re-run this after touching the compiler, the FDD algebra, or the
+event-structure engine, and commit the refreshed numbers.
 
 The benches mirror ``bench_compiler_perf.py`` (FDD construction/union,
 full app compile, NES conversion, trace checking, trie heuristic) plus
@@ -50,7 +47,7 @@ import platform
 import statistics
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.apps import bandwidth_cap_app, firewall_app, ids_app, ring_app
 from repro.apps.base import HOSTS
@@ -64,46 +61,42 @@ from repro.netkat.fdd import FDDBuilder
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.optimize.trie import build_trie, heuristic_order, trie_rule_count
-from repro.pipeline import BACKENDS, CompileOptions, Delta, Pipeline
+from repro.pipeline import Delta, Pipeline
 from repro.stateful.ets import build_ets
 
 from .bench_compiler_perf import random_link_free_policy
 from .bench_scale_events import wide_structure
 
-def _pipeline_of(app, options: CompileOptions) -> Pipeline:
-    return Pipeline(app.program, app.topology, app.initial_state, options)
+def _pipeline_of(app) -> Pipeline:
+    return Pipeline(app.program, app.topology, app.initial_state)
 
 
-# Every bench takes the run's CompileOptions (the executor backend for
-# the full-app compile benches; ignored by the pure FDD/NES/trie ones)
-# so callers pick the configuration explicitly instead of mutating
-# module state.
-def _bench_fdd_compile(options: CompileOptions) -> None:
+def _bench_fdd_compile() -> None:
     policy = random_link_free_policy(seed=7)
     FDDBuilder().of_policy(policy)
 
 
-def _bench_fdd_union(options: CompileOptions) -> None:
+def _bench_fdd_union() -> None:
     p = random_link_free_policy(seed=1, branches=16)
     q = random_link_free_policy(seed=2, branches=16)
     b = FDDBuilder()
     b.union(b.of_policy(p), b.of_policy(q))
 
 
-def _bench_full_app_compile_ids(options: CompileOptions) -> None:
-    _pipeline_of(ids_app(), options).compiled.total_rule_count()
+def _bench_full_app_compile_ids() -> None:
+    _pipeline_of(ids_app()).compiled.total_rule_count()
 
 
-def _bench_cap_chain_nes_conversion(options: CompileOptions) -> None:
+def _bench_cap_chain_nes_conversion() -> None:
     nes_of_ets(bandwidth_cap_app(20).ets)
 
 
-def _bench_cap20_full_compile(options: CompileOptions) -> None:
-    _pipeline_of(bandwidth_cap_app(20), options).compiled.total_rule_count()
+def _bench_cap20_full_compile() -> None:
+    _pipeline_of(bandwidth_cap_app(20)).compiled.total_rule_count()
 
 
-def _bench_cap24_full_compile(options: CompileOptions) -> None:
-    _pipeline_of(bandwidth_cap_app(24), options).compiled.total_rule_count()
+def _bench_cap24_full_compile() -> None:
+    _pipeline_of(bandwidth_cap_app(24)).compiled.total_rule_count()
 
 
 # Warm base pipelines for the update-latency bench, keyed by app name
@@ -113,10 +106,10 @@ def _bench_cap24_full_compile(options: CompileOptions) -> None:
 _UPDATE_BASES: Dict[str, Pipeline] = {}
 
 
-def _bench_cap24_update_latency(options: CompileOptions) -> None:
+def _bench_cap24_update_latency() -> None:
     base = _UPDATE_BASES.get("cap24")
-    if base is None or base.options is not options:
-        base = _pipeline_of(bandwidth_cap_app(24), options)
+    if base is None:
+        base = _pipeline_of(bandwidth_cap_app(24))
         base.compiled
         _UPDATE_BASES["cap24"] = base
     base.update(Delta(set_state=((0, 1),))).compiled
@@ -132,7 +125,7 @@ def _bench_cap24_update_latency(options: CompileOptions) -> None:
 _SERVICE: Dict[str, object] = {}
 
 
-def _bench_cap24_service_warm_request(options: CompileOptions) -> None:
+def _bench_cap24_service_warm_request() -> None:
     client = _SERVICE.get("client")
     if client is None:
         import threading
@@ -153,23 +146,23 @@ def _bench_cap24_service_warm_request(options: CompileOptions) -> None:
 
 # ETS-stage-only cases at depths the per-state walks made painful: the
 # symbolic all-states engine keeps construction near-linear in the chain.
-def _bench_cap28_ets_stage(options: CompileOptions) -> None:
+def _bench_cap28_ets_stage() -> None:
     app = bandwidth_cap_app(28)
     build_ets(app.program, app.initial_state)
 
 
-def _bench_cap32_ets_stage(options: CompileOptions) -> None:
+def _bench_cap32_ets_stage() -> None:
     app = bandwidth_cap_app(32)
     build_ets(app.program, app.initial_state)
 
 
-def _bench_wide_locality(options: CompileOptions) -> None:
+def _bench_wide_locality() -> None:
     nes = wide_structure(8, 2)
     minimally_inconsistent_sets(nes.structure)
     is_locally_determined(nes)
 
 
-def _bench_trace_checker(options: CompileOptions) -> None:
+def _bench_trace_checker() -> None:
     app = firewall_app()
     rt = app.runtime(seed=0)
     for i in range(6):
@@ -190,7 +183,7 @@ def _bench_trace_checker(options: CompileOptions) -> None:
 OBS_NOOP_ITERATIONS = 200_000
 
 
-def _bench_obs_overhead_noop(options: CompileOptions) -> None:
+def _bench_obs_overhead_noop() -> None:
     assert obs_metrics.active() is None and obs_trace.active() is None
     span = obs_trace.span
     inc = obs_metrics.inc
@@ -202,7 +195,7 @@ def _bench_obs_overhead_noop(options: CompileOptions) -> None:
         observe("bench_noop_seconds", 0.0)
 
 
-def _bench_trie_heuristic(options: CompileOptions) -> None:
+def _bench_trie_heuristic() -> None:
     import random
 
     rng = random.Random(3)
@@ -331,7 +324,7 @@ def run_sim(rounds: int) -> Dict[str, Dict[str, float]]:
     return results
 
 
-BENCHES: Tuple[Tuple[str, Callable[[CompileOptions], None]], ...] = (
+BENCHES: Tuple[Tuple[str, Callable[[], None]], ...] = (
     ("fdd_compile", _bench_fdd_compile),
     ("fdd_union", _bench_fdd_union),
     ("full_app_compile_ids", _bench_full_app_compile_ids),
@@ -349,17 +342,14 @@ BENCHES: Tuple[Tuple[str, Callable[[CompileOptions], None]], ...] = (
 )
 
 
-def run(
-    rounds: int, options: Optional[CompileOptions] = None
-) -> Dict[str, Dict[str, float]]:
-    options = options if options is not None else CompileOptions()
+def run(rounds: int) -> Dict[str, Dict[str, float]]:
     results: Dict[str, Dict[str, float]] = {}
     for name, fn in BENCHES:
-        fn(options)  # warm-up round (imports, module-level caches)
+        fn()  # warm-up round (imports, module-level caches)
         times: List[float] = []
         for _ in range(rounds):
             start = time.perf_counter()
-            fn(options)
+            fn()
             times.append(time.perf_counter() - start)
         results[name] = {
             "median_s": round(statistics.median(times), 6),
@@ -379,17 +369,14 @@ PIPELINE_STAGE_APPS: Tuple[Tuple[str, Callable[[], object]], ...] = (
 )
 
 
-def run_pipeline_stages(
-    rounds: int, options: Optional[CompileOptions] = None
-) -> Dict[str, Dict[str, float]]:
+def run_pipeline_stages(rounds: int) -> Dict[str, Dict[str, float]]:
     """Median per-stage pipeline wall-clock times, per app."""
-    options = options if options is not None else CompileOptions()
     out: Dict[str, Dict[str, float]] = {}
     for name, make in PIPELINE_STAGE_APPS:
         samples: Dict[str, List[float]] = {}
-        _pipeline_of(make(), options).compiled  # warm-up round, like run()
+        _pipeline_of(make()).compiled  # warm-up round, like run()
         for _ in range(rounds):
-            pipeline = _pipeline_of(make(), options)
+            pipeline = _pipeline_of(make())
             pipeline.compiled
             report = pipeline.report()
             for stage, seconds in report.stage_seconds + report.substages:
@@ -410,27 +397,19 @@ def main() -> int:
         "--quick", action="store_true", help="3 rounds per bench instead of 7"
     )
     parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="serial",
-        help="pipeline executor for the full-app compile benches",
-    )
-    parser.add_argument(
         "--out",
         default=str(Path(__file__).resolve().parent.parent / "BENCH_compiler_perf.json"),
         help="output JSON path (default: repo root)",
     )
     args = parser.parse_args()
-    options = CompileOptions(backend=args.backend)
     rounds = 3 if args.quick else 7
-    results = run(rounds, options)
-    stages = run_pipeline_stages(rounds, options)
+    results = run(rounds)
+    stages = run_pipeline_stages(rounds)
     sim = run_sim(rounds)
     payload = {
         "suite": "compiler_perf",
         "python": platform.python_version(),
         "rounds": rounds,
-        "backend": args.backend,
         "benches": results,
         "pipeline_stages": stages,
         "sim_benches": sim,

@@ -52,8 +52,8 @@ def build_app() -> App:
         topology=topology,
         initial_state=(0,),
         description="H1 gets exactly one probe to H4; the probe shuts the gate.",
-        # All compile knobs live here; e.g. backend="thread" shards the
-        # per-configuration compiles, cache_dir=... persists artifacts.
+        # All compile knobs live here; e.g. cache_dir=... persists
+        # artifacts across runs.
         options=CompileOptions(),
     )
 

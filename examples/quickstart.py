@@ -32,8 +32,8 @@ def main() -> None:
     print(f"  {app.description}\n")
 
     # -- the staged pipeline: ETS, NES, compiled tables ----------------------
-    # Every app owns a Pipeline; compile options (backend, artifact
-    # cache, retry/deadline) are one frozen CompileOptions object on
+    # Every app owns a Pipeline; compile options (artifact cache,
+    # retry/deadline) are one frozen CompileOptions object on
     # the app.  An option exists only when two real callers need
     # different values (see repro.pipeline); there is one compile path.
     # The ETS stage runs the symbolic all-states engine: one
@@ -62,8 +62,8 @@ def main() -> None:
     # loads verify it: a tampered or unsigned entry is a recorded miss,
     # quarantined to *.pkl.bad and recompiled over -- or a hard
     # ArtifactIntegrityError under strict_cache=True.  Every absorbed
-    # failure (cache rejections, executor retries, thread->serial
-    # fallbacks) is counted in report().health; empty means clean.
+    # failure (cache rejections, per-configuration compile retries) is
+    # counted in report().health; empty means clean.
     import tempfile
 
     from repro import CompileOptions, Pipeline

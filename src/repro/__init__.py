@@ -35,12 +35,11 @@ Quickstart -- compile through the staged pipeline, then run it::
     assert report.correct
 
 Every compiler knob lives on :class:`repro.CompileOptions`; a
-:class:`repro.Pipeline` built with ``CompileOptions(backend="thread")``
-shards the per-configuration compiles, and one built with
-``CompileOptions(cache_dir=...)`` persists compiled artifacts so a
-repeated construction skips the toolchain entirely::
+:class:`repro.Pipeline` built with ``CompileOptions(cache_dir=...)``
+persists compiled artifacts so a repeated construction skips the
+toolchain entirely::
 
-    opts = repro.CompileOptions(backend="thread", cache_dir=".repro-cache")
+    opts = repro.CompileOptions(cache_dir=".repro-cache")
     pipeline = repro.Pipeline(app.program, app.topology, app.initial_state, opts)
     tables = pipeline.compiled.guarded_tables()
 """

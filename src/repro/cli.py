@@ -5,18 +5,16 @@ Usage (also via ``python -m repro``)::
     python -m repro show-ets  program.snk --topology firewall
     python -m repro check     program.snk --topology star --initial 0
     python -m repro compile   program.snk --topology firewall \
-                              [--backend serial|thread] [--cache-dir DIR] \
-                              [--strict-cache] [--report] [--json] \
-                              [--trace OUT.json]
+                              [--cache-dir DIR] [--strict-cache] \
+                              [--report] [--json] [--trace OUT.json]
     python -m repro trace summarize OUT.json
 
 Every flag of ``compile`` sets an option two real callers need
-different values for (executor, cache placement and trust, output
-format); there is one compile path, so no flag selects an
+different values for (cache placement and trust, output format);
+there is one compile path and one executor, so no flag selects an
 implementation.  ``--report`` prints the per-stage timing report
-including the pipeline ``health`` counters (executor
-retries/fallbacks, cache integrity rejections, swallowed cache
-errors) and the artifact-cache hit/miss load counts; ``health ok``
+including the pipeline ``health`` counters (per-configuration
+compile retries, cache integrity rejections, swallowed cache errors) and the artifact-cache hit/miss load counts; ``health ok``
 means nothing was absorbed.  ``--report
 --json`` emits the report as one JSON object (the same shape the
 compilation service serves) instead of the human-readable output.
@@ -27,7 +25,7 @@ drag-and-drop loadable in Perfetto, or fold it into a self-time
 breakdown with ``trace summarize``.
     python -m repro serve     [--host HOST] [--port PORT] \
                               [--cache-dir DIR] [--strict-cache] \
-                              [--memo-size N] [--backend serial|thread]
+                              [--memo-size N]
 
 ``serve`` starts the compilation-as-a-service daemon
 (:mod:`repro.service`): a controller fleet POSTs programs to
@@ -67,7 +65,7 @@ from .obs import export as obs_export
 from .obs import metrics as obs_metrics
 from .obs import trace as obs_trace
 from .optimize.sharing import optimize_compiled_nes
-from .pipeline import BACKENDS, CompileOptions, Delta, Pipeline, PipelineError
+from .pipeline import CompileOptions, Delta, Pipeline, PipelineError
 from .runtime.compiler import LocalityError
 from .service.launcher import add_serve_arguments
 from .stateful.ast import StateVector
@@ -165,7 +163,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     if args.json and not args.report:
         raise SystemExit("--json requires --report")
     options = CompileOptions(
-        backend=args.backend,
         cache_dir=args.cache_dir,
         strict_cache=args.strict_cache,
     )
@@ -373,12 +370,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     add_program_command("compile", _cmd_compile,
                         "compile to guarded flow tables", True)
     compile_cmd = sub.choices["compile"]
-    compile_cmd.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="serial",
-        help="per-configuration compile executor (default: serial)",
-    )
     compile_cmd.add_argument(
         "--cache-dir",
         default=None,

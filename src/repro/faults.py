@@ -7,7 +7,7 @@ the call is a single global read and an immediate return — zero
 overhead.  With a :class:`FaultPlan` installed, each hit of a site is
 deterministically evaluated against the plan's per-site rule and may
 raise :class:`FaultInjected`, which the instrumented layer then has to
-survive: retry, degrade, or fail with a typed error.  The chaos suite
+survive: retry, or fail with a typed error.  The chaos suite
 (``tests/test_faults.py``) is built on exactly that contract.
 
 Sites (see :data:`SITES`):
@@ -16,7 +16,7 @@ Sites (see :data:`SITES`):
   :meth:`~repro.pipeline.ArtifactCache.load` / ``store``; an injected
   fault models an unreadable or unwritable cache entry.
 - ``executor.worker`` — at the top of every per-configuration compile
-  attempt (serial and thread backends alike); models a crashing worker.
+  attempt; models a crashing compile.
 - ``stage.ets`` / ``stage.nes`` / ``stage.compile`` — at each
   :class:`~repro.pipeline.Pipeline` stage boundary; models a stage that
   cannot start.
@@ -25,9 +25,10 @@ Determinism: every random decision is drawn from a per-site
 :class:`random.Random` seeded by SHA-256 of ``(plan seed, site)``, so a
 plan replays the identical fault schedule per site regardless of the
 order sites interleave, hash randomization, or thread scheduling of
-*other* sites.  (Within one site hit under the thread backend, hit
-numbering follows arrival order; use ``max_fires``/``skip`` rules, which
-are order-insensitive, when a test needs exact cross-thread replay.)
+*other* sites.  (Within one site hit from several daemon handler
+threads, hit numbering follows arrival order; use ``max_fires``/``skip``
+rules, which are order-insensitive, when a test needs exact
+cross-thread replay.)
 
 Usage::
 
@@ -93,7 +94,7 @@ class FaultRule:
       eligible hit; draws come from the plan's per-site seeded stream).
     - ``max_fires``: stop firing after this many injections (``None`` =
       unbounded).  Bounded rules are how chaos tests model *transient*
-      faults that a retry or a backend fallback must absorb.
+      faults that a retry must absorb.
     - ``skip``: let the first N hits through before becoming eligible
       (models a fault that appears mid-run, e.g. only on the warm load).
     """
@@ -127,8 +128,7 @@ class FaultPlan:
     shorthand for ``FaultRule(probability=...)``).  Hit and fire counts
     are observable per site (:meth:`hits` / :meth:`fires`) so tests can
     assert the schedule actually exercised what they meant to exercise.
-    Thread-safe: the executor's worker site is hit concurrently under
-    the thread backend.
+    Thread-safe: the daemon's handler threads hit sites concurrently.
     """
 
     def __init__(

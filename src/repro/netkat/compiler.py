@@ -395,10 +395,10 @@ def _at_location_interned(location: Location) -> Predicate:
 # Per-builder knowledge-FDD caches.  The cache lives in this module
 # (the only place that knows Knowledge's (pos, neg) canonical key) and
 # is keyed weakly so a discarded builder releases its cache with it.
-# The outer mapping is shared across the pipeline's worker threads
-# (each with a private builder), so entry creation takes a lock; the
-# inner per-builder dicts are only ever touched by their builder's
-# owning thread.
+# The outer mapping is shared across the daemon's handler threads
+# (each pipeline has a private builder), so entry creation takes a
+# lock; the inner per-builder dicts are only ever touched by their
+# builder's owning thread.
 _knowledge_caches: "weakref.WeakKeyDictionary[FDDBuilder, Dict[Tuple, FDD]]" = (
     weakref.WeakKeyDictionary()
 )

@@ -164,8 +164,7 @@ class FDDBuilder:
 
     One builder instance owns a hash-cons table and memo caches; all FDDs
     combined together must come from the same builder.  Builders are
-    **not** thread-safe; the pipeline's thread backend gives each worker
-    thread a private builder.
+    **not** thread-safe; every pipeline owns a private one.
 
     ``ordered_insert=False`` (mask/union ITE) and ``ast_memo=False`` (no
     id-keyed ``of_policy``/``of_predicate`` memos) select the reference

@@ -9,14 +9,14 @@ bench lane:
 - :mod:`repro.obs.metrics` — a thread-safe, process-wide registry of
   Counters, Gauges, and log-bucketed Histograms.  It unifies the
   previously ad-hoc counter mechanisms (pipeline ``health``, artifact
-  cache hit/miss/integrity, executor retries/fallbacks, checker
+  cache hit/miss/integrity, executor retries, checker
   ``sequences_tried``, simulator plan-cache hits and heap-depth
   high-water) behind one namespaced API; the legacy report shapes
   (``PipelineReport.health``, ``ServiceStats``, checker attributes)
   are preserved as views.
 - :mod:`repro.obs.trace` — span-based structured tracing with a
-  contextvars-propagated current span, so executor worker threads and
-  service handler threads attach to the right parent.
+  contextvars-propagated current span, so each service handler thread
+  parents its spans under its own request.
 - :mod:`repro.obs.export` — a Prometheus text-exposition renderer
   (served by the daemon's ``GET /metrics``) and a Chrome-trace-event
   (Perfetto-loadable) JSON exporter with a self-time summarizer

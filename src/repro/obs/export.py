@@ -247,8 +247,7 @@ def summarize(spans: Iterable[Mapping[str, Any]]) -> List[Dict[str, Any]]:
     ``name``, ``count``, ``total`` (wall seconds, summed over calls),
     ``self`` (total minus the children's totals), and ``children``
     (recursively, sorted by total descending).  Parenting uses the
-    recorded ``parent_id`` links, so executor-worker spans attach under
-    the stage that spawned them regardless of thread.
+    recorded ``parent_id`` links.
     """
     spans = list(spans)
     by_id = {s["span_id"]: s for s in spans}

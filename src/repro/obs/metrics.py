@@ -436,9 +436,9 @@ def gauge_max(name: str, value: float, help: str = "", **labels) -> None:
 # stays the legacy view of the same increments.
 HEALTH_METRIC = "repro_pipeline_health_total"
 _HEALTH_HELP = (
-    "Absorbed pipeline failure/recovery events (executor retries and "
-    "serial fallbacks, cache integrity rejections and quarantines, "
-    "swallowed cache errors), by legacy health-counter name"
+    "Absorbed pipeline failure/recovery events (executor retries, "
+    "cache integrity rejections and quarantines, swallowed cache "
+    "errors), by legacy health-counter name"
 )
 
 

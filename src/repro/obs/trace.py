@@ -7,22 +7,10 @@ trace.span(...)`` blocks parent naturally — including across the
 service's per-request handler threads, which each run in their own
 context.
 
-Thread pools are the one seam contextvars do **not** cross:
-``ThreadPoolExecutor`` workers run in the pool thread's (empty)
-context, not the submitter's.  Code that fans out captures the parent
-with :func:`current` before submitting and wraps the worker body in
-:func:`attach`::
-
-    parent = trace.current()
-    def worker(cfg):
-        with trace.attach(parent):
-            with trace.span("compile", configuration=str(cfg)):
-                ...
-
 Like :mod:`repro.obs.metrics` this follows the
 zero-overhead-uninstalled discipline: with no :class:`Tracer`
 installed, :func:`span` returns a shared no-op context manager after a
-single global read, and :func:`attach` likewise falls through.
+single global read.
 
 Finished spans accumulate in the installed tracer's bounded buffer as
 plain dicts (``name``/``trace_id``/``span_id``/``parent_id``/
@@ -47,7 +35,6 @@ __all__ = [
     "Span",
     "Tracer",
     "active",
-    "attach",
     "current",
     "current_trace_id",
     "install",
@@ -205,8 +192,7 @@ def recording(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
 
 def current() -> Optional[Span]:
     """The current span in this context (``None`` outside any span or
-    with tracing off).  Capture this *before* submitting work to a
-    thread pool, then :func:`attach` it inside the worker."""
+    with tracing off)."""
     if _active is None:
         return None
     return _current.get()
@@ -278,21 +264,3 @@ def span(name: str, trace_id: Optional[str] = None, **attrs: Any):
         trace_id = parent.trace_id if parent is not None else new_trace_id()
     parent_id = parent.span_id if parent is not None else None
     return _SpanContext(Span(tracer, name, trace_id, parent_id, attrs))
-
-
-@contextmanager
-def attach(parent: Optional[Span]) -> Iterator[None]:
-    """Run the body with ``parent`` as the current span.
-
-    The thread-pool seam: contextvars do not cross executor submission,
-    so workers re-attach the parent captured by the submitter.  No-op
-    (after one global read) when tracing is off or ``parent`` is None.
-    """
-    if _active is None or parent is None:
-        yield
-        return
-    token = _current.set(parent)
-    try:
-        yield
-    finally:
-        _current.reset(token)

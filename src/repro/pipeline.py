@@ -8,25 +8,20 @@ and frozen, and :class:`Pipeline` exposes the staged artifacts
 lazily, with per-stage wall-clock timings and stats available via
 :meth:`Pipeline.report`.
 
-Two scale axes hang off the options:
+There is one executor: the per-configuration ``compile_policy`` calls
+run one after another on one :class:`FDDBuilder`, in
+configuration-state order.  ``cache_dir`` enables a content-addressed
+on-disk artifact cache: the key is a SHA-256 digest of the program AST,
+the topology, the initial state, every output-affecting option, and the
+package version (see :meth:`Pipeline.artifact_key`), so a repeated
+:class:`Pipeline`/``App`` construction skips the ETS/NES/compile stages
+entirely and unpickles the
+:class:`~repro.runtime.compiler.CompiledNES` directly.
 
-- ``backend`` shards the independent per-configuration
-  ``compile_policy`` calls across an executor (``"serial"`` or
-  ``"thread"``); results are gathered in configuration-state order, so
-  the produced tables are byte-identical across backends.
-- ``cache_dir`` enables a content-addressed on-disk artifact cache: the
-  key is a SHA-256 digest of the program AST, the topology, the initial
-  state, every output-affecting option, and the package version (see
-  :meth:`Pipeline.artifact_key`), so a repeated
-  :class:`Pipeline`/``App`` construction
-  skips the ETS/NES/compile stages entirely and unpickles the
-  :class:`~repro.runtime.compiler.CompiledNES` directly.
-
-Execution-only options (``backend``, ``max_workers``, ``cache_dir``, the
-fault-tolerance and cache-trust fields) are deliberately excluded from
-the cache key: they cannot change the artifact bytes (the golden tests
-in ``tests/test_pipeline.py`` pin this), so serial and threaded runs
-share cache entries.
+Execution-only options (``cache_dir``, the fault-tolerance and
+cache-trust fields) are deliberately excluded from the cache key: they
+cannot change the artifact bytes (the golden tests in
+``tests/test_pipeline.py`` pin this).
 
 The rule for future options: a :class:`CompileOptions` field exists
 only when two real callers (not tests, not examples) need different
@@ -73,7 +68,6 @@ from .stateful.symbolic import (
 from .topology import Topology
 
 __all__ = [
-    "BACKENDS",
     "CompileOptions",
     "Delta",
     "Pipeline",
@@ -86,12 +80,6 @@ __all__ = [
     "compile_app",
 ]
 
-# Executor backends for the per-configuration compile fan-out.  A
-# "process" backend is the designed next step (same seam: deterministic
-# state-ordered gather); it needs picklable compile closures, not a new
-# API.
-BACKENDS: Tuple[str, ...] = ("serial", "thread")
-
 # Bump when the pickled artifact layout changes incompatibly; old cache
 # entries then miss instead of unpickling garbage.  Format 2 added the
 # optional HMAC-SHA256 signing envelope (see ArtifactCache); format 3
@@ -101,19 +89,30 @@ ARTIFACT_FORMAT = 3
 
 # Options that select *how* the pipeline executes, never *what* it
 # produces; they are excluded from the artifact cache key.  The
-# fault-tolerance knobs all live here: retry/deadline/degradation and
-# cache signing change how (and whether) an artifact is obtained, never
-# its bytes — the chaos suite pins that.
+# fault-tolerance knobs all live here: retry/deadline and cache signing
+# change how (and whether) an artifact is obtained, never its bytes —
+# the chaos suite pins that.
 _EXECUTION_ONLY_FIELDS = frozenset(
     {
-        "backend",
-        "max_workers",
         "cache_dir",
         "cache_hmac_key",
         "strict_cache",
         "compile_retries",
         "deadline_seconds",
     }
+)
+
+# (field, accepted types, None allowed) for every CompileOptions field
+# but field_order, which is checked element-wise.
+_SCALAR_FIELD_TYPES = (
+    ("cache_dir", (str, os.PathLike), True),
+    ("cache_hmac_key", (str, bytes), True),
+    ("strict_cache", (bool,), False),
+    ("compile_retries", (int,), False),
+    ("deadline_seconds", (int, float), True),
+    ("enforce_locality", (bool,), False),
+    ("tag_field", (str,), False),
+    ("max_frontier", (int,), False),
 )
 
 # Environment fallback for CompileOptions.cache_hmac_key, so a fleet can
@@ -131,8 +130,8 @@ class PipelineError(Exception):
 
 
 class StageError(PipelineError):
-    """A pipeline stage failed irrecoverably (after any retry and
-    backend degradation the options allow)."""
+    """A pipeline stage failed irrecoverably (after any retry the
+    options allow)."""
 
 
 class ArtifactIntegrityError(PipelineError):
@@ -156,15 +155,13 @@ class CompileOptions:
 
     A field exists only because real callers need different values for
     it (module docstring); which *implementation* computes a stage is
-    not an option.  Output-affecting fields (``field_order``,
+    not an option.  Field types are checked here, once, for the CLI, the
+    wire and direct callers alike (``TypeError``; out-of-range values
+    are ``ValueError``) — ``1`` is not ``True``: equal programs must not
+    get different artifact keys.  Output-affecting fields (``field_order``,
     ``enforce_locality``, ``tag_field``, ``max_frontier``) participate
     in the artifact cache key; the execution-only rest never do.
 
-    - ``backend``: ``"serial"`` compiles configurations one by one on a
-      single shared :class:`FDDBuilder`; ``"thread"`` shards them across
-      a thread pool with one builder per worker thread (builders are not
-      thread-safe), gathering results in state order.
-    - ``max_workers``: thread-pool width (``None`` = executor default).
     - ``cache_dir``: directory for the persistent artifact cache;
       ``None`` (the default) disables it.
     - ``cache_hmac_key``: key (str/bytes) for HMAC-SHA256 signing of
@@ -191,8 +188,6 @@ class CompileOptions:
     - ``max_frontier``: symbolic-knowledge frontier bound per hop.
     """
 
-    backend: str = "serial"
-    max_workers: Optional[int] = None
     cache_dir: Optional[Union[str, Path]] = None
     cache_hmac_key: Optional[Union[str, bytes]] = None
     strict_cache: bool = False
@@ -204,12 +199,29 @@ class CompileOptions:
     max_frontier: int = 4096
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
+        for name, types, optional in _SCALAR_FIELD_TYPES:
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            # bool is an int subclass; only the bool fields accept one.
+            if not isinstance(value, types) or (
+                isinstance(value, bool) and bool not in types
+            ):
+                expected = " or ".join(t.__name__ for t in types)
+                raise TypeError(f"{name} must be {expected}, got {value!r}")
+        # A bare string is iterable too, but "abc" is not three fields.
+        order = self.field_order
+        order = (
+            tuple(order)
+            if isinstance(order, Iterable) and not isinstance(order, str)
+            else None
+        )
+        if order is None or not all(isinstance(name, str) for name in order):
+            raise TypeError(
+                "field_order must be a sequence of field names, "
+                f"got {self.field_order!r}"
             )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
+        object.__setattr__(self, "field_order", order)
         if self.compile_retries < 0:
             raise ValueError(
                 f"compile_retries must be >= 0, got {self.compile_retries}"
@@ -222,7 +234,6 @@ class CompileOptions:
             raise ValueError(f"max_frontier must be >= 1, got {self.max_frontier}")
         if not self.tag_field:
             raise ValueError("tag_field must be a non-empty field name")
-        object.__setattr__(self, "field_order", tuple(self.field_order))
         if self.cache_dir is not None:
             object.__setattr__(
                 self, "cache_dir", Path(self.cache_dir).expanduser()
@@ -678,7 +689,6 @@ class PipelineReport:
 
     stage_seconds: Tuple[Tuple[str, float], ...]
     stats: Tuple[Tuple[str, int], ...]
-    backend: str
     artifact_cache: Optional[str]
     # Sub-stage split of the ets stage: "ets.symbolic" (the one
     # partial-evaluation pass) and "ets.instantiate" (per-state BFS
@@ -689,7 +699,7 @@ class PipelineReport:
     # + warm-artifact check) and "update.*" entries in stats
     # (reinstantiation/recompile/reuse counters).
     substages: Tuple[Tuple[str, float], ...] = ()
-    # Failure/recovery counters: executor retries and serial fallbacks,
+    # Failure/recovery counters: per-configuration compile retries,
     # cache integrity rejections/quarantines, swallowed load/store
     # errors.  Empty = nothing went wrong *and* nothing was absorbed;
     # every absorbed failure shows up here, so nothing fails silently.
@@ -714,7 +724,6 @@ class PipelineReport:
         cannot drift silently.
         """
         return {
-            "backend": self.backend,
             "artifact_cache": self.artifact_cache,
             "stages": dict(self.stage_seconds),
             "substages": dict(self.substages),
@@ -724,9 +733,8 @@ class PipelineReport:
         }
 
     def __str__(self) -> str:
-        lines = [f"pipeline backend={self.backend}"
-                 + (f" artifact_cache={self.artifact_cache}"
-                    if self.artifact_cache else "")]
+        lines = ["pipeline" + (f" artifact_cache={self.artifact_cache}"
+                               if self.artifact_cache else "")]
         for name, seconds in self.stage_seconds:
             lines.append(f"  stage {name:<8s} {seconds:.6f}s")
             for sub, sub_seconds in self.substages:
@@ -1226,7 +1234,6 @@ class Pipeline:
         return PipelineReport(
             stage_seconds=timings,
             stats=tuple(stats.items()),
-            backend=self.options.backend,
             artifact_cache=self._artifact_cache_state,
             substages=substages,
             health=dict(self._health),
@@ -1234,10 +1241,7 @@ class Pipeline:
 
     def __repr__(self) -> str:
         ran = [name for name, _ in self.report().stage_seconds]
-        return (
-            f"Pipeline(backend={self.options.backend!r}, "
-            f"stages_run={ran or '[]'})"
-        )
+        return f"Pipeline(stages_run={ran or '[]'})"
 
 
 def compile_app(
@@ -1254,8 +1258,7 @@ def compile_app(
     single app-like object carrying those attributes.  Keyword overrides
     are :class:`CompileOptions` fields::
 
-        compiled = repro.compile_app(app, backend="thread",
-                                     cache_dir="~/.cache/repro")
+        compiled = repro.compile_app(app, cache_dir="~/.cache/repro")
     """
     if hasattr(program_or_app, "program"):
         app = program_or_app

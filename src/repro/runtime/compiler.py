@@ -17,10 +17,7 @@ so total rule counts include them.
 
 from __future__ import annotations
 
-import threading
 import time
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
@@ -73,20 +70,10 @@ def _compile_configurations(
     states: Tuple[StateVector, ...],
     builder: FDDBuilder,
     options,
-    shard: bool,
     health: Optional[Dict[str, int]] = None,
     reuse: Optional[Mapping[StateVector, Configuration]] = None,
 ) -> Dict[StateVector, Configuration]:
-    """Compile every configuration, optionally sharded across threads.
-
-    The per-state compiles are independent (the ROADMAP scale axis), so
-    the thread backend fans them out over a pool with one private
-    :class:`FDDBuilder` per worker thread -- builders are not
-    thread-safe, and compiled tables are a pure function of the policy
-    and field order, never of builder memo warmth, so private builders
-    keep the output byte-identical to the serial path.  Results are
-    gathered in configuration-state order (``executor.map`` preserves
-    input order), so iteration order is deterministic too.
+    """Compile every configuration, one after another, on ``builder``.
 
     ``reuse`` maps states to already-compiled configurations that are
     adopted as-is (the incremental-recompilation seam:
@@ -106,31 +93,16 @@ def _compile_configurations(
       with deterministic backoff (counted in ``health``);
     - ``options.deadline_seconds`` bounds the stage wall clock,
       checked between attempts (one configuration is never preempted);
-    - a thread pool whose worker fails irrecoverably degrades to the
-      serial path (counted as ``executor.fallback_serial``) — the
-      output is byte-identical by construction, so degradation is
-      invisible outside ``health``;
-    - a failure that survives retry *and* degradation surfaces as a
-      typed :class:`~repro.pipeline.StageError` with stage provenance,
-      never as a bare worker exception.
+    - a failure that survives retry surfaces as a typed
+      :class:`~repro.pipeline.StageError` with stage provenance, never
+      as a bare exception.
     """
     PipelineError, StageError = _pipeline_errors()
     health = health if health is not None else {}
-
-    def count(counter: str) -> None:
-        obs_metrics.count_health(health, counter)
-
     reuse = reuse if reuse is not None else {}
     pending: Tuple[StateVector, ...] = tuple(
         state for state in states if state not in reuse
     )
-
-    def assemble(fresh: Mapping[StateVector, Configuration]):
-        # States order, whatever mix of reused/fresh produced the parts.
-        return {
-            state: reuse[state] if state in reuse else fresh[state]
-            for state in states
-        }
 
     retries = options.compile_retries
     deadline = (
@@ -147,7 +119,7 @@ def _compile_configurations(
                 f"with {len(pending)} configuration(s) in flight",
             )
 
-    def compile_with(b: FDDBuilder, state: StateVector) -> Configuration:
+    def compile_one(state: StateVector) -> Configuration:
         attempt = 0
         while True:
             check_deadline()
@@ -161,66 +133,30 @@ def _compile_configurations(
                     return compile_policy(
                         nes.configuration_policy(state),
                         topology,
-                        builder=b,
+                        builder=builder,
                         name=f"C{list(state)}",
                         max_frontier=options.max_frontier,
                     )
             except PipelineError:
                 raise  # typed failures (e.g. deadline) are not transient
-            except Exception:
+            except Exception as exc:
                 if attempt >= retries:
-                    raise
-                count("executor.retries")
+                    raise StageError(
+                        "compile",
+                        f"configuration C{list(state)} failed after "
+                        f"{retries + 1} attempt(s): {exc!r}",
+                    ) from exc
+                obs_metrics.count_health(health, "executor.retries")
                 with obs_trace.span("compile.backoff", attempt=attempt):
                     time.sleep(_backoff_delay(attempt))
                 attempt += 1
 
-    if shard and options.backend == "thread" and len(pending) > 1:
-        try:
-            local = threading.local()
-            # ThreadPoolExecutor workers run in the pool thread's empty
-            # context, so the submitting stage's span does not propagate
-            # by itself; capture it here and re-attach per work item.
-            trace_parent = obs_trace.current()
-
-            def worker(state: StateVector) -> Configuration:
-                worker_builder = getattr(local, "builder", None)
-                if worker_builder is None:
-                    worker_builder = options.make_builder()
-                    local.builder = worker_builder
-                with obs_trace.attach(trace_parent):
-                    return compile_with(worker_builder, state)
-
-            with ThreadPoolExecutor(max_workers=options.max_workers) as pool:
-                configs = list(pool.map(worker, pending))
-            return assemble(dict(zip(pending, configs)))
-        except PipelineError:
-            raise  # a deadline miss would only recur serially
-        except Exception as exc:
-            # The pool (or a worker, beyond its retry budget) failed
-            # irrecoverably: degrade to the serial path, which produces
-            # byte-identical tables.  Counted and warned, never silent.
-            count("executor.fallback_serial")
-            warnings.warn(
-                f"thread backend failed ({exc!r}); degrading to the "
-                "serial executor for this compile",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
-    out: Dict[StateVector, Configuration] = {}
-    for state in pending:
-        try:
-            out[state] = compile_with(builder, state)
-        except PipelineError:
-            raise
-        except Exception as exc:
-            raise StageError(
-                "compile",
-                f"configuration C{list(state)} failed after "
-                f"{retries + 1} attempt(s): {exc!r}",
-            ) from exc
-    return assemble(out)
+    fresh = {state: compile_one(state) for state in pending}
+    # States order, whatever mix of reused/fresh produced the parts.
+    return {
+        state: reuse[state] if state in reuse else fresh[state]
+        for state in states
+    }
 
 
 class LocalityError(Exception):
@@ -245,16 +181,13 @@ class CompiledNES:
         """Compile ``nes`` over ``topology`` under ``options``.
 
         ``options`` is a :class:`repro.pipeline.CompileOptions` (default
-        constructed when omitted).  With ``options.backend == "thread"``
-        the independent per-configuration compiles are sharded across a
-        thread pool; passing an explicit ``builder`` forces the serial
-        path, because a caller-owned builder cannot be shared across
-        worker threads.
+        constructed when omitted); ``builder`` defaults to a fresh
+        ``options.make_builder()``.
 
         ``health`` is an optional counter dict (the pipeline passes its
-        own) that the executor's retry/degradation bookkeeping
-        increments; it is observed during construction only and never
-        stored on the instance (artifacts stay health-free).
+        own) that the per-configuration retry bookkeeping increments; it
+        is observed during construction only and never stored on the
+        instance (artifacts stay health-free).
 
         ``reuse_configurations`` maps states to already-compiled
         configurations adopted without recompiling (see
@@ -289,14 +222,11 @@ class CompiledNES:
         # by repr), so digests and the locality engine agree bit-for-bit.
         self.event_bits: Dict[Event, int] = dict(nes.structure.event_index)
 
-        # Step 2: compile every configuration (sharded when the options
-        # select the thread backend and no caller-owned builder pins us
-        # to the serial path).
+        # Step 2: compile every configuration.
         self.configurations: Dict[StateVector, Configuration] = (
             _compile_configurations(
                 nes, topology, self.states, self._builder, options,
-                shard=builder is None, health=health,
-                reuse=reuse_configurations,
+                health=health, reuse=reuse_configurations,
             )
         )
 

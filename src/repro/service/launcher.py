@@ -24,7 +24,7 @@ import sys
 from typing import Optional, Sequence
 
 from ..obs import metrics as obs_metrics
-from ..pipeline import BACKENDS, CompileOptions
+from ..pipeline import CompileOptions
 from .server import create_server
 from .state import DEFAULT_MEMO_SIZE
 
@@ -68,11 +68,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "(surfaced by /health as non-200)",
     )
     parser.add_argument(
-        "--backend", choices=BACKENDS, default="serial",
-        help="default per-configuration compile executor (requests may "
-        "override per call)",
-    )
-    parser.add_argument(
         "--memo-size", type=int, default=DEFAULT_MEMO_SIZE, metavar="N",
         help=f"in-process compiled-pipeline LRU capacity "
         f"(default: {DEFAULT_MEMO_SIZE})",
@@ -95,7 +90,6 @@ def run(args: argparse.Namespace) -> int:
     except RuntimeError:
         pass  # a different registry is already installed; adopt it
     options = CompileOptions(
-        backend=args.backend,
         cache_dir=args.cache_dir,
         strict_cache=args.strict_cache,
     )

@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from ..netkat.ast import Policy
 from ..netkat.parser import ParseError, parse_policy
 from ..netkat.pretty import pretty_policy
-from ..pipeline import BACKENDS, CompileOptions, Delta
+from ..pipeline import CompileOptions, Delta
 from ..runtime.compiler import CompiledNES
 from ..topology import Topology
 
@@ -61,17 +61,15 @@ __all__ = [
 ]
 
 # Bumped on incompatible wire-shape changes; served by GET /version so a
-# fleet can gate rollouts on it.  Version 2 shrank the requestable
-# option set to the fields below (a request naming any other field is a
-# ``bad_options`` 400, never ignored).
-PROTOCOL_VERSION = 2
+# fleet can gate rollouts on it.  Version 3 shrank the requestable
+# option set to the five fields below (a request naming any other field
+# is a ``bad_options`` 400, never ignored).
+PROTOCOL_VERSION = 3
 
 # CompileOptions fields a request may set.  Everything else is either
 # server-owned deployment policy (cache_dir, cache_hmac_key,
 # strict_cache) or travels as its own request field (deadline_seconds).
 REQUESTABLE_OPTION_FIELDS: Tuple[str, ...] = (
-    "backend",
-    "max_workers",
     "compile_retries",
     "field_order",
     "enforce_locality",
@@ -213,18 +211,9 @@ def options_from_wire(obj: Any, base: CompileOptions) -> CompileOptions:
             f"unknown or non-requestable option fields {sorted(unknown)}; "
             f"requestable: {list(REQUESTABLE_OPTION_FIELDS)}",
         )
-    changes: Dict[str, Any] = {}
-    for name, value in wire.items():
-        if name == "field_order" and value is not None:
-            value = tuple(str(field) for field in value)
-        if name == "backend" and value not in BACKENDS:
-            raise ProtocolError(
-                "bad_options",
-                f"unknown backend {value!r}; choose from {list(BACKENDS)}",
-            )
-        changes[name] = value
     try:
-        return base.replace(**changes)
+        # CompileOptions type-checks every field itself.
+        return base.replace(**wire)
     except (TypeError, ValueError) as exc:
         raise ProtocolError("bad_options", f"invalid options: {exc}") from exc
 

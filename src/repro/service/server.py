@@ -284,7 +284,9 @@ class _Handler(BaseHTTPRequestHandler):
                 )
         deadline = wire.get("deadline_seconds")
         if deadline is not None and (
-            not isinstance(deadline, (int, float)) or deadline <= 0
+            isinstance(deadline, bool)
+            or not isinstance(deadline, (int, float))
+            or deadline <= 0
         ):
             raise protocol.ProtocolError(
                 "bad_request",

@@ -156,7 +156,7 @@ class ServiceState:
     """Everything the request handlers share.
 
     ``base_options`` carries the server's deployment policy (cache
-    directory, HMAC key resolution, strict-cache, default backend);
+    directory, HMAC key resolution, strict-cache);
     per-request option subsets and deadlines are layered on top of it by
     :meth:`effective_options` without ever touching the server-owned
     fields.
@@ -261,6 +261,7 @@ class ServiceState:
                 "size": len(self._memo),
                 "capacity": self.memo_size,
                 "evictions": self.stats.counter("memo.evictions"),
+                "index_entries": len(self._index),
             }
 
     def wire_tables(self, key: str, pipeline: Pipeline) -> Dict[str, str]:
@@ -472,7 +473,8 @@ class ServiceState:
         ))
         samples.append((
             "repro_service_request_index_entries", "gauge", {},
-            len(self._index), "Fingerprints resident in the request index",
+            memo["index_entries"],
+            "Fingerprints resident in the request index",
         ))
         samples.append((
             "repro_service_memo_evictions_total", "counter", {},

@@ -84,12 +84,15 @@ class TestCompile:
         assert main(["optimize", str(clash), "--topology", "firewall"]) == 1
         assert "collides" in capsys.readouterr().out
 
-    def test_thread_backend_matches_serial(self, firewall_file, capsys):
-        assert main(["compile", firewall_file, "--topology", "firewall"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["compile", firewall_file, "--topology", "firewall",
-                     "--backend", "thread"]) == 0
-        assert capsys.readouterr().out == serial
+    @pytest.mark.parametrize("command", ["compile", "serve"])
+    def test_backend_flag_is_gone(self, command, firewall_file, capsys):
+        argv = ["compile", firewall_file, "--topology", "firewall"]
+        if command == "serve":
+            argv = ["serve", "--port", "0"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--backend", "thread"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_report_prints_stage_timings(self, firewall_file, capsys):
         assert main(["compile", firewall_file, "--topology", "firewall",
@@ -167,7 +170,6 @@ class TestCompile:
         report = json.loads(out)
         assert sorted(report) == [
             "artifact_cache",
-            "backend",
             "health",
             "stages",
             "stats",

@@ -2,9 +2,8 @@
 
 Every injected fault must end in exactly one of three outcomes:
 
-1. **retry-success** — the executor's bounded retry (or the thread ->
-   serial degradation) absorbs it and the tables are byte-identical to
-   a fault-free compile;
+1. **retry-success** — the executor's bounded retry absorbs it and the
+   tables are byte-identical to a fault-free compile;
 2. **clean degradation** — the cache path absorbs it (recorded miss,
    quarantine, one-shot warning, health counter) and the pipeline
    recompiles to byte-identical tables;
@@ -167,7 +166,7 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Executor: retry, degradation, deadline
+# Executor: retry, deadline
 # ---------------------------------------------------------------------------
 
 
@@ -180,47 +179,13 @@ class TestExecutorRecovery:
         assert plan.fires("executor.worker") == 1
         assert pipeline.report().health["executor.retries"] == 1
 
-    def test_thread_backend_degrades_to_serial(self, reference_tables):
-        """The acceptance scenario: worker failures in the thread
-        backend, no retry budget -> the pool fails, the pipeline falls
-        back to the serial executor, and the tables are byte-identical,
-        with the recovery visible in health."""
-        plan = faults.FaultPlan({"executor.worker": faults.FaultRule(max_fires=1)})
-        with faults.injected(plan):
-            pipeline = fresh_pipeline(
-                firewall_app(),
-                CompileOptions(backend="thread", compile_retries=0),
-            )
-            with pytest.warns(RuntimeWarning, match="degrading to the serial"):
-                tables = guarded_bytes(pipeline.compiled)
-        assert tables == reference_tables
-        health = pipeline.report().health
-        assert health["executor.fallback_serial"] == 1
-
-    def test_thread_retry_succeeds_without_degrading(self, reference_tables):
-        """With a retry budget, transient worker faults are absorbed
-        inside the pool and no fallback happens."""
-        plan = faults.FaultPlan({"executor.worker": faults.FaultRule(max_fires=2)})
-        with faults.injected(plan):
-            pipeline = fresh_pipeline(
-                firewall_app(),
-                CompileOptions(backend="thread", compile_retries=2, max_workers=2),
-            )
-            assert guarded_bytes(pipeline.compiled) == reference_tables
-        health = pipeline.report().health
-        assert health.get("executor.retries", 0) >= 1
-        assert "executor.fallback_serial" not in health
-
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_unbounded_worker_faults_end_in_a_typed_error(self, backend):
+    def test_unbounded_worker_faults_end_in_a_typed_error(self):
         with faults.injected(faults.FaultPlan({"executor.worker": 1.0})):
             pipeline = fresh_pipeline(
-                firewall_app(), CompileOptions(backend=backend, compile_retries=1)
+                firewall_app(), CompileOptions(compile_retries=1)
             )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                with pytest.raises(StageError) as info:
-                    pipeline.compiled
+            with pytest.raises(StageError) as info:
+                pipeline.compiled
         assert info.value.stage == "compile"
         assert isinstance(info.value, PipelineError)
 
@@ -235,15 +200,13 @@ class TestExecutorRecovery:
         # First configuration: 1 attempt + 3 retries, then typed failure.
         assert plan.fires("executor.worker") == 4
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_deadline_exceeded_is_a_typed_error(self, backend):
+    def test_deadline_exceeded_is_a_typed_error(self):
         pipeline = fresh_pipeline(
-            firewall_app(),
-            CompileOptions(backend=backend, deadline_seconds=1e-9),
+            firewall_app(), CompileOptions(deadline_seconds=1e-9)
         )
         with pytest.raises(StageError, match="deadline_seconds"):
             pipeline.compiled
-        assert "executor.fallback_serial" not in pipeline.report().health
+        assert pipeline.report().health == {}
 
     def test_generous_deadline_is_invisible(self, reference_tables):
         pipeline = fresh_pipeline(
@@ -405,7 +368,7 @@ class TestSignedArtifacts:
         app = firewall_app()
         store_dir = tmp_path / "stored-under-this-path"
         cold = fresh_pipeline(
-            app, self.options(store_dir, backend="thread", strict_cache=True)
+            app, self.options(store_dir, compile_retries=0, strict_cache=True)
         )
         cold.compiled
         blob = ArtifactCache(store_dir).path(cold.artifact_key()).read_bytes()
@@ -417,7 +380,7 @@ class TestSignedArtifacts:
         warm = fresh_pipeline(app, self.options(load_dir))
         assert guarded_bytes(warm.compiled) == reference_tables
         assert warm.report().artifact_cache == "hit"
-        assert warm.compiled.options.backend == "serial"
+        assert warm.compiled.options.compile_retries == 2
         assert warm.compiled.options.cache_dir == load_dir
         assert warm.compiled.options.cache_hmac_key == KEY
         assert warm.compiled.options.strict_cache is False
@@ -620,7 +583,6 @@ def run_chaos(seed: int, tmp_path, reference: bytes) -> None:
     options = CompileOptions(
         cache_dir=tmp_path / f"cache{seed}",
         cache_hmac_key=KEY,
-        backend=rng.choice(["serial", "thread"]),
         compile_retries=rng.choice([0, 1, 2]),
     )
     with faults.injected(faults.FaultPlan(rules, seed=seed)):

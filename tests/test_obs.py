@@ -198,7 +198,7 @@ class TestTracing:
         app = bandwidth_cap_app(24)
         with trace.recording() as tracer:
             with trace.span("build"):
-                pipeline = fresh_pipeline(app, CompileOptions(backend="thread"))
+                pipeline = fresh_pipeline(app)
                 pipeline.compiled
         spans = tracer.finished()
         by_name = {}
@@ -212,14 +212,12 @@ class TestTracing:
         ets_id = by_name["ets"][0]["span_id"]
         assert by_name["ets.symbolic"][0]["parent_id"] == ets_id
         assert by_name["ets.instantiate"][0]["parent_id"] == ets_id
-        # per-configuration spans run on worker threads but parent under
-        # the compile stage span (contextvars don't cross the pool —
-        # the compiler attaches them explicitly)
+        # per-configuration spans parent under the compile stage span
         compile_span = by_name["compile"][0]
         workers = by_name["compile.configuration"]
         assert len(workers) == len(pipeline.compiled.states)
         assert all(w["parent_id"] == compile_span["span_id"] for w in workers)
-        assert any(w["thread"] != compile_span["thread"] for w in workers)
+        assert "attach" not in trace.__all__  # its only caller was the pool
 
     def test_span_durations_reconcile_with_report(self):
         app = bandwidth_cap_app(12)

@@ -1,11 +1,11 @@
 """Golden tests for the staged pipeline façade.
 
-The pipeline's scale knobs must be invisible in the output: the thread
-backend, the persistent artifact cache (cold and warm), and the façade
-itself all have to produce guarded tables byte-identical to the legacy
-direct ``build_ets -> nes_of_ets -> compile_nes`` path, on every seed
-application.  The deprecation shims are gone: the old spellings fail
-loudly instead of being tolerated.
+The pipeline's scale knobs must be invisible in the output: the
+persistent artifact cache (cold and warm) and the façade itself both
+have to produce guarded tables byte-identical to the legacy direct
+``build_ets -> nes_of_ets -> compile_nes`` path, on every seed
+application.  The deprecation shims and the thread backend are gone:
+the old spellings fail loudly instead of being tolerated.
 """
 
 import pickle
@@ -32,7 +32,7 @@ def legacy_compile(app) -> CompiledNES:
 
 
 # ---------------------------------------------------------------------------
-# Byte-identity goldens: backend x cache x façade, on all seven seed apps
+# Byte-identity goldens: cache x façade, on all seven seed apps
 # ---------------------------------------------------------------------------
 
 
@@ -43,14 +43,6 @@ def test_backends_cache_and_facade_byte_identical(name, make, tmp_path):
 
     serial = Pipeline(app.program, app.topology, app.initial_state)
     assert guarded_bytes(serial.compiled) == reference
-
-    threaded = Pipeline(
-        app.program,
-        app.topology,
-        app.initial_state,
-        CompileOptions(backend="thread", max_workers=4),
-    )
-    assert guarded_bytes(threaded.compiled) == reference
 
     cached = CompileOptions(cache_dir=tmp_path / "cache")
     cold = Pipeline(app.program, app.topology, app.initial_state, cached)
@@ -124,18 +116,14 @@ class TestArtifactCache:
         # The NES is recovered from the artifact, not rebuilt.
         assert warm.nes is warm.compiled.nes
         assert [name for name, _ in warm.report().stage_seconds] == ["compile"]
-        # Execution-only fields reflect this run, not the storing one:
-        # backends share cache entries, so a serial load of a
-        # thread-stored artifact must not claim backend="thread".
-        threaded_store = CompileOptions(backend="thread", cache_dir=tmp_path)
+        # Execution-only fields reflect this run, not the storing one.
+        no_retry_store = CompileOptions(compile_retries=0, cache_dir=tmp_path)
         Pipeline(
-            app.program, app.topology, app.initial_state, threaded_store
+            app.program, app.topology, app.initial_state, no_retry_store
         ).compiled
-        serial_load = Pipeline(
-            app.program, app.topology, app.initial_state, options
-        )
-        assert serial_load.compiled.options.backend == "serial"
-        assert serial_load.compiled.options.cache_dir == options.cache_dir
+        load = Pipeline(app.program, app.topology, app.initial_state, options)
+        assert load.compiled.options.compile_retries == 2
+        assert load.compiled.options.cache_dir == options.cache_dir
 
     def test_warm_hit_serves_nes_without_building_the_ets(self, tmp_path):
         app = firewall_app()
@@ -225,8 +213,8 @@ class TestArtifactCache:
         app = firewall_app()
         base = CompileOptions()
         for variant in (
-            base.replace(backend="thread"),
-            base.replace(max_workers=7),
+            base.replace(compile_retries=0),
+            base.replace(deadline_seconds=30),
             base.replace(cache_dir=tmp_path),
         ):
             assert artifact_digest(
@@ -327,19 +315,52 @@ class TestArtifactCache:
 class TestCompileOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
-            CompileOptions(backend="fork")
-        with pytest.raises(ValueError):
-            CompileOptions(max_workers=0)
+            CompileOptions(compile_retries=-1)
         with pytest.raises(ValueError):
             CompileOptions(max_frontier=0)
         with pytest.raises(ValueError):
             CompileOptions(tag_field="")
 
+    @pytest.mark.parametrize("name", ["backend", "max_workers"])
+    def test_the_executor_knobs_are_gone(self, name):
+        """One executor: the old spellings raise, nothing is tolerated
+        and ignored."""
+        with pytest.raises(TypeError):
+            CompileOptions(**{name: None})
+        with pytest.raises(TypeError):
+            CompileOptions().replace(**{name: None})
+        with pytest.raises(TypeError):
+            compile_app(firewall_app(), **{name: None})
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"field_order": 5},
+            {"field_order": "abc"},
+            {"field_order": ("sw", 1)},
+            {"tag_field": 5},
+            {"enforce_locality": "no"},
+            {"enforce_locality": 1},
+            {"strict_cache": 0},
+            {"max_frontier": True},
+            {"max_frontier": "17"},
+            {"compile_retries": False},
+            {"deadline_seconds": True},
+            {"cache_hmac_key": 5},
+        ],
+        ids=lambda changes: "-".join(f"{k}={v!r}" for k, v in changes.items()),
+    )
+    def test_ill_typed_values_are_type_errors(self, changes):
+        """``1`` is not ``True``: an ill-typed value that happened to
+        work would give one program several artifact keys."""
+        with pytest.raises(TypeError):
+            CompileOptions(**changes)
+
     def test_replace_revalidates(self):
         options = CompileOptions()
-        assert options.replace(backend="thread").backend == "thread"
+        assert options.replace(compile_retries=0).compile_retries == 0
         with pytest.raises(ValueError):
-            options.replace(backend="fork")
+            options.replace(compile_retries=-1)
 
     def test_cache_dir_is_tilde_expanded(self):
         expanded = CompileOptions(cache_dir="~/repro-cache").cache_dir
@@ -356,7 +377,7 @@ class TestCompileOptions:
 
     def test_output_affecting_resets_only_the_execution_fields(self, tmp_path):
         options = CompileOptions(
-            backend="thread",
+            compile_retries=0,
             cache_dir=tmp_path,
             cache_hmac_key="secret",
             strict_cache=True,
@@ -383,7 +404,7 @@ def test_compile_app_forms():
         guarded_bytes(compile_app(app.program, app.topology, app.initial_state))
         == reference
     )
-    assert guarded_bytes(compile_app(app, backend="thread")) == reference
+    assert guarded_bytes(compile_app(app, compile_retries=0)) == reference
     with pytest.raises(TypeError):
         compile_app(app.program)
     # An app bundles its own topology/initial_state; a conflicting
@@ -506,20 +527,8 @@ class TestGuardedTablesPerOptionsMemo:
 
 
 # ---------------------------------------------------------------------------
-# Thread backend details
+# The one executor
 # ---------------------------------------------------------------------------
-
-
-def test_thread_backend_preserves_state_order():
-    app = bandwidth_cap_app()
-    serial = compile_nes(app.nes, app.topology)
-    threaded = compile_nes(
-        app.nes,
-        app.topology,
-        options=CompileOptions(backend="thread", max_workers=3),
-    )
-    assert list(serial.configurations) == list(threaded.configurations)
-    assert serial.states == threaded.states
 
 
 def test_explicit_builder_forces_serial_path():
@@ -529,10 +538,9 @@ def test_explicit_builder_forces_serial_path():
         app.nes,
         app.topology,
         builder,  # old positional spelling must keep binding to builder=
-        options=CompileOptions(backend="thread"),
     )
     # The caller-owned builder compiled every configuration (its AST
-    # memos are warm), which only the serial path guarantees.
+    # memos are warm).
     assert compiled._builder is builder
     assert builder._memo_of_policy
     assert guarded_bytes(compiled) == guarded_bytes(app.compiled)
@@ -802,7 +810,6 @@ class TestReportToDict:
         report = pipeline.report().to_dict()
         assert sorted(report) == [
             "artifact_cache",
-            "backend",
             "health",
             "stages",
             "stats",
@@ -813,7 +820,6 @@ class TestReportToDict:
         rehydrated = json.loads(json.dumps(report))
         assert rehydrated == report
         assert set(report["stages"]) == {"ets", "nes", "compile"}
-        assert report["backend"] == "serial"
         assert report["artifact_cache"] is None  # no cache configured
         assert report["total_seconds"] == pytest.approx(
             sum(report["stages"].values())

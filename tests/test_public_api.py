@@ -51,8 +51,6 @@ def test_compile_options_surface_is_pinned():
 
     names = [f.name for f in dataclasses.fields(CompileOptions)]
     assert names == [
-        "backend",
-        "max_workers",
         "cache_dir",
         "cache_hmac_key",
         "strict_cache",

@@ -271,7 +271,10 @@ class TestUpdate:
                 second.program, second.topology, second.initial_state
             )
             memo = client.stats()["memo"]
-            assert memo == {"size": 1, "capacity": 1, "evictions": 1}
+            # Eviction drops the pipeline, not the (void) fingerprint.
+            assert memo == {
+                "size": 1, "capacity": 1, "evictions": 1, "index_entries": 2,
+            }
             with pytest.raises(ServiceError) as excinfo:
                 client.update(base["artifact_key"], Delta(set_state=((0, 1),)))
             assert excinfo.value.status == 404
@@ -374,17 +377,21 @@ class TestProtocolErrors:
         assert "backnd" in str(excinfo.value)
 
     def test_removed_implementation_switches_are_a_400(self, shared_service):
-        """Protocol 2 dropped four option names; a client still sending
-        one gets a structured ``bad_options`` listing what it may set —
-        never a 500, and never a compile that silently ignored it."""
+        """Protocol 2 dropped four option names and protocol 3 the two
+        executor ones; a client still sending one gets a structured
+        ``bad_options`` listing the five it may set — never a 500, and
+        never a compile that silently ignored it."""
         app = firewall_app()
-        for removed in (
-            "symbolic_extract", "knowledge_cache", "ordered_insert", "ast_memo"
-        ):
+        assert len(protocol.REQUESTABLE_OPTION_FIELDS) == 5
+        for removed, value in {
+            "symbolic_extract": False, "knowledge_cache": False,
+            "ordered_insert": False, "ast_memo": False,
+            "backend": "thread", "max_workers": 2,
+        }.items():
             with pytest.raises(ServiceError) as excinfo:
                 shared_service.compile(
                     app.program, app.topology, app.initial_state,
-                    options={removed: False},
+                    options={removed: value},
                 )
             assert excinfo.value.status == 400
             assert excinfo.value.code == "bad_options"
@@ -392,6 +399,44 @@ class TestProtocolErrors:
             assert removed in message
             for field in protocol.REQUESTABLE_OPTION_FIELDS:
                 assert field in message
+
+    @pytest.mark.parametrize(
+        "extra,code",
+        [
+            ({"options": {"field_order": 5}}, "bad_options"),
+            ({"options": {"field_order": "abc"}}, "bad_options"),
+            ({"options": {"tag_field": 5}}, "bad_options"),
+            ({"options": {"enforce_locality": "no"}}, "bad_options"),
+            ({"options": {"enforce_locality": 1}}, "bad_options"),
+            ({"options": {"max_frontier": True}}, "bad_options"),
+            ({"deadline_seconds": True}, "bad_request"),
+        ],
+        ids=lambda p: json.dumps(p) if isinstance(p, dict) else p,
+    )
+    def test_ill_typed_option_values_are_a_400(
+        self, extra, code, shared_service
+    ):
+        """Each of these used to be a bare 500, or to compile the same
+        program under a second artifact key."""
+        app = firewall_app()
+        plain = shared_service.compile(
+            app.program, app.topology, app.initial_state
+        )
+        wire = protocol.compile_request_to_wire(
+            app.program, app.topology, app.initial_state
+        )
+        status, body = raw_request(
+            shared_service, "POST", "/compile",
+            data=json.dumps({**wire, **extra}).encode(),
+        )
+        assert status == 400
+        assert body["error"]["code"] == code
+        repeat = shared_service.compile(
+            app.program, app.topology, app.initial_state,
+            options={"enforce_locality": True, "max_frontier": 4096},
+        )
+        assert repeat["source"] == "memo"
+        assert repeat["artifact_key"] == plain["artifact_key"]
 
     def test_missing_required_field_is_a_400(self, shared_service):
         status, body = raw_request(
@@ -485,7 +530,7 @@ def test_include_tables_false_omits_tables(shared_service):
 
 
 def test_request_options_and_deadline_do_not_perturb_the_key(shared_service):
-    """backend/deadline are execution-only: a request naming them is the
+    """retries/deadline are execution-only: a request naming them is the
     same cache tenant as one that doesn't."""
     app = firewall_app()
     plain = shared_service.compile(
@@ -493,7 +538,7 @@ def test_request_options_and_deadline_do_not_perturb_the_key(shared_service):
     )
     tuned = shared_service.compile(
         app.program, app.topology, app.initial_state,
-        options={"backend": "thread", "max_workers": 2},
+        options={"compile_retries": 0},
         deadline_seconds=60.0,
     )
     assert tuned["artifact_key"] == plain["artifact_key"]
@@ -989,12 +1034,12 @@ class TestWireRoundTrips:
             protocol.delta_from_wire({"set_sate": [[0, 1]]})
 
     def test_options_round_trip(self):
-        options = CompileOptions(backend="thread", max_workers=3)
+        options = CompileOptions(compile_retries=0, tag_field="cfg")
         wire = protocol.options_to_wire(options)
         json.dumps(wire)
         assert sorted(wire) == [
-            "backend", "compile_retries", "enforce_locality", "field_order",
-            "max_frontier", "max_workers", "tag_field",
+            "compile_retries", "enforce_locality", "field_order",
+            "max_frontier", "tag_field",
         ]
         rebuilt = protocol.options_from_wire(wire, CompileOptions())
         for field in protocol.REQUESTABLE_OPTION_FIELDS:
