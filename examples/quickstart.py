@@ -84,10 +84,11 @@ def main() -> None:
 
     # -- incremental recompilation: Pipeline.update --------------------------
     # A controller rarely gets a fresh program; it gets a small delta.
-    # Pipeline.update(Delta(...)) diffs the symbolic guard partition,
-    # re-instantiates only the affected ETS states, and re-compiles only
-    # the affected configurations -- byte-identical to a cold rebuild of
-    # the post-delta program, at a fraction of the cost.  Here: start
+    # Pipeline.update(Delta(...)) runs the same three stages on the
+    # post-delta inputs, each borrowing from this pipeline what the
+    # delta left alone (the partial evaluation, the NES, the tables of
+    # unchanged configurations) -- byte-identical to a cold rebuild of
+    # the post-delta program.  Here: start
     # the firewall in state [1] ("H1 already contacted H4").
     from repro import Delta
 

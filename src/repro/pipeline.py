@@ -8,6 +8,15 @@ and frozen, and :class:`Pipeline` exposes the staged artifacts
 lazily, with per-stage wall-clock timings and stats available via
 :meth:`Pipeline.report`.
 
+The stage sequence is written once, in those three properties.
+:meth:`Pipeline.update` has no copy of it: it constructs an ordinary
+pipeline for the post-delta inputs, points it at its predecessor while
+it compiles, and each property borrows what the delta left alone — the
+partial evaluation when the program is the same object, the NES when
+the ETS came out equal, the tables of configurations whose policy and
+topology are unchanged.  Reuse is decided at those three stage
+boundaries and nowhere finer.
+
 There is one executor: the per-configuration ``compile_policy`` calls
 run one after another on one :class:`FDDBuilder`, in
 configuration-state order.  ``cache_dir`` enables a content-addressed
@@ -46,7 +55,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import faults
 from .events.ets_to_nes import nes_of_ets
@@ -59,12 +68,7 @@ from .netkat.fdd import DEFAULT_FIELD_ORDER, FDDBuilder, FieldOrder
 from .runtime.compiler import TAG_FIELD, CompiledNES, compile_nes
 from .stateful.ast import StateVector, vector_update
 from .stateful.ets import ETS, build_ets
-from .stateful.symbolic import (
-    StateGuard,
-    SymbolicProgram,
-    changed_cell_guards,
-    changed_edge_guards,
-)
+from .stateful.symbolic import SymbolicProgram
 from .topology import Topology
 
 __all__ = [
@@ -122,11 +126,17 @@ CACHE_HMAC_KEY_ENV = "REPRO_CACHE_HMAC_KEY"
 
 class PipelineError(Exception):
     """Base for typed pipeline failures; ``stage`` names the provenance
-    (``"ets"`` / ``"nes"`` / ``"compile"`` / ``"cache"``)."""
+    (``"ets"`` / ``"nes"`` / ``"compile"`` / ``"cache"``).
+
+    ``health`` is filled by :meth:`Pipeline.update` with the absorbed-
+    failure counters of the result it had to discard (a pipeline built
+    directly still answers ``report().health`` after a failed stage).
+    """
 
     def __init__(self, stage: str, message: str):
         super().__init__(message)
         self.stage = stage
+        self.health: Mapping[str, int] = {}
 
 
 class StageError(PipelineError):
@@ -539,12 +549,12 @@ def _substitute_policy(
     The walk is deterministic and shape-preserving (plain constructors,
     no smart-constructor normalization), and returns untouched subtrees
     by identity — the post-delta program shares every unchanged node
-    with the original, which is what lets the symbolic layer's id-keyed
-    memos and the guard diff localize the blast radius.
+    with the original, so an unchanged program stays the *same object*
+    (what :attr:`Pipeline.ets` checks before borrowing the engine).
     """
     if p == old:
         hits[0] += 1
-        return new
+        return p if new == old else new  # X -> X keeps the same object
     if isinstance(p, _ast.Seq):
         left = _substitute_policy(p.left, old, new, hits)
         right = _substitute_policy(p.right, old, new, hits)
@@ -593,7 +603,7 @@ class Delta:
 
     def apply_program(self, program: Policy) -> Policy:
         """The post-delta program (``program`` itself when unchanged)."""
-        if self.replace_policy is None or self.replace_policy == self.with_policy:
+        if self.replace_policy is None:
             return program
         hits = [0]
         substituted = _substitute_policy(
@@ -624,54 +634,6 @@ class Delta:
         return self.topology if self.topology is not None else topology
 
 
-class _PatchedInstantiation:
-    """The ``build_ets`` instantiation source for :meth:`Pipeline.update`.
-
-    States outside the delta's blast radius are served from the previous
-    ETS, reusing its already-instantiated edge and configuration
-    objects; affected (or newly reached) states fall through to the
-    post-delta engine, which ``fresh`` returns (building it on first
-    use).  ``edge_guards`` / ``cell_guards`` of ``None`` mean the blast
-    radius is unknown — every state is fresh.
-    """
-
-    def __init__(
-        self,
-        fresh: Callable[[], SymbolicProgram],
-        old_ets: Optional[ETS],
-        edge_guards: Optional[FrozenSet[StateGuard]],
-        cell_guards: Optional[FrozenSet[StateGuard]],
-    ):
-        self._fresh = fresh
-        self._old = old_ets
-        self._old_states = (
-            frozenset(old_ets.states()) if old_ets is not None else frozenset()
-        )
-        self._edge_guards = edge_guards
-        self._cell_guards = cell_guards
-        self.seen: set = set()
-        self.fresh: set = set()
-
-    def _unaffected(self, state, guards) -> bool:
-        if guards is None or state not in self._old_states:
-            return False
-        return not any(g.holds(state) for g in guards)
-
-    def edges_at(self, state):
-        self.seen.add(state)
-        if self._unaffected(state, self._edge_guards):
-            return self._old.out_edges(state)
-        self.fresh.add(state)
-        return self._fresh().edges_at(state)
-
-    def configuration_at(self, state):
-        self.seen.add(state)
-        if self._unaffected(state, self._cell_guards):
-            return self._old.configuration(state)
-        self.fresh.add(state)
-        return self._fresh().configuration_at(state)
-
-
 # ---------------------------------------------------------------------------
 # The pipeline façade
 # ---------------------------------------------------------------------------
@@ -692,9 +654,8 @@ class PipelineReport:
     artifact_cache: Optional[str]
     # Sub-stage split of the ets stage: "ets.symbolic" (the one
     # partial-evaluation pass) and "ets.instantiate" (per-state BFS
-    # instantiation; in an update, the blast-radius guard diff too).
-    # These refine the "ets" entry of stage_seconds; total_seconds()
-    # ignores them.  A pipeline produced by Pipeline.update()
+    # instantiation).  These refine the "ets" entry of stage_seconds;
+    # total_seconds() ignores them.  A pipeline produced by update()
     # additionally carries an "update.delta" substage (delta application
     # + warm-artifact check) and "update.*" entries in stats
     # (reinstantiation/recompile/reuse counters).
@@ -793,6 +754,9 @@ class Pipeline:
         self._nes: Optional[NES] = None
         self._compiled: Optional[CompiledNES] = None
         self._symbolic: Optional[SymbolicProgram] = None
+        # Set only by update(), and only while the result is being
+        # built: the pipeline whose stages this one may borrow from.
+        self._predecessor: Optional[Pipeline] = None
         self._stage_seconds: Dict[str, float] = {}
         self._substage_seconds: Dict[str, float] = {}
         self._update_stats: Dict[str, int] = {}
@@ -849,12 +813,20 @@ class Pipeline:
                 if self._ets is None:
                     # One symbolic partial evaluation, then the per-state
                     # BFS instantiation (the report's "ets.*" substages).
-                    # The engine is retained: update() diffs it against
-                    # the post-delta program's to localize the delta.
+                    # The engine is retained for a successor to borrow
+                    # when update() leaves the program untouched.
+                    previous = self._predecessor
                     with self._stage("ets") as stage_span:
                         start = time.perf_counter()
                         with obs_trace.span("ets.symbolic"):
-                            symbolic = SymbolicProgram(self.program)
+                            symbolic = None
+                            if (
+                                previous is not None
+                                and previous.program is self.program
+                            ):
+                                symbolic = previous._symbolic
+                            if symbolic is None:
+                                symbolic = SymbolicProgram(self.program)
                         mid = time.perf_counter()
                         with obs_trace.span("ets.instantiate"):
                             ets = build_ets(
@@ -885,10 +857,17 @@ class Pipeline:
                         self._nes = self._compiled.nes
                     else:
                         ets = self.ets
-                        with self._stage("nes") as stage_span:
-                            nes = nes_of_ets(ets)
-                            stage_span.set(events=len(nes.events))
-                        self._nes = nes
+                        previous = self._predecessor
+                        if previous is not None and ets == previous._ets:
+                            # Same initial state, vertex labeling and
+                            # edge set: the conversion (and its checks)
+                            # would reproduce the predecessor's NES.
+                            self._nes = previous.nes
+                        else:
+                            with self._stage("nes") as stage_span:
+                                nes = nes_of_ets(ets)
+                                stage_span.set(events=len(nes.events))
+                            self._nes = nes
         return self._nes
 
     @property
@@ -900,16 +879,42 @@ class Pipeline:
                 if self._compiled is None:
                     nes = self.nes
                     with self._stage("compile") as stage_span:
+                        reuse = self._reusable_configurations(nes)
                         compiled = compile_nes(
                             nes,
                             self.topology,
                             options=self.options,
                             health=self._health,
+                            reuse_configurations=reuse,
                         )
-                        stage_span.set(configurations=len(compiled.states))
+                        stage_span.set(
+                            configurations=len(compiled.states),
+                            reused_configurations=len(reuse),
+                        )
                     self._compiled = compiled
                     self._store_artifact()
         return self._compiled
+
+    def _reusable_configurations(self, nes: NES) -> Dict[StateVector, object]:
+        """The predecessor's compiled configurations this pipeline may
+        adopt: tables are a pure function of policy + topology + field
+        order, so a state qualifies when its configuration policy is
+        equal and the topology fingerprint is unchanged."""
+        previous = self._predecessor
+        if previous is None or (
+            previous.topology is not self.topology
+            and _topology_fingerprint(previous.topology)
+            != _topology_fingerprint(self.topology)
+        ):
+            return {}
+        old_policy = previous.nes.configuration_policy
+        configurations = previous.compiled.configurations
+        return {
+            state: configurations[state]
+            for state in nes.configuration_states()
+            if state in configurations
+            and nes.configuration_policy(state) == old_policy(state)
+        }
 
     def _store_artifact(self) -> None:
         """Best-effort store of ``_compiled`` under this pipeline's key."""
@@ -983,181 +988,90 @@ class Pipeline:
     # -- incremental recompilation ------------------------------------------
 
     def update(self, delta: Delta) -> "Pipeline":
-        """Recompile after ``delta``, reusing every unaffected artifact.
+        """Recompile after ``delta``, borrowing what the change cannot reach.
 
-        Returns a **new** :class:`Pipeline` for the post-delta inputs
-        with its staged artifacts populated; this pipeline is untouched
-        and stays valid for the pre-delta program.  The contract is byte
-        identity: the result's guarded tables equal a cold pipeline
-        built on the post-delta inputs, because reuse happens only where
-        the change provably cannot reach —
+        Returns a **new**, compiled :class:`Pipeline` for the post-delta
+        inputs; this one is untouched and stays valid for the pre-delta
+        program.  The result is an ordinary pipeline running the one
+        stage sequence above, and while it is built each stage may
+        borrow from this one:
 
-        - the retained :class:`SymbolicProgram` is reused outright when
-          the program is unchanged; when it changed, the guard diff of
-          the two partial evaluations (:func:`changed_edge_guards` /
-          :func:`changed_cell_guards`) localizes the blast radius;
-        - ETS states satisfying no changed guard keep their instantiated
-          edges/configurations from the previous ETS;
-        - NES conversion reruns only if the patched ETS differs from the
-          previous one at all (the event/edge set or a configuration
-          changed);
-        - per-configuration tables recompile only where the
-          configuration policy or the topology changed (tables are a
-          pure function of policy + topology + field order), through the
-          ``reuse_configurations`` executor seam.
+        - :attr:`ets` takes the retained :class:`SymbolicProgram` (and
+          its per-state memo) when the program is the same object;
+        - :attr:`nes` takes the whole NES when the new ETS equals the
+          old one, so the conversion and its checks rerun whenever the
+          delta touched an edge or a configuration;
+        - :attr:`compiled` adopts the tables of every state whose
+          configuration policy is equal while the topology fingerprint
+          is unchanged (the ``reuse_configurations`` seam).
 
-        The result's :meth:`report` carries ``update.*`` stats (states
-        reinstantiated/reused, configurations recompiled/reused, reuse
-        ratio) and an ``update.delta`` substage; its
-        :meth:`artifact_key` reflects the post-delta program, and with a
-        cache configured the artifact is consulted under — and stored
-        to — that key, so the cache stays correct.
+        The contract is byte identity with a cold pipeline on the
+        post-delta inputs.  A warm artifact under the post-delta
+        :meth:`artifact_key` beats all of it, and a compiled result is
+        stored under that key.  The reference back to this pipeline is
+        dropped before returning, so update chains retain no ancestors.
+
+        The result's :meth:`report` carries an ``update.delta`` substage
+        (delta application + warm-artifact check) and five ``update.*``
+        stats: ``states_reused`` counts the ETS states whose out-edges
+        and configuration equal this pipeline's, ``states_reinstantiated``
+        the rest; ``configurations_reused`` the adopted tables (all of
+        them on a warm-artifact hit, which builds no ETS),
+        ``configurations_recompiled`` the rest.  A typed failure carries
+        the discarded result's absorbed-failure counters as
+        ``exc.health``.
         """
         with obs_trace.span("pipeline.update"):
-            return self._update(delta)
-
-    def _update(self, delta: Delta) -> "Pipeline":
-        t_delta = time.perf_counter()
-        new_program = delta.apply_program(self.program)
-        new_topology = delta.apply_topology(self.topology)
-        new_initial = delta.apply_initial_state(self.initial_state)
-        updated = Pipeline(new_program, new_topology, new_initial, self.options)
-
-        # Force the source once (the production shape: updates arrive at
-        # an already-compiled pipeline), but reuse the ETS/symbolic
-        # stages only if the source actually ran them — a warm-cache
-        # source never did, and re-running them here would defeat its
-        # cache hit.
-        old_compiled = self.compiled
-        old_nes = self.nes
-        old_ets = self._ets
-        old_symbolic = self._symbolic
-
-        program_changed = new_program is not self.program
-        topology_changed = delta.topology is not None and (
-            _topology_fingerprint(new_topology)
-            != _topology_fingerprint(self.topology)
-        )
-
-        # A warm artifact under the post-delta key beats any patching.
-        updated._load_artifact()
-        updated._substage_seconds["update.delta"] = (
-            time.perf_counter() - t_delta
-        )
-        if updated._compiled is not None:
+            start = time.perf_counter()
+            updated = Pipeline(
+                delta.apply_program(self.program),
+                delta.apply_topology(self.topology),
+                delta.apply_initial_state(self.initial_state),
+                self.options,
+            )
+            # Force the source once (the production shape: updates
+            # arrive at an already-compiled pipeline).  Its ETS and
+            # engine are lent only if it ran those stages itself — a
+            # warm-cache source never did.
+            old_configurations = self.compiled.configurations
+            updated._predecessor = self
+            try:
+                updated._load_artifact()
+                updated._substage_seconds["update.delta"] = (
+                    time.perf_counter() - start
+                )
+                compiled = updated.compiled
+            except PipelineError as exc:
+                exc.health = dict(updated._health)
+                raise
+            finally:
+                updated._predecessor = None
+            old_ets, new_ets = self._ets, updated._ets
+            states = new_ets.vertices if new_ets is not None else ()
+            states_reused = 0
+            if old_ets is not None and states:
+                old_policy = dict(old_ets.vertices)
+                moved = {edge.src for edge in old_ets.edges ^ new_ets.edges}
+                states_reused = sum(
+                    state not in moved and policy == old_policy.get(state)
+                    for state, policy in states
+                )
+            total = reused = len(compiled.states)
+            if updated._artifact_cache_state != "hit":
+                reused = sum(
+                    old_configurations.get(state) is configuration
+                    for state, configuration in compiled.configurations.items()
+                )
             updated._update_stats = {
-                "update.states_reinstantiated": 0,
-                "update.states_reused": 0,
-                "update.configurations_recompiled": 0,
-                "update.configurations_reused": len(updated._compiled.states),
-                "update.reuse_percent": 100,
+                "update.states_reinstantiated": len(states) - states_reused,
+                "update.states_reused": states_reused,
+                "update.configurations_recompiled": total - reused,
+                "update.configurations_reused": reused,
+                "update.reuse_percent": (
+                    int(round(100 * reused / total)) if total else 100
+                ),
             }
             return updated
-
-        # The post-delta engine is built at most once and only when
-        # needed: a fully-reused instantiation (the common no-op /
-        # state-only delta) never pays for a partial evaluation.
-        symbolic = None if program_changed else old_symbolic
-        sym_seconds = 0.0
-
-        def ensure_symbolic() -> SymbolicProgram:
-            nonlocal symbolic, sym_seconds
-            if symbolic is None:
-                t_sym = time.perf_counter()
-                symbolic = SymbolicProgram(new_program)
-                sym_seconds += time.perf_counter() - t_sym
-            return symbolic
-
-        # Stage 1: the patched ETS.
-        with updated._stage("ets") as ets_span:
-            t_ets = time.perf_counter()
-            # Blast radius from the symbolic guard diff.  ``None``
-            # guards mean unknown (a warm-cache source retained no
-            # engine to diff against): every state is affected.
-            edge_guards: Optional[FrozenSet[StateGuard]] = None
-            cell_guards: Optional[FrozenSet[StateGuard]] = None
-            if not program_changed:
-                edge_guards = cell_guards = frozenset()
-            elif old_symbolic is not None:
-                fresh = ensure_symbolic()
-                edge_guards = changed_edge_guards(
-                    old_symbolic.extraction, fresh.extraction
-                )
-                cell_guards = changed_cell_guards(
-                    old_symbolic.cells, fresh.cells
-                )
-            source = _PatchedInstantiation(
-                ensure_symbolic, old_ets, edge_guards, cell_guards
-            )
-            new_ets = build_ets(new_program, new_initial, symbolic=source)
-            ets_seconds = time.perf_counter() - t_ets
-            ets_span.set(
-                fresh_states=len(source.fresh),
-                reused_states=len(source.seen) - len(source.fresh),
-            )
-        updated._substage_seconds["ets.symbolic"] = sym_seconds
-        updated._substage_seconds["ets.instantiate"] = ets_seconds - sym_seconds
-        updated._symbolic = symbolic
-        updated._ets = new_ets
-
-        # Stage 2: NES conversion, only if the ETS changed at all.  The
-        # NES carries the configuration policies too, so a changed
-        # vertex labeling (not just a changed event/edge set) reruns the
-        # conversion — including its unique-configuration and
-        # finite-completeness checks, which the delta may newly violate.
-        if (
-            old_ets is not None
-            and new_ets.initial == old_ets.initial
-            and new_ets.edges == old_ets.edges
-            and new_ets.vertices == old_ets.vertices
-        ):
-            nes = old_nes
-        else:
-            with updated._stage("nes") as nes_span:
-                nes = nes_of_ets(new_ets)
-                nes_span.set(events=len(nes.events))
-        updated._nes = nes
-
-        # Stage 3: compile, adopting every configuration whose policy
-        # and topology are unchanged (byte-identical by purity).
-        with updated._stage("compile") as compile_span:
-            reuse: Dict[StateVector, object] = {}
-            if not topology_changed:
-                for state in nes.configuration_states():
-                    previous = old_compiled.configurations.get(state)
-                    if previous is None:
-                        continue
-                    old_policy = old_nes.configuration_policy(state)
-                    new_policy = nes.configuration_policy(state)
-                    if new_policy is old_policy or new_policy == old_policy:
-                        reuse[state] = previous
-            compiled = compile_nes(
-                nes,
-                new_topology,
-                options=self.options,
-                health=updated._health,
-                reuse_configurations=reuse,
-            )
-            compile_span.set(
-                configurations=len(compiled.states),
-                reused_configurations=len(reuse),
-            )
-        updated._compiled = compiled
-        updated._store_artifact()
-
-        total = len(updated._compiled.states)
-        reused_configs = len(reuse)
-        fresh_states = len(source.fresh)
-        updated._update_stats = {
-            "update.states_reinstantiated": fresh_states,
-            "update.states_reused": len(source.seen) - fresh_states,
-            "update.configurations_recompiled": total - reused_configs,
-            "update.configurations_reused": reused_configs,
-            "update.reuse_percent": (
-                int(round(100 * reused_configs / total)) if total else 100
-            ),
-        }
-        return updated
 
     # -- artifact cache -----------------------------------------------------
 

@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..netkat.ast import Policy
 from ..obs import metrics as obs_metrics
-from ..pipeline import CompileOptions, Delta, Pipeline
+from ..pipeline import CompileOptions, Delta, Pipeline, PipelineError
 from ..topology import Topology
 from . import protocol
 
@@ -237,7 +237,7 @@ class ServiceState:
                 # pipeline from the live scan without an eviction pop;
                 # fold its counters here — exactly once, like an
                 # eviction — so its health history is not lost.
-                self._fold_health(replaced)
+                self._fold_health(replaced.report().health)
             while len(self._memo) > self.memo_size:
                 _, evicted = self._memo.popitem(last=False)
                 self.stats.count("memo.evictions")
@@ -245,15 +245,23 @@ class ServiceState:
                 # cumulative total exactly once, so /health keeps the
                 # full daemon history without double-counting the live
                 # scan below.
-                self._fold_health(evicted.pipeline)
+                self._fold_health(evicted.pipeline.report().health)
 
-    def _fold_health(self, pipeline: Pipeline) -> None:
-        """Accumulate a memo-departing pipeline's health counters into
-        the cumulative total (caller holds ``_memo_lock``)."""
-        for counter, value in pipeline.report().health.items():
+    def _fold_health(self, health: Mapping[str, int]) -> None:
+        """Accumulate the health counters of a pipeline the live scan
+        will not (or no longer) see into the cumulative total (caller
+        holds ``_memo_lock``)."""
+        for counter, value in health.items():
             self._evicted_health[counter] = (
                 self._evicted_health.get(counter, 0) + value
             )
+
+    def _fold_failed(self, health: Mapping[str, int]) -> None:
+        """A compile that raised never reaches the memo, so what it
+        absorbed before failing (its retries, its cache rejections) is
+        folded here, exactly once."""
+        with self._memo_lock:
+            self._fold_health(health)
 
     def memo_snapshot(self) -> Dict[str, Any]:
         with self._memo_lock:
@@ -352,7 +360,11 @@ class ServiceState:
                 # compile), observable in /stats.
                 self.stats.count("compile.singleflight_coalesced")
                 return key, cached, "coalesced"
-            pipeline.compiled  # may raise a typed PipelineError
+            try:
+                pipeline.compiled  # may raise a typed PipelineError
+            except Exception:
+                self._fold_failed(pipeline.report().health)
+                raise
             if pipeline.report().artifact_cache == "hit":
                 self.stats.count("compile.disk_hits")
                 source = "disk"
@@ -368,7 +380,11 @@ class ServiceState:
         base = self.memo_get(key)
         if base is None:
             raise UnknownArtifactError(key)
-        updated = base.update(delta)
+        try:
+            updated = base.update(delta)
+        except PipelineError as exc:
+            self._fold_failed(exc.health)  # the discarded result's
+            raise
         new_key = updated.artifact_key()
         self.stats.count("update.applied")
         self.memo_put(new_key, updated)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..events.event import Event
@@ -128,7 +129,7 @@ def build_ets(
     state_space: Optional[Iterable[StateVector]] = None,
     max_states: int = 10_000,
     symbolic_extract: bool = True,
-    symbolic: Optional[object] = None,
+    symbolic: Optional[SymbolicProgram] = None,
 ) -> ETS:
     """Construct ``ETS(program)`` from the initial state.
 
@@ -144,16 +145,11 @@ def build_ets(
     byte-identical to the retained per-state ``extract``/``project``
     reference walks (``symbolic_extract=False``).
 
-    ``symbolic`` is the *instantiation seam*: any object providing
-    ``edges_at(state)`` and ``configuration_at(state)``.  Pass a
-    prebuilt :class:`~repro.stateful.symbolic.SymbolicProgram` to reuse
-    (and time) the partial evaluation separately, as
-    :class:`repro.pipeline.Pipeline` does — or a patched source that
-    serves unaffected states from a previous ETS, as
-    :meth:`repro.pipeline.Pipeline.update` does.  Whatever the source,
-    per-state results must equal the reference walks'; the BFS applies
-    the same identity-edge filter either way (already-filtered reused
-    edges pass through it unchanged).
+    ``symbolic`` is a prebuilt
+    :class:`~repro.stateful.symbolic.SymbolicProgram` for ``program``:
+    :class:`repro.pipeline.Pipeline` passes one to time the partial
+    evaluation separately, and to share it (per-state memo and all)
+    with an update that leaves the program untouched.
     """
     allowed: Optional[Set[StateVector]] = (
         set(state_space) if state_space is not None else None
@@ -178,7 +174,9 @@ def build_ets(
     queue = deque([initial])
     while queue:
         state = queue.popleft()
-        for edge in edges_of(state):
+        # Destination order, not frozenset order: the vertex sequence
+        # must not depend on PYTHONHASHSEED or on which walk built the set.
+        for edge in sorted(edges_of(state), key=attrgetter("dst")):
             if edge.dst == edge.src:
                 # An update that rewrites the state to its current value is
                 # an identity transition; the paper's ETSs omit them (e.g.

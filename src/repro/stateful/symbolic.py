@@ -78,8 +78,6 @@ __all__ = [
     "SymbolicProgram",
     "symbolic_extract",
     "symbolic_project",
-    "changed_edge_guards",
-    "changed_cell_guards",
 ]
 
 
@@ -641,58 +639,6 @@ def _sp_combine(
 
 
 # ---------------------------------------------------------------------------
-# Delta blast radius: which guards changed between two partial evaluations
-# ---------------------------------------------------------------------------
-
-
-def changed_edge_guards(
-    old: SymbolicExtract, new: SymbolicExtract
-) -> FrozenSet[StateGuard]:
-    """Guards of the guarded edges present in exactly one extraction.
-
-    A concrete state satisfying none of them has identical edge sets
-    under both extractions: the edges whose guards hold at it are the
-    *same* members of ``old.edges & new.edges`` either way.  This is the
-    edge half of a delta's blast radius
-    (:meth:`repro.pipeline.Pipeline.update`): states outside it can keep
-    their previously instantiated :class:`~repro.stateful.events.EventEdge`\\ s.
-    """
-    return frozenset(ge.guard for ge in old.edges ^ new.edges)
-
-
-def changed_cell_guards(
-    old: GuardedCells, new: GuardedCells
-) -> FrozenSet[StateGuard]:
-    """Guards whose projection cell differs between two partitions.
-
-    A guard counts as changed when it carries a different policy in the
-    two partitions or exists in only one of them.  Cells are pairwise
-    disjoint, so a state satisfying no changed guard matches the same
-    guard in both partitions — first-occurrence wins for the (never
-    produced, but tolerated) duplicate-guard case, mirroring the scan in
-    :meth:`SymbolicProgram.configuration_at` — and that guard's policy
-    is equal on both sides.  When the partitions differ in *shape*
-    (a delta split or merged cells), the new guards are reported as
-    changed wholesale: conservative, never unsound.
-    """
-    old_cells: Dict[StateGuard, Policy] = {}
-    for g, policy in old:
-        old_cells.setdefault(g, policy)
-    new_cells: Dict[StateGuard, Policy] = {}
-    for g, policy in new:
-        new_cells.setdefault(g, policy)
-    changed = set()
-    for g, policy in new_cells.items():
-        previous = old_cells.get(g)
-        if previous is None or not (previous is policy or previous == policy):
-            changed.add(g)
-    for g in old_cells:
-        if g not in new_cells:
-            changed.add(g)
-    return frozenset(changed)
-
-
-# ---------------------------------------------------------------------------
 # The façade: one partial evaluation, many cheap instantiations
 # ---------------------------------------------------------------------------
 
@@ -700,24 +646,35 @@ def changed_cell_guards(
 class SymbolicProgram:
     """A Stateful NetKAT program partially evaluated over all states.
 
-    Built once per :func:`repro.stateful.ets.build_ets` call (the
-    pipeline times this as the ``ets.symbolic`` sub-stage); the
-    per-state accessors are guard filters over the shared structures
-    (the ``ets.instantiate`` sub-stage).
+    Built once per program (the pipeline times this as the
+    ``ets.symbolic`` sub-stage); the per-state accessors are guard
+    filters over the shared structures (the ``ets.instantiate``
+    sub-stage), memoized per state because the engine outlives one
+    :func:`repro.stateful.ets.build_ets` call whenever
+    :meth:`repro.pipeline.Pipeline.update` leaves the program untouched
+    and the successor revisits the same states.  The memos only ever
+    grow by the states some ETS reached, and pipelines on different
+    threads may share an engine: a racing duplicate computes an equal
+    value, so no lock is needed.
     """
 
     def __init__(self, program: Policy):
         self.program = program
         self.extraction = symbolic_extract(program)
         self.cells = symbolic_project(program)
+        self._edges_at: Dict[StateVector, FrozenSet[EventEdge]] = {}
+        self._configuration_at: Dict[StateVector, Policy] = {}
 
     def edges_at(self, state: StateVector) -> FrozenSet[EventEdge]:
         """``fst(⟬p⟭~k true)``: the concrete event edges out of ``state``."""
-        return frozenset(
-            EventEdge(state, ge.event, vector_update(state, ge.updates))
-            for ge in self.extraction.edges
-            if ge.guard.holds(state)
-        )
+        edges = self._edges_at.get(state)
+        if edges is None:
+            edges = self._edges_at[state] = frozenset(
+                EventEdge(state, ge.event, vector_update(state, ge.updates))
+                for ge in self.extraction.edges
+                if ge.guard.holds(state)
+            )
+        return edges
 
     def formulas_at(self, state: StateVector) -> FrozenSet[Formula]:
         """``snd(⟬p⟭~k true)``: the concrete path formulas at ``state``."""
@@ -727,12 +684,16 @@ class SymbolicProgram:
 
     def configuration_at(self, state: StateVector) -> Policy:
         """``⟦p⟧~k``: the configuration policy at ``state``."""
-        for g, policy in self.cells:
-            if g.holds(state):
-                return policy
-        raise RuntimeError(  # pragma: no cover - the cells cover all states
-            f"no projection cell covers state {state}"
-        )
+        policy = self._configuration_at.get(state)
+        if policy is None:
+            for g, policy in self.cells:
+                if g.holds(state):
+                    self._configuration_at[state] = policy
+                    return policy
+            raise RuntimeError(  # pragma: no cover - the cells cover all states
+                f"no projection cell covers state {state}"
+            )
+        return policy
 
     def __repr__(self) -> str:
         return (

@@ -18,7 +18,9 @@ from repro.apps import (
 )
 from repro.events.ets_to_nes import nes_of_ets
 from repro.netkat.compiler import compile_policy
+from repro.netkat.ast import Filter, conj, test as field_test
 from repro.netkat.fdd import FDDBuilder
+from repro.pipeline import Delta, Pipeline
 from repro.runtime.compiler import CompiledNES
 from repro.stateful.ets import ETS, build_ets
 
@@ -38,6 +40,26 @@ def guarded_bytes(compiled: CompiledNES) -> bytes:
     tables = compiled.guarded_tables()
     lines = [f"switch {sw}:\n{tables[sw]!r}" for sw in sorted(tables)]
     return "\n".join(lines).encode()
+
+
+def cold_after(app, delta: Delta) -> Pipeline:
+    """The from-scratch pipeline for the post-delta inputs: what every
+    ``Pipeline.update`` result must equal byte for byte."""
+    return Pipeline(
+        delta.apply_program(app.program),
+        delta.apply_topology(app.topology),
+        delta.apply_initial_state(app.initial_state),
+        app.options,
+    )
+
+
+def firewall_policy_delta() -> Delta:
+    """Widen the firewall's outgoing filter to ip_dst=2 traffic: a
+    ``replace_policy`` delta under which configurations recompile."""
+    return Delta(
+        replace_policy=Filter(conj(field_test("pt", 2), field_test("ip_dst", 4))),
+        with_policy=Filter(conj(field_test("pt", 2), field_test("ip_dst", 2))),
+    )
 
 
 def reference_ets(app) -> ETS:

@@ -223,6 +223,9 @@ def assert_symbolic_matches_per_state(program: Policy) -> None:
         assert symbolic.edges_at(state) == concrete.edges
         assert symbolic.formulas_at(state) == concrete.formulas
         assert symbolic.configuration_at(state) == project(program, state)
+        # The per-state memo serves the very same objects on a revisit.
+        assert symbolic.edges_at(state) is symbolic.edges_at(state)
+        assert symbolic.configuration_at(state) is symbolic.configuration_at(state)
 
 
 @pytest.mark.parametrize("seed", range(40))

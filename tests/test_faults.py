@@ -15,9 +15,11 @@ deterministic cases run in the smoke target; the deep randomized plans
 carry ``slow`` on top of ``chaos``.
 """
 
+import gc
 import os
 import pickle
 import warnings
+import weakref
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.pipeline import (
     ArtifactCacheWarning,
     ArtifactIntegrityError,
     CompileOptions,
+    Delta,
     Pipeline,
     PipelineError,
     StageError,
@@ -36,7 +39,7 @@ from repro.pipeline import (
     _SIGNED_MAGIC,
 )
 
-from seed_apps import guarded_bytes
+from seed_apps import cold_after, firewall_policy_delta, guarded_bytes
 
 pytestmark = pytest.mark.chaos
 
@@ -260,6 +263,98 @@ def test_stage_fault_does_not_poison_the_pipeline():
             pipeline.ets
         ets = pipeline.ets  # second boundary crossing: the fault is spent
     assert ets.states()
+
+
+# ---------------------------------------------------------------------------
+# Pipeline.update runs the same stage sequence, so the same boundaries
+# ---------------------------------------------------------------------------
+
+
+class TestUpdateFaults:
+    # set_state moves the initial state, so the ETS differs and every
+    # stage (nes included) runs in the updated pipeline.
+    DELTA = Delta(set_state=((0, 1),))
+
+    @pytest.mark.parametrize("stage", ["ets", "nes", "compile"])
+    def test_stage_faults_during_update_are_typed_and_spare_the_base(self, stage):
+        app = firewall_app()
+        base = fresh_pipeline(app)
+        before = guarded_bytes(base.compiled)
+        with faults.injected(faults.FaultPlan({f"stage.{stage}": 1.0})):
+            with pytest.raises(StageError) as info:
+                base.update(self.DELTA)
+        assert info.value.stage == stage
+        assert isinstance(info.value.__cause__, faults.FaultInjected)
+        # The base is untouched and still updatable once the plan is gone.
+        assert guarded_bytes(base.compiled) == before
+        assert base.report().health == {}
+        assert guarded_bytes(base.update(self.DELTA).compiled) == guarded_bytes(
+            cold_after(app, self.DELTA).compiled
+        )
+
+    def test_transient_worker_fault_is_retried_in_the_updated_pipeline(self):
+        app = firewall_app()
+        base = fresh_pipeline(app)
+        base.compiled
+        delta = firewall_policy_delta()
+        plan = faults.FaultPlan({"executor.worker": faults.FaultRule(max_fires=1)})
+        with faults.injected(plan):
+            updated = base.update(delta)
+        assert plan.fires("executor.worker") == 1
+        assert updated.report().health == {"executor.retries": 1}
+        assert base.report().health == {}
+        assert guarded_bytes(updated.compiled) == guarded_bytes(
+            cold_after(app, delta).compiled
+        )
+
+    def test_exhausted_retries_surface_the_discarded_results_health(self):
+        app = firewall_app()
+        base = fresh_pipeline(app)
+        base.compiled
+        with faults.injected(faults.FaultPlan({"executor.worker": 1.0})):
+            with pytest.raises(StageError) as info:
+                base.update(firewall_policy_delta())
+        assert info.value.stage == "compile"
+        assert info.value.health == {"executor.retries": 2}
+        assert base.report().health == {}
+
+    def test_update_chain_does_not_retain_predecessors(self):
+        app = firewall_app()
+        base = fresh_pipeline(app)
+        middle = base.update(self.DELTA)
+        last = middle.update(Delta(set_state=((0, 0),)))
+        refs = [weakref.ref(base), weakref.ref(middle)]
+        del base, middle
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert guarded_bytes(last.compiled) == guarded_bytes(
+            fresh_pipeline(app).compiled
+        )
+
+    def test_policy_update_from_a_disk_hit_source_matches_cold(self, tmp_path):
+        from repro.netkat.ast import Filter
+        from repro.stateful.ast import state_test
+
+        app = firewall_app()
+        options = CompileOptions(cache_dir=tmp_path)
+        fresh_pipeline(app, options).compiled  # prime the cache
+        source = fresh_pipeline(app, options)
+        source.compiled
+        assert source.report().artifact_cache == "hit"
+        assert source._ets is None and source._symbolic is None
+        delta = Delta(
+            replace_policy=Filter(state_test(0, 1)),
+            with_policy=Filter(state_test(0, 0)),
+        )
+        updated = source.update(delta)
+        assert updated.report().artifact_cache == "miss"
+        assert guarded_bytes(updated.compiled) == guarded_bytes(
+            cold_after(app, delta).compiled
+        )
+        stats = dict(updated.report().stats)
+        # Nothing to compare states against: all of them count as new.
+        assert stats["update.states_reused"] == 0
+        assert stats["update.states_reinstantiated"] == stats["ets_states"]
 
 
 # ---------------------------------------------------------------------------

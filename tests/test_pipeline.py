@@ -22,7 +22,14 @@ from repro.pipeline import ArtifactCache, artifact_digest
 from repro.runtime.compiler import CompiledNES, compile_nes
 from repro.stateful.ets import build_ets
 
-from seed_apps import APPS, guarded_bytes, reference_compile, reference_ets
+from seed_apps import (
+    APPS,
+    cold_after,
+    firewall_policy_delta,
+    guarded_bytes,
+    reference_compile,
+    reference_ets,
+)
 
 
 def legacy_compile(app) -> CompiledNES:
@@ -67,6 +74,36 @@ def test_symbolic_extract_byte_identical(name, make):
     assert fast.ets.edges == reference.edges
     assert repr(fast.ets) == repr(reference)
     assert guarded_bytes(fast.compiled) == guarded_bytes(reference_compile(app))
+
+
+@pytest.mark.parametrize("hash_seed", ["141", "150", "174"])
+def test_vertex_order_does_not_depend_on_the_hash_seed(hash_seed):
+    """The BFS visits destinations in sorted order, not frozenset order:
+    under these seeds the symbolic and per-state walks used to order
+    learning_multi's states [0,1] and [1,0] differently (~3 % of seeds)."""
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "from repro.apps import learning_multi_app as make\n"
+        "from repro.stateful.ets import build_ets\n"
+        "app = make()\n"
+        "fast = build_ets(app.program, app.initial_state)\n"
+        "ref = build_ets(app.program, app.initial_state, symbolic_extract=False)\n"
+        "assert fast.vertices == ref.vertices\n"
+        "print(fast.states())\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    from repro.apps import learning_multi_app
+
+    assert done.stdout.strip() == str(learning_multi_app().ets.states())
 
 
 def test_report_shows_the_symbolic_vs_instantiate_split():
@@ -551,16 +588,6 @@ def test_explicit_builder_forces_serial_path():
 # ---------------------------------------------------------------------------
 
 
-def cold_after(app, delta):
-    """The from-scratch pipeline for the post-delta program."""
-    return Pipeline(
-        delta.apply_program(app.program),
-        delta.apply_topology(app.topology),
-        delta.apply_initial_state(app.initial_state),
-        app.options,
-    )
-
-
 class TestPipelineUpdate:
     @pytest.mark.parametrize("name,make", APPS, ids=[name for name, _ in APPS])
     def test_noop_delta_is_byte_identical_with_full_reuse(self, name, make):
@@ -644,6 +671,25 @@ class TestPipelineUpdate:
                 )
             )
 
+    def test_zero_hit_identity_replacement_raises_too(self):
+        """X -> X is a no-op only where X occurs; an absent X is the
+        same error as X -> Y."""
+        from repro.netkat.ast import Filter, conj, test
+
+        app = firewall_app()
+        base = Pipeline(app.program, app.topology, app.initial_state)
+        absent = Filter(test("ip_dst", 99))
+        with pytest.raises(ValueError, match="does not occur"):
+            base.update(Delta(replace_policy=absent, with_policy=absent))
+        present = Filter(conj(test("pt", 2), test("ip_dst", 4)))
+        noop = Delta(replace_policy=present, with_policy=present)
+        # An occurring X -> X hands back the same program object, so the
+        # update is a full-reuse no-op.
+        assert noop.apply_program(app.program) is app.program
+        stats = dict(base.update(noop).report().stats)
+        assert stats["update.configurations_recompiled"] == 0
+        assert stats["update.states_reinstantiated"] == 0
+
     def test_out_of_range_state_component_raises(self):
         app = firewall_app()
         base = Pipeline(app.program, app.topology, app.initial_state)
@@ -706,6 +752,38 @@ class TestReportShapes:
         ]
         # The trailing substage block keeps update.delta visible.
         assert "update.delta" in str(report)
+
+
+    def test_noop_update_borrows_at_every_stage_boundary(self):
+        app = bandwidth_cap_app()
+        base = Pipeline(app.program, app.topology, app.initial_state)
+        updated = base.update(Delta())
+        # Same program object -> the engine; equal ETS -> the NES (no
+        # nes stage ran); equal policies + topology -> every table.
+        assert updated._symbolic is base._symbolic
+        assert updated.nes is base.nes
+        report = updated.report()
+        assert [name for name, _ in report.stage_seconds] == ["ets", "compile"]
+        assert updated._predecessor is None
+
+    def test_update_state_stats_compare_against_the_predecessor_ets(self):
+        app = firewall_app()
+        base = Pipeline(app.program, app.topology, app.initial_state)
+        updated = base.update(firewall_policy_delta())
+        stats = dict(updated.report().stats)
+        old, new = base.ets, updated.ets
+        same = [
+            state
+            for state in new.states()
+            if state in old.states()
+            and new.out_edges(state) == old.out_edges(state)
+            and new.configuration(state) == old.configuration(state)
+        ]
+        assert stats["update.states_reused"] == len(same)
+        assert stats["update.states_reinstantiated"] == (
+            len(new.states()) - len(same)
+        )
+        assert stats["update.states_reinstantiated"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from repro.service import protocol
 from repro.service import server as service_server
 from repro.service.state import ServiceState, UnknownArtifactError
 
-from seed_apps import APPS
+from seed_apps import APPS, firewall_policy_delta
 
 
 @contextmanager
@@ -306,6 +306,39 @@ def test_injected_stage_fault_is_a_typed_error_with_provenance():
         assert result["tables"] == protocol.tables_to_wire(direct.compiled)
         ok, body = client.health()
         assert ok and body["integrity_errors"] == 0
+
+
+def test_failed_compile_and_update_still_count_their_retries():
+    """Contract (c): a compile that exhausts its retries never reaches
+    the memo, but what it absorbed on the way is still in /health."""
+    app = firewall_app()
+    always = faults.FaultPlan({"executor.worker": 1.0})
+    with fresh_service() as (client, server):
+        with faults.injected(always):
+            with pytest.raises(ServiceError) as excinfo:
+                client.compile(app.program, app.topology, app.initial_state)
+        assert excinfo.value.status == 422
+        assert excinfo.value.stage == "compile"
+        _, body = client.health()
+        assert body["health"] == {"executor.retries": 2}
+        assert client.stats()["health"] == {"executor.retries": 2}
+
+        base = client.compile(app.program, app.topology, app.initial_state)
+        with faults.injected(faults.FaultPlan({"executor.worker": 1.0})):
+            with pytest.raises(ServiceError) as excinfo:
+                client.update(base["artifact_key"], firewall_policy_delta())
+        assert excinfo.value.status == 422
+        assert excinfo.value.stage == "compile"
+        _, body = client.health()
+        # Folded exactly once each; the clean compile in between added none.
+        assert body["health"] == {"executor.retries": 4}
+        exposition = service_server.obs_export.prometheus_text(
+            server.state.registry
+        )
+        assert (
+            'repro_service_health_total{counter="executor.retries"} 4'
+            in exposition
+        )
 
 
 def test_tampered_strict_cache_fails_health(tmp_path):
