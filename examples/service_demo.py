@@ -142,11 +142,18 @@ def main() -> None:
                 'repro_service_compiles_total{source="cold"} 1',
                 'repro_service_compiles_total{source="memo"} 1',
                 'repro_service_requests_total{endpoint="compile"}',
-                'repro_service_request_latency_seconds{endpoint="compile",quantile="0.5"}',
+                'repro_service_request_seconds_bucket{endpoint="compile",le="+Inf"}',
+                'repro_service_request_seconds_sum{endpoint="compile"}',
+                'repro_service_request_seconds_count{endpoint="compile"}',
                 "repro_service_updates_total 1",
                 "repro_service_uptime_seconds",
             ):
                 assert needle in exposition, f"/metrics missing {needle!r}"
+            # One store, rendered once: no series line may repeat.
+            series = [l.rsplit(" ", 1)[0] for l in exposition.splitlines()
+                      if not l.startswith("#")]
+            repeated = {name for name in series if series.count(name) > 1}
+            assert not repeated, f"/metrics repeats {sorted(repeated)}"
             scraped = [l for l in exposition.splitlines()
                        if l.startswith("repro_service_compiles_total")]
             print("\nGET /metrics -> Prometheus text exposition, e.g.")

@@ -416,14 +416,9 @@ class Simulator:
 
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> float:
         """Process events in time order; returns the final clock value."""
-        if obs_metrics.active() is not None:
-            # One registry check per run() call (not per event): the
-            # fast drain loops below stay untouched when observability
-            # is uninstalled.
-            return self._run_instrumented(until, max_events)
         heap = self._heap
         pop = heapq.heappop
-        processed = self.events_processed
+        processed = started_at = self.events_processed
         try:
             if until is None:
                 # Drain until the pop itself raises: one branch per
@@ -452,46 +447,13 @@ class Simulator:
                     action()
         finally:
             self.events_processed = processed
-        if heap and processed >= max_events:
-            raise RuntimeError(f"simulation exceeded {max_events} events")
-        return self.now
-
-    def _run_instrumented(
-        self, until: Optional[float], max_events: int
-    ) -> float:
-        """The general event loop plus heap-depth watermarking, taken
-        only when a metrics registry is installed.  Pop order, clock
-        advancement, ``until`` clamping, and the ``max_events`` error
-        are identical to the fast loops in :meth:`run`."""
-        registry = obs_metrics.active()
-        heap = self._heap
-        pop = heapq.heappop
-        processed = self.events_processed
-        start_processed = processed
-        high_water = len(heap)
-        try:
-            while heap and processed < max_events:
-                depth = len(heap)
-                if depth > high_water:
-                    high_water = depth
-                if until is not None and heap[0][0] > until:
-                    self.now = until
-                    return until
-                time, _seq, action = pop(heap)
-                self.now = time
-                processed += 1
-                action()
-        finally:
-            self.events_processed = processed
-            if registry is not None:
-                registry.counter(
-                    "repro_sim_events_processed_total",
-                    "Discrete events processed by Simulator.run",
-                ).inc(processed - start_processed)
-                registry.gauge(
-                    "repro_sim_heap_depth_high_water",
-                    "High-water mark of the scheduler heap depth",
-                ).set_max(high_water)
+            # Once per call, never per event: the loops above are the
+            # same with or without a registry installed.
+            obs_metrics.inc(
+                "repro_sim_events_processed_total",
+                processed - started_at,
+                "Discrete events processed by Simulator.run",
+            )
         if heap and processed >= max_events:
             raise RuntimeError(f"simulation exceeded {max_events} events")
         return self.now

@@ -37,8 +37,8 @@ from .simulator import Frame, SimNetwork, SwitchLogic, _MEMO_LIMIT, _UNSET
 __all__ = ["CorrectLogic", "Figure7Logic", "BASE_HEADER_BYTES"]
 
 # A plausible L2+L3+L4 header for an untagged packet (Ethernet + IPv4 +
-# TCP), used by both strategies so overhead comparisons are apples to
-# apples.
+# TCP).  The baselines import this one definition, so the Fig. 16a
+# overhead comparisons are apples to apples.
 BASE_HEADER_BYTES = 54
 
 

@@ -6,14 +6,16 @@ instrumented site costs one global (or pre-resolved attribute) check
 and an immediate fall-through, pinned by the ``obs_overhead_noop``
 bench lane:
 
-- :mod:`repro.obs.metrics` — a thread-safe, process-wide registry of
-  Counters, Gauges, and log-bucketed Histograms.  It unifies the
-  previously ad-hoc counter mechanisms (pipeline ``health``, artifact
-  cache hit/miss/integrity, executor retries, checker
-  ``sequences_tried``, simulator plan-cache hits and heap-depth
-  high-water) behind one namespaced API; the legacy report shapes
-  (``PipelineReport.health``, ``ServiceStats``, checker attributes)
-  are preserved as views.
+- :mod:`repro.obs.metrics` — a thread-safe registry of Counters,
+  Gauges, and log-bucketed Histograms: the store.  The compile daemon
+  writes every fact it reports into its registry once, where the event
+  happens, and ``/stats``, ``/health`` and ``/metrics`` render it;
+  pipeline, cache, executor, checker and simulator sites write to the
+  installed registry when there is one.  A pipeline's ``report()`` must
+  work with nothing installed, so ``PipelineReport.health`` and
+  ``stage_seconds`` stay per-pipeline dicts, each with one writer
+  (``count_health``, ``Pipeline._record_stage``) that also feeds the
+  installed registry.
 - :mod:`repro.obs.trace` — span-based structured tracing with a
   contextvars-propagated current span, so each service handler thread
   parents its spans under its own request.

@@ -9,22 +9,30 @@ optional Prometheus-style labels:
   :meth:`Gauge.set_max` high-water helper;
 - :class:`Histogram` — log-bucketed observations (the bucket bounds
   grow geometrically, so one histogram spans microseconds to minutes
-  with a handful of buckets).
+  with a handful of buckets) with a :meth:`Histogram.quantile`
+  estimate.
 
-The registry follows the zero-overhead-uninstalled discipline of
+A registry is a **store**, and everything that reports is a view of it.
+The compile daemon owns one (``ServiceState.registry``): its handlers
+increment counters and observe histograms at the one site where the
+event happens, and ``/stats``, ``/health`` and ``/metrics`` render what
+is stored.  Views read through :meth:`MetricsRegistry.series` and
+:meth:`MetricsRegistry.value`, which never create a series — only a
+writer binds a name to its kind, help and bucket bounds.
+
+Code with no registry of its own writes to the **installed** one,
+following the zero-overhead-uninstalled discipline of
 :mod:`repro.faults`: instrumented sites call the module-level helpers
-(:func:`inc` / :func:`observe` / :func:`gauge_set` / :func:`gauge_max`
-/ :func:`count_health`), which are one global read and an immediate
-return when no registry is installed.  Hot loops that cannot afford
-even that (the simulator's per-event path) pre-resolve their metric
-objects at construction time via :func:`active`.
+(:func:`inc` / :func:`observe` / :func:`count_health`), which are one
+global read and an immediate return when no registry is installed.
+Objects on a hot path (the simulator's plan cache) pre-resolve their
+metric objects at construction time via :func:`active`.
 
-``count_health`` is the unification shim for the legacy ad-hoc
-counters: it increments the caller's existing dict (the view the old
-report shapes are built from — ``PipelineReport.health``, the
-``ArtifactCache.health`` mapping) *and* mirrors the increment into the
-installed registry under one namespaced metric, so the same event is
-visible both in the legacy report and on ``GET /metrics``.
+:func:`count_health` is the one increment site of every pipeline
+health counter.  A pipeline's report must work with nothing installed,
+so the count lands in the dict the report is built from
+(``PipelineReport.health``, ``ArtifactCache.health``) and, when a
+registry is installed, in ``repro_pipeline_health_total`` as well.
 
 Usage::
 
@@ -35,12 +43,12 @@ Usage::
         ...  # instrumented code records into `registry`
     print(registry.snapshot())
 
-Scrape-time **collectors** let a subsystem expose derived values
-without hot-path double bookkeeping: ``registry.register_collector(fn)``
-registers a callable returning an iterable of
-``(name, kind, labels_dict, value, help)`` samples evaluated at
-:meth:`MetricsRegistry.collect` time (the service exposes its request
-stats and memo occupancy this way).
+Scrape-time **collectors** expose values derived from a structure that
+is itself the store (the daemon's memo size, its uptime) and so have no
+increment site: ``registry.register_collector(fn)`` registers a
+callable returning an iterable of ``(name, kind, labels_dict, value,
+help)`` samples evaluated at :meth:`MetricsRegistry.collect` time.  A
+collector never re-exports a stored counter.
 """
 
 from __future__ import annotations
@@ -59,8 +67,6 @@ __all__ = [
     "active",
     "collecting",
     "count_health",
-    "gauge_max",
-    "gauge_set",
     "inc",
     "install",
     "observe",
@@ -117,7 +123,7 @@ class Gauge:
 
     def set_max(self, value: float) -> None:
         """High-water update: keep the larger of the current and given
-        values (the heap-depth watermark discipline)."""
+        values."""
         with self._lock:
             if value > self._value:
                 self._value = float(value)
@@ -125,10 +131,6 @@ class Gauge:
     def inc(self, by: float = 1) -> None:
         with self._lock:
             self._value += by
-
-    def dec(self, by: float = 1) -> None:
-        with self._lock:
-            self._value -= by
 
     @property
     def value(self) -> float:
@@ -190,6 +192,26 @@ class Histogram:
             cumulative.append((bound, running))
         cumulative.append((float("inf"), running + counts[-1]))
         return tuple(cumulative)
+
+    def quantile(self, q: float) -> float:
+        """The ``q``-quantile estimated from the buckets, as PromQL's
+        ``histogram_quantile`` does: linear within the bucket that holds
+        the rank (the first bucket starts at 0), the last finite bound
+        for a rank in the +Inf bucket, 0.0 when nothing was observed."""
+        if not 0 <= q <= 1:
+            raise ValueError(f"quantile must be within [0, 1], got {q}")
+        buckets = self.bucket_counts()
+        rank = q * buckets[-1][1]
+        lower, below = 0.0, 0
+        for bound, cumulative in buckets:
+            if cumulative >= rank and cumulative > below:
+                if bound == float("inf"):
+                    return lower
+                return lower + (bound - lower) * (rank - below) / (
+                    cumulative - below
+                )
+            lower, below = bound, cumulative
+        return 0.0  # nothing observed
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
@@ -285,13 +307,17 @@ class MetricsRegistry:
 
     # -- reading ------------------------------------------------------------
 
-    def kind_of(self, name: str) -> Optional[str]:
+    def series(self, name: str) -> List[Tuple[Dict[str, str], object]]:
+        """Every stored ``(labels, metric)`` of one name, sorted by
+        labels; empty when nothing has written the name yet.  Read-only,
+        like :meth:`value`: a view never creates a series."""
         with self._lock:
-            return self._kinds.get(name)
-
-    def help_of(self, name: str) -> str:
-        with self._lock:
-            return self._help.get(name, "")
+            found = [
+                (label_items, metric)
+                for (metric_name, label_items), metric in self._metrics.items()
+                if metric_name == name
+            ]
+        return [(dict(items), metric) for items, metric in sorted(found)]
 
     def collect(self) -> List[Tuple[str, str, _LabelItems, object, str]]:
         """Every sample, collectors included:
@@ -418,38 +444,21 @@ def observe(name: str, value: float, help: str = "", **labels) -> None:
         registry.histogram(name, help, **labels).observe(value)
 
 
-def gauge_set(name: str, value: float, help: str = "", **labels) -> None:
-    registry = _active
-    if registry is not None:
-        registry.gauge(name, help, **labels).set(value)
-
-
-def gauge_max(name: str, value: float, help: str = "", **labels) -> None:
-    """High-water gauge update (keeps the maximum seen)."""
-    registry = _active
-    if registry is not None:
-        registry.gauge(name, help, **labels).set_max(value)
-
-
-# The one metric every legacy health counter unifies under; the dict
-# the caller already keeps (PipelineReport.health / ArtifactCache.health)
-# stays the legacy view of the same increments.
+# The installed-registry series of every pipeline health counter.
 HEALTH_METRIC = "repro_pipeline_health_total"
 _HEALTH_HELP = (
     "Absorbed pipeline failure/recovery events (executor retries, "
     "cache integrity rejections and quarantines, swallowed cache "
-    "errors), by legacy health-counter name"
+    "errors), by health-counter name"
 )
 
 
 def count_health(health: Dict[str, int], counter: str) -> None:
-    """Increment a legacy health-counter dict AND mirror the increment
-    into the installed registry under :data:`HEALTH_METRIC`.
-
-    This is the unification shim: callers keep their existing dict (the
-    view ``PipelineReport.health`` and the service's ``/health``
-    aggregation are built from), and the same event lands on
-    ``GET /metrics`` as ``repro_pipeline_health_total{counter=...}``.
+    """Count one absorbed failure: in ``health``, the dict its
+    pipeline's report is built from (a report works with nothing
+    installed), and in the installed registry under
+    :data:`HEALTH_METRIC`.  The one increment site of every pipeline
+    health counter.
     """
     health[counter] = health.get(counter, 0) + 1
     registry = _active

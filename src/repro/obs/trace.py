@@ -134,9 +134,6 @@ class Tracer:
             self._finished.clear()
             self.dropped = 0
 
-    def spans_named(self, name: str) -> List[Dict[str, Any]]:
-        return [s for s in self.finished() if s["name"] == name]
-
 
 # ---------------------------------------------------------------------------
 # Installed-tracer module state + the contextvar current span

@@ -128,9 +128,10 @@ class PipelineError(Exception):
     """Base for typed pipeline failures; ``stage`` names the provenance
     (``"ets"`` / ``"nes"`` / ``"compile"`` / ``"cache"``).
 
-    ``health`` is filled by :meth:`Pipeline.update` with the absorbed-
-    failure counters of the result it had to discard (a pipeline built
-    directly still answers ``report().health`` after a failed stage).
+    ``health`` is filled by :meth:`Pipeline.update` — on this and on
+    any other exception it lets out — with the absorbed-failure counters
+    of the result it had to discard (a pipeline built directly still
+    answers ``report().health`` after a failed stage).
     """
 
     def __init__(self, stage: str, message: str):
@@ -1017,9 +1018,10 @@ class Pipeline:
         and configuration equal this pipeline's, ``states_reinstantiated``
         the rest; ``configurations_reused`` the adopted tables (all of
         them on a warm-artifact hit, which builds no ETS),
-        ``configurations_recompiled`` the rest.  A typed failure carries
-        the discarded result's absorbed-failure counters as
-        ``exc.health``.
+        ``configurations_recompiled`` the rest.  Any exception leaving
+        ``update()`` — typed or not (a ``LocalityError`` is a plain
+        ``Exception``) — carries the discarded result's absorbed-failure
+        counters as ``exc.health``: the caller has no pipeline to ask.
         """
         with obs_trace.span("pipeline.update"):
             start = time.perf_counter()
@@ -1041,7 +1043,7 @@ class Pipeline:
                     time.perf_counter() - start
                 )
                 compiled = updated.compiled
-            except PipelineError as exc:
+            except Exception as exc:
                 exc.health = dict(updated._health)
                 raise
             finally:

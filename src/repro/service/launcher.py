@@ -81,9 +81,9 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
 def run(args: argparse.Namespace) -> int:
     """Build the server from parsed flags and serve until interrupted."""
     # Install the process-wide metrics registry before the server state
-    # is built: the state adopts it, so GET /metrics covers the hot-path
-    # pipeline/cache/executor instrumentation, not just the scrape-time
-    # service collectors.  (Idempotent when already installed — e.g. a
+    # is built: the state adopts it as its store, so GET /metrics covers
+    # the pipeline/cache/executor instrumentation beside the service's
+    # own series.  (Idempotent when already installed — e.g. a
     # supervising process that installed its own registry first.)
     try:
         obs_metrics.install()

@@ -21,9 +21,9 @@ Endpoints:
   strict-cache integrity error has surfaced.
 - ``GET /stats`` — request counts + latency quantiles per endpoint,
   memo/disk/cold/single-flight compile counters, memo occupancy.
-- ``GET /metrics`` — Prometheus text exposition of the service's
-  metrics registry (the installed process-wide one under the launcher,
-  else a state-private registry fed by scrape-time collectors).
+- ``GET /metrics`` — Prometheus text exposition.  All three render one
+  store, the state's metrics registry (the installed process-wide one
+  under the launcher, else private to the state).
 - ``GET /version`` — package/protocol/artifact-format versions.
 - ``GET /`` — endpoint index.
 
@@ -97,6 +97,16 @@ def _sanitize_trace_id(raw: Optional[str]) -> Optional[str]:
 # Bodies above this are refused outright (a compile request is a program
 # plus a topology, not a bulk upload).
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+
+
+def _reject_unknown_fields(wire: Mapping[str, Any], *known: str) -> None:
+    """Nothing is tolerated-and-ignored: a misspelt field is a 400, not
+    a request served as if the field had its default."""
+    unknown = set(wire) - set(known)
+    if unknown:
+        raise protocol.ProtocolError(
+            "bad_request", f"unknown request fields {sorted(unknown)}"
+        )
 
 
 def _status_of(exc: BaseException) -> int:
@@ -226,7 +236,7 @@ class _Handler(BaseHTTPRequestHandler):
         if isinstance(exc, ArtifactIntegrityError):
             # The strict-cache tripwire: counted so /health goes (and
             # stays) non-200 for the fleet's monitoring to see.
-            self.server.state.stats.count("errors.integrity")
+            self.server.state.integrity_errors.inc()
         error = protocol.error_to_wire(exc)
         trace_id = obs_trace.current_trace_id() or self._request_trace_id
         if trace_id is not None:
@@ -255,7 +265,7 @@ class _Handler(BaseHTTPRequestHandler):
             except BaseException as exc:  # every failure becomes structured JSON
                 status, body = self._fail(exc)
             request_span.set(status=status)
-        state.stats.record_request(
+        state.record_request(
             endpoint, time.perf_counter() - start, error=status >= 400
         )
         self._send(status, json.dumps(body).encode(), trace_id)
@@ -268,15 +278,10 @@ class _Handler(BaseHTTPRequestHandler):
             raise protocol.ProtocolError(
                 "bad_request", "compile request must be a JSON object"
             )
-        known = {
-            "program", "topology", "initial_state", "options",
+        _reject_unknown_fields(
+            wire, "program", "topology", "initial_state", "options",
             "deadline_seconds", "include_tables",
-        }
-        unknown = set(wire) - known
-        if unknown:
-            raise protocol.ProtocolError(
-                "bad_request", f"unknown request fields {sorted(unknown)}"
-            )
+        )
         for required in ("program", "topology", "initial_state"):
             if required not in wire:
                 raise protocol.ProtocolError(
@@ -387,6 +392,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "bad_request",
                 'batch body must be {"requests": [compile requests]}',
             )
+        _reject_unknown_fields(wire, "requests")
         results = []
         for entry in wire["requests"]:
             try:
@@ -404,6 +410,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "bad_request",
                 'update body must be {"artifact_key": ..., "delta": ...}',
             )
+        _reject_unknown_fields(wire, "artifact_key", "delta", "include_tables")
         delta = protocol.delta_from_wire(wire["delta"])
         key, updated = self.server.state.update_pipeline(
             str(wire["artifact_key"]), delta
@@ -426,7 +433,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(
             200, payload, content_type="text/plain; version=0.0.4; charset=utf-8"
         )
-        state.stats.record_request(
+        state.record_request(
             "metrics", time.perf_counter() - start, error=False
         )
 

@@ -1,4 +1,4 @@
-"""Shared server state: pipeline memo, single-flight, stats, health.
+"""Shared server state: pipeline memo, single-flight, the telemetry store.
 
 The service keys everything on the existing content-addressed
 :meth:`~repro.pipeline.Pipeline.artifact_key` — the same multi-tenant
@@ -25,9 +25,17 @@ key hashing.  It caches a pure function and nothing else — an entry
 whose pipeline has left the memo is ignored, and the request takes the
 full path above.
 
-Health aggregation never double-counts: live pipelines are summed on
-demand and an evicted pipeline's counters are folded into a cumulative
-total exactly once, at eviction.
+**Telemetry has one store**, :attr:`ServiceState.registry` (the
+launcher's installed :class:`~repro.obs.metrics.MetricsRegistry`, else
+private to the state).  Every daemon fact is written once, where it
+happens: a request in :meth:`ServiceState.record_request`; a compile's
+source, an index hit, an update, an eviction and an integrity error at
+their call sites, through handles resolved in ``__init__``; a pipeline's
+health where the pipeline finishes, in the two request cores.  ``GET
+/stats``, ``/health`` and ``/metrics`` render that registry (JSON, JSON,
+text) and never create a series.  The one scrape-time collector emits
+the four values derived from a structure that is itself the store: memo
+size and capacity, index entries, uptime.
 """
 
 from __future__ import annotations
@@ -37,19 +45,15 @@ import hashlib
 import json
 import threading
 import time
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..netkat.ast import Policy
 from ..obs import metrics as obs_metrics
-from ..pipeline import CompileOptions, Delta, Pipeline, PipelineError
+from ..pipeline import CompileOptions, Delta, Pipeline
 from ..topology import Topology
 from . import protocol
 
-__all__ = ["ServiceState", "ServiceStats", "UnknownArtifactError"]
-
-# Latency samples retained per endpoint for the /stats quantiles; a
-# bounded window so a long-lived daemon's stats stay O(1) in memory.
-_LATENCY_WINDOW = 1024
+__all__ = ["ServiceState", "UnknownArtifactError"]
 
 # Default pipeline-memo capacity (pipelines, not bytes).
 DEFAULT_MEMO_SIZE = 64
@@ -57,6 +61,17 @@ DEFAULT_MEMO_SIZE = 64
 # Request-index entries per memo slot (spellings of one request share a
 # pipeline; an entry is two hex digests).
 _INDEX_ENTRIES_PER_MEMO_SLOT = 4
+
+# Bucket bounds of the request-latency histogram: octaves from 50 us (a
+# /version) to ~52 s (past any deadline), so a quantile read from it is
+# within a factor two of the truth.
+_LATENCY_BOUNDS = tuple(50e-6 * 2 ** i for i in range(21))
+
+_REQUESTS = "repro_service_requests_total"
+_ERRORS = "repro_service_errors_total"
+_REQUEST_SECONDS = "repro_service_request_seconds"
+_REQUEST_SECONDS_MAX = "repro_service_request_seconds_max"
+_HEALTH = "repro_service_health_total"
 
 
 class _MemoEntry:
@@ -83,75 +98,6 @@ class UnknownArtifactError(Exception):
         self.key = key
 
 
-class ServiceStats:
-    """Thread-safe request counters and bounded latency windows."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counters: Dict[str, int] = {}
-        self._latencies: Dict[str, collections.deque] = {}
-        self.started = time.time()
-
-    def count(self, counter: str, by: int = 1) -> None:
-        with self._lock:
-            self._counters[counter] = self._counters.get(counter, 0) + by
-
-    def record_request(self, endpoint: str, seconds: float, error: bool) -> None:
-        with self._lock:
-            self._counters[f"requests.{endpoint}"] = (
-                self._counters.get(f"requests.{endpoint}", 0) + 1
-            )
-            if error:
-                self._counters[f"errors.{endpoint}"] = (
-                    self._counters.get(f"errors.{endpoint}", 0) + 1
-                )
-            window = self._latencies.get(endpoint)
-            if window is None:
-                window = self._latencies[endpoint] = collections.deque(
-                    maxlen=_LATENCY_WINDOW
-                )
-            window.append(seconds)
-
-    def counter(self, counter: str) -> int:
-        with self._lock:
-            return self._counters.get(counter, 0)
-
-    @staticmethod
-    def _quantiles(samples: List[float]) -> Dict[str, float]:
-        ordered = sorted(samples)
-        count = len(ordered)
-
-        def at(q: float) -> float:
-            return ordered[min(count - 1, int(q * count))]
-
-        return {
-            "p50_ms": round(at(0.50) * 1000, 3),
-            "p90_ms": round(at(0.90) * 1000, 3),
-            "p99_ms": round(at(0.99) * 1000, 3),
-            "max_ms": round(ordered[-1] * 1000, 3),
-        }
-
-    def snapshot(self) -> Dict[str, Any]:
-        with self._lock:
-            counters = dict(self._counters)
-            windows = {
-                endpoint: list(window)
-                for endpoint, window in self._latencies.items()
-            }
-        endpoints: Dict[str, Any] = {}
-        for endpoint, samples in sorted(windows.items()):
-            endpoints[endpoint] = {
-                "count": counters.get(f"requests.{endpoint}", 0),
-                "errors": counters.get(f"errors.{endpoint}", 0),
-                "latency": self._quantiles(samples) if samples else {},
-            }
-        return {
-            "uptime_seconds": round(time.time() - self.started, 3),
-            "counters": counters,
-            "endpoints": endpoints,
-        }
-
-
 class ServiceState:
     """Everything the request handlers share.
 
@@ -173,7 +119,7 @@ class ServiceState:
             base_options if base_options is not None else CompileOptions()
         )
         self.memo_size = memo_size
-        self.stats = ServiceStats()
+        self.started = time.time()
         self._memo_lock = threading.Lock()
         self._memo: "collections.OrderedDict[str, _MemoEntry]" = (
             collections.OrderedDict()
@@ -182,22 +128,44 @@ class ServiceState:
         self._index: "collections.OrderedDict[str, str]" = (
             collections.OrderedDict()
         )
-        self._evicted_health: Dict[str, int] = {}
         self._flight_lock = threading.Lock()
         self._flights: Dict[str, threading.Lock] = {}
-        # The registry GET /metrics renders.  Adopt the process-wide
-        # installed one when present (the production launcher installs
-        # it, so pipeline/cache/simulator instrumentation lands there
-        # too); otherwise own a private registry — never installed, so
-        # a test's serve_in_thread daemon cannot leak process state.
-        # Service-level series (requests, latency quantiles, compile
-        # sources, memo occupancy) are scrape-time collectors over
-        # ServiceStats: no double bookkeeping on the request hot path.
+        # Adopt the process-wide installed registry when present (the
+        # production launcher installs it, so pipeline/cache/simulator
+        # instrumentation lands there too); otherwise own a private one
+        # — never installed, so a test's serve_in_thread daemon cannot
+        # leak process state.
         installed = obs_metrics.active()
         self.registry = (
             installed if installed is not None else obs_metrics.MetricsRegistry()
         )
-        self.registry.register_collector(self._metric_samples)
+        counter = self.registry.counter
+        self._compiles = {
+            source: counter(
+                "repro_service_compiles_total",
+                "Compiles served, by source (memo/disk/cold/"
+                "single-flight coalesced)",
+                source=source,
+            )
+            for source in ("memo", "disk", "cold", "coalesced")
+        }
+        self._index_hits = counter(
+            "repro_service_request_index_hits_total",
+            "Compile requests answered by fingerprint, without a parse",
+        )
+        self._updates = counter(
+            "repro_service_updates_total",
+            "Incremental /update recompilations applied",
+        )
+        self._evictions = counter(
+            "repro_service_memo_evictions_total",
+            "Pipelines evicted from the memo LRU",
+        )
+        self.integrity_errors = counter(
+            "repro_service_integrity_errors_total",
+            "Strict-cache integrity errors answered with a 503",
+        )
+        self.registry.register_collector(self._derived_gauges)
 
     # -- options ------------------------------------------------------------
 
@@ -227,48 +195,19 @@ class ServiceState:
     def memo_put(self, key: str, pipeline: Pipeline) -> None:
         with self._memo_lock:
             entry = self._memo.get(key)
-            replaced = entry.pipeline if entry is not None else None
-            if replaced is not pipeline:
+            if entry is None or entry.pipeline is not pipeline:
                 self._memo[key] = _MemoEntry(pipeline)
             self._memo.move_to_end(key)
-            if replaced is not None and replaced is not pipeline:
-                # Replacing a resident key (e.g. an /update whose
-                # post-delta key is already memoized) drops the old
-                # pipeline from the live scan without an eviction pop;
-                # fold its counters here — exactly once, like an
-                # eviction — so its health history is not lost.
-                self._fold_health(replaced.report().health)
             while len(self._memo) > self.memo_size:
-                _, evicted = self._memo.popitem(last=False)
-                self.stats.count("memo.evictions")
-                # Fold the evicted pipeline's health counters into the
-                # cumulative total exactly once, so /health keeps the
-                # full daemon history without double-counting the live
-                # scan below.
-                self._fold_health(evicted.pipeline.report().health)
-
-    def _fold_health(self, health: Mapping[str, int]) -> None:
-        """Accumulate the health counters of a pipeline the live scan
-        will not (or no longer) see into the cumulative total (caller
-        holds ``_memo_lock``)."""
-        for counter, value in health.items():
-            self._evicted_health[counter] = (
-                self._evicted_health.get(counter, 0) + value
-            )
-
-    def _fold_failed(self, health: Mapping[str, int]) -> None:
-        """A compile that raised never reaches the memo, so what it
-        absorbed before failing (its retries, its cache rejections) is
-        folded here, exactly once."""
-        with self._memo_lock:
-            self._fold_health(health)
+                self._memo.popitem(last=False)
+                self._evictions.inc()
 
     def memo_snapshot(self) -> Dict[str, Any]:
         with self._memo_lock:
             return {
                 "size": len(self._memo),
                 "capacity": self.memo_size,
-                "evictions": self.stats.counter("memo.evictions"),
+                "evictions": int(self._evictions.value),
                 "index_entries": len(self._index),
             }
 
@@ -310,8 +249,8 @@ class ServiceState:
                 return None
             self._index.move_to_end(fingerprint)
             self._memo.move_to_end(key)
-        self.stats.count("compile.index_hits")
-        self.stats.count("compile.memo_hits")
+        self._index_hits.inc()
+        self._compiles["memo"].inc()
         return key, entry.pipeline
 
     def index_put(self, fingerprint: str, key: str) -> None:
@@ -349,7 +288,7 @@ class ServiceState:
         key = pipeline.artifact_key()
         cached = self.memo_get(key)
         if cached is not None:
-            self.stats.count("compile.memo_hits")
+            self._compiles["memo"].inc()
             return key, cached, "memo"
         with self._flight(key):
             cached = self.memo_get(key)
@@ -358,19 +297,17 @@ class ServiceState:
                 # waited on the flight lock: adopt its pipeline — the
                 # single-flight contract (N identical requests, one
                 # compile), observable in /stats.
-                self.stats.count("compile.singleflight_coalesced")
+                self._compiles["coalesced"].inc()
                 return key, cached, "coalesced"
             try:
                 pipeline.compiled  # may raise a typed PipelineError
-            except Exception:
-                self._fold_failed(pipeline.report().health)
-                raise
-            if pipeline.report().artifact_cache == "hit":
-                self.stats.count("compile.disk_hits")
-                source = "disk"
-            else:
-                self.stats.count("compile.cold")
-                source = "cold"
+            finally:
+                # Contract (c): a compile that raised never reaches the
+                # memo, and what it absorbed first still counts.
+                report = pipeline.report()
+                self._count_health(report.health)
+            source = "disk" if report.artifact_cache == "hit" else "cold"
+            self._compiles[source].inc()
             self.memo_put(key, pipeline)
             return key, pipeline, source
 
@@ -382,25 +319,60 @@ class ServiceState:
             raise UnknownArtifactError(key)
         try:
             updated = base.update(delta)
-        except PipelineError as exc:
-            self._fold_failed(exc.health)  # the discarded result's
+        except Exception as exc:
+            self._count_health(getattr(exc, "health", {}))  # the discarded result's
             raise
+        self._count_health(updated.report().health)
         new_key = updated.artifact_key()
-        self.stats.count("update.applied")
+        self._updates.inc()
         self.memo_put(new_key, updated)
         return new_key, updated
 
-    # -- health -------------------------------------------------------------
+    def _count_health(self, health: Mapping[str, int]) -> None:
+        """Add a finished pipeline's health to the daemon's.  Called
+        once per pipeline, after ``.compiled`` has returned or raised:
+        nothing later writes a pipeline's health."""
+        for counter, value in health.items():
+            self.registry.counter(
+                _HEALTH,
+                "Health counters of every pipeline the daemon finished, "
+                "served or failed, by counter name",
+                counter=counter,
+            ).inc(value)
+
+    def record_request(self, endpoint: str, seconds: float, error: bool) -> None:
+        """The one writer of the per-endpoint request series.  The
+        histogram is written last: a reader that finds it finds the
+        rest."""
+        registry = self.registry
+        registry.counter(
+            _REQUESTS, "Requests handled, by endpoint", endpoint=endpoint
+        ).inc()
+        registry.counter(
+            _ERRORS,
+            "Requests answered with a >=400 status, by endpoint",
+            endpoint=endpoint,
+        ).inc(int(error))  # by 0: the series exists from the first request
+        registry.gauge(
+            _REQUEST_SECONDS_MAX,
+            "Slowest request handled, by endpoint",
+            endpoint=endpoint,
+        ).set_max(seconds)
+        registry.histogram(
+            _REQUEST_SECONDS,
+            "Request latency, by endpoint",
+            buckets=_LATENCY_BOUNDS,
+            endpoint=endpoint,
+        ).observe(seconds)
+
+    # -- the views ----------------------------------------------------------
 
     def aggregated_health(self) -> Dict[str, int]:
-        """Evicted-pipeline counters plus a live scan of the memo."""
-        with self._memo_lock:
-            total = dict(self._evicted_health)
-            live = [entry.pipeline for entry in self._memo.values()]
-        for pipeline in live:
-            for counter, value in pipeline.report().health.items():
-                total[counter] = total.get(counter, 0) + value
-        return total
+        """The health counters of every pipeline the daemon finished."""
+        return {
+            labels["counter"]: int(counter.value)
+            for labels, counter in self.registry.series(_HEALTH)
+        }
 
     def health_body(self) -> Tuple[bool, Dict[str, Any]]:
         """The ``GET /health`` verdict and body.
@@ -410,7 +382,7 @@ class ServiceState:
         ``strict_cache`` a tampered shared cache is a fleet-level signal
         worth failing health checks over, not a recompile-and-carry-on.
         """
-        integrity_errors = self.stats.counter("errors.integrity")
+        integrity_errors = int(self.integrity_errors.value)
         ok = integrity_errors == 0
         return ok, {
             "ok": ok,
@@ -420,116 +392,43 @@ class ServiceState:
             "memo": self.memo_snapshot(),
         }
 
-    def _metric_samples(self):
-        """Scrape-time collector: ServiceStats, compile sources, memo
-        occupancy, and aggregated health as Prometheus samples.
-
-        Derived at collect() time from the structures the JSON endpoints
-        already maintain, so the request hot path writes each fact once.
-        Aggregated health is exported under its own service-level name —
-        ``repro_pipeline_health_total`` belongs to the hot-path mirror
-        and must not be duplicated by a collector.
-        """
-        snapshot = self.stats.snapshot()
-        samples = []
-        for endpoint, data in snapshot["endpoints"].items():
-            samples.append((
-                "repro_service_requests_total", "counter",
-                {"endpoint": endpoint}, data["count"],
-                "Requests handled, by endpoint",
-            ))
-            samples.append((
-                "repro_service_errors_total", "counter",
-                {"endpoint": endpoint}, data["errors"],
-                "Requests answered with a >=400 status, by endpoint",
-            ))
-            for quantile_key, quantile in (
-                ("p50_ms", "0.5"), ("p90_ms", "0.9"), ("p99_ms", "0.99"),
-            ):
-                ms = data["latency"].get(quantile_key)
-                if ms is not None:
-                    samples.append((
-                        "repro_service_request_latency_seconds", "gauge",
-                        {"endpoint": endpoint, "quantile": quantile},
-                        ms / 1000.0,
-                        "Request latency quantiles over the bounded "
-                        "per-endpoint sample window",
-                    ))
-        counters = snapshot["counters"]
-        for source, counter in (
-            ("memo", "compile.memo_hits"),
-            ("disk", "compile.disk_hits"),
-            ("cold", "compile.cold"),
-            ("coalesced", "compile.singleflight_coalesced"),
-        ):
-            samples.append((
-                "repro_service_compiles_total", "counter",
-                {"source": source}, counters.get(counter, 0),
-                "Compiles served, by source (memo/disk/cold/"
-                "single-flight coalesced)",
-            ))
-        samples.append((
-            "repro_service_updates_total", "counter", {},
-            counters.get("update.applied", 0),
-            "Incremental /update recompilations applied",
-        ))
-        memo = self.memo_snapshot()
-        samples.append((
-            "repro_service_memo_pipelines", "gauge", {}, memo["size"],
-            "Pipelines resident in the in-process memo",
-        ))
-        samples.append((
-            "repro_service_memo_capacity", "gauge", {}, memo["capacity"],
-            "Configured pipeline-memo capacity",
-        ))
-        samples.append((
-            "repro_service_request_index_hits_total", "counter", {},
-            counters.get("compile.index_hits", 0),
-            "Compile requests answered by fingerprint, without a parse",
-        ))
-        samples.append((
-            "repro_service_request_index_entries", "gauge", {},
-            memo["index_entries"],
-            "Fingerprints resident in the request index",
-        ))
-        samples.append((
-            "repro_service_memo_evictions_total", "counter", {},
-            memo["evictions"],
-            "Pipelines evicted from the memo LRU",
-        ))
-        samples.append((
-            "repro_service_uptime_seconds", "gauge", {},
-            snapshot["uptime_seconds"],
-            "Seconds since the service state was created",
-        ))
-        for counter, value in sorted(self.aggregated_health().items()):
-            samples.append((
-                "repro_service_health_total", "counter",
-                {"counter": counter}, value,
-                "Aggregated pipeline health counters (evicted + live "
-                "memoized pipelines), by legacy counter name",
-            ))
-        return samples
-
     def stats_body(self) -> Dict[str, Any]:
         """The ``GET /stats`` body: request counts and latency
         quantiles per endpoint, the memo/disk/cold/single-flight compile
-        counters, memo occupancy, and aggregated health."""
-        snapshot = self.stats.snapshot()
-        counters = snapshot.pop("counters")
-        compiles = {
-            "memo_hits": counters.get("compile.memo_hits", 0),
-            "index_hits": counters.get("compile.index_hits", 0),
-            "disk_hits": counters.get("compile.disk_hits", 0),
-            "cold": counters.get("compile.cold", 0),
-            "singleflight_coalesced": counters.get(
-                "compile.singleflight_coalesced", 0
-            ),
-            "updates": counters.get("update.applied", 0),
-        }
+        counters, memo occupancy, and aggregated health.
+
+        The quantiles are histogram estimates over the daemon's
+        lifetime — linear within the octave bucket, clamped to the
+        slowest request seen."""
+        value = self.registry.value
+        endpoints: Dict[str, Any] = {}
+        for labels, histogram in self.registry.series(_REQUEST_SECONDS):
+            slowest = value(_REQUEST_SECONDS_MAX, **labels)
+            latency = {
+                name: round(min(histogram.quantile(q), slowest) * 1000, 3)
+                for name, q in (
+                    ("p50_ms", 0.50), ("p90_ms", 0.90), ("p99_ms", 0.99),
+                )
+            }
+            latency["max_ms"] = round(slowest * 1000, 3)
+            endpoints[labels["endpoint"]] = {
+                "count": int(value(_REQUESTS, **labels)),
+                "errors": int(value(_ERRORS, **labels)),
+                "latency": latency,
+            }
         return {
-            **snapshot,
-            "compiles": compiles,
+            "uptime_seconds": round(time.time() - self.started, 3),
+            "endpoints": endpoints,
+            "compiles": {
+                "memo_hits": int(self._compiles["memo"].value),
+                "index_hits": int(self._index_hits.value),
+                "disk_hits": int(self._compiles["disk"].value),
+                "cold": int(self._compiles["cold"].value),
+                "singleflight_coalesced": int(
+                    self._compiles["coalesced"].value
+                ),
+                "updates": int(self._updates.value),
+            },
             "memo": self.memo_snapshot(),
             "cache_dir": (
                 str(self.base_options.cache_dir)
@@ -538,3 +437,21 @@ class ServiceState:
             ),
             "health": self.aggregated_health(),
         }
+
+    def _derived_gauges(self):
+        """The scrape-time collector: the four values read off a
+        structure that is itself the store.  Everything counted is a
+        registry series already and is never re-exported here."""
+        memo = self.memo_snapshot()
+        return [
+            ("repro_service_memo_pipelines", "gauge", {}, memo["size"],
+             "Pipelines resident in the in-process memo"),
+            ("repro_service_memo_capacity", "gauge", {}, memo["capacity"],
+             "Configured pipeline-memo capacity"),
+            ("repro_service_request_index_entries", "gauge", {},
+             memo["index_entries"],
+             "Fingerprints resident in the request index"),
+            ("repro_service_uptime_seconds", "gauge", {},
+             time.time() - self.started,
+             "Seconds since the service state was created"),
+        ]

@@ -18,7 +18,7 @@ import pytest
 
 from repro.apps import bandwidth_cap_app, firewall_app, ring_app
 from repro.cli import main as cli_main
-from repro.network import CorrectLogic, FrameBatch, SimNetwork
+from repro.network import CorrectLogic, FrameBatch, SimNetwork, Simulator
 from repro.obs import export, metrics, trace
 from repro.pipeline import (
     ArtifactCache,
@@ -90,6 +90,36 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError):
             metrics.Histogram(bounds=(1.0, 1.0))
 
+    def test_histogram_quantile_is_linear_within_the_bucket(self):
+        h = metrics.Histogram(bounds=(1.0, 2.0, 4.0, 8.0))
+        assert h.quantile(0.5) == 0.0  # nothing observed
+        for v in (1.5, 3.0, 3.5, 5.0):
+            h.observe(v)
+        # Rank 2 of 4 is the first of the two samples in (2, 4].
+        assert h.quantile(0.5) == 3.0
+        assert 4.0 < h.quantile(0.99) <= 8.0
+        qs = [h.quantile(q / 20) for q in range(21)]
+        assert qs == sorted(qs)
+        assert qs[0] == 1.0 and qs[-1] == 8.0
+        h.observe(100.0)  # the +Inf bucket reads as the last finite bound
+        assert h.quantile(1.0) == 8.0
+        with pytest.raises(ValueError):
+            h.quantile(1.5)
+
+    def test_readers_never_create_a_series(self):
+        reg = metrics.MetricsRegistry()
+        assert reg.series("latency_seconds") == []
+        assert reg.value("latency_seconds_max", endpoint="compile") == 0
+        assert reg.collect() == []
+        # ... so the first writer still binds the name's bounds.
+        h = reg.histogram("latency_seconds", "h", buckets=(1.0, 2.0), endpoint="b")
+        reg.histogram("latency_seconds", "h", buckets=(1.0, 2.0), endpoint="a")
+        assert h.bounds == (1.0, 2.0)
+        assert [labels for labels, _ in reg.series("latency_seconds")] == [
+            {"endpoint": "a"}, {"endpoint": "b"},
+        ]
+        assert reg.series("latency_seconds")[1][1] is h
+
     def test_same_name_same_labels_is_same_object(self):
         reg = metrics.MetricsRegistry()
         a = reg.counter("x_total", "help", k="1")
@@ -116,7 +146,6 @@ class TestMetricsRegistry:
         # Must not raise and must not create hidden state anywhere.
         metrics.inc("ghost_total")
         metrics.observe("ghost_seconds", 1.0)
-        metrics.gauge_set("ghost", 2.0)
         with metrics.collecting() as reg:
             assert reg.value("ghost_total") == 0
 
@@ -393,7 +422,27 @@ class TestSimulatorMetrics:
         plan_hits = reg.value("repro_sim_plan_cache_total", result="hit")
         plan_misses = reg.value("repro_sim_plan_cache_total", result="miss")
         assert plan_hits > 0 and plan_misses > 0
-        assert reg.value("repro_sim_heap_depth_high_water") > 0
+
+    def test_events_counter_tracks_partial_runs_and_the_event_cap(self):
+        with metrics.collecting() as reg:
+            sim = Simulator()
+            for i in range(10):
+                sim.schedule(i * 1.0, lambda: None)
+            for until in (2.5, 6.0, None):
+                sim.run(until=until)
+                assert (
+                    reg.value("repro_sim_events_processed_total")
+                    == sim.events_processed
+                )
+            assert sim.events_processed == 10
+
+            capped = Simulator()
+            for i in range(5):
+                capped.schedule(i * 1.0, lambda: None)
+            with pytest.raises(RuntimeError, match="exceeded 3 events"):
+                capped.run(max_events=3)
+            assert capped.events_processed == 3
+            assert reg.value("repro_sim_events_processed_total") == 13
 
     def test_record_identity_instrumented_vs_not(self):
         with metrics.collecting():
@@ -429,7 +478,10 @@ class TestServiceObservability:
         assert 'repro_service_compiles_total{source="cold"} 1' in text
         assert 'repro_service_compiles_total{source="memo"} 1' in text
         assert "repro_service_memo_pipelines 1" in text
-        assert 'repro_service_request_latency_seconds{endpoint="compile",quantile="0.5"}' in text
+        assert 'repro_service_request_seconds_bucket{endpoint="compile",le="+Inf"} 2' in text
+        assert 'repro_service_request_seconds_count{endpoint="compile"} 2' in text
+        assert 'repro_service_request_seconds_sum{endpoint="compile"}' in text
+        assert 'repro_service_request_seconds_max{endpoint="compile"}' in text
         assert "repro_service_uptime_seconds" in text
 
     def test_trace_id_round_trip(self):
@@ -468,21 +520,26 @@ class TestServiceObservability:
             client.compile(app.program, app.topology, app.initial_state)
             assert client.last_trace_id is None
 
-    def test_memo_replacement_folds_health(self):
+    def test_health_is_counted_where_a_pipeline_finishes(self, tmp_path):
+        """Once per finished pipeline, in the request core: the memo is
+        not part of the bookkeeping, so neither replacing a resident
+        entry nor serving it again moves /health."""
         app = firewall_app()
-        state = ServiceState(CompileOptions())
-        first = fresh_pipeline(app)
-        first.compiled
-        first.report().health["executor.retries"] = 0  # shape check only
-        first._health["probe.counter"] = 2  # a fold-visible marker
-        state.memo_put("k", first)
-        second = fresh_pipeline(app)
-        second.compiled
-        state.memo_put("k", second)  # replaces the resident pipeline
-        assert state.aggregated_health().get("probe.counter") == 2
-        # replacing with the same object must NOT double-fold
-        state.memo_put("k", second)
-        assert state.aggregated_health().get("probe.counter") == 2
+        options = CompileOptions(cache_dir=str(tmp_path))
+        state = ServiceState(options)
+        inputs = (app.program, app.topology, app.initial_state, options)
+        key = fresh_pipeline(app, options).artifact_key()
+        ArtifactCache(tmp_path).path(key).write_bytes(b"garbage")
+        with pytest.warns(ArtifactCacheWarning, match="corrupt"):
+            _, first, source = state.compile_pipeline(*inputs)
+        assert source == "cold"
+        absorbed = {"cache.load_corrupt": 1, "cache.quarantined": 1}
+        assert first.report().health == absorbed
+        assert state.aggregated_health() == absorbed
+        assert state.compile_pipeline(*inputs)[2] == "memo"
+        state.memo_put(key, fresh_pipeline(app, options))  # replaces it
+        state.memo_put(key, first)
+        assert state.aggregated_health() == absorbed
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ import pytest
 
 from repro import CompileOptions, Delta, Pipeline, faults
 from repro.apps import firewall_app, ids_app, ring_app
+from repro.netkat.ast import filter_, seq, union
 from repro.pipeline import ArtifactCache, _topology_fingerprint
 from repro.service import (
     ServiceClient,
@@ -52,6 +53,8 @@ from repro.service import (
 from repro.service import protocol
 from repro.service import server as service_server
 from repro.service.state import ServiceState, UnknownArtifactError
+from repro.stateful.ast import link_update, state_eq
+from repro.topology import star_topology
 
 from seed_apps import APPS, firewall_policy_delta
 
@@ -341,6 +344,43 @@ def test_failed_compile_and_update_still_count_their_retries():
         )
 
 
+@pytest.mark.filterwarnings("ignore::repro.pipeline.ArtifactCacheWarning")
+def test_failed_update_counts_what_it_absorbed_whatever_the_error_type(tmp_path):
+    """A ``LocalityError`` is a plain ``Exception``, not a
+    ``PipelineError``: the corrupt cache entry the failed /update
+    quarantined on its way there is in /health all the same, exactly as
+    when the same program fails through /compile."""
+    topology = star_topology()
+    base_program = seq(filter_(state_eq([0])), link_update("4:1", "1:1", [1]))
+    # Two conflicting events at different switches: not locally determined.
+    conflicting = union(
+        base_program,
+        seq(filter_(state_eq([0])), link_update("4:3", "2:1", [2])),
+    )
+    absorbed = {"cache.load_corrupt": 1, "cache.quarantined": 1}
+    options = CompileOptions(cache_dir=str(tmp_path))
+    corrupt = ArtifactCache(tmp_path).path(
+        Pipeline(conflicting, topology, (0,), options).artifact_key()
+    )
+    with fresh_service(options=options) as (client, _):
+        base = client.compile(base_program, topology, (0,))
+        corrupt.write_bytes(b"garbage")
+        with pytest.raises(ServiceError) as excinfo:
+            client.update(
+                base["artifact_key"],
+                Delta(replace_policy=base_program, with_policy=conflicting),
+            )
+        assert excinfo.value.status == 422
+        assert excinfo.value.error["type"] == "LocalityError"
+        assert client.health()[1]["health"] == absorbed
+    with fresh_service(options=options) as (client, _):
+        corrupt.write_bytes(b"garbage")
+        with pytest.raises(ServiceError) as excinfo:
+            client.compile(conflicting, topology, (0,))
+        assert excinfo.value.error["type"] == "LocalityError"
+        assert client.health()[1]["health"] == absorbed
+
+
 def test_tampered_strict_cache_fails_health(tmp_path):
     """The acceptance chaos case for the shared cache: under
     ``strict_cache`` a bit-flipped artifact is a 503 with a
@@ -492,6 +532,32 @@ class TestProtocolErrors:
         assert status == 400
         assert "cache_dir" in body["error"]["message"]
 
+    def test_unknown_update_field_is_a_400(self, shared_service):
+        app = firewall_app()
+        base = shared_service.compile(
+            app.program, app.topology, app.initial_state
+        )
+        status, body = raw_request(
+            shared_service, "POST", "/update",
+            data=json.dumps({
+                "artifact_key": base["artifact_key"], "delta": {},
+                "include_table": False, "deadline_seconds": "soon",
+            }).encode(),
+        )
+        assert status == 400
+        assert body["error"]["code"] == "bad_request"
+        assert "deadline_seconds" in body["error"]["message"]
+        assert "include_table'" in body["error"]["message"]
+
+    def test_unknown_batch_field_is_a_400(self, shared_service):
+        status, body = raw_request(
+            shared_service, "POST", "/compile/batch",
+            data=json.dumps({"requests": [], "deadline_seconds": -1}).encode(),
+        )
+        assert status == 400
+        assert body["error"]["code"] == "bad_request"
+        assert "deadline_seconds" in body["error"]["message"]
+
     def test_non_json_body_is_a_400(self, shared_service):
         status, body = raw_request(
             shared_service, "POST", "/compile", data=b"definitely not json"
@@ -602,6 +668,135 @@ def test_stats_reports_endpoint_latency_quantiles(shared_service):
     assert endpoint["count"] >= 1
     assert set(endpoint["latency"]) == {"p50_ms", "p90_ms", "p99_ms", "max_ms"}
     assert stats["memo"]["size"] >= 1
+
+
+def test_stats_quantiles_are_ordered_histogram_estimates():
+    """/stats reads its quantiles off the request histogram: ordered,
+    capped by the slowest request, and within the octave bucket's
+    factor two of the exact quantile of what was recorded."""
+    state = ServiceState()
+    assert state.stats_body()["endpoints"] == {}  # reading creates nothing
+    samples = [100e-6 * 1.01 ** i for i in range(700)]  # 0.1 ms .. 105 ms
+    for seconds in samples[::2] + samples[1::2]:
+        state.record_request("compile", seconds, error=False)
+    latency = state.stats_body()["endpoints"]["compile"]["latency"]
+    assert (
+        latency["p50_ms"] <= latency["p90_ms"] <= latency["p99_ms"]
+        <= latency["max_ms"]
+    )
+    assert latency["max_ms"] == round(samples[-1] * 1000, 3)
+    for name, q in (("p50_ms", 0.50), ("p90_ms", 0.90), ("p99_ms", 0.99)):
+        exact_ms = samples[int(q * len(samples))] * 1000
+        assert exact_ms / 2 <= latency[name] <= exact_ms * 2, name
+
+
+def exposition_samples(text):
+    """``{'name{labels}': value}`` of a Prometheus exposition; a series
+    that appears twice is a failure."""
+    samples = {}
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        series, value = line.rsplit(" ", 1)
+        assert series not in samples, f"{series} is exposed twice"
+        samples[series] = float(value)
+    return samples
+
+
+def test_stats_health_and_metrics_are_views_of_one_store(tmp_path):
+    """One scripted pass over every way a request can end; afterwards
+    each number /stats and /health report is the number /metrics
+    exposes under the matching series."""
+    first, second, third = firewall_app(), ids_app(), ring_app(2)
+    text = protocol.program_to_wire(first.program)
+    spaced = "  " + text.replace(";", " ;\n ") + "\n"
+    options = CompileOptions(cache_dir=str(tmp_path))
+    with fresh_service(options=options, memo_size=1) as (client, _):
+        sources = [
+            client.compile(program, app.topology, app.initial_state)["source"]
+            for program, app in (
+                (text, first),      # cold
+                (text, first),      # found by fingerprint
+                (spaced, first),    # found by key
+                (second.program, second),  # cold; evicts the first
+                (text, first),      # from disk; evicts the second
+            )
+        ]
+        assert sources == ["cold", "memo", "memo", "cold", "disk"]
+        key = client.compile(text, first.topology, first.initial_state)[
+            "artifact_key"
+        ]
+        client.update(key, Delta(set_state=((0, 1),)))  # evicts its base
+        for status, request in (
+            (400, lambda: client.compile(
+                "pt=", first.topology, first.initial_state)),
+            (404, lambda: client.update(key, Delta(set_state=((0, 1),)))),
+        ):
+            with pytest.raises(ServiceError) as excinfo:
+                request()
+            assert excinfo.value.status == status
+        assert raw_request(client, "GET", "/nope")[0] == 404
+        with faults.injected(faults.FaultPlan({"executor.worker": 1.0})):
+            with pytest.raises(ServiceError) as excinfo:
+                client.compile(third.program, third.topology, third.initial_state)
+        assert excinfo.value.stage == "compile"
+
+        stats = client.stats()
+        _, health = client.health()
+        with urllib.request.urlopen(
+            f"{client.base_url}/metrics", timeout=30
+        ) as response:
+            samples = exposition_samples(response.read().decode())
+
+    assert stats["compiles"] == {
+        "memo_hits": 3, "index_hits": 2, "disk_hits": 1, "cold": 2,
+        "singleflight_coalesced": 0, "updates": 1,
+    }
+    assert stats["memo"]["evictions"] == 3
+    assert stats["health"] == {"executor.retries": 2}
+    assert stats["endpoints"]["compile"]["errors"] == 2
+    assert stats["endpoints"]["update"] == {
+        **stats["endpoints"]["update"], "count": 2, "errors": 1,
+    }
+
+    for endpoint, data in stats["endpoints"].items():
+        label = f'{{endpoint="{endpoint}"}}'
+        assert data["count"] == samples["repro_service_requests_total" + label]
+        assert data["errors"] == samples["repro_service_errors_total" + label]
+        assert data["count"] == samples[
+            "repro_service_request_seconds_count" + label
+        ]
+        assert data["latency"]["max_ms"] == round(
+            samples["repro_service_request_seconds_max" + label] * 1000, 3
+        )
+    for name, series in (
+        ("memo_hits", 'repro_service_compiles_total{source="memo"}'),
+        ("disk_hits", 'repro_service_compiles_total{source="disk"}'),
+        ("cold", 'repro_service_compiles_total{source="cold"}'),
+        ("singleflight_coalesced",
+         'repro_service_compiles_total{source="coalesced"}'),
+        ("index_hits", "repro_service_request_index_hits_total"),
+        ("updates", "repro_service_updates_total"),
+    ):
+        assert stats["compiles"][name] == samples[series], name
+    for name, series in (
+        ("evictions", "repro_service_memo_evictions_total"),
+        ("size", "repro_service_memo_pipelines"),
+        ("capacity", "repro_service_memo_capacity"),
+        ("index_entries", "repro_service_request_index_entries"),
+    ):
+        assert stats["memo"][name] == health["memo"][name] == samples[series]
+    exposed_health = {
+        series.split('"')[1]: value
+        for series, value in samples.items()
+        if series.startswith("repro_service_health_total{")
+    }
+    assert stats["health"] == health["health"] == exposed_health
+    assert (
+        health["integrity_errors"]
+        == samples["repro_service_integrity_errors_total"]
+        == 0
+    )
 
 
 def test_index_lists_endpoints(shared_service):
