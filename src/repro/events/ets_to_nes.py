@@ -53,7 +53,9 @@ class FiniteCompletenessError(ETSConversionError):
 
 
 def family_of_ets(
-    ets: "ETS", max_occurrences: int = 64
+    ets: "ETS",
+    max_occurrences: int = 64,
+    compared: Optional[Set[Tuple[StateVector, StateVector]]] = None,
 ) -> Dict[EventSet, StateVector]:
     """Compute ``F(T)``: the event-sets collected along paths from ``v0``.
 
@@ -63,6 +65,12 @@ def family_of_ets(
     are unrolled until an event would occur more than ``max_occurrences``
     times, which raises (the paper restricts attention to loop-free ETSs;
     bounded unrolling approximates the lazily-computed infinite NES).
+
+    The traversal reads the initial vertex and the edges; it reads the
+    vertex *labels* only where condition 1 has something to compare —
+    two paths collecting one event-set at different state vectors.
+    Those state pairs are added to ``compared`` when given: they are all
+    a re-labelled ETS has to re-check (:func:`nes_of_ets`).
     """
     family: Dict[EventSet, StateVector] = {frozenset(): ets.initial}
     visited: Set[Tuple[StateVector, EventSet]] = set()
@@ -95,20 +103,17 @@ def family_of_ets(
             previous = family.get(extended)
             if previous is None:
                 family[extended] = edge.dst
-            elif not _same_configuration(ets, previous, edge.dst):
-                raise UniqueConfigurationError(
-                    f"event-set {set(extended)} is reached at state "
-                    f"{previous} and at state {edge.dst}, whose "
-                    "configurations differ (condition 1 of section 3.1)"
-                )
+            elif previous != edge.dst:
+                if compared is not None:
+                    compared.add((previous, edge.dst))
+                if ets.configuration(previous) != ets.configuration(edge.dst):
+                    raise UniqueConfigurationError(
+                        f"event-set {set(extended)} is reached at state "
+                        f"{previous} and at state {edge.dst}, whose "
+                        "configurations differ (condition 1 of section 3.1)"
+                    )
             stack.append((edge.dst, extended))
     return family
-
-
-def _same_configuration(ets: "ETS", s1: StateVector, s2: StateVector) -> bool:
-    if s1 == s2:
-        return True
-    return ets.configuration(s1) == ets.configuration(s2)
 
 
 def _sorted_masks(
@@ -209,9 +214,62 @@ def _mask_of(member: EventSet, index: Dict[Event, int]) -> int:
     return mask
 
 
-def nes_of_ets(ets: "ETS", max_occurrences: int = 64) -> NES:
-    """Convert an ETS to an NES, enforcing both section 3.1 conditions."""
-    family = family_of_ets(ets, max_occurrences=max_occurrences)
+def _adopted_nes(
+    ets: "ETS",
+    max_occurrences: int,
+    previous_ets: Optional["ETS"],
+    previous_nes: NES,
+) -> Optional[NES]:
+    """``previous_nes`` over ``ets``'s vertex labels, or ``None`` when a
+    from-scratch conversion of ``ets`` could come out differently."""
+    # No record: previous_nes was not converted from previous_ets here.
+    pairs = previous_ets and previous_ets.__dict__.get("_condition1_pairs")
+    if (
+        pairs is None
+        or ets.initial != previous_ets.initial
+        or ets.edges != previous_ets.edges
+        or ets.states() != previous_ets.states()
+        or any(event.eid >= max_occurrences for event in previous_nes.events)
+        or any(ets.configuration(a) != ets.configuration(b) for a, b in pairs)
+    ):
+        return None
+    object.__setattr__(ets, "_condition1_pairs", pairs)
+    return previous_nes.with_configurations(
+        {state: ets.configuration(state) for state in ets.states()}
+    )
+
+
+def nes_of_ets(
+    ets: "ETS",
+    max_occurrences: int = 64,
+    previous: Optional[Tuple[Optional["ETS"], NES]] = None,
+) -> NES:
+    """Convert an ETS to an NES, enforcing both section 3.1 conditions.
+
+    ``previous`` is an ``(ets, nes)`` pair from an earlier conversion
+    (the pre-delta one of :meth:`repro.pipeline.Pipeline.update`; a
+    ``None`` ETS — an NES that came out of a warm artifact — lends
+    nothing).  The construction reads the initial vertex and the edges,
+    and the vertex labels only through condition 1 — so when ``ets`` has
+    the earlier ETS's initial state, edges and states, the family, the
+    finite-completeness check and the :class:`EventStructure` are the
+    ones already computed, and the result shares them: the earlier
+    structure and ``g`` with *this* ETS's configurations.  Condition 1
+    is re-checked on exactly the state pairs the earlier traversal had
+    to compare (kept in the ETS's ``__dict__`` like its other derived
+    indexes — in-process, outside equality — and handed on to ``ets``,
+    so a chain of re-labellings keeps adopting); if one now disagrees,
+    or anything else differs, the full conversion below runs, and its
+    result or error is the answer.
+    """
+    if previous is not None:
+        adopted = _adopted_nes(ets, max_occurrences, *previous)
+        if adopted is not None:
+            return adopted
+    compared: Set[Tuple[StateVector, StateVector]] = set()
+    family = family_of_ets(
+        ets, max_occurrences=max_occurrences, compared=compared
+    )
     violations = check_finite_complete(family)
     if violations:
         e1, e2 = violations[0]
@@ -241,4 +299,6 @@ def nes_of_ets(ets: "ETS", max_occurrences: int = 64) -> NES:
     }
     # States referenced by the family but outside ets.states() cannot occur
     # (family destinations always come from ETS edges), so this is total.
-    return NES(structure, family, configurations)
+    nes = NES(structure, family, configurations)
+    object.__setattr__(ets, "_condition1_pairs", frozenset(compared))
+    return nes

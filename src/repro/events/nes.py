@@ -73,6 +73,13 @@ class NES:
     def initial_state(self) -> StateVector:
         return self._g[frozenset()]
 
+    def with_configurations(
+        self, configurations: Mapping[StateVector, Policy]
+    ) -> "NES":
+        """A new NES sharing this one's event structure and ``g`` (both
+        immutable) over other per-state configuration policies."""
+        return NES(self.structure, self._g, configurations)
+
     # -- convenience passthroughs ---------------------------------------------
 
     def con(self, subset: Iterable[Event]) -> bool:

@@ -21,6 +21,7 @@ switch steps come from the tables, link steps from the topology.
 
 from __future__ import annotations
 
+import copy
 import threading
 import weakref
 from dataclasses import dataclass, field, replace
@@ -238,7 +239,29 @@ class Configuration:
         return dict(self._tables)
 
     def table(self, switch: int) -> FlowTable:
-        return self._tables.get(switch, FlowTable())
+        # Every switch of the topology has an entry (__init__); only a
+        # foreign switch falls back to a fresh empty table.
+        table = self._tables.get(switch)
+        return table if table is not None else FlowTable()
+
+    def on_topology(self, topology: Topology) -> "Configuration":
+        """The same tables over ``topology``, which must have this
+        configuration's switch set.
+
+        :func:`compile_policy` reads only the switch set of its topology
+        (the policy spells its own links), so the tables are valid for
+        any topology with those switches; hosts and links reach the
+        result through ``topology`` alone (:meth:`link_step`).  The
+        table dict is shared, not copied.
+        """
+        if topology.switches != self.topology.switches:
+            raise ValueError(
+                "on_topology needs the same switch set: "
+                f"{sorted(self.topology.switches)} != {sorted(topology.switches)}"
+            )
+        moved = copy.copy(self)
+        moved.topology = topology
+        return moved
 
     def rule_count(self) -> int:
         return sum(len(t) for t in self._tables.values())

@@ -228,9 +228,21 @@ class FlowTable:
     def merged_with(self, other: "FlowTable") -> "FlowTable":
         return FlowTable(tuple(self._rules) + tuple(other.rules))
 
+    def __getstate__(self):
+        # Only the rules: the cached repr is derived text that would
+        # bloat every artifact holding this table.
+        return {"_rules": self._rules}
+
     def __repr__(self) -> str:
-        body = "\n".join(f"  {rule!r}" for rule in self._rules)
-        return f"FlowTable(\n{body}\n)"
+        # The canonical wire form (``protocol.tables_to_wire``); a table
+        # is immutable, so the text is computed once — an update that
+        # adopts its predecessor's tables re-serialises none of them.
+        try:
+            return self._repr
+        except AttributeError:
+            body = "\n".join(f"  {rule!r}" for rule in self._rules)
+            self._repr = f"FlowTable(\n{body}\n)"
+            return self._repr
 
 
 def table_of_fdd(builder: FDDBuilder, d: FDD, base_priority: int = 0) -> FlowTable:

@@ -11,11 +11,15 @@ lazily, with per-stage wall-clock timings and stats available via
 The stage sequence is written once, in those three properties.
 :meth:`Pipeline.update` has no copy of it: it constructs an ordinary
 pipeline for the post-delta inputs, points it at its predecessor while
-it compiles, and each property borrows what the delta left alone — the
-partial evaluation when the program is the same object, the NES when
-the ETS came out equal, the tables of configurations whose policy and
-topology are unchanged.  Reuse is decided at those three stage
-boundaries and nowhere finer.
+it compiles, and each property borrows by what its stage actually
+reads — the partial evaluation when the program is the same object; the
+event structure when the ETS kept its initial state and edges (the
+whole NES when it kept its vertex labels too); the tables of every
+configuration whose policy is equal while the switch set is unchanged
+(hosts and links are not compile inputs: the program spells its own
+links); and, when every table was adopted under the same state tuple,
+the guarded merge.  Reuse is decided at those stage boundaries and
+nowhere finer.
 
 There is one executor: the per-configuration ``compile_policy`` calls
 run one after another on one :class:`FDDBuilder`, in
@@ -761,6 +765,8 @@ class Pipeline:
         self._stage_seconds: Dict[str, float] = {}
         self._substage_seconds: Dict[str, float] = {}
         self._update_stats: Dict[str, int] = {}
+        # Configurations the compile stage adopted from a predecessor.
+        self._configurations_adopted = 0
         self._artifact_cache_state: Optional[str] = None
         self._artifact_key: Optional[str] = None
         self._cache: Optional[ArtifactCache] = None
@@ -835,6 +841,11 @@ class Pipeline:
                                 self.initial_state,
                                 symbolic=symbolic,
                             )
+                        if previous is not None and ets == previous._ets:
+                            # Equal in every field: keep the one object,
+                            # with the indexes (and the conversion's
+                            # condition-1 pairs) already derived on it.
+                            ets = previous._ets
                         end = time.perf_counter()
                         stage_span.set(states=len(ets.states()))
                     self._substage_seconds["ets.symbolic"] = mid - start
@@ -859,14 +870,20 @@ class Pipeline:
                     else:
                         ets = self.ets
                         previous = self._predecessor
-                        if previous is not None and ets == previous._ets:
+                        if previous is not None and ets is previous._ets:
                             # Same initial state, vertex labeling and
-                            # edge set: the conversion (and its checks)
+                            # edge set (the ets stage kept the equal
+                            # object): the conversion and its checks
                             # would reproduce the predecessor's NES.
                             self._nes = previous.nes
                         else:
                             with self._stage("nes") as stage_span:
-                                nes = nes_of_ets(ets)
+                                # Same initial state and edges under
+                                # other labels: the conversion adopts
+                                # the predecessor's event structure (a
+                                # warm-cache source has no ETS to lend).
+                                lender = previous and (previous._ets, previous.nes)
+                                nes = nes_of_ets(ets, previous=lender)
                                 stage_span.set(events=len(nes.events))
                             self._nes = nes
         return self._nes
@@ -888,30 +905,45 @@ class Pipeline:
                             health=self._health,
                             reuse_configurations=reuse,
                         )
+                        if reuse and len(reuse) == len(compiled.states):
+                            lender = self._predecessor.compiled
+                            if compiled.states == lender.states:
+                                # Every table adopted under the same
+                                # state tuple, hence the same config ids
+                                # and guards: the predecessor's merge.
+                                compiled.adopt_guarded_tables(lender)
                         stage_span.set(
                             configurations=len(compiled.states),
                             reused_configurations=len(reuse),
                         )
+                    self._configurations_adopted = len(reuse)
                     self._compiled = compiled
                     self._store_artifact()
         return self._compiled
 
     def _reusable_configurations(self, nes: NES) -> Dict[StateVector, object]:
         """The predecessor's compiled configurations this pipeline may
-        adopt: tables are a pure function of policy + topology + field
-        order, so a state qualifies when its configuration policy is
-        equal and the topology fingerprint is unchanged."""
+        adopt.  Tables are a pure function of the configuration policy,
+        the topology's *switch set* and the output-affecting options
+        (unchanged across an update) — links live in the program, and
+        hosts are not a compile input — so a state qualifies when its
+        policy is equal and the switch set is unchanged.  Under a new
+        topology object the adopted configuration is re-homed on it,
+        sharing its tables."""
         previous = self._predecessor
-        if previous is None or (
-            previous.topology is not self.topology
-            and _topology_fingerprint(previous.topology)
-            != _topology_fingerprint(self.topology)
-        ):
+        if previous is None:
+            return {}
+        rehome = previous.topology is not self.topology
+        if rehome and previous.topology.switches != self.topology.switches:
             return {}
         old_policy = previous.nes.configuration_policy
         configurations = previous.compiled.configurations
         return {
-            state: configurations[state]
+            state: (
+                configurations[state].on_topology(self.topology)
+                if rehome
+                else configurations[state]
+            )
             for state in nes.configuration_states()
             if state in configurations
             and nes.configuration_policy(state) == old_policy(state)
@@ -999,12 +1031,23 @@ class Pipeline:
 
         - :attr:`ets` takes the retained :class:`SymbolicProgram` (and
           its per-state memo) when the program is the same object;
-        - :attr:`nes` takes the whole NES when the new ETS equals the
-          old one, so the conversion and its checks rerun whenever the
-          delta touched an edge or a configuration;
-        - :attr:`compiled` adopts the tables of every state whose
-          configuration policy is equal while the topology fingerprint
-          is unchanged (the ``reuse_configurations`` seam).
+        - :attr:`nes` reads the ETS's initial state and edges, and its
+          vertex labels only through condition 1 of section 3.1: it
+          takes the whole NES when the new ETS equals the old one, and
+          the event structure (re-labelled with the new configurations,
+          condition 1 re-checked) when only vertex labels changed; the
+          conversion reruns whenever the delta touched an edge;
+        - :attr:`compiled` reads each configuration policy, the
+          topology's switch set and the output-affecting options (links
+          live in the program; hosts are no compile input): it adopts
+          the tables of every state whose policy is equal while the
+          switch set is unchanged (the ``reuse_configurations`` seam),
+          re-homed on the post-delta topology — so a host or link delta
+          compiles nothing, and a switch delta everything;
+        - the guarded merge reads the state tuple, the tables, the
+          switch set and the tag field: when every table was adopted
+          and the states are the same, the predecessor's memoised
+          ``guarded_tables()`` variants are adopted too.
 
         The contract is byte identity with a cold pipeline on the
         post-delta inputs.  A warm artifact under the post-delta
@@ -1016,12 +1059,13 @@ class Pipeline:
         (delta application + warm-artifact check) and five ``update.*``
         stats: ``states_reused`` counts the ETS states whose out-edges
         and configuration equal this pipeline's, ``states_reinstantiated``
-        the rest; ``configurations_reused`` the adopted tables (all of
-        them on a warm-artifact hit, which builds no ETS),
-        ``configurations_recompiled`` the rest.  Any exception leaving
-        ``update()`` — typed or not (a ``LocalityError`` is a plain
-        ``Exception``) — carries the discarded result's absorbed-failure
-        counters as ``exc.health``: the caller has no pipeline to ask.
+        the rest; ``configurations_reused`` the configurations the
+        compile stage adopted (all of them on a warm-artifact hit, which
+        builds no ETS), ``configurations_recompiled`` the rest.  Any
+        exception leaving ``update()`` — typed or not (a
+        ``LocalityError`` is a plain ``Exception``) — carries the
+        discarded result's absorbed-failure counters as ``exc.health``:
+        the caller has no pipeline to ask.
         """
         with obs_trace.span("pipeline.update"):
             start = time.perf_counter()
@@ -1035,7 +1079,7 @@ class Pipeline:
             # arrive at an already-compiled pipeline).  Its ETS and
             # engine are lent only if it ran those stages itself — a
             # warm-cache source never did.
-            old_configurations = self.compiled.configurations
+            self.compiled
             updated._predecessor = self
             try:
                 updated._load_artifact()
@@ -1060,10 +1104,7 @@ class Pipeline:
                 )
             total = reused = len(compiled.states)
             if updated._artifact_cache_state != "hit":
-                reused = sum(
-                    old_configurations.get(state) is configuration
-                    for state, configuration in compiled.configurations.items()
-                )
+                reused = updated._configurations_adopted
             updated._update_stats = {
                 "update.states_reinstantiated": len(states) - states_reused,
                 "update.states_reused": states_reused,

@@ -79,10 +79,12 @@ def _compile_configurations(
     adopted as-is (the incremental-recompilation seam:
     :meth:`repro.pipeline.Pipeline.update` passes the unaffected
     configurations of the pre-delta artifact).  Because tables are a
-    pure function of (policy, topology, field order), a reused
-    configuration is byte-identical to what a fresh compile would
-    produce — the caller is responsible for only offering entries whose
-    policy and topology are unchanged.  The result dict is built in
+    pure function of (policy, switch set, output-affecting options) —
+    links live in the program, and ``compile_policy`` reads nothing
+    else of the topology — a reused configuration is byte-identical to
+    what a fresh compile would produce; the caller is responsible for
+    only offering entries whose policy and switch set are unchanged,
+    homed on ``topology``.  The result dict is built in
     ``states`` order regardless, so reuse never perturbs iteration (or
     pickle) order.
 
@@ -193,9 +195,10 @@ class CompiledNES:
         configurations adopted without recompiling (see
         :func:`_compile_configurations`); entries for states this NES
         does not have are ignored.  Callers must only offer entries
-        whose policy and topology are unchanged — tables are a pure
-        function of those, so adopted entries are byte-identical to a
-        fresh compile.
+        whose policy and switch set are unchanged (tables are a pure
+        function of policy, switch set and output-affecting options;
+        links live in the program), homed on ``topology`` — adopted
+        entries are then byte-identical to a fresh compile.
         """
         if options is None:
             options = _default_options()
@@ -291,6 +294,20 @@ class CompiledNES:
     def invalidate_guarded_tables(self) -> None:
         """Drop every memoized merged-table variant (rebuilt on access)."""
         self._guarded_tables.clear()
+
+    def adopt_guarded_tables(self, other: "CompiledNES") -> None:
+        """Take over the merged-table variants ``other`` has memoized.
+
+        The merge is a function of the state tuple (hence the config
+        ids guarding each rule), the per-configuration tables, the
+        switch set and the tag field keying the memo; the caller vouches
+        that the first three are ``other``'s.  The memo is copied, so
+        invalidating either side leaves the other alone; the immutable
+        :class:`FlowTable` values are shared.
+        """
+        # One C-level copy: ``other`` may be memoizing a new variant on
+        # another thread, and its inner dicts are never mutated.
+        self._guarded_tables = dict(other._guarded_tables)
 
     # -- persistence ------------------------------------------------------------
 

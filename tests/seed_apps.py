@@ -1,10 +1,12 @@
 """Shared helpers for the byte-identity golden tests.
 
 One definition of the seven seed applications, of the canonical
-guarded-table serialization, and of the reference compile the goldens
-compare the pipeline against, imported by ``test_compiler_caching.py``
-and ``test_pipeline.py`` — so adding a seed app or changing the
-serialization updates every golden suite at once.
+guarded-table serialization, of the reference compile the goldens
+compare the pipeline against, and of the deltas (policy and topology
+edits) the update suites apply, imported by
+``test_compiler_caching.py``, ``test_pipeline.py``,
+``test_differential.py`` and ``test_faults.py`` — so adding a seed app
+or changing the serialization updates every golden suite at once.
 """
 
 from repro.apps import (
@@ -22,7 +24,9 @@ from repro.netkat.ast import Filter, conj, test as field_test
 from repro.netkat.fdd import FDDBuilder
 from repro.pipeline import Delta, Pipeline
 from repro.runtime.compiler import CompiledNES
+from repro.service.protocol import topology_from_wire, topology_to_wire
 from repro.stateful.ets import ETS, build_ets
+from repro.topology import Topology
 
 APPS = (
     ("firewall", firewall_app),
@@ -51,6 +55,40 @@ def cold_after(app, delta: Delta) -> Pipeline:
         delta.apply_initial_state(app.initial_state),
         app.options,
     )
+
+
+def edited_topology(topology: Topology, **parts) -> Topology:
+    """A new topology: ``topology``'s wire form with ``links`` /
+    ``hosts`` / ``switches`` replaced by the given lists."""
+    return topology_from_wire({**topology_to_wire(topology), **parts})
+
+
+def switch_preserving_edits(app) -> dict:
+    """Four host/link edits of ``app.topology`` that keep its switch
+    set — the deltas under which ``Pipeline.update`` compiles nothing."""
+    wire = topology_to_wire(app.topology)
+    near, far = min(wire["switches"]), max(wire["switches"])
+    (name, attachment), *other_hosts = wire["hosts"]
+    program_text = repr(app.program)
+    used = next(
+        link for link in wire["links"]
+        if f"({link[0]})->({link[1]})" in program_text
+    )
+    return {
+        "attach_host": edited_topology(
+            app.topology, hosts=wire["hosts"] + [["HX", f"{near}:9"]]
+        ),
+        "move_host": edited_topology(
+            app.topology,
+            hosts=[[name, f"{attachment.split(':')[0]}:9"], *other_hosts],
+        ),
+        "add_unused_link": edited_topology(
+            app.topology, links=wire["links"] + [[f"{near}:11", f"{far}:11"]]
+        ),
+        "remove_used_link": edited_topology(
+            app.topology, links=[l for l in wire["links"] if l != used]
+        ),
+    }
 
 
 def firewall_policy_delta() -> Delta:

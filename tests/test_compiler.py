@@ -228,12 +228,33 @@ class TestConfigurationObject:
         assert len(cfg.table(1)) == 0
         assert cfg.rule_count() == 0
 
+    def test_table_lookup_builds_nothing_for_a_known_switch(self):
+        topo = firewall_topology()
+        cfg = Configuration({}, topo)
+        assert cfg.table(1) is cfg.table(1) is cfg.tables[1]
+        # A foreign switch still reads as an empty table.
+        assert len(cfg.table(99)) == 0 and 99 not in cfg.tables
+
     def test_link_step_follows_topology(self):
         topo = firewall_topology()
         cfg = Configuration({}, topo)
         lp = LocatedPacket.of(Packet({"sw": 1, "pt": 1}))
         (out,) = cfg.link_step(lp)
         assert out.location == Location(4, 1)
+
+    def test_on_topology_shares_tables_and_follows_the_new_links(self):
+        cfg = compile_policy(link("1:1", "4:1"), firewall_topology(), name="C")
+        rewired = Topology().add_link("1:1", "4:7").add_host("H9", "4:9")
+        moved = cfg.on_topology(rewired)
+        assert moved.topology is rewired and cfg.topology is not rewired
+        assert moved.name == "C"
+        assert all(moved.table(n) is cfg.table(n) for n in (1, 4))
+        lp = LocatedPacket.of(Packet({"sw": 1, "pt": 1}))
+        assert {o.location for o in moved.link_step(lp)} == {Location(4, 7)}
+        assert {o.location for o in cfg.link_step(lp)} == {Location(4, 1)}
+        # The tables were compiled for these switches and no others.
+        with pytest.raises(ValueError, match="same switch set"):
+            cfg.on_topology(Topology().add_link("1:1", "5:1"))
 
     def test_step_is_union_of_switch_and_link(self):
         topo = firewall_topology()

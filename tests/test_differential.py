@@ -261,8 +261,10 @@ def test_star_with_modification_cycle():
 # ---------------------------------------------------------------------------
 #
 # Starting from each seed application, a seeded generator produces a
-# chain of random deltas (initial-state component writes and sub-policy
-# replacements drawn from the program's own subterms).  At every step
+# chain of random deltas (initial-state component writes, sub-policy
+# replacements drawn from the program's own subterms, and topology
+# edits: host attach/move, unused-link add/remove, switch add).  At
+# every step
 # the incremental path (``Pipeline.update``) is compared against a cold
 # pipeline built from the post-delta program: both must yield
 # byte-identical guarded tables, or raise the same exception type (in
@@ -271,8 +273,9 @@ def test_star_with_modification_cycle():
 
 from repro.netkat import ast as _nk
 from repro.pipeline import Delta, Pipeline
+from repro.service.protocol import topology_to_wire
 
-from seed_apps import APPS, guarded_bytes
+from seed_apps import APPS, edited_topology, guarded_bytes
 
 
 def _subpolicies(p: Policy):
@@ -301,11 +304,51 @@ def _state_values(p: Policy, initial):
     return sorted(values)
 
 
-def _random_delta(rng: random.Random, program: Policy, initial) -> Delta:
-    if rng.random() < 0.5:
+# Ports from here up are the generator's own: no seed program mentions
+# them, so a link between two of them is unused by construction.
+_SPARE_PORT = 100
+
+
+def _random_topology(rng: random.Random, topology):
+    wire = topology_to_wire(topology)
+    links, hosts, switches = wire["links"], wire["hosts"], wire["switches"]
+    ports = [
+        int(location.split(":")[1])
+        for location in [loc for link in links for loc in link]
+        + [attachment for _, attachment in hosts]
+    ]
+    port = max([_SPARE_PORT - 1] + ports) + 1
+    spare = f"{rng.choice(switches)}:{port}"
+    unused = [l for l in links if int(l[0].split(":")[1]) >= _SPARE_PORT]
+    kind = rng.choice(
+        ["attach", "move", "add_link", "add_switch"]
+        + ["remove_link"] * bool(unused)
+    )
+    if kind == "attach":
+        return edited_topology(topology, hosts=hosts + [[f"X{port}", spare]])
+    if kind == "move":
+        moved = rng.randrange(len(hosts))
+        return edited_topology(topology, hosts=[
+            [name, spare if i == moved else attachment]
+            for i, (name, attachment) in enumerate(hosts)
+        ])
+    if kind == "add_link":
+        far = f"{rng.choice(switches)}:{port + 1}"
+        return edited_topology(topology, links=links + [[spare, far]])
+    if kind == "remove_link":
+        gone = rng.choice(unused)
+        return edited_topology(topology, links=[l for l in links if l != gone])
+    return edited_topology(topology, switches=switches + [max(switches) + 1])
+
+
+def _random_delta(rng: random.Random, program: Policy, initial, topology) -> Delta:
+    kind = rng.randrange(3)
+    if kind == 0:
         component = rng.randrange(len(initial))
         value = rng.choice(_state_values(program, initial))
         return Delta(set_state=((component, value),))
+    if kind == 1:
+        return Delta(topology=_random_topology(rng, topology))
     filters = [s for s in _subpolicies(program) if isinstance(s, _nk.Filter)]
     old = rng.choice(filters)
     roll = rng.random()
@@ -337,11 +380,11 @@ def test_random_delta_chains_match_cold_rebuild(app_index, seed):
     base = Pipeline(program, topology, initial)
     base.compiled
     for _ in range(3):
-        delta = _random_delta(rng, program, initial)
+        delta = _random_delta(rng, program, initial, topology)
         cold = _outcome(
             lambda: Pipeline(
                 delta.apply_program(program),
-                topology,
+                delta.apply_topology(topology),
                 delta.apply_initial_state(initial),
             ).compiled
         )
@@ -352,5 +395,6 @@ def test_random_delta_chains_match_cold_rebuild(app_index, seed):
         if cold[0] == "error":
             break
         program = delta.apply_program(program)
+        topology = delta.apply_topology(topology)
         initial = delta.apply_initial_state(initial)
         base = base.update(delta)

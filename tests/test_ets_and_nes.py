@@ -272,6 +272,128 @@ class TestNES:
         assert nes.newly_enabled(frozenset({event})) == frozenset()
 
 
+class TestStructureAdoption:
+    """``nes_of_ets(ets, previous=(old_ets, old_nes))``: the conversion
+    reads the initial vertex, the edges, and the vertex labels only
+    through condition 1 -- a re-labelled ETS adopts the structure."""
+
+    E1, E2 = ev("a", 1, 1, 1), ev("b", 1, 1, 1)
+    STATES = [(0,), (1,), (2,), (3,), (4,)]
+    # {e1,e2} is collected at (3,) via e1;e2 and at (4,) via e2;e1.
+    EDGES = [
+        EventEdge((0,), E1, (1,)),
+        EventEdge((0,), E2, (2,)),
+        EventEdge((1,), E2, (3,)),
+        EventEdge((2,), E1, (4,)),
+    ]
+
+    def split_diamond(self, relabel=None, edges=None, initial=(0,)):
+        configs = distinct_policies(self.STATES)
+        configs[(4,)] = configs[(3,)]  # equal policies: condition 1 holds
+        configs.update(relabel or {})
+        return make_ets(initial, configs, self.EDGES if edges is None else edges)
+
+    def converted(self):
+        ets = self.split_diamond()
+        return ets, nes_of_ets(ets)
+
+    def test_conversion_records_the_compared_pair(self):
+        ets, nes = self.converted()
+        assert nes.state_of({self.E1, self.E2}) in {(3,), (4,)}
+        (pair,) = ets.__dict__["_condition1_pairs"]
+        assert set(pair) == {(3,), (4,)}
+        compared = set()
+        family_of_ets(ets, compared=compared)
+        assert compared == {pair}
+        # A proper diamond compares nothing: both paths end at one state.
+        diamond = self.split_diamond(
+            edges=self.EDGES[:3] + [EventEdge((2,), self.E1, (3,))]
+        )
+        nes_of_ets(diamond)
+        assert diamond.__dict__["_condition1_pairs"] == frozenset()
+
+    @pytest.mark.parametrize("state", [(0,), (1,), (2,)])
+    def test_relabelling_an_uncompared_vertex_adopts(self, state):
+        ets, nes = self.converted()
+        relabelled = self.split_diamond({state: assign("cfg", 99)})
+        adopted = nes_of_ets(relabelled, previous=(ets, nes))
+        assert adopted is not nes
+        assert adopted.structure is nes.structure
+        assert adopted.configuration_policy(state) == assign("cfg", 99)
+        scratch = nes_of_ets(self.split_diamond({state: assign("cfg", 99)}))
+        assert adopted.event_sets() == scratch.event_sets()
+        for event_set in scratch.event_sets():
+            assert adopted.state_of(event_set) == scratch.state_of(event_set)
+            assert adopted.config_of(event_set) == scratch.config_of(event_set)
+        # The pairs are handed on, so the result lends in turn.
+        again = self.split_diamond({state: assign("cfg", 98)})
+        assert nes_of_ets(
+            again, previous=(relabelled, adopted)
+        ).structure is nes.structure
+
+    def test_relabelling_both_compared_vertices_alike_adopts(self):
+        ets, nes = self.converted()
+        both = {(3,): assign("cfg", 7), (4,): assign("cfg", 7)}
+        adopted = nes_of_ets(self.split_diamond(both), previous=(ets, nes))
+        assert adopted.structure is nes.structure
+        assert adopted.config_of({self.E1, self.E2}) == assign("cfg", 7)
+
+    @pytest.mark.parametrize("state", [(3,), (4,)])
+    def test_relabelling_a_compared_vertex_is_the_cold_error(self, state):
+        ets, nes = self.converted()
+        relabel = {state: assign("cfg", 99)}
+        with pytest.raises(UniqueConfigurationError) as cold:
+            nes_of_ets(self.split_diamond(relabel))
+        with pytest.raises(UniqueConfigurationError) as adopting:
+            nes_of_ets(self.split_diamond(relabel), previous=(ets, nes))
+        assert str(adopting.value) == str(cold.value)
+
+    def test_an_edge_initial_or_vertex_set_change_never_adopts(self):
+        ets, nes = self.converted()
+        rerouted = self.split_diamond(
+            edges=self.EDGES[:3] + [EventEdge((2,), self.E1, (3,))]
+        )
+        restarted = self.split_diamond(initial=(1,))
+        configs = dict(ets.vertices)
+        grown = make_ets((0,), {**configs, (5,): assign("cfg", 5)}, self.EDGES)
+        for changed in (rerouted, restarted, grown):
+            converted = nes_of_ets(changed, previous=(ets, nes))
+            assert converted.structure is not nes.structure
+            scratch = nes_of_ets(
+                make_ets(changed.initial, dict(changed.vertices), changed.edges)
+            )
+            assert converted.event_sets() == scratch.event_sets()
+            assert converted.configuration_states() == scratch.configuration_states()
+
+    def test_nothing_is_lent_without_a_recorded_conversion(self):
+        ets, nes = self.converted()
+        # An equal ETS nobody converted (a warm artifact's NES has none
+        # at all) carries no pairs, so it cannot vouch for condition 1.
+        unconverted = self.split_diamond()
+        relabelled = self.split_diamond({(0,): assign("cfg", 99)})
+        for lender in (unconverted, None):
+            assert nes_of_ets(
+                relabelled, previous=(lender, nes)
+            ).structure is not nes.structure
+
+    def test_a_tighter_occurrence_bound_is_still_enforced(self):
+        from repro.events.ets_to_nes import ETSConversionError
+
+        e = ev("a", 1, 1, 1)
+        states = [(0,), (1,), (2,)]
+        edges = [EventEdge((0,), e, (1,)), EventEdge((1,), e, (2,))]
+        chain = make_ets((0,), distinct_policies(states), edges)
+        nes = nes_of_ets(chain)
+        relabelled = make_ets(
+            (0,), {**distinct_policies(states), (2,): assign("cfg", 9)}, edges
+        )
+        with pytest.raises(ETSConversionError):
+            nes_of_ets(relabelled, max_occurrences=1, previous=(chain, nes))
+        assert nes_of_ets(
+            relabelled, max_occurrences=2, previous=(chain, nes)
+        ).structure is nes.structure
+
+
 class TestLocality:
     def test_program_p1_not_locally_determined(self):
         """Section 2's P1: incompatible events at *different* switches."""

@@ -25,10 +25,12 @@ from repro.stateful.ets import build_ets
 from seed_apps import (
     APPS,
     cold_after,
+    edited_topology,
     firewall_policy_delta,
     guarded_bytes,
     reference_compile,
     reference_ets,
+    switch_preserving_edits,
 )
 
 
@@ -712,6 +714,280 @@ class TestPipelineUpdate:
         assert guarded_bytes(updated.compiled) == reference
         stats = dict(updated.report().stats)
         assert stats["update.reuse_percent"] == 100
+
+    # -- topology deltas: the compile reads the switch set, nothing else ----
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["attach_host", "move_host", "add_unused_link", "remove_used_link"],
+    )
+    @pytest.mark.parametrize("name,make", APPS, ids=[name for name, _ in APPS])
+    def test_host_and_link_deltas_adopt_every_table(self, name, make, edit):
+        from repro import faults
+        from repro.netkat.packet import LocatedPacket, Packet
+        from repro.obs import trace
+
+        app = make()
+        base = Pipeline(app.program, app.topology, app.initial_state)
+        base.compiled
+        topology = switch_preserving_edits(app)[edit]
+        delta = Delta(topology=topology)
+        plan = faults.FaultPlan({})
+        with faults.injected(plan), trace.recording() as tracer:
+            updated = base.update(delta)
+        cold = cold_after(app, delta)
+        assert guarded_bytes(updated.compiled) == guarded_bytes(cold.compiled)
+        assert updated.artifact_key() == cold.artifact_key()
+        assert updated.artifact_key() != base.artifact_key()
+        # Nothing was compiled: not by the stats, not by the trace, not
+        # by the fault site every per-configuration attempt passes.
+        stats = dict(updated.report().stats)
+        assert stats["update.configurations_recompiled"] == 0
+        assert stats["update.configurations_reused"] == len(cold.compiled.states)
+        assert stats["update.reuse_percent"] == 100
+        spans = tracer.finished()
+        assert not [s for s in spans if s["name"] == "compile.configuration"]
+        (compile_span,) = [s for s in spans if s["name"] == "compile"]
+        assert compile_span["attrs"]["reused_configurations"] == len(
+            cold.compiled.states
+        )
+        assert plan.hits("executor.worker") == 0
+        assert plan.hits("stage.compile") == 1
+        # The adopted tables live on the *new* topology.
+        assert updated.compiled.topology is topology
+        assert updated.compiled.stamp_rule_count() == cold.compiled.stamp_rule_count()
+        locations = {
+            location
+            for wiring in (app.topology, topology)
+            for link in wiring.links()
+            for location in link
+        }
+        for state, configuration in updated.compiled.configurations.items():
+            assert configuration.topology is topology
+            # Same tables as the predecessor's, not copies of them.
+            assert configuration.tables == base.compiled.configurations[state].tables
+            for location in locations:
+                lp = LocatedPacket(Packet({"ip_dst": 1}), location)
+                assert configuration.link_step(lp) == (
+                    cold.compiled.configurations[state].link_step(lp)
+                )
+
+    @pytest.mark.parametrize("name,make", APPS, ids=[name for name, _ in APPS])
+    def test_switch_deltas_recompile(self, name, make):
+        from repro.netkat.flowtable import FlowTable
+        from repro.service.protocol import tables_to_wire
+
+        app = make()
+        switches = sorted(app.topology.switches)
+        spare = switches[-1] + 1
+        wider = edited_topology(app.topology, switches=switches + [spare])
+        base = Pipeline(app.program, app.topology, app.initial_state)
+        wide_base = Pipeline(app.program, wider, app.initial_state)
+        # Adding a switch, and removing one the program never mentions.
+        for source, topology in ((base, wider), (wide_base, app.topology)):
+            delta = Delta(topology=topology)
+            updated = source.update(delta)
+            cold = Pipeline(app.program, topology, app.initial_state)
+            assert guarded_bytes(updated.compiled) == guarded_bytes(cold.compiled)
+            assert updated.artifact_key() == cold.artifact_key()
+            stats = dict(updated.report().stats)
+            assert stats["update.configurations_reused"] == 0
+            assert stats["update.configurations_recompiled"] == len(
+                cold.compiled.states
+            )
+        wire = tables_to_wire(base.update(Delta(topology=wider)).compiled)
+        assert wire[str(spare)] == repr(FlowTable())
+        assert str(spare) not in tables_to_wire(wide_base.update(
+            Delta(topology=app.topology)
+        ).compiled)
+
+    # -- configuration-only deltas: the event structure is adopted ----------
+
+    @staticmethod
+    def reply_filter_delta(ip_dst: int, was: int = 1) -> Delta:
+        """Re-aim the bandwidth cap's reply-path filter: every
+        configuration changes, no event does."""
+        from repro.netkat.ast import Filter, conj, test
+
+        return Delta(
+            replace_policy=Filter(conj(test("pt", 2), test("ip_dst", was))),
+            with_policy=Filter(conj(test("pt", 2), test("ip_dst", ip_dst))),
+        )
+
+    def test_configuration_only_delta_adopts_the_event_structure(self):
+        app = bandwidth_cap_app()
+        base = Pipeline(app.program, app.topology, app.initial_state)
+        delta = self.reply_filter_delta(2)
+        updated = base.update(delta)
+        assert updated.ets.edges == base.ets.edges
+        assert updated.ets.vertices != base.ets.vertices
+        assert updated.nes.structure is base.nes.structure
+        assert updated.nes is not base.nes
+        # The configurations are the new ETS's; only the last state's
+        # (reply path already disabled) came out as before.
+        for state, policy in updated.ets.vertices:
+            assert updated.nes.configuration_policy(state) is policy
+        stats = dict(updated.report().stats)
+        assert stats["update.configurations_reused"] == 1
+        assert stats["update.configurations_recompiled"] == len(base.ets.states()) - 1
+        cold = cold_after(app, delta)
+        assert guarded_bytes(updated.compiled) == guarded_bytes(cold.compiled)
+        # The borrow went through the nes stage, not around it.
+        assert [name for name, _ in updated.report().stage_seconds] == [
+            "ets", "nes", "compile",
+        ]
+        # A second configuration-only delta, applied to the result,
+        # adopts again: the condition-1 pairs were handed on.
+        again = updated.update(self.reply_filter_delta(3, was=2))
+        assert again.nes.structure is base.nes.structure
+        assert guarded_bytes(again.compiled) == guarded_bytes(
+            cold_after(cold, self.reply_filter_delta(3, was=2)).compiled
+        )
+        # ... also across a delta that kept the ETS whole.
+        moved = updated.update(
+            Delta(topology=switch_preserving_edits(app)["attach_host"])
+        )
+        assert moved.nes is updated.nes
+        assert moved.update(
+            self.reply_filter_delta(3, was=2)
+        ).nes.structure is base.nes.structure
+
+    def test_structure_adoption_keeps_the_nes_fault_boundary(self):
+        from repro import faults
+        from repro.pipeline import StageError
+
+        app = bandwidth_cap_app()
+        base = Pipeline(app.program, app.topology, app.initial_state)
+        base.compiled
+        plan = faults.FaultPlan({"stage.nes": faults.FaultRule(max_fires=1)})
+        with faults.injected(plan), pytest.raises(StageError) as info:
+            base.update(self.reply_filter_delta(2))
+        assert info.value.stage == "nes"
+        assert info.value.health == {}
+
+    def test_a_broken_condition_1_pair_is_the_cold_error(self):
+        """Two paths collect {e1,e2} at different state vectors whose
+        configurations are equal -- until a delta tells them apart."""
+        from repro.events.ets_to_nes import UniqueConfigurationError
+        from repro.netkat.ast import Filter, test
+        from repro.netkat.parser import parse_policy
+        from repro.stateful.ast import state_test
+        from repro.topology import firewall_topology
+
+        program = parse_policy(
+            """
+            ip_dst=4; ( state(0)=0 & state(1)=0; (1:1)->(4:1)<state(0)<-1>
+                      + state(0)=0 & state(1)=1; (1:1)->(4:1)<state(0)<-2>
+                      + !state(0)=0; (1:1)->(4:1) )
+            + ip_dst=1; ( state(1)=0; (4:1)->(1:1)<state(1)<-1>
+                        + state(1)=1; (4:1)->(1:1) )
+            + ip_dst=7; pt<-3
+            """
+        )
+        base = Pipeline(program, firewall_topology(), (0, 0))
+        base.compiled
+        marker = Filter(test("ip_dst", 7))
+        # Still state-blind: the structure is adopted.
+        harmless = Delta(replace_policy=marker, with_policy=Filter(test("ip_dst", 8)))
+        updated = base.update(harmless)
+        assert updated.nes.structure is base.nes.structure
+        assert guarded_bytes(updated.compiled) == guarded_bytes(
+            cold_after(base, harmless).compiled
+        )
+        # Tells (1,1) from (2,1): the full conversion runs and refuses.
+        splitting = Delta(replace_policy=marker, with_policy=Filter(state_test(0, 2)))
+        with pytest.raises(UniqueConfigurationError) as cold:
+            cold_after(base, splitting).compiled
+        with pytest.raises(UniqueConfigurationError) as incremental:
+            base.update(splitting)
+        assert str(incremental.value) == str(cold.value)
+        assert incremental.value.health == {}
+
+    def test_an_edge_or_initial_state_delta_never_adopts(self):
+        from repro.netkat.ast import Filter, conj, test
+
+        app = bandwidth_cap_app()
+        base = Pipeline(app.program, app.topology, app.initial_state)
+        # The outgoing filter is every event's guard: all edges change.
+        edges = Delta(
+            replace_policy=Filter(conj(test("pt", 2), test("ip_dst", 4))),
+            with_policy=Filter(conj(test("pt", 2), test("ip_dst", 3))),
+        )
+        for delta in (edges, Delta(set_state=((0, 1),))):
+            updated = base.update(delta)
+            assert updated.nes.structure is not base.nes.structure
+            assert guarded_bytes(updated.compiled) == guarded_bytes(
+                cold_after(app, delta).compiled
+            )
+
+    def test_a_warm_artifact_predecessor_lends_no_structure(self, tmp_path):
+        app = bandwidth_cap_app()
+        options = CompileOptions(cache_dir=tmp_path)
+        Pipeline(app.program, app.topology, app.initial_state, options).compiled
+        source = Pipeline(app.program, app.topology, app.initial_state, options)
+        source.compiled
+        assert source.report().artifact_cache == "hit" and source._ets is None
+        delta = self.reply_filter_delta(2)
+        updated = source.update(delta)
+        assert updated.nes.structure is not source.nes.structure
+        assert guarded_bytes(updated.compiled) == guarded_bytes(
+            cold_after(app, delta).compiled
+        )
+
+    # -- fully adopted updates: the guarded merge is adopted ----------------
+
+    def test_fully_adopted_update_adopts_the_guarded_merge(self):
+        app = bandwidth_cap_app()
+        base = Pipeline(app.program, app.topology, app.initial_state)
+        default = base.compiled.guarded_tables()
+        other = base.compiled.guarded_tables("vlan")
+        updated = base.update(
+            Delta(topology=switch_preserving_edits(app)["attach_host"])
+        )
+        for tag_field, tables in ((None, default), ("vlan", other)):
+            adopted = updated.compiled.guarded_tables(tag_field)
+            assert adopted.keys() == tables.keys()
+            assert all(adopted[sw] is tables[sw] for sw in tables)
+        # A variant the predecessor never asked for is merged here.
+        fresh = updated.compiled.guarded_tables("mpls")
+        assert repr(fresh) == repr(base.compiled.guarded_tables("mpls"))
+        # The memo was copied: invalidating one side leaves the other.
+        updated.compiled.invalidate_guarded_tables()
+        assert base.compiled.guarded_tables()[1] is default[1]
+        assert updated.compiled.guarded_tables()[1] is not default[1]
+        again = base.update(Delta())
+        base.compiled.invalidate_guarded_tables()
+        assert again.compiled.guarded_tables()[1] is default[1]
+
+    def test_shifted_config_ids_do_not_adopt_the_guarded_merge(self):
+        app = bandwidth_cap_app()
+        base = Pipeline(app.program, app.topology, app.initial_state)
+        merged = base.compiled.guarded_tables()
+        # Advancing the counter drops state 0: every table is adopted,
+        # but the surviving states' config ids (their guards) shift.
+        delta = Delta(set_state=((0, 1),))
+        updated = base.update(delta)
+        stats = dict(updated.report().stats)
+        assert stats["update.configurations_recompiled"] == 0
+        assert updated.compiled.states != base.compiled.states
+        assert not updated.compiled._guarded_tables
+        tables = updated.compiled.guarded_tables()
+        assert all(tables[sw] is not merged[sw] for sw in tables)
+        assert guarded_bytes(updated.compiled) == guarded_bytes(
+            cold_after(app, delta).compiled
+        )
+
+    def test_cached_table_repr_is_never_pickled(self):
+        app = firewall_app()
+        compiled = Pipeline(app.program, app.topology, app.initial_state).compiled
+        before = pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL)
+        for configuration in compiled.configurations.values():
+            for table in configuration.tables.values():
+                assert repr(table) is repr(table)  # computed once
+        guarded_bytes(compiled)
+        assert pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL) == before
+        restored = pickle.loads(before)
+        assert guarded_bytes(restored) == guarded_bytes(compiled)
 
 
 # ---------------------------------------------------------------------------
