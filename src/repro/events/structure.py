@@ -45,11 +45,6 @@ E = TypeVar("E", bound=Hashable)
 
 __all__ = ["EventStructure"]
 
-# Cap on foreign (non-universe) event objects interned into the id fast
-# path; beyond it encode() falls back to plain hashing rather than
-# pinning an unbounded stream of fresh objects in memory.
-_FOREIGN_INTERN_LIMIT = 4096
-
 
 class EventStructure(Generic[E]):
     """A finite event structure ``(E, con, ⊢)``."""
@@ -69,18 +64,12 @@ class EventStructure(Generic[E]):
         # the very objects interned in the universe, and an identity lookup
         # skips (potentially deep) event hashing.  Safe because the
         # universe tuple keeps those objects alive, so their ids are never
-        # reused while this structure exists.
+        # reused while this structure exists.  An equal event that is a
+        # different object (none in any benchmark workload) hashes
+        # through ``_index`` instead.
         self._index_by_id: Dict[int, int] = {
             id(e): i for i, e in enumerate(self._universe)
         }
-        # Foreign (equal-but-not-interned) events seen by encode() are
-        # interned into the shadow index on first miss, so repeated
-        # encodes of the same objects (the consistency checker re-encodes
-        # trace/runtime event sets every check) take the id fast path
-        # instead of re-hashing.  The pin list keeps the interned objects
-        # alive -- a dead object's id could be reused by a different
-        # event, silently encoding it to the wrong bit.
-        self._foreign_pins: List[E] = []
         self._all_mask: int = (1 << len(self._universe)) - 1
 
         self._covers: FrozenSet[FrozenSet[E]] = frozenset(
@@ -163,11 +152,9 @@ class EventStructure(Generic[E]):
         index = self._index
         by_id = self._index_by_id
         for event in subset:
-            key = id(event)
-            i = by_id.get(key)
+            i = by_id.get(id(event))
             if i is None:
                 i = index[event]
-                self._intern_foreign(key, event, i)
             mask |= 1 << i
         return mask
 
@@ -177,23 +164,13 @@ class EventStructure(Generic[E]):
         index = self._index
         by_id = self._index_by_id
         for event in subset:
-            key = id(event)
-            i = by_id.get(key)
+            i = by_id.get(id(event))
             if i is None:
                 i = index.get(event)
                 if i is None:
                     return None
-                self._intern_foreign(key, event, i)
             mask |= 1 << i
         return mask
-
-    def _intern_foreign(self, key: int, event: E, i: int) -> None:
-        """Record a foreign event in the id fast path (bounded: a caller
-        streaming unboundedly many fresh-but-equal event objects must not
-        grow the pin list without limit)."""
-        if len(self._foreign_pins) < _FOREIGN_INTERN_LIMIT:
-            self._index_by_id[key] = i
-            self._foreign_pins.append(event)
 
     def decode(self, mask: int) -> FrozenSet[E]:
         """Bitmask -> event set."""
@@ -369,17 +346,13 @@ class EventStructure(Generic[E]):
         # storing process; unpickled they would be stale keys that a new
         # object's id could collide with, silently encoding an unknown
         # event to an arbitrary bit.  Rebuilt from the universe on load.
-        # The foreign-intern pins are an address-keyed cache too, and are
-        # simply dropped (they re-intern on the loader's first encodes).
         state = dict(self.__dict__)
         state.pop("_index_by_id", None)
-        state.pop("_foreign_pins", None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._index_by_id = {id(e): i for i, e in enumerate(self._universe)}
-        self._foreign_pins = []
 
     def __repr__(self) -> str:
         return (

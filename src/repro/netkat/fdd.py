@@ -199,6 +199,10 @@ class FDDBuilder:
         # many unrelated programs can call clear_ast_memos() between them.
         self._memo_of_policy: Dict[int, Tuple[object, FDD]] = {}
         self._memo_of_predicate: Dict[int, Tuple[object, FDD]] = {}
+        # Knowledge (pos, neg) -> predicate FDD, filled by
+        # netkat.compiler.knowledge_fdd; nodes of this builder, so it
+        # lives and dies with it.
+        self.knowledge_fdds: Dict[Tuple, FDD] = {}
         self.drop = self.leaf(frozenset())
         self.id = self.leaf(frozenset((IDENTITY_MOD,)))
 

@@ -13,17 +13,31 @@ in :mod:`repro.network.switch_logic`; the uncoordinated baseline in
 :mod:`repro.baselines.uncoordinated`.
 
 There is one scheduling discipline.  Each switch keeps its processing
-backlog in a FIFO with only the head event on the heap; each link
-interns the relocation of a packet across it; and
+backlog in a FIFO with only the head event on the heap, and
 :meth:`SimNetwork.inject_stream` bulk-injects a :class:`FrameBatch` (an
 array-of-fields stream description), interning identical headers to
 shared :class:`Packet` objects and chaining arrivals one ahead, so a
 long stream costs one heap entry.  Two shortcuts are taken from what the
 plugged-in logic publishes, never from a setting: emission plans (see
-:class:`_Plan`) when it has ``plan_generations``, and allocation-free
-ingress when it has ``ingress_frame``.  A logic that publishes neither
-(the baselines, and ``Figure7Logic``, the frozenset reference the record
-goldens compare against) runs the same loop without them.
+:class:`_Plan`) when it has ``plan_generations`` and
+``header_overhead``, and allocation-free ingress when it has
+``ingress_frame``.  A logic that publishes neither (the baselines, and
+``Figure7Logic``, the frozenset reference the record goldens compare
+against) runs the same loop without them.
+
+The per-hop path keeps one cache per decision, and only where its
+traffic was counted to hit.  A hop whose (switch, packet object, tag,
+digest) was seen before replays its emission plan and never reaches the
+logic (``sim_stream``: all but a few hundred of several hundred thousand
+hops); any other hop runs :meth:`_Process._full`, the single loop that
+resolves egress ports, and inside the logic only ``tag ->
+Configuration`` is remembered (see :mod:`repro.network.switch_logic`).
+Nothing keyed on a header's *value* sits underneath (its event matches,
+its forwarding outputs, its relocation across a link): streams share
+``Packet`` objects, which the identity-keyed plan catches first, and
+varying traffic carries a fresh ``ident`` per frame, so such a memo
+takes no hits (counted in CHANGES.md, PR 19).  The delivery statistics
+accessors scan ``deliveries``: they are called once per scenario.
 """
 
 from __future__ import annotations
@@ -267,7 +281,7 @@ class FrameBatch:
     idents, and injection times (``start`` + ``i * spacing`` unless an
     explicit ``times`` column is given).  Iterating :meth:`rows` interns
     identical header tuples to *shared* :class:`Packet` objects, which
-    is what lets the per-switch classification memos downstream hit on
+    is what lets the per-switch emission plans downstream hit on
     identity instead of re-hashing per packet.
     """
 
@@ -560,9 +574,10 @@ class _StreamArrival:
             _heappush(heap, entry)
 
 
-# Behaviour-identical memo caps: identical-header streams stay far under
-# these; a pathological all-distinct-headers workload must not pin an
-# unbounded working set.
+# Cap on one switch's emission plans (cleared when reached; records are
+# those of the unbounded run): identical-header streams stay far under
+# it, and an all-distinct-headers workload must not pin an unbounded
+# working set.
 _MEMO_LIMIT = 65536
 
 
@@ -570,16 +585,13 @@ class _LinkState:
     """Mutable per-link record: the resolved target plus serialization
     state, so transmitting costs zero Location-keyed dict lookups."""
 
-    __slots__ = ("dst", "latency", "capacity", "free_at", "move_memo")
+    __slots__ = ("dst", "latency", "capacity", "free_at")
 
     def __init__(self, dst: Location, params: LinkParams):
         self.dst = dst
         self.latency = params.latency
         self.capacity = params.capacity
         self.free_at = 0.0
-        # Moving a packet across this link is a pure function of the
-        # packet, interned per source packet.
-        self.move_memo: Dict[Packet, Packet] = {}
 
 
 # Emission-plan target kinds.
@@ -592,11 +604,24 @@ class _Plan:
     """A cached, fully resolved processing outcome for one (switch,
     packet, tag_mask, digest_mask) input class.
 
-    Valid only while the owning switch's plan generation is unchanged
-    (the logic bumps it on any register/noted mutation) -- which is
-    exactly when the cached run had no side effects, so replaying the
-    plan is record-identical to re-running the logic: same targets in
-    the same order, same output masks, same link/float arithmetic.
+    The contract, which a logic opts into by publishing both
+    ``plan_generations`` and ``header_overhead`` (only ``CorrectLogic``
+    does; any other logic runs the full path on every hop):
+
+    - ``plan_generations[switch]`` is bumped on every register/noted
+      mutation at that switch, and a plan is valid only while it is
+      unchanged -- exactly when the cached run had no side effects;
+    - ``header_overhead`` is ``header_bytes(frame)`` for every frame;
+    - ``process`` sets ``last_plan = (packet, tag_mask, digest_mask)``
+      when, and only when, the run it just made had no side effects (the
+      simulator clears it before each call), and all its outputs are
+      mask-born frames carrying one tag/digest pair.
+
+    Under it, replaying the plan is record-identical to re-running the
+    logic: same targets in the same order, same output masks, same
+    link/float arithmetic.  ``emits`` holds what the recording run
+    dispatched, relocated packets included: the next switch keys its own
+    plans on that object's identity.
     """
 
     __slots__ = (
@@ -698,13 +723,7 @@ class _Process:
                         frame._digest_mask = plan.out_digest_mask
                         frame._digest = _UNSET
                     if kind == _PLAN_LINK:
-                        header = net._header_overhead
-                        if header is None:
-                            wire_bytes = frame.payload_bytes + net.logic.header_bytes(
-                                frame
-                            )
-                        else:
-                            wire_bytes = frame.payload_bytes + header
+                        wire_bytes = frame.payload_bytes + net._header_overhead
                         start = target.free_at
                         if now > start:
                             start = now
@@ -761,10 +780,7 @@ class _Process:
                     out._structure = structure
                     if kind == _PLAN_LINK:
                         # Same serialization arithmetic as _transmit.
-                        if header is None:
-                            wire_bytes = payload_bytes + net.logic.header_bytes(out)
-                        else:
-                            wire_bytes = payload_bytes + header
+                        wire_bytes = payload_bytes + header
                         start = target.free_at
                         if now > start:
                             start = now
@@ -794,71 +810,48 @@ class _Process:
         self._full(net, location, frame, plans)
 
     def _full(self, net, location, frame, plans) -> None:
+        """Run the logic and dispatch its outputs: the one place an
+        egress port is resolved.  ``emits`` collects what was dispatched
+        in the shape a plan replays, so a side-effect-free run is cached
+        as exactly what it did."""
         logic = net.logic
         if plans is not None:
             logic.last_plan = None
         outputs = logic.process(net, location, frame.with_location(location))
         now = net.sim.now
+        switch_id = location.switch
         if not outputs:
             net.drops.append(DropRecord(now, location, frame))
-            self._record_plan(net, location, plans, ())
-            return
-        ports = net._ports.get(location.switch)
+        ports = net._ports.get(switch_id)
+        emits = []
         for port, out_frame in outputs:
             target = None if ports is None else ports.get(port)
             if target is None:
+                egress = Location(switch_id, port)
                 net.drops.append(
-                    DropRecord(
-                        now,
-                        Location(location.switch, port),
-                        out_frame,
-                        reason="no-link-at-port",
-                    )
+                    DropRecord(now, egress, out_frame, reason="no-link-at-port")
                 )
+                emits.append((_PLAN_DROP, egress, out_frame.packet))
             elif target.__class__ is Host:
                 net._deliver(target.name, out_frame)
+                emits.append((_PLAN_HOST, target.name, out_frame.packet))
             else:
-                net._transmit(target, out_frame)
-        self._record_plan(net, location, plans, outputs)
+                emits.append((_PLAN_LINK, target, net._transmit(target, out_frame)))
+        if plans is not None and logic.last_plan is not None:
+            self._record_plan(net, switch_id, outputs, emits)
 
-    def _record_plan(self, net, location, plans, outputs) -> None:
-        """Cache the just-run outcome when the logic marked it pure."""
-        if plans is None:
-            return
-        logic = net.logic
-        signature = logic.last_plan
-        if signature is None:
-            return
-        logic.last_plan = None
-        packet, tag_key, digest_key = signature
-        switch_id = location.switch
+    def _record_plan(self, net, switch_id, outputs, emits) -> None:
+        """Cache the just-run outcome, which the logic marked pure."""
+        packet, tag_key, digest_key = net.logic.last_plan
         if outputs:
             first = outputs[0][1]
             out_tag = first._tag_mask
             out_digest = first._digest_mask
             structure = first._structure
-            if structure is None:
-                return
         else:
             out_tag = out_digest = 0
             structure = None
-        ports = net._ports.get(switch_id)
-        emits = []
-        for port, out_frame in outputs:
-            target = None if ports is None else ports.get(port)
-            out_packet = out_frame.packet
-            if target is None:
-                emits.append((_PLAN_DROP, Location(switch_id, port), out_packet))
-            elif target.__class__ is Host:
-                emits.append((_PLAN_HOST, target.name, out_packet))
-            else:
-                relocated = target.move_memo.get(out_packet)
-                if relocated is None:
-                    relocated = out_packet.at(target.dst)
-                emits.append((_PLAN_LINK, target, relocated))
-        by_packet = plans.get(switch_id)
-        if by_packet is None:
-            by_packet = plans[switch_id] = {}
+        by_packet = net._plans[switch_id]
         if len(by_packet) >= _MEMO_LIMIT:
             by_packet.clear()
         by_packet[id(packet)] = _Plan(
@@ -958,25 +951,16 @@ class SimNetwork:
         for host in topology.hosts:
             attachment = host.attachment
             self._ports.setdefault(attachment.switch, {})[attachment.port] = host
-        # Per-host / per-flow-prefix delivery indices, maintained at
-        # _deliver time so the stats accessors stop scanning the full
-        # delivery list.  _flow_buckets memoizes, per flow tuple, the
-        # prefix bucket lists a delivery appends to.
-        self._deliveries_by_host: Dict[str, List[DeliveryRecord]] = {}
-        self._deliveries_by_flow: Dict[Tuple, List[DeliveryRecord]] = {}
-        self._flow_buckets: Dict[Tuple, Tuple[List[DeliveryRecord], ...]] = {}
-        self._last_flow: Optional[Tuple] = None
-        self._last_buckets: Optional[Tuple[List[DeliveryRecord], ...]] = None
-        self._indexed_up_to = 0
-        # Steady-state emission plans (see _Plan): enabled when the
-        # logic publishes plan generations (CorrectLogic does).
-        # _header_overhead set means header_bytes is frame-independent,
-        # so plan replay can skip the per-frame call.
+        # Steady-state emission plans, per switch, keyed by id(packet):
+        # enabled when the logic publishes both halves of the contract
+        # in _Plan's docstring (CorrectLogic does).
         self._plan_gens = getattr(logic, "plan_generations", None)
-        self._plans: Optional[Dict[int, Dict[int, _Plan]]] = (
-            {n: {} for n in topology.switches} if self._plan_gens is not None else None
-        )
         self._header_overhead: Optional[int] = getattr(logic, "header_overhead", None)
+        self._plans: Optional[Dict[int, Dict[int, _Plan]]] = (
+            {n: {} for n in topology.switches}
+            if self._plan_gens is not None and self._header_overhead is not None
+            else None
+        )
         self._ingress_fast = getattr(logic, "ingress_frame", None)
         # Plan-cache hit/miss counters, pre-resolved once here so the
         # per-event cost is one attribute load + None check (the
@@ -1099,27 +1083,12 @@ class SimNetwork:
             if len(fifo) == 1:
                 _heappush(sim._heap, entry)
 
-    def _emit(self, egress: Location, frame: Frame) -> None:
-        """Resolve an egress location and deliver/transmit/drop.
+    def _transmit(self, link: _LinkState, frame: Frame) -> Packet:
+        """Send across a link: serialization (capacity) + propagation.
 
-        Kept as the Location-based entry point (fault injection and
-        tests call it); the arrival loop above inlines the same dispatch
-        through the int-keyed port table.
+        Returns the packet as relocated to the far end -- the object the
+        next switch sees, hence the one a plan of this hop must replay.
         """
-        ports = self._ports.get(egress.switch)
-        target = None if ports is None else ports.get(egress.port)
-        if target is None:
-            self.drops.append(
-                DropRecord(self.sim.now, egress, frame, reason="no-link-at-port")
-            )
-            return
-        if target.__class__ is Host:
-            self._deliver(target.name, frame)
-            return
-        self._transmit(target, frame)
-
-    def _transmit(self, link: _LinkState, frame: Frame) -> None:
-        """Send across a link: serialization (capacity) + propagation."""
         sim = self.sim
         now = sim.now
         wire_bytes = frame.payload_bytes + self.logic.header_bytes(frame)
@@ -1129,16 +1098,11 @@ class SimNetwork:
         finish = start + wire_bytes / link.capacity
         link.free_at = finish
         dst = link.dst
-        memo = link.move_memo
         packet = frame.packet
-        relocated = memo.get(packet)
-        if relocated is None:
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            relocated = packet.at(dst)
-            memo[packet] = relocated
+        relocated = packet.at(dst)
         moved = frame if relocated is packet else frame._with_packet(relocated)
         sim.schedule((finish - now) + link.latency, _Arrival(self, dst, moved))
+        return relocated
 
     # -- delivery ----------------------------------------------------------------
 
@@ -1152,48 +1116,6 @@ class SimNetwork:
             if handler is not None:
                 handler(self, host_name, frame)
 
-    def _index_deliveries(self) -> None:
-        """Fold deliveries since the last stats access into the per-host
-        and per-flow-prefix indices.
-
-        Indexing at access time instead of per delivery keeps the hot
-        path to one list append; the indexed results are identical to a
-        full scan (the order is the append order either way).
-        """
-        deliveries = self.deliveries
-        start = self._indexed_up_to
-        if start >= len(deliveries):
-            return
-        self._indexed_up_to = len(deliveries)
-        by_host_index = self._deliveries_by_host
-        for record in deliveries[start:]:
-            host_name = record.host
-            by_host = by_host_index.get(host_name)
-            if by_host is None:
-                by_host = by_host_index[host_name] = []
-            by_host.append(record)
-            flow = record.frame.flow
-            # Stream frames share one flow tuple, so an identity check
-            # on the last-seen flow skips re-hashing it per record.
-            if flow is self._last_flow:
-                buckets = self._last_buckets
-            else:
-                buckets = self._flow_buckets.get(flow)
-            if buckets is None:
-                by_flow = self._deliveries_by_flow
-                collected = []
-                for n in range(1, len(flow) + 1):
-                    prefix = flow[:n]
-                    bucket = by_flow.get(prefix)
-                    if bucket is None:
-                        bucket = by_flow[prefix] = []
-                    collected.append(bucket)
-                buckets = self._flow_buckets[flow] = tuple(collected)
-            self._last_flow = flow
-            self._last_buckets = buckets
-            for bucket in buckets:
-                bucket.append(record)
-
     # -- bookkeeping hooks used by logics ------------------------------------------
 
     def note_event_learned(self, switch: int, event: Event) -> None:
@@ -1204,11 +1126,9 @@ class SimNetwork:
     # -- statistics ------------------------------------------------------------------
 
     def deliveries_to(self, host_name: str) -> List[DeliveryRecord]:
-        self._index_deliveries()
-        return list(self._deliveries_by_host.get(host_name, ()))
+        return [r for r in self.deliveries if r.host == host_name]
 
     def delivered_flows(self, flow_prefix: Tuple) -> List[DeliveryRecord]:
-        if not flow_prefix:
-            return list(self.deliveries)
-        self._index_deliveries()
-        return list(self._deliveries_by_flow.get(tuple(flow_prefix), ()))
+        prefix = tuple(flow_prefix)
+        n = len(prefix)
+        return [r for r in self.deliveries if r.frame.flow[:n] == prefix]

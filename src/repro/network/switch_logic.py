@@ -14,12 +14,15 @@ publishes none of the simulator's plan-cache protocol, and is the
 reference that ``tests/test_sim_streaming.py`` compares records
 against.  :class:`CorrectLogic` is the same rule on interned event
 bitmasks: registers are ints, frames carry ``tag_mask``/``digest_mask``
-ints, detection uses ``enables_mask``/``con_mask``, and a per-switch
-classification memo maps (tag, interned header) to the forwarding
-outputs so identical-header packets skip table re-evaluation.  Its
-``registers`` attribute is a mapping of set-like views backed by the
-masks, so code (and tests) that mutate ``logic.registers[sw]`` sees and
-drives the same state.
+ints, and detection uses ``enables_mask``/``con_mask``.  It remembers
+one thing between packets, ``tag -> Configuration`` (a frozenset decode
+plus a state lookup otherwise, and traffic carries a handful of tags);
+the event matches and the table lookup are computed per call, because
+the calls that get here are the ones whose header the simulator's
+identity-keyed emission plan has not seen, and a repeated header never
+gets here.  Its ``registers`` attribute is a mapping of set-like views
+backed by the masks, so code (and tests) that mutate
+``logic.registers[sw]`` sees and drives the same state.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from ..events.event import Event, EventSet
 from ..netkat.packet import Location, Packet, PT, SW
 from ..runtime.compiler import CompiledNES
 from ..runtime.semantics import detect_events, merge_in_enabling_order
-from .simulator import Frame, SimNetwork, SwitchLogic, _MEMO_LIMIT, _UNSET
+from .simulator import Frame, SimNetwork, SwitchLogic, _UNSET
 
 __all__ = ["CorrectLogic", "Figure7Logic", "BASE_HEADER_BYTES"]
 
@@ -227,13 +230,7 @@ class CorrectLogic(Figure7Logic):
         # Events already reported to net.note_event_learned per switch
         # (only never-before-noted bits are decoded).
         self._noted_masks: Dict[int, int] = {n: 0 for n in switches}
-        # Normalized packet -> bitmask of events matching it.
-        self._match_memo: Dict[Packet, int] = {}
-        # tag mask -> normalized packet -> ((port, out_packet), ...) --
-        # the per-switch classification memo, nested so a hit costs two
-        # cheap lookups instead of a tuple alloc + hash.
-        self._forward_memo: Dict[int, Dict[Packet, Tuple[Tuple[int, Packet], ...]]] = {}
-        # Tag mask -> Configuration.
+        # Tag mask -> Configuration (bounded by the NES's event-sets).
         self._config_memo: Dict[int, object] = {}
         # header_bytes is frame-independent; publishing the constant
         # lets the simulator's plan replay skip the per-frame call.
@@ -299,16 +296,10 @@ class CorrectLogic(Figure7Logic):
         register_mask = register_masks[switch_id]
         combined = register_mask | digest_mask
 
-        match_memo = self._match_memo
-        match_mask = match_memo.get(packet)
-        if match_mask is None:
-            match_mask = 0
-            for index, event in enumerate(self._universe):
-                if event.matches_packet(packet, location):
-                    match_mask |= 1 << index
-            if len(match_memo) >= _MEMO_LIMIT:
-                match_memo.clear()
-            match_memo[packet] = match_mask
+        match_mask = 0
+        for index, event in enumerate(self._universe):
+            if event.matches_packet(packet, location):
+                match_mask |= 1 << index
 
         # Detection in bit order == sorted-by-repr order (the universe is
         # interned sorted by repr), exactly as semantics.detect_events.
@@ -350,24 +341,11 @@ class CorrectLogic(Figure7Logic):
 
         if tag_mask is None:
             tag_mask = 0
-        by_packet = self._forward_memo.get(tag_mask)
-        if by_packet is None:
-            by_packet = self._forward_memo[tag_mask] = {}
-        outputs = by_packet.get(packet)
-        if outputs is None:
-            config = self._config_memo.get(tag_mask)
-            if config is None:
-                config = self.compiled.config_for_event_set(structure.decode(tag_mask))
-                self._config_memo[tag_mask] = config
-            outputs = tuple(
-                (out_packet[PT], out_packet)
-                for out_packet in sorted(
-                    config.table(switch_id).apply(packet), key=repr
-                )
-            )
-            if len(by_packet) >= _MEMO_LIMIT:
-                by_packet.clear()
-            by_packet[packet] = outputs
+        config = self._config_memo.get(tag_mask)
+        if config is None:
+            config = self.compiled.config_for_event_set(structure.decode(tag_mask))
+            self._config_memo[tag_mask] = config
+        out_packets = sorted(config.table(switch_id).apply(packet), key=repr)
         # Side-effect-free run: offer the outcome to the simulator's
         # emission-plan cache (valid until this switch's generation
         # bumps on any register/noted mutation).
@@ -378,7 +356,7 @@ class CorrectLogic(Figure7Logic):
         ident = frame.ident
         injected_at = frame.injected_at
         results: List[Tuple[int, Frame]] = []
-        for port, out_packet in outputs:
+        for out_packet in out_packets:
             out = Frame.__new__(Frame)
             out.packet = out_packet
             out.payload_bytes = payload_bytes
@@ -390,5 +368,5 @@ class CorrectLogic(Figure7Logic):
             out._tag_mask = tag_mask
             out._digest_mask = new_known
             out._structure = structure
-            results.append((port, out))
+            results.append((out_packet[PT], out))
         return results

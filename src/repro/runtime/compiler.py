@@ -27,7 +27,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..events.locality import is_locally_determined, locality_violations
 from ..events.nes import NES
-from ..netkat.compiler import Configuration, compile_policy
+from ..netkat.compiler import CompileError, Configuration, compile_policy
 from ..netkat.fdd import FDDBuilder
 from ..netkat.flowtable import FlowTable, Match, Rule
 from ..stateful.ast import StateVector
@@ -92,7 +92,9 @@ def _compile_configurations(
 
     - every per-configuration attempt passes the ``executor.worker``
       fault site and is retried up to ``options.compile_retries`` times
-      with deterministic backoff (counted in ``health``);
+      with deterministic backoff (counted in ``health``), except after a
+      :class:`~repro.netkat.compiler.CompileError`, which is
+      deterministic and fails on its first attempt;
     - ``options.deadline_seconds`` bounds the stage wall clock,
       checked between attempts (one configuration is never preempted);
     - a failure that survives retry surfaces as a typed
@@ -142,11 +144,14 @@ def _compile_configurations(
             except PipelineError:
                 raise  # typed failures (e.g. deadline) are not transient
             except Exception as exc:
-                if attempt >= retries:
+                # A CompileError says the program is outside the
+                # compilable fragment: a property of the input, which no
+                # further attempt changes.
+                if attempt >= retries or isinstance(exc, CompileError):
                     raise StageError(
                         "compile",
                         f"configuration C{list(state)} failed after "
-                        f"{retries + 1} attempt(s): {exc!r}",
+                        f"{attempt + 1} attempt(s): {exc!r}",
                     ) from exc
                 obs_metrics.count_health(health, "executor.retries")
                 with obs_trace.span("compile.backoff", attempt=attempt):

@@ -41,11 +41,12 @@ size and capacity, index entries, uptime.
 from __future__ import annotations
 
 import collections
+import contextlib
 import hashlib
 import json
 import threading
 import time
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..netkat.ast import Policy
 from ..obs import metrics as obs_metrics
@@ -129,7 +130,9 @@ class ServiceState:
             collections.OrderedDict()
         )
         self._flight_lock = threading.Lock()
-        self._flights: Dict[str, threading.Lock] = {}
+        # artifact key -> [compile lock, requests holding or awaiting it];
+        # an entry lives only while some request is inside _flight(key).
+        self._flights: Dict[str, List[Any]] = {}
         # Adopt the process-wide installed registry when present (the
         # production launcher installs it, so pipeline/cache/simulator
         # instrumentation lands there too); otherwise own a private one
@@ -262,12 +265,24 @@ class ServiceState:
 
     # -- single-flight ------------------------------------------------------
 
-    def _flight(self, key: str) -> threading.Lock:
+    @contextlib.contextmanager
+    def _flight(self, key: str) -> Iterator[None]:
+        """Hold ``key``'s compile lock.  The entry is dropped when its
+        last holder leaves (however it leaves), so the map is bounded by
+        the requests in flight, not by the keys ever seen."""
         with self._flight_lock:
-            lock = self._flights.get(key)
-            if lock is None:
-                lock = self._flights[key] = threading.Lock()
-            return lock
+            flight = self._flights.get(key)
+            if flight is None:
+                flight = self._flights[key] = [threading.Lock(), 0]
+            flight[1] += 1
+        try:
+            with flight[0]:
+                yield
+        finally:
+            with self._flight_lock:
+                flight[1] -= 1
+                if not flight[1]:
+                    del self._flights[key]
 
     # -- the request cores --------------------------------------------------
 

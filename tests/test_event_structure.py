@@ -141,8 +141,8 @@ class TestSequences:
 
 
 class TestForeignInterning:
-    """encode() interns equal-but-not-interned event objects on first
-    miss so repeated encodes take the id fast path."""
+    """encode() takes the id fast path for the universe's own objects;
+    an equal-but-foreign event object encodes through the value index."""
 
     def test_encode_interns_foreign_equal_events(self):
         e0, e1 = ("ev", 0), ("ev", 1)
@@ -150,19 +150,13 @@ class TestForeignInterning:
         foreign = tuple(["ev", 0])
         assert foreign == e0 and foreign is not e0
         assert es.encode([foreign]) == es.encode([e0])
-        # The foreign object rides the id fast path now, pinned so its
-        # id cannot be recycled by an unrelated object.
-        assert id(foreign) in es._index_by_id
-        assert any(pin is foreign for pin in es._foreign_pins)
-        assert es.encode([foreign]) == es.encode([e0])
+        assert es.encode([foreign, tuple(["ev", 1])]) == es.encode([e0, e1])
 
     def test_unknown_events_still_raise_and_are_not_pinned(self):
         es = diamond(("ev", 0), ("ev", 1))
         with pytest.raises(KeyError):
             es.encode([("other", 9)])
-        assert es._foreign_pins == []
         assert es._try_encode([("other", 9)]) is None
-        assert es._foreign_pins == []
 
     def test_con_uses_the_interned_fast_path(self):
         e0, e1 = ("ev", 0), ("ev", 1)
@@ -170,20 +164,6 @@ class TestForeignInterning:
         foreign0, foreign1 = tuple(["ev", 0]), tuple(["ev", 1])
         assert es.con({foreign0})
         assert not es.con({foreign0, foreign1})
-        assert id(foreign0) in es._index_by_id
-
-    def test_intern_limit_bounds_the_pin_list(self, monkeypatch):
-        from repro.events import structure as structure_module
-
-        monkeypatch.setattr(structure_module, "_FOREIGN_INTERN_LIMIT", 1)
-        e0, e1 = ("ev", 0), ("ev", 1)
-        es = diamond(e0, e1)
-        f0, f1 = tuple(["ev", 0]), tuple(["ev", 1])
-        assert es.encode([f0]) == es.encode([e0])
-        # Beyond the cap: still encoded correctly, just not pinned.
-        assert es.encode([f1]) == es.encode([e1])
-        assert len(es._foreign_pins) == 1
-        assert id(f1) not in es._index_by_id
 
     def test_pickle_drops_the_pins(self):
         import pickle
@@ -192,7 +172,6 @@ class TestForeignInterning:
         es = diamond(e0, e1)
         es.encode([tuple(["ev", 0])])
         clone = pickle.loads(pickle.dumps(es))
-        assert clone._foreign_pins == []
         assert set(clone._index_by_id) == {id(e) for e in clone._universe}
         assert clone.encode([tuple(["ev", 1])]) == es.encode([e1])
 

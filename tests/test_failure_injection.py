@@ -81,15 +81,28 @@ class TestBrokenTopology:
     def test_simulator_drops_at_linkless_port(self):
         """The timed simulator records (not raises) when a rule emits to
         a dead port -- packets on the wire can't throw exceptions."""
-        from repro.network import CorrectLogic, Frame, SimNetwork
+        from repro.network import CorrectLogic, FrameBatch, SimNetwork
+
+        class DeadPortLogic(CorrectLogic):
+            """Sends every output to port 9, which has neither host nor
+            link."""
+
+            def process(self, net, location, frame):
+                return [(9, out) for _, out in super().process(net, location, frame)]
 
         app = firewall_app()
-        net = SimNetwork(app.topology, CorrectLogic(app.compiled), seed=0)
-        # Directly emit at a port with neither host nor link.
-        frame = Frame(packet=Packet({"sw": 1, "pt": 9}))
-        net._emit(Location(1, 9), frame)
+        net = SimNetwork(app.topology, DeadPortLogic(app.compiled), seed=0)
+        # The first frame fires the firewall's event, the second records
+        # an emission plan, the rest replay it: full path and replay
+        # must both record the drop.
+        net.inject_stream(
+            "H1", FrameBatch({"ip_dst": H4, "ip_src": H1}, 4, spacing=1e-3)
+        )
         net.run(until=1.0)
-        assert any(d.reason == "no-link-at-port" for d in net.drops)
+        assert [(d.location, d.reason) for d in net.drops] == [
+            (Location(1, 9), "no-link-at-port")
+        ] * 4
+        assert not net.deliveries
 
 
 class TestMalformedWorkloads:

@@ -230,6 +230,33 @@ class TestExecutorRecovery:
                 pipeline.compiled
         assert "executor.retries" not in pipeline.report().health
 
+    def test_a_compile_error_is_not_retried(self, monkeypatch):
+        """A program outside the compilable fragment fails the same way
+        on every attempt: one attempt, no backoff, nothing absorbed."""
+        from repro.netkat.compiler import CompileError
+        from repro.netkat.parser import parse_policy
+        from repro.runtime import compiler as runtime_compiler
+
+        attempts = []
+        compile_policy = runtime_compiler.compile_policy
+
+        def counting(*args, **kwargs):
+            attempts.append(kwargs["name"])
+            return compile_policy(*args, **kwargs)
+
+        monkeypatch.setattr(runtime_compiler, "compile_policy", counting)
+        monkeypatch.setattr(
+            runtime_compiler.time, "sleep", lambda s: pytest.fail("backed off")
+        )
+        star_over_a_link = parse_policy("(pt=2; pt<-1; (1:1)->(4:1); pt<-2)*")
+        pipeline = Pipeline(star_over_a_link, firewall_app().topology, ())
+        with pytest.raises(StageError, match="1 attempt") as info:
+            pipeline.compiled
+        assert info.value.stage == "compile"
+        assert isinstance(info.value.__cause__, CompileError)
+        assert attempts == ["C[]"]
+        assert pipeline.report().health == {}
+
     def test_new_knob_validation(self):
         with pytest.raises(ValueError):
             CompileOptions(compile_retries=-1)

@@ -43,7 +43,8 @@ import pytest
 from repro import CompileOptions, Delta, Pipeline, faults
 from repro.apps import firewall_app, ids_app, ring_app
 from repro.netkat.ast import filter_, seq, union
-from repro.pipeline import ArtifactCache, _topology_fingerprint
+from repro.netkat.parser import parse_policy
+from repro.pipeline import ArtifactCache, StageError, _topology_fingerprint
 from repro.service import (
     ServiceClient,
     ServiceError,
@@ -57,6 +58,10 @@ from repro.stateful.ast import link_update, state_eq
 from repro.topology import star_topology
 
 from seed_apps import APPS, firewall_policy_delta
+
+# A Kleene star over a link: outside the compilable fragment, so every
+# compile of it raises the same (deterministic) CompileError.
+STAR_OVER_A_LINK = "(pt=2; pt<-1; (1:1)->(4:1); pt<-2)*"
 
 
 @contextmanager
@@ -309,6 +314,20 @@ def test_injected_stage_fault_is_a_typed_error_with_provenance():
         assert result["tables"] == protocol.tables_to_wire(direct.compiled)
         ok, body = client.health()
         assert ok and body["integrity_errors"] == 0
+
+
+def test_uncompilable_program_is_a_422_that_absorbed_nothing():
+    """A ``CompileError`` is deterministic: one attempt, a typed
+    ``compile``-stage error, and no retry in /health."""
+    star_over_a_link = parse_policy(STAR_OVER_A_LINK)
+    with fresh_service() as (client, _):
+        with pytest.raises(ServiceError) as excinfo:
+            client.compile(star_over_a_link, firewall_app().topology, ())
+        assert excinfo.value.status == 422
+        assert excinfo.value.error["type"] == "StageError"
+        assert excinfo.value.stage == "compile"
+        assert "1 attempt" in excinfo.value.error["message"]
+        assert client.health()[1]["health"] == {}
 
 
 def test_failed_compile_and_update_still_count_their_retries():
@@ -1302,6 +1321,77 @@ class TestServiceState:
         )
         assert source == "cold"
         assert state.memo_get(key) is not None
+
+    def test_flights_do_not_outlive_their_requests(self):
+        """The single-flight map holds the keys in flight, not every key
+        ever seen: a stream of never-seen programs leaves it empty."""
+        topology = firewall_app().topology
+        state = ServiceState()
+        keys = set()
+        for i in range(200):
+            program = parse_policy(f"pt=2 & ip_dst={i}; pt<-1")
+            key, _, source = state.compile_pipeline(
+                program, topology, (), CompileOptions()
+            )
+            assert source == "cold"
+            keys.add(key)
+        assert len(keys) == 200
+        assert len(state._flights) == 0
+
+    def test_a_failed_compile_leaves_no_flight(self):
+        state = ServiceState()
+        star_over_a_link = parse_policy(STAR_OVER_A_LINK)
+        with pytest.raises(StageError):
+            state.compile_pipeline(
+                star_over_a_link, firewall_app().topology, (), CompileOptions()
+            )
+        assert state._flights == {}
+        # The daemon-level half of the CompileError fix: nothing absorbed.
+        assert state.aggregated_health() == {}
+
+    def test_one_flight_per_key_under_contention(self):
+        """8 threads on one key (more than the cores), all past the memo
+        check before anyone compiles: one compile, seven adoptions, and
+        the flight entry outlives none of them."""
+        app = ring_app(4)
+        workers = 8
+        state = ServiceState()
+        barrier = threading.Barrier(workers)
+        passed = threading.local()
+        memo_get = state.memo_get
+
+        def memo_get_after_everyone_missed(key):
+            if not getattr(passed, "first", False):
+                passed.first = True
+                found = memo_get(key)
+                barrier.wait(timeout=30)
+                return found
+            return memo_get(key)
+
+        state.memo_get = memo_get_after_everyone_missed
+        sources = [None] * workers
+
+        def request(slot):
+            _, _, sources[slot] = state.compile_pipeline(
+                app.program, app.topology, app.initial_state, CompileOptions()
+            )
+
+        threads = [
+            threading.Thread(target=request, args=(slot,))
+            for slot in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(sources) == ["coalesced"] * (workers - 1) + ["cold"]
+        assert state._flights == {}
 
     def test_deadline_maps_onto_execution_only_options(self):
         state = ServiceState()

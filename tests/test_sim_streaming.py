@@ -9,8 +9,8 @@ of ``inject_stream``, and (iii) a SHA-256 digest recorded from the
 eager-heap, no-memo frozenset simulator before it was deleted.  The
 checker's verdicts are compared with Definition 6 composed from the
 layer-level frozenset pieces.  The satellites ride along: the static
-egress map, the lazy checker enumeration, the delivery indices, the
-memo bounds, and seeded determinism.
+egress map, the lazy checker enumeration, the delivery accessors, the
+plan-cache bound, and seeded determinism.
 """
 
 import hashlib
@@ -41,8 +41,9 @@ from repro.consistency.update import (
 )
 from repro.netkat.packet import LocatedPacket, Location, Packet
 from repro.network import CorrectLogic, Frame, FrameBatch, SimNetwork
-from repro.network import simulator, switch_logic
+from repro.network import simulator
 from repro.network.switch_logic import Figure7Logic
+from repro.obs import metrics as obs_metrics
 from repro.topology import Host
 
 APPS = (
@@ -363,11 +364,56 @@ class TestDeterminismAndOptions:
         logic.registers[switch].add(event)
         assert logic.plan_generations[switch] > before
 
+    def test_each_switch_on_the_path_misses_its_plan_exactly_once(self):
+        # An event-free constant-header stream: every switch runs the
+        # logic for the first frame and replays its plan for the other
+        # 49.  The plan of hop n must hold the very Packet object hop n
+        # put on the wire -- hop n+1 keys its plans on that identity, so
+        # storing an equal copy would cost one extra miss per switch.
+        with obs_metrics.collecting() as registry:
+            net, deliveries, drops = _stream_records(
+                lambda: ring_app(8), "H1", "H2", 50
+            )
+        assert len(deliveries) == 50 and not drops
+        on_path = net.sim.events_processed // (2 * 50)
+        assert on_path == 9
+        plan_cache = "repro_sim_plan_cache_total"
+        assert registry.value(plan_cache, result="miss") == on_path
+        assert registry.value(plan_cache, result="hit") == 49 * on_path
+
+    def test_register_mutation_mid_stream_invalidates_recorded_plans(self):
+        def run(logic_class):
+            app = ring_app(2)
+            logic = logic_class(app.compiled)
+            net = SimNetwork(app.topology, logic, seed=7)
+            switch = app.topology.host("H1").attachment.switch
+            event = min(app.compiled.nes.events, key=repr)
+            net.inject_stream(
+                "H1",
+                FrameBatch(
+                    {"ip_src": 1, "ip_dst": 2, "kind": 0, "ident": 0},
+                    20,
+                    payload_bytes=64,
+                    spacing=1e-3,
+                ),
+            )
+            net.sim.schedule(10.5e-3, lambda: logic.registers[switch].add(event))
+            net.run()
+            return tuple(net.deliveries), tuple(net.drops)
+
+        with obs_metrics.collecting() as registry:
+            records = run(CorrectLogic)
+        assert len(records[0]) + len(records[1]) == 20
+        # Three switches on the path: more than three misses means the
+        # stale plans were not replayed; equal records mean the re-run
+        # logic saw the mutated register.
+        assert registry.value("repro_sim_plan_cache_total", result="miss") > 3
+        assert records == run(Figure7Logic)
+
     def test_memo_eviction_keeps_records(self, monkeypatch):
-        # Every memo (event match, classification, link relocation,
-        # emission plan) is cleared when it reaches _MEMO_LIMIT; with a
-        # limit smaller than the number of distinct headers the records
-        # must be those of the unbounded run.
+        # A switch's emission plans are cleared when they reach
+        # _MEMO_LIMIT; with a limit smaller than the number of distinct
+        # headers the records must be those of the unbounded run.
         def run():
             app = ring_app(2)
             net = SimNetwork(app.topology, CorrectLogic(app.compiled), seed=7)
@@ -388,7 +434,6 @@ class TestDeterminismAndOptions:
 
         unbounded = run()
         monkeypatch.setattr(simulator, "_MEMO_LIMIT", 3)
-        monkeypatch.setattr(switch_logic, "_MEMO_LIMIT", 3)
         assert run() == unbounded
 
 
