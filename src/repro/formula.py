@@ -1,32 +1,42 @@
-"""Conjunctive formulas over packet fields, used as event guards.
+"""Canonical conjunctions of (in)equality literals: one algebra, two key
+spaces.
 
 The event-extraction function of Figure 6 threads a formula ``phi``
 through the program, conjoining each field test it passes.  The paper's
-``phi`` ranges over conjunctions of (in)equality literals ``f = n`` /
-``f != n``; this module gives them a canonical, hashable representation
-with contradiction detection and the ``(exists f: phi)`` projection used
-by the field-assignment rule.
+``phi`` ranges over conjunctions of literals ``f = n`` / ``f != n``;
+:class:`Conjunction` gives them a canonical, hashable representation
+with contradiction detection, the meet of two conjunctions and the
+``(exists f: phi)`` projection used by the field-assignment rule.  It
+never looks at what a key *is*: :class:`Formula` (packet fields; event
+guards) and :class:`StateGuard` (state-component indices; the symbolic
+state vector of :mod:`repro.stateful.symbolic`) differ only in what
+``holds`` looks a key up in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, TypeVar, Union
 
 from .netkat.ast import Predicate, TRUE, conj, neg, test
 from .netkat.packet import Packet
 
-__all__ = ["Literal", "Formula", "EQ", "NE"]
+__all__ = ["Literal", "Formula", "StateGuard", "EQ", "NE"]
 
 EQ = "="
 NE = "!="
 
+Key = Union[str, int]
+_C = TypeVar("_C", bound="Conjunction")
+
 
 @dataclass(frozen=True, order=True)
 class Literal:
-    """A single literal ``field = value`` or ``field != value``."""
+    """A single literal ``field = value`` or ``field != value``; the key
+    is a packet field name or, in a :class:`StateGuard`, the index of a
+    state component (printed ``state(m)``)."""
 
-    field: str
+    field: Key
     op: str
     value: int
 
@@ -44,34 +54,52 @@ class Literal:
         return actual != self.value
 
     def __repr__(self) -> str:
-        return f"{self.field}{self.op}{self.value}"
+        key = self.field if isinstance(self.field, str) else f"state({self.field})"
+        return f"{key}{self.op}{self.value}"
 
 
-class Formula:
-    """A satisfiable canonical conjunction of literals.
+class Conjunction:
+    """A satisfiable canonical conjunction of literals over one key space.
 
-    Canonicalization: a positive literal on a field subsumes (and must be
-    consistent with) every other literal on that field; negative literals
-    on a field accumulate.  Unsatisfiable conjunctions are represented by
-    the absence of a Formula -- the combinators return ``None``.
+    Canonicalization: a positive literal on a key subsumes (and must be
+    consistent with) every other literal on that key; negative literals
+    on a key accumulate.  Unsatisfiable conjunctions are represented by
+    absence -- the combinators return ``None``.
     """
 
-    __slots__ = ("_literals", "_hash", "_repr")
+    __slots__ = ("_literals", "_pos", "_hash", "_repr")
 
     def __init__(self, literals: Iterable[Literal] = ()):
         lits = frozenset(literals)
         if _contradictory(lits):
             raise ValueError(
-                f"contradictory literal set {sorted(lits)!r}; "
-                "use Formula.conjoin to build formulas safely"
+                f"contradictory literal set {sorted(lits)!r}; use "
+                f"{type(self).__name__}.conjoin to build conjunctions safely"
             )
-        object.__setattr__(self, "_literals", _canonicalize(lits))
-        object.__setattr__(self, "_hash", hash(self._literals))
-        object.__setattr__(self, "_repr", None)
+        self._finish(_canonicalize(lits))
 
-    @staticmethod
-    def true() -> "Formula":
-        return Formula()
+    def _finish(self, canonical: FrozenSet[Literal]) -> None:
+        self._literals = canonical
+        # Positive assignments, cached for the contradiction fast path of
+        # conjoin / meet (the symbolic-projection inner loop).
+        self._pos: Dict[Key, int] = {
+            l.field: l.value for l in canonical if l.op == EQ
+        }
+        self._hash = hash(canonical)
+        self._repr: Optional[str] = None
+
+    @classmethod
+    def true(cls: type[_C]) -> _C:
+        return cls()
+
+    @classmethod
+    def _of_canonical(cls: type[_C], literals: FrozenSet[Literal]) -> _C:
+        """Build from literals already known consistent and canonical
+        (skips the ``__init__`` re-checks -- the combinators just ran
+        them)."""
+        out = object.__new__(cls)
+        out._finish(literals)
+        return out
 
     @property
     def literals(self) -> FrozenSet[Literal]:
@@ -80,56 +108,93 @@ class Formula:
     def is_true(self) -> bool:
         return not self._literals
 
-    def conjoin(self, literal: Literal) -> Optional["Formula"]:
+    def conjoin(self: _C, literal: Literal) -> Optional[_C]:
         """``self AND literal``, or None when contradictory."""
-        lits = set(self._literals)
-        lits.add(literal)
-        if _contradictory(frozenset(lits)):
-            return None
-        return Formula(lits)
+        if literal in self._literals:
+            return self
+        known = self._pos.get(literal.field)
+        if literal.op == NE:
+            if known is not None:
+                # k=v AND k!=v clashes; any other k!=w is implied.
+                return None if known == literal.value else self
+        elif known is not None or literal.negated() in self._literals:
+            return None  # k=a AND k=b, or k!=v AND k=v
+        return self._of_canonical(_canonicalize(self._literals | {literal}))
 
-    def conjoin_all(self, literals: Iterable[Literal]) -> Optional["Formula"]:
-        out: Optional[Formula] = self
+    def conjoin_all(self: _C, literals: Iterable[Literal]) -> Optional[_C]:
+        out: Optional[_C] = self
         for literal in literals:
             if out is None:
                 return None
             out = out.conjoin(literal)
         return out
 
-    def without_field(self, field: str) -> "Formula":
-        """``(exists field: self)`` -- strip all literals on ``field``."""
-        return Formula(l for l in self._literals if l.field != field)
+    def meet(self: _C, other: _C) -> Optional[_C]:
+        """``self AND other`` for a conjunction over the same key space,
+        or None when contradictory.
 
-    def holds(self, packet: Packet) -> bool:
-        return all(l.holds(packet) for l in self._literals)
-
-    def to_predicate(self) -> Predicate:
-        """Render as a NetKAT predicate."""
-        terms = []
-        for l in sorted(self._literals):
-            t = test(l.field, l.value)
-            terms.append(t if l.op == EQ else neg(t))
-        return conj(*terms) if terms else TRUE
-
-    def implies(self, other: "Formula") -> bool:
-        """Syntactic implication: every literal of ``other`` follows from self."""
-        pos: Dict[str, int] = {
-            l.field: l.value for l in self._literals if l.op == EQ
-        }
+        The partition-refinement inner loop: each of ``other``'s
+        literals is classified against the cached positive map as a
+        clash (contradictory pair -- the common case in a cross
+        product), implied (subsumed by one of ours), or novel; nothing
+        is allocated unless novel literals survive.
+        """
+        if other is self or not other._literals:
+            return self
+        lits = self._literals
+        if not lits:
+            return other
+        pos = self._pos
+        novel: Optional[List[Literal]] = None
+        novel_positive = False
         for l in other._literals:
+            known = pos.get(l.field)
             if l.op == EQ:
-                if pos.get(l.field) != l.value:
-                    return False
+                if known is not None:
+                    if known != l.value:
+                        return None  # k=a AND k=b
+                    continue  # same positive: implied
+                if Literal(l.field, NE, l.value) in lits:
+                    return None  # k!=v AND k=v
+                novel_positive = True
             else:
-                known = pos.get(l.field)
-                if known is not None and known != l.value:
-                    continue  # f=known (!= value) implies f != value
-                if l not in self._literals:
-                    return False
-        return True
+                if known is not None:
+                    if known == l.value:
+                        return None  # k=v AND k!=v
+                    continue  # implied by our positive
+                if l in lits:
+                    continue
+            if novel is None:
+                novel = [l]
+            else:
+                novel.append(l)
+        if novel is None:
+            return self  # other is fully subsumed
+        merged = lits.union(novel)
+        if novel_positive:
+            # A new positive may subsume our negatives on its key;
+            # re-canonicalize (and reuse `other` when that leaves
+            # exactly its literals instead of building an equal value).
+            merged = _canonicalize(merged)
+            if merged == other._literals:
+                return other
+        return self._of_canonical(merged)
+
+    def without_field(self: _C, field: Key) -> _C:
+        """``(exists field: self)`` -- strip all literals on ``field``."""
+        kept = frozenset(l for l in self._literals if l.field != field)
+        if len(kept) == len(self._literals):
+            return self
+        return self._of_canonical(kept)
+
+    def implies(self: _C, other: _C) -> bool:
+        """Syntactic implication: every literal of ``other`` follows from
+        self, i.e. meeting it adds nothing."""
+        return self.meet(other) is self
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Formula):
+        # Same key space only: a Formula never equals a StateGuard.
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return self._literals == other._literals
 
@@ -142,46 +207,68 @@ class Formula:
         # process would disagree with hashes computed by the loader.
         return self._literals
 
-    def __setstate__(self, literals):
-        object.__setattr__(self, "_literals", literals)
-        object.__setattr__(self, "_hash", hash(literals))
-        object.__setattr__(self, "_repr", None)
+    __setstate__ = _finish  # rebuilds the positive map, hash and repr slot
 
     def __repr__(self) -> str:
         # Formula reprs feed Event.__repr__, the pipeline's sort key.
         if self._repr is None:
-            if not self._literals:
-                object.__setattr__(self, "_repr", "true")
-            else:
-                object.__setattr__(
-                    self,
-                    "_repr",
-                    " & ".join(repr(l) for l in sorted(self._literals)),
-                )
+            self._repr = (
+                " & ".join(repr(l) for l in sorted(self._literals)) or "true"
+            )
         return self._repr
 
 
+class Formula(Conjunction):
+    """A conjunction over packet fields: the guard of an event."""
+
+    __slots__ = ()
+
+    def holds(self, packet: Packet) -> bool:
+        return all(l.holds(packet) for l in self._literals)
+
+    def to_predicate(self) -> Predicate:
+        """Render as a NetKAT predicate."""
+        terms = []
+        for l in sorted(self._literals):
+            t = test(l.field, l.value)
+            terms.append(t if l.op == EQ else neg(t))
+        return conj(*terms) if terms else TRUE
+
+
+class StateGuard(Conjunction):
+    """A conjunction over state-component indices: a constraint on the
+    symbolic state vector."""
+
+    __slots__ = ()
+
+    def holds(self, state: Sequence[int]) -> bool:
+        """Is the concrete state vector consistent with this guard?"""
+        for l in self._literals:
+            if (state[l.field] == l.value) != (l.op == EQ):
+                return False
+        return True
+
+
 def _contradictory(literals: FrozenSet[Literal]) -> bool:
-    positives: Dict[str, Set[int]] = {}
-    negatives: Dict[str, Set[int]] = {}
-    for l in literals:
-        target = positives if l.op == EQ else negatives
-        target.setdefault(l.field, set()).add(l.value)
-    for field, values in positives.items():
-        if len(values) > 1:
-            return True
-        (value,) = values
-        if value in negatives.get(field, ()):
-            return True
-    return False
+    # One positive value is kept per key: a second positive on the key
+    # disagrees with it, and so does a negative on the kept value.
+    kept = {l.field: l.value for l in literals if l.op == EQ}
+    return any(
+        (kept[l.field] == l.value) != (l.op == EQ)
+        for l in literals
+        if l.field in kept
+    )
 
 
 def _canonicalize(literals: FrozenSet[Literal]) -> FrozenSet[Literal]:
     """Drop negative literals made redundant by a positive one."""
-    positives = {l.field: l.value for l in literals if l.op == EQ}
-    out = set()
-    for l in literals:
-        if l.op == NE and l.field in positives:
-            continue  # f=v already implies f != anything-else
-        out.add(l)
-    return frozenset(out)
+    positives = {l.field for l in literals if l.op == EQ}
+    if not positives:
+        return literals
+    out = {
+        l
+        for l in literals
+        # k=v already implies k != anything-else
+        if l.op == EQ or l.field not in positives
+    }
+    return literals if len(out) == len(literals) else frozenset(out)

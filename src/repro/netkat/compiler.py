@@ -162,6 +162,12 @@ class Knowledge:
     sets of excluded values.  Knowledge is carried across links so that
     downstream switches re-match the constraints that selected this path
     (unmodified fields keep their values across hops).
+
+    Deliberately not a :class:`repro.formula.Formula`, though
+    ``predicate()`` is its ``to_predicate()``: in ``compile_policy``'s
+    per-hop loop sorted tuples build, hash and order faster than
+    frozen-dataclass literals (replacing it measured -16 % / -10 % ops/s
+    on ``compile_chain`` / ``compile_apps``; CHANGES.md, PR 20).
     """
 
     pos: Tuple[Tuple[str, int], ...] = ()

@@ -87,6 +87,15 @@ class ProtocolError(ValueError):
         self.code = code
 
 
+def _json_int(value: Any) -> int:
+    """``value`` when it is a JSON integer.  ``int()`` would coerce a
+    boolean, a float or a digit string onto the integer spelling's
+    artifact key; nothing is tolerated-and-ignored."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def _expect_mapping(obj: Any, what: str) -> Mapping[str, Any]:
     if not isinstance(obj, Mapping):
         raise ProtocolError(
@@ -172,7 +181,7 @@ def initial_state_from_wire(obj: Any) -> Tuple[int, ...]:
             f"initial_state must be a list of ints, got {type(obj).__name__}",
         )
     try:
-        return tuple(int(component) for component in obj)
+        return tuple(_json_int(component) for component in obj)
     except (TypeError, ValueError) as exc:
         raise ProtocolError(
             "bad_initial_state", f"malformed initial_state: {exc}"
@@ -246,7 +255,7 @@ def delta_from_wire(obj: Any) -> Delta:
     for pair in wire.get("set_state", ()):
         try:
             component, value = pair
-            set_state.append((int(component), int(value)))
+            set_state.append((_json_int(component), _json_int(value)))
         except (TypeError, ValueError) as exc:
             raise ProtocolError(
                 "bad_delta", f"set_state entries must be [component, value] "

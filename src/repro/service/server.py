@@ -60,6 +60,7 @@ from ..pipeline import (
     PipelineError,
 )
 from ..runtime.compiler import LocalityError
+from ..stateful.ast import validate_state_references
 from . import protocol
 from .state import DEFAULT_MEMO_SIZE, ServiceState, UnknownArtifactError
 
@@ -107,6 +108,16 @@ def _reject_unknown_fields(wire: Mapping[str, Any], *known: str) -> None:
         raise protocol.ProtocolError(
             "bad_request", f"unknown request fields {sorted(unknown)}"
         )
+
+
+def _include_tables(wire: Mapping[str, Any]) -> bool:
+    include = wire.get("include_tables", True)
+    if not isinstance(include, bool):
+        raise protocol.ProtocolError(
+            "bad_request",
+            f"include_tables must be a JSON boolean, got {include!r}",
+        )
+    return include
 
 
 def _status_of(exc: BaseException) -> int:
@@ -232,12 +243,17 @@ class _Handler(BaseHTTPRequestHandler):
             ) from exc
 
     def _fail(self, exc: BaseException) -> Tuple[int, Dict[str, Any]]:
-        status = _status_of(exc)
+        status, code = _status_of(exc), None
+        if isinstance(exc, RecursionError):
+            # Only a request's program nests deep enough to exhaust the
+            # stack: in the parser, in repr(program) for the artifact
+            # key, or in a stage walk.
+            status, code = 400, "program_too_deep"
         if isinstance(exc, ArtifactIntegrityError):
             # The strict-cache tripwire: counted so /health goes (and
             # stays) non-200 for the fleet's monitoring to see.
             self.server.state.integrity_errors.inc()
-        error = protocol.error_to_wire(exc)
+        error = protocol.error_to_wire(exc, code)
         trace_id = obs_trace.current_trace_id() or self._request_trace_id
         if trace_id is not None:
             # Structured errors carry the request's trace ID so a
@@ -297,6 +313,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "bad_request",
                 f"deadline_seconds must be a positive number, got {deadline!r}",
             )
+        include_tables = _include_tables(wire)
         state = self.server.state
         options = state.effective_options(
             protocol.options_from_wire(
@@ -313,19 +330,23 @@ class _Handler(BaseHTTPRequestHandler):
             key, pipeline = hit
             source = "memo"
         else:
+            program = protocol.program_from_wire(wire["program"])
+            initial_state = protocol.initial_state_from_wire(wire["initial_state"])
+            try:
+                validate_state_references(program, len(initial_state))
+            except IndexError as exc:
+                raise protocol.ProtocolError("bad_initial_state", str(exc)) from exc
             key, pipeline, source = state.compile_pipeline(
-                protocol.program_from_wire(wire["program"]),
+                program,
                 protocol.topology_from_wire(wire["topology"]),
-                protocol.initial_state_from_wire(wire["initial_state"]),
+                initial_state,
                 options,
             )
             state.index_put(fingerprint, key)
-        return self._artifact_body(
-            key, pipeline, source, wire.get("include_tables", True)
-        )
+        return self._artifact_body(key, pipeline, source, include_tables)
 
     def _artifact_body(
-        self, key: str, pipeline, source: str, include_tables: Any
+        self, key: str, pipeline, source: str, include_tables: bool
     ) -> Dict[str, Any]:
         body: Dict[str, Any] = {
             "artifact_key": key,
@@ -333,7 +354,7 @@ class _Handler(BaseHTTPRequestHandler):
             "report": pipeline.report().to_dict(),
         }
         if include_tables:
-            body["tables"] = self.server.state.wire_tables(key, pipeline)
+            body["tables"] = protocol.tables_to_wire(pipeline.compiled)
         return body
 
     # -- endpoints ----------------------------------------------------------
@@ -411,13 +432,12 @@ class _Handler(BaseHTTPRequestHandler):
                 'update body must be {"artifact_key": ..., "delta": ...}',
             )
         _reject_unknown_fields(wire, "artifact_key", "delta", "include_tables")
+        include_tables = _include_tables(wire)
         delta = protocol.delta_from_wire(wire["delta"])
         key, updated = self.server.state.update_pipeline(
             str(wire["artifact_key"]), delta
         )
-        return 200, self._artifact_body(
-            key, updated, "update", wire.get("include_tables", True)
-        )
+        return 200, self._artifact_body(key, updated, "update", include_tables)
 
     def _handle_health(self) -> Tuple[int, Dict[str, Any]]:
         ok, body = self.server.state.health_body()

@@ -7,8 +7,9 @@ cache hierarchy has three rungs, from hottest to coldest:
 
 1. the bounded in-process **pipeline memo** (an LRU of compiled
    :class:`~repro.pipeline.Pipeline` objects, which also keeps the
-   symbolic engine warm for ``POST /update``), each entry carrying its
-   wire-form tables once a response has needed them;
+   symbolic engine warm for ``POST /update``; a memoized pipeline's
+   merged tables carry their own serialized text, so a repeat response
+   builds none);
 2. the shared **on-disk artifact cache** behind every miss (enabled by
    the launcher's ``--cache-dir``; HMAC-verified when
    ``REPRO_CACHE_HMAC_KEY`` is set, hard-failing under
@@ -51,8 +52,9 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 from ..netkat.ast import Policy
 from ..obs import metrics as obs_metrics
 from ..pipeline import CompileOptions, Delta, Pipeline
+from ..stateful.ast import validate_state_references
 from ..topology import Topology
-from . import protocol
+from .protocol import ProtocolError
 
 __all__ = ["ServiceState", "UnknownArtifactError"]
 
@@ -73,16 +75,6 @@ _ERRORS = "repro_service_errors_total"
 _REQUEST_SECONDS = "repro_service_request_seconds"
 _REQUEST_SECONDS_MAX = "repro_service_request_seconds_max"
 _HEALTH = "repro_service_health_total"
-
-
-class _MemoEntry:
-    """A memoized pipeline and, once served, its wire-form tables."""
-
-    __slots__ = ("pipeline", "tables")
-
-    def __init__(self, pipeline: Pipeline):
-        self.pipeline = pipeline
-        self.tables: Optional[Dict[str, str]] = None
 
 
 class UnknownArtifactError(Exception):
@@ -122,7 +114,7 @@ class ServiceState:
         self.memo_size = memo_size
         self.started = time.time()
         self._memo_lock = threading.Lock()
-        self._memo: "collections.OrderedDict[str, _MemoEntry]" = (
+        self._memo: "collections.OrderedDict[str, Pipeline]" = (
             collections.OrderedDict()
         )
         # fingerprint -> artifact key, guarded by _memo_lock
@@ -189,17 +181,14 @@ class ServiceState:
 
     def memo_get(self, key: str) -> Optional[Pipeline]:
         with self._memo_lock:
-            entry = self._memo.get(key)
-            if entry is None:
-                return None
-            self._memo.move_to_end(key)
-            return entry.pipeline
+            pipeline = self._memo.get(key)
+            if pipeline is not None:
+                self._memo.move_to_end(key)
+            return pipeline
 
     def memo_put(self, key: str, pipeline: Pipeline) -> None:
         with self._memo_lock:
-            entry = self._memo.get(key)
-            if entry is None or entry.pipeline is not pipeline:
-                self._memo[key] = _MemoEntry(pipeline)
+            self._memo[key] = pipeline
             self._memo.move_to_end(key)
             while len(self._memo) > self.memo_size:
                 self._memo.popitem(last=False)
@@ -213,18 +202,6 @@ class ServiceState:
                 "evictions": int(self._evictions.value),
                 "index_entries": len(self._index),
             }
-
-    def wire_tables(self, key: str, pipeline: Pipeline) -> Dict[str, str]:
-        """``protocol.tables_to_wire`` of a compiled pipeline, computed
-        once per memo entry (the tables of a memoized pipeline never
-        change) and dropped with it."""
-        with self._memo_lock:
-            entry = self._memo.get(key)
-        if entry is None or entry.pipeline is not pipeline:
-            return protocol.tables_to_wire(pipeline.compiled)  # evicted since
-        if entry.tables is None:
-            entry.tables = protocol.tables_to_wire(pipeline.compiled)
-        return entry.tables
 
     # -- request index ------------------------------------------------------
 
@@ -247,14 +224,14 @@ class ServiceState:
         served, while that pipeline is memo-resident; else ``None``."""
         with self._memo_lock:
             key = self._index.get(fingerprint)
-            entry = self._memo.get(key) if key is not None else None
-            if entry is None:
+            pipeline = self._memo.get(key) if key is not None else None
+            if pipeline is None:
                 return None
             self._index.move_to_end(fingerprint)
             self._memo.move_to_end(key)
         self._index_hits.inc()
         self._compiles["memo"].inc()
-        return key, entry.pipeline
+        return key, pipeline
 
     def index_put(self, fingerprint: str, key: str) -> None:
         with self._memo_lock:
@@ -332,6 +309,11 @@ class ServiceState:
         base = self.memo_get(key)
         if base is None:
             raise UnknownArtifactError(key)
+        if delta.with_policy is not None:
+            try:
+                validate_state_references(delta.with_policy, len(base.initial_state))
+            except IndexError as exc:
+                raise ProtocolError("bad_delta", str(exc)) from exc
         try:
             updated = base.update(delta)
         except Exception as exc:

@@ -17,12 +17,11 @@ from .ast import (
 )
 from .ets import ETS, build_ets
 from .events import EventEdge, ExtractResult, extract
-from .formula import EQ, Formula, Literal, NE
+from ..formula import EQ, Formula, Literal, NE
 from .projection import project, project_predicate
 from .symbolic import (
     GuardedEdge,
     StateGuard,
-    StateLiteral,
     SymbolicExtract,
     SymbolicProgram,
     symbolic_extract,
@@ -50,7 +49,6 @@ __all__ = [
     "project",
     "project_predicate",
     "StateGuard",
-    "StateLiteral",
     "GuardedEdge",
     "SymbolicExtract",
     "SymbolicProgram",

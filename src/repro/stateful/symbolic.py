@@ -10,11 +10,10 @@ walks the program **once**, treating each state test as a constraint on
 a symbolic state vector:
 
 - event extraction threads *guarded* formulas ``(g, phi)`` -- ``g`` is a
-  canonical conjunction of state-component (in)equality literals (a
-  :class:`StateGuard`, the state-space analogue of
-  :class:`repro.formula.Formula` over packet fields) -- and collects
-  *guarded* event edges ``(g, event, updates)`` whose concrete source
-  and destination states are instantiated later;
+  :class:`~repro.formula.StateGuard`, the same canonical-conjunction
+  algebra as the packet formula ``phi`` with state-component indices
+  for keys -- and collects *guarded* event edges ``(g, event, updates)``
+  whose concrete source and destination states are instantiated later;
 - projection produces a guarded decision structure: a partition of the
   state space into :class:`StateGuard` cells, each carrying the
   projected configuration policy shared by every state in the cell.
@@ -36,10 +35,10 @@ in ``tests/test_differential.py`` pin this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..events.event import Event
-from ..formula import EQ, Formula, Literal, NE
+from ..formula import EQ, Formula, Literal, NE, StateGuard
 from ..netkat.ast import (
     Assign,
     Conj,
@@ -71,7 +70,6 @@ from .ast import LinkUpdate, StateTest, StateVector, uses_state, vector_update
 from .events import EventEdge, STAR_EXTRACT_FUEL
 
 __all__ = [
-    "StateLiteral",
     "StateGuard",
     "GuardedEdge",
     "SymbolicExtract",
@@ -81,219 +79,7 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# State guards: canonical conjunctions over state components
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, order=True)
-class StateLiteral:
-    """A single constraint ``state(component) = value`` or ``!= value``."""
-
-    component: int
-    op: str
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.op not in (EQ, NE):
-            raise ValueError(f"bad state literal operator {self.op!r}")
-
-    def holds(self, state: StateVector) -> bool:
-        actual = state[self.component]
-        if self.op == EQ:
-            return actual == self.value
-        return actual != self.value
-
-    def __repr__(self) -> str:
-        return f"state({self.component}){self.op}{self.value}"
-
-
-class StateGuard:
-    """A satisfiable canonical conjunction of state literals.
-
-    Mirrors :class:`repro.formula.Formula`, with packet fields replaced
-    by state-component indices: a positive literal on a component
-    subsumes (and must be consistent with) every other literal on it,
-    negative literals accumulate, and unsatisfiable conjunctions are
-    represented by absence -- the combinators return ``None``.
-    """
-
-    __slots__ = ("_literals", "_pos", "_hash", "_repr")
-
-    def __init__(self, literals: Iterable[StateLiteral] = ()):
-        lits = frozenset(literals)
-        if _guard_contradictory(lits):
-            raise ValueError(
-                f"contradictory state literal set {sorted(lits)!r}; "
-                "use StateGuard.conjoin to build guards safely"
-            )
-        self._finish(_guard_canonicalize(lits))
-
-    def _finish(self, canonical: FrozenSet[StateLiteral]) -> None:
-        object.__setattr__(self, "_literals", canonical)
-        # Positive assignments, cached for the contradiction fast path
-        # in conjoin_guard (the symbolic-projection inner loop).
-        object.__setattr__(
-            self,
-            "_pos",
-            {l.component: l.value for l in canonical if l.op == EQ},
-        )
-        object.__setattr__(self, "_hash", hash(canonical))
-        object.__setattr__(self, "_repr", None)
-
-    @staticmethod
-    def true() -> "StateGuard":
-        return _TRUE_GUARD
-
-    @staticmethod
-    def _of_canonical(literals: FrozenSet[StateLiteral]) -> "StateGuard":
-        """Build from literals already known consistent and canonical
-        (skips the redundant ``__init__`` re-checks -- the conjoin
-        combinators on the symbolic-projection hot path just ran them)."""
-        guard = object.__new__(StateGuard)
-        guard._finish(literals)
-        return guard
-
-    @property
-    def literals(self) -> FrozenSet[StateLiteral]:
-        return self._literals
-
-    def is_true(self) -> bool:
-        return not self._literals
-
-    def conjoin(self, literal: StateLiteral) -> Optional["StateGuard"]:
-        """``self AND literal``, or None when contradictory."""
-        if literal in self._literals:
-            return self
-        if self._clashes(literal):
-            return None
-        canonical = _guard_canonicalize(self._literals | {literal})
-        if canonical == self._literals:
-            return self
-        return StateGuard._of_canonical(canonical)
-
-    def conjoin_guard(self, other: "StateGuard") -> Optional["StateGuard"]:
-        """``self AND other``, or None when contradictory.
-
-        The partition-refinement inner loop: each of ``other``'s
-        literals is classified against the cached positive map as a
-        clash (contradictory pair -- the common case in a cross
-        product), implied (subsumed by one of ours), or novel; nothing
-        is allocated unless novel literals survive.
-        """
-        if other is self or not other._literals:
-            return self
-        lits = self._literals
-        if not lits:
-            return other
-        pos = self._pos
-        novel: Optional[List[StateLiteral]] = None
-        novel_positive = False
-        for l in other._literals:
-            known = pos.get(l.component)
-            if l.op == EQ:
-                if known is not None:
-                    if known != l.value:
-                        return None  # state(m)=a AND state(m)=b
-                    continue  # same positive: implied
-                if StateLiteral(l.component, NE, l.value) in lits:
-                    return None  # state(m)!=v AND state(m)=v
-                novel_positive = True
-            else:
-                if known is not None:
-                    if known == l.value:
-                        return None  # state(m)=v AND state(m)!=v
-                    continue  # implied by our positive
-                if l in lits:
-                    continue
-            if novel is None:
-                novel = [l]
-            else:
-                novel.append(l)
-        if novel is None:
-            return self  # other is fully subsumed
-        merged = lits.union(novel)
-        if novel_positive:
-            # A new positive may subsume our negatives on its component;
-            # re-canonicalize (and reuse `other` when that leaves
-            # exactly its literals instead of building an equal guard).
-            merged = _guard_canonicalize(merged)
-            if merged == other._literals:
-                return other
-        return StateGuard._of_canonical(merged)
-
-    def _clashes(self, literal: StateLiteral) -> bool:
-        """Does one extra literal contradict this (consistent) guard?"""
-        known = self._pos.get(literal.component)
-        if literal.op == EQ:
-            if known is not None and known != literal.value:
-                return True
-            return StateLiteral(literal.component, NE, literal.value) in self._literals
-        return known == literal.value
-
-    def holds(self, state: StateVector) -> bool:
-        """Is the concrete state vector consistent with this guard?"""
-        for l in self._literals:
-            if (state[l.component] == l.value) != (l.op == EQ):
-                return False
-        return True
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StateGuard):
-            return NotImplemented
-        return self._literals == other._literals
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        if self._repr is None:
-            if not self._literals:
-                object.__setattr__(self, "_repr", "true")
-            else:
-                object.__setattr__(
-                    self,
-                    "_repr",
-                    " & ".join(repr(l) for l in sorted(self._literals)),
-                )
-        return self._repr
-
-
-def _guard_contradictory(literals: FrozenSet[StateLiteral]) -> bool:
-    # Literal sets here are tiny (one entry per state test on a control
-    # path); a flat scan beats building per-op value-set dicts.
-    positives: Dict[int, int] = {}
-    for l in literals:
-        if l.op == EQ:
-            known = positives.get(l.component)
-            if known is not None and known != l.value:
-                return True
-            positives[l.component] = l.value
-    if not positives:
-        return False
-    for l in literals:
-        if l.op == NE and positives.get(l.component) == l.value:
-            return True
-    return False
-
-
-def _guard_canonicalize(
-    literals: FrozenSet[StateLiteral],
-) -> FrozenSet[StateLiteral]:
-    """Drop negative literals made redundant by a positive one."""
-    positives = {l.component for l in literals if l.op == EQ}
-    if not positives:
-        return literals
-    out = {
-        l
-        for l in literals
-        # state(m)=v already implies state(m) != anything-else
-        if l.op == EQ or l.component not in positives
-    }
-    return literals if len(out) == len(literals) else frozenset(out)
-
-
-_TRUE_GUARD = StateGuard()
+_TRUE_GUARD = StateGuard.true()
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +265,7 @@ def _sx_predicate(
         # the symbolic state.  A contradictory refinement is the guarded
         # spelling of the concrete walk's dropped branch.
         op = EQ if positive else NE
-        refined = guard.conjoin(StateLiteral(a.component, op, a.value))
+        refined = guard.conjoin(Literal(a.component, op, a.value))
         if refined is None:
             return _EMPTY
         return SymbolicExtract.of(refined, phi)
@@ -568,7 +354,7 @@ def _sp(p: Policy, memo: dict) -> GuardedCells:
                 out.append((g, DROP))
                 continue
             for g2, right in _sp(p.right, memo):
-                refined = g.conjoin_guard(g2)
+                refined = g.meet(g2)
                 if refined is not None:
                     out.append((refined, seq(left, right)))
         cells = tuple(out)
@@ -591,8 +377,8 @@ def _sp_predicate(
         return cells
     if isinstance(a, StateTest):
         cells = (
-            (StateGuard((StateLiteral(a.component, EQ, a.value),)), TRUE),
-            (StateGuard((StateLiteral(a.component, NE, a.value),)), FALSE),
+            (StateGuard((Literal(a.component, EQ, a.value),)), TRUE),
+            (StateGuard((Literal(a.component, NE, a.value),)), FALSE),
         )
     elif isinstance(a, Neg):
         cells = tuple((g, neg(x)) for g, x in _sp_predicate(a.operand, memo))
@@ -603,7 +389,7 @@ def _sp_predicate(
                 out.append((g, FALSE))  # false AND b = false
                 continue
             for g2, right in _sp_predicate(a.right, memo):
-                refined = g.conjoin_guard(g2)
+                refined = g.meet(g2)
                 if refined is not None:
                     out.append((refined, conj(left, right)))
         cells = tuple(out)
@@ -614,7 +400,7 @@ def _sp_predicate(
                 out.append((g, TRUE))  # true OR b = true
                 continue
             for g2, right in _sp_predicate(a.right, memo):
-                refined = g.conjoin_guard(g2)
+                refined = g.meet(g2)
                 if refined is not None:
                     out.append((refined, disj(left, right)))
         cells = tuple(out)
@@ -632,7 +418,7 @@ def _sp_combine(
     out: List[Tuple[StateGuard, Policy]] = []
     for g, lp in left:
         for g2, rp in right:
-            refined = g.conjoin_guard(g2)
+            refined = g.meet(g2)
             if refined is not None:
                 out.append((refined, combine(lp, rp)))
     return tuple(out)

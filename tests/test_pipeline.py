@@ -17,6 +17,7 @@ import pytest
 from repro import CompileOptions, Delta, Pipeline, compile_app
 from repro.apps import bandwidth_cap_app, firewall_app, ids_app
 from repro.events.ets_to_nes import nes_of_ets
+from repro.formula import EQ, NE, Formula, Literal
 from repro.netkat.fdd import FDDBuilder
 from repro.pipeline import ArtifactCache, artifact_digest
 from repro.runtime.compiler import CompiledNES, compile_nes
@@ -220,11 +221,26 @@ class TestArtifactCache:
         warm = Pipeline(app.program, app.topology, app.initial_state, opts)
         loaded = warm.compiled
         assert warm.report().artifact_cache == "hit"
+        pinned = 0
         for event in loaded.nes.events:
             fresh = type(event)(event.guard, event.location, event.eid)
             assert hash(fresh) == hash(event)
             assert fresh in frozenset(loaded.nes.events)
             assert loaded.nes.structure.event_index.get(fresh) is not None
+            # The guard travelled as its literal set alone; everything
+            # derived from it (hash, positive map) is this process's.
+            guard = event.guard
+            rebuilt = Formula(guard.literals)
+            assert rebuilt == guard and hash(rebuilt) == hash(guard)
+            for l in guard.literals:
+                if l.op == EQ:
+                    pinned += 1
+                    clash = Literal(l.field, EQ, l.value + 1)
+                    assert guard.conjoin(clash) is None
+                    assert guard.conjoin(l.negated()) is None
+                    implied = Literal(l.field, NE, l.value + 1)
+                    assert guard.conjoin(implied) is guard
+        assert pinned  # some loaded guard had a positive map to rebuild
         assert guarded_bytes(loaded) == guarded_bytes(legacy_compile(app))
 
     def test_key_covers_program_state_and_semantic_options(self):

@@ -502,14 +502,20 @@ class TestProtocolErrors:
             ({"options": {"enforce_locality": 1}}, "bad_options"),
             ({"options": {"max_frontier": True}}, "bad_options"),
             ({"deadline_seconds": True}, "bad_request"),
+            ({"include_tables": "no"}, "bad_request"),
+            ({"include_tables": 0}, "bad_request"),
+            ({"initial_state": [False]}, "bad_initial_state"),
+            ({"initial_state": [0.0]}, "bad_initial_state"),
+            ({"initial_state": ["0"]}, "bad_initial_state"),
         ],
         ids=lambda p: json.dumps(p) if isinstance(p, dict) else p,
     )
     def test_ill_typed_option_values_are_a_400(
         self, extra, code, shared_service
     ):
-        """Each of these used to be a bare 500, or to compile the same
-        program under a second artifact key."""
+        """Each of these used to be a bare 500, to compile the same
+        program under a second artifact key, or to be coerced onto the
+        well-typed spelling's answer (``"no"`` shipped the tables)."""
         app = firewall_app()
         plain = shared_service.compile(
             app.program, app.topology, app.initial_state
@@ -529,6 +535,131 @@ class TestProtocolErrors:
         )
         assert repeat["source"] == "memo"
         assert repeat["artifact_key"] == plain["artifact_key"]
+
+    def test_ill_typed_scalars_are_a_400_on_batch_and_update(self, shared_service):
+        app = firewall_app()
+        wire = protocol.compile_request_to_wire(
+            app.program, app.topology, app.initial_state
+        )
+        status, body = raw_request(
+            shared_service, "POST", "/compile/batch",
+            data=json.dumps({"requests": [
+                wire,
+                {**wire, "include_tables": "no"},
+                {**wire, "initial_state": [False]},
+            ]}).encode(),
+        )
+        good, tables, initial = body["results"]
+        assert status == 200 and "tables" in good
+        assert (tables["status"], tables["error"]["code"]) == (400, "bad_request")
+        assert (initial["status"], initial["error"]["code"]) == (
+            400, "bad_initial_state",
+        )
+        for extra, code in [
+            ({"include_tables": "no"}, "bad_request"),
+            ({"include_tables": 1}, "bad_request"),
+            ({"delta": {"set_state": [[0, 1.5]]}}, "bad_delta"),
+            ({"delta": {"set_state": [[0, True]]}}, "bad_delta"),
+            ({"delta": {"set_state": [[False, 1]]}}, "bad_delta"),
+            ({"delta": {"set_state": [["0", 1]]}}, "bad_delta"),
+        ]:
+            update = {
+                "artifact_key": good["artifact_key"],
+                "delta": {"set_state": [[0, 1]]},
+                **extra,
+            }
+            status, body = raw_request(
+                shared_service, "POST", "/update",
+                data=json.dumps(update).encode(),
+            )
+            assert (status, body["error"]["code"]) == (400, code), extra
+            assert "tables" not in body
+
+    def test_state_references_past_the_state_vector_are_a_400(
+        self, shared_service
+    ):
+        """A request-caused ``IndexError`` from the program/state-vector
+        width check used to leave as a bare 500."""
+        app = firewall_app()
+        wire = protocol.compile_request_to_wire(
+            app.program, app.topology, app.initial_state
+        )
+        short = json.dumps({**wire, "initial_state": []}).encode()
+        status, body = raw_request(shared_service, "POST", "/compile", data=short)
+        assert (status, body["error"]["code"]) == (400, "bad_initial_state")
+        assert "state component 0" in body["error"]["message"]
+        base = shared_service.compile(
+            app.program, app.topology, app.initial_state
+        )
+        status, body = raw_request(
+            shared_service, "POST", "/update",
+            data=json.dumps({
+                "artifact_key": base["artifact_key"],
+                "delta": {
+                    "replace_policy": "pt<-2",
+                    "with_policy": "state(3)=1; pt<-2",
+                },
+            }).encode(),
+        )
+        assert (status, body["error"]["code"]) == (400, "bad_delta")
+        assert "state component 3" in body["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "program",
+        [
+            "pt=1" + ";pt<-2" * 4000,
+            "pt=1" + "+pt=2" * 4000,
+            "!" * 3000 + "pt=1",
+            "(" * 5000 + "pt=1" + ")" * 5000,
+            "pt=1" + "*" * 3000,
+        ],
+        ids=["seq", "union", "neg", "parens", "star"],
+    )
+    def test_a_program_nested_past_the_stack_is_a_400(
+        self, program, shared_service
+    ):
+        """A few KB of nesting exhausts the interpreter stack in the
+        parser, in ``repr(program)`` for the artifact key, or in a stage
+        walk; each used to be a bare ``500 RecursionError``."""
+        app = firewall_app()
+        wire = protocol.compile_request_to_wire(
+            app.program, app.topology, app.initial_state
+        )
+        deep = json.dumps({**wire, "program": program})
+        assert len(deep) < 64 * 1024
+        host, port = shared_service.base_url.rsplit("/", 1)[1].split(":")
+        with closing(
+            http.client.HTTPConnection(host, int(port), timeout=60)
+        ) as connection:
+            def post(path, payload):
+                connection.request("POST", path, payload)
+                response = connection.getresponse()
+                return response.status, json.loads(response.read())
+
+            status, body = post("/compile", deep)
+            assert (status, body["error"]["code"]) == (400, "program_too_deep")
+            # The handler thread and its connection survive.
+            status, body = post("/compile", json.dumps(wire))
+            assert status == 200 and body["tables"]
+            key = body["artifact_key"]
+            status, body = post("/update", json.dumps({
+                "artifact_key": key,
+                "delta": {"replace_policy": "pt<-2", "with_policy": program},
+            }))
+            assert (status, body["error"]["code"]) == (400, "program_too_deep")
+            status, body = post(
+                "/compile/batch", json.dumps({"requests": [
+                    json.loads(deep), wire,
+                ]})
+            )
+            failed, served = body["results"]
+            assert (failed["status"], failed["error"]["code"]) == (
+                400, "program_too_deep",
+            )
+            assert status == 200 and served["artifact_key"] == key
+            connection.request("GET", "/health")
+            response = connection.getresponse()
+            assert response.status == 200 and json.loads(response.read())["ok"]
 
     def test_missing_required_field_is_a_400(self, shared_service):
         status, body = raw_request(
@@ -1192,30 +1323,29 @@ class TestRequestIndex:
                     client.compile(text, app.topology, app.initial_state)
             assert state.memo_snapshot()["size"] == memo_size
             assert memo_size < len(state._index) <= 4 * memo_size
-            with state._memo_lock:
-                cached_tables = [
-                    entry.tables for entry in state._memo.values()
-                ]
-            assert len(cached_tables) == memo_size
-            assert all(tables is not None for tables in cached_tables)
 
-    def test_wire_tables_are_computed_once_per_memo_entry(self, monkeypatch):
+    def test_wire_tables_are_computed_once_per_memo_entry(self):
         app = firewall_app()
-        calls = []
-        real = protocol.tables_to_wire
-        monkeypatch.setattr(
-            protocol, "tables_to_wire",
-            lambda compiled: calls.append(1) or real(compiled),
-        )
         with fresh_service() as (client, server):
             first = client.compile(app.program, app.topology, app.initial_state)
+            # What replaced the per-entry dict of texts: the memoised
+            # pipeline's merged tables are built once and each carries
+            # its serialised text from the first response on, so a
+            # repeat builds no table text.
+            pipeline = server.state.memo_get(first["artifact_key"])
+            tables = pipeline.compiled.guarded_tables()
+            assert all("_repr" in vars(table) for table in tables.values())
             for _ in range(3):
                 again = client.compile(
                     app.program, app.topology, app.initial_state
                 )
                 assert again["tables"] == first["tables"]
-            assert len(calls) == 1
-            assert server.state.memo_get(first["artifact_key"]) is not None
+            repeat = pipeline.compiled.guarded_tables()
+            assert all(repeat[switch] is tables[switch] for switch in tables)
+            assert first["tables"] == {
+                str(switch): vars(table)["_repr"]
+                for switch, table in tables.items()
+            }
 
     def test_index_series_are_scraped(self):
         app = firewall_app()
