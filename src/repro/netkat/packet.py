@@ -15,7 +15,7 @@ configuration tag and an event digest (section 4.1); those live on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 __all__ = [
     "Location",
@@ -24,6 +24,7 @@ __all__ = [
     "History",
     "SW",
     "PT",
+    "check_field",
 ]
 
 # Canonical names for the two location fields.
@@ -50,29 +51,46 @@ class Location:
         return Location(int(switch_text), int(port_text))
 
 
+def check_field(name: object, value: object) -> None:
+    """Raise ``TypeError`` unless ``name: value`` is a legal packet field."""
+    if not isinstance(name, str):
+        raise TypeError(f"field names must be strings, got {name!r}")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"field {name!r} must have an int value, got {value!r}")
+
+
 class Packet:
     """An immutable packet: a finite map from field names to numeric values.
 
     Packets compare and hash by value, so they can be stored in sets --
     the denotational semantics of NetKAT works with sets of packets.
+
+    ``_replay`` belongs to the simulator (see ``network.simulator._Plan``)
+    and is no part of the value: ``None`` at construction and unpickling.
     """
 
-    __slots__ = ("_fields", "_hash", "_swpt")
+    __slots__ = ("_fields", "_hash", "_swpt", "_replay")
 
     def __init__(self, fields: Mapping[str, int] | Iterable[Tuple[str, int]] = ()):
         items = dict(fields)
         for name, value in items.items():
-            if not isinstance(name, str):
-                raise TypeError(f"field names must be strings, got {name!r}")
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(
-                    f"field {name!r} must have an int value, got {value!r}"
-                )
-        object.__setattr__(self, "_fields", tuple(sorted(items.items())))
-        object.__setattr__(self, "_hash", hash(self._fields))
-        object.__setattr__(
-            self, "_swpt", (items.get(SW), items.get(PT))
-        )
+            check_field(name, value)
+        self._adopt(items)
+
+    def _adopt(self, items: Dict[str, int]) -> None:
+        fields = tuple(sorted(items.items()))
+        self._fields = fields
+        self._hash = hash(fields)
+        self._swpt = (items.get(SW), items.get(PT))
+        self._replay = None
+
+    @classmethod
+    def _of(cls, items: Dict[str, int]) -> "Packet":
+        """A packet over already-valid fields (taken from a packet, a
+        compiled modification or a :class:`Location`): no re-validation."""
+        new = cls.__new__(cls)
+        new._adopt(items)
+        return new
 
     def __getstate__(self):
         # The cached hash is PYTHONHASHSEED-dependent; recompute it in
@@ -80,9 +98,7 @@ class Packet:
         return self._fields
 
     def __setstate__(self, fields):
-        object.__setattr__(self, "_fields", fields)
-        object.__setattr__(self, "_hash", hash(fields))
-        object.__setattr__(self, "_swpt", (dict(fields).get(SW), dict(fields).get(PT)))
+        self._adopt(dict(fields))
 
     # -- mapping interface -------------------------------------------------
 
@@ -114,14 +130,20 @@ class Packet:
 
     def set(self, field: str, value: int) -> "Packet":
         """Return a copy with ``field`` set to ``value`` (``pkt[f <- n]``)."""
+        check_field(field, value)
+        return self._with(((field, value),))
+
+    def _with(self, pairs: Iterable[Tuple[str, int]]) -> "Packet":
+        """A copy with every (already-valid) pair of ``pairs`` written,
+        later pairs winning: a compiled modification, optionally followed
+        by the far end of a link, in one construction."""
         updated = dict(self._fields)
-        updated[field] = value
-        return Packet(updated)
+        updated.update(pairs)
+        return Packet._of(updated)
 
     def without(self, field: str) -> "Packet":
         """Return a copy with ``field`` removed (used by `(exists f: phi)`)."""
-        updated = {k: v for k, v in self._fields if k != field}
-        return Packet(updated)
+        return Packet._of({k: v for k, v in self._fields if k != field})
 
     # -- location helpers ---------------------------------------------------
 
@@ -142,12 +164,7 @@ class Packet:
         sw, pt = self._swpt
         if sw == location.switch and pt == location.port:
             return self
-        return self.set(SW, location.switch).set(PT, location.port)
-
-    def is_at(self, switch: int, port: int) -> bool:
-        """Location test without a field scan (the simulator hot path)."""
-        swpt = self._swpt
-        return swpt[0] == switch and swpt[1] == port
+        return self._with(((SW, location.switch), (PT, location.port)))
 
     # -- dunder boilerplate ---------------------------------------------------
 

@@ -19,25 +19,27 @@ array-of-fields stream description), interning identical headers to
 shared :class:`Packet` objects and chaining arrivals one ahead, so a
 long stream costs one heap entry.  Two shortcuts are taken from what the
 plugged-in logic publishes, never from a setting: emission plans (see
-:class:`_Plan`) when it has ``plan_generations`` and
+:class:`_Plan`) when it has ``classify``, ``plan_generations`` and
 ``header_overhead``, and allocation-free ingress when it has
 ``ingress_frame``.  A logic that publishes neither (the baselines, and
 ``Figure7Logic``, the frozenset reference the record goldens compare
 against) runs the same loop without them.
 
-The per-hop path keeps one cache per decision, and only where its
-traffic was counted to hit.  A hop whose (switch, packet object, tag,
-digest) was seen before replays its emission plan and never reaches the
-logic (``sim_stream``: all but a few hundred of several hundred thousand
-hops); any other hop runs :meth:`_Process._full`, the single loop that
-resolves egress ports, and inside the logic only ``tag ->
-Configuration`` is remembered (see :mod:`repro.network.switch_logic`).
-Nothing keyed on a header's *value* sits underneath (its event matches,
-its forwarding outputs, its relocation across a link): streams share
-``Packet`` objects, which the identity-keyed plan catches first, and
-varying traffic carries a fresh ``ident`` per frame, so such a memo
-takes no hits (counted in CHANGES.md, PR 19).  The delivery statistics
-accessors scan ``deliveries``: they are called once per scenario.
+The per-hop path keeps one plan store, keyed by the leaf that one
+descent of the switch's guarded table ends at (``classify``), so headers
+that differ only in fields no rule or event reads share a plan and the
+store is bounded by the leaves of the decision trees.  A hop whose
+(leaf, tag, digest) was seen under the switch's current generation
+replays the plan on its own packet -- one construction per output, the
+link's far end folded in -- and any other hop runs
+:meth:`_Process._full`, the single loop that resolves egress ports.
+Before descending, the hop asks the packet object itself: a packet
+remembers the plan it last replayed and what that emitted, so a stream
+of one interned header neither descends nor allocates (``sim_stream``:
+all but a few dozen of several ten thousand hops; ``sim_churn``: one
+descent per hop, 97 % of them replays; counted in CHANGES.md, PR 22).
+The delivery statistics accessors scan ``deliveries``: they are called
+once per scenario.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from typing import (
 )
 
 from ..events.event import Event, EventSet
-from ..netkat.packet import Location, Packet, PT, SW
+from ..netkat.packet import Location, Packet, PT, SW, check_field
 from ..obs import metrics as obs_metrics
 from ..topology import Host, Topology
 
@@ -221,27 +223,9 @@ class Frame:
             raise TypeError(f"unknown frame fields: {sorted(changes)}")
         return new
 
-    def _with_packet(self, packet: Packet) -> "Frame":
-        """Internal fast path of ``replace(packet=...)``: no kwargs dict,
-        representation carried over unchanged."""
-        new = Frame.__new__(Frame)
-        new.packet = packet
-        new.payload_bytes = self.payload_bytes
-        new.flow = self.flow
-        new.ident = self.ident
-        new.injected_at = self.injected_at
-        new._tag = self._tag
-        new._digest = self._digest
-        new._tag_mask = self._tag_mask
-        new._digest_mask = self._digest_mask
-        new._structure = self._structure
-        return new
-
     def with_location(self, location: Location) -> "Frame":
-        packet = self.packet
-        if packet.is_at(location.switch, location.port):
-            return self
-        return self._with_packet(packet.at(location))
+        relocated = self.packet.at(location)
+        return self if relocated is self.packet else self.replace(packet=relocated)
 
     # -- value semantics (identical to the original frozen dataclass) ----------
 
@@ -281,8 +265,8 @@ class FrameBatch:
     idents, and injection times (``start`` + ``i * spacing`` unless an
     explicit ``times`` column is given).  Iterating :meth:`rows` interns
     identical header tuples to *shared* :class:`Packet` objects, which
-    is what lets the per-switch emission plans downstream hit on
-    identity instead of re-hashing per packet.
+    is what lets every switch downstream replay from the packet's own
+    slot instead of descending its table per packet.
     """
 
     __slots__ = (
@@ -327,6 +311,11 @@ class FrameBatch:
             name: value if isinstance(value, int) else column(name, value)
             for name, value in dict(columns).items()
         }
+        # Checked here, once, so that a bad entry fails the caller and
+        # not the run; rows() then builds packets without re-checking.
+        for name, value in self.columns.items():
+            for entry in (value,) if isinstance(value, int) else value:
+                check_field(name, entry)
         self.payloads = (
             payload_bytes
             if isinstance(payload_bytes, int)
@@ -375,7 +364,7 @@ class FrameBatch:
             # times, sequential idents -- no per-row key building.
             fields = dict(base)
             fields.update(zip(names, cols))
-            packet = Packet(fields)
+            packet = Packet._of(fields)
             for i in range(self.count):
                 yield (start + i * spacing, packet, payloads, flow, i)
             return
@@ -385,7 +374,7 @@ class FrameBatch:
             if packet is None:
                 fields = dict(base)
                 fields.update(zip(names, key))
-                packet = Packet(fields)
+                packet = Packet._of(fields)
                 interned[key] = packet
             yield (
                 times[i] if times is not None else start + i * spacing,
@@ -574,13 +563,6 @@ class _StreamArrival:
             _heappush(heap, entry)
 
 
-# Cap on one switch's emission plans (cleared when reached; records are
-# those of the unbounded run): identical-header streams stay far under
-# it, and an all-distinct-headers workload must not pin an unbounded
-# working set.
-_MEMO_LIMIT = 65536
-
-
 class _LinkState:
     """Mutable per-link record: the resolved target plus serialization
     state, so transmitting costs zero Location-keyed dict lookups."""
@@ -601,31 +583,42 @@ _PLAN_DROP = 2
 
 
 class _Plan:
-    """A cached, fully resolved processing outcome for one (switch,
-    packet, tag_mask, digest_mask) input class.
+    """A cached, fully resolved processing outcome for one (leaf,
+    tag_mask, digest_mask) input class, the leaf being where one descent
+    of the switch's guarded table ends for the packet.
 
-    The contract, which a logic opts into by publishing both
+    The contract, which a logic opts into by publishing ``classify``,
     ``plan_generations`` and ``header_overhead`` (only ``CorrectLogic``
     does; any other logic runs the full path on every hop):
 
+    - ``classify(switch, tag_mask, packet)`` is the located packet's
+      :class:`~repro.runtime.compiler.Leaf`, and ``process`` reads the
+      packet through that leaf alone;
     - ``plan_generations[switch]`` is bumped on every register/noted
       mutation at that switch, and a plan is valid only while it is
       unchanged -- exactly when the cached run had no side effects;
     - ``header_overhead`` is ``header_bytes(frame)`` for every frame;
-    - ``process`` sets ``last_plan = (packet, tag_mask, digest_mask)``
-      when, and only when, the run it just made had no side effects (the
-      simulator clears it before each call), and all its outputs are
-      mask-born frames carrying one tag/digest pair.
+    - ``process`` sets ``last_plan = (leaf, tag_mask, digest_mask)``
+      when, and only when, the run it just made had no side effects and
+      the leaf is ``ordered`` (the simulator clears it before each
+      call), and all its outputs are mask-born frames carrying one
+      tag/digest pair.
 
     Under it, replaying the plan is record-identical to re-running the
     logic: same targets in the same order, same output masks, same
-    link/float arithmetic.  ``emits`` holds what the recording run
-    dispatched, relocated packets included: the next switch keys its own
-    plans on that object's identity.
+    link/float arithmetic.  ``emits`` holds ``(kind, target, pairs)``
+    per output: the replay writes ``pairs`` -- the modification, then
+    the far end of the link -- onto the frame's own packet in one
+    construction and leaves ``(plan, outputs)`` in that packet's
+    ``_replay`` slot, so hop n+1 sees the very object hop n emitted.  A
+    slot is trusted only when its plan's ``store`` is this network's
+    plan store (one packet may cross two networks); the plan points at
+    the store and never at the network, which would then sit in a
+    reference cycle and wait for the cyclic collector.
     """
 
     __slots__ = (
-        "packet",
+        "store",
         "tag_mask",
         "digest_mask",
         "generation",
@@ -637,20 +630,17 @@ class _Plan:
     )
 
     def __init__(
-        self, packet, tag_mask, digest_mask, generation, out_tag_mask,
+        self, store, tag_mask, digest_mask, generation, out_tag_mask,
         out_digest_mask, structure, emits,
     ):
-        # Plans are keyed by id(packet); holding the packet here keeps
-        # its address from being reused while the entry is live, so an
-        # id match implies object identity.
-        self.packet = packet
+        self.store = store
         self.tag_mask = tag_mask
         self.digest_mask = digest_mask
         self.generation = generation
         self.out_tag_mask = out_tag_mask
         self.out_digest_mask = out_digest_mask
         self.structure = structure
-        self.emits = emits  # ((kind, target, packet), ...)
+        self.emits = emits  # ((kind, target, pairs), ...)
         # The dominant steady-state shape is exactly one emit; caching
         # it spares the replay a len()+index per hop.
         self.single = emits[0] if len(emits) == 1 else None
@@ -694,119 +684,139 @@ class _Process:
             swpt = packet._swpt
             if swpt[0] != switch_id or swpt[1] != location.port:
                 packet = packet.at(location)
-            plan = plans[switch_id].get(id(packet))
+            tag_mask = frame._tag_mask
+            replay = packet._replay
             if (
-                plan is not None
-                and plan.tag_mask == frame._tag_mask
+                replay is not None
+                and (plan := replay[0]).tag_mask == tag_mask
                 and plan.digest_mask == frame._digest_mask
                 and plan.generation == net._plan_gens[switch_id]
+                and plan.store is plans
             ):
-                hit_counter = net._m_plan_hit
-                if hit_counter is not None:
-                    hit_counter.inc()
-                # Replay the cached outcome (record-identical to the
-                # full path: same targets in order, same arithmetic).
-                now = sim.now
+                # This very object replayed this plan last time.
+                outs = replay[1]
+                metric = net._m_plan_hit
+            else:
+                plan = plans.get(net._classify(switch_id, tag_mask, packet))
+                if (
+                    plan is None
+                    or plan.tag_mask != tag_mask
+                    or plan.digest_mask != frame._digest_mask
+                    or plan.generation != net._plan_gens[switch_id]
+                ):
+                    metric = net._m_plan_miss
+                    if metric is not None:
+                        metric.inc()
+                    self._full(net, location, frame, plans)
+                    return
                 single = plan.single
                 if single is not None:
-                    # Steady-state unicast: nothing else references a
-                    # mid-path frame (records capture only terminal
-                    # frames), so the in-flight Frame is updated in
-                    # place and this event object is reborn as the next
-                    # link arrival -- zero per-hop allocation.
-                    kind, target, out_packet = single
-                    frame.packet = out_packet
-                    if plan.out_tag_mask != frame._tag_mask:
-                        frame._tag_mask = plan.out_tag_mask
-                        frame._tag = _UNSET
-                    if plan.out_digest_mask != frame._digest_mask:
-                        frame._digest_mask = plan.out_digest_mask
-                        frame._digest = _UNSET
-                    if kind == _PLAN_LINK:
-                        wire_bytes = frame.payload_bytes + net._header_overhead
-                        start = target.free_at
-                        if now > start:
-                            start = now
-                        finish = start + wire_bytes / target.capacity
-                        target.free_at = finish
-                        self.__class__ = _Arrival
-                        self.location = target.dst
-                        _heappush(
-                            sim._heap,
-                            (
-                                now + ((finish - now) + target.latency),
-                                next(sim._counter),
-                                self,
-                            ),
-                        )
-                    elif kind == _PLAN_HOST:
-                        net._deliver(target, frame)
-                    else:
-                        net.drops.append(
-                            DropRecord(now, target, frame, reason="no-link-at-port")
-                        )
-                    return
-                emits = plan.emits
-                if not emits:
-                    net.drops.append(
-                        tuple.__new__(
-                            DropRecord,
-                            (now, location, frame, "no-matching-rule"),
-                        )
-                    )
-                    return
-                payload_bytes = frame.payload_bytes
-                flow = frame.flow
-                ident = frame.ident
-                injected_at = frame.injected_at
-                out_tag = plan.out_tag_mask
-                out_digest = plan.out_digest_mask
-                structure = plan.structure
-                header = net._header_overhead
-                heap = sim._heap
-                counter = sim._counter
-                frame_new = Frame.__new__
-                for kind, target, out_packet in emits:
-                    out = frame_new(Frame)
-                    out.packet = out_packet
-                    out.payload_bytes = payload_bytes
-                    out.flow = flow
-                    out.ident = ident
-                    out.injected_at = injected_at
-                    out._tag = _UNSET
-                    out._digest = _UNSET
-                    out._tag_mask = out_tag
-                    out._digest_mask = out_digest
-                    out._structure = structure
-                    if kind == _PLAN_LINK:
-                        # Same serialization arithmetic as _transmit.
-                        wire_bytes = payload_bytes + header
-                        start = target.free_at
-                        if now > start:
-                            start = now
-                        finish = start + wire_bytes / target.capacity
-                        target.free_at = finish
-                        arrival = _Arrival.__new__(_Arrival)
-                        arrival.net = net
-                        arrival.location = target.dst
-                        arrival.frame = out
-                        heap_entry = (
+                    outs = packet._with(single[2])
+                else:
+                    outs = [packet._with(pairs) for _, _, pairs in plan.emits]
+                packet._replay = (plan, outs)
+                metric = net._m_plan_leaf
+            if metric is not None:
+                metric.inc()
+            # Replay the cached outcome (record-identical to the full
+            # path: same targets in order, same arithmetic).
+            now = sim.now
+            single = plan.single
+            if single is not None:
+                # Steady-state unicast: nothing else references a
+                # mid-path frame (records capture only terminal
+                # frames), so the in-flight Frame is updated in place
+                # and this event object is reborn as the next link
+                # arrival -- zero per-hop allocation.
+                kind, target, _ = single
+                frame.packet = outs
+                if plan.out_tag_mask != tag_mask:
+                    frame._tag_mask = plan.out_tag_mask
+                    frame._tag = _UNSET
+                if plan.out_digest_mask != frame._digest_mask:
+                    frame._digest_mask = plan.out_digest_mask
+                    frame._digest = _UNSET
+                if kind == _PLAN_LINK:
+                    wire_bytes = frame.payload_bytes + net._header_overhead
+                    start = target.free_at
+                    if now > start:
+                        start = now
+                    finish = start + wire_bytes / target.capacity
+                    target.free_at = finish
+                    self.__class__ = _Arrival
+                    self.location = target.dst
+                    _heappush(
+                        sim._heap,
+                        (
                             now + ((finish - now) + target.latency),
-                            next(counter),
-                            arrival,
-                        )
-                        _heappush(heap, heap_entry)
-                    elif kind == _PLAN_HOST:
-                        net._deliver(target, out)
-                    else:
-                        net.drops.append(
-                            DropRecord(now, target, out, reason="no-link-at-port")
-                        )
+                            next(sim._counter),
+                            self,
+                        ),
+                    )
+                elif kind == _PLAN_HOST:
+                    net._deliver(target, frame)
+                else:
+                    net.drops.append(
+                        DropRecord(now, target, frame, reason="no-link-at-port")
+                    )
                 return
-        if plans is not None:
-            miss_counter = net._m_plan_miss
-            if miss_counter is not None:
-                miss_counter.inc()
+            emits = plan.emits
+            if not emits:
+                net.drops.append(
+                    tuple.__new__(
+                        DropRecord,
+                        (now, location, frame, "no-matching-rule"),
+                    )
+                )
+                return
+            payload_bytes = frame.payload_bytes
+            flow = frame.flow
+            ident = frame.ident
+            injected_at = frame.injected_at
+            out_tag = plan.out_tag_mask
+            out_digest = plan.out_digest_mask
+            structure = plan.structure
+            header = net._header_overhead
+            heap = sim._heap
+            counter = sim._counter
+            frame_new = Frame.__new__
+            for (kind, target, _), out_packet in zip(emits, outs):
+                out = frame_new(Frame)
+                out.packet = out_packet
+                out.payload_bytes = payload_bytes
+                out.flow = flow
+                out.ident = ident
+                out.injected_at = injected_at
+                out._tag = _UNSET
+                out._digest = _UNSET
+                out._tag_mask = out_tag
+                out._digest_mask = out_digest
+                out._structure = structure
+                if kind == _PLAN_LINK:
+                    # Same serialization arithmetic as _transmit.
+                    wire_bytes = payload_bytes + header
+                    start = target.free_at
+                    if now > start:
+                        start = now
+                    finish = start + wire_bytes / target.capacity
+                    target.free_at = finish
+                    arrival = _Arrival.__new__(_Arrival)
+                    arrival.net = net
+                    arrival.location = target.dst
+                    arrival.frame = out
+                    heap_entry = (
+                        now + ((finish - now) + target.latency),
+                        next(counter),
+                        arrival,
+                    )
+                    _heappush(heap, heap_entry)
+                elif kind == _PLAN_HOST:
+                    net._deliver(target, out)
+                else:
+                    net.drops.append(
+                        DropRecord(now, target, out, reason="no-link-at-port")
+                    )
+            return
         self._full(net, location, frame, plans)
 
     def _full(self, net, location, frame, plans) -> None:
@@ -831,39 +841,36 @@ class _Process:
                 net.drops.append(
                     DropRecord(now, egress, out_frame, reason="no-link-at-port")
                 )
-                emits.append((_PLAN_DROP, egress, out_frame.packet))
+                emits.append((_PLAN_DROP, egress, ()))
             elif target.__class__ is Host:
                 net._deliver(target.name, out_frame)
-                emits.append((_PLAN_HOST, target.name, out_frame.packet))
+                emits.append((_PLAN_HOST, target.name, ()))
             else:
-                emits.append((_PLAN_LINK, target, net._transmit(target, out_frame)))
+                net._transmit(target, out_frame)
+                dst = target.dst
+                emits.append(
+                    (_PLAN_LINK, target, ((SW, dst.switch), (PT, dst.port)))
+                )
         if plans is not None and logic.last_plan is not None:
-            self._record_plan(net, switch_id, outputs, emits)
-
-    def _record_plan(self, net, switch_id, outputs, emits) -> None:
-        """Cache the just-run outcome, which the logic marked pure."""
-        packet, tag_key, digest_key = net.logic.last_plan
-        if outputs:
-            first = outputs[0][1]
-            out_tag = first._tag_mask
-            out_digest = first._digest_mask
-            structure = first._structure
-        else:
-            out_tag = out_digest = 0
-            structure = None
-        by_packet = net._plans[switch_id]
-        if len(by_packet) >= _MEMO_LIMIT:
-            by_packet.clear()
-        by_packet[id(packet)] = _Plan(
-            packet,
-            tag_key,
-            digest_key,
-            net._plan_gens[switch_id],
-            out_tag,
-            out_digest,
-            structure,
-            tuple(emits),
-        )
+            # The logic marked the run pure: cache what it did, under
+            # the leaf, for replay on the next frame's own packet.
+            leaf, tag_key, digest_key = logic.last_plan
+            if outputs:
+                first = outputs[0][1]
+                out_masks = (first._tag_mask, first._digest_mask, first._structure)
+            else:
+                out_masks = (0, 0, None)
+            plans[leaf] = _Plan(
+                plans,
+                tag_key,
+                digest_key,
+                net._plan_gens[switch_id],
+                *out_masks,
+                tuple(
+                    (kind, target, mod + far_end)
+                    for (kind, target, far_end), mod in zip(emits, leaf.mods)
+                ),
+            )
 
 
 class _Arrival:
@@ -951,33 +958,38 @@ class SimNetwork:
         for host in topology.hosts:
             attachment = host.attachment
             self._ports.setdefault(attachment.switch, {})[attachment.port] = host
-        # Steady-state emission plans, per switch, keyed by id(packet):
-        # enabled when the logic publishes both halves of the contract
-        # in _Plan's docstring (CorrectLogic does).
+        # Steady-state emission plans, keyed by leaf (a leaf belongs to
+        # one switch, so the store is bounded by the leaves of the
+        # decision trees): enabled when the logic publishes the three
+        # parts of the contract in _Plan's docstring (CorrectLogic does).
+        self._classify = getattr(logic, "classify", None)
         self._plan_gens = getattr(logic, "plan_generations", None)
         self._header_overhead: Optional[int] = getattr(logic, "header_overhead", None)
-        self._plans: Optional[Dict[int, Dict[int, _Plan]]] = (
-            {n: {} for n in topology.switches}
-            if self._plan_gens is not None and self._header_overhead is not None
+        self._plans: Optional[Dict[object, _Plan]] = (
+            {}
+            if self._classify is not None
+            and self._plan_gens is not None
+            and self._header_overhead is not None
             else None
         )
         self._ingress_fast = getattr(logic, "ingress_frame", None)
-        # Plan-cache hit/miss counters, pre-resolved once here so the
-        # per-event cost is one attribute load + None check (the
-        # zero-overhead-uninstalled discipline for this hot path; the
-        # registry metric objects are internally locked).
+        # Plan-cache counters by result -- "hit": the packet object's own
+        # slot, no descent; "leaf": descended, replayed; "miss": ran the
+        # logic -- pre-resolved once here so the per-event cost is one
+        # attribute load + None check (the zero-overhead-uninstalled
+        # discipline for this hot path; the registry metric objects are
+        # internally locked).
         registry = obs_metrics.active()
+        self._m_plan_hit = self._m_plan_leaf = self._m_plan_miss = None
         if registry is not None and self._plans is not None:
-            help_text = "Simulator per-switch emission-plan cache, by result"
-            self._m_plan_hit: Optional[obs_metrics.Counter] = registry.counter(
-                "repro_sim_plan_cache_total", help_text, result="hit"
+            self._m_plan_hit, self._m_plan_leaf, self._m_plan_miss = (
+                registry.counter(
+                    "repro_sim_plan_cache_total",
+                    "Simulator emission-plan cache, by result",
+                    result=result,
+                )
+                for result in ("hit", "leaf", "miss")
             )
-            self._m_plan_miss: Optional[obs_metrics.Counter] = registry.counter(
-                "repro_sim_plan_cache_total", help_text, result="miss"
-            )
-        else:
-            self._m_plan_hit = None
-            self._m_plan_miss = None
 
     # -- time -----------------------------------------------------------------
 
@@ -1083,12 +1095,8 @@ class SimNetwork:
             if len(fifo) == 1:
                 _heappush(sim._heap, entry)
 
-    def _transmit(self, link: _LinkState, frame: Frame) -> Packet:
-        """Send across a link: serialization (capacity) + propagation.
-
-        Returns the packet as relocated to the far end -- the object the
-        next switch sees, hence the one a plan of this hop must replay.
-        """
+    def _transmit(self, link: _LinkState, frame: Frame) -> None:
+        """Send across a link: serialization (capacity) + propagation."""
         sim = self.sim
         now = sim.now
         wire_bytes = frame.payload_bytes + self.logic.header_bytes(frame)
@@ -1098,11 +1106,8 @@ class SimNetwork:
         finish = start + wire_bytes / link.capacity
         link.free_at = finish
         dst = link.dst
-        packet = frame.packet
-        relocated = packet.at(dst)
-        moved = frame if relocated is packet else frame._with_packet(relocated)
-        sim.schedule((finish - now) + link.latency, _Arrival(self, dst, moved))
-        return relocated
+        arrival = _Arrival(self, dst, frame.with_location(dst))
+        sim.schedule((finish - now) + link.latency, arrival)
 
     # -- delivery ----------------------------------------------------------------
 

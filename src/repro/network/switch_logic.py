@@ -8,19 +8,21 @@ measurable header overhead for the tag and digest fields (Figure 16a's
 ~6% bandwidth cost).
 
 :class:`Figure7Logic` is the rule as the figure writes it: frozenset
-registers, tags and digests, with detection and the CTRLSEND merge
-taken from :mod:`repro.runtime.semantics`.  It keeps no memo and
-publishes none of the simulator's plan-cache protocol, and is the
-reference that ``tests/test_sim_streaming.py`` compares records
-against.  :class:`CorrectLogic` is the same rule on interned event
-bitmasks: registers are ints, frames carry ``tag_mask``/``digest_mask``
-ints, and detection uses ``enables_mask``/``con_mask``.  It remembers
-one thing between packets, ``tag -> Configuration`` (a frozenset decode
-plus a state lookup otherwise, and traffic carries a handful of tags);
-the event matches and the table lookup are computed per call, because
-the calls that get here are the ones whose header the simulator's
-identity-keyed emission plan has not seen, and a repeated header never
-gets here.  Its ``registers`` attribute is a mapping of set-like views
+registers, tags and digests, detection and the CTRLSEND merge taken from
+:mod:`repro.runtime.semantics`, forwarding by ``tag -> Configuration ->
+table.apply``.  It keeps no memo and publishes none of the simulator's
+plan-cache protocol, and is the reference that
+``tests/test_sim_streaming.py`` compares records against.
+:class:`CorrectLogic` is the same rule on interned event bitmasks, run
+off the artifact the daemon serves: registers are ints, frames carry
+``tag_mask``/``digest_mask`` ints, and one descent of the switch's
+guarded table (:meth:`CompiledNES.classify
+<repro.runtime.compiler.CompiledNES.classify>`, published to the
+simulator as ``classify``) yields both the rule to forward by and the
+mask of events the packet matches, which ``enables_mask``/``con_mask``
+then detect from.  Nothing is remembered between packets here; the
+decision trees live on the ``CompiledNES`` and the emission plans in the
+simulator.  Its ``registers`` attribute is a mapping of set-like views
 backed by the masks, so code (and tests) that mutate
 ``logic.registers[sw]`` sees and drives the same state.
 """
@@ -32,7 +34,7 @@ from collections.abc import MutableSet
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..events.event import Event, EventSet
-from ..netkat.packet import Location, Packet, PT, SW
+from ..netkat.packet import Location, Packet, PT
 from ..runtime.compiler import CompiledNES
 from ..runtime.semantics import detect_events, merge_in_enabling_order
 from .simulator import Frame, SimNetwork, SwitchLogic, _UNSET
@@ -218,8 +220,10 @@ class CorrectLogic(Figure7Logic):
         self._structure = structure
         self._universe = structure.universe
         switches = compiled.topology.switches
-        # last_plan/plan_generations/header_overhead/ingress_frame are
-        # the simulator's plan-cache protocol (see simulator._Plan).
+        # classify/last_plan/plan_generations/header_overhead/
+        # ingress_frame are the simulator's plan-cache protocol (see
+        # simulator._Plan).
+        self.classify = compiled.classify
         self.last_plan: Optional[Tuple] = None
         self.plan_generations: Dict[int, int] = {n: 0 for n in switches}
         self._register_masks: Dict[int, int] = {n: 0 for n in switches}
@@ -230,8 +234,6 @@ class CorrectLogic(Figure7Logic):
         # Events already reported to net.note_event_learned per switch
         # (only never-before-noted bits are decoded).
         self._noted_masks: Dict[int, int] = {n: 0 for n in switches}
-        # Tag mask -> Configuration (bounded by the NES's event-sets).
-        self._config_memo: Dict[int, object] = {}
         # header_bytes is frame-independent; publishing the constant
         # lets the simulator's plan replay skip the per-frame call.
         self.header_overhead = BASE_HEADER_BYTES + self.tag_bytes + self.digest_bytes
@@ -280,9 +282,7 @@ class CorrectLogic(Figure7Logic):
         """The SWITCH rule on interned bitmasks (no per-packet frozensets)."""
         switch_id = location.switch
         structure = self._structure
-        packet = frame.packet
-        if not packet.is_at(switch_id, location.port):
-            packet = packet.at(location)
+        packet = frame.packet.at(location)
         # Inlined frame.masks(structure): mask-born frames dominate the
         # hot path and their masks are authoritative regardless of the
         # structure argument (exactly what masks() returns).
@@ -291,20 +291,17 @@ class CorrectLogic(Figure7Logic):
             digest_mask = frame._digest_mask
         else:
             tag_mask, digest_mask = frame.masks(structure)
-        tag_key = tag_mask
         register_masks = self._register_masks
         register_mask = register_masks[switch_id]
         combined = register_mask | digest_mask
-
-        match_mask = 0
-        for index, event in enumerate(self._universe):
-            if event.matches_packet(packet, location):
-                match_mask |= 1 << index
+        # One descent of the guarded table: the rule to forward by and
+        # the events this packet matches.
+        leaf = self.classify(switch_id, tag_mask, packet)
 
         # Detection in bit order == sorted-by-repr order (the universe is
         # interned sorted by repr), exactly as semantics.detect_events.
         detected_mask = 0
-        free = match_mask & ~combined
+        free = leaf.events & ~combined
         if free:
             acc = combined
             while free:
@@ -339,24 +336,24 @@ class CorrectLogic(Figure7Logic):
                 scan ^= low
                 self._notify_controller(net, universe[low.bit_length() - 1])
 
+        # Side-effect-free run with outputs in a fixed order: offer the
+        # outcome to the simulator's emission-plan cache (valid until
+        # this switch's generation bumps on any register/noted mutation).
+        if (
+            leaf.ordered
+            and detected_mask == 0
+            and fresh == 0
+            and new_known == register_mask
+        ):
+            self.last_plan = (leaf, tag_mask, digest_mask)
         if tag_mask is None:
             tag_mask = 0
-        config = self._config_memo.get(tag_mask)
-        if config is None:
-            config = self.compiled.config_for_event_set(structure.decode(tag_mask))
-            self._config_memo[tag_mask] = config
-        out_packets = sorted(config.table(switch_id).apply(packet), key=repr)
-        # Side-effect-free run: offer the outcome to the simulator's
-        # emission-plan cache (valid until this switch's generation
-        # bumps on any register/noted mutation).
-        if detected_mask == 0 and fresh == 0 and new_known == register_mask:
-            self.last_plan = (packet, tag_key, digest_mask)
         payload_bytes = frame.payload_bytes
         flow = frame.flow
         ident = frame.ident
         injected_at = frame.injected_at
         results: List[Tuple[int, Frame]] = []
-        for out_packet in out_packets:
+        for out_packet in leaf.outputs(packet):
             out = Frame.__new__(Frame)
             out.packet = out_packet
             out.payload_bytes = payload_bytes
@@ -368,5 +365,5 @@ class CorrectLogic(Figure7Logic):
             out._tag_mask = tag_mask
             out._digest_mask = new_known
             out._structure = structure
-            results.append((out_packet[PT], out))
+            results.append((out_packet._swpt[1], out))
         return results

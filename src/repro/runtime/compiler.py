@@ -27,13 +27,15 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..events.locality import is_locally_determined, locality_violations
 from ..events.nes import NES
+from ..formula import EQ, Literal
 from ..netkat.compiler import CompileError, Configuration, compile_policy
 from ..netkat.fdd import FDDBuilder
 from ..netkat.flowtable import FlowTable, Match, Rule
+from ..netkat.packet import PT, Packet
 from ..stateful.ast import StateVector
 from ..topology import Topology
 
-__all__ = ["TAG_FIELD", "CompiledNES", "LocalityError", "compile_nes"]
+__all__ = ["TAG_FIELD", "CompiledNES", "Leaf", "LocalityError", "compile_nes"]
 
 # The packet metadata field carrying the configuration tag in deployed
 # (guarded) tables; a single unused header field, as section 4.1 argues.
@@ -166,6 +168,85 @@ def _compile_configurations(
     }
 
 
+class Leaf:
+    """Where one descent of a switch's decision tree ends.
+
+    ``mods`` are the winning rule's modifications (none: drop) and
+    ``events`` the mask of events whose location and guard the packet
+    satisfies.  When ``ordered``, every modification writes the same
+    fields, ``pt`` among them, and ``mods`` is in emission order: the
+    order ``sorted(outputs, key=repr)`` gives, because in a packet's repr
+    the character after a value (``,`` or ``)``) sorts below every digit
+    and ``-``, so the first differing written field decides.  Otherwise
+    the outputs are deduplicated and sorted per packet.
+    """
+
+    __slots__ = ("mods", "ordered", "events")
+
+    def __init__(self, actions: FrozenSet[Tuple], events: int):
+        written = {tuple(field for field, _ in mod) for mod in actions}
+        self.ordered = len(written) <= 1 and all(PT in fields for fields in written)
+        self.mods: Tuple[Tuple, ...] = tuple(
+            sorted(actions, key=lambda mod: tuple(str(value) for _, value in mod))
+            if self.ordered
+            else actions
+        )
+        self.events = events
+
+    def outputs(self, packet: Packet) -> List[Packet]:
+        """The rule's output packets for ``packet``, in emission order."""
+        if self.ordered:
+            return [packet._with(mod) for mod in self.mods]
+        return sorted({packet._with(mod) for mod in self.mods}, key=repr)
+
+
+def _decision_tree(rules, events, leaves):
+    """Index one configuration's rules at one switch, with the events
+    located there, as ``(field, {value: child}, default)`` nodes over
+    :class:`Leaf` leaves.
+
+    ``rules`` are ``(constraints, actions)`` in priority order and
+    ``events`` ``(bit, literals)``, both holding only what no ancestor
+    has tested.  A value the node does not list and a missing field take
+    ``default``: an exact-match constraint fails on them, and so does an
+    ``=`` literal, while a ``!=`` literal holds.
+    """
+    for position, (constraints, _) in enumerate(rules):
+        if not constraints:  # shadows every rule after it
+            rules = rules[: position + 1]
+            break
+    fields = {field for constraints, _ in rules for field in constraints}
+    fields.update(l.field for _, literals in events for l in literals)
+    if not fields:
+        actions = rules[0][1] if rules else frozenset()
+        mask = sum(bit for bit, _ in events)
+        return leaves.setdefault((actions, mask), Leaf(actions, mask))
+    field = PT if PT in fields else min(fields)
+
+    def child(value):
+        below_rules = [
+            ({f: c for f, c in constraints.items() if f != field}, actions)
+            for constraints, actions in rules
+            if constraints.get(field, value) == value
+        ]
+        below_events = [
+            (bit, tuple(l for l in literals if l.field != field))
+            for bit, literals in events
+            if all(
+                (l.value == value) == (l.op == EQ)
+                for l in literals
+                if l.field == field
+            )
+        ]
+        return _decision_tree(below_rules, below_events, leaves)
+
+    values = {c[field] for c, _ in rules if field in c}
+    values.update(
+        l.value for _, literals in events for l in literals if l.field == field
+    )
+    return (field, {value: child(value) for value in values}, child(None))
+
+
 class LocalityError(Exception):
     """The NES is not locally determined, so it cannot be implemented
     without synchronization or buffering (Lemma 1)."""
@@ -214,6 +295,9 @@ class CompiledNES:
         # Merged-table memo, keyed per tag field (one slot per options
         # variant a caller has asked for, never a single shared slot).
         self._guarded_tables: Dict[str, Dict[int, FlowTable]] = {}
+        # What the simulator forwards by (see :meth:`classify`): tag
+        # mask -> switch -> decision tree over the default merge.
+        self._roots: Dict[Optional[int], Dict[int, object]] = {}
 
         # Step 1: flat integer encodings.
         self.states: Tuple[StateVector, ...] = nes.configuration_states()
@@ -297,8 +381,48 @@ class CompiledNES:
         return dict(memo)
 
     def invalidate_guarded_tables(self) -> None:
-        """Drop every memoized merged-table variant (rebuilt on access)."""
+        """Drop every memoized merged-table variant and the decision
+        trees indexing the default one (rebuilt on access)."""
         self._guarded_tables.clear()
+        self._roots = {}
+
+    def classify(self, switch: int, tag_mask: Optional[int], packet: Packet) -> Leaf:
+        """One descent of the guarded table of ``switch``: the
+        :class:`Leaf` for ``packet`` (located at the switch) among the
+        rules guarded by the configuration that ``tag_mask`` stamps.  A
+        tag that is no event-set of the NES raises ``KeyError``."""
+        try:
+            node = self._roots[tag_mask][switch]
+        except KeyError:
+            node = self._root(tag_mask)[switch]
+        while node.__class__ is tuple:
+            field, children, default = node
+            node = children.get(packet.get(field), default)
+        return node
+
+    def _root(self, tag_mask: Optional[int]) -> Dict[int, object]:
+        """Build the decision trees, switch -> root, of the configuration
+        ``tag_mask`` stamps from the default guarded merge, every rule of
+        which must be guarded by a plain configuration id."""
+        config_id = self.tag_of_event_set(self.nes.structure.decode(tag_mask or 0))
+        tag_field = self.options.tag_field
+        root: Dict[int, object] = {}
+        for switch, table in self.guarded_tables().items():
+            events = [
+                (1 << index, (Literal(PT, EQ, e.location.port), *e.guard.literals))
+                for index, e in enumerate(self.nes.structure.universe)
+                if e.location.switch == switch
+            ]
+            rules = []
+            for rule in table:
+                constraints = dict(rule.match.entries())
+                if not all(c.__class__ is int for c in constraints.values()):
+                    raise ValueError(f"cannot index non-exact match of {rule!r}")
+                if constraints.pop(tag_field) == config_id:
+                    rules.append((constraints, rule.actions))
+            root[switch] = _decision_tree(rules, events, {})
+        self._roots[tag_mask] = root
+        return root
 
     def adopt_guarded_tables(self, other: "CompiledNES") -> None:
         """Take over the merged-table variants ``other`` has memoized.
@@ -317,7 +441,7 @@ class CompiledNES:
     # -- persistence ------------------------------------------------------------
 
     def __getstate__(self):
-        """Pickle without the merged-table memo or the builder.
+        """Pickle without the merged-table memo, its trees or the builder.
 
         The pipeline's artifact cache persists compiled NESs; shipping
         the derived tables would bloat artifacts and could resurrect
@@ -332,6 +456,7 @@ class CompiledNES:
         pipeline stamps in its own.
         """
         state = dict(self.__dict__)
+        del state["_roots"]
         state["_guarded_tables"] = {}
         state["_builder"] = None
         state["options"] = self.options.output_affecting()
@@ -339,6 +464,7 @@ class CompiledNES:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        self._roots = {}
         if self._builder is None:
             self._builder = self.options.make_builder()
 

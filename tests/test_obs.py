@@ -419,9 +419,13 @@ class TestSimulatorMetrics:
             net = self._stream()
         assert reg.value("repro_sim_events_processed_total") == net.sim.events_processed
         assert net.sim.events_processed > 0
-        plan_hits = reg.value("repro_sim_plan_cache_total", result="hit")
-        plan_misses = reg.value("repro_sim_plan_cache_total", result="miss")
-        assert plan_hits > 0 and plan_misses > 0
+        plan_cache = "repro_sim_plan_cache_total"
+        hits = reg.value(plan_cache, result="hit")
+        leaves = reg.value(plan_cache, result="leaf")
+        misses = reg.value(plan_cache, result="miss")
+        assert hits > 0 and leaves > 0 and misses > 0
+        # Every hop is one of the three: slot replay, leaf replay, logic.
+        assert hits + leaves + misses == net.sim.events_processed // 2
 
     def test_events_counter_tracks_partial_runs_and_the_event_cap(self):
         with metrics.collecting() as reg:

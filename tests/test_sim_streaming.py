@@ -39,6 +39,7 @@ from repro.consistency.update import (
     EventDrivenUpdate,
     check_update_correctness,
 )
+from repro.netkat.flowtable import FlowTable, Rule
 from repro.netkat.packet import LocatedPacket, Location, Packet
 from repro.network import CorrectLogic, Frame, FrameBatch, SimNetwork
 from repro.network import simulator
@@ -367,9 +368,9 @@ class TestDeterminismAndOptions:
     def test_each_switch_on_the_path_misses_its_plan_exactly_once(self):
         # An event-free constant-header stream: every switch runs the
         # logic for the first frame and replays its plan for the other
-        # 49.  The plan of hop n must hold the very Packet object hop n
-        # put on the wire -- hop n+1 keys its plans on that identity, so
-        # storing an equal copy would cost one extra miss per switch.
+        # 49 -- the second through a descent to the leaf, which leaves
+        # the outcome on the interned Packet object, the rest from that
+        # slot (hop n+1 sees the very object hop n emitted).
         with obs_metrics.collecting() as registry:
             net, deliveries, drops = _stream_records(
                 lambda: ring_app(8), "H1", "H2", 50
@@ -379,7 +380,8 @@ class TestDeterminismAndOptions:
         assert on_path == 9
         plan_cache = "repro_sim_plan_cache_total"
         assert registry.value(plan_cache, result="miss") == on_path
-        assert registry.value(plan_cache, result="hit") == 49 * on_path
+        assert registry.value(plan_cache, result="leaf") == on_path
+        assert registry.value(plan_cache, result="hit") == 48 * on_path
 
     def test_register_mutation_mid_stream_invalidates_recorded_plans(self):
         def run(logic_class):
@@ -410,13 +412,15 @@ class TestDeterminismAndOptions:
         assert registry.value("repro_sim_plan_cache_total", result="miss") > 3
         assert records == run(Figure7Logic)
 
-    def test_memo_eviction_keeps_records(self, monkeypatch):
-        # A switch's emission plans are cleared when they reach
-        # _MEMO_LIMIT; with a limit smaller than the number of distinct
-        # headers the records must be those of the unbounded run.
-        def run():
+    def test_memo_eviction_keeps_records(self):
+        # The plan store is keyed by leaf, so it needs no eviction: seven
+        # interleaved idents (a field no rule or event reads) and a
+        # mid-stream signal all pass through one leaf per switch, the
+        # records are the reference's, and the store stays within the
+        # leaves of the decision trees however many headers pass.
+        def run(logic_class):
             app = ring_app(2)
-            net = SimNetwork(app.topology, CorrectLogic(app.compiled), seed=7)
+            net = SimNetwork(app.topology, logic_class(app.compiled), seed=7)
             header = {"ip_src": 1, "ip_dst": 2, "kind": 0}
             batch = FrameBatch(
                 {**header, "ident": [i % 7 for i in range(60)]},
@@ -430,11 +434,219 @@ class TestDeterminismAndOptions:
             )
             net.run()
             assert len(net.deliveries) == 61
-            return tuple(net.deliveries), tuple(net.drops)
+            return net, (tuple(net.deliveries), tuple(net.drops))
 
-        unbounded = run()
-        monkeypatch.setattr(simulator, "_MEMO_LIMIT", 3)
-        assert run() == unbounded
+        net, records = run(CorrectLogic)
+        assert records == run(Figure7Logic)[1]
+        assert 0 < len(net._plans) <= _leaf_count(net.logic.compiled)
+        assert not hasattr(simulator, "_MEMO_LIMIT")
+
+
+def _leaf_count(compiled):
+    """Distinct leaves of the decision trees built so far."""
+    leaves = set()
+
+    def visit(node):
+        if node.__class__ is tuple:
+            for child in (*node[1].values(), node[2]):
+                visit(child)
+        else:
+            leaves.add(node)
+
+    for root in compiled._roots.values():
+        for tree in root.values():
+            visit(tree)
+    return len(leaves)
+
+
+def _records(net):
+    return tuple(net.deliveries), tuple(net.drops)
+
+
+class TestFrameBatchValidation:
+    @pytest.mark.parametrize(
+        "bad", ([*range(49), "x", *range(50)], True), ids=("entry", "scalar")
+    )
+    def test_a_bad_column_value_fails_the_constructor_not_the_run(self, bad):
+        # Used to construct, be accepted by inject_stream, and raise from
+        # inside net.run() with frames already in flight.
+        with pytest.raises(TypeError, match="field 'ident' must have an int value"):
+            FrameBatch({"ip_src": 1, "ip_dst": 4, "kind": 0, "ident": bad}, 100)
+        with pytest.raises(TypeError, match="field names must be strings"):
+            FrameBatch({1: 0}, 3)
+
+
+class TestServedArtifact:
+    """``CorrectLogic`` runs ``CompiledNES.guarded_tables()`` -- what the
+    daemon serves -- and the plans mean what ``_Plan`` says."""
+
+    def test_correct_logic_forwards_by_the_memoised_guarded_table(self):
+        def run(compiled, logic_class):
+            net = SimNetwork(compiled.topology, logic_class(compiled), seed=7)
+            net.inject_stream(
+                "H1",
+                FrameBatch(
+                    {"ip_src": 1, "ip_dst": 4, "kind": 0, "ident": 0},
+                    20,
+                    payload_bytes=64,
+                    spacing=1e-5,
+                ),
+            )
+            net.run()
+            return _records(net)
+
+        def plant(compiled, switch, table):
+            compiled._guarded_tables[compiled.options.tag_field][switch] = table
+            compiled._roots = {}
+
+        compiled = firewall_app().compiled
+        served = run(compiled, CorrectLogic)
+        assert served == run(compiled, Figure7Logic) and served[0]
+        # Send every rule of the ingress switch out of a dead port.
+        switch = compiled.topology.host("H1").attachment.switch
+        original = compiled.guarded_tables()[switch]
+        dead_end = frozenset({(("pt", 99),)})
+        plant(
+            compiled,
+            switch,
+            FlowTable(Rule(r.priority, r.match, dead_end) for r in original),
+        )
+        mutated = run(compiled, CorrectLogic)
+        assert mutated != served and not mutated[0]
+        assert {d.reason for d in mutated[1]} == {"no-link-at-port"}
+        assert run(compiled, Figure7Logic) == served  # forwards by configuration
+        plant(compiled, switch, original)
+        assert run(compiled, CorrectLogic) == served
+
+    @staticmethod
+    def _varied_net(logic_class, frames=40):
+        app = ring_app(2)
+        net = SimNetwork(app.topology, logic_class(app.compiled), seed=7)
+        batch = FrameBatch(
+            {
+                "ip_src": [1 + i for i in range(frames)],
+                "ip_dst": 2,
+                "kind": 0,
+                "ident": [1000 - i for i in range(frames)],
+            },
+            frames,
+            payload_bytes=64,
+            spacing=1e-4,
+        )
+        return net, batch
+
+    def test_headers_that_differ_in_unread_fields_share_one_plan(self):
+        with obs_metrics.collecting() as registry:
+            net, batch = self._varied_net(CorrectLogic)
+            net.inject_stream("H1", batch)
+            net.run()
+        assert len(net.deliveries) == 40
+        on_path = net.sim.events_processed // (2 * 40)
+        plan_cache = "repro_sim_plan_cache_total"
+        assert registry.value(plan_cache, result="miss") == on_path
+        replays = registry.value(plan_cache, result="hit") + registry.value(
+            plan_cache, result="leaf"
+        )
+        assert replays == 39 * on_path
+        assert len(net._plans) == on_path
+
+        reference, batch = self._varied_net(Figure7Logic)
+        reference.inject_stream("H1", batch)
+        reference.run()
+        assert _records(net) == _records(reference)
+        per_frame, batch = self._varied_net(CorrectLogic)
+        for at, packet, payload, flow, ident in batch.rows():
+            per_frame.inject("H1", Frame(packet, payload, flow=flow, ident=ident), at=at)
+        per_frame.run()
+        assert _records(net) == _records(per_frame)
+
+    def test_tag_digest_and_register_each_force_one_rerun_at_the_leaf(self):
+        app = ring_app(2)
+        logic = CorrectLogic(app.compiled)
+        net = SimNetwork(app.topology, logic, seed=7)
+        structure = app.compiled.nes.structure
+        (event,) = structure.universe
+        switch = app.topology.host("H1").attachment.switch
+        location = Location(switch, app.topology.host("H1").attachment.port)
+        calls = []
+        process = logic.process
+        logic.process = lambda *args: calls.append(args[1]) or process(*args)
+
+        def hop(ident, tag_mask=0, digest_mask=0):
+            packet = Packet({"ip_src": 1, "ip_dst": 2, "kind": 0, "ident": ident})
+            frame = Frame(
+                packet.at(location), 64, ident=ident,
+                tag_mask=tag_mask, digest_mask=digest_mask, structure=structure,
+            )
+            before = len(calls)
+            simulator._Process(net, location, frame)()
+            return len(calls) - before
+
+        assert [hop(0), hop(1), hop(2)] == [1, 0, 0]
+        # A different tag: another configuration, hence another leaf.
+        assert [hop(3, tag_mask=1), hop(4, tag_mask=1)] == [1, 0]
+        # A different digest at the same leaf: learning is a side effect
+        # (no plan), after which the register covers it.
+        assert [hop(5, digest_mask=1), hop(6, digest_mask=1), hop(7, digest_mask=1)] == [1, 1, 0]
+        assert [hop(8), hop(9)] == [1, 0]
+        # An external register write bumps the generation.
+        logic.registers[switch].discard(event)
+        assert [hop(10), hop(11)] == [1, 0]
+        logic.registers[switch].add(event)
+        assert [hop(12), hop(13)] == [1, 0]
+
+    def test_one_packet_object_in_two_networks(self):
+        def net_of(app):
+            return SimNetwork(app.topology, CorrectLogic(app.compiled), seed=7)
+
+        def load(net, frame):
+            for i in range(6):
+                net.inject("H1", frame, at=i * 1e-4)
+
+        packet = Packet({"ip_src": 1, "ip_dst": 2, "kind": 0, "ident": 0}).at(
+            ring_app(2).topology.host("H1").attachment
+        )
+        frame = Frame(packet, 64)
+        app = ring_app(2)
+        # Alone, on packets of their own.
+        alone = []
+        for _ in range(2):
+            net = net_of(app)
+            load(net, Frame(Packet(dict(packet.items())), 64))
+            net.run()
+            alone.append(_records(net))
+        # Together: the same Frame and Packet objects, interleaved.
+        first, second = net_of(app), net_of(app)
+        load(first, frame)
+        load(second, frame)
+        for until in (1e-4, 3e-4, None):
+            first.run(until=until)
+            second.run(until=until)
+        assert [_records(first), _records(second)] == alone
+        assert packet._replay is not None
+
+    def test_a_finished_network_is_freed_without_the_cyclic_collector(self):
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            net, batch = self._varied_net(CorrectLogic)
+            net.inject_stream("H1", batch)
+            net.inject_stream(
+                "H1",
+                FrameBatch(
+                    {"ip_src": 1, "ip_dst": 2, "kind": 0, "ident": 0}, 30, spacing=1e-4
+                ),
+            )
+            net.run()
+            assert net._plans and len(net.deliveries) == 70
+            ref = weakref.ref(net)
+            del net, batch
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 @pytest.mark.slow
