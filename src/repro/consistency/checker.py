@@ -6,6 +6,10 @@ allowed by the NES turns the trace into a correct event-driven
 consistent update.  The checker searches the (finite) space of allowed
 sequences; it is the empirical counterpart of Theorem 1 and is exercised
 by the test suite against traces produced by the runtime semantics.
+Configurations are not compiled here: Definition 5's ``g`` arrives
+compiled on the NES (``NES.compiled``, left by ``CompiledNES``) and is
+adopted when its switch set is the topology's; only an NES nobody
+compiled is compiled on demand, on a builder made at the first miss.
 
 The search runs on interned event bitmasks: per-position match masks
 are computed once per trace, candidate sequences are pruned and
@@ -24,7 +28,7 @@ without the mask keywords is Definition 2 on frozensets, and
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterator, List, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..events.event import Event
 from ..events.nes import NES
@@ -41,19 +45,15 @@ __all__ = ["NESChecker", "check_trace_against_nes"]
 
 
 class NESChecker:
-    """Checks traces against an NES, caching compiled configurations."""
+    """Checks traces against an NES over ``topology``, by the compiled
+    ``g`` the NES carries when it was compiled for this switch set."""
 
-    def __init__(
-        self,
-        nes: NES,
-        topology: Topology,
-        max_sequence_length: int = 12,
-    ):
+    def __init__(self, nes: NES, topology: Topology):
         self.nes = nes
         self.topology = topology
-        self.max_sequence_length = max_sequence_length
-        self._builder = FDDBuilder()
-        self._configs: Dict[StateVector, Configuration] = {}
+        switches, deposited = nes.compiled or (None, {})
+        self._deposited = deposited if switches == topology.switches else {}
+        self._builder: Optional[FDDBuilder] = None  # made on the first miss
         self._configs_by_mask: Dict[int, Configuration] = {}
         self._ambient: FrozenSet[Event] = frozenset(nes.events)
         # Number of candidate sequences the last check() ran Definition 2
@@ -61,27 +61,37 @@ class NESChecker:
         self.sequences_tried = 0
 
     def configuration(self, state: StateVector) -> Configuration:
-        cached = self._configs.get(state)
-        if cached is None:
-            cached = compile_policy(
-                self.nes.configuration_policy(state),
-                self.topology,
-                builder=self._builder,
-                name=f"C{list(state)}",
-            )
-            self._configs[state] = cached
-        return cached
+        """``g`` at ``state`` over this checker's topology: the deposited
+        configuration, compiled here only for an NES nobody compiled."""
+        config = self._deposited.get(state)
+        obs_metrics.inc(
+            "repro_checker_configurations_total",
+            result="compiled" if config is None else "adopted",
+            help="NESChecker configurations, taken from the NES or compiled",
+        )
+        if config is not None:
+            same = config.topology is self.topology
+            return config if same else config.on_topology(self.topology)
+        if self._builder is None:
+            self._builder = FDDBuilder()
+        return compile_policy(
+            self.nes.configuration_policy(state),
+            self.topology,
+            builder=self._builder,
+            name=f"C{list(state)}",
+        )
 
     def config_of_event_set(self, event_set: FrozenSet[Event]) -> Configuration:
-        return self.configuration(self.nes.state_of(event_set))
+        return self._config_of_mask(self.nes.structure.encode(event_set))
 
     def _config_of_mask(self, mask: int) -> Configuration:
-        """The configuration of an encoded event-set (decode memoized, so
-        no frozensets materialize between checker steps after the first
-        visit of a collected-mask)."""
+        """The configuration of an encoded event-set, memoized: no
+        frozensets materialize between checker steps after the first
+        visit of a collected-mask, and its ``id`` is stable."""
         cached = self._configs_by_mask.get(mask)
         if cached is None:
-            cached = self.config_of_event_set(self.nes.structure.decode(mask))
+            event_set = self.nes.structure.decode(mask)
+            cached = self.configuration(self.nes.state_of(event_set))
             self._configs_by_mask[mask] = cached
         return cached
 
@@ -145,8 +155,8 @@ class NESChecker:
     def _membership_memo(self) -> Callable:
         """A per-check ``Traces(C)`` membership memo: candidate chains
         share configuration prefixes, so the same (configuration,
-        packet-trace) pairs recur across sequences.  Configurations are
-        cached on the checker, so their ids are stable keys here."""
+        packet-trace) pairs recur across sequences.  The chain's
+        configurations are memoized by mask, so their ids are stable."""
         memo: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
 
         def member(config: Configuration, trace: NetworkTrace, t) -> bool:
@@ -162,7 +172,7 @@ class NESChecker:
     def _check_no_events(self, trace: NetworkTrace) -> CorrectnessReport:
         """The first disjunct of Definition 6, for a trace on which no
         event fires."""
-        initial = self.config_of_event_set(frozenset())
+        initial = self._config_of_mask(0)
         for t in sorted(trace.trace_indices):
             if not packet_trace_in_traces(initial, trace.packet_trace(t)):
                 return CorrectnessReport(
@@ -196,15 +206,12 @@ class NESChecker:
             # Ascending bit order == sorted-by-repr order: the universe
             # is interned sorted by repr.
             matched.append((universe[low.bit_length() - 1], low))
-        max_length = self.max_sequence_length
 
         def extend(
             prefix: Tuple[Event, ...], bits: Tuple[int, ...], collected: int
         ) -> Iterator[Tuple[Tuple[Event, ...], Tuple[int, ...]]]:
             if prefix:
                 yield prefix, bits
-            if len(prefix) >= max_length:
-                return
             for event, bit in matched:
                 if collected & bit:
                     continue

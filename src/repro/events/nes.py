@@ -4,7 +4,9 @@ An NES is an event structure over network events together with a map
 ``g`` assigning a network configuration to every event-set.  In this
 reproduction ``g`` maps each event-set to the ETS state vector it came
 from, and the NES carries the per-state configuration policies alongside
-(two views of the same ``g``: ``state_of`` and ``config_of``).
+(two views of the same ``g``: ``state_of`` and ``config_of``) and, once
+compiled, the per-state :class:`~repro.netkat.compiler.Configuration`
+(``compiled``, which the Definition 6 checker reads).
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ __all__ = ["NES"]
 
 class NES:
     """A network event structure ``(E, con, ⊢, g)``."""
+
+    # ``g`` compiled: ``(switch set, {state: Configuration})`` left by the
+    # latest ``CompiledNES`` (tables depend on policy and switch set only).
+    # One slot, as an NES outlives any chain of topologies; never pickled.
+    compiled: Optional[Tuple[FrozenSet[int], Mapping[StateVector, object]]] = None
 
     def __init__(
         self,
@@ -42,6 +49,11 @@ class NES:
                     f"event-set {set(event_set)} maps to state {state} "
                     "with no configuration"
                 )
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("compiled", None)
+        return state
 
     # -- the g map ------------------------------------------------------------
 

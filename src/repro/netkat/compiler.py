@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .ast import (
     Assign,
@@ -272,19 +272,23 @@ class Configuration:
 
     # -- the step relation C -------------------------------------------------
 
+    def _switch_outputs(self, lp: LocatedPacket) -> Iterator[Packet]:
+        """The winning rule's outputs at ``lp``'s switch, ``pt`` naming each
+        one's egress port, minus the packet left in place: a switch step
+        must move the packet, so a rule changing nothing is a no-op."""
+        packet = lp.packet.at(lp.location)
+        rule = self.table(lp.location.switch).lookup(packet)
+        for mod in rule.actions if rule is not None else ():
+            out = packet._with(mod)
+            if out != packet:
+                yield out
+
     def switch_step(self, lp: LocatedPacket) -> FrozenSet[LocatedPacket]:
         """Forward within a switch: table lookup, outputs at egress ports."""
-        packet = lp.packet.at(lp.location)
-        table = self._tables.get(lp.location.switch)
-        if table is None:
-            return frozenset()
-        outputs = set()
-        for out in table.apply(packet):
-            egress = Location(lp.location.switch, out[PT])
-            outputs.add(LocatedPacket(out, egress))
-        # A switch step must move the packet to a different port; a rule
-        # that leaves the packet exactly in place is a no-op, not a step.
-        return frozenset(o for o in outputs if o != lp.normalized())
+        return frozenset(
+            LocatedPacket(out, Location(lp.location.switch, out[PT]))
+            for out in self._switch_outputs(lp)
+        )
 
     def link_step(self, lp: LocatedPacket) -> FrozenSet[LocatedPacket]:
         """Cross a physical link, keeping all non-location fields."""
@@ -299,7 +303,13 @@ class Configuration:
         return self.switch_step(lp) | self.link_step(lp)
 
     def relates(self, lp: LocatedPacket, lp2: LocatedPacket) -> bool:
-        return lp2 in self.step(lp)
+        """``lp2 in self.step(lp)``, testing the pair alone."""
+        here, there = lp.location, lp2.location
+        if here.switch == there.switch:
+            for out in self._switch_outputs(lp):
+                if out[PT] == there.port and out == lp2.packet:
+                    return True
+        return self.topology.has_link(here, there) and lp2.packet == lp.packet.at(there)
 
     def __repr__(self) -> str:
         label = self.name or "unnamed"

@@ -321,6 +321,13 @@ class CompiledNES:
                 health=health, reuse=reuse_configurations,
             )
         )
+        self._deposit()
+
+    def _deposit(self) -> None:
+        """Leave the finished configurations on the NES as its compiled
+        ``g``: a copy, so that replacing an entry of ``configurations``
+        never changes what the checker holds traces against."""
+        self.nes.compiled = (self.topology.switches, dict(self.configurations))
 
     # -- tag and digest encodings ----------------------------------------------
 
@@ -467,6 +474,7 @@ class CompiledNES:
         self._roots = {}
         if self._builder is None:
             self._builder = self.options.make_builder()
+        self._deposit()
 
     def forwarding_rule_count(self) -> int:
         """Rules in the guarded merged tables (steps 1-3)."""

@@ -135,6 +135,29 @@ class TestBandwidthCapTheorem1:
         report = NESChecker(app.nes, app.topology).check(trace)
         assert report, report.reason
 
+    @pytest.mark.parametrize("cap", [14, 16])
+    def test_chain_longer_than_twelve_events(self, cap):
+        """One exchange per event of the chain: the only sequence that
+        explains the trace is as long as the chain, and the search has
+        to reach it (a search cut at twelve events reported the correct
+        trace incorrect)."""
+        app = bandwidth_cap_app(cap)
+        workload = []
+        for i in range(cap):
+            workload.append(("H1", {"ip_dst": H4, "ip_src": H1, "ident": i}))
+            workload.append(("H4", {"ip_dst": H1, "ip_src": H4, "ident": 100 + i}))
+        trace = run_workload(app, workload, seed=1)
+        checker = NESChecker(app.nes, app.topology)
+        report = checker.check(trace)
+        assert report, report.reason
+        assert checker.sequences_tried == cap
+
+    def test_search_bound_is_gone(self):
+        app = bandwidth_cap_app(2)
+        with pytest.raises(TypeError, match="max_sequence_length"):
+            NESChecker(app.nes, app.topology, max_sequence_length=12)
+        assert not hasattr(NESChecker(app.nes, app.topology), "max_sequence_length")
+
 
 class TestIDSTheorem1:
     @pytest.mark.parametrize("seed", SEEDS[:4])
