@@ -14,7 +14,6 @@ from .locality import (
     locality_violations,
     minimally_inconsistent_masks,
     minimally_inconsistent_sets,
-    minimally_inconsistent_sets_naive,
 )
 from .nes import NES
 from .structure import EventStructure
@@ -31,7 +30,6 @@ __all__ = [
     "UniqueConfigurationError",
     "FiniteCompletenessError",
     "minimally_inconsistent_sets",
-    "minimally_inconsistent_sets_naive",
     "minimally_inconsistent_masks",
     "locality_violations",
     "is_locally_determined",

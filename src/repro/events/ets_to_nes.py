@@ -10,15 +10,15 @@ required for chains and loops); form the candidate family
 2. *finite completeness*: the family is closed under existing least
    upper bounds;
 
-then build ``con`` and ``⊢`` from the family (Winskel, Theorem 1.1.12):
+then build ``con`` and ``⊢`` from the family (Winskel, Theorem 1.1.12;
+:meth:`EventStructure.of_family <repro.events.structure.EventStructure.of_family>`):
 a set is consistent iff it is covered by a family member, and
 ``X ⊢ e`` iff some ``E ∖ {e}`` with ``e ∈ E ∈ F`` is contained in ``X``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..netkat.ast import Policy
 from ..stateful.ast import StateVector
@@ -27,7 +27,7 @@ from .event import Event, EventSet
 if TYPE_CHECKING:  # avoid a circular import: stateful.ets uses events.event
     from ..stateful.ets import ETS
 from .nes import NES
-from .structure import EventStructure
+from .structure import EventStructure, _extremal
 
 __all__ = [
     "ETSConversionError",
@@ -35,7 +35,6 @@ __all__ = [
     "FiniteCompletenessError",
     "family_of_ets",
     "check_finite_complete",
-    "check_finite_complete_naive",
     "nes_of_ets",
 ]
 
@@ -148,12 +147,7 @@ def check_finite_complete(
     sets, masks = _sorted_masks(family)
     mask_family = set(masks)
     set_of_mask = dict(zip(masks, sets))
-    # Maximal antichain: scan by descending popcount; an element below a
-    # previously kept one is dominated, everything else is maximal.
-    maximal: List[int] = []
-    for m in sorted(mask_family, key=lambda m: -m.bit_count()):
-        if not any(m | big == big for big in maximal):
-            maximal.append(m)
+    maximal = _extremal(mask_family, True)  # the maximal antichain
     # Signature classes, in the canonical member order.
     classes: Dict[int, List[int]] = {}
     for m in masks:
@@ -177,33 +171,6 @@ def check_finite_complete(
                     if lub == m1 or lub == m2 or lub in mask_family:
                         continue
                     violations.append((set_of_mask[m1], set_of_mask[m2]))
-    return violations
-
-
-def check_finite_complete_naive(
-    family: Dict[EventSet, StateVector]
-) -> List[Tuple[EventSet, EventSet]]:
-    """The retained quadratic reference for :func:`check_finite_complete`.
-
-    Scans every pair of members globally and seeks an upper bound among
-    the maximal elements per missing lub.  Kept as the differential
-    oracle for the antichain-driven version.
-    """
-    sets, masks = _sorted_masks(family)
-    mask_family = set(masks)
-    maximal = [
-        m
-        for m in mask_family
-        if not any(m != other and m | other == other for other in mask_family)
-    ]
-    violations: List[Tuple[EventSet, EventSet]] = []
-    for i, m1 in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            lub = m1 | masks[j]
-            if lub in mask_family:
-                continue
-            if any(lub | upper == upper for upper in maximal):
-                violations.append((sets[i], sets[j]))
     return violations
 
 
@@ -280,20 +247,7 @@ def nes_of_ets(
             "section 3.1, e.g. Figure 3(c))"
         )
 
-    events: Set[Event] = set()
-    for event_set in family:
-        events.update(event_set)
-
-    enabling_base: List[Tuple[FrozenSet[Event], Event]] = []
-    for event_set in family:
-        for event in event_set:
-            enabling_base.append((event_set - {event}, event))
-
-    structure = EventStructure(
-        events=events,
-        consistency_covers=family.keys(),
-        enabling_base=enabling_base,
-    )
+    structure = EventStructure.of_family(family)
     configurations: Dict[StateVector, Policy] = {
         state: ets.configuration(state) for state in ets.states()
     }

@@ -33,16 +33,14 @@ consistent, so there are no inconsistent sets).
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from .event import Event, EventSet
+from .event import EventSet
 from .nes import NES
 from .structure import EventStructure
 
 __all__ = [
     "minimally_inconsistent_sets",
-    "minimally_inconsistent_sets_naive",
     "minimally_inconsistent_masks",
     "is_locally_determined",
     "locality_violations",
@@ -124,30 +122,6 @@ def minimally_inconsistent_sets(
         structure.decode(mask)
         for mask in minimally_inconsistent_masks(structure, max_size)
     )
-
-
-def minimally_inconsistent_sets_naive(
-    structure: EventStructure,
-    max_size: Optional[int] = None,
-) -> FrozenSet[EventSet]:
-    """Reference brute force over all subsets (golden tests only).
-
-    Enumerates subsets by increasing size, pruning supersets of sets
-    already found (any strict superset of an inconsistent set is
-    inconsistent but not minimal).  Exponential in the event count; the
-    production path is :func:`minimally_inconsistent_sets`.
-    """
-    events = sorted(structure.events, key=repr)
-    bound = max_size if max_size is not None else len(events)
-    found: List[FrozenSet[Event]] = []
-    for size in range(1, bound + 1):
-        for combo in combinations(events, size):
-            candidate = frozenset(combo)
-            if any(m <= candidate for m in found):
-                continue
-            if not structure.con(candidate):
-                found.append(candidate)
-    return frozenset(found)
 
 
 def _switch_masks(nes: NES) -> Dict[int, int]:

@@ -11,6 +11,9 @@ represented by a family of *covers* -- ``X`` is consistent iff it is a
 subset of some cover -- which is automatically downward closed.
 Enabling is represented by base pairs ``(X0, e)`` -- ``X ⊢ e`` iff some
 ``X0 ⊆ X`` is a base -- which is automatically upward closed.
+:meth:`EventStructure.of_family` derives both from a family of
+configurations (Winskel, Theorem 1.1.12), which is how the ETS
+conversion (:mod:`repro.events.ets_to_nes`) makes its structure.
 
 Internally events are interned to integer indices (in deterministic
 ``repr`` order) and every event set -- covers, enabling bases, the
@@ -55,6 +58,59 @@ class EventStructure(Generic[E]):
         consistency_covers: Iterable[AbstractSet[E]],
         enabling_base: Iterable[Tuple[AbstractSet[E], E]],
     ):
+        self._intern(events)
+        self._covers: FrozenSet[FrozenSet[E]] = frozenset(
+            frozenset(c) for c in consistency_covers
+        )
+        cover_masks: Set[int] = set()
+        for cover in self._covers:
+            try:
+                cover_masks.add(self.encode(cover))
+            except KeyError:
+                raise ValueError(
+                    f"cover {set(cover)} mentions unknown events"
+                ) from None
+        base: Dict[int, Set[int]] = {}
+        for enabler, event in enabling_base:
+            event_index = self._index.get(event)
+            if event_index is None:
+                raise ValueError(f"enabling base names unknown event {event!r}")
+            try:
+                enabler_mask = self.encode(enabler)
+            except KeyError:
+                raise ValueError(
+                    f"enabling base {set(enabler)} mentions unknown events"
+                ) from None
+            base.setdefault(event_index, set()).add(enabler_mask)
+        self._set_relations(cover_masks, base)
+
+    @classmethod
+    def of_family(cls, family: Iterable[AbstractSet[E]]) -> "EventStructure[E]":
+        """The event structure of a family of configurations (Winskel,
+        Theorem 1.1.12): the events are the members' events, a set is
+        consistent iff some member covers it, and ``X ⊢ e`` iff some
+        member containing ``e``, less ``e``, lies in ``X``.
+
+        Equal to ``EventStructure(events, family, [(m - {e}, e) ...])``
+        over every member ``m`` and ``e ∈ m``, but each member is encoded
+        once and its enablers are ``mask ^ bit`` per set bit.
+        """
+        self = cls.__new__(cls)
+        covers = frozenset(frozenset(member) for member in family)
+        self._intern(frozenset().union(*covers))
+        self._covers = covers
+        cover_masks = {self.encode(member) for member in self._covers}
+        base: Dict[int, Set[int]] = {}
+        for mask in cover_masks:
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                base.setdefault(bit.bit_length() - 1, set()).add(mask ^ bit)
+        self._set_relations(cover_masks, base)
+        return self
+
+    def _intern(self, events: Iterable[E]) -> None:
         self._events: FrozenSet[E] = frozenset(events)
         # Intern events in deterministic (repr) order; bit i of every mask
         # in this structure stands for self._universe[i].
@@ -72,48 +128,18 @@ class EventStructure(Generic[E]):
         }
         self._all_mask: int = (1 << len(self._universe)) - 1
 
-        self._covers: FrozenSet[FrozenSet[E]] = frozenset(
-            frozenset(c) for c in consistency_covers
-        )
-        cover_masks: Set[int] = set()
-        for cover in self._covers:
-            try:
-                cover_masks.add(self.encode(cover))
-            except KeyError:
-                raise ValueError(
-                    f"cover {set(cover)} mentions unknown events"
-                ) from None
-        # Only maximal covers matter for ``X ⊆ some cover`` queries.
-        self._maximal_cover_masks: Tuple[int, ...] = tuple(
-            sorted(
-                m
-                for m in cover_masks
-                if not any(m != other and m | other == other for other in cover_masks)
-            )
-        )
-
-        base: Dict[int, Set[int]] = {}
-        for enabler, event in enabling_base:
-            event_index = self._index.get(event)
-            if event_index is None:
-                raise ValueError(f"enabling base names unknown event {event!r}")
-            try:
-                enabler_mask = self.encode(enabler)
-            except KeyError:
-                raise ValueError(
-                    f"enabling base {set(enabler)} mentions unknown events"
-                ) from None
-            base.setdefault(event_index, set()).add(enabler_mask)
-        # Keep only minimal enablers: supersets are implied by monotonicity.
-        self._base_masks: Dict[int, Tuple[int, ...]] = {}
-        for event_index, enabler_masks in base.items():
-            self._base_masks[event_index] = tuple(
-                sorted(
-                    x
-                    for x in enabler_masks
-                    if not any(y != x and y | x == x for y in enabler_masks)
-                )
-            )
+    def _set_relations(
+        self, cover_masks: Set[int], base: Dict[int, Set[int]]
+    ) -> None:
+        """``con`` and ``⊢`` from encoded covers and ``event index ->
+        enabler masks``.  Only maximal covers matter for ``X ⊆ some
+        cover`` queries, and only minimal enablers for ``⊢``: supersets
+        are implied by monotonicity."""
+        self._maximal_cover_masks: Tuple[int, ...] = _extremal(cover_masks, True)
+        self._base_masks: Dict[int, Tuple[int, ...]] = {
+            event_index: _extremal(enabler_masks, False)
+            for event_index, enabler_masks in base.items()
+        }
         self._base: Dict[E, Tuple[FrozenSet[E], ...]] = {
             self._universe[i]: tuple(
                 sorted((self.decode(m) for m in masks), key=sorted_key)
@@ -364,3 +390,18 @@ class EventStructure(Generic[E]):
 
 def sorted_key(s: Iterable) -> Tuple:
     return tuple(sorted(repr(x) for x in s))
+
+
+def _extremal(masks: Iterable[int], maximal: bool) -> Tuple[int, ...]:
+    """The maximal (else minimal) elements of a set of bitmasks under
+    ``⊆``, sorted.  One scan in popcount order: an element can only lie
+    below (above) one with more (fewer) bits, so it is compared with the
+    extremal elements kept so far, never with every other mask."""
+    kept: List[int] = []
+    for m in sorted(masks, key=int.bit_count, reverse=maximal):
+        for k in kept:
+            if (m | k == k) if maximal else (m & k == k):
+                break  # m lies below (above) k
+        else:
+            kept.append(m)
+    return tuple(sorted(kept))

@@ -765,8 +765,6 @@ class Pipeline:
         self._stage_seconds: Dict[str, float] = {}
         self._substage_seconds: Dict[str, float] = {}
         self._update_stats: Dict[str, int] = {}
-        # Configurations the compile stage adopted from a predecessor.
-        self._configurations_adopted = 0
         self._artifact_cache_state: Optional[str] = None
         self._artifact_key: Optional[str] = None
         self._cache: Optional[ArtifactCache] = None
@@ -915,8 +913,8 @@ class Pipeline:
                         stage_span.set(
                             configurations=len(compiled.states),
                             reused_configurations=len(reuse),
+                            compiled_configurations=compiled.compiled_configurations,
                         )
-                    self._configurations_adopted = len(reuse)
                     self._compiled = compiled
                     self._store_artifact()
         return self._compiled
@@ -1043,7 +1041,7 @@ class Pipeline:
           the tables of every state whose policy is equal while the
           switch set is unchanged (the ``reuse_configurations`` seam),
           re-homed on the post-delta topology — so a host or link delta
-          compiles nothing, and a switch delta everything;
+          compiles nothing, and a switch delta every distinct policy;
         - the guarded merge reads the state tuple, the tables, the
           switch set and the tag field: when every table was adopted
           and the states are the same, the predecessor's memoised
@@ -1059,9 +1057,10 @@ class Pipeline:
         (delta application + warm-artifact check) and five ``update.*``
         stats: ``states_reused`` counts the ETS states whose out-edges
         and configuration equal this pipeline's, ``states_reinstantiated``
-        the rest; ``configurations_reused`` the configurations the
-        compile stage adopted (all of them on a warm-artifact hit, which
-        builds no ETS), ``configurations_recompiled`` the rest.  Any
+        the rest; ``configurations_recompiled`` the ``compile_policy``
+        runs the compile stage took (none on a warm-artifact hit, which
+        builds no ETS), ``configurations_reused`` the rest: adopted, or
+        sharing the tables of an equal policy compiled alongside.  Any
         exception leaving ``update()`` — typed or not (a
         ``LocalityError`` is a plain ``Exception``) — carries the
         discarded result's absorbed-failure counters as ``exc.health``:
@@ -1102,9 +1101,8 @@ class Pipeline:
                     state not in moved and policy == old_policy.get(state)
                     for state, policy in states
                 )
-            total = reused = len(compiled.states)
-            if updated._artifact_cache_state != "hit":
-                reused = updated._configurations_adopted
+            total = len(compiled.states)
+            reused = total - compiled.compiled_configurations
             updated._update_stats = {
                 "update.states_reinstantiated": len(states) - states_reused,
                 "update.states_reused": states_reused,

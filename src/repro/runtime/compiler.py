@@ -18,7 +18,6 @@ so total rule counts include them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .. import faults
@@ -28,6 +27,7 @@ from ..obs import trace as obs_trace
 from ..events.locality import is_locally_determined, locality_violations
 from ..events.nes import NES
 from ..formula import EQ, Literal
+from ..netkat.ast import Policy
 from ..netkat.compiler import CompileError, Configuration, compile_policy
 from ..netkat.fdd import FDDBuilder
 from ..netkat.flowtable import FlowTable, Match, Rule
@@ -74,8 +74,9 @@ def _compile_configurations(
     options,
     health: Optional[Dict[str, int]] = None,
     reuse: Optional[Mapping[StateVector, Configuration]] = None,
-) -> Dict[StateVector, Configuration]:
-    """Compile every configuration, one after another, on ``builder``.
+) -> Tuple[Dict[StateVector, Configuration], int]:
+    """Compile every configuration, one after another, on ``builder``;
+    also returns how many ``compile_policy`` runs that took.
 
     ``reuse`` maps states to already-compiled configurations that are
     adopted as-is (the incremental-recompilation seam:
@@ -86,9 +87,14 @@ def _compile_configurations(
     else of the topology — a reused configuration is byte-identical to
     what a fresh compile would produce; the caller is responsible for
     only offering entries whose policy and switch set are unchanged,
-    homed on ``topology``.  The result dict is built in
-    ``states`` order regardless, so reuse never perturbs iteration (or
-    pickle) order.
+    homed on ``topology``.  By the same purity, the states that are not
+    adopted are indexed by their configuration policy (structural
+    equality) and ``compile_policy`` runs once per *distinct* policy:
+    the first state of a policy is compiled, every later one holds the
+    same immutable :class:`FlowTable` objects under its own name (a
+    cap-N chain has N+2 states and two policies).  The result dict is
+    built in ``states`` order regardless, so neither reuse nor sharing
+    perturbs iteration (or pickle) order.
 
     Failure discipline (the fault-tolerance layer):
 
@@ -160,12 +166,28 @@ def _compile_configurations(
                     time.sleep(_backoff_delay(attempt))
                 attempt += 1
 
-    fresh = {state: compile_one(state) for state in pending}
+    first: Dict[Policy, Configuration] = {}
+    fresh: Dict[StateVector, Configuration] = {}
+    for state in pending:
+        policy = nes.configuration_policy(state)
+        shared = first.get(policy)
+        if shared is None:
+            fresh[state] = first[policy] = compile_one(state)
+        else:
+            fresh[state] = shared.named(f"C{list(state)}")
+    if obs_metrics.active() is not None:
+        for result, count in (
+            ("compiled", len(first)),
+            ("shared", len(pending) - len(first)),
+            ("adopted", len(states) - len(pending)),
+        ):
+            obs_metrics.inc(
+                "repro_compile_configurations_total", count, result=result,
+                help="Configurations by how the compile obtained their tables",
+            )
     # States order, whatever mix of reused/fresh produced the parts.
-    return {
-        state: reuse[state] if state in reuse else fresh[state]
-        for state in states
-    }
+    done = {**reuse, **fresh}
+    return {state: done[state] for state in states}, len(first)
 
 
 class Leaf:
@@ -314,8 +336,10 @@ class CompiledNES:
         # by repr), so digests and the locality engine agree bit-for-bit.
         self.event_bits: Dict[Event, int] = dict(nes.structure.event_index)
 
-        # Step 2: compile every configuration.
-        self.configurations: Dict[StateVector, Configuration] = (
+        # Step 2: compile every configuration, counting the
+        # ``compile_policy`` runs (never pickled: a loaded artifact took none).
+        self.configurations: Dict[StateVector, Configuration]
+        self.configurations, self.compiled_configurations = (
             _compile_configurations(
                 nes, topology, self.states, self._builder, options,
                 health=health, reuse=reuse_configurations,
@@ -463,7 +487,7 @@ class CompiledNES:
         pipeline stamps in its own.
         """
         state = dict(self.__dict__)
-        del state["_roots"]
+        del state["_roots"], state["compiled_configurations"]
         state["_guarded_tables"] = {}
         state["_builder"] = None
         state["options"] = self.options.output_affecting()
@@ -472,6 +496,7 @@ class CompiledNES:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._roots = {}
+        self.compiled_configurations = 0
         if self._builder is None:
             self._builder = self.options.make_builder()
         self._deposit()

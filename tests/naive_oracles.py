@@ -1,0 +1,66 @@
+"""Tests-only reference implementations.
+
+The quadratic finite-completeness check and the brute-force
+minimally-inconsistent-set enumeration, moved verbatim out of
+``repro.events``: the differential oracles of
+``test_finite_complete_property.py`` and ``test_locality_bitset.py``.
+"""
+
+from itertools import combinations
+from typing import Dict, FrozenSet, List, Optional, Tuple
+
+from repro.events.event import Event, EventSet
+from repro.events.ets_to_nes import _sorted_masks
+from repro.events.structure import EventStructure
+from repro.stateful.ast import StateVector
+
+
+def check_finite_complete_naive(
+    family: Dict[EventSet, StateVector]
+) -> List[Tuple[EventSet, EventSet]]:
+    """The retained quadratic reference for :func:`check_finite_complete`.
+
+    Scans every pair of members globally and seeks an upper bound among
+    the maximal elements per missing lub.  Kept as the differential
+    oracle for the antichain-driven version.
+    """
+    sets, masks = _sorted_masks(family)
+    mask_family = set(masks)
+    maximal = [
+        m
+        for m in mask_family
+        if not any(m != other and m | other == other for other in mask_family)
+    ]
+    violations: List[Tuple[EventSet, EventSet]] = []
+    for i, m1 in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            lub = m1 | masks[j]
+            if lub in mask_family:
+                continue
+            if any(lub | upper == upper for upper in maximal):
+                violations.append((sets[i], sets[j]))
+    return violations
+
+
+def minimally_inconsistent_sets_naive(
+    structure: EventStructure,
+    max_size: Optional[int] = None,
+) -> FrozenSet[EventSet]:
+    """Reference brute force over all subsets (golden tests only).
+
+    Enumerates subsets by increasing size, pruning supersets of sets
+    already found (any strict superset of an inconsistent set is
+    inconsistent but not minimal).  Exponential in the event count; the
+    production path is :func:`minimally_inconsistent_sets`.
+    """
+    events = sorted(structure.events, key=repr)
+    bound = max_size if max_size is not None else len(events)
+    found: List[FrozenSet[Event]] = []
+    for size in range(1, bound + 1):
+        for combo in combinations(events, size):
+            candidate = frozenset(combo)
+            if any(m <= candidate for m in found):
+                continue
+            if not structure.con(candidate):
+                found.append(candidate)
+    return frozenset(found)

@@ -17,11 +17,8 @@ except ImportError:  # pragma: no cover
     st = None
 
 from repro.apps import bandwidth_cap_app, firewall_app, ids_app
-from repro.events.ets_to_nes import (
-    check_finite_complete,
-    check_finite_complete_naive,
-    family_of_ets,
-)
+from naive_oracles import check_finite_complete_naive
+from repro.events.ets_to_nes import check_finite_complete, family_of_ets
 
 
 def normalized(violations):

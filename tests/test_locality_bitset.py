@@ -6,7 +6,7 @@ definitional brute force.  Naive references here are deliberately
 independent of the engine: consistency straight off the cover family,
 enabling straight off the minimal-enabler bases, event sets by frontier
 search over frozensets, and minimally-inconsistent sets via the retained
-:func:`repro.events.locality.minimally_inconsistent_sets_naive`.
+:func:`naive_oracles.minimally_inconsistent_sets_naive`.
 """
 
 import random
@@ -22,13 +22,13 @@ from repro.apps import (
     learning_switch_app,
     ring_app,
 )
+from naive_oracles import minimally_inconsistent_sets_naive
 from repro.events.event import Event
 from repro.events.locality import (
     is_locally_determined,
     locality_violations,
     minimally_inconsistent_masks,
     minimally_inconsistent_sets,
-    minimally_inconsistent_sets_naive,
 )
 from repro.events.nes import NES
 from repro.events.structure import EventStructure

@@ -241,10 +241,14 @@ class TestTracing:
         ets_id = by_name["ets"][0]["span_id"]
         assert by_name["ets.symbolic"][0]["parent_id"] == ets_id
         assert by_name["ets.instantiate"][0]["parent_id"] == ets_id
-        # per-configuration spans parent under the compile stage span
+        # one compile.configuration span per distinct policy (26 states,
+        # 2 policies), each parented under the compile stage span
         compile_span = by_name["compile"][0]
         workers = by_name["compile.configuration"]
-        assert len(workers) == len(pipeline.compiled.states)
+        assert len(pipeline.compiled.states) == 26
+        assert len(workers) == 2
+        assert compile_span["attrs"]["configurations"] == 26
+        assert compile_span["attrs"]["compiled_configurations"] == 2
         assert all(w["parent_id"] == compile_span["span_id"] for w in workers)
         assert "attach" not in trace.__all__  # its only caller was the pool
 
