@@ -2,9 +2,10 @@
 
 Unlike the figure benches (single-shot scenario reproductions), these
 use pytest-benchmark's statistical timing to track the toolchain's
-hot paths: FDD construction, full app compilation, NES conversion, and
-the trace checker.  They guard against performance regressions in the
-substrate the reproductions run on.
+hot paths: FDD construction, full app compilation, NES conversion, the
+trace checker, and the uninstalled cost of the ``repro.obs`` sites.
+They guard against performance regressions in the substrate the
+reproductions run on.
 """
 
 import random
@@ -16,6 +17,8 @@ from repro.consistency.checker import NESChecker
 from repro.events.ets_to_nes import nes_of_ets
 from repro.netkat.ast import assign, filter_, seq, test as field_test, union
 from repro.netkat.fdd import FDDBuilder
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 from repro.optimize.trie import heuristic_order, build_trie, trie_rule_count
 from repro.stateful.ets import build_ets
 
@@ -106,3 +109,27 @@ def test_trie_heuristic_speed(benchmark):
         return trie_rule_count(build_trie(heuristic_order(configs)))
 
     assert benchmark(optimize) > 0
+
+
+# The zero-overhead-uninstalled pin for repro.obs: hammer the three
+# hot-path instrumentation entry points (span enter/exit, counter inc,
+# histogram observe) with no registry or tracer installed.  Each site
+# must cost one module-global read and an early return, so this median
+# must not move when instrumentation is added to the codebase.
+OBS_NOOP_ITERATIONS = 200_000
+
+
+def test_obs_overhead_noop(benchmark):
+    assert obs_metrics.active() is None and obs_trace.active() is None
+    span = obs_trace.span
+    inc = obs_metrics.inc
+    observe = obs_metrics.observe
+
+    def hammer():
+        for _ in range(OBS_NOOP_ITERATIONS):
+            with span("bench.noop"):
+                pass
+            inc("bench_noop_total")
+            observe("bench_noop_seconds", 0.0)
+
+    benchmark(hammer)

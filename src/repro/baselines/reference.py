@@ -2,21 +2,63 @@
 
 This models the unmodified OpenFlow 1.0 reference switch used as the
 bandwidth baseline in Figure 16(a): packets carry no tag or digest
-overhead and switches do no event bookkeeping.
+overhead and switches do no event bookkeeping.  The controller-driven
+baselines share :func:`punt_events`, their controller's half.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 from ..netkat.compiler import Configuration
-from ..netkat.flowtable import FlowTable
 from ..netkat.packet import Location, PT
 from ..network.simulator import Frame, SimNetwork
 # The correct logic's own constant, so overhead comparisons are fair.
 from ..network.switch_logic import BASE_HEADER_BYTES
+from ..stateful.ast import StateVector
 
 __all__ = ["ReferenceLogic", "BASE_HEADER_BYTES"]
+
+
+def punt_events(
+    logic,
+    net: SimNetwork,
+    location: Location,
+    frame: Frame,
+    on_transition: Callable[[SimNetwork, StateVector], None],
+) -> None:
+    """Report the first event ``frame`` matches at ``location`` to the
+    controller (the switch itself keeps no event state).
+
+    After ``logic.event_notify_latency`` the controller renames the
+    event to its next occurrence and, when that is an enabled transition
+    of ``logic.compiled.nes``, adds it to ``logic.controller_events``,
+    moves ``logic.controller_state`` and calls ``on_transition`` with
+    the new state; any other report is ignored.
+    """
+    nes = logic.compiled.nes
+    for event in sorted(nes.events, key=repr):
+        if event.base().matches_packet(frame.packet, location):
+            base_event = event.base()
+            break
+    else:
+        return
+
+    def receive() -> None:
+        seen = logic.controller_events
+        occurrence = sum(1 for e in seen if e.base() == base_event)
+        renamed = base_event.renamed(occurrence)
+        try:
+            new_state = nes.state_of(frozenset(seen) | {renamed})
+        except KeyError:
+            return
+        if not nes.enables(frozenset(seen), renamed):
+            return
+        seen.add(renamed)
+        logic.controller_state = new_state
+        on_transition(net, new_state)
+
+    net.sim.schedule(logic.event_notify_latency, receive)
 
 
 class ReferenceLogic:
@@ -39,15 +81,7 @@ class ReferenceLogic:
         return [
             (
                 out_packet[PT],
-                Frame(
-                    packet=out_packet,
-                    payload_bytes=frame.payload_bytes,
-                    tag=None,
-                    digest=frozenset(),
-                    flow=frame.flow,
-                    ident=frame.ident,
-                    injected_at=frame.injected_at,
-                ),
+                frame.replace(packet=out_packet, tag=None, digest=frozenset()),
             )
             for out_packet in sorted(outputs, key=repr)
         ]

@@ -24,7 +24,7 @@ from ..netkat.packet import Location, PT
 from ..runtime.compiler import CompiledNES
 from ..network.simulator import Frame, SimNetwork
 from ..stateful.ast import StateVector
-from .reference import BASE_HEADER_BYTES
+from .reference import BASE_HEADER_BYTES, punt_events
 
 __all__ = ["TwoPhaseLogic", "VERSION_FIELD"]
 
@@ -70,14 +70,10 @@ class TwoPhaseLogic:
 
     def on_ingress(self, net: SimNetwork, location: Location, frame: Frame) -> Frame:
         version = self.stamp_version[location.switch]
-        return Frame(
+        return frame.replace(
             packet=frame.packet.at(location).set(VERSION_FIELD, version),
-            payload_bytes=frame.payload_bytes,
             tag=None,
             digest=frozenset(),
-            flow=frame.flow,
-            ident=frame.ident,
-            injected_at=frame.injected_at,
         )
 
     def process(
@@ -86,10 +82,7 @@ class TwoPhaseLogic:
         # Event detection is punted to the controller, as in the
         # uncoordinated baseline (versioning adds consistency, not
         # event-locality).
-        for event in sorted(self.compiled.nes.events, key=repr):
-            if event.base().matches_packet(frame.packet, location):
-                self._notify_controller(net, event.base())
-                break
+        punt_events(self, net, location, frame, self._schedule_flips)
 
         version = frame.packet.get(VERSION_FIELD, self.initial_version)
         state = self._state_of_version(version)
@@ -98,23 +91,17 @@ class TwoPhaseLogic:
         # so strip it for the lookup and restore it on outputs.
         lookup_packet = frame.packet.without(VERSION_FIELD).at(location)
         outputs = config.table(location.switch).apply(lookup_packet)
-        results: List[Tuple[int, Frame]] = []
-        for out_packet in sorted(outputs, key=repr):
-            results.append(
-                (
-                    out_packet[PT],
-                    Frame(
-                        packet=out_packet.set(VERSION_FIELD, version),
-                        payload_bytes=frame.payload_bytes,
-                        tag=None,
-                        digest=frozenset(),
-                        flow=frame.flow,
-                        ident=frame.ident,
-                        injected_at=frame.injected_at,
-                    ),
-                )
+        return [
+            (
+                out_packet[PT],
+                frame.replace(
+                    packet=out_packet.set(VERSION_FIELD, version),
+                    tag=None,
+                    digest=frozenset(),
+                ),
             )
-        return results
+            for out_packet in sorted(outputs, key=repr)
+        ]
 
     def _state_of_version(self, version: int) -> StateVector:
         for state, config_id in self.compiled.config_ids.items():
@@ -123,27 +110,6 @@ class TwoPhaseLogic:
         return self.compiled.nes.initial_state
 
     # -- controller --------------------------------------------------------------
-
-    def _notify_controller(self, net: SimNetwork, base_event: Event) -> None:
-        def receive() -> None:
-            occurrence = sum(
-                1 for e in self.controller_events if e.base() == base_event
-            )
-            renamed = base_event.renamed(occurrence)
-            extended = frozenset(self.controller_events) | {renamed}
-            try:
-                new_state = self.compiled.nes.state_of(extended)
-            except KeyError:
-                return
-            if not self.compiled.nes.enables(
-                frozenset(self.controller_events), renamed
-            ):
-                return
-            self.controller_events.add(renamed)
-            self.controller_state = new_state
-            self._schedule_flips(net, new_state)
-
-        net.sim.schedule(self.event_notify_latency, receive)
 
     def _schedule_flips(self, net: SimNetwork, state: StateVector) -> None:
         """Phase two: flip ingress stamping to the new version."""

@@ -15,15 +15,14 @@ reports up to 10 s for a single switch update).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..events.event import Event, EventSet
+from ..events.event import Event
 from ..netkat.flowtable import FlowTable
 from ..netkat.packet import Location, PT
 from ..runtime.compiler import CompiledNES
 from ..stateful.ast import StateVector
-from .reference import BASE_HEADER_BYTES
+from .reference import BASE_HEADER_BYTES, punt_events
 from ..network.simulator import Frame, SimNetwork
 
 __all__ = ["UncoordinatedLogic"]
@@ -60,68 +59,25 @@ class UncoordinatedLogic:
         return BASE_HEADER_BYTES
 
     def on_ingress(self, net: SimNetwork, location: Location, frame: Frame) -> Frame:
-        return Frame(
-            packet=frame.packet.at(location),
-            payload_bytes=frame.payload_bytes,
-            tag=None,
-            digest=frozenset(),
-            flow=frame.flow,
-            ident=frame.ident,
-            injected_at=frame.injected_at,
+        return frame.replace(
+            packet=frame.packet.at(location), tag=None, digest=frozenset()
         )
 
     def process(
         self, net: SimNetwork, location: Location, frame: Frame
     ) -> List[Tuple[int, Frame]]:
-        # Event detection: matching arrivals are punted to the controller
-        # (the switch itself keeps no event state).
-        for event in sorted(self.compiled.nes.events, key=repr):
-            if event.base().matches_packet(frame.packet, location):
-                self._notify_controller(net, event.base())
-                break
-
+        punt_events(self, net, location, frame, self._schedule_pushes)
         table = self.installed.get(location.switch, FlowTable())
         outputs = table.apply(frame.packet.at(location))
-        results: List[Tuple[int, Frame]] = []
-        for out_packet in sorted(outputs, key=repr):
-            results.append(
-                (
-                    out_packet[PT],
-                    Frame(
-                        packet=out_packet,
-                        payload_bytes=frame.payload_bytes,
-                        tag=None,
-                        digest=frozenset(),
-                        flow=frame.flow,
-                        ident=frame.ident,
-                        injected_at=frame.injected_at,
-                    ),
-                )
+        return [
+            (
+                out_packet[PT],
+                frame.replace(packet=out_packet, tag=None, digest=frozenset()),
             )
-        return results
+            for out_packet in sorted(outputs, key=repr)
+        ]
 
     # -- controller ------------------------------------------------------------------
-
-    def _notify_controller(self, net: SimNetwork, base_event: Event) -> None:
-        def receive() -> None:
-            occurrence = sum(
-                1 for e in self.controller_events if e.base() == base_event
-            )
-            renamed = base_event.renamed(occurrence)
-            extended = frozenset(self.controller_events) | {renamed}
-            try:
-                new_state = self.compiled.nes.state_of(extended)
-            except KeyError:
-                return  # not an enabled transition; ignore the report
-            if not self.compiled.nes.enables(
-                frozenset(self.controller_events), renamed
-            ):
-                return
-            self.controller_events.add(renamed)
-            self.controller_state = new_state
-            self._schedule_pushes(net, new_state)
-
-        net.sim.schedule(self.event_notify_latency, receive)
 
     def _schedule_pushes(self, net: SimNetwork, state: StateVector) -> None:
         """After the delay, install the new tables switch by switch in a

@@ -9,13 +9,6 @@ from .simulator import (
     SimNetwork,
     Simulator,
 )
-from .stats import (
-    LatencySummary,
-    deliveries_per_second,
-    latency_summary,
-    loss_rate,
-    success_timeline,
-)
 from .switch_logic import CorrectLogic
 from .traffic import (
     KIND_REPLY,
@@ -37,11 +30,6 @@ __all__ = [
     "DeliveryRecord",
     "DropRecord",
     "CorrectLogic",
-    "deliveries_per_second",
-    "loss_rate",
-    "latency_summary",
-    "LatencySummary",
-    "success_timeline",
     "install_ping_responders",
     "send_ping",
     "ping_outcomes",

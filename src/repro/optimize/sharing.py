@@ -5,18 +5,18 @@ heuristic; the optimized deployment guards each shared rule with a
 :class:`repro.netkat.flowtable.PrefixMatch` over the configuration-tag
 field.  This module produces both the counts (the §5.1 "rule reduction"
 numbers, e.g. 18 -> 16 for the firewall) and an actual guarded rule
-list, plus a semantic check that the optimized table behaves identically
+list, plus an exact check that the optimized table behaves identically
 to the naive guarded table for every configuration ID.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..netkat.flowtable import FlowTable, Match, PrefixMatch, Rule
+from ..netkat.flowtable import FlowTable, PrefixMatch, Rule
 from ..runtime.compiler import CompiledNES, TAG_FIELD
+from ..verify.equiv import tables_equivalent
 from .trie import (
     OptimizationResult,
     TrieNode,
@@ -155,43 +155,23 @@ def _leaf_assignment(
 def optimized_table_equivalent(
     compiled: CompiledNES, optimization: SwitchOptimization
 ) -> bool:
-    """Semantic check: for every configuration, the optimized guarded
-    table (with the packet's tag set to the *assigned* leaf ID) matches
-    the original per-configuration table on that switch.
-
-    Compares rule-by-rule reachable behavior by evaluating both tables
-    on the match packets of every rule; used by the test suite.
+    """Exact check: for every configuration, the optimized rules whose
+    tag guard admits its *assigned* leaf ID -- the only rules a packet
+    carrying that tag can hit -- behave, guard dropped, like the
+    original per-configuration table on that switch
+    (:func:`repro.verify.equiv.tables_equivalent`: every packet the two
+    tables can tell apart is tried); used by the test suite.
     """
-    from ..netkat.packet import Packet
-
     tag_field = compiled.options.tag_field
-    table = FlowTable(optimization.rules)
     for state, config in compiled.configurations.items():
-        config_id = compiled.config_ids[state]
-        leaf_id = optimization.id_assignment.get(config_id)
+        leaf_id = optimization.id_assignment.get(compiled.config_ids[state])
         if leaf_id is None:
             return False
-        original = config.table(optimization.switch)
-        probes = _probe_packets(original)
-        for probe in probes:
-            tagged = probe.set(tag_field, leaf_id)
-            got = table.apply(tagged)
-            want = {p.set(tag_field, leaf_id) for p in original.apply(probe)}
-            if got != frozenset(want):
-                return False
+        visible = FlowTable(
+            Rule(rule.priority, rule.match.without(tag_field), rule.actions)
+            for rule in optimization.rules
+            if rule.match.get(tag_field).matches(leaf_id)
+        )
+        if not tables_equivalent(config.table(optimization.switch), visible):
+            return False
     return True
-
-
-def _probe_packets(table: FlowTable) -> List["Packet"]:
-    from ..netkat.packet import Packet
-
-    probes: List[Packet] = []
-    for rule in table:
-        fields = {}
-        for field, constraint in rule.match.entries():
-            if isinstance(constraint, int):
-                fields[field] = constraint
-        fields.setdefault("sw", 0)
-        fields.setdefault("pt", 0)
-        probes.append(Packet(fields))
-    return probes

@@ -1,5 +1,6 @@
 """Tests for the rule-sharing trie optimization (section 5.3)."""
 
+import dataclasses
 import random
 
 import pytest
@@ -166,6 +167,28 @@ class TestCompiledNESOptimization:
             assert optimized_table_equivalent(app.compiled, switch_result), (
                 f"switch {switch_result.switch} optimized table diverges"
             )
+
+    def test_equivalence_check_rejects_a_table_that_forwards_more(self):
+        """One extra rule under an all-covering guard forwards packets the
+        original table drops; no original rule's match packet reaches it,
+        so only an exact check sees the difference."""
+        from repro.netkat.flowtable import Match, PrefixMatch, Rule
+        from repro.runtime.compiler import TAG_FIELD
+
+        app = firewall_app()
+        result = optimize_compiled_nes(app.compiled)
+        sw1 = next(s for s in result.per_switch if s.switch == 1)
+        assert optimized_table_equivalent(app.compiled, sw1)
+        width = sw1.rules[0].match.get(TAG_FIELD).width
+        leak = Rule(
+            priority=max(r.priority for r in sw1.rules) + 1,
+            match=Match({"ip_dst": 99}).guarded(
+                TAG_FIELD, PrefixMatch(0, wildcard_bits=width, width=width)
+            ),
+            actions=frozenset({(("pt", 1),)}),
+        )
+        broken = dataclasses.replace(sw1, rules=(leak,) + sw1.rules)
+        assert not optimized_table_equivalent(app.compiled, broken)
 
     def test_guarded_rules_use_prefix_matches(self):
         from repro.netkat.flowtable import PrefixMatch
