@@ -7,9 +7,10 @@ artifacts (:attr:`App.ets`, :attr:`App.nes`, :attr:`App.compiled`) all
 delegate to one cached :class:`~repro.pipeline.Pipeline`, so an app
 constructed with ``options.cache_dir`` set skips the whole toolchain on
 a warm artifact cache.  There is one compile path: the options carry
-only what real callers set differently (cache placement and trust, retry/deadline, field order, locality, tag field, frontier
-bound), never which implementation computes a stage — the reference
-implementations live in their own layers and are called by tests.
+only how it executes (cache placement and trust, retry, deadline),
+never what it produces or which implementation computes a stage — the
+reference implementations live in their own layers and are called by
+tests.
 """
 
 from __future__ import annotations

@@ -71,6 +71,11 @@ class CompileError(Exception):
     """Raised when a policy falls outside the compilable fragment."""
 
 
+# Knowledge states carried across one hop before compile_policy gives
+# up on a policy whose path structure is too large.
+MAX_FRONTIER = 4096
+
+
 def link_free(p: Policy) -> bool:
     """True when the policy contains no link constructors."""
     if isinstance(p, Link):
@@ -463,7 +468,6 @@ def compile_policy(
     builder: Optional[FDDBuilder] = None,
     name: str = "",
     guard: Optional[Predicate] = None,
-    max_frontier: int = 4096,
     knowledge_cache: bool = True,
 ) -> Configuration:
     """Compile a configuration policy to per-switch flow tables.
@@ -528,9 +532,9 @@ def compile_policy(
                         next_frontier.add(
                             Knowledge.after_hop(constraints, mod, link_.dst)
                         )
-                if len(next_frontier) > max_frontier:
+                if len(next_frontier) > MAX_FRONTIER:
                     raise CompileError(
-                        f"symbolic frontier exceeded {max_frontier} states; "
+                        f"symbolic frontier exceeded {MAX_FRONTIER} states; "
                         "the policy path structure is too large"
                     )
             if not is_final:

@@ -195,8 +195,7 @@ class FDDBuilder:
         # can still serve it.  Configurations projected from one stateful
         # program share subtree objects, so these hit across the per-state
         # compiles of a CompiledNES.  Like the hash-consing caches above
-        # they grow for the builder's lifetime; a long-lived builder fed
-        # many unrelated programs can call clear_ast_memos() between them.
+        # they grow for the builder's lifetime, which is one pipeline's.
         self._memo_of_policy: Dict[int, Tuple[object, FDD]] = {}
         self._memo_of_predicate: Dict[int, Tuple[object, FDD]] = {}
         # Knowledge (pos, neg) -> predicate FDD, filled by
@@ -507,16 +506,6 @@ class FDDBuilder:
         return walk(d)
 
     # -- compilation from AST --------------------------------------------------
-
-    def clear_ast_memos(self) -> None:
-        """Release the id-keyed AST memos (and the AST trees they pin).
-
-        The compiled FDD nodes themselves stay interned; only the
-        policy/predicate-tree associations are dropped, so subsequent
-        compiles of the same objects re-walk the AST once.
-        """
-        self._memo_of_policy.clear()
-        self._memo_of_predicate.clear()
 
     def of_predicate(self, a: Predicate) -> FDD:
         """Compile a predicate to a 0/1-valued FDD."""

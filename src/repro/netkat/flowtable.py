@@ -30,9 +30,9 @@ __all__ = [
 
 
 class TagFieldError(ValueError):
-    """The configured tag field collides with a real match field (the
-    section 4.1 construction needs a header field the program does not
-    use)."""
+    """The program matches on the field reserved for configuration tags
+    (the section 4.1 construction needs a header field the program does
+    not use)."""
 
 
 @dataclass(frozen=True, order=True)
@@ -129,8 +129,8 @@ class Match:
         if self.get(field) is not None:
             raise TagFieldError(
                 f"tag field {field!r} collides with a match field of "
-                f"{self!r}; pick a field the program does not use "
-                "(CompileOptions.tag_field)"
+                f"{self!r}; the program must not match on the field "
+                "reserved for configuration tags"
             )
         return self.extended(field, constraint)
 

@@ -66,12 +66,10 @@ class NESOptimization:
         return (self.original - self.optimized) / self.original
 
 
-def guarded_rules_of_trie(
-    root: TrieNode, width: int, tag_field: str = TAG_FIELD
-) -> List[Rule]:
+def guarded_rules_of_trie(root: TrieNode, width: int) -> List[Rule]:
     """Materialize one guarded rule per (node, fresh rule).
 
-    The guard is a PrefixMatch on ``tag_field``: ``depth`` fixed high
+    The guard is a PrefixMatch on ``TAG_FIELD``: ``depth`` fixed high
     bits, ``width - depth`` wildcarded low bits.  Priorities are offset
     so that deeper (more specific) guards win; within a node the
     original rule priorities are kept.
@@ -91,7 +89,7 @@ def guarded_rules_of_trie(
             out.append(
                 Rule(
                     priority=rule.priority,
-                    match=rule.match.guarded(tag_field, guard),
+                    match=rule.match.guarded(TAG_FIELD, guard),
                     actions=rule.actions,
                 )
             )
@@ -114,9 +112,7 @@ def optimize_compiled_nes(compiled: CompiledNES) -> NESOptimization:
         root = build_trie(ordered)
         optimized = trie_rule_count(root)
         width = (len(ordered)).bit_length() - 1
-        rules = tuple(
-            guarded_rules_of_trie(root, width, compiled.options.tag_field)
-        )
+        rules = tuple(guarded_rules_of_trie(root, width))
         assignment = _leaf_assignment(ordered, configs)
         results.append(
             SwitchOptimization(
@@ -162,15 +158,14 @@ def optimized_table_equivalent(
     (:func:`repro.verify.equiv.tables_equivalent`: every packet the two
     tables can tell apart is tried); used by the test suite.
     """
-    tag_field = compiled.options.tag_field
     for state, config in compiled.configurations.items():
         leaf_id = optimization.id_assignment.get(compiled.config_ids[state])
         if leaf_id is None:
             return False
         visible = FlowTable(
-            Rule(rule.priority, rule.match.without(tag_field), rule.actions)
+            Rule(rule.priority, rule.match.without(TAG_FIELD), rule.actions)
             for rule in optimization.rules
-            if rule.match.get(tag_field).matches(leaf_id)
+            if rule.match.get(TAG_FIELD).matches(leaf_id)
         )
         if not tables_equivalent(config.table(optimization.switch), visible):
             return False

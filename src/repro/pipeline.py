@@ -25,16 +25,16 @@ There is one executor: the per-configuration ``compile_policy`` calls
 run one after another on one :class:`FDDBuilder`, in
 configuration-state order.  ``cache_dir`` enables a content-addressed
 on-disk artifact cache: the key is a SHA-256 digest of the program AST,
-the topology, the initial state, every output-affecting option, and the
-package version (see :meth:`Pipeline.artifact_key`), so a repeated
+the topology, the initial state and the package version (see
+:meth:`Pipeline.artifact_key`), so a repeated
 :class:`Pipeline`/``App`` construction skips the ETS/NES/compile stages
 entirely and unpickles the
 :class:`~repro.runtime.compiler.CompiledNES` directly.
 
-Execution-only options (``cache_dir``, the fault-tolerance and
-cache-trust fields) are deliberately excluded from the cache key: they
-cannot change the artifact bytes (the golden tests in
-``tests/test_pipeline.py`` pin this).
+The artifact is a function of program, topology and initial state
+alone: every option is execution-only (cache placement and trust,
+retry, deadline) and cannot change the artifact bytes (the golden tests
+in ``tests/test_pipeline.py`` pin this), so none enters the key.
 
 The rule for future options: a :class:`CompileOptions` field exists
 only when two real callers (not tests, not examples) need different
@@ -59,7 +59,10 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    ClassVar, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+    Tuple, Union,
+)
 
 from . import faults
 from .events.ets_to_nes import nes_of_ets
@@ -68,7 +71,6 @@ from .obs import trace as obs_trace
 from .events.nes import NES
 from .netkat import ast as _ast
 from .netkat.ast import Policy
-from .netkat.fdd import DEFAULT_FIELD_ORDER, FDDBuilder, FieldOrder
 from .runtime.compiler import TAG_FIELD, CompiledNES, compile_nes
 from .stateful.ast import StateVector, vector_update
 from .stateful.ets import ETS, build_ets
@@ -92,35 +94,17 @@ __all__ = [
 # entries then miss instead of unpickling garbage.  Format 2 added the
 # optional HMAC-SHA256 signing envelope (see ArtifactCache); format 3
 # shrank the options fingerprint to four fields and stopped persisting
-# execution-only option values (the signing key among them).
-ARTIFACT_FORMAT = 3
+# execution-only option values (the signing key among them); format 4
+# dropped the options from the key and from the artifact altogether.
+ARTIFACT_FORMAT = 4
 
-# Options that select *how* the pipeline executes, never *what* it
-# produces; they are excluded from the artifact cache key.  The
-# fault-tolerance knobs all live here: retry/deadline and cache signing
-# change how (and whether) an artifact is obtained, never its bytes —
-# the chaos suite pins that.
-_EXECUTION_ONLY_FIELDS = frozenset(
-    {
-        "cache_dir",
-        "cache_hmac_key",
-        "strict_cache",
-        "compile_retries",
-        "deadline_seconds",
-    }
-)
-
-# (field, accepted types, None allowed) for every CompileOptions field
-# but field_order, which is checked element-wise.
+# (field, accepted types, None allowed) for every CompileOptions field.
 _SCALAR_FIELD_TYPES = (
     ("cache_dir", (str, os.PathLike), True),
     ("cache_hmac_key", (str, bytes), True),
     ("strict_cache", (bool,), False),
     ("compile_retries", (int,), False),
     ("deadline_seconds", (int, float), True),
-    ("enforce_locality", (bool,), False),
-    ("tag_field", (str,), False),
-    ("max_frontier", (int,), False),
 )
 
 # Environment fallback for CompileOptions.cache_hmac_key, so a fleet can
@@ -170,12 +154,13 @@ class CompileOptions:
 
     A field exists only because real callers need different values for
     it (module docstring); which *implementation* computes a stage is
-    not an option.  Field types are checked here, once, for the CLI, the
-    wire and direct callers alike (``TypeError``; out-of-range values
-    are ``ValueError``) — ``1`` is not ``True``: equal programs must not
-    get different artifact keys.  Output-affecting fields (``field_order``,
-    ``enforce_locality``, ``tag_field``, ``max_frontier``) participate
-    in the artifact cache key; the execution-only rest never do.
+    not an option.  Field types are checked here, once, for the CLI and
+    direct callers alike (``TypeError``; out-of-range values are
+    ``ValueError``) — ``1`` is not ``True``.  Every field is
+    execution-only: none can change the artifact, so none is part of
+    its key.  ``tag_field`` is the constant
+    :data:`~repro.runtime.compiler.TAG_FIELD`, readable here but not a
+    field.
 
     - ``cache_dir``: directory for the persistent artifact cache;
       ``None`` (the default) disables it.
@@ -195,23 +180,15 @@ class CompileOptions:
     - ``deadline_seconds``: wall-clock budget for the compile stage,
       checked between per-configuration compiles (cooperative — one
       configuration is never preempted); exceeded → :class:`StageError`.
-    - ``field_order``: FDD branch-ordering precedence (``sw``/``pt``
-      first keeps per-switch extraction cheap).
-    - ``enforce_locality``: refuse NESs that are not locally determined
-      (Lemma 1) instead of compiling them anyway.
-    - ``tag_field``: the packet metadata field guarding merged tables.
-    - ``max_frontier``: symbolic-knowledge frontier bound per hop.
     """
+
+    tag_field: ClassVar[str] = TAG_FIELD
 
     cache_dir: Optional[Union[str, Path]] = None
     cache_hmac_key: Optional[Union[str, bytes]] = None
     strict_cache: bool = False
     compile_retries: int = 2
     deadline_seconds: Optional[float] = None
-    field_order: Tuple[str, ...] = DEFAULT_FIELD_ORDER
-    enforce_locality: bool = True
-    tag_field: str = TAG_FIELD
-    max_frontier: int = 4096
 
     def __post_init__(self) -> None:
         for name, types, optional in _SCALAR_FIELD_TYPES:
@@ -224,19 +201,6 @@ class CompileOptions:
             ):
                 expected = " or ".join(t.__name__ for t in types)
                 raise TypeError(f"{name} must be {expected}, got {value!r}")
-        # A bare string is iterable too, but "abc" is not three fields.
-        order = self.field_order
-        order = (
-            tuple(order)
-            if isinstance(order, Iterable) and not isinstance(order, str)
-            else None
-        )
-        if order is None or not all(isinstance(name, str) for name in order):
-            raise TypeError(
-                "field_order must be a sequence of field names, "
-                f"got {self.field_order!r}"
-            )
-        object.__setattr__(self, "field_order", order)
         if self.compile_retries < 0:
             raise ValueError(
                 f"compile_retries must be >= 0, got {self.compile_retries}"
@@ -245,10 +209,6 @@ class CompileOptions:
             raise ValueError(
                 f"deadline_seconds must be > 0, got {self.deadline_seconds}"
             )
-        if self.max_frontier < 1:
-            raise ValueError(f"max_frontier must be >= 1, got {self.max_frontier}")
-        if not self.tag_field:
-            raise ValueError("tag_field must be a non-empty field name")
         if self.cache_dir is not None:
             object.__setattr__(
                 self, "cache_dir", Path(self.cache_dir).expanduser()
@@ -257,29 +217,6 @@ class CompileOptions:
     def replace(self, **changes) -> "CompileOptions":
         """A copy with the given fields changed (re-validated)."""
         return dataclasses.replace(self, **changes)
-
-    def make_builder(self) -> FDDBuilder:
-        """A fresh :class:`FDDBuilder` branching in ``field_order``."""
-        return FDDBuilder(FieldOrder(self.field_order))
-
-    def semantic_fingerprint(self) -> str:
-        """Canonical serialization of the output-affecting options."""
-        pairs = tuple(
-            (f.name, getattr(self, f.name))
-            for f in dataclasses.fields(self)
-            if f.name not in _EXECUTION_ONLY_FIELDS
-        )
-        return repr(pairs)
-
-    def output_affecting(self) -> "CompileOptions":
-        """A copy with every execution-only field back at its default:
-        the options an artifact persists.  How the storing run executed
-        (and its ``cache_hmac_key``) is not part of what it produced."""
-        return self.replace(**{
-            f.name: f.default
-            for f in dataclasses.fields(self)
-            if f.name in _EXECUTION_ONLY_FIELDS
-        })
 
     def resolved_cache_hmac_key(self) -> Optional[bytes]:
         """The effective cache-signing key as bytes: the explicit field,
@@ -311,17 +248,16 @@ def artifact_digest(
     program: Policy,
     topology: Topology,
     initial_state: StateVector,
-    options: CompileOptions,
 ) -> str:
     """The content address of one compiled artifact.
 
     Every AST node has a canonical, structure-complete ``repr``, so the
     program is digested through it; the topology through its sorted
-    link/host/switch serialization; the options through their
-    output-affecting fields only (module docstring).  The package
-    version is folded in too, so a persistent ``cache_dir`` carried
-    across an upgrade misses rather than serving tables compiled by an
-    older (possibly since-fixed) compiler.
+    link/host/switch serialization.  No option can change the artifact,
+    so none is digested (module docstring).  The package version is
+    folded in too, so a persistent ``cache_dir`` carried across an
+    upgrade misses rather than serving tables compiled by an older
+    (possibly since-fixed) compiler.
     """
     from . import __version__
 
@@ -332,7 +268,6 @@ def artifact_digest(
         repr(program),
         _topology_fingerprint(topology),
         repr(tuple(initial_state)),
-        options.semantic_fingerprint(),
     ):
         h.update(part.encode())
         h.update(b"\x00")
@@ -545,6 +480,15 @@ class ArtifactCache:
 # ---------------------------------------------------------------------------
 
 
+def _state_int(value) -> int:
+    """``value`` when it is an int.  ``int()`` would turn ``True``,
+    ``1.9`` or ``"1"`` into ``1`` — the same tables under another
+    artifact key, or a state nobody asked for."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"state components must be ints, got {value!r}")
+    return value
+
+
 def _substitute_policy(
     p: Policy, old: Policy, new: Policy, hits: List[int]
 ) -> Policy:
@@ -599,7 +543,7 @@ class Delta:
         object.__setattr__(
             self,
             "set_state",
-            tuple((int(m), int(n)) for m, n in self.set_state),
+            tuple((_state_int(m), _state_int(n)) for m, n in self.set_state),
         )
         if (self.replace_policy is None) != (self.with_policy is None):
             raise ValueError(
@@ -753,7 +697,7 @@ class Pipeline:
     ):
         self.program = program
         self.topology = topology
-        self.initial_state: StateVector = tuple(initial_state)
+        self.initial_state: StateVector = tuple(map(_state_int, initial_state))
         self.options = options if options is not None else CompileOptions()
         self._ets: Optional[ETS] = None
         self._nes: Optional[NES] = None
@@ -921,9 +865,8 @@ class Pipeline:
 
     def _reusable_configurations(self, nes: NES) -> Dict[StateVector, object]:
         """The predecessor's compiled configurations this pipeline may
-        adopt.  Tables are a pure function of the configuration policy,
-        the topology's *switch set* and the output-affecting options
-        (unchanged across an update) — links live in the program, and
+        adopt.  Tables are a pure function of the configuration policy
+        and the topology's *switch set* — links live in the program, and
         hosts are not a compile input — so a state qualifies when its
         policy is equal and the switch set is unchanged.  Under a new
         topology object the adopted configuration is re-homed on it,
@@ -1001,8 +944,8 @@ class Pipeline:
             help="Artifact cache loads by result",
         )
         if loaded is not None:
-            # Same key, same output-affecting options; the
-            # execution-only rest is this run's, not the storing one's.
+            # Artifacts persist no options: how this run executes is
+            # this run's, not the storing one's.
             loaded.options = self.options
             self._artifact_cache_state = "hit"
             # On a hit the load *is* this pipeline's compile stage.
@@ -1011,10 +954,9 @@ class Pipeline:
         else:
             self._artifact_cache_state = "miss"
 
-    def guarded_tables(self, tag_field: Optional[str] = None):
-        """The deployable merged tables of the compiled artifact
-        (guarded by ``tag_field``, default ``options.tag_field``)."""
-        return self.compiled.guarded_tables(tag_field)
+    def guarded_tables(self):
+        """The deployable merged tables of the compiled artifact."""
+        return self.compiled.guarded_tables()
 
     # -- incremental recompilation ------------------------------------------
 
@@ -1035,17 +977,17 @@ class Pipeline:
           the event structure (re-labelled with the new configurations,
           condition 1 re-checked) when only vertex labels changed; the
           conversion reruns whenever the delta touched an edge;
-        - :attr:`compiled` reads each configuration policy, the
-          topology's switch set and the output-affecting options (links
-          live in the program; hosts are no compile input): it adopts
+        - :attr:`compiled` reads each configuration policy and the
+          topology's switch set (links live in the program; hosts are
+          no compile input): it adopts
           the tables of every state whose policy is equal while the
           switch set is unchanged (the ``reuse_configurations`` seam),
           re-homed on the post-delta topology — so a host or link delta
           compiles nothing, and a switch delta every distinct policy;
-        - the guarded merge reads the state tuple, the tables, the
-          switch set and the tag field: when every table was adopted
-          and the states are the same, the predecessor's memoised
-          ``guarded_tables()`` variants are adopted too.
+        - the guarded merge reads the state tuple, the tables and the
+          switch set: when every table was adopted and the states are
+          the same, the predecessor's memoised ``guarded_tables()`` is
+          adopted too.
 
         The contract is byte identity with a cold pipeline on the
         post-delta inputs.  A warm artifact under the post-delta
@@ -1124,7 +1066,7 @@ class Pipeline:
         """
         if self._artifact_key is None:
             self._artifact_key = artifact_digest(
-                self.program, self.topology, self.initial_state, self.options
+                self.program, self.topology, self.initial_state
             )
         return self._artifact_key
 

@@ -24,7 +24,7 @@ from .. import faults
 from ..events.event import Event, EventSet
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..events.locality import is_locally_determined, locality_violations
+from ..events.locality import locality_violations
 from ..events.nes import NES
 from ..formula import EQ, Literal
 from ..netkat.ast import Policy
@@ -82,9 +82,9 @@ def _compile_configurations(
     adopted as-is (the incremental-recompilation seam:
     :meth:`repro.pipeline.Pipeline.update` passes the unaffected
     configurations of the pre-delta artifact).  Because tables are a
-    pure function of (policy, switch set, output-affecting options) —
-    links live in the program, and ``compile_policy`` reads nothing
-    else of the topology — a reused configuration is byte-identical to
+    pure function of (policy, switch set) — links live in the program,
+    and ``compile_policy`` reads nothing else of the topology — a
+    reused configuration is byte-identical to
     what a fresh compile would produce; the caller is responsible for
     only offering entries whose policy and switch set are unchanged,
     homed on ``topology``.  By the same purity, the states that are not
@@ -147,7 +147,6 @@ def _compile_configurations(
                         topology,
                         builder=builder,
                         name=f"C{list(state)}",
-                        max_frontier=options.max_frontier,
                     )
             except PipelineError:
                 raise  # typed failures (e.g. deadline) are not transient
@@ -292,7 +291,8 @@ class CompiledNES:
 
         ``options`` is a :class:`repro.pipeline.CompileOptions` (default
         constructed when omitted); ``builder`` defaults to a fresh
-        ``options.make_builder()``.
+        :class:`FDDBuilder`.  This constructor does not check that the
+        NES is locally determined; :func:`compile_nes` does.
 
         ``health`` is an optional counter dict (the pipeline passes its
         own) that the per-configuration retry bookkeeping increments; it
@@ -304,21 +304,20 @@ class CompiledNES:
         :func:`_compile_configurations`); entries for states this NES
         does not have are ignored.  Callers must only offer entries
         whose policy and switch set are unchanged (tables are a pure
-        function of policy, switch set and output-affecting options;
-        links live in the program), homed on ``topology`` — adopted
-        entries are then byte-identical to a fresh compile.
+        function of policy and switch set; links live in the program),
+        homed on ``topology`` — adopted entries are then byte-identical
+        to a fresh compile.
         """
         if options is None:
             options = _default_options()
         self.options = options
         self.nes = nes
         self.topology = topology
-        self._builder = builder or options.make_builder()
-        # Merged-table memo, keyed per tag field (one slot per options
-        # variant a caller has asked for, never a single shared slot).
-        self._guarded_tables: Dict[str, Dict[int, FlowTable]] = {}
+        self._builder = builder or FDDBuilder()
+        # The guarded merge, built on first use.
+        self._guarded_tables: Optional[Dict[int, FlowTable]] = None
         # What the simulator forwards by (see :meth:`classify`): tag
-        # mask -> switch -> decision tree over the default merge.
+        # mask -> switch -> decision tree over the merge.
         self._roots: Dict[Optional[int], Dict[int, object]] = {}
 
         # Step 1: flat integer encodings.
@@ -376,26 +375,22 @@ class CompiledNES:
 
     # -- step 3: guarded merged tables ------------------------------------------
 
-    def guarded_tables(self, tag_field: Optional[str] = None) -> Dict[int, FlowTable]:
+    def guarded_tables(self) -> Dict[int, FlowTable]:
         """One deployable table per switch: every configuration's rules,
-        each guarded by its configuration tag in ``tag_field`` (default:
-        ``options.tag_field``).
+        each guarded by its configuration tag in :data:`TAG_FIELD`.
 
         Priorities are partitioned per configuration; tags make the
         partitions disjoint, so relative priorities within each
         configuration are preserved.
 
         The merged tables are memoized (``forwarding_rule_count``, repr,
-        and the runtime all re-derive them) *per tag field*: a single
-        memo slot would hand the tables of whichever variant was
-        computed first to every later caller.  A fresh dict over the
+        and the runtime all re-derive them).  A fresh dict over the
         immutable :class:`FlowTable` values is returned each call, so
         callers may mutate the mapping without corrupting the cache.  Use
         :meth:`invalidate_guarded_tables` after replacing a
         configuration in ``self.configurations``.
         """
-        field_name = tag_field if tag_field is not None else self.options.tag_field
-        memo = self._guarded_tables.get(field_name)
+        memo = self._guarded_tables
         if memo is None:
             tables: Dict[int, List[Rule]] = {n: [] for n in self.topology.switches}
             for state in self.states:
@@ -403,18 +398,18 @@ class CompiledNES:
                 config = self.configurations[state]
                 for switch, table in config.tables.items():
                     for rule in table:
-                        guarded_match = rule.match.guarded(field_name, config_id)
+                        guarded_match = rule.match.guarded(TAG_FIELD, config_id)
                         tables.setdefault(switch, []).append(
                             Rule(rule.priority, guarded_match, rule.actions)
                         )
             memo = {n: FlowTable(rules) for n, rules in tables.items()}
-            self._guarded_tables[field_name] = memo
+            self._guarded_tables = memo
         return dict(memo)
 
     def invalidate_guarded_tables(self) -> None:
-        """Drop every memoized merged-table variant and the decision
-        trees indexing the default one (rebuilt on access)."""
-        self._guarded_tables.clear()
+        """Drop the memoized merge and the decision trees indexing it
+        (rebuilt on access)."""
+        self._guarded_tables = None
         self._roots = {}
 
     def classify(self, switch: int, tag_mask: Optional[int], packet: Packet) -> Leaf:
@@ -433,10 +428,9 @@ class CompiledNES:
 
     def _root(self, tag_mask: Optional[int]) -> Dict[int, object]:
         """Build the decision trees, switch -> root, of the configuration
-        ``tag_mask`` stamps from the default guarded merge, every rule of
-        which must be guarded by a plain configuration id."""
+        ``tag_mask`` stamps from the guarded merge, every rule of which
+        must be guarded by a plain configuration id."""
         config_id = self.tag_of_event_set(self.nes.structure.decode(tag_mask or 0))
-        tag_field = self.options.tag_field
         root: Dict[int, object] = {}
         for switch, table in self.guarded_tables().items():
             events = [
@@ -449,25 +443,23 @@ class CompiledNES:
                 constraints = dict(rule.match.entries())
                 if not all(c.__class__ is int for c in constraints.values()):
                     raise ValueError(f"cannot index non-exact match of {rule!r}")
-                if constraints.pop(tag_field) == config_id:
+                if constraints.pop(TAG_FIELD) == config_id:
                     rules.append((constraints, rule.actions))
             root[switch] = _decision_tree(rules, events, {})
         self._roots[tag_mask] = root
         return root
 
     def adopt_guarded_tables(self, other: "CompiledNES") -> None:
-        """Take over the merged-table variants ``other`` has memoized.
+        """Take over the merge ``other`` has memoized, if it has.
 
         The merge is a function of the state tuple (hence the config
-        ids guarding each rule), the per-configuration tables, the
-        switch set and the tag field keying the memo; the caller vouches
-        that the first three are ``other``'s.  The memo is copied, so
-        invalidating either side leaves the other alone; the immutable
+        ids guarding each rule), the per-configuration tables and the
+        switch set; the caller vouches that all three are ``other``'s.
+        The memo dict is never mutated once built, so sharing it leaves
+        either side free to invalidate its own; the immutable
         :class:`FlowTable` values are shared.
         """
-        # One C-level copy: ``other`` may be memoizing a new variant on
-        # another thread, and its inner dicts are never mutated.
-        self._guarded_tables = dict(other._guarded_tables)
+        self._guarded_tables = other._guarded_tables
 
     # -- persistence ------------------------------------------------------------
 
@@ -480,25 +472,24 @@ class CompiledNES:
         dropped too: its ``of_policy``/``of_predicate`` memos are keyed
         by ``id()`` of AST nodes from the storing process, which after
         unpickling are stale addresses a fresh object could collide
-        with — a loaded artifact gets a fresh builder instead.  Only the
-        output-affecting option values are persisted: the execution-only
-        ones describe the storing run (and include the cache-signing
-        key, which must never land inside the file it signs); a loading
+        with — a loaded artifact gets a fresh builder instead.  No option
+        value is persisted: options describe how the storing run
+        executed (the cache-signing key among them, which must never
+        land inside the file it signs), not what it produced; a loading
         pipeline stamps in its own.
         """
         state = dict(self.__dict__)
         del state["_roots"], state["compiled_configurations"]
-        state["_guarded_tables"] = {}
-        state["_builder"] = None
-        state["options"] = self.options.output_affecting()
+        del state["options"], state["_builder"]
+        state["_guarded_tables"] = None
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+        self.options = _default_options()
+        self._builder = FDDBuilder()
         self._roots = {}
         self.compiled_configurations = 0
-        if self._builder is None:
-            self._builder = self.options.make_builder()
         self._deposit()
 
     def forwarding_rule_count(self) -> int:
@@ -511,7 +502,7 @@ class CompiledNES:
 
         The merge keeps exactly one rule per (configuration, rule), so
         this equals :meth:`forwarding_rule_count` — but stays cheap and
-        total (the merge raises on a colliding tag field); repr and
+        total (the merge raises on a program matching on the tag field); repr and
         :meth:`Pipeline.report` use it to remain plain observers.
         """
         return sum(
@@ -562,24 +553,19 @@ def compile_nes(
     """Compile an NES, first checking the locally-determined condition.
 
     Implementations of non-locally-determined NESs must synchronize or
-    buffer (Lemma 1), which this runtime does not do -- so by default
-    compilation refuses them
-    (``CompileOptions(enforce_locality=False)`` compiles them anyway).
-    ``options`` is a :class:`repro.pipeline.CompileOptions`;
-    ``reuse_configurations`` is the incremental-recompilation seam of
-    :class:`CompiledNES`.
+    buffer (Lemma 1), which this runtime does not do -- so compilation
+    refuses them.  ``options`` is a
+    :class:`repro.pipeline.CompileOptions`; ``reuse_configurations`` is
+    the incremental-recompilation seam of :class:`CompiledNES`.
     """
-    if options is None:
-        options = _default_options()
-    if options.enforce_locality:
-        violations = locality_violations(nes)
-        if violations:
-            sample = next(iter(violations))
-            raise LocalityError(
-                "NES is not locally determined: the minimally-inconsistent "
-                f"set {set(sample)} spans multiple switches "
-                f"({len(violations)} violation(s) total)"
-            )
+    violations = locality_violations(nes)
+    if violations:
+        sample = next(iter(violations))
+        raise LocalityError(
+            "NES is not locally determined: the minimally-inconsistent "
+            f"set {set(sample)} spans multiple switches "
+            f"({len(violations)} violation(s) total)"
+        )
     return CompiledNES(
         nes, topology, builder=builder, options=options, health=health,
         reuse_configurations=reuse_configurations,

@@ -158,7 +158,6 @@ class ServiceClient:
         program: Union[Policy, str],
         topology: Union[Topology, Mapping[str, Any]],
         initial_state: Sequence[int],
-        options: Optional[Mapping[str, Any]] = None,
         deadline_seconds: Optional[float] = None,
         include_tables: bool = True,
     ) -> Dict[str, Any]:
@@ -168,7 +167,6 @@ class ServiceClient:
             "/compile",
             protocol.compile_request_to_wire(
                 program, topology, initial_state,
-                options=options,
                 deadline_seconds=deadline_seconds,
                 include_tables=include_tables,
             ),

@@ -14,12 +14,10 @@ objects, used by both the server handlers and the client:
   build byte for byte;
 - **topologies** travel as ``{"links", "hosts", "switches"}`` objects
   mirroring :func:`repro.pipeline._topology_fingerprint`;
-- **options** travel as a validated subset of
-  :class:`~repro.pipeline.CompileOptions` fields — cache placement and
-  trust (``cache_dir`` / ``cache_hmac_key`` / ``strict_cache``) are the
-  *server's* deployment decision and are rejected if a request names
-  them; the per-request wall-clock budget travels as a separate
-  top-level ``deadline_seconds`` field mapped onto
+- **options** do not travel: a request says *what* to compile and the
+  server decides *how* (cache placement and trust, retries); only the
+  per-request wall-clock budget travels, as a top-level
+  ``deadline_seconds`` field mapped onto
   ``CompileOptions.deadline_seconds`` server-side;
 - **deltas** (:class:`~repro.pipeline.Delta`) round-trip through
   :func:`delta_to_wire` / :func:`delta_from_wire`, so ``POST /update``
@@ -38,21 +36,18 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from ..netkat.ast import Policy
 from ..netkat.parser import ParseError, parse_policy
 from ..netkat.pretty import pretty_policy
-from ..pipeline import CompileOptions, Delta
+from ..pipeline import Delta
 from ..runtime.compiler import CompiledNES
 from ..topology import Topology
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "REQUESTABLE_OPTION_FIELDS",
     "ProtocolError",
     "compile_request_to_wire",
     "delta_from_wire",
     "delta_to_wire",
     "error_to_wire",
     "initial_state_from_wire",
-    "options_from_wire",
-    "options_to_wire",
     "program_from_wire",
     "program_to_wire",
     "tables_to_wire",
@@ -62,20 +57,9 @@ __all__ = [
 
 # Bumped on incompatible wire-shape changes; served by GET /version so a
 # fleet can gate rollouts on it.  Version 3 shrank the requestable
-# option set to the five fields below (a request naming any other field
-# is a ``bad_options`` 400, never ignored).
-PROTOCOL_VERSION = 3
-
-# CompileOptions fields a request may set.  Everything else is either
-# server-owned deployment policy (cache_dir, cache_hmac_key,
-# strict_cache) or travels as its own request field (deadline_seconds).
-REQUESTABLE_OPTION_FIELDS: Tuple[str, ...] = (
-    "compile_retries",
-    "field_order",
-    "enforce_locality",
-    "tag_field",
-    "max_frontier",
-)
+# option set to five fields; version 4 removed request options (a
+# request naming ``options`` is an unknown-field 400, never ignored).
+PROTOCOL_VERSION = 4
 
 
 class ProtocolError(ValueError):
@@ -162,7 +146,7 @@ def topology_from_wire(obj: Any) -> Topology:
             name, attachment = pair
             topology.add_host(str(name), str(attachment))
         for switch in wire.get("switches", ()):
-            topology.add_switch(int(switch))
+            topology.add_switch(_json_int(switch))
     except (TypeError, ValueError) as exc:
         raise ProtocolError("bad_topology", f"malformed topology: {exc}") from exc
     return topology
@@ -186,45 +170,6 @@ def initial_state_from_wire(obj: Any) -> Tuple[int, ...]:
         raise ProtocolError(
             "bad_initial_state", f"malformed initial_state: {exc}"
         ) from exc
-
-
-# ---------------------------------------------------------------------------
-# Options
-# ---------------------------------------------------------------------------
-
-
-def options_to_wire(options: CompileOptions) -> Dict[str, Any]:
-    """The requestable subset of ``options`` as a JSON object."""
-    wire: Dict[str, Any] = {}
-    for name in REQUESTABLE_OPTION_FIELDS:
-        value = getattr(options, name)
-        wire[name] = list(value) if isinstance(value, tuple) else value
-    return wire
-
-
-def options_from_wire(obj: Any, base: CompileOptions) -> CompileOptions:
-    """``base`` with the request's option subset applied and validated.
-
-    ``None``/missing keeps the server's defaults; naming a server-owned
-    field (cache placement/trust, the deadline) or an unknown field is a
-    :class:`ProtocolError`, so a misspelled knob fails loudly instead of
-    silently compiling under defaults.
-    """
-    if obj is None:
-        return base
-    wire = _expect_mapping(obj, "options")
-    unknown = set(wire) - set(REQUESTABLE_OPTION_FIELDS)
-    if unknown:
-        raise ProtocolError(
-            "bad_options",
-            f"unknown or non-requestable option fields {sorted(unknown)}; "
-            f"requestable: {list(REQUESTABLE_OPTION_FIELDS)}",
-        )
-    try:
-        # CompileOptions type-checks every field itself.
-        return base.replace(**wire)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError("bad_options", f"invalid options: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +239,6 @@ def compile_request_to_wire(
     program: Union[Policy, str],
     topology: Union[Topology, Mapping[str, Any]],
     initial_state: Sequence[int],
-    options: Optional[Mapping[str, Any]] = None,
     deadline_seconds: Optional[float] = None,
     include_tables: bool = True,
 ) -> Dict[str, Any]:
@@ -308,8 +252,6 @@ def compile_request_to_wire(
         ),
         "initial_state": [int(component) for component in initial_state],
     }
-    if options:
-        body["options"] = dict(options)
     if deadline_seconds is not None:
         body["deadline_seconds"] = float(deadline_seconds)
     if not include_tables:

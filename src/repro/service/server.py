@@ -9,7 +9,7 @@ state's single-flight locks for correctness under concurrency.
 Endpoints:
 
 - ``POST /compile`` — compile one ``{program, topology, initial_state,
-  options?, deadline_seconds?, include_tables?}`` request; responds with
+  deadline_seconds?, include_tables?}`` request; responds with
   the artifact key, where the artifact came from (``memo`` /
   ``coalesced`` / ``disk`` / ``cold``), the canonical per-switch tables,
   and the pipeline report.
@@ -295,7 +295,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "bad_request", "compile request must be a JSON object"
             )
         _reject_unknown_fields(
-            wire, "program", "topology", "initial_state", "options",
+            wire, "program", "topology", "initial_state",
             "deadline_seconds", "include_tables",
         )
         for required in ("program", "topology", "initial_state"):
@@ -315,16 +315,11 @@ class _Handler(BaseHTTPRequestHandler):
             )
         include_tables = _include_tables(wire)
         state = self.server.state
-        options = state.effective_options(
-            protocol.options_from_wire(
-                wire.get("options"), state.base_options
-            ),
-            deadline_seconds=deadline,
-        )
+        options = state.effective_options(deadline_seconds=deadline)
         # A byte-identical repeat of a request whose pipeline is still
         # memo-resident needs no parse and no key hashing.  Anything else
         # takes the full path, and only its success is indexed.
-        fingerprint = state.request_fingerprint(wire, options)
+        fingerprint = state.request_fingerprint(wire)
         hit = state.index_get(fingerprint)
         if hit is not None:
             key, pipeline = hit

@@ -95,10 +95,8 @@ class ServiceState:
     """Everything the request handlers share.
 
     ``base_options`` carries the server's deployment policy (cache
-    directory, HMAC key resolution, strict-cache);
-    per-request option subsets and deadlines are layered on top of it by
-    :meth:`effective_options` without ever touching the server-owned
-    fields.
+    directory, HMAC key resolution, strict-cache, retries); a request's
+    deadline is layered on top of it by :meth:`effective_options`.
     """
 
     def __init__(
@@ -165,14 +163,11 @@ class ServiceState:
     # -- options ------------------------------------------------------------
 
     def effective_options(
-        self,
-        requested: Optional[CompileOptions] = None,
-        deadline_seconds: Optional[float] = None,
+        self, deadline_seconds: Optional[float] = None
     ) -> CompileOptions:
-        """The request's options with the per-request deadline mapped
-        onto ``CompileOptions.deadline_seconds`` (execution-only, so it
-        never perturbs the artifact key)."""
-        options = requested if requested is not None else self.base_options
+        """The server's options with the per-request deadline mapped
+        onto ``CompileOptions.deadline_seconds``."""
+        options = self.base_options
         if deadline_seconds is not None:
             options = options.replace(deadline_seconds=float(deadline_seconds))
         return options
@@ -206,16 +201,11 @@ class ServiceState:
     # -- request index ------------------------------------------------------
 
     @staticmethod
-    def request_fingerprint(
-        wire: Mapping[str, Any], options: CompileOptions
-    ) -> str:
+    def request_fingerprint(wire: Mapping[str, Any]) -> str:
         """SHA-256 over the canonical JSON of exactly what reaches
         :func:`~repro.pipeline.artifact_digest`: program text, topology
-        and initial state as sent, effective output-affecting options."""
-        fields = [
-            wire["program"], wire["topology"], wire["initial_state"],
-            options.semantic_fingerprint(),
-        ]
+        and initial state as sent."""
+        fields = [wire["program"], wire["topology"], wire["initial_state"]]
         canonical = json.dumps(fields, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 

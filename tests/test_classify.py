@@ -138,7 +138,7 @@ def planted(rules, events):
         Rule(len(rules) - position, Match({**constraints, TAG_FIELD: tag}), actions)
         for position, (tag, constraints, actions) in enumerate(rules)
     )
-    compiled._guarded_tables = {TAG_FIELD: {SWITCH: table}}
+    compiled._guarded_tables = {SWITCH: table}
     compiled._roots = {}
     return compiled
 
@@ -199,7 +199,7 @@ def test_a_tag_guard_that_is_no_configuration_id_raises_at_build():
     for guard in (PrefixMatch(0, 1, 2), True):
         compiled = planted([], [])
         rule = Rule(1, Match({TAG_FIELD: guard}), frozenset({(("pt", 1),)}))
-        compiled._guarded_tables[TAG_FIELD][SWITCH] = FlowTable([rule])
+        compiled._guarded_tables[SWITCH] = FlowTable([rule])
         with pytest.raises(ValueError, match="non-exact match"):
             compiled.classify(SWITCH, 0, Packet({SW: 1, PT: 1}))
 

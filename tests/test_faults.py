@@ -257,6 +257,26 @@ class TestExecutorRecovery:
         assert attempts == ["C[]"]
         assert pipeline.report().health == {}
 
+    def test_the_symbolic_frontier_bound_is_not_retried(self, monkeypatch):
+        """A policy whose next hop carries more knowledge states than
+        ``MAX_FRONTIER`` is outside the compilable fragment: one
+        attempt, no backoff, nothing absorbed."""
+        from repro.netkat import compiler as netkat_compiler
+        from repro.netkat.compiler import CompileError
+        from repro.runtime import compiler as runtime_compiler
+
+        monkeypatch.setattr(netkat_compiler, "MAX_FRONTIER", 0)
+        monkeypatch.setattr(
+            runtime_compiler.time, "sleep", lambda s: pytest.fail("backed off")
+        )
+        pipeline = fresh_pipeline(firewall_app())
+        with pytest.raises(StageError, match="1 attempt") as info:
+            pipeline.compiled
+        assert info.value.stage == "compile"
+        assert isinstance(info.value.__cause__, CompileError)
+        assert "symbolic frontier exceeded 0 states" in str(info.value.__cause__)
+        assert pipeline.report().health == {}
+
     def test_new_knob_validation(self):
         with pytest.raises(ValueError):
             CompileOptions(compile_retries=-1)
@@ -642,21 +662,16 @@ class TestKnobsAreExecutionOnly:
             assert guarded_bytes(fresh_pipeline(app, options).compiled) == reference_tables
 
     def test_new_knobs_are_excluded_from_the_artifact_key(self):
-        from repro.pipeline import artifact_digest
-
         app = firewall_app()
         base = CompileOptions()
-        reference = artifact_digest(app.program, app.topology, app.initial_state, base)
+        reference = fresh_pipeline(app, base).artifact_key()
         for variant in (
             base.replace(cache_hmac_key=KEY),
             base.replace(strict_cache=True),
             base.replace(compile_retries=9),
             base.replace(deadline_seconds=1.5),
         ):
-            assert (
-                artifact_digest(app.program, app.topology, app.initial_state, variant)
-                == reference
-            )
+            assert fresh_pipeline(app, variant).artifact_key() == reference
 
 
 # ---------------------------------------------------------------------------

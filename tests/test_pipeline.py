@@ -20,7 +20,7 @@ from repro.events.ets_to_nes import nes_of_ets
 from repro.formula import EQ, NE, Formula, Literal
 from repro.netkat.fdd import FDDBuilder
 from repro.pipeline import ArtifactCache, artifact_digest
-from repro.runtime.compiler import CompiledNES, compile_nes
+from repro.runtime.compiler import TAG_FIELD, CompiledNES, compile_nes
 from repro.stateful.ets import build_ets
 
 from seed_apps import (
@@ -133,9 +133,6 @@ def test_app_facade_matches_legacy():
     assert app.nes is app.pipeline.nes
     # The façade's table accessor forwards the tag_field override.
     assert app.pipeline.guarded_tables() == app.compiled.guarded_tables()
-    custom = app.pipeline.guarded_tables(tag_field="cfg")
-    rules = [r for t in custom.values() for r in t]
-    assert rules and all(r.match.get("cfg") is not None for r in rules)
 
 
 # ---------------------------------------------------------------------------
@@ -246,46 +243,40 @@ class TestArtifactCache:
     def test_key_covers_program_state_and_semantic_options(self):
         app = firewall_app()
         ids = ids_app()
-        base = CompileOptions()
-        key = artifact_digest(app.program, app.topology, app.initial_state, base)
-        assert key == artifact_digest(
-            app.program, app.topology, app.initial_state, base
-        )
-        assert key != artifact_digest(
-            ids.program, ids.topology, ids.initial_state, base
-        )
-        assert key != artifact_digest(
-            app.program, app.topology, (1,), base
-        )
-        assert key != artifact_digest(
-            app.program,
-            app.topology,
-            app.initial_state,
-            base.replace(max_frontier=17),
-        )
+        key = artifact_digest(app.program, app.topology, app.initial_state)
+        assert key == artifact_digest(app.program, app.topology, app.initial_state)
+        assert key != artifact_digest(ids.program, ids.topology, ids.initial_state)
+        assert key != artifact_digest(app.program, app.topology, (1,))
+        for name in ("field_order", "enforce_locality", "tag_field", "max_frontier"):
+            with pytest.raises(TypeError):
+                CompileOptions(**{name: None})
+            with pytest.raises(TypeError):
+                CompileOptions().replace(**{name: None})
+            with pytest.raises(TypeError):
+                compile_app(app, **{name: None})
 
     def test_execution_only_options_share_the_key(self, tmp_path):
         app = firewall_app()
-        base = CompileOptions()
-        for variant in (
-            base.replace(compile_retries=0),
-            base.replace(deadline_seconds=30),
-            base.replace(cache_dir=tmp_path),
+        key = Pipeline(app.program, app.topology, app.initial_state).artifact_key()
+        for options in (
+            CompileOptions(cache_dir=tmp_path),
+            CompileOptions(cache_hmac_key="secret-signing-key"),
+            CompileOptions(strict_cache=True),
+            CompileOptions(compile_retries=0),
+            CompileOptions(deadline_seconds=30),
         ):
-            assert artifact_digest(
-                app.program, app.topology, app.initial_state, variant
-            ) == artifact_digest(app.program, app.topology, app.initial_state, base)
+            pipeline = Pipeline(app.program, app.topology, app.initial_state, options)
+            assert pipeline.artifact_key() == key
+            assert "options" not in pipeline.compiled.__getstate__()
+            assert b"secret-signing-key" not in pickle.dumps(pipeline.compiled)
 
     def test_key_covers_the_package_version(self, monkeypatch):
         import repro
 
         app = firewall_app()
-        base = CompileOptions()
-        key = artifact_digest(app.program, app.topology, app.initial_state, base)
+        key = artifact_digest(app.program, app.topology, app.initial_state)
         monkeypatch.setattr(repro, "__version__", "99.0.0")
-        assert key != artifact_digest(
-            app.program, app.topology, app.initial_state, base
-        )
+        assert key != artifact_digest(app.program, app.topology, app.initial_state)
 
     def test_corrupt_entry_is_a_miss_and_gets_repaired(self, tmp_path):
         app = firewall_app()
@@ -307,7 +298,7 @@ class TestArtifactCache:
         compiled = firewall_app().compiled
         compiled.guarded_tables()
         clone = pickle.loads(pickle.dumps(compiled))
-        assert clone._guarded_tables == {}
+        assert clone._guarded_tables is None
         # The builder is not shipped either (its AST memos are keyed by
         # id() values from the storing process); the clone gets a fresh
         # one configured by the same options.
@@ -372,9 +363,7 @@ class TestCompileOptions:
         with pytest.raises(ValueError):
             CompileOptions(compile_retries=-1)
         with pytest.raises(ValueError):
-            CompileOptions(max_frontier=0)
-        with pytest.raises(ValueError):
-            CompileOptions(tag_field="")
+            CompileOptions(deadline_seconds=0)
 
     @pytest.mark.parametrize("name", ["backend", "max_workers"])
     def test_the_executor_knobs_are_gone(self, name):
@@ -422,31 +411,6 @@ class TestCompileOptions:
         assert "~" not in str(expanded)
         assert expanded == Path("~/repro-cache").expanduser()
 
-    def test_make_builder_carries_the_knobs(self):
-        builder = CompileOptions(field_order=("pt", "sw")).make_builder()
-        assert builder.order.field_rank("pt") < builder.order.field_rank("sw")
-        default = CompileOptions().make_builder()
-        assert default.order.field_rank("sw") < default.order.field_rank("pt")
-        # Which FDD implementation runs is not an option: always the default.
-        assert builder.ordered_insert is True and builder.ast_memo is True
-
-    def test_output_affecting_resets_only_the_execution_fields(self, tmp_path):
-        options = CompileOptions(
-            compile_retries=0,
-            cache_dir=tmp_path,
-            cache_hmac_key="secret",
-            strict_cache=True,
-            tag_field="cfg",
-            max_frontier=17,
-        )
-        assert options.output_affecting() == CompileOptions(
-            tag_field="cfg", max_frontier=17
-        )
-        assert (
-            options.output_affecting().semantic_fingerprint()
-            == options.semantic_fingerprint()
-        )
-
 
 def test_compile_app_forms():
     app = firewall_app()
@@ -468,6 +432,19 @@ def test_compile_app_forms():
         compile_app(app, initial_state=(1,))
     with pytest.raises(TypeError):
         compile_app(app, topology=app.topology)
+
+
+@pytest.mark.parametrize("bad", [False, True, 1.9, "0"], ids=repr)
+def test_state_components_must_be_ints(bad):
+    """``(False,)`` used to compile the tables of ``(0,)`` under another
+    artifact key, and ``set_state`` turned ``1.9`` into ``1``."""
+    app = firewall_app()
+    with pytest.raises(TypeError):
+        Pipeline(app.program, app.topology, (bad,))
+    with pytest.raises(TypeError):
+        Delta(set_state=((0, bad),))
+    with pytest.raises(TypeError):
+        Delta(set_state=((bad, 0),))
 
 
 # ---------------------------------------------------------------------------
@@ -500,85 +477,36 @@ class TestDeprecationShims:
 
 
 # ---------------------------------------------------------------------------
-# Per-options guarded-table memo
+# The guarded-table memo
 # ---------------------------------------------------------------------------
 
 
 class TestGuardedTablesPerOptionsMemo:
-    def test_tag_field_variants_do_not_alias(self):
-        compiled = firewall_app().compiled
-        default = compiled.guarded_tables()
-        custom = compiled.guarded_tables(tag_field="cfg")
-        # Each variant guards with its own field...
-        for tables, field_name in ((default, "tag"), (custom, "cfg")):
-            rules = [r for t in tables.values() for r in t]
-            assert rules and all(
-                r.match.get(field_name) is not None for r in rules
-            )
-        # ...and asking for the default again returns the default memo,
-        # not whichever variant was computed last.
-        again = compiled.guarded_tables()
-        for switch in default:
-            assert again[switch] is default[switch]
+    """One tag field, so one memoised merge per artifact."""
 
     def test_invalidate_clears_every_variant(self):
         compiled = firewall_app().compiled
         default = compiled.guarded_tables()
-        custom = compiled.guarded_tables(tag_field="cfg")
         compiled.invalidate_guarded_tables()
-        assert any(
-            compiled.guarded_tables()[sw] is not default[sw] for sw in default
-        )
-        assert any(
-            compiled.guarded_tables(tag_field="cfg")[sw] is not custom[sw]
-            for sw in custom
-        )
-
-    def test_options_tag_field_sets_the_default(self):
-        app = firewall_app()
-        compiled = compile_nes(
-            app.nes, app.topology, options=CompileOptions(tag_field="cfg")
-        )
-        rules = [r for t in compiled.guarded_tables().values() for r in t]
-        assert rules and all(r.match.get("cfg") is not None for r in rules)
+        assert compiled._guarded_tables is None and not compiled._roots
+        rebuilt = compiled.guarded_tables()
+        assert any(rebuilt[sw] is not default[sw] for sw in default)
+        assert repr(rebuilt) == repr(default)
 
     def test_colliding_tag_field_is_rejected_not_overwritten(self):
-        # Match.extended silently replaces an existing constraint, so a
-        # tag field the program already matches on must raise, never
-        # corrupt the rule (section 4.1 argues for an *unused* field).
-        app = firewall_app()
-        compiled = compile_nes(
-            app.nes, app.topology, options=CompileOptions(tag_field="pt")
-        )
-        with pytest.raises(ValueError, match="collides"):
-            compiled.guarded_tables()
-        # The §5.3 optimizer's guarded merge enforces the same rule.
+        # A program that matches on the tag field must raise, never have
+        # its constraint overwritten by the guard (section 4.1).
+        from repro.netkat.flowtable import TagFieldError
+        from repro.netkat.parser import parse_policy
         from repro.optimize.sharing import optimize_compiled_nes
 
-        with pytest.raises(ValueError, match="collides"):
+        clash = parse_policy(f"{TAG_FIELD}=1; pt<-2")
+        compiled = Pipeline(clash, firewall_app().topology, ()).compiled
+        with pytest.raises(TagFieldError, match="collides"):
+            compiled.guarded_tables()
+        with pytest.raises(TagFieldError, match="collides"):
             optimize_compiled_nes(compiled)
-        # repr stays total: it must not force the guarded merge.
         assert "CompiledNES" in repr(compiled)
-
-    def test_options_tag_field_reaches_the_optimizer(self):
-        from repro.optimize.sharing import (
-            optimize_compiled_nes,
-            optimized_table_equivalent,
-        )
-
-        app = firewall_app()
-        compiled = compile_nes(
-            app.nes, app.topology, options=CompileOptions(tag_field="cfg")
-        )
-        optimization = optimize_compiled_nes(compiled)
-        guards = [
-            r.match.get("cfg")
-            for switch_result in optimization.per_switch
-            for r in switch_result.rules
-        ]
-        assert guards and all(g is not None for g in guards)
-        for switch_result in optimization.per_switch:
-            assert optimized_table_equivalent(compiled, switch_result)
 
 
 # ---------------------------------------------------------------------------
@@ -960,18 +888,12 @@ class TestPipelineUpdate:
         app = bandwidth_cap_app()
         base = Pipeline(app.program, app.topology, app.initial_state)
         default = base.compiled.guarded_tables()
-        other = base.compiled.guarded_tables("vlan")
         updated = base.update(
             Delta(topology=switch_preserving_edits(app)["attach_host"])
         )
-        for tag_field, tables in ((None, default), ("vlan", other)):
-            adopted = updated.compiled.guarded_tables(tag_field)
-            assert adopted.keys() == tables.keys()
-            assert all(adopted[sw] is tables[sw] for sw in tables)
-        # A variant the predecessor never asked for is merged here.
-        fresh = updated.compiled.guarded_tables("mpls")
-        assert repr(fresh) == repr(base.compiled.guarded_tables("mpls"))
-        # The memo was copied: invalidating one side leaves the other.
+        adopted = updated.compiled.guarded_tables()
+        assert all(adopted[sw] is default[sw] for sw in default)
+        # Invalidating one side leaves the other.
         updated.compiled.invalidate_guarded_tables()
         assert base.compiled.guarded_tables()[1] is default[1]
         assert updated.compiled.guarded_tables()[1] is not default[1]
@@ -1092,7 +1014,7 @@ class TestAppPipelineMemo:
         app = firewall_app()
         first = app.pipeline
         assert app.pipeline is first  # unchanged inputs share the pipeline
-        fresh = CompileOptions(max_frontier=17)
+        fresh = CompileOptions(compile_retries=0)
         object.__setattr__(app, "options", fresh)
         second = app.pipeline
         assert second is not first

@@ -47,7 +47,8 @@ def test_compile_options_surface_is_pinned():
     every field that can change the tables is in the artifact key."""
     import dataclasses
 
-    from repro.pipeline import _EXECUTION_ONLY_FIELDS, CompileOptions
+    from repro.pipeline import CompileOptions
+    from repro.runtime.compiler import TAG_FIELD
 
     names = [f.name for f in dataclasses.fields(CompileOptions)]
     assert names == [
@@ -56,17 +57,10 @@ def test_compile_options_surface_is_pinned():
         "strict_cache",
         "compile_retries",
         "deadline_seconds",
-        "field_order",
-        "enforce_locality",
-        "tag_field",
-        "max_frontier",
     ]
-    assert _EXECUTION_ONLY_FIELDS <= set(names)
-    fingerprint = CompileOptions().semantic_fingerprint()
-    for name in names:
-        assert (repr(name) in fingerprint) == (
-            name not in _EXECUTION_ONLY_FIELDS
-        ), name
+    assert CompileOptions.tag_field == CompileOptions().tag_field == TAG_FIELD
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CompileOptions().tag_field = "cfg"
 
 
 def test_sim_options_are_gone():

@@ -63,7 +63,7 @@ class TestCompiledNES:
     def test_locality_enforcement_can_be_disabled(self):
         from repro.events.ets_to_nes import nes_of_ets
         from repro.netkat.ast import filter_, seq, union
-        from repro.pipeline import CompileOptions
+        from repro.runtime.compiler import CompiledNES
         from repro.stateful.ast import link_update, state_eq
         from repro.stateful.ets import build_ets
         from repro.topology import star_topology
@@ -73,10 +73,10 @@ class TestCompiledNES:
             seq(filter_(state_eq([0])), link_update("4:3", "2:1", [2])),
         )
         nes = nes_of_ets(build_ets(prog, (0,)))
-        compiled = compile_nes(
-            nes, star_topology(), options=CompileOptions(enforce_locality=False)
-        )
-        assert compiled is not None
+        with pytest.raises(LocalityError):
+            compile_nes(nes, star_topology())
+        compiled = CompiledNES(nes, star_topology())
+        assert len(compiled.states) == len(nes.configuration_states())
 
 
 class TestFirewallRuntime:

@@ -449,58 +449,61 @@ class TestProtocolErrors:
 
     def test_server_owned_option_fields_are_rejected(self, shared_service):
         app = firewall_app()
+        wire = protocol.compile_request_to_wire(
+            app.program, app.topology, app.initial_state
+        )
         for forbidden in ("cache_dir", "cache_hmac_key", "strict_cache"):
             with pytest.raises(ServiceError) as excinfo:
-                shared_service.compile(
-                    app.program, app.topology, app.initial_state,
-                    options={forbidden: "anything"},
+                shared_service._post(
+                    "/compile", {**wire, "options": {forbidden: "anything"}}
                 )
             assert excinfo.value.status == 400
-            assert excinfo.value.code == "bad_options"
+            assert excinfo.value.code == "bad_request"
 
     def test_unknown_option_field_fails_loudly(self, shared_service):
         app = firewall_app()
+        wire = protocol.compile_request_to_wire(
+            app.program, app.topology, app.initial_state
+        )
         with pytest.raises(ServiceError) as excinfo:
-            shared_service.compile(
-                app.program, app.topology, app.initial_state,
-                options={"backnd": "thread"},
+            shared_service._post(
+                "/compile", {**wire, "options": {"backnd": "thread"}}
             )
         assert excinfo.value.status == 400
-        assert "backnd" in str(excinfo.value)
+        assert "options" in str(excinfo.value)
 
     def test_removed_implementation_switches_are_a_400(self, shared_service):
-        """Protocol 2 dropped four option names and protocol 3 the two
-        executor ones; a client still sending one gets a structured
-        ``bad_options`` listing the five it may set — never a 500, and
-        never a compile that silently ignored it."""
+        """Protocol 2 dropped four option names, protocol 3 the two
+        executor ones and protocol 4 the ``options`` object itself; a
+        client still sending one gets a structured unknown-field 400 —
+        never a 500, and never a compile that silently ignored it."""
         app = firewall_app()
-        assert len(protocol.REQUESTABLE_OPTION_FIELDS) == 5
+        wire = protocol.compile_request_to_wire(
+            app.program, app.topology, app.initial_state
+        )
         for removed, value in {
             "symbolic_extract": False, "knowledge_cache": False,
             "ordered_insert": False, "ast_memo": False,
             "backend": "thread", "max_workers": 2,
+            "compile_retries": 0,
         }.items():
             with pytest.raises(ServiceError) as excinfo:
-                shared_service.compile(
-                    app.program, app.topology, app.initial_state,
-                    options={removed: value},
+                shared_service._post(
+                    "/compile", {**wire, "options": {removed: value}}
                 )
             assert excinfo.value.status == 400
-            assert excinfo.value.code == "bad_options"
-            message = str(excinfo.value)
-            assert removed in message
-            for field in protocol.REQUESTABLE_OPTION_FIELDS:
-                assert field in message
+            assert excinfo.value.code == "bad_request"
+            assert "unknown request fields ['options']" in str(excinfo.value)
 
     @pytest.mark.parametrize(
         "extra,code",
         [
-            ({"options": {"field_order": 5}}, "bad_options"),
-            ({"options": {"field_order": "abc"}}, "bad_options"),
-            ({"options": {"tag_field": 5}}, "bad_options"),
-            ({"options": {"enforce_locality": "no"}}, "bad_options"),
-            ({"options": {"enforce_locality": 1}}, "bad_options"),
-            ({"options": {"max_frontier": True}}, "bad_options"),
+            ({"options": {"field_order": 5}}, "bad_request"),
+            ({"options": {"field_order": "abc"}}, "bad_request"),
+            ({"options": {"tag_field": 5}}, "bad_request"),
+            ({"options": {"enforce_locality": "no"}}, "bad_request"),
+            ({"options": {"enforce_locality": 1}}, "bad_request"),
+            ({"options": {"max_frontier": True}}, "bad_request"),
             ({"deadline_seconds": True}, "bad_request"),
             ({"include_tables": "no"}, "bad_request"),
             ({"include_tables": 0}, "bad_request"),
@@ -515,7 +518,8 @@ class TestProtocolErrors:
     ):
         """Each of these used to be a bare 500, to compile the same
         program under a second artifact key, or to be coerced onto the
-        well-typed spelling's answer (``"no"`` shipped the tables)."""
+        well-typed spelling's answer (``"no"`` shipped the tables).  A
+        request carrying ``options`` at all is an unknown-field 400."""
         app = firewall_app()
         plain = shared_service.compile(
             app.program, app.topology, app.initial_state
@@ -530,8 +534,7 @@ class TestProtocolErrors:
         assert status == 400
         assert body["error"]["code"] == code
         repeat = shared_service.compile(
-            app.program, app.topology, app.initial_state,
-            options={"enforce_locality": True, "max_frontier": 4096},
+            app.program, app.topology, app.initial_state
         )
         assert repeat["source"] == "memo"
         assert repeat["artifact_key"] == plain["artifact_key"]
@@ -574,6 +577,34 @@ class TestProtocolErrors:
             )
             assert (status, body["error"]["code"]) == (400, code), extra
             assert "tables" not in body
+
+    @pytest.mark.parametrize("switch", [1.9, True, "7"], ids=repr)
+    def test_ill_typed_switch_ids_are_a_400(self, switch, shared_service):
+        """``int()`` used to turn these into switches 1 and 7: a topology
+        nobody sent, compiled under its artifact key."""
+        app = firewall_app()
+        wire = protocol.compile_request_to_wire(
+            app.program, app.topology, app.initial_state
+        )
+        topology = {**wire["topology"], "switches": [switch]}
+        with pytest.raises(protocol.ProtocolError) as excinfo:
+            protocol.topology_from_wire(topology)
+        assert excinfo.value.code == "bad_topology"
+        status, body = raw_request(
+            shared_service, "POST", "/compile",
+            data=json.dumps({**wire, "topology": topology}).encode(),
+        )
+        assert (status, body["error"]["code"]) == (400, "bad_topology")
+        update = {
+            "artifact_key": shared_service.compile(
+                app.program, app.topology, app.initial_state
+            )["artifact_key"],
+            "delta": {"topology": topology},
+        }
+        status, body = raw_request(
+            shared_service, "POST", "/update", data=json.dumps(update).encode()
+        )
+        assert (status, body["error"]["code"]) == (400, "bad_topology")
 
     def test_state_references_past_the_state_vector_are_a_400(
         self, shared_service
@@ -779,19 +810,29 @@ def test_include_tables_false_omits_tables(shared_service):
 
 
 def test_request_options_and_deadline_do_not_perturb_the_key(shared_service):
-    """retries/deadline are execution-only: a request naming them is the
-    same cache tenant as one that doesn't."""
+    """The deadline is execution-only: a request naming it is the same
+    cache tenant as one that doesn't.  Options cannot travel at all: the
+    client has no spelling for them."""
     app = firewall_app()
     plain = shared_service.compile(
         app.program, app.topology, app.initial_state
     )
     tuned = shared_service.compile(
         app.program, app.topology, app.initial_state,
-        options={"compile_retries": 0},
         deadline_seconds=60.0,
     )
     assert tuned["artifact_key"] == plain["artifact_key"]
     assert tuned["tables"] == plain["tables"]
+    for spelling in (
+        shared_service.compile,
+        shared_service.compile_request,
+        protocol.compile_request_to_wire,
+    ):
+        with pytest.raises(TypeError):
+            spelling(
+                app.program, app.topology, app.initial_state,
+                options={"compile_retries": 0},
+            )
 
 
 def test_version_reports_package_and_protocol(shared_service):
@@ -1218,24 +1259,33 @@ class TestRequestIndex:
         ids=lambda options: next(iter(options)),
     )
     def test_output_affecting_options_never_alias(self, options):
+        """No option changes the output, so none travels: a request
+        naming one is an unknown-field 400 — on its own and as a batch
+        entry — that is never indexed, and the connection survives it."""
         app = firewall_app()
-        with fresh_service() as (client, _):
-            for _ in range(2):  # second round: both answered by the index
-                plain = client.compile(
+        with fresh_service() as (client, server):
+            accepted = accepted_connections(server)
+            plain = client.compile(app.program, app.topology, app.initial_state)
+            wire = {
+                **protocol.compile_request_to_wire(
                     app.program, app.topology, app.initial_state
-                )
-                tuned = client.compile(
-                    app.program, app.topology, app.initial_state,
-                    options=options,
-                )
-            assert index_hits(client) == 2
-            assert tuned["artifact_key"] != plain["artifact_key"]
-            direct = Pipeline(
-                app.program, app.topology, app.initial_state,
-                protocol.options_from_wire(options, CompileOptions()),
+                ),
+                "options": options,
+            }
+            with pytest.raises(ServiceError) as excinfo:
+                client._post("/compile", wire)
+            assert (excinfo.value.status, excinfo.value.code) == (
+                400, "bad_request",
             )
-            assert tuned["artifact_key"] == direct.artifact_key()
-            assert tuned["tables"] == protocol.tables_to_wire(direct.compiled)
+            (entry,) = client.compile_batch([wire])
+            assert (entry["status"], entry["error"]["code"]) == (
+                400, "bad_request",
+            )
+            again = client.compile(app.program, app.topology, app.initial_state)
+            assert again["source"] == "memo"
+            assert again["artifact_key"] == plain["artifact_key"]
+            assert index_hits(client) == 1
+            assert len(accepted) == 1
 
     def test_execution_only_fields_share_an_entry(self):
         app = firewall_app()
@@ -1410,24 +1460,17 @@ class TestWireRoundTrips:
         with pytest.raises(protocol.ProtocolError):
             protocol.delta_from_wire({"set_sate": [[0, 1]]})
 
-    def test_options_round_trip(self):
-        options = CompileOptions(compile_retries=0, tag_field="cfg")
-        wire = protocol.options_to_wire(options)
-        json.dumps(wire)
-        assert sorted(wire) == [
-            "compile_retries", "enforce_locality", "field_order",
-            "max_frontier", "tag_field",
-        ]
-        rebuilt = protocol.options_from_wire(wire, CompileOptions())
-        for field in protocol.REQUESTABLE_OPTION_FIELDS:
-            assert getattr(rebuilt, field) == getattr(options, field)
-
     def test_bad_backend_is_rejected(self):
-        with pytest.raises(protocol.ProtocolError) as excinfo:
-            protocol.options_from_wire(
-                {"backend": "gpu"}, CompileOptions()
+        """A request body has no options object to carry a backend in."""
+        app = firewall_app()
+        with pytest.raises(TypeError):
+            protocol.compile_request_to_wire(
+                app.program, app.topology, app.initial_state,
+                options={"backend": "gpu"},
             )
-        assert excinfo.value.code == "bad_options"
+        for removed in ("options_to_wire", "options_from_wire",
+                        "REQUESTABLE_OPTION_FIELDS"):
+            assert not hasattr(protocol, removed)
 
 
 # ---------------------------------------------------------------------------

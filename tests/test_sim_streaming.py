@@ -496,7 +496,7 @@ class TestServedArtifact:
             return _records(net)
 
         def plant(compiled, switch, table):
-            compiled._guarded_tables[compiled.options.tag_field][switch] = table
+            compiled._guarded_tables[switch] = table
             compiled._roots = {}
 
         compiled = firewall_app().compiled
