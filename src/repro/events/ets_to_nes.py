@@ -51,9 +51,17 @@ class FiniteCompletenessError(ETSConversionError):
     """The family F(T) is not closed under existing least upper bounds."""
 
 
+def _occurrence_bound(ets: "ETS", max_occurrences: Optional[int]) -> int:
+    """``max_occurrences`` when given, else 64 on a cyclic ETS; an acyclic
+    one has no path longer than its edge count, so that never trips."""
+    if max_occurrences is not None:
+        return max_occurrences
+    return 64 if ets.has_loops() else len(ets.edges) + 1
+
+
 def family_of_ets(
     ets: "ETS",
-    max_occurrences: int = 64,
+    max_occurrences: Optional[int] = None,
     compared: Optional[Set[Tuple[StateVector, StateVector]]] = None,
 ) -> Dict[EventSet, StateVector]:
     """Compute ``F(T)``: the event-sets collected along paths from ``v0``.
@@ -64,6 +72,7 @@ def family_of_ets(
     are unrolled until an event would occur more than ``max_occurrences``
     times, which raises (the paper restricts attention to loop-free ETSs;
     bounded unrolling approximates the lazily-computed infinite NES).
+    By default only a cyclic ETS is bounded (:func:`_occurrence_bound`).
 
     The traversal reads the initial vertex and the edges; it reads the
     vertex *labels* only where condition 1 has something to compare —
@@ -71,29 +80,26 @@ def family_of_ets(
     Those state pairs are added to ``compared`` when given: they are all
     a re-labelled ETS has to re-check (:func:`nes_of_ets`).
     """
+    bound = _occurrence_bound(ets, max_occurrences)
     family: Dict[EventSet, StateVector] = {frozenset(): ets.initial}
     visited: Set[Tuple[StateVector, EventSet]] = set()
-    stack: List[Tuple[StateVector, EventSet]] = [(ets.initial, frozenset())]
+    stack: List[Tuple[StateVector, EventSet, Dict[Event, int]]]
+    stack = [(ets.initial, frozenset(), {})]  # + occurrences per base event
     # Intern renamed events: equal occurrences reached along different
     # paths become the identical object, so the family's frozensets hash
     # cached events and the NES interning can use identity lookups.
     interned: Dict[Event, Event] = {}
     while stack:
-        state, collected = stack.pop()
+        state, collected, counts = stack.pop()
         if (state, collected) in visited:
             continue
         visited.add((state, collected))
         for edge in ets.out_edges(state):
             base = edge.event.base()
-            base_guard, base_location = base.guard, base.location
-            occurrence = sum(
-                1
-                for e in collected
-                if e.location == base_location and e.guard == base_guard
-            )
-            if occurrence >= max_occurrences:
+            occurrence = counts.get(base, 0)
+            if occurrence >= bound:
                 raise ETSConversionError(
-                    f"event {base!r} occurred more than {max_occurrences} "
+                    f"event {base!r} occurred more than {bound} "
                     "times along a path; is the ETS an unbounded loop?"
                 )
             renamed = base.renamed(occurrence)
@@ -111,20 +117,24 @@ def family_of_ets(
                         f"{previous} and at state {edge.dst}, whose "
                         "configurations differ (condition 1 of section 3.1)"
                     )
-            stack.append((edge.dst, extended))
+            stack.append((edge.dst, extended, {**counts, base: occurrence + 1}))
     return family
 
 
 def _sorted_masks(
     family: Dict[EventSet, StateVector]
 ) -> Tuple[List[EventSet], List[int]]:
-    """Family members in canonical order, and their bitmask encodings."""
-    sets = sorted(family, key=lambda s: (len(s), sorted(repr(e) for e in s)))
+    """Family members in canonical order (by size, then by the sorted
+    ranks of their events' reprs), and their bitmask encodings."""
+    text = {event: repr(event) for event in frozenset().union(*family)}
+    rank = {r: i for i, r in enumerate(sorted(set(text.values())))}
+    order = {event: rank[r] for event, r in text.items()}
+    sets = sorted(family, key=lambda s: (len(s), sorted(map(order.__getitem__, s))))
     index: Dict[Event, int] = {}
     for member in sets:
         for event in member:
             index.setdefault(event, len(index))
-    return sets, [_mask_of(member, index) for member in sets]
+    return sets, [sum(1 << index[event] for event in member) for member in sets]
 
 
 def check_finite_complete(
@@ -174,16 +184,9 @@ def check_finite_complete(
     return violations
 
 
-def _mask_of(member: EventSet, index: Dict[Event, int]) -> int:
-    mask = 0
-    for event in member:
-        mask |= 1 << index[event]
-    return mask
-
-
 def _adopted_nes(
     ets: "ETS",
-    max_occurrences: int,
+    bound: int,
     previous_ets: Optional["ETS"],
     previous_nes: NES,
 ) -> Optional[NES]:
@@ -196,7 +199,7 @@ def _adopted_nes(
         or ets.initial != previous_ets.initial
         or ets.edges != previous_ets.edges
         or ets.states() != previous_ets.states()
-        or any(event.eid >= max_occurrences for event in previous_nes.events)
+        or any(event.eid >= bound for event in previous_nes.events)
         or any(ets.configuration(a) != ets.configuration(b) for a, b in pairs)
     ):
         return None
@@ -208,7 +211,7 @@ def _adopted_nes(
 
 def nes_of_ets(
     ets: "ETS",
-    max_occurrences: int = 64,
+    max_occurrences: Optional[int] = None,
     previous: Optional[Tuple[Optional["ETS"], NES]] = None,
 ) -> NES:
     """Convert an ETS to an NES, enforcing both section 3.1 conditions.
@@ -229,14 +232,13 @@ def nes_of_ets(
     or anything else differs, the full conversion below runs, and its
     result or error is the answer.
     """
+    bound = _occurrence_bound(ets, max_occurrences)
     if previous is not None:
-        adopted = _adopted_nes(ets, max_occurrences, *previous)
+        adopted = _adopted_nes(ets, bound, *previous)
         if adopted is not None:
             return adopted
     compared: Set[Tuple[StateVector, StateVector]] = set()
-    family = family_of_ets(
-        ets, max_occurrences=max_occurrences, compared=compared
-    )
+    family = family_of_ets(ets, max_occurrences=bound, compared=compared)
     violations = check_finite_complete(family)
     if violations:
         e1, e2 = violations[0]

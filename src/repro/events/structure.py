@@ -140,12 +140,6 @@ class EventStructure(Generic[E]):
             event_index: _extremal(enabler_masks, False)
             for event_index, enabler_masks in base.items()
         }
-        self._base: Dict[E, Tuple[FrozenSet[E], ...]] = {
-            self._universe[i]: tuple(
-                sorted((self.decode(m) for m in masks), key=sorted_key)
-            )
-            for i, masks in self._base_masks.items()
-        }
         # Memo for the locality pipeline (populated lazily by
         # repro.events.locality.minimally_inconsistent_masks).
         self._transversal_cache: Dict[Optional[int], Tuple[int, ...]] = {}
@@ -254,7 +248,11 @@ class EventStructure(Generic[E]):
         return False
 
     def minimal_enablers(self, event: E) -> Tuple[FrozenSet[E], ...]:
-        return self._base.get(event, ())
+        """The minimal ``X`` with ``X ⊢ event``, in sorted-repr order."""
+        masks = self._base_masks.get(self._index.get(event), ())
+        return tuple(
+            sorted(map(self.decode, masks), key=lambda s: sorted(map(repr, s)))
+        )
 
     # -- derived notions -----------------------------------------------------
 
@@ -384,12 +382,8 @@ class EventStructure(Generic[E]):
         return (
             f"EventStructure({len(self._events)} events, "
             f"{len(self._covers)} covers, "
-            f"{sum(len(v) for v in self._base.values())} enabling bases)"
+            f"{sum(map(len, self._base_masks.values()))} enabling bases)"
         )
-
-
-def sorted_key(s: Iterable) -> Tuple:
-    return tuple(sorted(repr(x) for x in s))
 
 
 def _extremal(masks: Iterable[int], maximal: bool) -> Tuple[int, ...]:

@@ -105,6 +105,11 @@ class Conjunction:
     def literals(self) -> FrozenSet[Literal]:
         return self._literals
 
+    @property
+    def positive(self) -> Dict[Key, int]:
+        """The positive literals as ``key -> value`` (shared: read only)."""
+        return self._pos
+
     def is_true(self) -> bool:
         return not self._literals
 

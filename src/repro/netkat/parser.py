@@ -28,8 +28,7 @@ to a forwarding policy is a parse error.  Round-trips with
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..stateful.ast import LinkUpdate, StateTest
 from .ast import (
@@ -69,7 +68,7 @@ _TOKEN_SPEC = [
     ("COMMENT", r"#[^\n]*"),
     ("ARROW", r"->"),
     ("ASSIGN", r"<-"),
-    ("NUM", r"\d+"),
+    ("NUM", r"[0-9]+"),
     ("IDENT", r"[A-Za-z_][A-Za-z_0-9]*"),
     ("PLUS", r"\+"),
     ("SEMI", r";"),
@@ -87,27 +86,24 @@ _TOKEN_SPEC = [
 ]
 _TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC))
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    position: int
+_Token = Tuple[str, str, int]  # (kind, text, position)
 
 
 def _tokenize(text: str) -> List[_Token]:
+    """One ``finditer`` pass (a gap between matches is a bad character);
+    three ``EOF`` entries make a lookahead of two a plain index."""
     tokens: List[_Token] = []
     position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            raise ParseError(f"unexpected character {text[position]!r}", position, text)
+    for match in _TOKEN_RE.finditer(text):
+        if match.start() != position:
+            break
         kind = match.lastgroup
-        assert kind is not None
-        if kind not in ("WS", "COMMENT"):
-            tokens.append(_Token(kind, match.group(), position))
+        if kind != "WS" and kind != "COMMENT":
+            tokens.append((kind, match.group(), position))
         position = match.end()
-    tokens.append(_Token("EOF", "", len(text)))
+    if position != len(text):
+        raise ParseError(f"unexpected character {text[position]!r}", position, text)
+    tokens.extend([("EOF", "", position)] * 3)
     return tokens
 
 
@@ -120,27 +116,26 @@ class _Parser:
     # -- token plumbing -------------------------------------------------------
 
     def peek(self, offset: int = 0) -> _Token:
-        return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+        return self.tokens[self.index + offset]
 
     def advance(self) -> _Token:
         token = self.tokens[self.index]
-        if token.kind != "EOF":
+        if token[0] != "EOF":
             self.index += 1
         return token
 
     def expect(self, kind: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
+        token = self.tokens[self.index]
+        if token[0] != kind:
             raise ParseError(
-                f"expected {kind}, found {token.kind} ({token.text!r})",
-                token.position,
+                f"expected {kind}, found {token[0]} ({token[1]!r})",
+                token[2],
                 self.text,
             )
         return self.advance()
 
     def error(self, message: str) -> ParseError:
-        token = self.peek()
-        return ParseError(message, token.position, self.text)
+        return ParseError(message, self.peek()[2], self.text)
 
     # -- precedence-climbing policy grammar ---------------------------------------
 
@@ -149,69 +144,76 @@ class _Parser:
 
     def _parse_union(self) -> Policy:
         parts = [self._parse_seq()]
-        while self.peek().kind == "PLUS":
+        while self.peek()[0] == "PLUS":
             self.advance()
             parts.append(self._parse_seq())
         return union(*parts) if len(parts) > 1 else parts[0]
 
     def _parse_seq(self) -> Policy:
         parts = [self._parse_disj()]
-        while self.peek().kind == "SEMI":
+        while self.peek()[0] == "SEMI":
             self.advance()
             parts.append(self._parse_disj())
         return seq(*parts) if len(parts) > 1 else parts[0]
 
     def _parse_disj(self) -> Policy:
+        start = self.peek()[2]
         left = self._parse_conj()
-        if self.peek().kind != "PIPE":
+        if self.peek()[0] != "PIPE":
             return left
-        operands = [self._as_predicate(left, "|")]
-        while self.peek().kind == "PIPE":
+        operands = [self._as_predicate(left, "|", start)]
+        while self.peek()[0] == "PIPE":
             self.advance()
-            operands.append(self._as_predicate(self._parse_conj(), "|"))
+            start = self.peek()[2]
+            operands.append(self._as_predicate(self._parse_conj(), "|", start))
         return Filter(disj(*operands))
 
     def _parse_conj(self) -> Policy:
+        start = self.peek()[2]
         left = self._parse_star()
-        if self.peek().kind != "AMP":
+        if self.peek()[0] != "AMP":
             return left
-        operands = [self._as_predicate(left, "&")]
-        while self.peek().kind == "AMP":
+        operands = [self._as_predicate(left, "&", start)]
+        while self.peek()[0] == "AMP":
             self.advance()
-            operands.append(self._as_predicate(self._parse_star(), "&"))
+            start = self.peek()[2]
+            operands.append(self._as_predicate(self._parse_star(), "&", start))
         return Filter(conj(*operands))
 
     def _parse_star(self) -> Policy:
         inner = self._parse_atom()
-        while self.peek().kind == "STAR":
+        while self.peek()[0] == "STAR":
             self.advance()
             inner = star(inner)
         return inner
 
-    def _as_predicate(self, p: Policy, operator: str) -> Predicate:
+    def _as_predicate(self, p: Policy, operator: str, start: int) -> Predicate:
         if isinstance(p, Filter):
             return p.predicate
-        raise self.error(
+        raise ParseError(
             f"operator {operator!r} applies to predicates, but found a "
-            f"forwarding policy {p!r}"
+            f"forwarding policy {p!r}",
+            start,
+            self.text,
         )
 
     # -- atoms ------------------------------------------------------------------
 
     def _parse_atom(self) -> Policy:
-        token = self.peek()
-        if token.kind == "BANG":
+        kind = self.peek()[0]
+        if kind == "BANG":
             self.advance()
+            start = self.peek()[2]
             operand = self._parse_star()
-            return Filter(neg(self._as_predicate(operand, "!")))
-        if token.kind == "IDENT":
+            return Filter(neg(self._as_predicate(operand, "!", start)))
+        if kind == "IDENT":
             return self._parse_ident_atom()
-        if token.kind == "LPAREN":
+        if kind == "LPAREN":
             return self._parse_paren_atom()
-        raise self.error(f"expected an atom, found {token.kind}")
+        raise self.error(f"expected an atom, found {kind}")
 
     def _parse_ident_atom(self) -> Policy:
-        name = self.advance().text
+        name = self.advance()[1]
         if name == "id" or name == "true":
             return ID if name == "id" else Filter(TRUE)
         if name == "drop" or name == "false":
@@ -220,25 +222,25 @@ class _Parser:
             return Dup()
         if name == "state":
             self.expect("LPAREN")
-            component = int(self.expect("NUM").text)
+            component = int(self.expect("NUM")[1])
             self.expect("RPAREN")
             self.expect("EQ")
-            value = int(self.expect("NUM").text)
+            value = int(self.expect("NUM")[1])
             return Filter(StateTest(component, value))
-        nxt = self.peek()
-        if nxt.kind == "EQ":
+        kind = self.peek()[0]
+        if kind == "EQ":
             self.advance()
-            value = int(self.expect("NUM").text)
+            value = int(self.expect("NUM")[1])
             return Filter(Test(name, value))
-        if nxt.kind == "ASSIGN":
+        if kind == "ASSIGN":
             self.advance()
-            value = int(self.expect("NUM").text)
+            value = int(self.expect("NUM")[1])
             return Assign(name, value)
         raise self.error(f"expected '=' or '<-' after field {name!r}")
 
     def _parse_paren_atom(self) -> Policy:
         # Either a location "(n:m)" beginning a link, or a grouped policy.
-        if self.peek(1).kind == "NUM" and self.peek(2).kind == "COLON":
+        if self.peek(1)[0] == "NUM" and self.peek(2)[0] == "COLON":
             return self._parse_link()
         self.expect("LPAREN")
         inner = self.parse_policy()
@@ -247,9 +249,9 @@ class _Parser:
 
     def _parse_location(self) -> Location:
         self.expect("LPAREN")
-        switch = int(self.expect("NUM").text)
+        switch = int(self.expect("NUM")[1])
         self.expect("COLON")
-        port = int(self.expect("NUM").text)
+        port = int(self.expect("NUM")[1])
         self.expect("RPAREN")
         return Location(switch, port)
 
@@ -257,25 +259,25 @@ class _Parser:
         src = self._parse_location()
         self.expect("ARROW")
         dst = self._parse_location()
-        if self.peek().kind != "LT":
+        if self.peek()[0] != "LT":
             return Link(src, dst)
         self.advance()
         updates: List[Tuple[int, int]] = []
         while True:
-            keyword = self.expect("IDENT")
-            if keyword.text != "state":
+            _, keyword, position = self.expect("IDENT")
+            if keyword != "state":
                 raise ParseError(
-                    f"expected 'state' in link update, found {keyword.text!r}",
-                    keyword.position,
+                    f"expected 'state' in link update, found {keyword!r}",
+                    position,
                     self.text,
                 )
             self.expect("LPAREN")
-            component = int(self.expect("NUM").text)
+            component = int(self.expect("NUM")[1])
             self.expect("RPAREN")
             self.expect("ASSIGN")
-            value = int(self.expect("NUM").text)
+            value = int(self.expect("NUM")[1])
             updates.append((component, value))
-            if self.peek().kind == "COMMA":
+            if self.peek()[0] == "COMMA":
                 self.advance()
                 continue
             break

@@ -95,8 +95,9 @@ __all__ = [
 # optional HMAC-SHA256 signing envelope (see ArtifactCache); format 3
 # shrank the options fingerprint to four fields and stopped persisting
 # execution-only option values (the signing key among them); format 4
-# dropped the options from the key and from the artifact altogether.
-ARTIFACT_FORMAT = 4
+# dropped the options from the key and from the artifact altogether;
+# format 5 stopped pickling the event structure's decoded enablers.
+ARTIFACT_FORMAT = 5
 
 # (field, accepted types, None allowed) for every CompileOptions field.
 _SCALAR_FIELD_TYPES = (

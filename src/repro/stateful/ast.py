@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
-from ..netkat.ast import Conj, Policy, Predicate, conj
+from ..netkat.ast import Conj, Disj, Filter, Neg, Policy, Predicate, Seq, Star, Union, conj
 from ..netkat.packet import Location
 
 __all__ = [
@@ -116,75 +116,55 @@ def vector_update(vector: StateVector, updates: Iterable[Tuple[int, int]]) -> St
 
 
 def uses_state(node: Policy | Predicate) -> bool:
-    """Does this (sub)program mention the global state at all?
-
-    The answer is cached on the (frozen, immutable) AST node: projection
-    asks this for every subtree of every per-state walk, and state-free
-    subtrees project to themselves under every state vector.
-    """
-    from ..netkat.ast import Disj, Filter, Neg, Seq, Star, Union
-
-    cached = node.__dict__.get("_uses_state_cache")
-    if cached is not None:
-        return cached
-    if isinstance(node, (StateTest, LinkUpdate)):
-        value = True
-    elif isinstance(node, Filter):
-        value = uses_state(node.predicate)
-    elif isinstance(node, Neg):
-        value = uses_state(node.operand)
-    elif isinstance(node, (Conj, Disj, Union, Seq)):
-        value = uses_state(node.left) or uses_state(node.right)
-    elif isinstance(node, Star):
-        value = uses_state(node.operand)
-    else:
-        value = False
-    object.__setattr__(node, "_uses_state_cache", value)
-    return value
-
-
-_UNCOMPUTED = object()
+    """Does this (sub)program mention the global state at all?  A state
+    test or a state-updating link does, even one updating no component.
+    Projection asks this of every subtree (state-free ones project to
+    themselves); :func:`_state_use` caches the answer on the node."""
+    return _state_use(node) is not None
 
 
 def state_component_range(
     node: Policy | Predicate,
 ) -> Optional[Tuple[int, int]]:
     """The (min, max) state-component indices referenced anywhere in the
-    (sub)program, or ``None`` when it mentions no state components.
+    (sub)program, or ``None`` when it references none.  Cached on the
+    node, so projection bounds-checks a whole program in O(1) after the
+    first walk, though its short-circuits skip guard-dead subtrees."""
+    return _state_use(node) or None
 
-    Cached on the (frozen, immutable) AST node so projection can bounds-
-    check a whole program in O(1) after the first walk, even though its
-    short-circuits skip guard-dead subtrees.
-    """
-    from ..netkat.ast import Disj, Filter, Neg, Seq, Star, Union
 
-    cached = node.__dict__.get("_state_component_range", _UNCOMPUTED)
+_UNCOMPUTED = object()
+
+
+def _state_use(node: Policy | Predicate) -> Optional[Tuple[int, ...]]:
+    """``None`` for a state-free (sub)program; else the (min, max)
+    component indices it references, or ``()`` when it references none
+    (a state-updating link with no updates).  Cached on the (frozen,
+    immutable) AST node: one walk answers both questions above."""
+    cached = node.__dict__.get("_state_use", _UNCOMPUTED)
     if cached is not _UNCOMPUTED:
         return cached
-    value: Optional[Tuple[int, int]]
+    value: Optional[Tuple[int, ...]]
     if isinstance(node, StateTest):
         value = (node.component, node.component)
     elif isinstance(node, LinkUpdate):
         components = [component for component, _ in node.updates]
-        value = (min(components), max(components)) if components else None
+        value = (min(components), max(components)) if components else ()
     elif isinstance(node, Filter):
-        value = state_component_range(node.predicate)
-    elif isinstance(node, Neg):
-        value = state_component_range(node.operand)
+        value = _state_use(node.predicate)
+    elif isinstance(node, (Neg, Star)):
+        value = _state_use(node.operand)
     elif isinstance(node, (Conj, Disj, Union, Seq)):
-        left = state_component_range(node.left)
-        right = state_component_range(node.right)
-        if left is None:
-            value = right
-        elif right is None:
-            value = left
-        else:
+        left, right = _state_use(node.left), _state_use(node.right)
+        if left is None or right is None:
+            value = right if left is None else left
+        elif left and right:
             value = (min(left[0], right[0]), max(left[1], right[1]))
-    elif isinstance(node, Star):
-        value = state_component_range(node.operand)
+        else:
+            value = left or right
     else:
         value = None
-    object.__setattr__(node, "_state_component_range", value)
+    object.__setattr__(node, "_state_use", value)
     return value
 
 

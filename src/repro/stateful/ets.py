@@ -14,15 +14,13 @@ with an explicit ``state_space``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..events.event import Event
 from ..netkat.ast import Policy
 from .ast import StateVector, validate_state_references
-from .events import EventEdge, extract
-from .projection import project
+from .events import EventEdge
 from .symbolic import SymbolicProgram
 
 __all__ = ["ETS", "build_ets"]
@@ -73,45 +71,25 @@ class ETS:
             object.__setattr__(self, "_out_edges", index)
         return index.get(state, ())
 
-    def events(self) -> FrozenSet[Event]:
-        return frozenset(e.event for e in self.edges)
-
     def has_loops(self) -> bool:
         """Is any state reachable from itself via one or more edges?
 
-        The DFS runs on an explicit stack: deep state chains that the
-        symbolic extraction engine makes tractable (bandwidth caps well
-        past 28) would overflow CPython's recursion limit with a
-        recursive ``visit``.
+        Kahn's peeling, iterative (deep state chains would overflow
+        CPython's recursion limit in a recursive DFS): states with no
+        remaining in-edge are removed; one on or behind a cycle never is.
         """
-        adjacency: Dict[StateVector, List[StateVector]] = {}
+        successors: Dict[StateVector, List[StateVector]] = {}
+        indegree: Dict[StateVector, int] = {}
         for e in self.edges:
-            adjacency.setdefault(e.src, []).append(e.dst)
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color: Dict[StateVector, int] = {}
-        for root, _ in self.vertices:
-            if color.get(root, WHITE) != WHITE:
-                continue
-            color[root] = GRAY
-            stack: List[Tuple[StateVector, Iterator[StateVector]]] = [
-                (root, iter(adjacency.get(root, ())))
-            ]
-            while stack:
-                node, neighbors = stack[-1]
-                advanced = False
-                for nxt in neighbors:
-                    c = color.get(nxt, WHITE)
-                    if c == GRAY:
-                        return True
-                    if c == WHITE:
-                        color[nxt] = GRAY
-                        stack.append((nxt, iter(adjacency.get(nxt, ()))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-        return False
+            successors.setdefault(e.src, []).append(e.dst)
+            indegree[e.dst] = indegree.get(e.dst, 0) + 1
+        ready = [state for state in successors if state not in indegree]
+        while ready:
+            for nxt in successors.get(ready.pop(), ()):
+                indegree[nxt] -= 1
+                if not indegree[nxt]:
+                    ready.append(nxt)
+        return any(indegree.values())
 
     def __repr__(self) -> str:
         lines = [f"ETS(initial={list(self.initial)})"]
@@ -128,7 +106,6 @@ def build_ets(
     initial: StateVector,
     state_space: Optional[Iterable[StateVector]] = None,
     max_states: int = 10_000,
-    symbolic_extract: bool = True,
     symbolic: Optional[SymbolicProgram] = None,
 ) -> ETS:
     """Construct ``ETS(program)`` from the initial state.
@@ -137,13 +114,13 @@ def build_ets(
     pass ``state_space`` to force a specific vertex set (every reachable
     state must be included in it).
 
-    With ``symbolic_extract`` (the default) the program is partially
-    evaluated **once** over all state-component values
-    (:class:`~repro.stateful.symbolic.SymbolicProgram`) and the BFS
-    instantiates each state's edges and configuration from the guarded
-    result -- near-linear in the chain depth for the cap apps, and
-    byte-identical to the retained per-state ``extract``/``project``
-    reference walks (``symbolic_extract=False``).
+    The program is partially evaluated **once** over all state-component
+    values (:class:`~repro.stateful.symbolic.SymbolicProgram`) and the
+    BFS instantiates each state's edges and configuration from the
+    guarded result -- linear in the chain depth for the cap apps, and
+    byte-identical to a BFS over the per-state Figure 5-6 walks
+    (:func:`~repro.stateful.events.extract` /
+    :func:`~repro.stateful.projection.project`).
 
     ``symbolic`` is a prebuilt
     :class:`~repro.stateful.symbolic.SymbolicProgram` for ``program``:
@@ -159,14 +136,8 @@ def build_ets(
     # Projection prunes dead segments without walking their bodies, so
     # out-of-range state references are checked once for the whole program.
     validate_state_references(program, len(initial))
-    if symbolic is None and symbolic_extract:
+    if symbolic is None:
         symbolic = SymbolicProgram(program)
-    if symbolic is not None:
-        edges_of = symbolic.edges_at
-        config_of = symbolic.configuration_at
-    else:
-        edges_of = lambda s: extract(program, s).edges  # noqa: E731
-        config_of = lambda s: project(program, s)  # noqa: E731
 
     visited: Set[StateVector] = {initial}
     order: List[StateVector] = [initial]
@@ -176,7 +147,7 @@ def build_ets(
         state = queue.popleft()
         # Destination order, not frozenset order: the vertex sequence
         # must not depend on PYTHONHASHSEED or on which walk built the set.
-        for edge in sorted(edges_of(state), key=attrgetter("dst")):
+        for edge in sorted(symbolic.edges_at(state), key=attrgetter("dst")):
             if edge.dst == edge.src:
                 # An update that rewrites the state to its current value is
                 # an identity transition; the paper's ETSs omit them (e.g.
@@ -201,7 +172,7 @@ def build_ets(
     if allowed is not None:
         for extra in sorted(allowed - visited):
             order.append(extra)
-            for edge in edges_of(extra):
+            for edge in symbolic.edges_at(extra):
                 if edge.dst == edge.src:
                     # Identity transitions are omitted here exactly as in
                     # the BFS loop above; forced extra states must not
@@ -209,5 +180,5 @@ def build_ets(
                     continue
                 edges.add(edge)
 
-    vertices = tuple((state, config_of(state)) for state in order)
+    vertices = tuple((state, symbolic.configuration_at(state)) for state in order)
     return ETS(initial=initial, vertices=vertices, edges=frozenset(edges))

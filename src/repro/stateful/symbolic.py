@@ -18,23 +18,25 @@ a symbolic state vector:
   state space into :class:`StateGuard` cells, each carrying the
   projected configuration policy shared by every state in the cell.
 
-Instantiating a concrete state is then a cheap guard filter
+Instantiating a concrete state is then a guard-indexed filter
 (:meth:`SymbolicProgram.edges_at` / :meth:`.configuration_at`) instead
-of a fresh AST walk, which makes ETS construction near-linear in the
-chain depth for the cap apps.
+of a fresh AST walk.  Both halves are linear in the chain depth of the
+cap apps: a cold ``Pipeline(...).nes`` on cap-24 / cap-48 makes 136 /
+256 ``meet`` and 51 / 99 ``holds`` calls.
 
-Byte identity with the per-state reference path
-(``build_ets(..., symbolic_extract=False)``) is load-bearing: both
-walks apply the *same* smart constructors and formula combinators in
-the *same* order, so for every state consistent with a guard the
-instantiated edges, formulas, and configuration policies are equal --
-the goldens in ``tests/test_pipeline.py`` and the seeded property test
-in ``tests/test_differential.py`` pin this.
+Byte identity with the per-state walks (``extract`` / ``project``) is
+load-bearing: both apply the *same* smart constructors and formula
+combinators in the *same* order, so for every state consistent with a
+guard the instantiated edges, formulas, and configuration policies are
+equal -- the goldens in ``tests/test_pipeline.py`` and the seeded
+property tests in ``tests/test_differential.py`` pin this.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import attrgetter, itemgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..events.event import Event
@@ -344,7 +346,7 @@ def _sp(p: Policy, memo: dict) -> GuardedCells:
             (g, Filter(a)) for g, a in _sp_predicate(p.predicate, memo)
         )
     elif isinstance(p, Union):
-        cells = _sp_combine(_sp(p.left, memo), _sp(p.right, memo), union)
+        cells = _sp_union(_sp(p.left, memo), _sp(p.right, memo))
     elif isinstance(p, Seq):
         out: List[Tuple[StateGuard, Policy]] = []
         for g, left in _sp(p.left, memo):
@@ -376,33 +378,21 @@ def _sp_predicate(
     if cells is not None:
         return cells
     if isinstance(a, StateTest):
-        cells = (
-            (StateGuard((Literal(a.component, EQ, a.value),)), TRUE),
-            (StateGuard((Literal(a.component, NE, a.value),)), FALSE),
-        )
+        cells = _state_test_cells(a.component, a.value)
     elif isinstance(a, Neg):
         cells = tuple((g, neg(x)) for g, x in _sp_predicate(a.operand, memo))
-    elif isinstance(a, Conj):
+    elif isinstance(a, (Conj, Disj)):
+        # false AND b = false, true OR b = true: b's cells are not met.
+        zero, combine = (FALSE, conj) if isinstance(a, Conj) else (TRUE, disj)
         out: List[Tuple[StateGuard, Predicate]] = []
         for g, left in _sp_predicate(a.left, memo):
-            if isinstance(left, PFalse):
-                out.append((g, FALSE))  # false AND b = false
+            if isinstance(left, type(zero)):
+                out.append((g, zero))
                 continue
             for g2, right in _sp_predicate(a.right, memo):
                 refined = g.meet(g2)
                 if refined is not None:
-                    out.append((refined, conj(left, right)))
-        cells = tuple(out)
-    elif isinstance(a, Disj):
-        out = []
-        for g, left in _sp_predicate(a.left, memo):
-            if isinstance(left, PTrue):
-                out.append((g, TRUE))  # true OR b = true
-                continue
-            for g2, right in _sp_predicate(a.right, memo):
-                refined = g.meet(g2)
-                if refined is not None:
-                    out.append((refined, disj(left, right)))
+                    out.append((refined, combine(left, right)))
         cells = tuple(out)
     else:
         cells = ((_TRUE_GUARD, a),)  # true / false / field tests
@@ -410,18 +400,68 @@ def _sp_predicate(
     return cells
 
 
-def _sp_combine(
-    left: GuardedCells, right: GuardedCells, combine
-) -> GuardedCells:
-    """Refine two partitions, combining the policies of each consistent
-    intersection (contradictory intersections are empty cells)."""
+@lru_cache(maxsize=4096)
+def _state_test_cells(
+    component: int, value: int
+) -> Tuple[Tuple[StateGuard, Predicate], ...]:
+    """``state(component)=value`` as two cells, interned per test."""
+    literal = Literal(component, EQ, value)
+    return ((StateGuard((literal,)), TRUE), (StateGuard((literal.negated(),)), FALSE))
+
+
+def _test_split(cells: GuardedCells) -> Optional[Tuple[int, int, Policy, Policy]]:
+    """``(c, v, P, Q)`` when ``cells`` is a partition on one state test,
+    ``c=v -> P`` then ``c!=v -> Q``; else ``None``."""
+    if len(cells) == 2:
+        (g1, p1), (g2, p2) = cells
+        if len(g1.positive) == len(g1.literals) == 1:
+            ((component, value),) = g1.positive.items()
+            if g2.literals == {Literal(component, NE, value)}:
+                return component, value, p1, p2
+    return None
+
+
+def _sp_union(left: GuardedCells, right: GuardedCells) -> GuardedCells:
+    """Refine two partitions, uniting the policies of each consistent
+    intersection (contradictory intersections are empty cells).
+
+    When ``right`` splits on one state test and a left guard fixes the
+    tested component, the guard meets exactly one right cell and the
+    meet is the guard itself: read off its positive map, no ``meet``.
+    A union of N state-guarded branches then makes O(N) meets, not
+    O(N^2), with the cells and policies of the plain pairwise fold.
+    """
+    # No split: no guard has a positive literal on component None.
+    component, value, if_equal, otherwise = _test_split(right) or (None,) * 4
     out: List[Tuple[StateGuard, Policy]] = []
     for g, lp in left:
+        known = g.positive.get(component)
+        if known is not None:
+            rp = if_equal if known == value else otherwise
+            out.append((g, lp if rp is DROP else union(lp, rp)))  # lp + drop = lp
+            continue
         for g2, rp in right:
             refined = g.meet(g2)
             if refined is not None:
-                out.append((refined, combine(lp, rp)))
+                out.append((refined, lp if rp is DROP else union(lp, rp)))
     return tuple(out)
+
+
+def _by_literal(items, guard_of) -> Dict[Optional[Tuple[int, int]], list]:
+    """Bucket items under one positive literal of their guard,
+    ``(component, value)``, or ``None`` when it has none."""
+    index: Dict[Optional[Tuple[int, int]], list] = {}
+    for item in items:
+        key = min(guard_of(item).positive.items(), default=None)
+        index.setdefault(key, []).append(item)
+    return index
+
+
+def _candidates(index, state: StateVector):
+    """The items whose guard may hold at ``state``."""
+    for key in enumerate(state):
+        yield from index.get(key, ())
+    yield from index.get(None, ())
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +488,8 @@ class SymbolicProgram:
         self.program = program
         self.extraction = symbolic_extract(program)
         self.cells = symbolic_project(program)
+        self._edge_index = _by_literal(self.extraction.edges, attrgetter("guard"))
+        self._cell_index = _by_literal(self.cells, itemgetter(0))
         self._edges_at: Dict[StateVector, FrozenSet[EventEdge]] = {}
         self._configuration_at: Dict[StateVector, Policy] = {}
 
@@ -457,7 +499,7 @@ class SymbolicProgram:
         if edges is None:
             edges = self._edges_at[state] = frozenset(
                 EventEdge(state, ge.event, vector_update(state, ge.updates))
-                for ge in self.extraction.edges
+                for ge in _candidates(self._edge_index, state)
                 if ge.guard.holds(state)
             )
         return edges
@@ -472,7 +514,7 @@ class SymbolicProgram:
         """``⟦p⟧~k``: the configuration policy at ``state``."""
         policy = self._configuration_at.get(state)
         if policy is None:
-            for g, policy in self.cells:
+            for g, policy in _candidates(self._cell_index, state):
                 if g.holds(state):
                     self._configuration_at[state] = policy
                     return policy

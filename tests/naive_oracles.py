@@ -3,16 +3,47 @@
 The quadratic finite-completeness check and the brute-force
 minimally-inconsistent-set enumeration, moved verbatim out of
 ``repro.events``: the differential oracles of
-``test_finite_complete_property.py`` and ``test_locality_bitset.py``.
+``test_finite_complete_property.py`` and ``test_locality_bitset.py``;
+and ``ETS(p)`` by one Figure 5-6 walk per state, the reference the
+symbolic engine of ``repro.stateful.symbolic`` is compared against.
 """
 
+from collections import deque
 from itertools import combinations
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.events.event import Event, EventSet
 from repro.events.ets_to_nes import _sorted_masks
 from repro.events.structure import EventStructure
-from repro.stateful.ast import StateVector
+from repro.netkat.ast import Policy
+from repro.stateful.ast import StateVector, validate_state_references
+from repro.stateful.ets import ETS
+from repro.stateful.events import extract
+from repro.stateful.projection import project
+
+
+def build_ets_naive(program: Policy, initial: StateVector) -> ETS:
+    """``build_ets``'s breadth-first search, with each reached state's
+    edges from ``extract(program, state)`` and its configuration from
+    ``project(program, state)`` instead of a symbolic instantiation."""
+    validate_state_references(program, len(initial))
+    visited = {initial}
+    order = [initial]
+    edges = set()
+    queue = deque([initial])
+    while queue:
+        state = queue.popleft()
+        for edge in sorted(extract(program, state).edges, key=attrgetter("dst")):
+            if edge.dst == edge.src:
+                continue  # identity transitions are omitted
+            edges.add(edge)
+            if edge.dst not in visited:
+                visited.add(edge.dst)
+                order.append(edge.dst)
+                queue.append(edge.dst)
+    vertices = tuple((state, project(program, state)) for state in order)
+    return ETS(initial=initial, vertices=vertices, edges=frozenset(edges))
 
 
 def check_finite_complete_naive(

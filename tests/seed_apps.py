@@ -25,8 +25,10 @@ from repro.netkat.fdd import FDDBuilder
 from repro.pipeline import Delta, Pipeline
 from repro.runtime.compiler import CompiledNES
 from repro.service.protocol import topology_from_wire, topology_to_wire
-from repro.stateful.ets import ETS, build_ets
+from repro.stateful.ets import ETS
 from repro.topology import Topology
+
+from naive_oracles import build_ets_naive
 
 APPS = (
     ("firewall", firewall_app),
@@ -102,12 +104,12 @@ def firewall_policy_delta() -> Delta:
 
 def reference_ets(app) -> ETS:
     """The ETS by the Fig. 6 per-state ``extract``/``project`` walks."""
-    return build_ets(app.program, app.initial_state, symbolic_extract=False)
+    return build_ets_naive(app.program, app.initial_state)
 
 
 def reference_compile(app, nes=None) -> CompiledNES:
     """The compile path composed from the layer-level reference
-    implementations: per-state ``build_ets`` -> ``nes_of_ets`` -> one
+    implementations: per-state ``build_ets_naive`` -> ``nes_of_ets`` -> one
     uncached ``compile_policy`` per configuration on a mask/union,
     memo-free ``FDDBuilder``.  Pass ``nes`` to start from an NES already
     in hand (only the FDD/compiler references then differ from the

@@ -245,6 +245,61 @@ def test_deep_random_stateful_programs_match_per_state_walks(seed):
     assert_symbolic_matches_per_state(program)
 
 
+def random_state_guard(rng: random.Random) -> Predicate:
+    """``c=v``, ``!c=v`` or a conjunction over both components."""
+    component, value = rng.randrange(STATE_WIDTH), rng.choice(STATE_VALUES)
+    roll = rng.random()
+    if roll < 0.45:
+        return StateTest(component, value)
+    if roll < 0.7:
+        return neg(StateTest(component, value))
+    other = StateTest(1 - component, rng.choice(STATE_VALUES))
+    return conj(StateTest(component, value), other if roll < 0.85 else neg(other))
+
+
+def wide_state_union(rng: random.Random) -> Policy:
+    """A left-nested union of 8-16 state-guarded branches, the shape of
+    the bandwidth-cap chain: the projection's fold meets each branch's
+    cells against every cell the branches before it made.  Some
+    branches are an if-then-else on one test (a non-drop else cell),
+    and some are state-free."""
+    branches = []
+    for _ in range(rng.randint(8, 16)):
+        roll = rng.random()
+        body = random_stateful_policy(rng, 1)
+        if roll < 0.15:
+            branches.append(body)
+            continue
+        guard = random_state_guard(rng)
+        branch = seq(filter_(guard), body)
+        if roll < 0.4:
+            otherwise = random_stateful_policy(rng, 1)
+            branch = union(branch, seq(filter_(neg(guard)), otherwise))
+        branches.append(branch)
+    return union(*branches)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_wide_state_unions_match_per_state_walks(seed):
+    """The union fold's shortcut -- a left cell whose guard fixes the
+    tested component meets exactly one cell of a state test -- and its
+    pairwise fallback, against the per-state walks on every state."""
+    rng = random.Random(3000 + seed)
+    program = wide_state_union(rng)
+    if rng.random() < 0.5:
+        program = seq(
+            filter_(field_test("ip_dst", rng.choice(VALUES))),
+            program,
+            assign("pt", rng.choice(VALUES)),
+        )
+    assert_symbolic_matches_per_state(program)
+    symbolic = SymbolicProgram(program)
+    for state in STATE_BOX:
+        assert repr(symbolic.configuration_at(state)) == repr(
+            project(program, state)
+        )
+
+
 def test_star_with_modification_cycle():
     """Star over a field toggle: fixpoints in FDD and semantics agree."""
     toggle = union(

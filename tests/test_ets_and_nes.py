@@ -17,9 +17,11 @@ from repro.events.locality import (
     locality_violations,
     minimally_inconsistent_sets,
 )
-from repro.formula import EQ, Formula, Literal
+from repro.apps import bandwidth_cap_app
+from repro.formula import EQ, Conjunction, Formula, Literal, StateGuard
 from repro.netkat.ast import assign, filter_, link, seq, test as field_test, union
 from repro.netkat.packet import Location
+from repro.pipeline import Pipeline
 from repro.stateful.ast import link_update, state_eq
 from repro.stateful.ets import ETS, build_ets
 from repro.stateful.events import EventEdge
@@ -231,6 +233,51 @@ class TestFamilyOfETS:
 
         with pytest.raises(ETSConversionError):
             family_of_ets(ets, max_occurrences=8)
+        with pytest.raises(ETSConversionError, match="more than 64 times"):
+            family_of_ets(ets)
+
+
+class TestChainDepth:
+    def test_a_finite_chain_deeper_than_the_loop_bound_converts(self):
+        """The default occurrence bound is for loops: cap-100 is acyclic,
+        its 101 renamed occurrences of one event are a finite chain."""
+        app = bandwidth_cap_app(100)
+        pipeline = Pipeline(app.program, app.topology, app.initial_state)
+        assert not pipeline.ets.has_loops()
+        assert len(pipeline.ets.states()) == 102
+        assert len(pipeline.nes.events) == 101
+        assert len(pipeline.compiled.configurations) == 102
+        # Adoption applies the same default bound as a fresh conversion.
+        adopted = nes_of_ets(pipeline.ets, previous=(pipeline.ets, pipeline.nes))
+        assert adopted.structure is pipeline.nes.structure
+
+    def test_a_cold_front_half_is_linear_in_chain_depth(self, monkeypatch):
+        """Doubling the chain at most doubles (x 2.2) the guard work of a
+        cold ``Pipeline(...).nes``: the union fold decides cells a guard
+        already fixes without a meet, and instantiation tests only the
+        guards indexed under the state's literals."""
+        calls = {"meet": 0, "holds": 0}
+        meet, holds = Conjunction.meet, StateGuard.holds
+
+        def counted_meet(self, other):
+            calls["meet"] += 1
+            return meet(self, other)
+
+        def counted_holds(self, state):
+            calls["holds"] += 1
+            return holds(self, state)
+
+        monkeypatch.setattr(Conjunction, "meet", counted_meet)
+        monkeypatch.setattr(StateGuard, "holds", counted_holds)
+        counts = {}
+        for depth in (24, 48):
+            calls.update(meet=0, holds=0)
+            app = bandwidth_cap_app(depth)
+            Pipeline(app.program, app.topology, app.initial_state).nes
+            counts[depth] = dict(calls)
+        for name in calls:
+            assert counts[24][name] > 0
+            assert counts[48][name] <= 2.2 * counts[24][name], counts
 
 
 class TestNES:

@@ -39,7 +39,6 @@ def assert_same_structure(family, probes):
     assert new.all_mask == old.all_mask
     assert new.maximal_cover_masks == old.maximal_cover_masks
     assert new._base_masks == old._base_masks
-    assert new._base == old._base
     for event in old.universe:
         assert new.minimal_enablers(event) == old.minimal_enablers(event)
     for probe in probes:

@@ -124,6 +124,32 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_policy("(1:1)->(2:2)<foo(0)<-1>")
 
+    @pytest.mark.parametrize(
+        "text,position",
+        [("pt=\u0663", 3), ("state(\u0660)=1", 6), ("state(0)=\u0661", 9)],
+    )
+    def test_non_ascii_digits_are_not_numbers(self, text, position):
+        """Only 0-9 spell a number: an Arabic-Indic digit is not coerced
+        onto the ASCII program's AST (and artifact key)."""
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            parse_policy(text)
+        assert info.value.position == position
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("state(0)=1 & pt<-2", 13),
+            ("state(0)=1 | pt<-2", 13),
+            ("pt<-2 & state(0)=1", 0),
+            ("a=1 | b=2 | (1:1)->(2:1)", 12),
+            ("!  pt<-2", 3),
+        ],
+    )
+    def test_operator_error_points_at_its_operand(self, text, position):
+        with pytest.raises(ParseError, match="forwarding policy") as info:
+            parse_policy(text)
+        assert info.value.position == position
+
     def test_predicate_parser_rejects_policy(self):
         with pytest.raises(ParseError):
             parse_predicate("pt<-1")

@@ -692,6 +692,29 @@ class TestProtocolErrors:
             response = connection.getresponse()
             assert response.status == 200 and json.loads(response.read())["ok"]
 
+    def test_non_ascii_digits_are_a_parse_error(self, shared_service):
+        """``pt=\u0663`` is not ``pt=3``: nothing is coerced onto the
+        ASCII spelling's artifact key; the request is the structured 400
+        of any other syntax error, and the connection survives."""
+        app = firewall_app()
+        wire = protocol.compile_request_to_wire(
+            app.program, app.topology, app.initial_state
+        )
+        host, port = shared_service.base_url.rsplit("/", 1)[1].split(":")
+        with closing(
+            http.client.HTTPConnection(host, int(port), timeout=60)
+        ) as connection:
+            def post(payload):
+                connection.request("POST", "/compile", json.dumps(payload))
+                response = connection.getresponse()
+                return response.status, json.loads(response.read())
+
+            for program in ("pt=\u0663", "state(\u0660)=\u0661; pt<-1"):
+                status, body = post({**wire, "program": program})
+                assert (status, body["error"]["code"]) == (400, "parse_error")
+            status, body = post(wire)
+            assert status == 200 and body["tables"]
+
     def test_missing_required_field_is_a_400(self, shared_service):
         status, body = raw_request(
             shared_service, "POST", "/compile",
