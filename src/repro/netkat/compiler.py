@@ -468,14 +468,11 @@ def compile_policy(
     builder: Optional[FDDBuilder] = None,
     name: str = "",
     guard: Optional[Predicate] = None,
-    knowledge_cache: bool = True,
 ) -> Configuration:
     """Compile a configuration policy to per-switch flow tables.
 
     ``guard`` is an extra predicate conjoined at the start of every path
     (the runtime uses it to guard rules by configuration tag, section 4).
-    ``knowledge_cache=False`` recompiles every knowledge predicate from
-    the AST (the pre-cache behavior, kept for differential tests).
     """
     builder = builder or FDDBuilder()
     per_switch_fdd: Dict[int, FDD] = {n: builder.drop for n in topology.switches}
@@ -497,19 +494,7 @@ def compile_policy(
                 hop_fdd = builder.seq(hop_fdd, reach_link)
             next_frontier: Set[Knowledge] = set()
             for knowledge in frontier:
-                if knowledge_cache:
-                    k_fdd = knowledge_fdd(builder, knowledge)
-                else:
-                    # Reference path: recompile the predicate from a fresh
-                    # AST each time, bypassing the id-keyed memo so the
-                    # throwaway tree is not pinned in the builder.
-                    saved_ast_memo = builder.ast_memo
-                    builder.ast_memo = False
-                    try:
-                        k_fdd = builder.of_predicate(knowledge.predicate())
-                    finally:
-                        builder.ast_memo = saved_ast_memo
-                d = builder.seq(k_fdd, hop_fdd)
+                d = builder.seq(knowledge_fdd(builder, knowledge), hop_fdd)
                 if d is builder.drop:
                     continue
                 switch_fdds, residual = _sw_decomposition(builder, d)

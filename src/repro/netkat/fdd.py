@@ -164,38 +164,30 @@ class FDDBuilder:
 
     One builder instance owns a hash-cons table and memo caches; all FDDs
     combined together must come from the same builder.  Builders are
-    **not** thread-safe; every pipeline owns a private one.
-
-    ``ordered_insert=False`` (mask/union ITE) and ``ast_memo=False`` (no
-    id-keyed ``of_policy``/``of_predicate`` memos) select the reference
-    routes that differential tests compare against; the compile
-    pipeline always runs the defaults.
+    **not** thread-safe.  A pipeline that ``update()`` did not make (a
+    lineage root) compiles on a builder of its own and keeps it; once
+    that compile finishes the builder is read-only, and every successor
+    that compiles anything does so on a :meth:`fork` it drops
+    afterwards, so concurrent updates from one base share nothing
+    writable.
     """
 
-    def __init__(
-        self,
-        order: Optional[FieldOrder] = None,
-        ordered_insert: bool = True,
-        ast_memo: bool = True,
-    ):
+    def __init__(self, order: Optional[FieldOrder] = None):
         self.order = order or FieldOrder()
-        self.ordered_insert = ordered_insert
-        self.ast_memo = ast_memo
         self._leaf_cache: Dict[ActionSet, Leaf] = {}
         self._branch_cache: Dict[Tuple[str, int, int, int], Branch] = {}
         self._next_id = 0
         self._memo_union: Dict[Tuple[int, int], FDD] = {}
         self._memo_seq: Dict[Tuple[int, int], FDD] = {}
-        self._memo_mask: Dict[Tuple[int, int], FDD] = {}
         self._memo_seq_mod: Dict[Tuple[Mod, int], FDD] = {}
-        self._memo_negate: Dict[int, FDD] = {}
         self._memo_ite: Dict[Tuple[str, int, int, int], FDD] = {}
         # AST-compilation memos, keyed on node identity.  The value keeps
         # the AST node alive so its id cannot be recycled while the memo
         # can still serve it.  Configurations projected from one stateful
         # program share subtree objects, so these hit across the per-state
         # compiles of a CompiledNES.  Like the hash-consing caches above
-        # they grow for the builder's lifetime, which is one pipeline's.
+        # they grow for the builder's lifetime: a lineage root's, or one
+        # compile on a fork.
         self._memo_of_policy: Dict[int, Tuple[object, FDD]] = {}
         self._memo_of_predicate: Dict[int, Tuple[object, FDD]] = {}
         # Knowledge (pos, neg) -> predicate FDD, filled by
@@ -204,6 +196,28 @@ class FDDBuilder:
         self.knowledge_fdds: Dict[Tuple, FDD] = {}
         self.drop = self.leaf(frozenset())
         self.id = self.leaf(frozenset((IDENTITY_MOD,)))
+
+    def fork(self) -> "FDDBuilder":
+        """A private builder that starts from copies of every table of
+        this one, which it never writes to.
+
+        The fork's nodes get ids from this builder's ``_next_id`` on, so
+        they never collide with one it inherited, and the AST keys it
+        inherits stay alive in this builder's memos.  No FDD node
+        outlives a compile (the flow tables it produces hold rules), so
+        dropping the fork afterwards loses nothing.
+        """
+        child = object.__new__(type(self))
+        child.__dict__ = {
+            name: dict(value) if type(value) is dict else value
+            for name, value in vars(self).items()
+        }
+        return child
+
+    @property
+    def node_count(self) -> int:
+        """Nodes made by this builder, inherited ones included."""
+        return self._next_id
 
     # -- node constructors ---------------------------------------------------
 
@@ -312,16 +326,6 @@ class FDDBuilder:
             d1, d2 = d2, d1
         return self._apply(lambda a, b: a | b, self._memo_union, d1, d2)
 
-    def mask(self, guard: FDD, d: FDD) -> FDD:
-        """Behave as ``d`` where ``guard`` passes, drop elsewhere.
-
-        ``guard`` must be a predicate FDD (leaves are the id or drop
-        action set).
-        """
-        return self._apply(
-            lambda g, a: a if g else frozenset(), self._memo_mask, guard, d
-        )
-
     def seq_mod(self, mod: Mod, d: FDD) -> FDD:
         """Compose a single modification with an FDD: ``mod ; d``.
 
@@ -346,31 +350,18 @@ class FDDBuilder:
             else:
                 hi = self.seq_mod(mod, d.hi)
                 lo = self.seq_mod(mod, d.lo)
-                result = self._ite_test(d.field, d.value, hi, lo)
+                result = self.ite_test(d.field, d.value, hi, lo)
         self._memo_seq_mod[key] = result
         return result
 
-    def _ite_test(self, field: str, value: int, hi: FDD, lo: FDD) -> FDD:
-        """Build "if field==value then hi else lo" re-establishing ordering.
+    def ite_test(self, field: str, value: int, hi: FDD, lo: FDD) -> FDD:
+        """Build "if field==value then hi else lo", re-establishing ordering.
 
         ``hi``/``lo`` may contain tests ordering before (field, value), so
-        a plain branch() would violate the path-ordering invariant.  The
-        default strategy splices the test in with one ordered-insert walk;
-        ``ordered_insert=False`` keeps the original mask/union route (two
-        guard FDDs plus two applies plus a union) as a reference
-        implementation for differential tests.
-        """
-        if hi is lo:
-            return hi
-        if self.ordered_insert:
-            return self.ite_test(field, value, hi, lo)
-        guard = self.branch(field, value, self.id, self.drop)
-        n_guard = self.branch(field, value, self.drop, self.id)
-        return self.union(self.mask(guard, hi), self.mask(n_guard, lo))
-
-    def ite_test(self, field: str, value: int, hi: FDD, lo: FDD) -> FDD:
-        """Ordered insert: one simultaneous walk of ``hi``/``lo`` that sinks
-        the test ``field == value`` to its ordered position.
+        a plain branch() would violate the path-ordering invariant.  One
+        simultaneous walk of ``hi``/``lo`` sinks the test to its ordered
+        position (the mask/union route it replaced is the reference
+        builder in ``tests/naive_oracles.py``).
 
         Tests on ``field`` itself never interleave with tests on other
         fields (the order key is lexicographic on (rank, name, value)), so
@@ -450,7 +441,7 @@ class FDDBuilder:
         else:
             hi = self.seq(d1.hi, d2)
             lo = self.seq(d1.lo, d2)
-            result = self._ite_test(d1.field, d1.value, hi, lo)
+            result = self.ite_test(d1.field, d1.value, hi, lo)
         self._memo_seq[key] = result
         return result
 
@@ -483,7 +474,7 @@ class FDDBuilder:
 
     def negate(self, d: FDD) -> FDD:
         """Complement of a predicate FDD (id leaves <-> drop leaves)."""
-        memo = self._memo_negate
+        memo: Dict[int, FDD] = {}
 
         def walk(node: FDD) -> FDD:
             cached = memo.get(node._id)
@@ -509,10 +500,9 @@ class FDDBuilder:
 
     def of_predicate(self, a: Predicate) -> FDD:
         """Compile a predicate to a 0/1-valued FDD."""
-        if self.ast_memo:
-            cached = self._memo_of_predicate.get(id(a))
-            if cached is not None:
-                return cached[1]
+        cached = self._memo_of_predicate.get(id(a))
+        if cached is not None:
+            return cached[1]
         if isinstance(a, PTrue):
             result = self.id
         elif isinstance(a, PFalse):
@@ -532,8 +522,7 @@ class FDDBuilder:
             result = self.negate(self.seq(self.negate(left), self.negate(right)))
         else:
             raise TypeError(f"not a predicate: {a!r}")
-        if self.ast_memo:
-            self._memo_of_predicate[id(a)] = (a, result)
+        self._memo_of_predicate[id(a)] = (a, result)
         return result
 
     def of_policy(self, p: Policy) -> FDD:
@@ -543,10 +532,9 @@ class FDDBuilder:
         with no flow-table meaning, and links are split out by the path
         compiler before FDDs are built.
         """
-        if self.ast_memo:
-            cached = self._memo_of_policy.get(id(p))
-            if cached is not None:
-                return cached[1]
+        cached = self._memo_of_policy.get(id(p))
+        if cached is not None:
+            return cached[1]
         if isinstance(p, Filter):
             result = self.of_predicate(p.predicate)
         elif isinstance(p, Assign):
@@ -566,8 +554,7 @@ class FDDBuilder:
             )
         else:
             raise TypeError(f"not a policy: {p!r}")
-        if self.ast_memo:
-            self._memo_of_policy[id(p)] = (p, result)
+        self._memo_of_policy[id(p)] = (p, result)
         return result
 
     # -- evaluation and extraction ---------------------------------------------

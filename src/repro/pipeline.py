@@ -18,8 +18,9 @@ whole NES when it kept its vertex labels too); the tables of every
 configuration whose policy is equal while the switch set is unchanged
 (hosts and links are not compile inputs: the program spells its own
 links); and, when every table was adopted under the same state tuple,
-the guarded merge.  Reuse is decided at those stage boundaries and
-nowhere finer.
+the guarded merge.  Within a stage, a successor also starts from its
+lineage root's work: its partial evaluation from the root engine's
+walk memos, its compile on a fork of the root's builder.
 
 There is one executor: the per-configuration ``compile_policy`` calls
 run one after another on one :class:`FDDBuilder`, in
@@ -39,11 +40,10 @@ in ``tests/test_pipeline.py`` pin this), so none enters the key.
 The rule for future options: a :class:`CompileOptions` field exists
 only when two real callers (not tests, not examples) need different
 values; with one value in use it is a constant.  A reference
-implementation that tests compare against lives in the layer that
-defines it (``stateful.ets.build_ets``,
-``netkat.compiler.compile_policy``, ``netkat.fdd.FDDBuilder``) and is
-called by tests directly, never selected through the options, the CLI
-or the wire — so one program has one artifact key.
+implementation that tests compare against lives beside them
+(``tests/naive_oracles.py``: the per-state ETS walk, the cache-free
+FDD builder) and is called by tests directly, never selected through
+the options, the CLI or the wire — so one program has one artifact key.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ from .obs import trace as obs_trace
 from .events.nes import NES
 from .netkat import ast as _ast
 from .netkat.ast import Policy
+from .netkat.fdd import FDDBuilder
 from .runtime.compiler import TAG_FIELD, CompiledNES, compile_nes
 from .stateful.ast import StateVector, vector_update
 from .stateful.ets import ETS, build_ets
@@ -707,6 +708,13 @@ class Pipeline:
         # Set only by update(), and only while the result is being
         # built: the pipeline whose stages this one may borrow from.
         self._predecessor: Optional[Pipeline] = None
+        # A pipeline update() did not make is a lineage root and keeps
+        # the builder it compiled on; update() hands a successor the
+        # root's engine and builder (never the root pipeline), which
+        # are read-only once the root's own build has finished.
+        self._builder: Optional[FDDBuilder] = None
+        self._lineage: Optional[tuple] = None  # (engine, builder)
+        self._fdd_nodes_new = 0
         self._stage_seconds: Dict[str, float] = {}
         self._substage_seconds: Dict[str, float] = {}
         self._update_stats: Dict[str, int] = {}
@@ -776,7 +784,10 @@ class Pipeline:
                             ):
                                 symbolic = previous._symbolic
                             if symbolic is None:
-                                symbolic = SymbolicProgram(self.program)
+                                symbolic = SymbolicProgram(
+                                    self.program,
+                                    self._lineage and self._lineage[0],
+                                )
                         mid = time.perf_counter()
                         with obs_trace.span("ets.instantiate"):
                             ets = build_ets(
@@ -784,6 +795,7 @@ class Pipeline:
                                 self.initial_state,
                                 symbolic=symbolic,
                             )
+                        symbolic.freeze()
                         if previous is not None and ets == previous._ets:
                             # Equal in every field: keep the one object,
                             # with the indexes (and the conversion's
@@ -841,13 +853,25 @@ class Pipeline:
                     nes = self.nes
                     with self._stage("compile") as stage_span:
                         reuse = self._reusable_configurations(nes)
+                        builder = None
+                        if self._lineage is None:
+                            builder = self._builder = FDDBuilder()
+                        elif len(reuse) < len(nes.configuration_states()):
+                            # A successor compiles on a fork of the
+                            # root's builder and drops it afterwards.
+                            root = self._lineage[1]
+                            builder = root.fork() if root else FDDBuilder()
+                        inherited = builder.node_count if builder else 0
                         compiled = compile_nes(
                             nes,
                             self.topology,
+                            builder=builder,
                             options=self.options,
                             health=self._health,
                             reuse_configurations=reuse,
                         )
+                        if builder is not None:
+                            self._fdd_nodes_new = builder.node_count - inherited
                         if reuse and len(reuse) == len(compiled.states):
                             lender = self._predecessor.compiled
                             if compiled.states == lender.states:
@@ -971,7 +995,10 @@ class Pipeline:
         borrow from this one:
 
         - :attr:`ets` takes the retained :class:`SymbolicProgram` (and
-          its per-state memo) when the program is the same object;
+          its frozen per-state memo) when the program is the same
+          object, and otherwise starts the partial evaluation from the
+          lineage root engine's walk memos, so only the spine the delta
+          changed is walked again;
         - :attr:`nes` reads the ETS's initial state and edges, and its
           vertex labels only through condition 1 of section 3.1: it
           takes the whole NES when the new ETS equals the old one, and
@@ -984,7 +1011,10 @@ class Pipeline:
           the tables of every state whose policy is equal while the
           switch set is unchanged (the ``reuse_configurations`` seam),
           re-homed on the post-delta topology — so a host or link delta
-          compiles nothing, and a switch delta every distinct policy;
+          compiles nothing, and a switch delta every distinct policy —
+          and compiles the rest on a fork of the lineage root's
+          :class:`FDDBuilder`, dropped afterwards, so FDDs of unchanged
+          sub-policies are found, not rebuilt;
         - the guarded merge reads the state tuple, the tables and the
           switch set: when every table was adopted and the states are
           the same, the predecessor's memoised ``guarded_tables()`` is
@@ -994,11 +1024,19 @@ class Pipeline:
         post-delta inputs.  A warm artifact under the post-delta
         :meth:`artifact_key` beats all of it, and a compiled result is
         stored under that key.  The reference back to this pipeline is
-        dropped before returning, so update chains retain no ancestors.
+        dropped before returning.  The lineage root is this pipeline, or
+        the first pipeline of the chain that made it, and a chain of any
+        length keeps alive only that root's engine and builder — never
+        an intermediate ancestor, never the root pipeline itself.
+        Neither is written to after the root's own build, so updates
+        from one base may run on several threads at once.
 
         The result's :meth:`report` carries an ``update.delta`` substage
-        (delta application + warm-artifact check) and five ``update.*``
-        stats: ``states_reused`` counts the ETS states whose out-edges
+        (delta application + warm-artifact check) and seven ``update.*``
+        stats: ``symbolic_entries_new`` counts the walk memo entries its
+        engine added to the root's, ``fdd_nodes_new`` the nodes its fork
+        added to the root builder (both 0 when nothing was rebuilt);
+        ``states_reused`` counts the ETS states whose out-edges
         and configuration equal this pipeline's, ``states_reinstantiated``
         the rest; ``configurations_recompiled`` the ``compile_policy``
         runs the compile stage took (none on a warm-artifact hit, which
@@ -1023,6 +1061,7 @@ class Pipeline:
             # warm-cache source never did.
             self.compiled
             updated._predecessor = self
+            updated._lineage = self._lineage or (self._symbolic, self._builder)
             try:
                 updated._load_artifact()
                 updated._substage_seconds["update.delta"] = (
@@ -1046,7 +1085,24 @@ class Pipeline:
                 )
             total = len(compiled.states)
             reused = total - compiled.compiled_configurations
+            symbolic = updated._symbolic
+            traffic = {
+                "update.symbolic_entries_new": (
+                    symbolic.entries_new
+                    if symbolic is not None and symbolic is not self._symbolic
+                    else 0
+                ),
+                "update.fdd_nodes_new": updated._fdd_nodes_new,
+            }
+            if obs_metrics.active() is not None:
+                for name, value in traffic.items():
+                    obs_metrics.inc(
+                        f"repro_{name.replace('.', '_')}_total", value,
+                        help="Walk memo entries / FDD nodes an update "
+                        "added to its lineage root's",
+                    )
             updated._update_stats = {
+                **traffic,
                 "update.states_reinstantiated": len(states) - states_reused,
                 "update.states_reused": states_reused,
                 "update.configurations_recompiled": total - reused,

@@ -70,13 +70,14 @@ def _compile_configurations(
     nes: NES,
     topology: Topology,
     states: Tuple[StateVector, ...],
-    builder: FDDBuilder,
+    builder: Optional[FDDBuilder],
     options,
     health: Optional[Dict[str, int]] = None,
     reuse: Optional[Mapping[StateVector, Configuration]] = None,
 ) -> Tuple[Dict[StateVector, Configuration], int]:
-    """Compile every configuration, one after another, on ``builder``;
-    also returns how many ``compile_policy`` runs that took.
+    """Compile every configuration, one after another, on ``builder``
+    (a fresh one when ``None``); also returns how many
+    ``compile_policy`` runs that took.
 
     ``reuse`` maps states to already-compiled configurations that are
     adopted as-is (the incremental-recompilation seam:
@@ -115,6 +116,8 @@ def _compile_configurations(
     pending: Tuple[StateVector, ...] = tuple(
         state for state in states if state not in reuse
     )
+    if builder is None and pending:
+        builder = FDDBuilder()
 
     retries = options.compile_retries
     deadline = (
@@ -291,8 +294,9 @@ class CompiledNES:
 
         ``options`` is a :class:`repro.pipeline.CompileOptions` (default
         constructed when omitted); ``builder`` defaults to a fresh
-        :class:`FDDBuilder`.  This constructor does not check that the
-        NES is locally determined; :func:`compile_nes` does.
+        :class:`FDDBuilder`, and is not kept once the configurations are
+        compiled.  This constructor does not check that the NES is
+        locally determined; :func:`compile_nes` does.
 
         ``health`` is an optional counter dict (the pipeline passes its
         own) that the per-configuration retry bookkeeping increments; it
@@ -313,7 +317,6 @@ class CompiledNES:
         self.options = options
         self.nes = nes
         self.topology = topology
-        self._builder = builder or FDDBuilder()
         # The guarded merge, built on first use.
         self._guarded_tables: Optional[Dict[int, FlowTable]] = None
         # What the simulator forwards by (see :meth:`classify`): tag
@@ -340,7 +343,7 @@ class CompiledNES:
         self.configurations: Dict[StateVector, Configuration]
         self.configurations, self.compiled_configurations = (
             _compile_configurations(
-                nes, topology, self.states, self._builder, options,
+                nes, topology, self.states, builder, options,
                 health=health, reuse=reuse_configurations,
             )
         )
@@ -464,15 +467,11 @@ class CompiledNES:
     # -- persistence ------------------------------------------------------------
 
     def __getstate__(self):
-        """Pickle without the merged-table memo, its trees or the builder.
+        """Pickle without the merged-table memo or its trees.
 
         The pipeline's artifact cache persists compiled NESs; shipping
         the derived tables would bloat artifacts and could resurrect
-        tables a caller had explicitly invalidated.  The builder is
-        dropped too: its ``of_policy``/``of_predicate`` memos are keyed
-        by ``id()`` of AST nodes from the storing process, which after
-        unpickling are stale addresses a fresh object could collide
-        with — a loaded artifact gets a fresh builder instead.  No option
+        tables a caller had explicitly invalidated.  No option
         value is persisted: options describe how the storing run
         executed (the cache-signing key among them, which must never
         land inside the file it signs), not what it produced; a loading
@@ -480,14 +479,13 @@ class CompiledNES:
         """
         state = dict(self.__dict__)
         del state["_roots"], state["compiled_configurations"]
-        del state["options"], state["_builder"]
+        del state["options"]
         state["_guarded_tables"] = None
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self.options = _default_options()
-        self._builder = FDDBuilder()
         self._roots = {}
         self.compiled_configurations = 0
         self._deposit()

@@ -24,8 +24,6 @@ from .symbolic import (
     StateGuard,
     SymbolicExtract,
     SymbolicProgram,
-    symbolic_extract,
-    symbolic_project,
 )
 
 __all__ = [
@@ -52,6 +50,4 @@ __all__ = [
     "GuardedEdge",
     "SymbolicExtract",
     "SymbolicProgram",
-    "symbolic_extract",
-    "symbolic_project",
 ]

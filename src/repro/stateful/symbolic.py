@@ -76,8 +76,6 @@ __all__ = [
     "GuardedEdge",
     "SymbolicExtract",
     "SymbolicProgram",
-    "symbolic_extract",
-    "symbolic_project",
 ]
 
 
@@ -138,20 +136,16 @@ class SymbolicExtract:
 _EMPTY = SymbolicExtract(frozenset(), frozenset())
 
 
-def symbolic_extract(p: Policy) -> SymbolicExtract:
-    """Compute ``⟬p⟭~k true`` for every ``~k`` in one walk.
+def _sx(p: Policy, guard: StateGuard, phi: Formula, memo: dict) -> SymbolicExtract:
+    """Compute ``⟬p⟭~k phi`` for every ``~k`` in one walk.
 
     The walk is :func:`repro.stateful.events.extract` with the fixed
     concrete state replaced by a threaded :class:`StateGuard`: a state
     test refines the guard (both outcomes stay live, each under its own
-    constraint) instead of resolving to keep/drop.  Memoized per call on
-    ``(id(subterm), guard, phi)``, the guarded analogue of the concrete
-    walk's ``(id(subterm), phi)`` key.
+    constraint) instead of resolving to keep/drop.  Memoized in ``memo``
+    on ``(id(subterm), guard, phi)``, the guarded analogue of the
+    concrete walk's ``(id(subterm), phi)`` key.
     """
-    return _sx(p, _TRUE_GUARD, Formula.true(), {})
-
-
-def _sx(p: Policy, guard: StateGuard, phi: Formula, memo: dict) -> SymbolicExtract:
     key = (id(p), guard, phi)
     result = memo.get(key)
     if result is not None:
@@ -317,7 +311,7 @@ def _sx_pred_seq(
 GuardedCells = Tuple[Tuple[StateGuard, Policy], ...]
 
 
-def symbolic_project(p: Policy) -> GuardedCells:
+def _sp(p: Policy, memo: dict) -> GuardedCells:
     """Partition the state space into guard cells, each carrying the
     configuration ``⟦p⟧~k`` shared by every state in the cell.
 
@@ -326,12 +320,9 @@ def symbolic_project(p: Policy) -> GuardedCells:
     Each cell's policy is built by the *same* smart-constructor calls
     the per-state walk makes (including its short-circuits: a false
     conjunct kills its conjunction, a drop kills its sequence), so it is
-    structurally identical to ``project(p, state)``.
+    structurally identical to ``project(p, state)``.  Memoized in
+    ``memo`` on ``id(subterm)``.
     """
-    return _sp(p, {})
-
-
-def _sp(p: Policy, memo: dict) -> GuardedCells:
     if not uses_state(p):
         # State-free subtrees project to themselves under every state.
         return ((_TRUE_GUARD, p),)
@@ -447,6 +438,14 @@ def _sp_union(left: GuardedCells, right: GuardedCells) -> GuardedCells:
     return tuple(out)
 
 
+def _walk(program: Policy, sx_memo: dict, sp_memo: dict):
+    """Both partial evaluations of ``program``, memoized in the dicts."""
+    return (
+        _sx(program, _TRUE_GUARD, Formula.true(), sx_memo),
+        _sp(program, sp_memo),
+    )
+
+
 def _by_literal(items, guard_of) -> Dict[Optional[Tuple[int, int]], list]:
     """Bucket items under one positive literal of their guard,
     ``(component, value)``, or ``None`` when it has none."""
@@ -475,33 +474,68 @@ class SymbolicProgram:
     Built once per program (the pipeline times this as the
     ``ets.symbolic`` sub-stage); the per-state accessors are guard
     filters over the shared structures (the ``ets.instantiate``
-    sub-stage), memoized per state because the engine outlives one
-    :func:`repro.stateful.ets.build_ets` call whenever
-    :meth:`repro.pipeline.Pipeline.update` leaves the program untouched
-    and the successor revisits the same states.  The memos only ever
-    grow by the states some ETS reached, and pipelines on different
-    threads may share an engine: a racing duplicate computes an equal
-    value, so no lock is needed.
+    sub-stage), memoized per state while the owning pipeline builds its
+    ETS.  :meth:`freeze` then stops the memos growing: an update that
+    leaves the program untouched shares the engine and reads every
+    entry, but a state only it reaches (a client may ``set_state`` any
+    value) is computed without being stored.  A frozen engine is
+    read-only, so pipelines on any number of threads may share it.
+
+    A successor's program shares every node a delta left in place with
+    its lineage root's, so its engine is built from ``lender`` (the
+    root's engine): the walks start from copies of the memos of
+    :meth:`lendable`, and only the changed spine is walked again.
+    ``entries_new`` counts the walk entries this engine made beyond the
+    ones it was lent.
     """
 
-    def __init__(self, program: Policy):
+    def __init__(self, program: Policy, lender: Optional["SymbolicProgram"] = None):
         self.program = program
-        self.extraction = symbolic_extract(program)
-        self.cells = symbolic_project(program)
+        sx_memo, sp_memo = (
+            map(dict, lender.lendable()) if lender is not None else ({}, {})
+        )
+        lent = len(sx_memo) + len(sp_memo)
+        self.extraction, self.cells = _walk(program, sx_memo, sp_memo)
+        self.entries_new = len(sx_memo) + len(sp_memo) - lent
+        self._lendable: Optional[Tuple[dict, dict]] = None
+        self._frozen = False
         self._edge_index = _by_literal(self.extraction.edges, attrgetter("guard"))
         self._cell_index = _by_literal(self.cells, itemgetter(0))
         self._edges_at: Dict[StateVector, FrozenSet[EventEdge]] = {}
         self._configuration_at: Dict[StateVector, Policy] = {}
 
+    def lendable(self) -> Tuple[dict, dict]:
+        """The ``_sx`` / ``_sp`` memos of a walk of ``program``.
+
+        Built on the first call -- one more walk, published by one
+        assignment (a racing duplicate builds equal memos) -- and never
+        written again; a cold engine that lends nothing keeps none.  The
+        keys are the ``id()`` values of this program's nodes, which
+        ``self.program`` keeps alive, so no node of a borrower's program
+        can collide with one.
+        """
+        memos = self._lendable
+        if memos is None:
+            memos = ({}, {})
+            _walk(self.program, *memos)
+            self._lendable = memos
+        return memos
+
+    def freeze(self) -> None:
+        """Store no further per-state entries (see the class docstring)."""
+        self._frozen = True
+
     def edges_at(self, state: StateVector) -> FrozenSet[EventEdge]:
         """``fst(⟬p⟭~k true)``: the concrete event edges out of ``state``."""
         edges = self._edges_at.get(state)
         if edges is None:
-            edges = self._edges_at[state] = frozenset(
+            edges = frozenset(
                 EventEdge(state, ge.event, vector_update(state, ge.updates))
                 for ge in _candidates(self._edge_index, state)
                 if ge.guard.holds(state)
             )
+            if not self._frozen:
+                self._edges_at[state] = edges
         return edges
 
     def formulas_at(self, state: StateVector) -> FrozenSet[Formula]:
@@ -516,7 +550,8 @@ class SymbolicProgram:
         if policy is None:
             for g, policy in _candidates(self._cell_index, state):
                 if g.holds(state):
-                    self._configuration_at[state] = policy
+                    if not self._frozen:
+                        self._configuration_at[state] = policy
                     return policy
             raise RuntimeError(  # pragma: no cover - the cells cover all states
                 f"no projection cell covers state {state}"

@@ -4,8 +4,9 @@ The quadratic finite-completeness check and the brute-force
 minimally-inconsistent-set enumeration, moved verbatim out of
 ``repro.events``: the differential oracles of
 ``test_finite_complete_property.py`` and ``test_locality_bitset.py``;
-and ``ETS(p)`` by one Figure 5-6 walk per state, the reference the
-symbolic engine of ``repro.stateful.symbolic`` is compared against.
+``ETS(p)`` by one Figure 5-6 walk per state, the reference the
+symbolic engine of ``repro.stateful.symbolic`` is compared against;
+and an FDD builder with every cache of the compile path off.
 """
 
 from collections import deque
@@ -17,6 +18,7 @@ from repro.events.event import Event, EventSet
 from repro.events.ets_to_nes import _sorted_masks
 from repro.events.structure import EventStructure
 from repro.netkat.ast import Policy
+from repro.netkat.fdd import FDD, FDDBuilder
 from repro.stateful.ast import StateVector, validate_state_references
 from repro.stateful.ets import ETS
 from repro.stateful.events import extract
@@ -95,3 +97,42 @@ def minimally_inconsistent_sets_naive(
             if not structure.con(candidate):
                 found.append(candidate)
     return frozenset(found)
+
+
+class _Forgetful(dict):
+    """A memo that never remembers: every lookup misses."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+class ReferenceFDDBuilder(FDDBuilder):
+    """:class:`FDDBuilder` with its compile-path caches off: the ITE is
+    the original mask/union route (two guard FDDs, two applies and a
+    union) instead of the ordered-insert walk, ``of_policy`` /
+    ``of_predicate`` keep no id-keyed memo, and
+    ``netkat.compiler.knowledge_fdd`` recompiles every knowledge
+    predicate from a fresh AST.  Hash-consing and the operation memos
+    stay: they make FDDs canonical, so both builders must produce the
+    same diagrams."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._memo_mask: dict = {}
+        self._memo_of_policy = _Forgetful()
+        self._memo_of_predicate = _Forgetful()
+        self.knowledge_fdds = _Forgetful()
+
+    def mask(self, guard: FDD, d: FDD) -> FDD:
+        """Behave as ``d`` where the predicate ``guard`` passes, drop
+        elsewhere."""
+        return self._apply(
+            lambda g, a: a if g else frozenset(), self._memo_mask, guard, d
+        )
+
+    def ite_test(self, field: str, value: int, hi: FDD, lo: FDD) -> FDD:
+        if hi is lo:
+            return hi
+        guard = self.branch(field, value, self.id, self.drop)
+        n_guard = self.branch(field, value, self.drop, self.id)
+        return self.union(self.mask(guard, hi), self.mask(n_guard, lo))

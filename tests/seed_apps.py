@@ -21,14 +21,13 @@ from repro.apps import (
 from repro.events.ets_to_nes import nes_of_ets
 from repro.netkat.compiler import compile_policy
 from repro.netkat.ast import Filter, conj, test as field_test
-from repro.netkat.fdd import FDDBuilder
 from repro.pipeline import Delta, Pipeline
 from repro.runtime.compiler import CompiledNES
 from repro.service.protocol import topology_from_wire, topology_to_wire
 from repro.stateful.ets import ETS
 from repro.topology import Topology
 
-from naive_oracles import build_ets_naive
+from naive_oracles import ReferenceFDDBuilder, build_ets_naive
 
 APPS = (
     ("firewall", firewall_app),
@@ -110,23 +109,22 @@ def reference_ets(app) -> ETS:
 def reference_compile(app, nes=None) -> CompiledNES:
     """The compile path composed from the layer-level reference
     implementations: per-state ``build_ets_naive`` -> ``nes_of_ets`` -> one
-    uncached ``compile_policy`` per configuration on a mask/union,
-    memo-free ``FDDBuilder``.  Pass ``nes`` to start from an NES already
-    in hand (only the FDD/compiler references then differ from the
-    pipeline).  Every configuration is handed to ``CompiledNES``
+    uncached ``compile_policy`` per configuration on the mask/union,
+    memo-free ``ReferenceFDDBuilder``.  Pass ``nes`` to start from an
+    NES already in hand (only the FDD/compiler references then differ
+    from the pipeline).  Every configuration is handed to ``CompiledNES``
     through its ``reuse_configurations`` seam, so the pipeline's own
     compile never runs; only the tag merge is shared.
     """
     if nes is None:
         nes = nes_of_ets(reference_ets(app))
-    builder = FDDBuilder(ordered_insert=False, ast_memo=False)
+    builder = ReferenceFDDBuilder()
     configurations = {
         state: compile_policy(
             nes.configuration_policy(state),
             app.topology,
             builder=builder,
             name=f"C{list(state)}",
-            knowledge_cache=False,
         )
         for state in nes.configuration_states()
     }

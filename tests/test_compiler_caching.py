@@ -2,9 +2,9 @@
 
 The ordered-insert ITE strategy in the FDD algebra, the id-keyed AST
 memos, and the per-builder knowledge-FDD cache in the path compiler are
-pure optimizations.  Their reference routes stay reachable at the layer
-that defines them (``FDDBuilder(ordered_insert=False, ast_memo=False)``,
-``compile_policy(knowledge_cache=False)``; the per-state ETS walk is
+pure optimizations.  Their reference routes live beside the tests
+(``naive_oracles.ReferenceFDDBuilder``, whose forgetful knowledge dict
+makes ``compile_policy`` uncached; the per-state ETS walk is
 ``naive_oracles.build_ets_naive``); ``seed_apps.reference_compile``
 composes them, and this module asserts the pipeline's guarded tables are
 byte-identical to it on every seed application.  It also covers the

@@ -47,6 +47,8 @@ from repro.stateful.events import extract
 from repro.stateful.projection import project
 from repro.stateful.symbolic import SymbolicProgram
 
+from naive_oracles import ReferenceFDDBuilder
+
 # The field vocabulary shared by the seed applications (plus the two
 # location fields, which exercise the head of the FDD field order).
 FIELDS = ("sw", "pt", "ip_src", "ip_dst", "ident")
@@ -100,7 +102,7 @@ def random_packet(rng: random.Random) -> Packet:
 def assert_differential(policy: Policy, packets) -> None:
     """FDD eval, reference-FDD eval, and table apply all match semantics."""
     fast = FDDBuilder()
-    ref = FDDBuilder(ordered_insert=False)
+    ref = ReferenceFDDBuilder()
     d_fast = fast.of_policy(policy)
     d_ref = ref.of_policy(policy)
     # The two strategies must build the same canonical diagram.
@@ -133,7 +135,7 @@ def test_deep_random_policies_match_semantics(seed):
 
 
 def test_known_out_of_order_splice():
-    """A hand-picked case that forces _ite_test to reorder branches:
+    """A hand-picked case that forces ite_test to reorder branches:
     the assignment decides a later test, then an earlier field is tested."""
     policy = seq(
         assign("ip_dst", 1),

@@ -18,6 +18,7 @@ from repro import CompileOptions, Delta, Pipeline, compile_app
 from repro.apps import bandwidth_cap_app, firewall_app, ids_app
 from repro.events.ets_to_nes import nes_of_ets
 from repro.formula import EQ, NE, Formula, Literal
+from repro.netkat.compiler import compile_policy
 from repro.netkat.fdd import FDDBuilder
 from repro.pipeline import ArtifactCache, artifact_digest
 from repro.runtime.compiler import TAG_FIELD, CompiledNES, compile_nes
@@ -301,11 +302,10 @@ class TestArtifactCache:
         compiled.guarded_tables()
         clone = pickle.loads(pickle.dumps(compiled))
         assert clone._guarded_tables is None
-        # The builder is not shipped either (its AST memos are keyed by
-        # id() values from the storing process); the clone gets a fresh
-        # one configured by the same options.
-        assert clone._builder is not compiled._builder
-        assert not clone._builder._memo_of_policy
+        # No builder travels (its AST memos are keyed by id() values of
+        # the storing process), and none is kept after construction.
+        assert "_builder" not in vars(clone)
+        assert "_builder" not in vars(compiled)
         # Same for the event structure's id()-keyed shadow index: every
         # key must be a live id of the clone's own universe, never a
         # stale storing-process address.
@@ -474,8 +474,14 @@ class TestDeprecationShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             FDDBuilder()
-            FDDBuilder(ordered_insert=False, ast_memo=False)
             compile_nes(firewall_app().nes, firewall_app().topology)
+        # The reference switches live in tests/naive_oracles.py.
+        for removed in ("ordered_insert", "ast_memo"):
+            with pytest.raises(TypeError, match=removed):
+                FDDBuilder(**{removed: False})
+        with pytest.raises(TypeError, match="knowledge_cache"):
+            compile_policy(firewall_app().program, firewall_app().topology,
+                           knowledge_cache=False)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +531,8 @@ def test_explicit_builder_forces_serial_path():
         builder,  # old positional spelling must keep binding to builder=
     )
     # The caller-owned builder compiled every configuration (its AST
-    # memos are warm).
-    assert compiled._builder is builder
+    # memos are warm); the artifact does not keep it.
+    assert "_builder" not in vars(compiled)
     assert builder._memo_of_policy
     assert guarded_bytes(compiled) == guarded_bytes(app.compiled)
 

@@ -42,7 +42,7 @@ import pytest
 
 from repro import CompileOptions, Delta, Pipeline, faults
 from repro.apps import firewall_app, ids_app, ring_app
-from repro.netkat.ast import filter_, seq, union
+from repro.netkat.ast import conj, filter_, seq, test as field_test, union
 from repro.netkat.parser import parse_policy
 from repro.pipeline import ArtifactCache, StageError, _topology_fingerprint
 from repro.service import (
@@ -259,6 +259,68 @@ class TestUpdate:
             app.initial_state[1:]
         ))
         assert updated["tables"] == protocol.tables_to_wire(cold.compiled)
+
+    def test_concurrent_replace_updates_and_compiles_on_one_key(self):
+        """Updates from one memoised base share its lineage root's engine
+        and builder while other handlers compile the same key; every
+        response is a direct build's bytes, over connections that
+        survive."""
+        app = ids_app()
+        old = filter_(conj(field_test("pt", 2), field_test("ip_dst", 3)))
+        deltas = [
+            Delta(
+                replace_policy=old,
+                with_policy=filter_(
+                    conj(field_test("pt", 2), field_test("ip_dst", 10 + k))
+                ),
+            )
+            for k in range(20)
+        ]
+        direct = protocol.tables_to_wire(
+            Pipeline(app.program, app.topology, app.initial_state).compiled
+        )
+        expected = [
+            protocol.tables_to_wire(Pipeline(
+                delta.apply_program(app.program), app.topology, app.initial_state
+            ).compiled)
+            for delta in deltas
+        ]
+        with fresh_service() as (client, server):
+            key = client.compile(app.program, app.topology, app.initial_state)[
+                "artifact_key"
+            ]
+            accepted = accepted_connections(server)
+            url = client.base_url
+            right = [0, 0]
+            barrier = threading.Barrier(2)
+
+            def updater():
+                with closing(ServiceClient(url)) as own:
+                    barrier.wait()
+                    for delta, tables in zip(deltas, expected):
+                        right[0] += own.update(key, delta)["tables"] == tables
+                    right[0] += own.health()[0]
+
+            def compiler():
+                with closing(ServiceClient(url)) as own:
+                    barrier.wait()
+                    for _ in deltas:
+                        result = own.compile(
+                            app.program, app.topology, app.initial_state
+                        )
+                        right[1] += (result["artifact_key"] == key
+                                     and result["tables"] == direct)
+                    right[1] += own.health()[0]
+
+            threads = [threading.Thread(target=updater),
+                       threading.Thread(target=compiler)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert right == [len(deltas) + 1] * 2
+            assert len(accepted) == 2  # one kept-alive connection each
 
     def test_unknown_artifact_key_is_a_404(self, shared_service):
         with pytest.raises(ServiceError) as excinfo:
