@@ -18,11 +18,11 @@ Layers:
   (LRU) with the request-fingerprint index in front of it, per-key
   single-flight locks, request/latency stats, aggregated health
   counters.
-- :mod:`repro.service.server` — the stdlib ``ThreadingHTTPServer`` core
-  and endpoint handlers (``POST /compile``, ``POST /compile/batch``,
-  ``POST /update``, ``GET /health``, ``GET /stats``, ``GET /version``).
-- :mod:`repro.service.client` — the keep-alive ``http.client`` client
-  used by the tests, the examples, and the CI smoke step.
+- :mod:`repro.service.server` — endpoint handlers (``POST /compile``,
+  ``/compile/batch``, ``/update``; ``GET /health``, ``/stats``, ``/version``)
+  on the stdlib ``ThreadingHTTPServer`` loop, with their own HTTP framing.
+- :mod:`repro.service.client` — the keep-alive HTTP/1.1 client (its
+  own framing) used by the tests, the examples, and the CI smoke step.
 - :mod:`repro.service.launcher` — the entry point
   (``python -m repro serve`` / ``python -m repro.service.launcher``).
 

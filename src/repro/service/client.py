@@ -1,9 +1,11 @@
-"""A keep-alive ``http.client`` client for the compilation service.
+"""A keep-alive HTTP/1.1 client for the compilation service.
 
 Connections persist: a request takes an idle connection to the daemon
 (opening one only when none is idle, so concurrent callers each hold
 their own) and returns it afterwards, and a reused connection the
-daemon has since closed is replaced by one silent reconnect.
+daemon has since closed is replaced by one silent reconnect.  A request
+is one ``sendall``; a response that cannot be framed raises
+:class:`ServiceError` 502 ``bad_response``.
 
 Used by the end-to-end tests, ``examples/service_demo.py``, the CI
 smoke step, and the warm-request bench — and usable as the fleet-side
@@ -21,8 +23,9 @@ pipeline failures — stage provenance).
 
 from __future__ import annotations
 
-import http.client
 import json
+import re
+import socket
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..netkat.ast import Policy
@@ -32,6 +35,8 @@ from ..topology import Topology
 from . import protocol
 
 __all__ = ["ServiceClient", "ServiceError"]
+
+_STATUS_LINE = re.compile(rb"HTTP/1\.([01]) ([0-9]{3})[ \r\n]")
 
 
 class ServiceError(Exception):
@@ -52,6 +57,57 @@ class ServiceError(Exception):
     @property
     def stage(self) -> Optional[str]:
         return self.error.get("stage")
+
+
+def _bad_response(message: str) -> ServiceError:
+    return ServiceError(
+        502, {"type": "BadResponse", "code": "bad_response", "message": message}
+    )
+
+
+class _Connection:
+    """One socket to the daemon and its buffered reader."""
+
+    def __init__(self, address: Tuple[str, int], timeout: float):
+        self.sock = socket.create_connection(address, timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.reader = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+    def exchange(self, message: bytes) -> Tuple[int, Dict[str, str], bytes, bool]:
+        """Send one request: ``(status, fields by lower-cased name, body,
+        reusable)``.  An empty status line is a ``ConnectionError``."""
+        self.sock.sendall(message)
+        line = self.reader.readline(protocol.MAX_HEAD_LINE + 1)
+        if not line:
+            raise ConnectionResetError("the daemon closed the connection")
+        status = _STATUS_LINE.match(line)
+        if status is None:
+            raise _bad_response(f"malformed status line {line[:80]!r}")
+        fields: Dict[str, str] = {}
+        for _ in range(protocol.MAX_HEAD_FIELDS + 1):
+            line = self.reader.readline(protocol.MAX_HEAD_LINE + 1)
+            if line in (b"\r\n", b"\n"):
+                break
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon or len(line) > protocol.MAX_HEAD_LINE:
+                raise _bad_response(f"malformed header line {line[:80]!r}")
+            fields.setdefault(name.strip().lower(), value.strip())
+        else:
+            raise _bad_response("too many header fields")
+        if "transfer-encoding" in fields:
+            raise _bad_response("a Transfer-Encoding response")
+        length = fields.get("content-length")
+        if length is None:
+            return int(status[2]), fields, self.reader.read(), False
+        body = self.reader.read(int(length)) if length.isdecimal() else None
+        if body is None or len(body) != int(length):
+            raise _bad_response(f"no body of Content-Length {length!r}")
+        close = fields.get("connection", "").lower() == "close"
+        return int(status[2]), fields, body, status[1] == b"1" and not close
 
 
 class ServiceClient:
@@ -81,9 +137,13 @@ class ServiceClient:
             raise ValueError(f"the daemon speaks plain http, got {base_url!r}")
         self._netloc, slash, prefix = rest.partition("/")
         self._prefix = slash + prefix
+        host, colon, port = self._netloc.rpartition(":")
+        if not colon or "]" in port:  # no port, or a bare [IPv6] literal
+            host, port = self._netloc, "80"
+        self._address = (host.strip("[]"), int(port))
         # Idle keep-alive connections; list.pop/append are atomic, so
         # threads sharing one client need no lock to take and return them.
-        self._idle: List[http.client.HTTPConnection] = []
+        self._idle: List[_Connection] = []
 
     def close(self) -> None:
         """Close every idle connection (the next request reconnects)."""
@@ -99,51 +159,49 @@ class ServiceClient:
         body: Optional[Mapping[str, Any]] = None,
         allow_error_status: bool = False,
     ) -> Tuple[int, Dict[str, Any]]:
-        headers = {"Content-Type": "application/json"}
+        payload = json.dumps(body).encode() if body is not None else b""
+        head = (
+            f"{method} {self._prefix}{path} HTTP/1.1\r\nHost: {self._netloc}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(payload)}\r\n"
+        )
         trace_id = self.trace_id or obs_trace.current_trace_id()
         if trace_id is not None:
-            headers["X-Repro-Trace-Id"] = trace_id
-        payload = json.dumps(body).encode() if body is not None else None
-        target = self._prefix + path
+            head += f"X-Repro-Trace-Id: {trace_id}\r\n"
+        message = f"{head}\r\n".encode("latin-1") + payload
         try:
-            conn = self._idle.pop()
+            conn, reused = self._idle.pop(), True
         except IndexError:
-            conn = http.client.HTTPConnection(self._netloc, timeout=self.timeout)
-        reused = conn.sock is not None
+            conn, reused = _Connection(self._address, self.timeout), False
         try:
             try:
-                conn.request(method, target, body=payload, headers=headers)
-                resp = conn.getresponse()
-            except (ConnectionError, http.client.BadStatusLine):
+                status, fields, raw, reusable = conn.exchange(message)
+            except ConnectionError:
                 # Only a *reused* socket can be stale (daemon restarted,
                 # idle timeout); a fresh one that fails is a real error.
                 # Re-sending is safe: every endpoint is idempotent.
                 conn.close()
                 if not reused:
                     raise
-                conn.request(method, target, body=payload, headers=headers)
-                resp = conn.getresponse()
-            raw = resp.read()
+                conn = _Connection(self._address, self.timeout)
+                status, fields, raw, reusable = conn.exchange(message)
         except BaseException:
             conn.close()
             raise
-        self._idle.append(conn)
-        self.last_trace_id = resp.headers.get("X-Repro-Trace-Id")
-        if resp.status < 400:
-            return resp.status, json.loads(raw)
+        if reusable:
+            self._idle.append(conn)
+        else:
+            conn.close()
+        self.last_trace_id = fields.get("x-repro-trace-id")
+        if status < 400:
+            return status, json.loads(raw)
         try:
             answer = json.loads(raw)
         except ValueError:
             answer = {}
         if allow_error_status:
-            return resp.status, answer
-        raise ServiceError(
-            resp.status,
-            answer.get(
-                "error",
-                {"code": "error", "message": f"HTTP {resp.status} {resp.reason}"},
-            ),
-        )
+            return status, answer
+        error = answer.get("error", {"code": "error", "message": f"HTTP {status}"})
+        raise ServiceError(status, error)
 
     def _post(self, path: str, body: Mapping[str, Any]) -> Dict[str, Any]:
         return self._request("POST", path, body)[1]

@@ -61,6 +61,10 @@ __all__ = [
 # request naming ``options`` is an unknown-field 400, never ignored).
 PROTOCOL_VERSION = 4
 
+# HTTP head limits on both ends (the stdlib's): a longer line, more fields.
+MAX_HEAD_LINE = 65536
+MAX_HEAD_FIELDS = 100
+
 
 class ProtocolError(ValueError):
     """Malformed wire input; ``code`` is a stable machine-readable

@@ -32,6 +32,11 @@ with a machine-readable ``type``/``code`` — and stage provenance for
 typed :class:`~repro.pipeline.PipelineError`\\ s; nothing returns a bare
 500.
 
+Framing is this module's own HTTP/1.1 on the stdlib's connection loop: a
+head that reads two ways is a 400, ``Expect: 100-continue`` is answered
+before the body is read, and every framing rejection is structured JSON
+that ends the connection.
+
 Tracing: each dispatched request runs under a root span named
 ``service.<endpoint>``.  A client-supplied ``X-Repro-Trace-Id`` header
 joins the request to the caller's trace; the effective trace ID is
@@ -40,8 +45,11 @@ echoed in the response header and stamped into structured error JSON.
 
 from __future__ import annotations
 
+import email.utils
+import functools
 import json
 import platform
+import re
 import threading
 import time
 from contextlib import contextmanager
@@ -98,6 +106,16 @@ def _sanitize_trace_id(raw: Optional[str]) -> Optional[str]:
 # Bodies above this are refused outright (a compile request is a program
 # plus a topology, not a bulk upload).
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+
+
+_NEWER_HTTP = re.compile(r"HTTP/(?:[2-9]|[1-9][0-9]{1,9})\.[0-9]{1,10}")
+# A token, a colon, a value without CR, LF or NUL; an obs-fold never matches.
+_FIELD = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+):[ \t]*([^\r\n\0]*?)[ \t]*\r?\n")
+
+
+@functools.lru_cache(maxsize=1)  # the Date field is formatted once a second
+def _http_date(second: int) -> str:
+    return email.utils.formatdate(second, usegmt=True)
 
 
 def _reject_unknown_fields(wire: Mapping[str, Any], *known: str) -> None:
@@ -163,15 +181,13 @@ class CompilationServer(ThreadingHTTPServer):
 
 
 class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
     server_version = f"repro-service/{__version__}"
     # Bound blocking reads so an idle keep-alive connection releases its
     # thread instead of pinning it forever.
     timeout = 30
-    # One send per response: handle_one_request flushes head and body
-    # together.  A response beyond the buffer still leaves in pieces, and
-    # without TCP_NODELAY a kept-alive socket would hold the last one
-    # back for the peer's delayed ACK (~40 ms).
+    # One send per response: _send writes head and body as one buffer,
+    # flushed by handle_one_request.  A larger one leaves in pieces, and
+    # without TCP_NODELAY the last would wait for a delayed ACK (~40 ms).
     wbufsize = 64 * 1024
     disable_nagle_algorithm = True
 
@@ -191,6 +207,64 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.verbose:
             super().log_message(format, *args)
 
+    def parse_request(self) -> bool:
+        """The request line and header fields: the stdlib's checks,
+        narrowed to HTTP/1.0 and 1.1.  False once any reply is written."""
+        self.command, self.close_connection = None, True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+            newer = len(words) == 3 and _NEWER_HTTP.fullmatch(words[2])
+            return self.send_error(505 if newer else 400, repr(self.requestline))
+        self.command, self.path, self.request_version = words
+        # Names lower-cased; the first of a repeated field wins.
+        headers = self.headers = {}  # type: ignore[var-annotated]
+        for _ in range(protocol.MAX_HEAD_FIELDS + 1):
+            line = self.rfile.readline(protocol.MAX_HEAD_LINE + 1)
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line:
+                return False  # the peer closed mid-head
+            if len(line) > protocol.MAX_HEAD_LINE:
+                return self.send_error(431, "a header line is too long")
+            field = _FIELD.fullmatch(line)
+            if field is None:
+                return self.send_error(400, f"malformed header line {line[:80]!r}")
+            name, value = field[1].decode().lower(), field[2].decode("iso-8859-1")
+            if headers.setdefault(name, value) != value and name == "content-length":
+                return self.send_error(400, "conflicting Content-Length values")
+        else:
+            return self.send_error(431, "too many header fields")
+        connection = headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            self.request_version == "HTTP/1.0" and connection != "keep-alive"
+        )
+        expect = headers.get("expect")
+        if expect is not None and expect.lower() != "100-continue":
+            return self.send_error(417, f"cannot meet Expect: {expect}")
+        if expect is not None and self.request_version == "HTTP/1.1":
+            # Flushed: the client waits for it before sending the body.
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            self.wfile.flush()
+        return True
+
+    def send_error(  # type: ignore[override]
+        self, code: int, message: Optional[str] = None, explain: Any = None
+    ) -> bool:
+        """A framing rejection (request line, version, head, method) is
+        structured JSON too, and ends the connection.  False, for
+        ``parse_request`` to return."""
+        reason = self.responses[code][0]
+        self.log_error("code %d, message %s", code, message or reason)
+        error = protocol.error_to_wire(protocol.ProtocolError(
+            reason.lower().replace(" ", "_").replace("-", "_"), message or reason
+        ))
+        self.close_connection = True
+        self._send(code, json.dumps({"error": error}).encode())
+        return False
+
     def _send(
         self,
         status: int,
@@ -198,25 +272,29 @@ class _Handler(BaseHTTPRequestHandler):
         trace_id: Optional[str] = None,
         content_type: str = "application/json",
     ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
+        self.log_request(status)
+        head = (
+            f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {_http_date(int(time.time()))}\r\n"
+            f"Content-Type: {content_type}\r\nContent-Length: {len(payload)}\r\n"
+        )
         if trace_id is not None:
-            self.send_header(TRACE_HEADER, trace_id)
-        if not self._body_read and (
-            self.headers.get("Content-Length", "0") != "0"
-            or "Transfer-Encoding" in self.headers
-        ):
-            # Answered without consuming the declared body: what is left
-            # in the socket would be parsed as the next request line, so
-            # the connection ends here (this also sets close_connection).
-            self.send_header("Connection", "close")
+            head += f"{TRACE_HEADER}: {trace_id}\r\n"
+        if self.close_connection or (not self._body_read and (
+            self.headers.get("content-length", "0") != "0"
+            or "transfer-encoding" in self.headers
+        )):
+            # Closing anyway, or answered without consuming the declared
+            # body: what is left in the socket would be parsed as the
+            # next request line, so the connection ends here.
+            self.close_connection = True
+            head += "Connection: close\r\n"
         self._body_read = False
-        self.end_headers()
-        self.wfile.write(payload)
+        self.wfile.write(f"{head}\r\n".encode("iso-8859-1") + payload)
 
     def _read_json(self) -> Any:
-        declared = self.headers.get("Content-Length") or "0"
+        declared = self.headers.get("content-length") or "0"
         if not declared.isdecimal():
             raise protocol.ProtocolError(
                 "bad_request",
@@ -264,7 +342,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self, endpoint: str, handler) -> None:
         state = self.server.state
-        client_trace_id = _sanitize_trace_id(self.headers.get(TRACE_HEADER))
+        client_trace_id = _sanitize_trace_id(self.headers.get(TRACE_HEADER.lower()))
         self._request_trace_id = client_trace_id
         start = time.perf_counter()
         # The per-request root span.  Handler threads each run in their
