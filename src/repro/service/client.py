@@ -3,9 +3,8 @@
 Connections persist: a request takes an idle connection to the daemon
 (opening one only when none is idle, so concurrent callers each hold
 their own) and returns it afterwards, and a reused connection the
-daemon has since closed is replaced by one silent reconnect.  A request
-is one ``sendall``; a response that cannot be framed raises
-:class:`ServiceError` 502 ``bad_response``.
+daemon has since closed is replaced by one silent reconnect; a response
+that cannot be framed is a :class:`ServiceError` 502 ``bad_response``.
 
 Used by the end-to-end tests, ``examples/service_demo.py``, the CI
 smoke step, and the warm-request bench — and usable as the fleet-side
@@ -59,12 +58,6 @@ class ServiceError(Exception):
         return self.error.get("stage")
 
 
-def _bad_response(message: str) -> ServiceError:
-    return ServiceError(
-        502, {"type": "BadResponse", "code": "bad_response", "message": message}
-    )
-
-
 class _Connection:
     """One socket to the daemon and its buffered reader."""
 
@@ -78,34 +71,24 @@ class _Connection:
         self.sock.close()
 
     def exchange(self, message: bytes) -> Tuple[int, Dict[str, str], bytes, bool]:
-        """Send one request: ``(status, fields by lower-cased name, body,
-        reusable)``.  An empty status line is a ``ConnectionError``."""
+        """Send one request: ``(status, fields, body, reusable)``; an empty
+        status line is a ``ConnectionError``, a bad head a ``HeadError``."""
         self.sock.sendall(message)
         line = self.reader.readline(protocol.MAX_HEAD_LINE + 1)
         if not line:
             raise ConnectionResetError("the daemon closed the connection")
         status = _STATUS_LINE.match(line)
         if status is None:
-            raise _bad_response(f"malformed status line {line[:80]!r}")
-        fields: Dict[str, str] = {}
-        for _ in range(protocol.MAX_HEAD_FIELDS + 1):
-            line = self.reader.readline(protocol.MAX_HEAD_LINE + 1)
-            if line in (b"\r\n", b"\n"):
-                break
-            name, colon, value = line.decode("latin-1").partition(":")
-            if not colon or len(line) > protocol.MAX_HEAD_LINE:
-                raise _bad_response(f"malformed header line {line[:80]!r}")
-            fields.setdefault(name.strip().lower(), value.strip())
-        else:
-            raise _bad_response("too many header fields")
+            raise protocol.HeadError(502, f"bad status line {line[:80]!r}")
+        fields = protocol.read_fields(self.reader.readline)
         if "transfer-encoding" in fields:
-            raise _bad_response("a Transfer-Encoding response")
+            raise protocol.HeadError(502, "a Transfer-Encoding response")
         length = fields.get("content-length")
         if length is None:
             return int(status[2]), fields, self.reader.read(), False
         body = self.reader.read(int(length)) if length.isdecimal() else None
         if body is None or len(body) != int(length):
-            raise _bad_response(f"no body of Content-Length {length!r}")
+            raise protocol.HeadError(502, f"no body of Content-Length {length!r}")
         close = fields.get("connection", "").lower() == "close"
         return int(status[2]), fields, body, status[1] == b"1" and not close
 
@@ -184,6 +167,11 @@ class ServiceClient:
                     raise
                 conn = _Connection(self._address, self.timeout)
                 status, fields, raw, reusable = conn.exchange(message)
+        except protocol.HeadError as err:  # a response that cannot be framed
+            conn.close()
+            raise ServiceError(502, {
+                "type": "BadResponse", "code": "bad_response", "message": err.args[1],
+            }) from None
         except BaseException:
             conn.close()
             raise

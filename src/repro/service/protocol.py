@@ -31,7 +31,8 @@ machine-readable ``code``; the server maps it to a structured 400 body.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+import re
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..netkat.ast import Policy
 from ..netkat.parser import ParseError, parse_policy
@@ -64,6 +65,34 @@ PROTOCOL_VERSION = 4
 # HTTP head limits on both ends (the stdlib's): a longer line, more fields.
 MAX_HEAD_LINE = 65536
 MAX_HEAD_FIELDS = 100
+# A token, a colon, a value without CR, LF or NUL; an obs-fold never
+# matches.  Only greedy classes that exclude what follows them: linear.
+_FIELD = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+):([^\r\n\0]*)\r?\n")
+
+
+class HeadError(ValueError):
+    """An unframeable HTTP head; ``args`` are the status that answers it
+    (400 or 431; the client's 502; None: the peer closed mid-head), why."""
+
+
+def read_fields(readline: Callable[[int], bytes]) -> Dict[str, str]:
+    """A head's fields to its blank line, by lower-cased name; the first
+    of a repeated field wins, and two ``Content-Length`` values clash."""
+    fields: Dict[str, str] = {}
+    for _ in range(MAX_HEAD_FIELDS + 1):
+        line = readline(MAX_HEAD_LINE + 1)
+        if line in (b"\r\n", b"\n"):
+            return fields
+        if len(line) > MAX_HEAD_LINE:
+            raise HeadError(431, "a header line is too long")
+        field = _FIELD.fullmatch(line)
+        if field is None:
+            raise HeadError(400 if line else None, f"bad header line {line[:80]!r}")
+        name = field[1].decode().lower()
+        value = field[2].strip(b" \t").decode("latin-1")
+        if fields.setdefault(name, value) != value and name == "content-length":
+            raise HeadError(400, "conflicting Content-Length values")
+    raise HeadError(431, "too many header fields")
 
 
 class ProtocolError(ValueError):

@@ -106,11 +106,8 @@ def _sanitize_trace_id(raw: Optional[str]) -> Optional[str]:
 # Bodies above this are refused outright (a compile request is a program
 # plus a topology, not a bulk upload).
 _MAX_BODY_BYTES = 8 * 1024 * 1024
-
-
+# A version above HTTP/1.1 is a 505, any other unknown version a 400.
 _NEWER_HTTP = re.compile(r"HTTP/(?:[2-9]|[1-9][0-9]{1,9})\.[0-9]{1,10}")
-# A token, a colon, a value without CR, LF or NUL; an obs-fold never matches.
-_FIELD = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+):[ \t]*([^\r\n\0]*?)[ \t]*\r?\n")
 
 
 @functools.lru_cache(maxsize=1)  # the Date field is formatted once a second
@@ -219,24 +216,12 @@ class _Handler(BaseHTTPRequestHandler):
             newer = len(words) == 3 and _NEWER_HTTP.fullmatch(words[2])
             return self.send_error(505 if newer else 400, repr(self.requestline))
         self.command, self.path, self.request_version = words
-        # Names lower-cased; the first of a repeated field wins.
-        headers = self.headers = {}  # type: ignore[var-annotated]
-        for _ in range(protocol.MAX_HEAD_FIELDS + 1):
-            line = self.rfile.readline(protocol.MAX_HEAD_LINE + 1)
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                return False  # the peer closed mid-head
-            if len(line) > protocol.MAX_HEAD_LINE:
-                return self.send_error(431, "a header line is too long")
-            field = _FIELD.fullmatch(line)
-            if field is None:
-                return self.send_error(400, f"malformed header line {line[:80]!r}")
-            name, value = field[1].decode().lower(), field[2].decode("iso-8859-1")
-            if headers.setdefault(name, value) != value and name == "content-length":
-                return self.send_error(400, "conflicting Content-Length values")
-        else:
-            return self.send_error(431, "too many header fields")
+        try:
+            headers = self.headers = protocol.read_fields(self.rfile.readline)
+        except protocol.HeadError as err:
+            if err.args[0] is not None:  # a peer that closed mid-head gets nothing
+                self.send_error(*err.args)
+            return False
         connection = headers.get("connection", "").lower()
         self.close_connection = connection == "close" or (
             self.request_version == "HTTP/1.0" and connection != "keep-alive"
@@ -254,8 +239,7 @@ class _Handler(BaseHTTPRequestHandler):
         self, code: int, message: Optional[str] = None, explain: Any = None
     ) -> bool:
         """A framing rejection (request line, version, head, method) is
-        structured JSON too, and ends the connection.  False, for
-        ``parse_request`` to return."""
+        structured JSON that ends the connection; False."""
         reason = self.responses[code][0]
         self.log_error("code %d, message %s", code, message or reason)
         error = protocol.error_to_wire(protocol.ProtocolError(
@@ -285,9 +269,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.headers.get("content-length", "0") != "0"
             or "transfer-encoding" in self.headers
         )):
-            # Closing anyway, or answered without consuming the declared
-            # body: what is left in the socket would be parsed as the
-            # next request line, so the connection ends here.
+            # Closing anyway, or the declared body was not consumed: it
+            # would be read as the next request line.
             self.close_connection = True
             head += "Connection: close\r\n"
         self._body_read = False

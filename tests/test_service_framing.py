@@ -20,6 +20,7 @@ import io
 import json
 import socket
 import threading
+import time
 from contextlib import closing, contextmanager
 
 import pytest
@@ -205,8 +206,13 @@ def test_framing_rejections_are_structured_json(request_bytes, status, code):
         b"Content-Length: 3\r\n\r\n{}",
         b"GET /version HTTP/1.1\r\nHost: x\r\n folded\r\n\r\n",
         b"GET /version HTTP/1.1\r\nHost x\r\n\r\n",
+        b"GET /version HTTP/1.1\r\nHost : x\r\n\r\n",
+        b"GET /version HTTP/1.1\r\nHost: x\ry\r\n\r\n",
     ],
-    ids=["conflicting-content-length", "obs-fold", "no-colon"],
+    ids=[
+        "conflicting-content-length", "obs-fold", "no-colon",
+        "blank-before-colon", "bare-cr",
+    ],
 )
 def test_ambiguous_heads_are_a_400(head):
     with daemon() as address:
@@ -228,6 +234,23 @@ def test_a_repeated_equal_content_length_is_one_length():
     with daemon() as address:
         (response, answer), = responses(exchange(address, head + body))
         assert response.status == 200 and answer["source"] == "cold"
+
+
+def test_long_blank_runs_in_field_values_are_read_in_linear_time():
+    # A backtracking value pattern costs the square of each blank run:
+    # seconds per line at this size, with the handler holding the GIL.
+    blanks = b"".join(
+        b"X-Pad-%d: a%sb\r\n" % (i, (b" " if i % 2 else b"\t") * 65_000)
+        for i in range(99)
+    )
+    with daemon() as address:
+        start = time.perf_counter()
+        (response, body), = responses(exchange(
+            address, b"GET /version HTTP/1.1\r\n" + blanks + b"\r\n"
+        ))
+        assert response.status == 200
+        assert body["protocol"] == protocol.PROTOCOL_VERSION
+        assert time.perf_counter() - start < 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +279,8 @@ def mutated_heads(draw):
     elif kind == "oversize":
         at = draw(st.integers(0, len(head)))
         size = draw(st.sampled_from([65_535, 65_536, 65_537, 70_000]))
-        head = head[:at] + b"a" * size + head[at:]
+        filler = draw(st.sampled_from([b"a", b" ", b"\t"]))  # blanks: in a value
+        head = head[:at] + filler * size + head[at:]
     elif kind == "header-count":
         count = draw(st.integers(0, 130))
         pad = b"".join(b"X-Pad-%d: v\r\n" % i for i in range(count))
@@ -374,10 +398,15 @@ def test_body_delimited_by_the_close_is_read_whole():
         b"HTTP/1.1 200 OK\r\nContent-Length: 99\r\n\r\n" + PAYLOAD,
         b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n" + PAYLOAD,
         b"HTTP/1.1 200 OK\r\nbroken header\r\n\r\n" + PAYLOAD,
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n folded\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\nContent-Length : 2\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\rX: y\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n",
         b"ICY 200 OK\r\nContent-Length: 2\r\n\r\n{}",
     ],
     ids=[
         "transfer-encoding", "truncated", "negative-length", "bad-header",
+        "obs-fold", "blank-before-colon", "bare-cr", "head-cut-short",
         "bad-status-line",
     ],
 )
