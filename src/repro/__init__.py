@@ -25,7 +25,7 @@ Quickstart -- compile through the staged pipeline, then run it::
     from repro.consistency import check_trace_against_nes
 
     app = firewall_app()
-    compiled = repro.compile_app(app)        # ETS -> NES -> flow tables
+    compiled = app.compiled                  # ETS -> NES -> flow tables
     print(app.pipeline.report())             # per-stage timings + stats
 
     rt = app.runtime(seed=0)
@@ -57,7 +57,6 @@ from .pipeline import (
     Pipeline,
     PipelineError,
     StageError,
-    compile_app,
 )
 from .topology import Host, Topology
 
@@ -78,7 +77,6 @@ __all__ = [
     "Pipeline",
     "CompileOptions",
     "Delta",
-    "compile_app",
     "PipelineError",
     "StageError",
     "ArtifactIntegrityError",

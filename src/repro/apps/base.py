@@ -88,6 +88,3 @@ class App:
         return Runtime(
             self.compiled, seed=seed, controller_assist=controller_assist
         )
-
-    def host_address(self, name: str) -> int:
-        return HOSTS[name]

@@ -13,8 +13,8 @@ from typing import Callable, List, Tuple
 from ..netkat.compiler import Configuration
 from ..netkat.packet import Location, PT
 from ..network.simulator import Frame, SimNetwork
-# The correct logic's own constant, so overhead comparisons are fair.
-from ..network.switch_logic import BASE_HEADER_BYTES
+# The correct logic's own constants, so comparisons are fair.
+from ..network.switch_logic import BASE_HEADER_BYTES, EVENT_NOTIFY_LATENCY
 from ..stateful.ast import StateVector
 
 __all__ = ["ReferenceLogic", "BASE_HEADER_BYTES"]
@@ -30,7 +30,7 @@ def punt_events(
     """Report the first event ``frame`` matches at ``location`` to the
     controller (the switch itself keeps no event state).
 
-    After ``logic.event_notify_latency`` the controller renames the
+    After ``EVENT_NOTIFY_LATENCY`` the controller renames the
     event to its next occurrence and, when that is an enabled transition
     of ``logic.compiled.nes``, adds it to ``logic.controller_events``,
     moves ``logic.controller_state`` and calls ``on_transition`` with
@@ -58,7 +58,7 @@ def punt_events(
         logic.controller_state = new_state
         on_transition(net, new_state)
 
-    net.sim.schedule(logic.event_notify_latency, receive)
+    net.sim.schedule(EVENT_NOTIFY_LATENCY, receive)
 
 
 class ReferenceLogic:

@@ -32,6 +32,9 @@ __all__ = ["TwoPhaseLogic", "VERSION_FIELD"]
 # tag, exactly as in the consistent-updates paper).
 VERSION_FIELD = "version"
 
+# Seconds between two consecutive ingress flips of one update.
+FLIP_GAP = 0.01
+
 
 class TwoPhaseLogic:
     """Versioned forwarding with controller-driven version flips.
@@ -42,17 +45,9 @@ class TwoPhaseLogic:
     switch at a time.
     """
 
-    def __init__(
-        self,
-        compiled: CompiledNES,
-        flip_delay: float = 0.5,
-        flip_gap: float = 0.01,
-        event_notify_latency: float = 0.01,
-    ):
+    def __init__(self, compiled: CompiledNES, flip_delay: float = 0.5):
         self.compiled = compiled
         self.flip_delay = flip_delay
-        self.flip_gap = flip_gap
-        self.event_notify_latency = event_notify_latency
         initial = compiled.nes.initial_state
         self.initial_version = compiled.config_ids[initial]
         # Per-switch ingress stamping version (phase-one state).
@@ -130,4 +125,4 @@ class TwoPhaseLogic:
                 if remaining == 0:
                     self.flips_completed_at = net.sim.now
 
-            net.sim.schedule(self.flip_delay + i * self.flip_gap, flip)
+            net.sim.schedule(self.flip_delay + i * FLIP_GAP, flip)

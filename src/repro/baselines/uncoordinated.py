@@ -27,21 +27,16 @@ from ..network.simulator import Frame, SimNetwork
 
 __all__ = ["UncoordinatedLogic"]
 
+# Seconds between two consecutive switch pushes of one update.
+PUSH_GAP = 0.02
+
 
 class UncoordinatedLogic:
     """Controller-driven updates with no consistency coordination."""
 
-    def __init__(
-        self,
-        compiled: CompiledNES,
-        update_delay: float = 2.0,
-        push_gap: float = 0.02,
-        event_notify_latency: float = 0.01,
-    ):
+    def __init__(self, compiled: CompiledNES, update_delay: float = 2.0):
         self.compiled = compiled
         self.update_delay = update_delay
-        self.push_gap = push_gap
-        self.event_notify_latency = event_notify_latency
         initial = compiled.nes.initial_state
         self.installed: Dict[int, FlowTable] = dict(
             compiled.config_for_state(initial).tables
@@ -95,4 +90,4 @@ class UncoordinatedLogic:
                 if self.pushes_in_flight == 0:
                     self.update_completed_at = net.sim.now
 
-            net.sim.schedule(self.update_delay + i * self.push_gap, install)
+            net.sim.schedule(self.update_delay + i * PUSH_GAP, install)

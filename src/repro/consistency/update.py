@@ -12,7 +12,7 @@ one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..events.event import Event
 from ..netkat.compiler import Configuration
@@ -48,18 +48,11 @@ class EventDrivenUpdate:
 
     @staticmethod
     def single(
-        initial: Configuration,
-        event: Event,
-        final: Configuration,
-        ambient_events: Optional[Iterable[Event]] = None,
+        initial: Configuration, event: Event, final: Configuration
     ) -> "EventDrivenUpdate":
-        """The one-step update ``Ci -e-> Cf`` of the introduction."""
-        ambient = (
-            frozenset(ambient_events)
-            if ambient_events is not None
-            else frozenset((event,))
-        )
-        return EventDrivenUpdate((initial, final), (event,), ambient)
+        """The one-step update ``Ci -e-> Cf`` of the introduction, with
+        ``{e}`` as its ambient set."""
+        return EventDrivenUpdate((initial, final), (event,), frozenset((event,)))
 
 
 def first_occurrences(

@@ -135,17 +135,17 @@ def _switch_masks(nes: NES) -> Dict[int, int]:
     return masks
 
 
-def locality_violations(nes: NES, max_size: Optional[int] = None) -> FrozenSet[EventSet]:
+def locality_violations(nes: NES) -> FrozenSet[EventSet]:
     """Minimally-inconsistent sets whose events span multiple switches."""
     structure = nes.structure
     single_switch = tuple(_switch_masks(nes).values())
     return frozenset(
         structure.decode(mask)
-        for mask in minimally_inconsistent_masks(structure, max_size)
+        for mask in minimally_inconsistent_masks(structure)
         if not any(mask | sw == sw for sw in single_switch)
     )
 
 
-def is_locally_determined(nes: NES, max_size: Optional[int] = None) -> bool:
+def is_locally_determined(nes: NES) -> bool:
     """Does the NES satisfy the locally-determined condition?"""
-    return not locality_violations(nes, max_size)
+    return not locality_violations(nes)

@@ -103,28 +103,6 @@ class NES:
     def allows_sequence(self, sequence) -> bool:
         return self.structure.allows_sequence(sequence)
 
-    def newly_enabled(
-        self, known: Iterable[Event], candidates: Optional[Iterable[Event]] = None
-    ) -> FrozenSet[Event]:
-        """Events enabled and consistent on top of ``known`` (SWITCH rule)."""
-        structure = self.structure
-        index = structure.event_index
-        known_mask = 0
-        for e in known:
-            i = index.get(e)
-            if i is None:
-                return frozenset()  # unknown events make every con() false
-            known_mask |= 1 << i
-        free = structure.successors_mask(known_mask)
-        if candidates is not None:
-            pool = 0
-            for e in candidates:
-                i = index.get(e)
-                if i is not None:  # unknown candidates are never enabled
-                    pool |= 1 << i
-            free &= pool
-        return structure.decode(free)
-
     def __repr__(self) -> str:
         return (
             f"NES({len(self.events)} events, {len(self._g)} event-sets, "

@@ -48,6 +48,9 @@ E = TypeVar("E", bound=Hashable)
 
 __all__ = ["EventStructure"]
 
+# The most event-sets one enumeration may find.
+MAX_EVENT_SETS = 100_000
+
 
 class EventStructure(Generic[E]):
     """A finite event structure ``(E, con, ⊢)``."""
@@ -275,7 +278,7 @@ class EventStructure(Generic[E]):
             return iter(())
         return iter(self.decode(self.successors_mask(mask)))
 
-    def event_sets_masks(self, limit: int = 100_000) -> FrozenSet[int]:
+    def event_sets_masks(self) -> FrozenSet[int]:
         """All event-sets as bitmasks (Definition 4)."""
         found: Set[int] = {0}
         frontier: List[int] = [0]
@@ -287,17 +290,17 @@ class EventStructure(Generic[E]):
                 free ^= low
                 extended = current | low
                 if extended not in found:
-                    if len(found) >= limit:
+                    if len(found) >= MAX_EVENT_SETS:
                         raise RuntimeError(
-                            f"event-set enumeration exceeded {limit} sets"
+                            f"event-set enumeration exceeded {MAX_EVENT_SETS} sets"
                         )
                     found.add(extended)
                     frontier.append(extended)
         return frozenset(found)
 
-    def event_sets(self, limit: int = 100_000) -> FrozenSet[FrozenSet[E]]:
+    def event_sets(self) -> FrozenSet[FrozenSet[E]]:
         """All event-sets (Definition 4): consistent and secured from ∅."""
-        return frozenset(self.decode(m) for m in self.event_sets_masks(limit))
+        return frozenset(self.decode(m) for m in self.event_sets_masks())
 
     def is_event_set_mask(self, mask: int) -> bool:
         """:meth:`is_event_set` on an encoded event set."""

@@ -110,9 +110,6 @@ class Conjunction:
         """The positive literals as ``key -> value`` (shared: read only)."""
         return self._pos
 
-    def is_true(self) -> bool:
-        return not self._literals
-
     def conjoin(self: _C, literal: Literal) -> Optional[_C]:
         """``self AND literal``, or None when contradictory."""
         if literal in self._literals:

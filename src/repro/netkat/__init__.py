@@ -34,7 +34,6 @@ from .ast import (
     link,
     neg,
     policy_fields,
-    policy_links,
     policy_size,
     seq,
     star,
@@ -97,7 +96,6 @@ __all__ = [
     "link",
     "at_location",
     "policy_fields",
-    "policy_links",
     "policy_size",
     # semantics
     "eval_predicate",

@@ -20,7 +20,7 @@ compiler.  Smart constructors perform cheap local simplifications
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterator, Tuple
+from typing import FrozenSet, Iterator
 
 from .packet import Location, PT, SW
 
@@ -56,7 +56,6 @@ __all__ = [
     "link",
     "at_location",
     "policy_fields",
-    "policy_links",
     "policy_size",
 ]
 
@@ -398,23 +397,6 @@ def policy_fields(p: Policy) -> FrozenSet[str]:
     if isinstance(p, Link):
         return frozenset((SW, PT))
     raise TypeError(f"not a policy: {p!r}")
-
-
-def policy_links(p: Policy) -> Tuple[Link, ...]:
-    """All link constructors appearing in a policy, in syntax order."""
-    out = []
-
-    def walk(q: Policy) -> None:
-        if isinstance(q, Link):
-            out.append(q)
-        elif isinstance(q, (Union, Seq)):
-            walk(q.left)
-            walk(q.right)
-        elif isinstance(q, Star):
-            walk(q.operand)
-
-    walk(p)
-    return tuple(out)
 
 
 def policy_size(p: Policy) -> int:

@@ -56,6 +56,9 @@ __all__ = [
     "DEFAULT_FIELD_ORDER",
 ]
 
+# The most unrollings FDDBuilder.star tries before giving up.
+STAR_FUEL = 200
+
 # A Mod is a partial map from fields to values, stored as a sorted tuple so
 # it is hashable.  The empty Mod is the identity action.
 Mod = Tuple[Tuple[str, int], ...]
@@ -445,15 +448,15 @@ class FDDBuilder:
         self._memo_seq[key] = result
         return result
 
-    def star(self, d: FDD, fuel: int = 200) -> FDD:
+    def star(self, d: FDD) -> FDD:
         """Kleene star by fixpoint iteration: ``id + d;id + d;d;id + ...``."""
         acc = self.id
-        for _ in range(fuel):
+        for _ in range(STAR_FUEL):
             nxt = self.union(self.id, self.seq(d, acc))
             if nxt is acc:
                 return acc
             acc = nxt
-        raise RuntimeError(f"FDD star did not converge within {fuel} iterations")
+        raise RuntimeError(f"FDD star did not converge within {STAR_FUEL} iterations")
 
     def cofactor(self, d: FDD, field: str, value: int) -> FDD:
         """Specialize ``d`` under ``field == value``, removing its tests.

@@ -137,10 +137,6 @@ class Match:
     def without(self, field: str) -> "Match":
         return Match({f: c for f, c in self._entries if f != field})
 
-    def specificity(self) -> int:
-        """Number of constrained fields (used for priority assignment)."""
-        return len(self._entries)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Match):
             return NotImplemented
@@ -180,9 +176,6 @@ class Rule:
                 result = result.set(field, value)
             out.add(result)
         return frozenset(out)
-
-    def is_drop(self) -> bool:
-        return not self.actions
 
     def __repr__(self) -> str:
         if self.actions:
@@ -225,9 +218,6 @@ class FlowTable:
             return frozenset()
         return rule.apply(packet)
 
-    def merged_with(self, other: "FlowTable") -> "FlowTable":
-        return FlowTable(tuple(self._rules) + tuple(other.rules))
-
     def __getstate__(self):
         # Only the rules: the cached repr is derived text that would
         # bloat every artifact holding this table.
@@ -245,16 +235,17 @@ class FlowTable:
             return self._repr
 
 
-def table_of_fdd(builder: FDDBuilder, d: FDD, base_priority: int = 0) -> FlowTable:
+def table_of_fdd(builder: FDDBuilder, d: FDD) -> FlowTable:
     """Convert an FDD to an equivalent flow table.
 
-    The FDD's hi-first path order becomes descending rule priority; the
-    negative (lo-edge) constraints are then implied by shadowing, so each
-    rule only carries the positive constraints of its path.
+    The FDD's hi-first path order becomes descending rule priority, down
+    to 1; the negative (lo-edge) constraints are then implied by
+    shadowing, so each rule only carries the positive constraints of its
+    path.
     """
     rules: List[Rule] = []
     entries = list(builder.paths(d))
-    priority = base_priority + len(entries)
+    priority = len(entries)
     for constraints, actions in entries:
         positive = {
             field: value for field, value, is_eq in constraints if is_eq

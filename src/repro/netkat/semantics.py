@@ -13,7 +13,7 @@ section 2 of the paper.
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Iterable, Set
+from typing import Callable, FrozenSet, Set
 
 from .ast import (
     Assign,
@@ -137,26 +137,3 @@ def step_relation(p: Policy) -> Callable[[LocatedPacket], FrozenSet[LocatedPacke
         )
 
     return apply
-
-
-def reachable_packets(
-    p: Policy, initial: Iterable[Packet], max_steps: int = 64
-) -> FrozenSet[Packet]:
-    """All packets reachable from ``initial`` by iterating policy ``p``.
-
-    Used by tests to compute the packets a configuration can produce from
-    host-injected traffic.
-    """
-    reached: Set[Packet] = set(initial)
-    frontier = set(reached)
-    for _ in range(max_steps):
-        next_frontier: Set[Packet] = set()
-        for pkt in frontier:
-            for out in eval_packet(p, pkt):
-                if out not in reached:
-                    reached.add(out)
-                    next_frontier.add(out)
-        if not next_frontier:
-            break
-        frontier = next_frontier
-    return frozenset(reached)

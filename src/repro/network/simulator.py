@@ -915,7 +915,6 @@ class SimNetwork:
         topology: Topology,
         logic: SwitchLogic,
         seed: int = 0,
-        link_params: Optional[Mapping[Tuple[Location, Location], LinkParams]] = None,
         default_link: LinkParams = LinkParams(),
         switch_delay: float = 0.0001,
     ):
@@ -923,13 +922,9 @@ class SimNetwork:
         self.logic = logic
         self.sim = Simulator(seed=seed)
         self.switch_delay = switch_delay
-        self._default_link = default_link
-        self._link_params: Dict[Tuple[Location, Location], LinkParams] = dict(
-            link_params or {}
-        )
         # Preloaded with every switch so the arrival hot path indexes
-        # instead of .get-with-default; extra_processing_delay is fixed
-        # at logic construction, so it is cached once here.
+        # instead of .get-with-default; extra_processing_delay is a
+        # constant of the logic, so it is cached once here.
         self._switch_free_at: Dict[int, float] = {n: 0.0 for n in topology.switches}
         self._hop_extra: float = getattr(logic, "extra_processing_delay", 0.0)
         # Each switch's processing backlog is a FIFO deque with only the
@@ -945,16 +940,15 @@ class SimNetwork:
         self.event_learned_at: Dict[Tuple[int, Event], float] = {}
         # The topology is immutable for a sim run, so link resolution is
         # a static dispatch table: switch -> port -> Host (deliver) or
-        # _LinkState (transmit; first link target in (switch, port)
-        # order, as the per-packet sort used to pick).  Hosts shadow
-        # links, as host_at did.  Int-keyed nested dicts keep the hot
-        # path free of Location hashing.
+        # _LinkState (transmit, every link with ``default_link``; first
+        # link target in (switch, port) order, as the per-packet sort
+        # used to pick).  Hosts shadow links, as host_at did.  Int-keyed
+        # nested dicts keep the hot path free of Location hashing.
         self._ports: Dict[int, Dict[int, Union[Host, _LinkState]]] = {}
         for src, dst in topology.links():
             by_port = self._ports.setdefault(src.switch, {})
             if src.port not in by_port:
-                params = self._link_params.get((src, dst), default_link)
-                by_port[src.port] = _LinkState(dst, params)
+                by_port[src.port] = _LinkState(dst, default_link)
         for host in topology.hosts:
             attachment = host.attachment
             self._ports.setdefault(attachment.switch, {})[attachment.port] = host

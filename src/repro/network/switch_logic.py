@@ -3,9 +3,9 @@
 This is the timed counterpart of the SWITCH/IN rules of Figure 7,
 embedded in the discrete-event world: per-switch event registers,
 ingress stamping, digest gossip, optional controller assistance
-(CTRLSEND broadcasts after a configurable controller latency), and
-measurable header overhead for the tag and digest fields (Figure 16a's
-~6% bandwidth cost).
+(CTRLSEND broadcasts after :data:`CONTROLLER_LATENCY`), and measurable
+header overhead for the tag and digest fields (Figure 16a's ~6%
+bandwidth cost).
 
 :class:`Figure7Logic` is the rule as the figure writes it: frozenset
 registers, tags and digests, detection and the CTRLSEND merge taken from
@@ -45,6 +45,17 @@ __all__ = ["CorrectLogic", "Figure7Logic", "BASE_HEADER_BYTES"]
 # TCP).  The baselines import this one definition, so the Fig. 16a
 # overhead comparisons are apples to apples.
 BASE_HEADER_BYTES = 54
+
+# Seconds from a switch detecting an event to the controller hearing of
+# it; the controller-driven baselines punt with the same delay.
+EVENT_NOTIFY_LATENCY = 0.01
+# Seconds from the controller hearing of an event to its CTRLSEND
+# broadcast (controller assistance only).
+CONTROLLER_LATENCY = 0.05
+# Per-packet cost of the guard/stamp/learn pipeline relative to plain
+# forwarding (Figure 16a; ~6 microseconds approximates the paper's
+# modified OpenFlow reference switch).
+EXTRA_PROCESSING_DELAY = 6e-6
 
 
 class _MaskRegister(MutableSet):
@@ -113,22 +124,12 @@ class _MaskRegister(MutableSet):
 class Figure7Logic:
     """The SWITCH/IN/CTRLSEND rules of Figure 7 on frozensets."""
 
-    def __init__(
-        self,
-        compiled: CompiledNES,
-        controller_assist: bool = False,
-        controller_latency: float = 0.05,
-        event_notify_latency: float = 0.01,
-        extra_processing_delay: float = 6e-6,
-    ):
+    # Read by the simulator as the per-hop processing cost.
+    extra_processing_delay = EXTRA_PROCESSING_DELAY
+
+    def __init__(self, compiled: CompiledNES, controller_assist: bool = False):
         self.compiled = compiled
         self.controller_assist = controller_assist
-        self.controller_latency = controller_latency
-        self.event_notify_latency = event_notify_latency
-        # Per-packet cost of the guard/stamp/learn pipeline relative to
-        # plain forwarding (the Figure 16a overhead knob; ~6 microseconds
-        # approximates the paper's modified OpenFlow reference switch).
-        self.extra_processing_delay = extra_processing_delay
         self.registers: Dict[int, Set[Event]] = {
             n: set() for n in compiled.topology.switches
         }
@@ -182,9 +183,9 @@ class Figure7Logic:
         def receive() -> None:
             self.controller_view.add(event)
             if self.controller_assist:
-                net.sim.schedule(self.controller_latency, lambda: self._broadcast(net))
+                net.sim.schedule(CONTROLLER_LATENCY, lambda: self._broadcast(net))
 
-        net.sim.schedule(self.event_notify_latency, receive)
+        net.sim.schedule(EVENT_NOTIFY_LATENCY, receive)
 
     def _broadcast(self, net: SimNetwork) -> None:
         """CTRLSEND to every switch, merging in enabling order."""
@@ -201,21 +202,8 @@ class CorrectLogic(Figure7Logic):
     """Tag-based forwarding with event detection and digest gossip, on
     interned event bitmasks."""
 
-    def __init__(
-        self,
-        compiled: CompiledNES,
-        controller_assist: bool = False,
-        controller_latency: float = 0.05,
-        event_notify_latency: float = 0.01,
-        extra_processing_delay: float = 6e-6,
-    ):
-        super().__init__(
-            compiled,
-            controller_assist,
-            controller_latency,
-            event_notify_latency,
-            extra_processing_delay,
-        )
+    def __init__(self, compiled: CompiledNES, controller_assist: bool = False):
+        super().__init__(compiled, controller_assist)
         structure = compiled.nes.structure
         self._structure = structure
         self._universe = structure.universe

@@ -32,13 +32,13 @@ __all__ = [
 
 KIND_REQUEST = 1
 KIND_REPLY = 2
+PING_PAYLOAD_BYTES = 64
 
 
-def install_ping_responders(net: SimNetwork, hosts: Optional[Sequence[str]] = None) -> None:
-    """Make hosts answer ping requests addressed to them."""
-    names = list(hosts) if hosts is not None else [h.name for h in net.topology.hosts]
-    for name in names:
-        net.auto_reply[name] = _reply_handler
+def install_ping_responders(net: SimNetwork) -> None:
+    """Make every host answer ping requests addressed to it."""
+    for host in net.topology.hosts:
+        net.auto_reply[host.name] = _reply_handler
 
 
 def _reply_handler(net: SimNetwork, host_name: str, frame: Frame) -> None:
@@ -70,10 +70,9 @@ def send_ping(
     dst: str,
     ident: int,
     at: float,
-    payload_bytes: int = 64,
     extra_fields: Optional[Mapping[str, int]] = None,
 ) -> None:
-    """Inject one ping request from ``src`` to ``dst`` at time ``at``."""
+    """Inject one 64-byte ping request from ``src`` to ``dst`` at time ``at``."""
     fields: Dict[str, int] = {
         "ip_src": HOSTS[src],
         "ip_dst": HOSTS[dst],
@@ -84,7 +83,7 @@ def send_ping(
         fields.update(extra_fields)
     frame = Frame(
         packet=Packet(fields),
-        payload_bytes=payload_bytes,
+        payload_bytes=PING_PAYLOAD_BYTES,
         flow=("ping", src, dst),
         ident=ident,
     )
@@ -141,12 +140,11 @@ def send_bulk(
     src: str,
     dst: str,
     packets: int,
-    at: float = 0.0,
     payload_bytes: int = 1470,
     spacing: float = 0.0,
-    extra_fields: Optional[Mapping[str, int]] = None,
 ) -> None:
-    """Inject an iperf-like burst of ``packets`` MTU-sized packets."""
+    """Inject an iperf-like burst of ``packets`` MTU-sized packets from
+    time 0."""
     for i in range(packets):
         fields: Dict[str, int] = {
             "ip_src": HOSTS[src],
@@ -154,18 +152,16 @@ def send_bulk(
             "kind": 0,
             "ident": i,
         }
-        if extra_fields:
-            fields.update(extra_fields)
         frame = Frame(
             packet=Packet(fields),
             payload_bytes=payload_bytes,
             flow=("bulk", src, dst),
             ident=i,
         )
-        net.inject(src, frame, at=at + i * spacing)
+        net.inject(src, frame, at=i * spacing)
 
 
-def goodput(net: SimNetwork, src: str, dst: str, payload_bytes: int = 1470) -> float:
+def goodput(net: SimNetwork, src: str, dst: str) -> float:
     """Delivered payload bytes per second for a bulk flow (0 if < 2 packets)."""
     records = [
         r

@@ -37,9 +37,10 @@ alone: every option is execution-only (cache placement and trust,
 retry, deadline) and cannot change the artifact bytes (the golden tests
 in ``tests/test_pipeline.py`` pin this), so none enters the key.
 
-The rule for future options: a :class:`CompileOptions` field exists
-only when two real callers (not tests, not examples) need different
-values; with one value in use it is a constant.  A reference
+The rule for future options: a :class:`CompileOptions` field -- like a
+parameter of any function or constructor in the package -- exists only
+when two real callers (not tests, not examples) need different values;
+with one value in use it is a constant.  A reference
 implementation that tests compare against lives beside them
 (``tests/naive_oracles.py``: the per-state ETS walk, the cache-free
 FDD builder) and is called by tests directly, never selected through
@@ -60,8 +61,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    ClassVar, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
-    Tuple, Union,
+    ClassVar, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union,
 )
 
 from . import faults
@@ -88,7 +88,6 @@ __all__ = [
     "ArtifactIntegrityError",
     "PipelineError",
     "StageError",
-    "compile_app",
 ]
 
 # Bump when the pickled artifact layout changes incompatibly; old cache
@@ -1196,54 +1195,3 @@ class Pipeline:
     def __repr__(self) -> str:
         ran = [name for name, _ in self.report().stage_seconds]
         return f"Pipeline(stages_run={ran or '[]'})"
-
-
-def compile_app(
-    program_or_app,
-    topology: Optional[Topology] = None,
-    initial_state: Optional[Sequence[int]] = None,
-    options: Optional[CompileOptions] = None,
-    **option_overrides,
-) -> CompiledNES:
-    """One call from a program (or an :class:`~repro.apps.base.App`) to a
-    :class:`CompiledNES`.
-
-    Either pass ``(program, topology, initial_state)`` explicitly, or a
-    single app-like object carrying those attributes.  Keyword overrides
-    are :class:`CompileOptions` fields::
-
-        compiled = repro.compile_app(app, cache_dir="~/.cache/repro")
-    """
-    if hasattr(program_or_app, "program"):
-        app = program_or_app
-        if topology is not None or initial_state is not None:
-            raise TypeError(
-                "compile_app(app, ...) uses the app's own topology and "
-                "initial_state; pass (program, topology, initial_state) "
-                "explicitly to override them"
-            )
-        if (
-            options is None
-            and not option_overrides
-            and hasattr(app, "pipeline")
-        ):
-            # Reuse the app's own pipeline: the compile work (and the
-            # stage report) are shared with later app.ets/nes/compiled.
-            return app.pipeline.compiled
-        program = app.program
-        topology = app.topology
-        initial_state = app.initial_state
-        if options is None:
-            options = getattr(app, "options", None)
-    else:
-        program = program_or_app
-        if topology is None or initial_state is None:
-            raise TypeError(
-                "compile_app needs (program, topology, initial_state) "
-                "or a single app-like object"
-            )
-    if options is None:
-        options = CompileOptions()
-    if option_overrides:
-        options = options.replace(**option_overrides)
-    return Pipeline(program, topology, initial_state, options).compiled

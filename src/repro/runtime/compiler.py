@@ -361,13 +361,6 @@ class CompiledNES:
         """The configuration tag stamped on packets entering at this event-set."""
         return self.config_ids[self.nes.state_of(frozenset(event_set))]
 
-    def encode_digest(self, events: Iterable[Event]) -> int:
-        """Event-set as a bitmask -- the packet digest wire format."""
-        return self.nes.structure.encode(events)
-
-    def decode_digest(self, mask: int) -> EventSet:
-        return self.nes.structure.decode(mask)
-
     # -- configuration access ---------------------------------------------------
 
     def config_for_state(self, state: StateVector) -> Configuration:

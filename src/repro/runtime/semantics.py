@@ -28,6 +28,9 @@ __all__ = [
     "merge_in_enabling_order",
 ]
 
+# The most controller transitions one drain_controller() may fire.
+MAX_DRAIN_STEPS = 10_000
+
 
 def detect_events(
     nes, combined: EventSet, packet: Packet, location: Location
@@ -284,9 +287,9 @@ class Runtime:
             )
         return taken
 
-    def drain_controller(self, max_steps: int = 10_000) -> None:
+    def drain_controller(self) -> None:
         """Run all pending controller transitions (CTRLRECV + CTRLSEND)."""
-        for _ in range(max_steps):
+        for _ in range(MAX_DRAIN_STEPS):
             transitions = [
                 t
                 for t in self.enabled_transitions()

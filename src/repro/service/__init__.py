@@ -12,8 +12,7 @@ Layers:
 
 - :mod:`repro.service.protocol` — the JSON wire protocol: programs (the
   concrete syntax of :mod:`repro.netkat.parser`), topologies, state
-  vectors, the requestable :class:`~repro.pipeline.CompileOptions`
-  subset, and :class:`~repro.pipeline.Delta` round-tripping.
+  vectors and :class:`~repro.pipeline.Delta` round-tripping.
 - :mod:`repro.service.state` — the shared server state: pipeline memo
   (LRU) with the request-fingerprint index in front of it, per-key
   single-flight locks, request/latency stats, aggregated health
@@ -23,8 +22,8 @@ Layers:
   on the stdlib ``ThreadingHTTPServer`` loop, with their own HTTP framing.
 - :mod:`repro.service.client` — the keep-alive HTTP/1.1 client (its
   own framing) used by the tests, the examples, and the CI smoke step.
-- :mod:`repro.service.launcher` — the entry point
-  (``python -m repro serve`` / ``python -m repro.service.launcher``).
+- :mod:`repro.service.launcher` — the daemon's flags and serve loop,
+  behind ``python -m repro serve``.
 
 Quickstart::
 
@@ -39,7 +38,6 @@ Quickstart::
 """
 
 from .client import ServiceClient, ServiceError
-from .launcher import main as launcher_main
 from .protocol import PROTOCOL_VERSION, ProtocolError
 from .server import CompilationServer, create_server, serve_in_thread
 from .state import ServiceState, UnknownArtifactError
@@ -53,6 +51,5 @@ __all__ = [
     "ServiceState",
     "UnknownArtifactError",
     "create_server",
-    "launcher_main",
     "serve_in_thread",
 ]

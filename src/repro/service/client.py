@@ -221,23 +221,13 @@ class ServiceClient:
     def compile_batch(
         self, requests: Sequence[Mapping[str, Any]]
     ) -> List[Dict[str, Any]]:
-        """``POST /compile/batch``: per-entry results (an entry that
-        failed carries ``{"error": ..., "status": ...}`` instead)."""
+        """``POST /compile/batch`` of
+        :func:`~repro.service.protocol.compile_request_to_wire` entries:
+        per-entry results (an entry that failed carries ``{"error": ...,
+        "status": ...}`` instead)."""
         return self._post("/compile/batch", {"requests": list(requests)})[
             "results"
         ]
-
-    def compile_request(
-        self,
-        program: Union[Policy, str],
-        topology: Union[Topology, Mapping[str, Any]],
-        initial_state: Sequence[int],
-        **kwargs,
-    ) -> Dict[str, Any]:
-        """A batch entry for :meth:`compile_batch`."""
-        return protocol.compile_request_to_wire(
-            program, topology, initial_state, **kwargs
-        )
 
     def update(
         self,

@@ -1,60 +1,38 @@
-"""Launcher for the compilation daemon.
+"""The daemon's flags and serve loop, behind ``python -m repro serve``::
 
-Run it standalone or through the package CLI::
-
-    python -m repro.service.launcher --host 0.0.0.0 --port 8008 \\
+    python -m repro serve --host 0.0.0.0 --port 8008 \\
         --cache-dir ~/.cache/repro-service
-    python -m repro serve --port 8008 --cache-dir ~/.cache/repro-service
 
-Environment:
-
-- ``REPRO_SERVICE_HOST`` / ``REPRO_SERVICE_PORT`` — defaults for
-  ``--host`` / ``--port``.
-- ``REPRO_CACHE_HMAC_KEY`` — signs/verifies on-disk cache artifacts
-  (resolved by :meth:`repro.CompileOptions.resolved_cache_hmac_key`);
-  combine with ``--strict-cache`` to make a tampered shared cache a
-  hard, health-visible failure instead of a recompile.
+``REPRO_CACHE_HMAC_KEY`` signs/verifies on-disk cache artifacts
+(resolved by :meth:`repro.CompileOptions.resolved_cache_hmac_key`);
+combine it with ``--strict-cache`` to make a tampered shared cache a
+hard, health-visible failure instead of a recompile.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import sys
-from typing import Optional, Sequence
 
 from ..obs import metrics as obs_metrics
 from ..pipeline import CompileOptions
 from .server import create_server
 from .state import DEFAULT_MEMO_SIZE
 
-__all__ = ["build_arg_parser", "main", "run"]
+__all__ = ["add_serve_arguments", "run"]
 
-DEFAULT_HOST = os.environ.get("REPRO_SERVICE_HOST", "127.0.0.1")
-DEFAULT_PORT = int(os.environ.get("REPRO_SERVICE_PORT", "8008"))
-
-
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-service",
-        description="Compilation-as-a-service daemon around the repro "
-        "Pipeline façade",
-    )
-    add_serve_arguments(parser)
-    return parser
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8008
 
 
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
-    """The daemon flags, shared with ``python -m repro serve``."""
+    """The daemon flags of ``python -m repro serve``."""
     parser.add_argument(
         "--host", default=DEFAULT_HOST,
-        help=f"bind address (default: {DEFAULT_HOST}; "
-        "env REPRO_SERVICE_HOST)",
+        help=f"bind address (default: {DEFAULT_HOST})",
     )
     parser.add_argument(
         "--port", type=int, default=DEFAULT_PORT,
-        help=f"bind port, 0 = ephemeral (default: {DEFAULT_PORT}; "
-        "env REPRO_SERVICE_PORT)",
+        help=f"bind port, 0 = ephemeral (default: {DEFAULT_PORT})",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -114,11 +92,3 @@ def run(args: argparse.Namespace) -> int:
     finally:
         server.server_close()
     return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run(build_arg_parser().parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

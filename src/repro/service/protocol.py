@@ -275,7 +275,20 @@ def compile_request_to_wire(
     deadline_seconds: Optional[float] = None,
     include_tables: bool = True,
 ) -> Dict[str, Any]:
-    """One ``POST /compile`` request body (also a batch entry)."""
+    """One ``POST /compile`` request body (also a batch entry).
+
+    A value the daemon would answer with a 400 -- a state component that
+    is not an int, a deadline that is not a number, an ``include_tables``
+    that is not a bool -- raises :class:`TypeError` here instead of being
+    coerced onto another request's artifact key."""
+    state = [_json_int(component) for component in initial_state]
+    if deadline_seconds is not None and (
+        isinstance(deadline_seconds, bool)
+        or not isinstance(deadline_seconds, (int, float))
+    ):
+        raise TypeError(f"deadline_seconds must be a number, got {deadline_seconds!r}")
+    if not isinstance(include_tables, bool):
+        raise TypeError(f"include_tables must be a bool, got {include_tables!r}")
     body: Dict[str, Any] = {
         "program": program_to_wire(program),
         "topology": (
@@ -283,7 +296,7 @@ def compile_request_to_wire(
             if isinstance(topology, Topology)
             else dict(topology)
         ),
-        "initial_state": [int(component) for component in initial_state],
+        "initial_state": state,
     }
     if deadline_seconds is not None:
         body["deadline_seconds"] = float(deadline_seconds)

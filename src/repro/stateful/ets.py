@@ -7,8 +7,7 @@ vertices ``(~k, ⟦p⟧~k)`` and edges ``fst(⟬p⟭~k true)``.
 
 We build the reachable fragment by breadth-first exploration from the
 initial state; unreachable state vectors never influence runtime
-behavior.  The full vertex set of the paper (all ``~k``) can be obtained
-with an explicit ``state_space``.
+behavior.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..netkat.ast import Policy
 from .ast import StateVector, validate_state_references
@@ -24,6 +23,9 @@ from .events import EventEdge
 from .symbolic import SymbolicProgram
 
 __all__ = ["ETS", "build_ets"]
+
+# The most vertices one exploration may reach.
+MAX_STATES = 10_000
 
 
 @dataclass(frozen=True)
@@ -104,15 +106,12 @@ class ETS:
 def build_ets(
     program: Policy,
     initial: StateVector,
-    state_space: Optional[Iterable[StateVector]] = None,
-    max_states: int = 10_000,
     symbolic: Optional[SymbolicProgram] = None,
 ) -> ETS:
     """Construct ``ETS(program)`` from the initial state.
 
-    By default only states reachable from ``initial`` become vertices;
-    pass ``state_space`` to force a specific vertex set (every reachable
-    state must be included in it).
+    Only states reachable from ``initial`` become vertices, at most
+    :data:`MAX_STATES` of them.
 
     The program is partially evaluated **once** over all state-component
     values (:class:`~repro.stateful.symbolic.SymbolicProgram`) and the
@@ -128,11 +127,6 @@ def build_ets(
     evaluation separately, and to share it (per-state memo and all)
     with an update that leaves the program untouched.
     """
-    allowed: Optional[Set[StateVector]] = (
-        set(state_space) if state_space is not None else None
-    )
-    if allowed is not None and initial not in allowed:
-        raise ValueError(f"initial state {initial} not in the given state space")
     # Projection prunes dead segments without walking their bodies, so
     # out-of-range state references are checked once for the whole program.
     validate_state_references(program, len(initial))
@@ -156,29 +150,14 @@ def build_ets(
                 continue
             edges.add(edge)
             dst = edge.dst
-            if allowed is not None and dst not in allowed:
-                raise ValueError(
-                    f"reachable state {dst} is outside the given state space"
-                )
             if dst not in visited:
-                if len(visited) >= max_states:
+                if len(visited) >= MAX_STATES:
                     raise RuntimeError(
-                        f"ETS exploration exceeded {max_states} states"
+                        f"ETS exploration exceeded {MAX_STATES} states"
                     )
                 visited.add(dst)
                 order.append(dst)
                 queue.append(dst)
-
-    if allowed is not None:
-        for extra in sorted(allowed - visited):
-            order.append(extra)
-            for edge in symbolic.edges_at(extra):
-                if edge.dst == edge.src:
-                    # Identity transitions are omitted here exactly as in
-                    # the BFS loop above; forced extra states must not
-                    # disagree with reached ones on the paper's rule.
-                    continue
-                edges.add(edge)
 
     vertices = tuple((state, symbolic.configuration_at(state)) for state in order)
     return ETS(initial=initial, vertices=vertices, edges=frozenset(edges))

@@ -39,7 +39,6 @@ class Topology:
     def __init__(self) -> None:
         self._switches: Set[int] = set()
         self._links: Dict[Location, Set[Location]] = {}
-        self._reverse_links: Dict[Location, Set[Location]] = {}
         self._hosts: Dict[str, Host] = {}
         self._host_ports: Dict[Location, Host] = {}
 
@@ -55,7 +54,6 @@ class Topology:
         self._switches.add(src_loc.switch)
         self._switches.add(dst_loc.switch)
         self._links.setdefault(src_loc, set()).add(dst_loc)
-        self._reverse_links.setdefault(dst_loc, set()).add(src_loc)
         return self
 
     def add_duplex_link(self, a: str | Location, b: str | Location) -> "Topology":
@@ -103,26 +101,8 @@ class Topology:
     def link_targets(self, src: Location) -> FrozenSet[Location]:
         return frozenset(self._links.get(src, ()))
 
-    def link_sources(self, dst: Location) -> FrozenSet[Location]:
-        return frozenset(self._reverse_links.get(dst, ()))
-
     def has_link(self, src: Location, dst: Location) -> bool:
         return dst in self._links.get(src, ())
-
-    def ports_of(self, switch: int) -> FrozenSet[int]:
-        """All ports of a switch mentioned by links or host attachments."""
-        ports = set()
-        for loc in self._links:
-            if loc.switch == switch:
-                ports.add(loc.port)
-        for targets in self._links.values():
-            for loc in targets:
-                if loc.switch == switch:
-                    ports.add(loc.port)
-        for loc in self._host_ports:
-            if loc.switch == switch:
-                ports.add(loc.port)
-        return frozenset(ports)
 
     def edge_locations(self) -> Tuple[Location, ...]:
         """All host attachment points (network ingress/egress ports)."""

@@ -32,6 +32,9 @@ __all__ = [
     "stateful_projections_equivalent",
 ]
 
+# The largest probe space tables_equivalent enumerates.
+MAX_PROBES = 200_000
+
 
 def policies_equivalent(p: Policy, q: Policy, builder: Optional[FDDBuilder] = None) -> bool:
     """Decide ``p ≡ q`` for link-free policies via canonical FDDs."""
@@ -39,9 +42,9 @@ def policies_equivalent(p: Policy, q: Policy, builder: Optional[FDDBuilder] = No
     return builder.of_policy(p) is builder.of_policy(q)
 
 
-def predicates_equivalent(a: Predicate, b: Predicate, builder: Optional[FDDBuilder] = None) -> bool:
+def predicates_equivalent(a: Predicate, b: Predicate) -> bool:
     """Decide ``a ≡ b`` for predicates via canonical FDDs."""
-    builder = builder or FDDBuilder()
+    builder = FDDBuilder()
     return builder.of_predicate(a) is builder.of_predicate(b)
 
 
@@ -65,7 +68,7 @@ def _mentioned_values(tables: Iterable[FlowTable]) -> Dict[str, Set[int]]:
     return values
 
 
-def tables_equivalent(t1: FlowTable, t2: FlowTable, max_probes: int = 200_000) -> bool:
+def tables_equivalent(t1: FlowTable, t2: FlowTable) -> bool:
     """Do two tables map every relevant packet to the same outputs?
 
     The probe space is the product of the field values either table
@@ -79,9 +82,9 @@ def tables_equivalent(t1: FlowTable, t2: FlowTable, max_probes: int = 200_000) -
     total = 1
     for field in fields:
         total *= len(values[field])
-    if total > max_probes:
+    if total > MAX_PROBES:
         raise ValueError(
-            f"probe space of {total} packets exceeds max_probes={max_probes}"
+            f"probe space of {total} packets exceeds max_probes={MAX_PROBES}"
         )
     for combo in product(*(sorted(values[f]) for f in fields)):
         packet = Packet(dict(zip(fields, combo)))

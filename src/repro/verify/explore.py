@@ -27,6 +27,9 @@ from ..runtime.semantics import Runtime, Transition
 
 __all__ = ["ExplorationResult", "explore_all_interleavings"]
 
+# The exploration stops after this many terminal executions.
+MAX_EXECUTIONS = 100_000
+
 
 @dataclass(frozen=True)
 class ExplorationResult:
@@ -45,10 +48,9 @@ class ExplorationResult:
 def _runtime_with_injections(
     app: App,
     injections: Sequence[Tuple[str, Mapping[str, int]]],
-    seed: int = 0,
     runtime_factory=None,
 ) -> Runtime:
-    rt = runtime_factory() if runtime_factory is not None else app.runtime(seed=seed)
+    rt = runtime_factory() if runtime_factory is not None else app.runtime()
     for host, fields in injections:
         rt.inject(host, fields)
     return rt
@@ -101,7 +103,6 @@ def explore_all_interleavings(
     app: App,
     injections: Sequence[Tuple[str, Mapping[str, int]]],
     max_depth: int = 64,
-    max_executions: int = 100_000,
     include_controller: bool = False,
     runtime_factory=None,
 ) -> ExplorationResult:
@@ -156,7 +157,7 @@ def explore_all_interleavings(
     stack: List[Tuple[Tuple[int, ...]]] = [((),)]
     while stack:
         (schedule,) = stack.pop()
-        if executions >= max_executions:
+        if executions >= MAX_EXECUTIONS:
             break
         rt = replay(schedule)
         key = _canonical_state(rt)

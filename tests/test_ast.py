@@ -28,7 +28,6 @@ from repro.netkat.ast import (
     link,
     neg,
     policy_fields,
-    policy_links,
     policy_size,
     seq,
     star,
@@ -128,11 +127,6 @@ class TestStructuralQueries:
 
     def test_policy_fields_link(self):
         assert policy_fields(link("1:1", "2:2")) == frozenset({"sw", "pt"})
-
-    def test_policy_links_in_order(self):
-        l1, l2 = link("1:1", "2:2"), link("3:3", "4:4")
-        p = union(seq(filter_(field_test("a", 1)), l1), l2)
-        assert policy_links(p) == (l1, l2)
 
     def test_policy_size_positive(self):
         assert policy_size(assign("f", 1)) == 1

@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 
 FIREWALL_SOURCE = """
@@ -265,3 +271,35 @@ class TestUpdate:
             "--set-state", "7=1",
         ]) == 1
         assert "FAIL:" in capsys.readouterr().out
+
+
+class TestServeAddress:
+    """``--host`` / ``--port`` are the one spelling of the daemon's bind
+    address: no environment variable is read, so a malformed one can
+    break neither ``import repro`` nor a command."""
+
+    @staticmethod
+    def run_python(*args):
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(
+            os.environ,
+            PYTHONPATH=src,
+            REPRO_SERVICE_HOST="no such host",
+            REPRO_SERVICE_PORT="abc",
+        )
+        return subprocess.run(
+            [sys.executable, *args],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+
+    def test_the_environment_is_not_read(self):
+        done = self.run_python("-c", "import repro")
+        assert done.returncode == 0, done.stderr
+        done = self.run_python("-m", "repro", "apps")
+        assert done.returncode == 0, done.stderr
+        assert "stateful-firewall" in done.stdout
+
+    def test_a_malformed_port_flag_is_a_usage_error(self):
+        done = self.run_python("-m", "repro", "serve", "--port", "abc")
+        assert done.returncode == 2
+        assert "--port" in done.stderr

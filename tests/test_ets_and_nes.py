@@ -68,20 +68,6 @@ class TestBuildETS:
         ets = build_ets(prog, (0,))
         assert set(ets.states()) == {(0,), (1,)}
 
-    def test_explicit_state_space(self):
-        prog = seq(filter_(state_eq([0])), link_update("1:1", "4:1", [1]))
-        ets = build_ets(prog, (0,), state_space=[(0,), (1,), (2,)])
-        assert set(ets.states()) == {(0,), (1,), (2,)}
-
-    def test_state_space_must_contain_initial(self):
-        with pytest.raises(ValueError):
-            build_ets(assign("a", 1), (0,), state_space=[(1,)])
-
-    def test_state_space_must_cover_reachable(self):
-        prog = seq(filter_(state_eq([0])), link_update("1:1", "4:1", [1]))
-        with pytest.raises(ValueError):
-            build_ets(prog, (0,), state_space=[(0,)])
-
     def test_loop_detection(self):
         prog = union(
             seq(filter_(state_eq([0])), link_update("1:1", "4:1", [1])),
@@ -315,8 +301,8 @@ class TestNES:
     def test_newly_enabled(self):
         nes = self.make_firewall_nes()
         (event,) = nes.events
-        assert nes.newly_enabled(frozenset()) == frozenset({event})
-        assert nes.newly_enabled(frozenset({event})) == frozenset()
+        assert set(nes.structure.successors(frozenset())) == {event}
+        assert set(nes.structure.successors(frozenset({event}))) == set()
 
 
 class TestStructureAdoption:

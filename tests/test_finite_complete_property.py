@@ -10,11 +10,7 @@ sets directly; a final test runs both checkers over the real
 import random
 
 import pytest
-
-try:  # hypothesis is optional: the repo declares no third-party deps
-    from hypothesis import given, settings, strategies as st
-except ImportError:  # pragma: no cover
-    st = None
+from hypothesis import given, settings, strategies as st
 
 from repro.apps import bandwidth_cap_app, firewall_app, ids_app
 from naive_oracles import check_finite_complete_naive
@@ -31,20 +27,18 @@ def as_family(members):
     return {m: None for m in list(members) + [frozenset()]}
 
 
-if st is not None:
-
-    @given(st.lists(st.frozensets(st.integers(0, 9), max_size=6), max_size=24))
-    @settings(max_examples=200, deadline=None)
-    def test_agrees_with_naive_on_random_families(members):
-        family = as_family(members)
-        assert normalized(check_finite_complete(family)) == normalized(
-            check_finite_complete_naive(family)
-        )
+@given(st.lists(st.frozensets(st.integers(0, 9), max_size=6), max_size=24))
+@settings(max_examples=200, deadline=None)
+def test_agrees_with_naive_on_random_families(members):
+    family = as_family(members)
+    assert normalized(check_finite_complete(family)) == normalized(
+        check_finite_complete_naive(family)
+    )
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_agrees_with_naive_on_seeded_random_families(seed):
-    """Plain-random version of the agreement property (no hypothesis)."""
+    """The agreement property on seeded plain-random families."""
     rng = random.Random(seed)
     for _ in range(40):
         members = [

@@ -63,10 +63,6 @@ class TestMatch:
         assert m.get("b") == 2
         assert m.without("a").get("a") is None
 
-    def test_specificity(self):
-        assert Match().specificity() == 0
-        assert Match({"a": 1, "b": 2}).specificity() == 2
-
     def test_value_equality(self):
         assert Match({"a": 1, "b": 2}) == Match({"b": 2, "a": 1})
         assert hash(Match({"a": 1})) == hash(Match({"a": 1}))
@@ -80,7 +76,6 @@ class TestRule:
 
     def test_drop_rule(self):
         rule = Rule(1, Match(), frozenset())
-        assert rule.is_drop()
         assert rule.apply(Packet({})) == frozenset()
 
     def test_identity_action(self):
@@ -122,11 +117,6 @@ class TestFlowTable:
     def test_rules_sorted_by_priority(self):
         table = FlowTable([Rule(1, Match(), frozenset()), Rule(9, Match({"a": 1}), frozenset())])
         assert [r.priority for r in table] == [9, 1]
-
-    def test_merged_with(self):
-        t1 = FlowTable([Rule(1, Match(), frozenset())])
-        t2 = FlowTable([Rule(2, Match({"a": 1}), frozenset())])
-        assert len(t1.merged_with(t2)) == 2
 
 
 FIELDS = ["a", "b"]

@@ -46,12 +46,12 @@ class TestLiteral:
 
 class TestFormulaConstruction:
     def test_true_formula(self):
-        assert Formula.true().is_true()
+        assert Formula.true().literals == frozenset()
         assert Formula.true().holds(Packet({}))
 
     def test_conjoin_builds(self):
         phi = Formula.true().conjoin(Literal("a", EQ, 1))
-        assert phi is not None and not phi.is_true()
+        assert phi is not None and phi.literals == {Literal("a", EQ, 1)}
 
     def test_conjoin_contradiction_eq_eq(self):
         phi = Formula((Literal("a", EQ, 1),))

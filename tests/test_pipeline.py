@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import CompileOptions, Delta, Pipeline, compile_app
+from repro import CompileOptions, Delta, Pipeline
 from repro.apps import bandwidth_cap_app, firewall_app, ids_app
 from repro.events.ets_to_nes import nes_of_ets
 from repro.formula import EQ, NE, Formula, Literal
@@ -255,8 +255,6 @@ class TestArtifactCache:
                 CompileOptions(**{name: None})
             with pytest.raises(TypeError):
                 CompileOptions().replace(**{name: None})
-            with pytest.raises(TypeError):
-                compile_app(app, **{name: None})
 
     def test_execution_only_options_share_the_key(self, tmp_path):
         app = firewall_app()
@@ -375,8 +373,6 @@ class TestCompileOptions:
             CompileOptions(**{name: None})
         with pytest.raises(TypeError):
             CompileOptions().replace(**{name: None})
-        with pytest.raises(TypeError):
-            compile_app(firewall_app(), **{name: None})
 
     @pytest.mark.parametrize(
         "changes",
@@ -412,28 +408,6 @@ class TestCompileOptions:
         expanded = CompileOptions(cache_dir="~/repro-cache").cache_dir
         assert "~" not in str(expanded)
         assert expanded == Path("~/repro-cache").expanduser()
-
-
-def test_compile_app_forms():
-    app = firewall_app()
-    reference = guarded_bytes(app.compiled)
-    # With no option overrides, the app's own pipeline is reused -- the
-    # compile work and the stage report are shared, not redone.
-    assert compile_app(app) is app.pipeline.compiled
-    assert guarded_bytes(compile_app(app)) == reference
-    assert (
-        guarded_bytes(compile_app(app.program, app.topology, app.initial_state))
-        == reference
-    )
-    assert guarded_bytes(compile_app(app, compile_retries=0)) == reference
-    with pytest.raises(TypeError):
-        compile_app(app.program)
-    # An app bundles its own topology/initial_state; a conflicting
-    # override must be rejected, never silently ignored.
-    with pytest.raises(TypeError):
-        compile_app(app, initial_state=(1,))
-    with pytest.raises(TypeError):
-        compile_app(app, topology=app.topology)
 
 
 @pytest.mark.parametrize("bad", [False, True, 1.9, "0"], ids=repr)

@@ -121,3 +121,121 @@ def test_readme_parse_example():
     from repro.apps import firewall_app
 
     assert program == firewall_app().program
+
+
+def _resolve(spec):
+    """``"module:Attr.path"`` -> the object it names."""
+    module, _, path = spec.partition(":")
+    obj = importlib.import_module(module)
+    for part in filter(None, path.split(".")):
+        obj = getattr(obj, part)
+    return obj
+
+
+# (callable, positional arguments it takes, a parameter no caller outside
+# the tests set): the default became the behaviour, the spelling is gone.
+REMOVED_PARAMETERS = [
+    ("repro.network.switch_logic:Figure7Logic", 1, "controller_latency"),
+    ("repro.network.switch_logic:Figure7Logic", 1, "event_notify_latency"),
+    ("repro.network.switch_logic:Figure7Logic", 1, "extra_processing_delay"),
+    ("repro.network.switch_logic:CorrectLogic", 1, "controller_latency"),
+    ("repro.network.switch_logic:CorrectLogic", 1, "event_notify_latency"),
+    ("repro.network.switch_logic:CorrectLogic", 1, "extra_processing_delay"),
+    ("repro.baselines:UncoordinatedLogic", 1, "push_gap"),
+    ("repro.baselines:UncoordinatedLogic", 1, "event_notify_latency"),
+    ("repro.baselines:TwoPhaseLogic", 1, "flip_gap"),
+    ("repro.baselines:TwoPhaseLogic", 1, "event_notify_latency"),
+    ("repro.network:SimNetwork", 2, "link_params"),
+    ("repro.network:send_bulk", 4, "at"),
+    ("repro.network:send_bulk", 4, "extra_fields"),
+    ("repro.network:send_ping", 5, "payload_bytes"),
+    ("repro.network:install_ping_responders", 1, "hosts"),
+    ("repro.network:goodput", 3, "payload_bytes"),
+    ("repro.stateful.ets:build_ets", 2, "state_space"),
+    ("repro.stateful.ets:build_ets", 2, "max_states"),
+    ("repro.netkat.fdd:FDDBuilder.star", 2, "fuel"),
+    ("repro.netkat.flowtable:table_of_fdd", 2, "base_priority"),
+    ("repro.verify:tables_equivalent", 2, "max_probes"),
+    ("repro.verify:predicates_equivalent", 2, "builder"),
+    ("repro.verify:explore_all_interleavings", 2, "max_executions"),
+    ("repro.runtime.semantics:Runtime.drain_controller", 1, "max_steps"),
+    ("repro.consistency.update:EventDrivenUpdate.single", 3, "ambient_events"),
+    ("repro.events.structure:EventStructure.event_sets", 1, "limit"),
+    ("repro.events.structure:EventStructure.event_sets_masks", 1, "limit"),
+    ("repro.events.locality:locality_violations", 1, "max_size"),
+    ("repro.events.locality:is_locally_determined", 1, "max_size"),
+]
+
+
+@pytest.mark.parametrize(
+    "target, positional, keyword",
+    REMOVED_PARAMETERS,
+    ids=[f"{target.partition(':')[2]}-{kw}" for target, _, kw in REMOVED_PARAMETERS],
+)
+def test_removed_parameters_raise(target, positional, keyword):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+        _resolve(target)(*[None] * positional, **{keyword: None})
+
+
+REMOVED_NAMES = [
+    "repro:compile_app",
+    "repro.pipeline:compile_app",
+    "repro.events.nes:NES.newly_enabled",
+    "repro.netkat.semantics:reachable_packets",
+    "repro.netkat:policy_links",
+    "repro.netkat.ast:policy_links",
+    "repro.topology:Topology.ports_of",
+    "repro.topology:Topology.link_sources",
+    "repro.service:ServiceClient.compile_request",
+    "repro.runtime.compiler:CompiledNES.encode_digest",
+    "repro.runtime.compiler:CompiledNES.decode_digest",
+    "repro.netkat.flowtable:Match.specificity",
+    "repro.netkat.flowtable:Rule.is_drop",
+    "repro.netkat.flowtable:FlowTable.merged_with",
+    "repro.formula:Conjunction.is_true",
+    "repro.apps.base:App.host_address",
+    "repro.service:launcher_main",
+    "repro.service.launcher:main",
+    "repro.service.launcher:build_arg_parser",
+]
+
+
+@pytest.mark.parametrize("spec", REMOVED_NAMES)
+def test_removed_names_are_gone(spec):
+    module, _, path = spec.partition(":")
+    owner, _, name = path.rpartition(".")
+    with pytest.raises(AttributeError):
+        getattr(_resolve(f"{module}:{owner}"), name)
+
+
+def test_compile_app_is_not_advertised():
+    import repro
+
+    assert "compile_app" not in repro.__all__
+
+
+FORMER_DEFAULTS = [
+    ("repro.network.switch_logic:EVENT_NOTIFY_LATENCY", 0.01),
+    ("repro.network.switch_logic:CONTROLLER_LATENCY", 0.05),
+    ("repro.network.switch_logic:EXTRA_PROCESSING_DELAY", 6e-6),
+    ("repro.network.switch_logic:CorrectLogic.extra_processing_delay", 6e-6),
+    ("repro.baselines.uncoordinated:PUSH_GAP", 0.02),
+    ("repro.baselines.two_phase:FLIP_GAP", 0.01),
+    ("repro.network.traffic:PING_PAYLOAD_BYTES", 64),
+    ("repro.stateful.ets:MAX_STATES", 10_000),
+    ("repro.netkat.fdd:STAR_FUEL", 200),
+    ("repro.verify.equiv:MAX_PROBES", 200_000),
+    ("repro.verify.explore:MAX_EXECUTIONS", 100_000),
+    ("repro.runtime.semantics:MAX_DRAIN_STEPS", 10_000),
+    ("repro.events.structure:MAX_EVENT_SETS", 100_000),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, value",
+    FORMER_DEFAULTS,
+    ids=[spec.partition(":")[2] for spec, _ in FORMER_DEFAULTS],
+)
+def test_former_defaults_are_the_constants(spec, value):
+    """A removed parameter's default is the behaviour, unchanged."""
+    assert _resolve(spec) == value

@@ -22,9 +22,10 @@ class TestCompiledNES:
     def test_tag_encoding_roundtrip(self):
         app = bandwidth_cap_app(3)
         compiled = app.compiled
+        structure = compiled.nes.structure
         for event_set in compiled.event_sets:
-            mask = compiled.encode_digest(event_set)
-            assert compiled.decode_digest(mask) == event_set
+            mask = structure.encode(event_set)
+            assert structure.decode(mask) == event_set
 
     def test_distinct_tags_per_state(self):
         compiled = firewall_app().compiled

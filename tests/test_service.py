@@ -870,7 +870,7 @@ class TestProtocolErrors:
 def test_batch_isolates_per_entry_failures(shared_service):
     app = firewall_app()
     results = shared_service.compile_batch([
-        shared_service.compile_request(
+        protocol.compile_request_to_wire(
             app.program, app.topology, app.initial_state
         ),
         {"program": "filter (", "topology": protocol.topology_to_wire(
@@ -883,6 +883,40 @@ def test_batch_isolates_per_entry_failures(shared_service):
     assert good["tables"]
     assert bad["status"] == 400
     assert bad["error"]["code"] == "parse_error"
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"initial_state": [True]},
+        {"initial_state": [1.9]},
+        {"initial_state": ["2"]},
+        {"deadline_seconds": "5"},
+        {"deadline_seconds": True},
+        {"include_tables": 0},
+        {"include_tables": "false"},
+    ],
+    ids=lambda changes: "-".join(f"{k}={v!r}" for k, v in changes.items()),
+)
+def test_client_raises_on_what_the_daemon_rejects_before_sending(changes):
+    """The daemon answers each of these with a 400; the client must not
+    coerce it onto a well-typed request (``[True]`` would compile state
+    ``(1,)`` under its artifact key), and raises before connecting."""
+    app = firewall_app()
+    kwargs = dict(changes)
+    initial = kwargs.pop("initial_state", list(app.initial_state))
+    with pytest.raises(TypeError):
+        protocol.compile_request_to_wire(app.program, app.topology, initial, **kwargs)
+    with closing(socket.socket()) as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        listener.setblocking(False)
+        port = listener.getsockname()[1]
+        client = ServiceClient(f"http://127.0.0.1:{port}", timeout=2.0)
+        with pytest.raises(TypeError):
+            client.compile(app.program, app.topology, initial, **kwargs)
+        with pytest.raises(BlockingIOError):
+            listener.accept()  # nothing connected, so nothing was sent
 
 
 def test_include_tables_false_omits_tables(shared_service):
@@ -908,11 +942,7 @@ def test_request_options_and_deadline_do_not_perturb_the_key(shared_service):
     )
     assert tuned["artifact_key"] == plain["artifact_key"]
     assert tuned["tables"] == plain["tables"]
-    for spelling in (
-        shared_service.compile,
-        shared_service.compile_request,
-        protocol.compile_request_to_wire,
-    ):
+    for spelling in (shared_service.compile, protocol.compile_request_to_wire):
         with pytest.raises(TypeError):
             spelling(
                 app.program, app.topology, app.initial_state,
@@ -1312,7 +1342,7 @@ class TestRequestIndex:
     def test_batch_entries_consult_the_index(self):
         app = firewall_app()
         with fresh_service() as (client, _):
-            entry = client.compile_request(
+            entry = protocol.compile_request_to_wire(
                 app.program, app.topology, app.initial_state
             )
             results = client.compile_batch([entry, entry, entry])
@@ -1425,7 +1455,7 @@ class TestRequestIndex:
                 with pytest.raises(ServiceError) as excinfo:
                     client.compile(app.program, bad_topology, (0,))
                 assert excinfo.value.code == "bad_topology"
-                entry = client.compile_request(
+                entry = protocol.compile_request_to_wire(
                     app.program, app.topology, app.initial_state
                 )
                 (result,) = client.compile_batch(

@@ -25,7 +25,7 @@ class TestTopologyBasics:
     def test_link_targets_and_sources(self):
         topo = Topology().add_link("1:1", "2:2")
         assert topo.link_targets(Location(1, 1)) == frozenset({Location(2, 2)})
-        assert topo.link_sources(Location(2, 2)) == frozenset({Location(1, 1)})
+        assert list(topo.links()) == [(Location(1, 1), Location(2, 2))]
         assert topo.link_targets(Location(9, 9)) == frozenset()
 
     def test_hosts(self):
@@ -43,10 +43,6 @@ class TestTopologyBasics:
         topo = Topology().add_host("H1", "1:2")
         with pytest.raises(ValueError):
             topo.add_host("H2", "1:2")
-
-    def test_ports_of(self):
-        topo = Topology().add_link("1:1", "2:2").add_host("H1", "1:5")
-        assert topo.ports_of(1) == frozenset({1, 5})
 
     def test_edge_locations_sorted(self):
         topo = Topology().add_host("B", "2:1").add_host("A", "1:1")
