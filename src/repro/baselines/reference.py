@@ -3,7 +3,8 @@
 This models the unmodified OpenFlow 1.0 reference switch used as the
 bandwidth baseline in Figure 16(a): packets carry no tag or digest
 overhead and switches do no event bookkeeping.  The controller-driven
-baselines share :func:`punt_events`, their controller's half.
+baselines share :func:`untagged_frame`, their IN rule, and
+:func:`punt_events`, their controller's half.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, List, Tuple
 
 from ..netkat.compiler import Configuration
-from ..netkat.packet import Location, PT
+from ..netkat.packet import Location, Packet, PT
 from ..network.simulator import Frame, SimNetwork
 # The correct logic's own constants, so comparisons are fair.
 from ..network.switch_logic import BASE_HEADER_BYTES, EVENT_NOTIFY_LATENCY
@@ -61,6 +62,17 @@ def punt_events(
     net.sim.schedule(EVENT_NOTIFY_LATENCY, receive)
 
 
+def untagged_frame(
+    location: Location, packet: Packet, payload_bytes: int, flow: Tuple,
+    ident: int, now: float,
+) -> Frame:
+    """The IN rule of a switch that stamps nothing: the frame a host
+    emits, located at its edge port, with no tag and no digest."""
+    return Frame(
+        packet.at(location), payload_bytes, flow=flow, ident=ident, injected_at=now
+    )
+
+
 class ReferenceLogic:
     """Plain static forwarding with a fixed configuration."""
 
@@ -70,8 +82,7 @@ class ReferenceLogic:
     def header_bytes(self, frame: Frame) -> int:
         return BASE_HEADER_BYTES
 
-    def on_ingress(self, net: SimNetwork, location: Location, frame: Frame) -> Frame:
-        return frame.with_location(location)
+    ingress_frame = staticmethod(untagged_frame)
 
     def process(
         self, net: SimNetwork, location: Location, frame: Frame
@@ -79,9 +90,6 @@ class ReferenceLogic:
         table = self.configuration.table(location.switch)
         outputs = table.apply(frame.packet.at(location))
         return [
-            (
-                out_packet[PT],
-                frame.replace(packet=out_packet, tag=None, digest=frozenset()),
-            )
+            (out_packet[PT], frame.replace(packet=out_packet))
             for out_packet in sorted(outputs, key=repr)
         ]

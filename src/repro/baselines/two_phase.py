@@ -20,11 +20,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..events.event import Event
-from ..netkat.packet import Location, PT
+from ..netkat.packet import Location, Packet, PT
 from ..runtime.compiler import CompiledNES
 from ..network.simulator import Frame, SimNetwork
 from ..stateful.ast import StateVector
-from .reference import BASE_HEADER_BYTES, punt_events
+from .reference import BASE_HEADER_BYTES, punt_events, untagged_frame
 
 __all__ = ["TwoPhaseLogic", "VERSION_FIELD"]
 
@@ -63,13 +63,13 @@ class TwoPhaseLogic:
     def header_bytes(self, frame: Frame) -> int:
         return BASE_HEADER_BYTES + 1  # the version tag
 
-    def on_ingress(self, net: SimNetwork, location: Location, frame: Frame) -> Frame:
+    def ingress_frame(
+        self, location: Location, packet: Packet, payload_bytes: int, flow: Tuple,
+        ident: int, now: float,
+    ) -> Frame:
         version = self.stamp_version[location.switch]
-        return frame.replace(
-            packet=frame.packet.at(location).set(VERSION_FIELD, version),
-            tag=None,
-            digest=frozenset(),
-        )
+        packet = packet.set(VERSION_FIELD, version)
+        return untagged_frame(location, packet, payload_bytes, flow, ident, now)
 
     def process(
         self, net: SimNetwork, location: Location, frame: Frame
@@ -89,11 +89,7 @@ class TwoPhaseLogic:
         return [
             (
                 out_packet[PT],
-                frame.replace(
-                    packet=out_packet.set(VERSION_FIELD, version),
-                    tag=None,
-                    digest=frozenset(),
-                ),
+                frame.replace(packet=out_packet.set(VERSION_FIELD, version)),
             )
             for out_packet in sorted(outputs, key=repr)
         ]

@@ -22,7 +22,7 @@ from ..netkat.flowtable import FlowTable
 from ..netkat.packet import Location, PT
 from ..runtime.compiler import CompiledNES
 from ..stateful.ast import StateVector
-from .reference import BASE_HEADER_BYTES, punt_events
+from .reference import BASE_HEADER_BYTES, punt_events, untagged_frame
 from ..network.simulator import Frame, SimNetwork
 
 __all__ = ["UncoordinatedLogic"]
@@ -53,10 +53,7 @@ class UncoordinatedLogic:
     def header_bytes(self, frame: Frame) -> int:
         return BASE_HEADER_BYTES
 
-    def on_ingress(self, net: SimNetwork, location: Location, frame: Frame) -> Frame:
-        return frame.replace(
-            packet=frame.packet.at(location), tag=None, digest=frozenset()
-        )
+    ingress_frame = staticmethod(untagged_frame)
 
     def process(
         self, net: SimNetwork, location: Location, frame: Frame
@@ -65,10 +62,7 @@ class UncoordinatedLogic:
         table = self.installed.get(location.switch, FlowTable())
         outputs = table.apply(frame.packet.at(location))
         return [
-            (
-                out_packet[PT],
-                frame.replace(packet=out_packet, tag=None, digest=frozenset()),
-            )
+            (out_packet[PT], frame.replace(packet=out_packet))
             for out_packet in sorted(outputs, key=repr)
         ]
 

@@ -12,16 +12,18 @@ to a :class:`SwitchLogic` strategy.  The correct (tag-based) logic lives
 in :mod:`repro.network.switch_logic`; the uncoordinated baseline in
 :mod:`repro.baselines.uncoordinated`.
 
-There is one scheduling discipline.  Each switch keeps its processing
-backlog in a FIFO with only the head event on the heap, and
+There is one scheduling discipline and one ingress.  Each switch keeps
+its processing backlog in a FIFO with only the head event on the heap.
+Every frame enters the network through the logic's ``ingress_frame``
+(the IN rule), called by :class:`_StreamArrival` at emission time:
+:meth:`SimNetwork.inject` schedules one such arrival, and
 :meth:`SimNetwork.inject_stream` bulk-injects a :class:`FrameBatch` (an
 array-of-fields stream description), interning identical headers to
 shared :class:`Packet` objects and chaining arrivals one ahead, so a
-long stream costs one heap entry.  Two shortcuts are taken from what the
+long stream costs one heap entry.  One shortcut is taken from what the
 plugged-in logic publishes, never from a setting: emission plans (see
 :class:`_Plan`) when it has ``classify``, ``plan_generations`` and
-``header_overhead``, and allocation-free ingress when it has
-``ingress_frame``.  A logic that publishes neither (the baselines, and
+``header_overhead``.  A logic that publishes none (the baselines, and
 ``Figure7Logic``, the frozenset reference the record goldens compare
 against) runs the same loop without them.
 
@@ -83,28 +85,20 @@ __all__ = [
 ]
 
 
-# Sentinel for "this side of the tag/digest representation has not been
-# materialized yet" (distinct from None, which is a legal tag value).
-_UNSET = object()
-
-
 class Frame:
     """A packet on the wire, plus runtime metadata.
 
-    ``tag``/``digest`` are None/empty for strategies that do not tag
-    (the uncoordinated baseline).  ``payload_bytes`` is the application
-    payload; the wire size adds per-strategy header overhead.  ``flow``
-    identifies the logical flow for statistics; ``ident`` disambiguates
-    packets within a flow.
+    ``payload_bytes`` is the application payload; the wire size adds
+    per-strategy header overhead.  ``flow`` identifies the logical flow
+    for statistics; ``ident`` disambiguates packets within a flow.
 
-    Internally a frame stores *either* the frozenset view of its tag and
-    digest or the interned bitmask view (``tag_mask``/``digest_mask``
-    plus the owning :class:`~repro.events.structure.EventStructure`).
-    ``CorrectLogic`` only ever touches the ints; frames from tests, the
-    baselines and :meth:`SimNetwork.inject` arrive as frozensets.  The
-    frozenset properties decode lazily and are cached, so equality,
-    hashing, and repr are those of a frozen dataclass over the
-    frozenset view.
+    The tag and digest travel as interned bitmasks (``tag_mask``,
+    ``digest_mask``) of ``structure``, the
+    :class:`~repro.events.structure.EventStructure` that stamped them.
+    An untagged frame (the baselines') has ``tag_mask`` None and no
+    structure.  ``tag`` and ``digest`` are the decoded frozenset views,
+    and equality, hashing and repr are those of a frozen dataclass over
+    them.
     """
 
     __slots__ = (
@@ -113,23 +107,19 @@ class Frame:
         "flow",
         "ident",
         "injected_at",
-        "_tag",
-        "_digest",
-        "_tag_mask",
-        "_digest_mask",
-        "_structure",
+        "tag_mask",
+        "digest_mask",
+        "structure",
     )
 
     def __init__(
         self,
         packet: Packet,
         payload_bytes: int = 1000,
-        tag: Optional[EventSet] = None,
-        digest: EventSet = frozenset(),
+        *,
         flow: Tuple = (),
         ident: int = 0,
         injected_at: float = 0.0,
-        *,
         tag_mask: Optional[int] = None,
         digest_mask: int = 0,
         structure=None,
@@ -139,86 +129,31 @@ class Frame:
         self.flow = flow
         self.ident = ident
         self.injected_at = injected_at
-        if structure is not None:
-            self._structure = structure
-            self._tag_mask = tag_mask
-            self._digest_mask = digest_mask
-            self._tag = _UNSET
-            self._digest = _UNSET
-        else:
-            self._structure = None
-            self._tag_mask = None
-            self._digest_mask = 0
-            self._tag = tag
-            self._digest = digest
-
-    # -- tag/digest views ------------------------------------------------------
+        self.tag_mask = tag_mask
+        self.digest_mask = digest_mask
+        self.structure = structure
 
     @property
     def tag(self) -> Optional[EventSet]:
-        value = self._tag
-        if value is _UNSET:
-            mask = self._tag_mask
-            value = None if mask is None else self._structure.decode(mask)
-            self._tag = value
-        return value
+        mask = self.tag_mask
+        return None if mask is None else self.structure.decode(mask)
 
     @property
     def digest(self) -> EventSet:
-        value = self._digest
-        if value is _UNSET:
-            value = self._structure.decode(self._digest_mask)
-            self._digest = value
-        return value
-
-    @property
-    def tag_mask(self) -> Optional[int]:
-        """The interned tag bitmask, when this frame carries one."""
-        return self._tag_mask if self._structure is not None else None
-
-    @property
-    def digest_mask(self) -> Optional[int]:
-        """The interned digest bitmask, when this frame carries one."""
-        return self._digest_mask if self._structure is not None else None
-
-    def masks(self, structure) -> Tuple[Optional[int], int]:
-        """``(tag_mask, digest_mask)`` under ``structure``, encoding and
-        caching the frozenset view on first use (boundary frames only --
-        mask-born frames never pay an encode)."""
-        if self._structure is not None:
-            return self._tag_mask, self._digest_mask
-        tag = self._tag
-        digest = self._digest
-        tag_mask = None if tag is None else (structure.encode(tag) if tag else 0)
-        digest_mask = structure.encode(digest) if digest else 0
-        self._tag_mask = tag_mask
-        self._digest_mask = digest_mask
-        self._structure = structure
-        return tag_mask, digest_mask
-
-    # -- functional update -----------------------------------------------------
+        structure = self.structure
+        return frozenset() if structure is None else structure.decode(self.digest_mask)
 
     def replace(self, **changes) -> "Frame":
-        """``dataclasses.replace`` equivalent, preserving whichever
-        tag/digest representation the frame holds."""
+        """``dataclasses.replace`` equivalent over the slots."""
         new = Frame.__new__(Frame)
         new.packet = changes.pop("packet", self.packet)
         new.payload_bytes = changes.pop("payload_bytes", self.payload_bytes)
         new.flow = changes.pop("flow", self.flow)
         new.ident = changes.pop("ident", self.ident)
         new.injected_at = changes.pop("injected_at", self.injected_at)
-        if "tag" in changes or "digest" in changes:
-            new._tag = changes.pop("tag", self.tag)
-            new._digest = changes.pop("digest", self.digest)
-            new._tag_mask = None
-            new._digest_mask = 0
-            new._structure = None
-        else:
-            new._tag = self._tag
-            new._digest = self._digest
-            new._tag_mask = self._tag_mask
-            new._digest_mask = self._digest_mask
-            new._structure = self._structure
+        new.tag_mask = changes.pop("tag_mask", self.tag_mask)
+        new.digest_mask = changes.pop("digest_mask", self.digest_mask)
+        new.structure = changes.pop("structure", self.structure)
         if changes:
             raise TypeError(f"unknown frame fields: {sorted(changes)}")
         return new
@@ -226,8 +161,6 @@ class Frame:
     def with_location(self, location: Location) -> "Frame":
         relocated = self.packet.at(location)
         return self if relocated is self.packet else self.replace(packet=relocated)
-
-    # -- value semantics (identical to the original frozen dataclass) ----------
 
     def _identity(self) -> Tuple:
         return (
@@ -294,8 +227,10 @@ class FrameBatch:
         spacing: float = 0.0,
         times: Optional[Sequence[float]] = None,
     ):
-        self.count = int(count)
-        if self.count < 0:
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise TypeError(f"a batch's frame count must be an int, got {count!r}")
+        self.count = count
+        if count < 0:
             raise ValueError("a batch cannot have a negative frame count")
 
         def column(name, value):
@@ -419,6 +354,8 @@ class Simulator:
 
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> float:
         """Process events in time order; returns the final clock value."""
+        if until is not None and until < self.now:
+            raise ValueError(f"cannot run until {until}s: the clock is at {self.now}s")
         heap = self._heap
         pop = heapq.heappop
         processed = started_at = self.events_processed
@@ -477,8 +414,12 @@ class SwitchLogic(Protocol):
         """Wire overhead added on top of the payload."""
         ...
 
-    def on_ingress(self, net: "SimNetwork", location: Location, frame: Frame) -> Frame:
-        """Called when a host injects a frame at an edge port (stamping)."""
+    def ingress_frame(
+        self, location: Location, packet: Packet, payload_bytes: int, flow: Tuple,
+        ident: int, now: float,
+    ) -> Frame:
+        """The IN rule: the frame a host emits at edge port ``location``
+        at time ``now``, stamped."""
         ...
 
     def process(
@@ -489,11 +430,12 @@ class SwitchLogic(Protocol):
 
 
 class _StreamArrival:
-    """One scheduled frame of an :meth:`SimNetwork.inject_stream` batch.
+    """One scheduled host emission: a frame of an
+    :meth:`SimNetwork.inject_stream` batch, or one :meth:`SimNetwork.inject`.
 
-    A small callable instead of a closure: the batch path defers frame
-    construction to emission time (matching ``inject``'s
-    ``injected_at=now`` stamping) without allocating a cell per frame.
+    When it fires it asks the logic's ``ingress_frame`` for the stamped
+    frame (the IN rule, ``injected_at`` = now) and queues it at the
+    switch: the one place a frame enters the network.
     """
 
     __slots__ = ("net", "location", "frame")
@@ -505,8 +447,8 @@ class _StreamArrival:
         # the three-slot layout of _Process lets __call__ rebirth this
         # object as the processing event instead of allocating one.
         # ``chain`` is the shared [rows_iterator, inject_time, next_seq]
-        # state of a lazily scheduled stream, or None when the whole
-        # batch was pushed eagerly (an unsorted ``times`` column).
+        # state of a lazily scheduled stream, or None for a row pushed
+        # on its own (an inject, or a batch that cannot chain).
         self.frame = packed
 
     def __call__(self) -> None:
@@ -534,33 +476,11 @@ class _StreamArrival:
                 nxt.location = location
                 nxt.frame = (npacket, npayload, nflow, nident, chain)
                 _heappush(heap, (now0 + delay, seq, nxt))
-        fast = net._ingress_fast
-        if fast is not None:
-            stamped = fast(location, packet, payload_bytes, flow, ident, now)
-        else:
-            frame = Frame(
-                packet=packet,
-                payload_bytes=payload_bytes,
-                flow=flow,
-                ident=ident,
-                injected_at=now,
-            )
-            stamped = net.logic.on_ingress(net, location, frame)
-        # Inlined _arrive_at_switch (same queueing arithmetic).
-        switch_id = location.switch
-        free = net._switch_free_at
-        start = free[switch_id]
-        if now > start:
-            start = now
-        finish = start + net.switch_delay + net._hop_extra
-        free[switch_id] = finish
-        self.frame = stamped
-        self.__class__ = _Process
-        entry = (now + (finish - now), next(sim._counter), self)
-        fifo = net._switch_fifo[switch_id]
-        fifo.append(entry)
-        if len(fifo) == 1:
-            _heappush(heap, entry)
+        self.frame = net.logic.ingress_frame(
+            location, packet, payload_bytes, flow, ident, now
+        )
+        # Queue at the switch exactly as a link arrival does.
+        _Arrival.__call__(self)
 
 
 class _LinkState:
@@ -601,8 +521,7 @@ class _Plan:
     - ``process`` sets ``last_plan = (leaf, tag_mask, digest_mask)``
       when, and only when, the run it just made had no side effects and
       the leaf is ``ordered`` (the simulator clears it before each
-      call), and all its outputs are mask-born frames carrying one
-      tag/digest pair.
+      call), and all its outputs carry one tag/digest mask pair.
 
     Under it, replaying the plan is record-identical to re-running the
     logic: same targets in the same order, same output masks, same
@@ -679,17 +598,17 @@ class _Process:
             if fifo:
                 _heappush(sim._heap, fifo[0])
         plans = net._plans
-        if plans is not None and frame._structure is not None:
+        if plans is not None:
             packet = frame.packet
             swpt = packet._swpt
             if swpt[0] != switch_id or swpt[1] != location.port:
                 packet = packet.at(location)
-            tag_mask = frame._tag_mask
+            tag_mask = frame.tag_mask
             replay = packet._replay
             if (
                 replay is not None
                 and (plan := replay[0]).tag_mask == tag_mask
-                and plan.digest_mask == frame._digest_mask
+                and plan.digest_mask == frame.digest_mask
                 and plan.generation == net._plan_gens[switch_id]
                 and plan.store is plans
             ):
@@ -701,7 +620,7 @@ class _Process:
                 if (
                     plan is None
                     or plan.tag_mask != tag_mask
-                    or plan.digest_mask != frame._digest_mask
+                    or plan.digest_mask != frame.digest_mask
                     or plan.generation != net._plan_gens[switch_id]
                 ):
                     metric = net._m_plan_miss
@@ -730,12 +649,8 @@ class _Process:
                 # arrival -- zero per-hop allocation.
                 kind, target, _ = single
                 frame.packet = outs
-                if plan.out_tag_mask != tag_mask:
-                    frame._tag_mask = plan.out_tag_mask
-                    frame._tag = _UNSET
-                if plan.out_digest_mask != frame._digest_mask:
-                    frame._digest_mask = plan.out_digest_mask
-                    frame._digest = _UNSET
+                frame.tag_mask = plan.out_tag_mask
+                frame.digest_mask = plan.out_digest_mask
                 if kind == _PLAN_LINK:
                     wire_bytes = frame.payload_bytes + net._header_overhead
                     start = target.free_at
@@ -769,47 +684,15 @@ class _Process:
                     )
                 )
                 return
-            payload_bytes = frame.payload_bytes
-            flow = frame.flow
-            ident = frame.ident
-            injected_at = frame.injected_at
-            out_tag = plan.out_tag_mask
-            out_digest = plan.out_digest_mask
-            structure = plan.structure
-            header = net._header_overhead
-            heap = sim._heap
-            counter = sim._counter
-            frame_new = Frame.__new__
             for (kind, target, _), out_packet in zip(emits, outs):
-                out = frame_new(Frame)
-                out.packet = out_packet
-                out.payload_bytes = payload_bytes
-                out.flow = flow
-                out.ident = ident
-                out.injected_at = injected_at
-                out._tag = _UNSET
-                out._digest = _UNSET
-                out._tag_mask = out_tag
-                out._digest_mask = out_digest
-                out._structure = structure
+                out = frame.replace(
+                    packet=out_packet,
+                    tag_mask=plan.out_tag_mask,
+                    digest_mask=plan.out_digest_mask,
+                    structure=plan.structure,
+                )
                 if kind == _PLAN_LINK:
-                    # Same serialization arithmetic as _transmit.
-                    wire_bytes = payload_bytes + header
-                    start = target.free_at
-                    if now > start:
-                        start = now
-                    finish = start + wire_bytes / target.capacity
-                    target.free_at = finish
-                    arrival = _Arrival.__new__(_Arrival)
-                    arrival.net = net
-                    arrival.location = target.dst
-                    arrival.frame = out
-                    heap_entry = (
-                        now + ((finish - now) + target.latency),
-                        next(counter),
-                        arrival,
-                    )
-                    _heappush(heap, heap_entry)
+                    net._transmit(target, out)
                 elif kind == _PLAN_HOST:
                     net._deliver(target, out)
                 else:
@@ -857,7 +740,7 @@ class _Process:
             leaf, tag_key, digest_key = logic.last_plan
             if outputs:
                 first = outputs[0][1]
-                out_masks = (first._tag_mask, first._digest_mask, first._structure)
+                out_masks = (first.tag_mask, first.digest_mask, first.structure)
             else:
                 out_masks = (0, 0, None)
             plans[leaf] = _Plan(
@@ -886,7 +769,10 @@ class _Arrival:
     def __call__(self) -> None:
         net = self.net
         location = self.location
-        # Inlined _arrive_at_switch (the per-hop hot path).
+        # Strategies may declare extra per-packet processing cost (e.g.
+        # tag matching and register updates in the correct logic).  A
+        # switch is a serial resource: software switches process one
+        # packet at a time, so processing cost is real back-pressure.
         switch_id = location.switch
         sim = net.sim
         now = sim.now
@@ -966,7 +852,6 @@ class SimNetwork:
             and self._header_overhead is not None
             else None
         )
-        self._ingress_fast = getattr(logic, "ingress_frame", None)
         # Plan-cache counters by result -- "hit": the packet object's own
         # slot, no descent; "leaf": descended, replayed; "miss": ran the
         # logic -- pre-resolved once here so the per-event cost is one
@@ -997,25 +882,32 @@ class SimNetwork:
     # -- injection -------------------------------------------------------------
 
     def inject(self, host_name: str, frame: Frame, at: float = 0.0) -> None:
-        """Schedule a host to emit a frame at absolute time ``at``."""
-        host = self.topology.host(host_name)
-        location = host.attachment
+        """Schedule a host to emit a frame at absolute time ``at``.
 
-        def emit() -> None:
-            stamped = self.logic.on_ingress(
-                self, location, frame.replace(injected_at=self.sim.now)
-            )
-            self._arrive_at_switch(location, stamped)
+        Only the frame's packet, payload size, flow and ident are read:
+        the logic's ``ingress_frame`` stamps the rest at emission time.
+        """
+        self._schedule_row(
+            self.topology.host(host_name).attachment,
+            (at, frame.packet, frame.payload_bytes, frame.flow, frame.ident),
+        )
 
-        delay = at - self.sim.now
-        self.sim.schedule(max(0.0, delay), emit)
+    def _schedule_row(self, location: Location, row: Tuple) -> None:
+        """Push one unchained ``(at, packet, payload_bytes, flow, ident)``
+        row: a :meth:`inject`, or a frame of a batch that cannot chain."""
+        at, packet, payload_bytes, flow, ident = row
+        sim = self.sim
+        sim.schedule(
+            max(0.0, at - sim.now),
+            _StreamArrival(self, location, (packet, payload_bytes, flow, ident, None)),
+        )
 
     def inject_stream(self, host_name: str, batch: FrameBatch) -> int:
         """Bulk-inject a :class:`FrameBatch` at a host; returns the count.
 
         Scheduling order, times and records are identical to calling
-        :meth:`inject` once per frame; the per-frame closure and the
-        up-front Frame allocation are skipped and headers are interned.
+        :meth:`inject` once per frame; the up-front Frame allocation is
+        skipped and headers are interned.
         """
         location = self.topology.host(host_name).attachment
         sim = self.sim
@@ -1027,10 +919,13 @@ class SimNetwork:
         # the (time, seq) keys of entries present before their fire
         # time, so this is order-identical to the eager loop provided
         # (a) the tie-break seq range is reserved up front and (b)
-        # injection times never decrease -- true for start + i*spacing;
-        # an explicit unsorted ``times`` column falls back to pushing
-        # everything eagerly.
-        chainable = times is None or all(a <= b for a, b in zip(times, times[1:]))
+        # injection times never decrease -- true for start + i*spacing
+        # with a non-negative spacing; any other batch falls back to
+        # pushing everything eagerly, exactly as inject does.
+        if times is None:
+            chainable = batch.spacing >= 0.0
+        else:
+            chainable = all(a <= b for a, b in zip(times, times[1:]))
         if chainable and batch.count:
             now0 = sim.now
             first_seq = next(sim._counter)
@@ -1051,43 +946,11 @@ class SimNetwork:
                 ),
             )
         else:
-            for at, packet, payload, flow, ident in rows:
-                sim.schedule(
-                    max(0.0, at - sim.now),
-                    _StreamArrival(
-                        self, location, (packet, payload, flow, ident, None)
-                    ),
-                )
+            for row in rows:
+                self._schedule_row(location, row)
         return batch.count
 
     # -- switch arrival & processing --------------------------------------------
-
-    def _arrive_at_switch(self, location: Location, frame: Frame) -> None:
-        # Strategies may declare extra per-packet processing cost (e.g.
-        # tag matching and register updates in the correct logic).  A
-        # switch is a serial resource: software switches process one
-        # packet at a time, so processing cost is real back-pressure.
-        switch_id = location.switch
-        sim = self.sim
-        now = sim.now
-        free = self._switch_free_at
-        start = free.get(switch_id, 0.0)
-        if now > start:
-            start = now
-        finish = start + self.switch_delay + self._hop_extra
-        free[switch_id] = finish
-        proc = _Process.__new__(_Process)
-        proc.net = self
-        proc.location = location
-        proc.frame = frame
-        entry = (now + (finish - now), next(sim._counter), proc)
-        fifo = self._switch_fifo.get(switch_id)
-        if fifo is None:
-            _heappush(sim._heap, entry)
-        else:
-            fifo.append(entry)
-            if len(fifo) == 1:
-                _heappush(sim._heap, entry)
 
     def _transmit(self, link: _LinkState, frame: Frame) -> None:
         """Send across a link: serialization (capacity) + propagation."""

@@ -10,13 +10,14 @@ bandwidth cost).
 :class:`Figure7Logic` is the rule as the figure writes it: frozenset
 registers, tags and digests, detection and the CTRLSEND merge taken from
 :mod:`repro.runtime.semantics`, forwarding by ``tag -> Configuration ->
-table.apply``.  It keeps no memo and publishes none of the simulator's
-plan-cache protocol, and is the reference that
-``tests/test_sim_streaming.py`` compares records against.
-:class:`CorrectLogic` is the same rule on interned event bitmasks, run
-off the artifact the daemon serves: registers are ints, frames carry
-``tag_mask``/``digest_mask`` ints, and one descent of the switch's
-guarded table (:meth:`CompiledNES.classify
+table.apply``.  Frames carry their tag and digest as interned bitmasks
+only, so it decodes a frame's masks on entry and encodes them on exit.
+It keeps no memo and publishes none of the simulator's plan-cache
+protocol, and is the reference that ``tests/test_sim_streaming.py``
+compares records against.  :class:`CorrectLogic` is the same rule on
+interned event bitmasks, run off the artifact the daemon serves:
+registers are ints, the frame's masks are read and written as they
+are, and one descent of the switch's guarded table (:meth:`CompiledNES.classify
 <repro.runtime.compiler.CompiledNES.classify>`, published to the
 simulator as ``classify``) yields both the rule to forward by and the
 mask of events the packet matches, which ``enables_mask``/``con_mask``
@@ -37,7 +38,7 @@ from ..events.event import Event, EventSet
 from ..netkat.packet import Location, Packet, PT
 from ..runtime.compiler import CompiledNES
 from ..runtime.semantics import detect_events, merge_in_enabling_order
-from .simulator import Frame, SimNetwork, SwitchLogic, _UNSET
+from .simulator import Frame, SimNetwork
 
 __all__ = ["CorrectLogic", "Figure7Logic", "BASE_HEADER_BYTES"]
 
@@ -146,18 +147,27 @@ class Figure7Logic:
     def header_bytes(self, frame: Frame) -> int:
         return BASE_HEADER_BYTES + self.tag_bytes + self.digest_bytes
 
-    def on_ingress(self, net: SimNetwork, location: Location, frame: Frame) -> Frame:
+    def ingress_frame(
+        self, location: Location, packet: Packet, payload_bytes: int, flow: Tuple,
+        ident: int, now: float,
+    ) -> Frame:
         """The IN rule: stamp the tag of the local event-set."""
-        return frame.replace(
-            packet=frame.packet.at(location),
-            tag=frozenset(self.registers[location.switch]),
-            digest=frozenset(),
+        structure = self.compiled.nes.structure
+        return Frame(
+            packet.at(location),
+            payload_bytes,
+            flow=flow,
+            ident=ident,
+            injected_at=now,
+            tag_mask=structure.encode(self.registers[location.switch]),
+            structure=structure,
         )
 
     def process(
         self, net: SimNetwork, location: Location, frame: Frame
     ) -> List[Tuple[int, Frame]]:
         """The SWITCH rule: learn, detect, forward by the packet's tag."""
+        structure = self.compiled.nes.structure
         switch_id = location.switch
         register = self.registers[switch_id]
         combined = frozenset(register) | frame.digest
@@ -169,11 +179,21 @@ class Figure7Logic:
         for event in detected:
             self._notify_controller(net, event)
 
-        tag = frame.tag if frame.tag is not None else frozenset()
+        tag = frame.tag or frozenset()
         table = self.compiled.config_for_event_set(tag).table(switch_id)
         outputs = sorted(table.apply(frame.packet.at(location)), key=repr)
+        tag_mask = structure.encode(tag)
+        digest_mask = structure.encode(new_known)
         return [
-            (out[PT], frame.replace(packet=out, tag=tag, digest=new_known))
+            (
+                out[PT],
+                frame.replace(
+                    packet=out,
+                    tag_mask=tag_mask,
+                    digest_mask=digest_mask,
+                    structure=structure,
+                ),
+            )
             for out in outputs
         ]
 
@@ -208,9 +228,8 @@ class CorrectLogic(Figure7Logic):
         self._structure = structure
         self._universe = structure.universe
         switches = compiled.topology.switches
-        # classify/last_plan/plan_generations/header_overhead/
-        # ingress_frame are the simulator's plan-cache protocol (see
-        # simulator._Plan).
+        # classify/last_plan/plan_generations/header_overhead are the
+        # simulator's plan-cache protocol (see simulator._Plan).
         self.classify = compiled.classify
         self.last_plan: Optional[Tuple] = None
         self.plan_generations: Dict[int, int] = {n: 0 for n in switches}
@@ -226,28 +245,11 @@ class CorrectLogic(Figure7Logic):
         # lets the simulator's plan replay skip the per-frame call.
         self.header_overhead = BASE_HEADER_BYTES + self.tag_bytes + self.digest_bytes
 
-    def on_ingress(self, net: SimNetwork, location: Location, frame: Frame) -> Frame:
-        """The IN rule: stamp the tag of the local event-set."""
-        return self.ingress_frame(
-            location,
-            frame.packet,
-            frame.payload_bytes,
-            frame.flow,
-            frame.ident,
-            frame.injected_at,
-        )
-
     def ingress_frame(
-        self,
-        location: Location,
-        packet: Packet,
-        payload_bytes: int,
-        flow: Tuple,
-        ident: int,
-        now: float,
+        self, location: Location, packet: Packet, payload_bytes: int, flow: Tuple,
+        ident: int, now: float,
     ) -> Frame:
-        """The IN rule without an intermediate unstamped Frame (the
-        stream-ingress hot path)."""
+        """The IN rule: stamp the local register mask."""
         swpt = packet._swpt
         if swpt[0] != location.switch or swpt[1] != location.port:
             packet = packet.at(location)
@@ -257,11 +259,9 @@ class CorrectLogic(Figure7Logic):
         stamped.flow = flow
         stamped.ident = ident
         stamped.injected_at = now
-        stamped._tag = _UNSET
-        stamped._digest = _UNSET
-        stamped._tag_mask = self._register_masks[location.switch]
-        stamped._digest_mask = 0
-        stamped._structure = self._structure
+        stamped.tag_mask = self._register_masks[location.switch]
+        stamped.digest_mask = 0
+        stamped.structure = self._structure
         return stamped
 
     def process(
@@ -271,14 +271,8 @@ class CorrectLogic(Figure7Logic):
         switch_id = location.switch
         structure = self._structure
         packet = frame.packet.at(location)
-        # Inlined frame.masks(structure): mask-born frames dominate the
-        # hot path and their masks are authoritative regardless of the
-        # structure argument (exactly what masks() returns).
-        if frame._structure is not None:
-            tag_mask = frame._tag_mask
-            digest_mask = frame._digest_mask
-        else:
-            tag_mask, digest_mask = frame.masks(structure)
+        tag_mask = frame.tag_mask
+        digest_mask = frame.digest_mask
         register_masks = self._register_masks
         register_mask = register_masks[switch_id]
         combined = register_mask | digest_mask
@@ -348,10 +342,8 @@ class CorrectLogic(Figure7Logic):
             out.flow = flow
             out.ident = ident
             out.injected_at = injected_at
-            out._tag = _UNSET
-            out._digest = _UNSET
-            out._tag_mask = tag_mask
-            out._digest_mask = new_known
-            out._structure = structure
+            out.tag_mask = tag_mask
+            out.digest_mask = new_known
+            out.structure = structure
             results.append((out_packet._swpt[1], out))
         return results

@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..apps.base import HOSTS
 from ..netkat.packet import Packet
-from .simulator import DeliveryRecord, Frame, SimNetwork
+from .simulator import DeliveryRecord, Frame, FrameBatch, SimNetwork
 
 __all__ = [
     "KIND_REQUEST",
@@ -144,21 +144,22 @@ def send_bulk(
     spacing: float = 0.0,
 ) -> None:
     """Inject an iperf-like burst of ``packets`` MTU-sized packets from
-    time 0."""
-    for i in range(packets):
-        fields: Dict[str, int] = {
-            "ip_src": HOSTS[src],
-            "ip_dst": HOSTS[dst],
-            "kind": 0,
-            "ident": i,
-        }
-        frame = Frame(
-            packet=Packet(fields),
+    time 0, as one :class:`FrameBatch` stream."""
+    net.inject_stream(
+        src,
+        FrameBatch(
+            {
+                "ip_src": HOSTS[src],
+                "ip_dst": HOSTS[dst],
+                "kind": 0,
+                "ident": range(packets),
+            },
+            packets,
             payload_bytes=payload_bytes,
             flow=("bulk", src, dst),
-            ident=i,
-        )
-        net.inject(src, frame, at=i * spacing)
+            spacing=spacing,
+        ),
+    )
 
 
 def goodput(net: SimNetwork, src: str, dst: str) -> float:

@@ -197,6 +197,12 @@ REMOVED_NAMES = [
     "repro.service:launcher_main",
     "repro.service.launcher:main",
     "repro.service.launcher:build_arg_parser",
+    "repro.network:Frame.masks",
+    "repro.network:CorrectLogic.on_ingress",
+    "repro.network.switch_logic:Figure7Logic.on_ingress",
+    "repro.baselines:ReferenceLogic.on_ingress",
+    "repro.baselines:UncoordinatedLogic.on_ingress",
+    "repro.baselines:TwoPhaseLogic.on_ingress",
 ]
 
 
@@ -206,6 +212,26 @@ def test_removed_names_are_gone(spec):
     owner, _, name = path.rpartition(".")
     with pytest.raises(AttributeError):
         getattr(_resolve(f"{module}:{owner}"), name)
+
+
+def test_frame_tag_and_digest_spellings_are_gone():
+    """A frame carries its tag and digest as masks only: the frozenset
+    spellings of the constructor and of ``replace`` raise."""
+    from repro.netkat.packet import Packet
+    from repro.network import Frame
+
+    packet = Packet({})
+    for keyword in ("tag", "digest"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+            Frame(packet, **{keyword: frozenset()})
+        with pytest.raises(TypeError, match="unknown frame fields"):
+            Frame(packet).replace(**{keyword: frozenset()})
+    with pytest.raises(TypeError):
+        Frame(packet, 64, None, frozenset())  # the old positional tag, digest
+    frame = Frame(packet, 64)
+    assert frame.tag is None and frame.digest == frozenset()
+    with pytest.raises(AttributeError):
+        frame.tag = frozenset()
 
 
 def test_compile_app_is_not_advertised():

@@ -14,18 +14,25 @@ from repro.apps import (
 from repro.runtime.compiler import TAG_FIELD, LocalityError, compile_nes
 from repro.runtime.semantics import Runtime, RuntimeInvariantError
 
+from seed_apps import APPS
+
 
 H1, H2, H3, H4 = 1, 2, 3, 4
 
 
 class TestCompiledNES:
     def test_tag_encoding_roundtrip(self):
-        app = bandwidth_cap_app(3)
-        compiled = app.compiled
-        structure = compiled.nes.structure
-        for event_set in compiled.event_sets:
-            mask = structure.encode(event_set)
-            assert structure.decode(mask) == event_set
+        # A frame carries only the masks and the reference logic decodes
+        # them on entry and encodes them on exit, so both directions must
+        # be exact on every seed app.
+        for name, make_app in APPS:
+            compiled = make_app().compiled
+            structure = compiled.nes.structure
+            for event_set in compiled.event_sets:
+                mask = structure.encode(event_set)
+                assert structure.decode(mask) == event_set, name
+            for mask in range(1 << len(structure.universe)):
+                assert structure.encode(structure.decode(mask)) == mask, name
 
     def test_distinct_tags_per_state(self):
         compiled = firewall_app().compiled

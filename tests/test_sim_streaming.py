@@ -4,8 +4,9 @@ Every record-identity test here runs its scenario through the one
 ``SimNetwork`` and checks the ``DeliveryRecord``/``DropRecord``
 sequences of the default ``CorrectLogic`` against (i) the frozenset
 ``Figure7Logic`` (the SWITCH/IN rules as Figure 7 writes them, no memo,
-no plan cache, no fast ingress), (ii) one ``inject`` per frame in place
-of ``inject_stream``, and (iii) a SHA-256 digest recorded from the
+no plan cache), (ii) one ``inject`` per frame in place of
+``inject_stream``, which must also agree with the stream under each
+baseline logic, and (iii) a SHA-256 digest recorded from the
 eager-heap, no-memo frozenset simulator before it was deleted.  The
 checker's verdicts are compared with Definition 6 composed from the
 layer-level frozenset pieces.  The satellites ride along: the static
@@ -28,6 +29,7 @@ from repro.apps import (
     ring_app,
 )
 from repro.apps.base import HOSTS
+from repro.baselines import ReferenceLogic, TwoPhaseLogic, UncoordinatedLogic
 from repro.consistency import NESChecker
 from repro.consistency.traces import (
     NetworkTrace,
@@ -73,6 +75,7 @@ PINNED = {
     "ring_signal": "17972c59229c97e5c405c3352e35c7a9dbead24539766a51f09753a1c7ccd5eb",
     "cap_stream": "5e953d1ce867c4f85835670b00586a6fefe1cb6610febfe19f587bd1701c7556",
     "unsorted_times": "86cb2a80e04761ec53dc113412cffbe79ef24405717412873cb4b0884a3d4d5e",
+    "negative_spacing": "0ac8771b1df635c9d3c2091770bba82d4e86a9e67f280e1bbb820d2a1224af27",
     "soak_prefix": "d01f840e37055c066fc6073964c64e3e1a408c6d1393b713dd3df29c301940ed",
     "flood": "41e87c76ee01af97b8d5f943a48b363e4259c769a459d6eabac6a7c48fe332d2",
 }
@@ -123,9 +126,20 @@ def _stream_records(make_app, src, dst, count, logic=CorrectLogic,
     return net, tuple(net.deliveries), tuple(net.drops)
 
 
+def _reference_logic(compiled):
+    return ReferenceLogic(compiled.config_for_state(compiled.nes.initial_state))
+
+
+# Their records differ from the correct logic's, but per-frame injection
+# and the stream must still agree under each of them.
+BASELINES = (_reference_logic, UncoordinatedLogic, TwoPhaseLogic)
+
+
 def _golden_records(pinned, *scenario, **kwargs):
     """The scenario's CorrectLogic records, after checking them against
-    the Figure-7 logic, per-frame injection and the pinned digest."""
+    the Figure-7 logic, per-frame injection and the pinned digest, and
+    checking per-frame injection against the stream under every
+    baseline."""
     _, deliveries, drops = _stream_records(*scenario, **kwargs)
     for variant in ({"logic": Figure7Logic}, {"per_frame": True}):
         _, other_deliveries, other_drops = _stream_records(
@@ -134,6 +148,10 @@ def _golden_records(pinned, *scenario, **kwargs):
         assert other_deliveries == deliveries, variant
         assert other_drops == drops, variant
     assert _record_digest(deliveries, drops) == PINNED[pinned]
+    for logic in BASELINES:
+        streamed = _stream_records(*scenario, **kwargs, logic=logic)[1:]
+        per_frame = _stream_records(*scenario, **kwargs, logic=logic, per_frame=True)
+        assert per_frame[1:] == streamed, logic
     return deliveries, drops
 
 
@@ -175,13 +193,22 @@ class TestRecordIdentityGoldens:
         )
 
     def test_unsorted_times_column_identical(self):
-        # An explicitly unsorted times column defeats the lazy one-ahead
+        # Decreasing injection times -- an explicitly unsorted times
+        # column, or a negative spacing -- defeat the lazy one-ahead
         # chain; the eager fallback must stay record-identical too.
         deliveries, drops = _golden_records(
             "unsorted_times", lambda: ring_app(2), "H1", "H2", 6, flow=(),
             times=[5e-4, 1e-4, 3e-4, 2e-4, 6e-4, 0.0],
         )
         assert len(deliveries) + len(drops) == 6
+        deliveries, _ = _golden_records(
+            "negative_spacing", firewall_app, "H1", "H4", 5,
+            start=1.0, spacing=-0.1,
+        )
+        assert [d.frame.ident for d in deliveries] == [4, 3, 2, 1, 0]
+        assert [d.frame.injected_at for d in deliveries] == sorted(
+            d.frame.injected_at for d in deliveries
+        )
 
 
 def _reference_check(checker, trace):
@@ -464,6 +491,12 @@ def _records(net):
 
 
 class TestFrameBatchValidation:
+    @pytest.mark.parametrize("count", (2.9, True, "3", None))
+    def test_the_frame_count_is_an_int_not_coerced(self, count):
+        # Used to build int(count) frames: 2 for 2.9, 1 for True.
+        with pytest.raises(TypeError, match="frame count must be an int"):
+            FrameBatch({"ip_src": 1}, count)
+
     @pytest.mark.parametrize(
         "bad", ([*range(49), "x", *range(50)], True), ids=("entry", "scalar")
     )

@@ -49,6 +49,20 @@ class TestSimulatorCore:
         with pytest.raises(ValueError):
             Simulator().schedule(-1, lambda: None)
 
+    def test_run_until_before_the_clock_rejected(self):
+        # Used to set now back to 5, so a later schedule(1, ...) fired
+        # at 6, before the event already processed at 10.
+        sim = Simulator()
+        log = []
+        sim.schedule(10, lambda: log.append("f"))
+        sim.run(until=20)
+        sim.schedule(10, lambda: log.append("g"))
+        with pytest.raises(ValueError, match="the clock is at 10"):
+            sim.run(until=5)
+        assert sim.now == 10 and log == ["f"]
+        sim.run()
+        assert sim.now == 20 and log == ["f", "g"]
+
     def test_nested_scheduling(self):
         sim = Simulator()
         log = []

@@ -28,19 +28,17 @@ class TestIngressStamping:
     def test_stamp_uses_local_register(self):
         app = firewall_app()
         logic = CorrectLogic(app.compiled)
-        net = SimNetwork(app.topology, logic, seed=0)
         (event,) = app.nes.events
         logic.registers[1].add(event)
-        frame = Frame(packet=Packet({"ip_dst": 4}))
-        stamped = logic.on_ingress(net, Location(1, 2), frame)
+        packet = Packet({"ip_dst": 4})
+        stamped = logic.ingress_frame(Location(1, 2), packet, 1000, (), 0, 0.0)
         assert stamped.tag == frozenset({event})
         assert stamped.digest == frozenset()
 
     def test_stamp_empty_initially(self):
         app = firewall_app()
         logic = CorrectLogic(app.compiled)
-        net = SimNetwork(app.topology, logic, seed=0)
-        stamped = logic.on_ingress(net, Location(1, 2), Frame(packet=Packet({})))
+        stamped = logic.ingress_frame(Location(1, 2), Packet({}), 1000, (), 0, 0.0)
         assert stamped.tag == frozenset()
 
 
@@ -53,7 +51,7 @@ class TestProcessing:
         # The event-matching packet arrives at s4 port 1.
         frame = Frame(
             packet=Packet({"sw": 4, "pt": 1, "ip_dst": 4}),
-            tag=frozenset(),
+            tag_mask=0,
         )
         outputs = logic.process(net, Location(4, 1), frame)
         assert outputs
@@ -70,7 +68,7 @@ class TestProcessing:
         logic.registers[4].add(event)
         reply = Frame(
             packet=Packet({"sw": 4, "pt": 2, "ip_dst": 1}),
-            tag=frozenset(),  # stamped before the event
+            tag_mask=0,  # stamped before the event
         )
         assert logic.process(net, Location(4, 2), reply) == []
 
@@ -81,7 +79,7 @@ class TestProcessing:
         (event,) = app.nes.events
         reply = Frame(
             packet=Packet({"sw": 4, "pt": 2, "ip_dst": 1}),
-            tag=frozenset({event}),
+            tag_mask=app.nes.structure.encode({event}),
         )
         outputs = logic.process(net, Location(4, 2), reply)
         assert [port for port, _ in outputs] == [1]

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.apps import firewall_app
+from repro.apps import firewall_app, ring_app
+from repro.apps.base import HOSTS
+from repro.baselines import ReferenceLogic
+from repro.netkat.packet import Packet
 from repro.network import (
     CorrectLogic,
     Frame,
@@ -90,6 +93,39 @@ class TestBulk:
         paced.run(until=10.0)
         times = sorted(d.time for d in paced.delivered_flows(("bulk", "H1", "H4")))
         assert times[-1] - times[0] >= 1.9  # 4 gaps of 0.5s
+
+    @pytest.mark.parametrize("spacing", (0.0, 1e-4))
+    @pytest.mark.parametrize("logic", ("correct", "reference"))
+    def test_bulk_stream_matches_per_frame_injection(self, logic, spacing):
+        def run(per_frame):
+            app = ring_app(4)
+            compiled = app.compiled
+            if logic == "correct":
+                strategy = CorrectLogic(compiled)
+            else:
+                strategy = ReferenceLogic(
+                    compiled.config_for_state(compiled.nes.initial_state)
+                )
+            net = SimNetwork(app.topology, strategy, seed=0)
+            if per_frame:
+                # What send_bulk did before it became one stream.
+                for i in range(40):
+                    fields = {"ip_src": HOSTS["H1"], "ip_dst": HOSTS["H2"], "kind": 0}
+                    frame = Frame(
+                        Packet({**fields, "ident": i}),
+                        1470,
+                        flow=("bulk", "H1", "H2"),
+                        ident=i,
+                    )
+                    net.inject("H1", frame, at=i * spacing)
+            else:
+                send_bulk(net, "H1", "H2", packets=40, spacing=spacing)
+            net.run()
+            return net.deliveries, net.drops, goodput(net, "H1", "H2")
+
+        streamed = run(per_frame=False)
+        assert len(streamed[0]) == 40 and streamed[2] > 0
+        assert streamed == run(per_frame=True)
 
 
 class TestFrame:
