@@ -30,7 +30,6 @@ from .ast import (
     Disj,
     Dup,
     FALSE,
-    Filter,
     ID,
     Link,
     Neg,
@@ -467,21 +466,14 @@ def compile_policy(
     topology: Topology,
     builder: Optional[FDDBuilder] = None,
     name: str = "",
-    guard: Optional[Predicate] = None,
 ) -> Configuration:
-    """Compile a configuration policy to per-switch flow tables.
-
-    ``guard`` is an extra predicate conjoined at the start of every path
-    (the runtime uses it to guard rules by configuration tag, section 4).
-    """
+    """Compile a configuration policy to per-switch flow tables.  The
+    configuration tag guards the merged tables only
+    (:meth:`repro.runtime.compiler.CompiledNES.guarded_tables`)."""
     builder = builder or FDDBuilder()
     per_switch_fdd: Dict[int, FDD] = {n: builder.drop for n in topology.switches}
 
-    prepared = strip_dup(policy)
-    if guard is not None:
-        prepared = seq_policy(Filter(guard), prepared)
-
-    for alt in alternations(prepared):
+    for alt in alternations(strip_dup(policy)):
         frontier: List[Knowledge] = [Knowledge.empty()]
         for hop_index, segment in enumerate(alt.segments):
             is_final = hop_index == len(alt.links)

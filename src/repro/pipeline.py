@@ -22,9 +22,12 @@ the guarded merge.  Within a stage, a successor also starts from its
 lineage root's work: its partial evaluation from the root engine's
 walk memos, its compile on a fork of the root's builder.
 
-There is one executor: the per-configuration ``compile_policy`` calls
-run one after another on one :class:`FDDBuilder`, in
-configuration-state order.  ``cache_dir`` enables a content-addressed
+There is one executor, the loop of :class:`Pipeline`'s compile stage:
+it adopts, shares or compiles each configuration, the
+``compile_policy`` calls running one after another on one
+:class:`FDDBuilder` in configuration-state order, and hands the
+finished configurations to :class:`~repro.runtime.compiler.CompiledNES`,
+the artifact.  ``cache_dir`` enables a content-addressed
 on-disk artifact cache: the key is a SHA-256 digest of the program AST,
 the topology, the initial state and the package version (see
 :meth:`Pipeline.artifact_key`), so a repeated
@@ -53,6 +56,7 @@ import contextlib
 import dataclasses
 import hashlib
 import hmac
+import math
 import os
 import pickle
 import threading
@@ -71,8 +75,9 @@ from .obs import trace as obs_trace
 from .events.nes import NES
 from .netkat import ast as _ast
 from .netkat.ast import Policy
+from .netkat.compiler import CompileError, Configuration, compile_policy
 from .netkat.fdd import FDDBuilder
-from .runtime.compiler import TAG_FIELD, CompiledNES, compile_nes
+from .runtime.compiler import TAG_FIELD, CompiledNES, check_locally_determined
 from .stateful.ast import StateVector, vector_update
 from .stateful.ets import ETS, build_ets
 from .stateful.symbolic import SymbolicProgram
@@ -96,8 +101,10 @@ __all__ = [
 # shrank the options fingerprint to four fields and stopped persisting
 # execution-only option values (the signing key among them); format 4
 # dropped the options from the key and from the artifact altogether;
-# format 5 stopped pickling the event structure's decoded enablers.
-ARTIFACT_FORMAT = 5
+# format 5 stopped pickling the event structure's decoded enablers;
+# format 6 pickles only the artifact's own fields (the unread event-set
+# encodings and the per-run compile count are gone).
+ARTIFACT_FORMAT = 6
 
 # (field, accepted types, None allowed) for every CompileOptions field.
 _SCALAR_FIELD_TYPES = (
@@ -111,6 +118,16 @@ _SCALAR_FIELD_TYPES = (
 # Environment fallback for CompileOptions.cache_hmac_key, so a fleet can
 # be keyed without threading the secret through every construction site.
 CACHE_HMAC_KEY_ENV = "REPRO_CACHE_HMAC_KEY"
+
+# Deterministic exponential backoff between per-configuration retry
+# attempts: no jitter (chaos runs must replay), capped so an exhausted
+# retry budget costs milliseconds, not seconds.
+_BACKOFF_BASE_SECONDS = 0.001
+_BACKOFF_CAP_SECONDS = 0.05
+
+
+def _backoff_delay(attempt: int) -> float:
+    return min(_BACKOFF_BASE_SECONDS * (2 ** attempt), _BACKOFF_CAP_SECONDS)
 
 
 class PipelineError(Exception):
@@ -178,9 +195,10 @@ class CompileOptions:
     - ``compile_retries``: per-configuration compile attempts beyond the
       first (deterministic exponential backoff between attempts); ``0``
       disables retry.
-    - ``deadline_seconds``: wall-clock budget for the compile stage,
-      checked between per-configuration compiles (cooperative — one
-      configuration is never preempted); exceeded → :class:`StageError`.
+    - ``deadline_seconds``: wall-clock budget for the compile stage, a
+      finite number of seconds > 0, checked between per-configuration
+      compiles (cooperative — one configuration is never preempted);
+      exceeded → :class:`StageError`.
     """
 
     tag_field: ClassVar[str] = TAG_FIELD
@@ -206,9 +224,12 @@ class CompileOptions:
             raise ValueError(
                 f"compile_retries must be >= 0, got {self.compile_retries}"
             )
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
+        deadline = self.deadline_seconds
+        # NaN compares false with everything: "<= 0" alone would let it
+        # through and switch the budget off.
+        if deadline is not None and not (math.isfinite(deadline) and deadline > 0):
             raise ValueError(
-                f"deadline_seconds must be > 0, got {self.deadline_seconds}"
+                f"deadline_seconds must be finite and > 0, got {deadline}"
             )
         if self.cache_dir is not None:
             object.__setattr__(
@@ -714,6 +735,9 @@ class Pipeline:
         self._builder: Optional[FDDBuilder] = None
         self._lineage: Optional[tuple] = None  # (engine, builder)
         self._fdd_nodes_new = 0
+        # compile_policy runs of this pipeline's compile stage (none on
+        # a warm-artifact hit).
+        self._configurations_compiled = 0
         self._stage_seconds: Dict[str, float] = {}
         self._substage_seconds: Dict[str, float] = {}
         self._update_stats: Dict[str, int] = {}
@@ -851,43 +875,138 @@ class Pipeline:
                 if self._compiled is None:
                     nes = self.nes
                     with self._stage("compile") as stage_span:
+                        check_locally_determined(nes)
                         reuse = self._reusable_configurations(nes)
+                        states = nes.configuration_states()
                         builder = None
                         if self._lineage is None:
                             builder = self._builder = FDDBuilder()
-                        elif len(reuse) < len(nes.configuration_states()):
+                        elif len(reuse) < len(states):
                             # A successor compiles on a fork of the
                             # root's builder and drops it afterwards.
                             root = self._lineage[1]
                             builder = root.fork() if root else FDDBuilder()
                         inherited = builder.node_count if builder else 0
-                        compiled = compile_nes(
+                        compiled = CompiledNES(
                             nes,
                             self.topology,
-                            builder=builder,
-                            options=self.options,
-                            health=self._health,
-                            reuse_configurations=reuse,
+                            self._configurations_of(nes, states, builder, reuse),
                         )
                         if builder is not None:
                             self._fdd_nodes_new = builder.node_count - inherited
-                        if reuse and len(reuse) == len(compiled.states):
+                        if reuse and len(reuse) == len(states):
                             lender = self._predecessor.compiled
                             if compiled.states == lender.states:
                                 # Every table adopted under the same
                                 # state tuple, hence the same config ids
-                                # and guards: the predecessor's merge.
+                                # and guards: the predecessor's merge,
+                                # shared whether or not it is built yet.
                                 compiled.adopt_guarded_tables(lender)
                         stage_span.set(
-                            configurations=len(compiled.states),
+                            configurations=len(states),
                             reused_configurations=len(reuse),
-                            compiled_configurations=compiled.compiled_configurations,
+                            compiled_configurations=self._configurations_compiled,
                         )
-                    self._compiled = compiled
+                    self._hold(compiled)
                     self._store_artifact()
         return self._compiled
 
-    def _reusable_configurations(self, nes: NES) -> Dict[StateVector, object]:
+    def _configurations_of(
+        self,
+        nes: NES,
+        states: Tuple[StateVector, ...],
+        builder: Optional[FDDBuilder],
+        reuse: Mapping[StateVector, Configuration],
+    ) -> Dict[StateVector, Configuration]:
+        """The configuration of each of ``states``, in order: adopted from
+        ``reuse``, else holding the tables of an equal policy compiled
+        earlier in this loop, else compiled on ``builder``.
+
+        Tables are a pure function of (policy, switch set), so sharing
+        is byte-identical to compiling, and ``compile_policy`` runs once
+        per *distinct* policy (a cap-N chain has N+2 states and two
+        policies); the runs are counted in ``_configurations_compiled``.
+
+        Failure discipline (the fault-tolerance layer):
+
+        - every compile attempt passes the ``executor.worker`` fault
+          site and is retried up to ``options.compile_retries`` times
+          with deterministic backoff (counted in health), except after a
+          :class:`~repro.netkat.compiler.CompileError`, which is
+          deterministic and fails on its first attempt;
+        - ``options.deadline_seconds`` bounds the stage wall clock,
+          checked between attempts (one configuration is never
+          preempted);
+        - a failure that survives retry surfaces as a typed
+          :class:`StageError` with stage provenance, never as a bare
+          exception.
+        """
+        pending = len(states) - len(reuse)
+        retries = self.options.compile_retries
+        budget = self.options.deadline_seconds
+        deadline = None if budget is None else time.monotonic() + budget
+
+        def compile_one(policy: Policy, name: str) -> Configuration:
+            attempt = 0
+            while True:
+                if deadline is not None and time.monotonic() > deadline:
+                    raise StageError(
+                        "compile",
+                        f"deadline_seconds={budget} exceeded "
+                        f"with {pending} configuration(s) in flight",
+                    )
+                try:
+                    with obs_trace.span(
+                        "compile.configuration", configuration=name, attempt=attempt
+                    ):
+                        faults.check("executor.worker")
+                        return compile_policy(
+                            policy, self.topology, builder=builder, name=name
+                        )
+                except Exception as exc:
+                    # A CompileError says the program is outside the
+                    # compilable fragment: a property of the input,
+                    # which no further attempt changes.
+                    if attempt >= retries or isinstance(exc, CompileError):
+                        raise StageError(
+                            "compile",
+                            f"configuration {name} failed after "
+                            f"{attempt + 1} attempt(s): {exc!r}",
+                        ) from exc
+                    self._count("executor.retries")
+                    with obs_trace.span("compile.backoff", attempt=attempt):
+                        time.sleep(_backoff_delay(attempt))
+                    attempt += 1
+
+        first: Dict[Policy, Configuration] = {}
+        configurations: Dict[StateVector, Configuration] = {}
+        for state in states:
+            if state in reuse:
+                configurations[state] = reuse[state]
+                continue
+            name = f"C{list(state)}"
+            policy = nes.configuration_policy(state)
+            shared = first.get(policy)
+            if shared is None:
+                configurations[state] = first[policy] = compile_one(policy, name)
+            else:
+                configurations[state] = shared.named(name)
+        if obs_metrics.active() is not None:
+            for result, count in (
+                ("compiled", len(first)),
+                ("shared", pending - len(first)),
+                ("adopted", len(reuse)),
+            ):
+                obs_metrics.inc(
+                    "repro_compile_configurations_total", count, result=result,
+                    help="Configurations by how the compile obtained their tables",
+                )
+        self._configurations_compiled = len(first)
+        return configurations
+
+    def _reusable_configurations(
+        self, nes: NES
+    ) -> Dict[StateVector, Configuration]:
         """The predecessor's compiled configurations this pipeline may
         adopt.  Tables are a pure function of the configuration policy
         and the topology's *switch set* — links live in the program, and
@@ -968,15 +1087,20 @@ class Pipeline:
             help="Artifact cache loads by result",
         )
         if loaded is not None:
-            # Artifacts persist no options: how this run executes is
-            # this run's, not the storing one's.
-            loaded.options = self.options
             self._artifact_cache_state = "hit"
             # On a hit the load *is* this pipeline's compile stage.
             self._record_stage("compile", time.perf_counter() - start)
-            self._compiled = loaded
+            self._hold(loaded)
         else:
             self._artifact_cache_state = "miss"
+
+    def _hold(self, compiled: CompiledNES) -> None:
+        """Publish ``compiled``, cold or loaded, as this pipeline's
+        artifact.  Artifacts persist no options: how this run executes
+        is this run's, so the held artifact carries this pipeline's
+        (readers take ``options.tag_field`` from it)."""
+        compiled.options = self.options
+        self._compiled = compiled
 
     def guarded_tables(self):
         """The deployable merged tables of the compiled artifact."""
@@ -1008,16 +1132,15 @@ class Pipeline:
           topology's switch set (links live in the program; hosts are
           no compile input): it adopts
           the tables of every state whose policy is equal while the
-          switch set is unchanged (the ``reuse_configurations`` seam),
-          re-homed on the post-delta topology — so a host or link delta
+          switch set is unchanged, re-homed on the post-delta topology — so a host or link delta
           compiles nothing, and a switch delta every distinct policy —
           and compiles the rest on a fork of the lineage root's
           :class:`FDDBuilder`, dropped afterwards, so FDDs of unchanged
           sub-policies are found, not rebuilt;
         - the guarded merge reads the state tuple, the tables and the
           switch set: when every table was adopted and the states are
-          the same, the predecessor's memoised ``guarded_tables()`` is
-          adopted too.
+          the same, the result shares the predecessor's merge, built
+          once by whichever side first needs it.
 
         The contract is byte identity with a cold pipeline on the
         post-delta inputs.  A warm artifact under the post-delta
@@ -1083,7 +1206,7 @@ class Pipeline:
                     for state, policy in states
                 )
             total = len(compiled.states)
-            reused = total - compiled.compiled_configurations
+            reused = total - updated._configurations_compiled
             symbolic = updated._symbolic
             traffic = {
                 "update.symbolic_entries_new": (
@@ -1166,9 +1289,7 @@ class Pipeline:
         if self._compiled is not None:
             compiled = self._compiled
             stats["configurations"] = len(compiled.states)
-            # config_rule_count, not forwarding_rule_count: a report
-            # stays a cheap observer instead of forcing the merge.
-            forwarding = compiled.config_rule_count()
+            forwarding = compiled.forwarding_rule_count()
             stats["forwarding_rules"] = forwarding
             stats["total_rules"] = forwarding + compiled.stamp_rule_count()
         if self._update_stats:

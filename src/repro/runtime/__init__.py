@@ -1,6 +1,6 @@
 """The implementation of event-driven programs (section 4)."""
 
-from .compiler import TAG_FIELD, CompiledNES, LocalityError, compile_nes
+from .compiler import TAG_FIELD, CompiledNES, LocalityError
 from .model import NetworkState, RuntimePacket, SwitchState, TraceRecorder
 from .semantics import Runtime, RuntimeInvariantError, Transition
 
@@ -8,7 +8,6 @@ __all__ = [
     "TAG_FIELD",
     "CompiledNES",
     "LocalityError",
-    "compile_nes",
     "NetworkState",
     "RuntimePacket",
     "SwitchState",

@@ -31,6 +31,7 @@ machine-readable ``code``; the server maps it to a structured 400 body.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -280,13 +281,17 @@ def compile_request_to_wire(
     A value the daemon would answer with a 400 -- a state component that
     is not an int, a deadline that is not a number, an ``include_tables``
     that is not a bool -- raises :class:`TypeError` here instead of being
-    coerced onto another request's artifact key."""
+    coerced onto another request's artifact key.  A non-finite deadline
+    has no JSON spelling (``json.dumps`` would emit the non-JSON token
+    ``NaN``) and raises :class:`ValueError`."""
     state = [_json_int(component) for component in initial_state]
     if deadline_seconds is not None and (
         isinstance(deadline_seconds, bool)
         or not isinstance(deadline_seconds, (int, float))
     ):
         raise TypeError(f"deadline_seconds must be a number, got {deadline_seconds!r}")
+    if deadline_seconds is not None and not math.isfinite(deadline_seconds):
+        raise ValueError(f"deadline_seconds must be finite, got {deadline_seconds!r}")
     if not isinstance(include_tables, bool):
         raise TypeError(f"include_tables must be a bool, got {include_tables!r}")
     body: Dict[str, Any] = {

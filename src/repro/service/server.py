@@ -364,19 +364,16 @@ class _Handler(BaseHTTPRequestHandler):
                 raise protocol.ProtocolError(
                     "bad_request", f"missing required field {required!r}"
                 )
-        deadline = wire.get("deadline_seconds")
-        if deadline is not None and (
-            isinstance(deadline, bool)
-            or not isinstance(deadline, (int, float))
-            or deadline <= 0
-        ):
-            raise protocol.ProtocolError(
-                "bad_request",
-                f"deadline_seconds must be a positive number, got {deadline!r}",
-            )
-        include_tables = _include_tables(wire)
         state = self.server.state
-        options = state.effective_options(deadline_seconds=deadline)
+        try:
+            # CompileOptions holds the one deadline rule; json.loads
+            # turns the tokens NaN and Infinity into floats it refuses.
+            options = state.effective_options(
+                deadline_seconds=wire.get("deadline_seconds")
+            )
+        except (TypeError, ValueError) as exc:
+            raise protocol.ProtocolError("bad_request", str(exc)) from exc
+        include_tables = _include_tables(wire)
         # A byte-identical repeat of a request whose pipeline is still
         # memo-resident needs no parse and no key hashing.  Anything else
         # takes the full path, and only its success is indexed.

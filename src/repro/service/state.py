@@ -169,7 +169,7 @@ class ServiceState:
         onto ``CompileOptions.deadline_seconds``."""
         options = self.base_options
         if deadline_seconds is not None:
-            options = options.replace(deadline_seconds=float(deadline_seconds))
+            options = options.replace(deadline_seconds=deadline_seconds)
         return options
 
     # -- pipeline memo (LRU) ------------------------------------------------

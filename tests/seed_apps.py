@@ -112,9 +112,9 @@ def reference_compile(app, nes=None) -> CompiledNES:
     uncached ``compile_policy`` per configuration on the mask/union,
     memo-free ``ReferenceFDDBuilder``.  Pass ``nes`` to start from an
     NES already in hand (only the FDD/compiler references then differ
-    from the pipeline).  Every configuration is handed to ``CompiledNES``
-    through its ``reuse_configurations`` seam, so the pipeline's own
-    compile never runs; only the tag merge is shared.
+    from the pipeline).  The configurations are handed to
+    ``CompiledNES`` directly, so the pipeline's own compile never runs;
+    only the tag merge is shared.
     """
     if nes is None:
         nes = nes_of_ets(reference_ets(app))
@@ -128,4 +128,4 @@ def reference_compile(app, nes=None) -> CompiledNES:
         )
         for state in nes.configuration_states()
     }
-    return CompiledNES(nes, app.topology, reuse_configurations=configurations)
+    return CompiledNES(nes, app.topology, configurations)

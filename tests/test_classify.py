@@ -81,7 +81,10 @@ def test_seed_apps_every_configuration_every_switch(name, make_app):
     compiled = make_app().compiled
     structure = compiled.nes.structure
     rng = random.Random(name)
-    for event_set in compiled.event_sets:
+    event_sets = sorted(
+        compiled.nes.event_sets(), key=lambda s: (len(s), sorted(map(repr, s)))
+    )
+    for event_set in event_sets:
         tag_mask = structure.encode(event_set)
         for switch in compiled.topology.switches:
             for packet in probe_packets(compiled, switch, rng):
@@ -138,7 +141,7 @@ def planted(rules, events):
         Rule(len(rules) - position, Match({**constraints, TAG_FIELD: tag}), actions)
         for position, (tag, constraints, actions) in enumerate(rules)
     )
-    compiled._guarded_tables = {SWITCH: table}
+    compiled._merge = [{SWITCH: table}]
     compiled._roots = {}
     return compiled
 
@@ -199,7 +202,7 @@ def test_a_tag_guard_that_is_no_configuration_id_raises_at_build():
     for guard in (PrefixMatch(0, 1, 2), True):
         compiled = planted([], [])
         rule = Rule(1, Match({TAG_FIELD: guard}), frozenset({(("pt", 1),)}))
-        compiled._guarded_tables[SWITCH] = FlowTable([rule])
+        compiled._merge[0][SWITCH] = FlowTable([rule])
         with pytest.raises(ValueError, match="non-exact match"):
             compiled.classify(SWITCH, 0, Packet({SW: 1, PT: 1}))
 

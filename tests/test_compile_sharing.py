@@ -41,7 +41,8 @@ def assert_shared_by_policy(compiled):
 @pytest.mark.parametrize("name,make", APPS, ids=[name for name, _ in APPS])
 def test_shared_tables_equal_a_direct_compile(name, make):
     app = make()
-    compiled = fresh_pipeline(app).compiled
+    pipeline = fresh_pipeline(app)
+    compiled = pipeline.compiled
     for state in compiled.states:
         config = compiled.configurations[state]
         direct = compile_policy(compiled.nes.configuration_policy(state), app.topology)
@@ -51,7 +52,7 @@ def test_shared_tables_equal_a_direct_compile(name, make):
             assert repr(config.table(switch)) == repr(direct.table(switch))
     assert_shared_by_policy(compiled)
     policies = {compiled.nes.configuration_policy(s) for s in compiled.states}
-    assert compiled.compiled_configurations == len(policies)
+    assert pipeline._configurations_compiled == len(policies)
 
 
 @pytest.mark.parametrize("name,make", APPS, ids=[name for name, _ in APPS])
@@ -63,9 +64,6 @@ def test_pickle_round_trip_keeps_sharing_and_tables(name, make):
         c.name for c in compiled.configurations.values()
     ]
     assert_shared_by_policy(loaded)
-    # The count describes the construction, not the artifact.
-    assert "compiled_configurations" not in compiled.__getstate__()
-    assert loaded.compiled_configurations == 0
 
 
 def test_artifacts_load_across_the_sharing_change():
@@ -84,7 +82,6 @@ def test_artifacts_load_across_the_sharing_change():
     unshared, shared = pickle.dumps(per_state), pickle.dumps(compiled)
     assert len(shared) < len(unshared)
     assert guarded_bytes(pickle.loads(unshared)) == guarded_bytes(compiled)
-    assert pickle.loads(unshared).compiled_configurations == 0
 
 
 def reply_filter_delta(pt, ip_dst):
@@ -118,7 +115,7 @@ def test_updates_stay_byte_equal_to_a_cold_rebuild(name, make, policy_delta):
         stats = dict(updated.report().stats)
         total = len(updated.compiled.states)
         assert stats["update.configurations_recompiled"] == (
-            updated.compiled.compiled_configurations
+            updated._configurations_compiled
         )
         assert stats["update.configurations_recompiled"] <= len(
             {updated.nes.configuration_policy(s) for s in updated.compiled.states}
@@ -136,7 +133,7 @@ def test_first_attempt_fault_retries_once():
         compiled = pipeline.compiled
     assert plan.fires("executor.worker") == 1
     assert pipeline.report().health == {"executor.retries": 1}
-    assert compiled.compiled_configurations == 2
+    assert pipeline._configurations_compiled == 2
     assert guarded_bytes(compiled) == guarded_bytes(
         fresh_pipeline(bandwidth_cap_app(8)).compiled
     )
@@ -177,12 +174,12 @@ def test_cap48_runs_compile_policy_twice(monkeypatch):
     """Exact-count guard: a cap-48 chain has 50 states and two
     configuration policies (50 ``compile_policy`` runs when every state
     compiled its own)."""
-    from repro.runtime import compiler as runtime_compiler
+    import repro.pipeline as pipeline_module
 
     runs = []
-    real = runtime_compiler.compile_policy
+    real = pipeline_module.compile_policy
     monkeypatch.setattr(
-        runtime_compiler, "compile_policy",
+        pipeline_module, "compile_policy",
         lambda *args, **kwargs: runs.append(kwargs["name"]) or real(*args, **kwargs),
     )
     registry = metrics.MetricsRegistry()

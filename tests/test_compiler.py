@@ -147,15 +147,6 @@ class TestCompileFirewallConfig:
         pkt = Packet({"sw": 1, "pt": 2, "ip_dst": 9})
         assert _run_to_completion(cfg, pkt) == set()
 
-    def test_guard_restricts(self):
-        cfg = compile_policy(
-            self.policy(), self.topo(), guard=field_test("tag", 1)
-        )
-        allowed = Packet({"sw": 1, "pt": 2, "ip_dst": 4, "tag": 1})
-        refused = Packet({"sw": 1, "pt": 2, "ip_dst": 4, "tag": 0})
-        assert _run_to_completion(cfg, allowed)
-        assert not _run_to_completion(cfg, refused)
-
     def test_end_to_end_agrees_with_denotation(self):
         """The compiled step relation's terminal packets equal the
         denotational outputs of the full path policy."""

@@ -235,18 +235,18 @@ class TestExecutorRecovery:
         on every attempt: one attempt, no backoff, nothing absorbed."""
         from repro.netkat.compiler import CompileError
         from repro.netkat.parser import parse_policy
-        from repro.runtime import compiler as runtime_compiler
+        import repro.pipeline as pipeline_module
 
         attempts = []
-        compile_policy = runtime_compiler.compile_policy
+        compile_policy = pipeline_module.compile_policy
 
         def counting(*args, **kwargs):
             attempts.append(kwargs["name"])
             return compile_policy(*args, **kwargs)
 
-        monkeypatch.setattr(runtime_compiler, "compile_policy", counting)
+        monkeypatch.setattr(pipeline_module, "compile_policy", counting)
         monkeypatch.setattr(
-            runtime_compiler.time, "sleep", lambda s: pytest.fail("backed off")
+            pipeline_module.time, "sleep", lambda s: pytest.fail("backed off")
         )
         star_over_a_link = parse_policy("(pt=2; pt<-1; (1:1)->(4:1); pt<-2)*")
         pipeline = Pipeline(star_over_a_link, firewall_app().topology, ())
@@ -263,11 +263,11 @@ class TestExecutorRecovery:
         attempt, no backoff, nothing absorbed."""
         from repro.netkat import compiler as netkat_compiler
         from repro.netkat.compiler import CompileError
-        from repro.runtime import compiler as runtime_compiler
+        import repro.pipeline as pipeline_module
 
         monkeypatch.setattr(netkat_compiler, "MAX_FRONTIER", 0)
         monkeypatch.setattr(
-            runtime_compiler.time, "sleep", lambda s: pytest.fail("backed off")
+            pipeline_module.time, "sleep", lambda s: pytest.fail("backed off")
         )
         pipeline = fresh_pipeline(firewall_app())
         with pytest.raises(StageError, match="1 attempt") as info:
@@ -284,6 +284,11 @@ class TestExecutorRecovery:
             CompileOptions(deadline_seconds=0)
         with pytest.raises(ValueError):
             CompileOptions(deadline_seconds=-1.0)
+        # NaN compares false with 0, so only a finiteness check stops
+        # it (and infinity) from switching the budget off.
+        for deadline in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                CompileOptions(deadline_seconds=deadline)
 
 
 # ---------------------------------------------------------------------------

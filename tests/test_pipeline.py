@@ -3,7 +3,7 @@
 The pipeline's scale knobs must be invisible in the output: the
 persistent artifact cache (cold and warm) and the façade itself both
 have to produce guarded tables byte-identical to the legacy direct
-``build_ets -> nes_of_ets -> compile_nes`` path, on every seed
+``build_ets -> nes_of_ets -> compile_policy`` path, on every seed
 application.  The deprecation shims and the thread backend are gone:
 the old spellings fail loudly instead of being tolerated.
 """
@@ -21,7 +21,7 @@ from repro.formula import EQ, NE, Formula, Literal
 from repro.netkat.compiler import compile_policy
 from repro.netkat.fdd import FDDBuilder
 from repro.pipeline import ArtifactCache, artifact_digest
-from repro.runtime.compiler import TAG_FIELD, CompiledNES, compile_nes
+from repro.runtime.compiler import TAG_FIELD, CompiledNES
 from repro.stateful.ets import build_ets
 
 from seed_apps import (
@@ -37,9 +37,17 @@ from seed_apps import (
 
 
 def legacy_compile(app) -> CompiledNES:
-    """The pre-pipeline entry points, chained by hand."""
-    ets = build_ets(app.program, app.initial_state)
-    return compile_nes(nes_of_ets(ets), app.topology)
+    """The stage functions chained by hand, one ``compile_policy`` per
+    configuration state on one builder (no sharing, no pipeline)."""
+    nes = nes_of_ets(build_ets(app.program, app.initial_state))
+    builder = FDDBuilder()
+    return CompiledNES(nes, app.topology, {
+        state: compile_policy(
+            nes.configuration_policy(state), app.topology,
+            builder=builder, name=f"C{list(state)}",
+        )
+        for state in nes.configuration_states()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +307,7 @@ class TestArtifactCache:
         compiled = firewall_app().compiled
         compiled.guarded_tables()
         clone = pickle.loads(pickle.dumps(compiled))
-        assert clone._guarded_tables is None
+        assert clone._merge == [None]
         # No builder travels (its AST memos are keyed by id() values of
         # the storing process), and none is kept after construction.
         assert "_builder" not in vars(clone)
@@ -437,18 +445,15 @@ class TestDeprecationShims:
             with pytest.raises(TypeError, match=removed):
                 CompileOptions(**{removed: False})
         with pytest.raises(TypeError, match="knowledge_cache"):
-            compile_nes(app.nes, app.topology, knowledge_cache=False)
-        with pytest.raises(TypeError, match="enforce_locality"):
-            compile_nes(app.nes, app.topology, enforce_locality=False)
-        with pytest.raises(TypeError, match="knowledge_cache"):
-            CompiledNES(app.nes, app.topology, knowledge_cache=False)
+            CompiledNES(app.nes, app.topology, {}, knowledge_cache=False)
         assert not hasattr(FDDBuilder, "from_options")
 
     def test_default_construction_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             FDDBuilder()
-            compile_nes(firewall_app().nes, firewall_app().topology)
+            app = firewall_app()
+            Pipeline(app.program, app.topology, app.initial_state).compiled
         # The reference switches live in tests/naive_oracles.py.
         for removed in ("ordered_insert", "ast_memo"):
             with pytest.raises(TypeError, match=removed):
@@ -466,15 +471,6 @@ class TestDeprecationShims:
 class TestGuardedTablesPerOptionsMemo:
     """One tag field, so one memoised merge per artifact."""
 
-    def test_invalidate_clears_every_variant(self):
-        compiled = firewall_app().compiled
-        default = compiled.guarded_tables()
-        compiled.invalidate_guarded_tables()
-        assert compiled._guarded_tables is None and not compiled._roots
-        rebuilt = compiled.guarded_tables()
-        assert any(rebuilt[sw] is not default[sw] for sw in default)
-        assert repr(rebuilt) == repr(default)
-
     def test_colliding_tag_field_is_rejected_not_overwritten(self):
         # A program that matches on the tag field must raise, never have
         # its constraint overwritten by the guard (section 4.1).
@@ -489,26 +485,6 @@ class TestGuardedTablesPerOptionsMemo:
         with pytest.raises(TagFieldError, match="collides"):
             optimize_compiled_nes(compiled)
         assert "CompiledNES" in repr(compiled)
-
-
-# ---------------------------------------------------------------------------
-# The one executor
-# ---------------------------------------------------------------------------
-
-
-def test_explicit_builder_forces_serial_path():
-    app = firewall_app()
-    builder = FDDBuilder()
-    compiled = compile_nes(
-        app.nes,
-        app.topology,
-        builder,  # old positional spelling must keep binding to builder=
-    )
-    # The caller-owned builder compiled every configuration (its AST
-    # memos are warm); the artifact does not keep it.
-    assert "_builder" not in vars(compiled)
-    assert builder._memo_of_policy
-    assert guarded_bytes(compiled) == guarded_bytes(app.compiled)
 
 
 # ---------------------------------------------------------------------------
@@ -875,13 +851,21 @@ class TestPipelineUpdate:
         )
         adopted = updated.compiled.guarded_tables()
         assert all(adopted[sw] is default[sw] for sw in default)
-        # Invalidating one side leaves the other.
-        updated.compiled.invalidate_guarded_tables()
-        assert base.compiled.guarded_tables()[1] is default[1]
-        assert updated.compiled.guarded_tables()[1] is not default[1]
         again = base.update(Delta())
-        base.compiled.invalidate_guarded_tables()
         assert again.compiled.guarded_tables()[1] is default[1]
+
+    def test_fully_adopted_update_shares_a_merge_not_yet_built(self):
+        """A base whose merge nobody forced still lends it: the first of
+        base and successor to need it builds it once for both."""
+        app = bandwidth_cap_app()
+        base = Pipeline(app.program, app.topology, app.initial_state)
+        base.compiled
+        updated = base.update(
+            Delta(topology=switch_preserving_edits(app)["attach_host"])
+        )
+        assert base.compiled._merge == [None]
+        built = updated.compiled.guarded_tables()
+        assert all(base.compiled.guarded_tables()[sw] is built[sw] for sw in built)
 
     def test_shifted_config_ids_do_not_adopt_the_guarded_merge(self):
         app = bandwidth_cap_app()
@@ -894,7 +878,7 @@ class TestPipelineUpdate:
         stats = dict(updated.report().stats)
         assert stats["update.configurations_recompiled"] == 0
         assert updated.compiled.states != base.compiled.states
-        assert not updated.compiled._guarded_tables
+        assert updated.compiled._merge == [None]
         tables = updated.compiled.guarded_tables()
         assert all(tables[sw] is not merged[sw] for sw in tables)
         assert guarded_bytes(updated.compiled) == guarded_bytes(
@@ -1029,13 +1013,13 @@ class TestPipelineThreadSafety:
         import repro.pipeline as pipeline_module
 
         calls = []
-        real_compile = pipeline_module.compile_nes
+        real_compile = pipeline_module.CompiledNES
 
         def counting_compile(*args, **kwargs):
             calls.append(threading.get_ident())
             return real_compile(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline_module, "compile_nes", counting_compile)
+        monkeypatch.setattr(pipeline_module, "CompiledNES", counting_compile)
 
         app = firewall_app()
         pipeline = Pipeline(app.program, app.topology, app.initial_state)

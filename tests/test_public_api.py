@@ -164,6 +164,11 @@ REMOVED_PARAMETERS = [
     ("repro.events.structure:EventStructure.event_sets_masks", 1, "limit"),
     ("repro.events.locality:locality_violations", 1, "max_size"),
     ("repro.events.locality:is_locally_determined", 1, "max_size"),
+    ("repro.netkat.compiler:compile_policy", 2, "guard"),
+    ("repro.runtime.compiler:CompiledNES", 3, "builder"),
+    ("repro.runtime.compiler:CompiledNES", 3, "options"),
+    ("repro.runtime.compiler:CompiledNES", 3, "health"),
+    ("repro.runtime.compiler:CompiledNES", 3, "reuse_configurations"),
 ]
 
 
@@ -203,6 +208,10 @@ REMOVED_NAMES = [
     "repro.baselines:ReferenceLogic.on_ingress",
     "repro.baselines:UncoordinatedLogic.on_ingress",
     "repro.baselines:TwoPhaseLogic.on_ingress",
+    "repro.runtime:compile_nes",
+    "repro.runtime.compiler:compile_nes",
+    "repro.runtime.compiler:CompiledNES.invalidate_guarded_tables",
+    "repro.runtime.compiler:CompiledNES.config_rule_count",
 ]
 
 
@@ -212,6 +221,21 @@ def test_removed_names_are_gone(spec):
     owner, _, name = path.rpartition(".")
     with pytest.raises(AttributeError):
         getattr(_resolve(f"{module}:{owner}"), name)
+
+
+def test_the_artifact_holds_only_artifact_fields():
+    """``CompiledNES`` is the artifact: the unread event-set encodings and
+    the per-run compile count are gone, and its pickle is exactly its
+    fields, so a fact about one run cannot creep back into it."""
+    from repro.apps import firewall_app
+
+    compiled = firewall_app().compiled
+    for name in ("event_sets", "event_set_ids", "event_bits", "compiled_configurations"):
+        with pytest.raises(AttributeError):
+            getattr(compiled, name)
+    assert set(compiled.__getstate__()) == {
+        "nes", "topology", "states", "config_ids", "configurations",
+    }
 
 
 def test_frame_tag_and_digest_spellings_are_gone():

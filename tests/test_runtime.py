@@ -11,7 +11,7 @@ from repro.apps import (
     ids_app,
     learning_switch_app,
 )
-from repro.runtime.compiler import TAG_FIELD, LocalityError, compile_nes
+from repro.runtime.compiler import TAG_FIELD, LocalityError
 from repro.runtime.semantics import Runtime, RuntimeInvariantError
 
 from seed_apps import APPS
@@ -28,7 +28,7 @@ class TestCompiledNES:
         for name, make_app in APPS:
             compiled = make_app().compiled
             structure = compiled.nes.structure
-            for event_set in compiled.event_sets:
+            for event_set in compiled.nes.event_sets():
                 mask = structure.encode(event_set)
                 assert structure.decode(mask) == event_set, name
             for mask in range(1 << len(structure.universe)):
@@ -52,11 +52,10 @@ class TestCompiledNES:
         )
 
     def test_locality_enforced(self):
-        """A non-locally-determined NES is refused by compile_nes."""
-        from repro.events.ets_to_nes import nes_of_ets
-        from repro.netkat.ast import assign, filter_, seq, union
+        """A non-locally-determined NES is refused by the compile stage."""
+        from repro.netkat.ast import filter_, seq, union
+        from repro.pipeline import Pipeline
         from repro.stateful.ast import link_update, state_eq
-        from repro.stateful.ets import build_ets
         from repro.topology import star_topology
 
         # Two conflicting events at different switches (program P1).
@@ -64,26 +63,31 @@ class TestCompiledNES:
             seq(filter_(state_eq([0])), link_update("4:1", "1:1", [1])),
             seq(filter_(state_eq([0])), link_update("4:3", "2:1", [2])),
         )
-        nes = nes_of_ets(build_ets(prog, (0,)))
         with pytest.raises(LocalityError):
-            compile_nes(nes, star_topology())
+            Pipeline(prog, star_topology(), (0,)).compiled
 
     def test_locality_enforcement_can_be_disabled(self):
-        from repro.events.ets_to_nes import nes_of_ets
+        """The artifact itself does not check locality: only the
+        pipeline's compile stage refuses."""
         from repro.netkat.ast import filter_, seq, union
+        from repro.netkat.compiler import compile_policy
+        from repro.pipeline import Pipeline
         from repro.runtime.compiler import CompiledNES
         from repro.stateful.ast import link_update, state_eq
-        from repro.stateful.ets import build_ets
         from repro.topology import star_topology
 
         prog = union(
             seq(filter_(state_eq([0])), link_update("4:1", "1:1", [1])),
             seq(filter_(state_eq([0])), link_update("4:3", "2:1", [2])),
         )
-        nes = nes_of_ets(build_ets(prog, (0,)))
+        pipeline = Pipeline(prog, star_topology(), (0,))
         with pytest.raises(LocalityError):
-            compile_nes(nes, star_topology())
-        compiled = CompiledNES(nes, star_topology())
+            pipeline.compiled
+        nes = pipeline.nes
+        compiled = CompiledNES(nes, star_topology(), {
+            state: compile_policy(nes.configuration_policy(state), star_topology())
+            for state in nes.configuration_states()
+        })
         assert len(compiled.states) == len(nes.configuration_states())
 
 

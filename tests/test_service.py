@@ -840,6 +840,22 @@ class TestProtocolErrors:
             )
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_deadline_is_a_400(self, shared_service, token):
+        """``json.loads`` reads these tokens as floats, and NaN passed a
+        ``<= 0`` check, switching the budget off behind a 200."""
+        app = firewall_app()
+        wire = protocol.compile_request_to_wire(
+            app.program, app.topology, app.initial_state
+        )
+        body = json.dumps(wire)[:-1] + f', "deadline_seconds": {token}}}'
+        status, answer = raw_request(
+            shared_service, "POST", "/compile", data=body.encode()
+        )
+        assert status == 400
+        assert answer["error"]["code"] == "bad_request"
+        assert "deadline_seconds" in answer["error"]["message"]
+
     @pytest.mark.parametrize("declared", ["twelve", "-5", "1e3", ""])
     def test_malformed_content_length_is_a_400(self, shared_service, declared):
         host, port = shared_service.base_url.rsplit("/", 1)[1].split(":")
@@ -915,6 +931,31 @@ def test_client_raises_on_what_the_daemon_rejects_before_sending(changes):
         client = ServiceClient(f"http://127.0.0.1:{port}", timeout=2.0)
         with pytest.raises(TypeError):
             client.compile(app.program, app.topology, initial, **kwargs)
+        with pytest.raises(BlockingIOError):
+            listener.accept()  # nothing connected, so nothing was sent
+
+
+@pytest.mark.parametrize("deadline", [float("nan"), float("inf"), float("-inf")])
+def test_client_raises_on_a_non_finite_deadline_before_sending(deadline):
+    """JSON has no spelling for a non-finite number (``json.dumps``
+    would send the token ``NaN``), so the client refuses it before
+    connecting."""
+    app = firewall_app()
+    with pytest.raises(ValueError, match="deadline_seconds"):
+        protocol.compile_request_to_wire(
+            app.program, app.topology, app.initial_state, deadline_seconds=deadline
+        )
+    with closing(socket.socket()) as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        listener.setblocking(False)
+        port = listener.getsockname()[1]
+        client = ServiceClient(f"http://127.0.0.1:{port}", timeout=2.0)
+        with pytest.raises(ValueError, match="deadline_seconds"):
+            client.compile(
+                app.program, app.topology, app.initial_state,
+                deadline_seconds=deadline,
+            )
         with pytest.raises(BlockingIOError):
             listener.accept()  # nothing connected, so nothing was sent
 

@@ -529,7 +529,7 @@ class TestServedArtifact:
             return _records(net)
 
         def plant(compiled, switch, table):
-            compiled._guarded_tables[switch] = table
+            compiled._merge[0][switch] = table
             compiled._roots = {}
 
         compiled = firewall_app().compiled
