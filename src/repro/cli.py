@@ -90,8 +90,9 @@ _TOPOLOGIES = {
 def _topology_of(spec: str) -> Topology:
     if spec in _TOPOLOGIES:
         return _TOPOLOGIES[spec]()
-    if spec.startswith("ring:"):
-        return ring_topology(int(spec.split(":", 1)[1]))
+    kind, _, diameter = spec.partition(":")
+    if kind == "ring" and diameter.isdecimal() and int(diameter) >= 1:
+        return ring_topology(int(diameter))
     raise SystemExit(
         f"unknown topology {spec!r}; choose from "
         f"{sorted(_TOPOLOGIES)} or ring:N"

@@ -1,33 +1,29 @@
-"""Correctness of network traces with respect to an NES (Definition 6).
+"""Correctness of network traces with respect to an NES (Definitions 2 and 6).
 
 A trace is correct when either no event ever fires and every packet is
 processed by the initial configuration ``g(∅)``, or some event sequence
-allowed by the NES turns the trace into a correct event-driven
-consistent update.  The checker searches the (finite) space of allowed
-sequences; it is the empirical counterpart of Theorem 1 and is exercised
-by the test suite against traces produced by the runtime semantics.
-Configurations are not compiled here: Definition 5's ``g`` arrives
-compiled on the NES (``NES.compiled``, left by ``CompiledNES``) and is
-adopted when its switch set is the topology's; only an NES nobody
-compiled is compiled on demand, on a builder made at the first miss.
+allowed by the NES makes the trace correct for the event-driven
+consistent update ``g(∅) -e0-> g({e0}) ... -en-> g({e0..en})``
+(Definition 2).  The checker searches the (finite) space of allowed
+sequences; it is the empirical counterpart of Theorem 1.  Configurations
+are not compiled here: Definition 5's ``g`` arrives compiled on the NES
+(``NES.compiled``, left by ``CompiledNES``) and is adopted when its
+switch set is the topology's; only an NES nobody compiled is compiled on
+demand, on a builder made at the first miss.
 
-The search runs on interned event bitmasks: per-position match masks
-are computed once per trace, candidate sequences are pruned and
-enumerated on ints, first occurrences and the quiet case test single
-bits, and ``Traces(C)`` membership is memoized across candidate
-sequences (the chains share prefixes, so the same (configuration,
-packet-trace) pairs recur).  Candidate sequences are enumerated
-*lazily*, so a correct trace early-exits after its first matching
-sequence -- ``sequences_tried`` counts how many Definition 2 checks the
-last :meth:`NESChecker.check` actually ran.  The frozenset reference for
-each step lives at the layer that defines it:
-:func:`~repro.consistency.update.check_update_correctness` called
-without the mask keywords is Definition 2 on frozensets, and
-``Event.matches`` is the quiet-case test.
+Both definitions are decided on interned event bitmasks in
+:class:`NESChecker` alone: per-position match masks are computed once
+per trace, candidate sequences are enumerated lazily as tuples of event
+bits, so a correct trace stops at its first match (``sequences_tried``
+counts the Definition 2 checks the last :meth:`NESChecker.check` ran),
+and ``Traces(C)`` membership is memoized across the candidates, whose
+chains share prefixes.  The frozenset reference the tests hold these verdicts and
+reasons equal to lives in ``tests/naive_oracles.py``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..events.event import Event
@@ -38,10 +34,28 @@ from ..netkat.compiler import Configuration, compile_policy
 from ..netkat.fdd import FDDBuilder
 from ..stateful.ast import StateVector
 from ..topology import Topology
-from .traces import NetworkTrace, packet_trace_in_traces, position_event_masks
-from .update import CorrectnessReport, EventDrivenUpdate, check_update_correctness
+from .traces import (
+    HappensBefore,
+    NetworkTrace,
+    packet_trace_in_traces,
+    position_event_masks,
+)
 
-__all__ = ["NESChecker", "check_trace_against_nes"]
+__all__ = ["CorrectnessReport", "NESChecker", "check_trace_against_nes"]
+
+_NO_FO = "FO(ntr, U) does not exist"
+
+
+@dataclass(frozen=True)
+class CorrectnessReport:
+    """Outcome of a Definition 2 or 6 check, with the first violation found."""
+
+    correct: bool
+    reason: str = ""
+    violating_trace: Optional[Tuple[int, ...]] = None
+
+    def __bool__(self) -> bool:
+        return self.correct
 
 
 class NESChecker:
@@ -55,7 +69,6 @@ class NESChecker:
         self._deposited = deposited if switches == topology.switches else {}
         self._builder: Optional[FDDBuilder] = None  # made on the first miss
         self._configs_by_mask: Dict[int, Configuration] = {}
-        self._ambient: FrozenSet[Event] = frozenset(nes.events)
         # Number of candidate sequences the last check() ran Definition 2
         # on (the lazy-enumeration counter hook).
         self.sequences_tried = 0
@@ -121,20 +134,11 @@ class NESChecker:
             return self._check_no_events(trace)
 
         happens_before = trace.happens_before()
-        membership = self._membership_memo()
-        ambient_mask = self.nes.structure.all_mask
+        member = self._membership_memo(trace)
         reports: List[CorrectnessReport] = []
-        for sequence, bits in self._candidate_sequences(masks):
+        for bits in self._candidate_sequences(masks):
             self.sequences_tried += 1
-            report = check_update_correctness(
-                trace,
-                self._update_of_sequence(sequence, bits),
-                happens_before=happens_before,
-                position_masks=masks,
-                event_bits=bits,
-                ambient_mask=ambient_mask,
-                membership=membership,
-            )
+            report = self._check_update(trace, masks, bits, happens_before, member)
             if report:
                 return report
             reports.append(report)
@@ -148,18 +152,18 @@ class NESChecker:
         # Surface the most informative failure: prefer reports whose FO
         # existed (their reason names a concrete violating packet trace).
         for report in reports:
-            if report.reason != "FO(ntr, U) does not exist":
+            if report.reason != _NO_FO:
                 return report
         return reports[0]
 
-    def _membership_memo(self) -> Callable:
+    def _membership_memo(self, trace: NetworkTrace) -> Callable:
         """A per-check ``Traces(C)`` membership memo: candidate chains
         share configuration prefixes, so the same (configuration,
         packet-trace) pairs recur across sequences.  The chain's
         configurations are memoized by mask, so their ids are stable."""
         memo: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
 
-        def member(config: Configuration, trace: NetworkTrace, t) -> bool:
+        def member(config: Configuration, t: Tuple[int, ...]) -> bool:
             key = (id(config), t)
             hit = memo.get(key)
             if hit is None:
@@ -168,6 +172,79 @@ class NESChecker:
             return hit
 
         return member
+
+    def _check_update(
+        self,
+        trace: NetworkTrace,
+        masks: Tuple[int, ...],
+        bits: Tuple[int, ...],
+        happens_before: HappensBefore,
+        member: Callable,
+    ) -> CorrectnessReport:
+        """Definition 2 for the update ``g(∅) -e0-> ... -en-> g({e0..en})``
+        whose events have the interned ``bits``, with the NES's events
+        as the ambient set ``E``."""
+        chain = [self._config_of_mask(0)]
+        collected = 0
+        for bit in bits:
+            collected |= bit
+            chain.append(self._config_of_mask(collected))
+
+        # FO(ntr, U): each event's first occurrence after the previous
+        # one's, triggered by a packet that the immediately preceding
+        # configuration processed.
+        n = len(masks)
+        fo: List[int] = []
+        previous = -1
+        for step, bit in enumerate(bits):
+            found = next((j for j in range(previous + 1, n) if masks[j] & bit), None)
+            if found is None or not any(
+                member(chain[step], t) for t in trace.traces_through(found)
+            ):
+                return CorrectnessReport(False, _NO_FO)
+            fo.append(found)
+            previous = found
+        # No *unfired* event may occur after the final first-occurrence.
+        # Packets re-matching an event already in the sequence do not
+        # re-trigger it (the firewall's second outgoing packet matches
+        # the same pattern but the transition already happened), so only
+        # ambient events absent from the sequence invalidate FO.  Renamed
+        # copies are distinct events here: a packet matching the *next*
+        # occurrence of a chain event forces the Definition 6 search onto
+        # the longer sequence that includes it.
+        unfired = self.nes.structure.all_mask & ~collected
+        if any(masks[j] & unfired for j in range(previous + 1, n)):
+            return CorrectnessReport(False, _NO_FO)
+
+        for t in sorted(trace.trace_indices):
+            processed_by = [k for k, config in enumerate(chain) if member(config, t)]
+            if not processed_by:
+                return CorrectnessReport(
+                    False,
+                    "packet trace is in Traces(C) for no configuration of the chain",
+                    t,
+                )
+            for i, ki in enumerate(fo):
+                # Entirely before event e_i: must use C_0..C_i.
+                if processed_by[0] > i and happens_before.all_before(t, ki):
+                    return CorrectnessReport(
+                        False,
+                        f"packet trace precedes event {i} (position {ki}) "
+                        f"but is only in configurations {processed_by}; "
+                        f"expected one of C_0..C_{i} (update happened too early)",
+                        t,
+                    )
+                # Entirely after event e_i: must use C_{i+1}..C_{n+1}.
+                if processed_by[-1] <= i and happens_before.all_after(ki, t):
+                    return CorrectnessReport(
+                        False,
+                        f"packet trace follows event {i} (position {ki}) "
+                        f"but is only in configurations {processed_by}; "
+                        f"expected one of C_{i + 1}..C_{len(chain) - 1} "
+                        "(update happened too late)",
+                        t,
+                    )
+        return CorrectnessReport(True)
 
     def _check_no_events(self, trace: NetworkTrace) -> CorrectnessReport:
         """The first disjunct of Definition 6, for a trace on which no
@@ -182,56 +259,41 @@ class NESChecker:
                 )
         return CorrectnessReport(True)
 
-    def _candidate_sequences(
-        self, masks: Tuple[int, ...]
-    ) -> Iterator[Tuple[Tuple[Event, ...], Tuple[int, ...]]]:
-        """Lazily enumerate allowed event sequences worth trying, given
-        the trace's per-position match masks.
+    def _candidate_sequences(self, masks: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+        """Lazily enumerate allowed event sequences worth trying, as
+        tuples of interned event bits, given the trace's per-position
+        match masks.
 
         Only events matched by some trace position can have a first
         occurrence, so sequences are built from those (hugely pruning
-        the search).  Yields ``(sequence, per-event bits)`` pairs in
-        preorder; being a generator, a correct trace stops the
-        enumeration at its first match.
+        the search).  Sequences come in preorder; being a generator, a
+        correct trace stops the enumeration at its first match.
         """
         structure = self.nes.structure
         seen = 0
         for mask in masks:
             seen |= mask
-        universe = structure.universe
+        # Ascending bit order == sorted-by-repr order: the universe is
+        # interned sorted by repr.
         matched = []
         while seen:
             low = seen & -seen
             seen ^= low
-            # Ascending bit order == sorted-by-repr order: the universe
-            # is interned sorted by repr.
-            matched.append((universe[low.bit_length() - 1], low))
+            matched.append(low)
 
-        def extend(
-            prefix: Tuple[Event, ...], bits: Tuple[int, ...], collected: int
-        ) -> Iterator[Tuple[Tuple[Event, ...], Tuple[int, ...]]]:
-            if prefix:
-                yield prefix, bits
-            for event, bit in matched:
+        def extend(bits: Tuple[int, ...], collected: int) -> Iterator[Tuple[int, ...]]:
+            if bits:
+                yield bits
+            for bit in matched:
                 if collected & bit:
                     continue
                 if not structure.enables_mask(collected, bit.bit_length() - 1):
                     continue
                 if not structure.con_mask(collected | bit):
                     continue
-                yield from extend(prefix + (event,), bits + (bit,), collected | bit)
+                yield from extend(bits + (bit,), collected | bit)
 
-        yield from extend((), (), 0)
-
-    def _update_of_sequence(
-        self, sequence: Tuple[Event, ...], bits: Tuple[int, ...]
-    ) -> EventDrivenUpdate:
-        configs: List[Configuration] = [self._config_of_mask(0)]
-        collected = 0
-        for bit in bits:
-            collected |= bit
-            configs.append(self._config_of_mask(collected))
-        return EventDrivenUpdate(tuple(configs), tuple(sequence), self._ambient)
+        yield from extend((), 0)
 
 
 def check_trace_against_nes(

@@ -25,7 +25,6 @@ __all__ = [
     "TraceValidationError",
     "HappensBefore",
     "packet_trace_in_traces",
-    "packet_trace_follows",
     "position_event_masks",
 ]
 
@@ -170,31 +169,19 @@ class HappensBefore:
 # ---------------------------------------------------------------------------
 
 
-def packet_trace_follows(
-    config: Configuration, packet_trace: Sequence[LocatedPacket]
-) -> bool:
-    """Do consecutive elements step via ``config`` (ignoring completeness)?"""
-    return all(
-        config.relates(packet_trace[i], packet_trace[i + 1])
-        for i in range(len(packet_trace) - 1)
-    )
-
-
 def packet_trace_in_traces(
-    config: Configuration,
-    packet_trace: Sequence[LocatedPacket],
-    require_complete: bool = True,
+    config: Configuration, packet_trace: Sequence[LocatedPacket]
 ) -> bool:
     """Is the packet trace in ``Traces(config)``?
 
-    The trace must start at a host attachment point and follow the
-    configuration's step relation.  With ``require_complete`` (the
-    default), it must also be *maximal*: it either ends delivered at a
-    host port, or ends at a position from which the configuration offers
-    no further step (the packet was dropped exactly where the
-    configuration drops it).  Maximality is what gives the "processed
-    entirely by one configuration" clauses of Definition 2 their force:
-    a packet silently dropped mid-path is in no configuration's traces.
+    The trace must start at a host attachment point, follow the
+    configuration's step relation, and be *maximal*: it either ends
+    delivered at a host port, or ends at a position from which the
+    configuration offers no further step (the packet was dropped exactly
+    where the configuration drops it).  Maximality is what gives the
+    "processed entirely by one configuration" clauses of Definition 2
+    their force: a packet silently dropped mid-path is in no
+    configuration's traces.
     """
     if not packet_trace:
         return False
@@ -202,10 +189,11 @@ def packet_trace_in_traces(
     first = packet_trace[0]
     if topology.host_at(first.location) is None:
         return False
-    if not packet_trace_follows(config, packet_trace):
+    if not all(
+        config.relates(packet_trace[i], packet_trace[i + 1])
+        for i in range(len(packet_trace) - 1)
+    ):
         return False
-    if not require_complete:
-        return True
     last = packet_trace[-1]
     if len(packet_trace) > 1 and topology.host_at(last.location) is not None:
         return True  # delivered to a host

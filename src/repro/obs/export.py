@@ -186,6 +186,8 @@ def validate_chrome_trace(doc: Any) -> List[str]:
     events = doc.get("traceEvents")
     if not isinstance(events, list):
         return ["missing or non-list 'traceEvents'"]
+    if not isinstance(doc.get("otherData", {}), dict):
+        problems.append("'otherData' must be an object")
     for i, event in enumerate(events):
         where = f"traceEvents[{i}]"
         if not isinstance(event, dict):

@@ -1102,10 +1102,6 @@ class Pipeline:
         compiled.options = self.options
         self._compiled = compiled
 
-    def guarded_tables(self):
-        """The deployable merged tables of the compiled artifact."""
-        return self.compiled.guarded_tables()
-
     # -- incremental recompilation ------------------------------------------
 
     def update(self, delta: Delta) -> "Pipeline":

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..apps.base import App
-from ..consistency.checker import NESChecker
-from ..consistency.update import CorrectnessReport
+from ..consistency.checker import CorrectnessReport, NESChecker
 from ..runtime.semantics import Runtime, Transition
 
 __all__ = ["ExplorationResult", "explore_all_interleavings"]

@@ -6,18 +6,23 @@ minimally-inconsistent-set enumeration, moved verbatim out of
 ``test_finite_complete_property.py`` and ``test_locality_bitset.py``;
 ``ETS(p)`` by one Figure 5-6 walk per state, the reference the
 symbolic engine of ``repro.stateful.symbolic`` is compared against;
-and an FDD builder with every cache of the compile path off.
+an FDD builder with every cache of the compile path off; and
+Definition 2 on frozensets, the reference for ``NESChecker``'s masks.
 """
 
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations
 from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from repro.consistency.checker import CorrectnessReport
+from repro.consistency.traces import NetworkTrace, packet_trace_in_traces
 from repro.events.event import Event, EventSet
 from repro.events.ets_to_nes import _sorted_masks
 from repro.events.structure import EventStructure
 from repro.netkat.ast import Policy
+from repro.netkat.compiler import Configuration
 from repro.netkat.fdd import FDD, FDDBuilder
 from repro.stateful.ast import StateVector, validate_state_references
 from repro.stateful.ets import ETS
@@ -136,3 +141,92 @@ class ReferenceFDDBuilder(FDDBuilder):
         guard = self.branch(field, value, self.id, self.drop)
         n_guard = self.branch(field, value, self.drop, self.id)
         return self.union(self.mask(guard, hi), self.mask(n_guard, lo))
+
+
+NO_FO = "FO(ntr, U) does not exist"
+
+
+@dataclass(frozen=True)
+class EventDrivenUpdate:
+    """``(U, E)``: ``C0 -e0-> C1 ... -en-> Cn+1`` and the ambient events."""
+
+    configurations: Tuple[Configuration, ...]
+    events: Tuple[Event, ...]
+    ambient_events: FrozenSet[Event]
+
+    def __post_init__(self) -> None:
+        if len(self.configurations) != len(self.events) + 1:
+            raise ValueError("an update needs one more configuration than events")
+        if not frozenset(self.events) <= self.ambient_events:
+            raise ValueError("update events must be drawn from the ambient set E")
+
+    @staticmethod
+    def single(initial: Configuration, event: Event, final: Configuration):
+        """``Ci -e-> Cf``, with ``{e}`` as its ambient set."""
+        return EventDrivenUpdate((initial, final), (event,), frozenset((event,)))
+
+
+def first_occurrences(
+    trace: NetworkTrace, update: EventDrivenUpdate
+) -> Optional[Tuple[int, ...]]:
+    """``FO(ntr, U)``, or None when an event does not occur in order,
+    its trigger was not processed by the preceding configuration, or an
+    unfired ambient event occurs after the last one."""
+    packets = trace.packets
+    indices: List[int] = []
+    previous = -1
+    for config, event in zip(update.configurations, update.events):
+        later = [j for j in range(previous + 1, len(packets))
+                 if event.matches(packets[j])]
+        if not later or not any(
+            packet_trace_in_traces(config, trace.packet_trace(t))
+            for t in trace.traces_through(later[0])
+        ):
+            return None
+        previous = later[0]
+        indices.append(previous)
+    unfired = update.ambient_events - frozenset(update.events)
+    if any(e.matches(lp) for lp in packets[previous + 1:] for e in unfired):
+        return None
+    return tuple(indices)
+
+
+def check_update_correctness(
+    trace: NetworkTrace, update: EventDrivenUpdate
+) -> CorrectnessReport:
+    """Definition 2: is ``trace`` correct with respect to ``update``?"""
+    fo = first_occurrences(trace, update)
+    if fo is None:
+        return CorrectnessReport(False, NO_FO)
+    happens_before = trace.happens_before()
+    last = len(update.configurations) - 1
+    for t in sorted(trace.trace_indices):
+        processed_by = [
+            idx
+            for idx, config in enumerate(update.configurations)
+            if packet_trace_in_traces(config, trace.packet_trace(t))
+        ]
+        if not processed_by:
+            return CorrectnessReport(
+                False,
+                "packet trace is in Traces(C) for no configuration of the chain",
+                t,
+            )
+        for i, ki in enumerate(fo):
+            where = (f"event {i} (position {ki}) "
+                     f"but is only in configurations {processed_by}")
+            if happens_before.all_before(t, ki) and min(processed_by) > i:
+                return CorrectnessReport(
+                    False,
+                    f"packet trace precedes {where}; "
+                    f"expected one of C_0..C_{i} (update happened too early)",
+                    t,
+                )
+            if happens_before.all_after(ki, t) and max(processed_by) <= i:
+                return CorrectnessReport(
+                    False,
+                    f"packet trace follows {where}; "
+                    f"expected one of C_{i + 1}..C_{last} (update happened too late)",
+                    t,
+                )
+    return CorrectnessReport(True)

@@ -212,8 +212,10 @@ class TestArgumentHandling:
         assert main(["compile", firewall_file, "--topology", "ring:2"]) == 0
 
     def test_unknown_topology(self, firewall_file):
-        with pytest.raises(SystemExit):
-            main(["compile", firewall_file, "--topology", "mesh"])
+        for spec in ("mesh", "ring:abc", "ring:0", "ring:-2"):
+            for command in ("check", "compile"):
+                with pytest.raises(SystemExit, match="unknown topology"):
+                    main([command, firewall_file, "--topology", spec])
 
     def test_bad_initial_vector(self, firewall_file):
         with pytest.raises(SystemExit):

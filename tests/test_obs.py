@@ -589,11 +589,14 @@ class TestCliTrace:
             assert stage in summary
 
     def test_summarize_rejects_non_trace_json(self, tmp_path, capsys):
+        event = {"name": "x", "ph": "X", "pid": 1, "tid": 1, "ts": 0, "dur": 1,
+                 "args": {"trace_id": "t"}}
         bogus = tmp_path / "x.json"
-        bogus.write_text('{"nope": 1}')
-        rc = cli_main(["trace", "summarize", str(bogus)])
-        assert rc == 1
-        assert "not a valid Chrome trace" in capsys.readouterr().out
+        for doc in ({"nope": 1}, {"traceEvents": [event], "otherData": 5}):
+            bogus.write_text(json.dumps(doc))
+            rc = cli_main(["trace", "summarize", str(bogus)])
+            assert rc == 1
+            assert "not a valid Chrome trace" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,6 @@ def test_app_facade_matches_legacy():
     # The app's staged artifacts are the pipeline's.
     assert app.compiled is app.pipeline.compiled
     assert app.nes is app.pipeline.nes
-    # The façade's table accessor forwards the tag_field override.
-    assert app.pipeline.guarded_tables() == app.compiled.guarded_tables()
 
 
 # ---------------------------------------------------------------------------

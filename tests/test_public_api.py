@@ -159,7 +159,7 @@ REMOVED_PARAMETERS = [
     ("repro.verify:predicates_equivalent", 2, "builder"),
     ("repro.verify:explore_all_interleavings", 2, "max_executions"),
     ("repro.runtime.semantics:Runtime.drain_controller", 1, "max_steps"),
-    ("repro.consistency.update:EventDrivenUpdate.single", 3, "ambient_events"),
+    ("repro.consistency.traces:packet_trace_in_traces", 2, "require_complete"),
     ("repro.events.structure:EventStructure.event_sets", 1, "limit"),
     ("repro.events.structure:EventStructure.event_sets_masks", 1, "limit"),
     ("repro.events.locality:locality_violations", 1, "max_size"),
@@ -212,6 +212,11 @@ REMOVED_NAMES = [
     "repro.runtime.compiler:compile_nes",
     "repro.runtime.compiler:CompiledNES.invalidate_guarded_tables",
     "repro.runtime.compiler:CompiledNES.config_rule_count",
+    "repro.pipeline:Pipeline.guarded_tables",
+    "repro.consistency:EventDrivenUpdate",
+    "repro.consistency:first_occurrences",
+    "repro.consistency:check_update_correctness",
+    "repro.consistency.traces:packet_trace_follows",
 ]
 
 
@@ -221,6 +226,13 @@ def test_removed_names_are_gone(spec):
     owner, _, name = path.rpartition(".")
     with pytest.raises(AttributeError):
         getattr(_resolve(f"{module}:{owner}"), name)
+
+
+def test_definition_2_has_no_second_module():
+    """Definitions 2 and 6 are decided in ``repro.consistency.checker``;
+    the module that held a second, frozenset Definition 2 is gone."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.consistency.update")
 
 
 def test_the_artifact_holds_only_artifact_fields():

@@ -9,9 +9,9 @@ no plan cache), (ii) one ``inject`` per frame in place of
 baseline logic, and (iii) a SHA-256 digest recorded from the
 eager-heap, no-memo frozenset simulator before it was deleted.  The
 checker's verdicts are compared with Definition 6 composed from the
-layer-level frozenset pieces.  The satellites ride along: the static
-egress map, the lazy checker enumeration, the delivery accessors, the
-plan-cache bound, and seeded determinism.
+frozenset Definition 2 of ``tests/naive_oracles.py``.  The satellites
+ride along: the static egress map, the lazy checker enumeration, the
+delivery accessors, the plan-cache bound, and seeded determinism.
 """
 
 import hashlib
@@ -30,16 +30,11 @@ from repro.apps import (
 )
 from repro.apps.base import HOSTS
 from repro.baselines import ReferenceLogic, TwoPhaseLogic, UncoordinatedLogic
-from repro.consistency import NESChecker
+from repro.consistency import CorrectnessReport, NESChecker
 from repro.consistency.traces import (
     NetworkTrace,
     packet_trace_in_traces,
     position_event_masks,
-)
-from repro.consistency.update import (
-    CorrectnessReport,
-    EventDrivenUpdate,
-    check_update_correctness,
 )
 from repro.netkat.flowtable import FlowTable, Rule
 from repro.netkat.packet import LocatedPacket, Location, Packet
@@ -48,6 +43,14 @@ from repro.network import simulator
 from repro.network.switch_logic import Figure7Logic
 from repro.obs import metrics as obs_metrics
 from repro.topology import Host
+
+from naive_oracles import NO_FO, EventDrivenUpdate, check_update_correctness
+from test_update_checker import (
+    b_delivered_before_event_trace,
+    b_dropped_after_event_trace,
+    b_dropped_before_event_trace,
+    good_trace,
+)
 
 APPS = (
     ("firewall", firewall_app),
@@ -211,12 +214,28 @@ class TestRecordIdentityGoldens:
         )
 
 
+def _allowed_sequences(structure, events, prefix=()):
+    """The sequences of ``events`` the structure allows after ``prefix``
+    (each event enabled by, and consistent with, those before it), in
+    preorder."""
+    fired = frozenset(prefix)
+    for event in events:
+        if event in fired or not structure.enables(fired, event):
+            continue
+        if structure.con(fired | {event}):
+            yield prefix + (event,)
+            yield from _allowed_sequences(structure, events, prefix + (event,))
+
+
 def _reference_check(checker, trace):
-    """Definition 6 composed from the layer-level frozenset pieces:
-    ``Event.matches`` for the quiet case, Definition 2 without the mask
-    keywords per candidate sequence."""
+    """Definition 6 composed from the frozenset Definition 2 of
+    ``tests/naive_oracles.py``: ``Event.matches`` for the quiet case,
+    the allowed sequences of matched events in interning order."""
     nes = checker.nes
-    if not any(e.matches(lp) for lp in trace.packets for e in nes.events):
+    matched = [
+        e for e in nes.structure.universe if any(map(e.matches, trace.packets))
+    ]
+    if not matched:
         initial = checker.config_of_event_set(frozenset())
         for t in sorted(trace.trace_indices):
             if not packet_trace_in_traces(initial, trace.packet_trace(t)):
@@ -226,19 +245,18 @@ def _reference_check(checker, trace):
                     t,
                 )
         return CorrectnessReport(True)
-    masks = position_event_masks(trace, nes.structure.universe)
     reports = []
-    for sequence, _bits in checker._candidate_sequences(masks):
+    for sequence in _allowed_sequences(nes.structure, matched):
         chain = tuple(
             checker.config_of_event_set(frozenset(sequence[:n]))
             for n in range(len(sequence) + 1)
         )
-        update = EventDrivenUpdate(chain, sequence, frozenset(nes.events))
+        update = EventDrivenUpdate(chain, sequence, nes.events)
         reports.append(check_update_correctness(trace, update))
         if reports[-1]:
             return reports[-1]
     assert reports, "every trace here has an allowed candidate sequence"
-    informative = [r for r in reports if r.reason != "FO(ntr, U) does not exist"]
+    informative = [r for r in reports if r.reason != NO_FO]
     return (informative or reports)[0]
 
 
@@ -267,6 +285,28 @@ class TestCheckerVerdictIdentity:
         assert checker.check(trace) and not checker.check(wrong)
         for ntr in (trace, wrong):
             assert checker.check(ntr) == _reference_check(checker, ntr)
+
+    def test_hand_built_firewall_traces(self):
+        """The too-early, too-late and missing-FO reasons, on the
+        hand-built Definition 2 traces."""
+        app = firewall_app()
+        checker = NESChecker(app.nes, app.topology)
+        fo_missing = NetworkTrace(good_trace().packets[:3], frozenset({(0, 1, 2)}))
+        verdicts = []
+        for ntr in (
+            good_trace(),
+            b_dropped_after_event_trace(),
+            b_delivered_before_event_trace(),
+            b_dropped_before_event_trace(),
+            fo_missing,
+        ):
+            report = checker.check(ntr)
+            assert report == _reference_check(checker, ntr)
+            verdicts.append(report)
+        assert [bool(r) for r in verdicts] == [True, False, False, True, False]
+        assert "too late" in verdicts[1].reason
+        assert "too early" in verdicts[2].reason
+        assert verdicts[4].reason == NO_FO
 
 
 class TestLazyCheckerEnumeration:

@@ -1,5 +1,6 @@
-"""Tests for event-driven consistent updates: FO (first occurrences),
-Definition 2 correctness, and the Definition 6 NES checker -- on
+"""Tests for event-driven consistent updates: FO (first occurrences) and
+Definition 2 correctness on the frozenset reference of
+``tests/naive_oracles.py``, and the Definition 6 NES checker -- on
 hand-built traces covering both correct and incorrect behaviors."""
 
 import pytest
@@ -7,14 +8,11 @@ import pytest
 from repro.apps import firewall_app
 from repro.consistency.checker import NESChecker, check_trace_against_nes
 from repro.consistency.traces import NetworkTrace
-from repro.consistency.update import (
-    EventDrivenUpdate,
-    check_update_correctness,
-    first_occurrences,
-)
 from repro.events.event import Event
 from repro.formula import EQ, Formula, Literal
 from repro.netkat.packet import LocatedPacket, Location, Packet
+
+from naive_oracles import EventDrivenUpdate, check_update_correctness, first_occurrences
 
 
 def lp(sw, pt, **fields):
