@@ -18,7 +18,6 @@ firewall -- it starts open and shuts).
 Run:  python examples/custom_app.py
 """
 
-from repro import CompileOptions
 from repro.apps.base import App
 from repro.events.locality import is_locally_determined
 from repro.netkat import parse_policy, pretty_policy
@@ -52,9 +51,6 @@ def build_app() -> App:
         topology=topology,
         initial_state=(0,),
         description="H1 gets exactly one probe to H4; the probe shuts the gate.",
-        # All compile knobs live here; e.g. cache_dir=... persists
-        # artifacts across runs.
-        options=CompileOptions(),
     )
 
 

@@ -32,10 +32,11 @@ def main() -> None:
     print(f"  {app.description}\n")
 
     # -- the staged pipeline: ETS, NES, compiled tables ----------------------
-    # Every app owns a Pipeline; compile options (artifact cache,
-    # retry/deadline) are one frozen CompileOptions object on
-    # the app.  An option exists only when two real callers need
-    # different values (see repro.pipeline); there is one compile path.
+    # Every app owns a Pipeline built with the default options; compile
+    # options (artifact cache, deadline) are one frozen CompileOptions
+    # object handed to Pipeline(...), as the cache demo below does.  An
+    # option exists only when two real callers need different values
+    # (see repro.pipeline); there is one compile path.
     # The ETS stage runs the symbolic all-states engine: one
     # partial-evaluation pass over every state-component value,
     # instantiated per state -- the report below splits it into
@@ -62,8 +63,8 @@ def main() -> None:
     # loads verify it: a tampered or unsigned entry is a recorded miss,
     # quarantined to *.pkl.bad and recompiled over -- or a hard
     # ArtifactIntegrityError under strict_cache=True.  Every absorbed
-    # failure (cache rejections, per-configuration compile retries) is
-    # counted in report().health; empty means clean.
+    # failure (cache rejections, swallowed cache errors) is counted in
+    # report().health; empty means clean.
     import tempfile
 
     from repro import CompileOptions, Pipeline

@@ -1,26 +1,23 @@
 """Common structure for the paper's case-study applications (section 5.1).
 
 Each application bundles a Stateful NetKAT program, the topology of
-Figure 8 it runs on, an initial state vector, and the
-:class:`~repro.pipeline.CompileOptions` it compiles under; the staged
-artifacts (:attr:`App.ets`, :attr:`App.nes`, :attr:`App.compiled`) all
-delegate to one cached :class:`~repro.pipeline.Pipeline`, so an app
-constructed with ``options.cache_dir`` set skips the whole toolchain on
-a warm artifact cache.  There is one compile path: the options carry
-only how it executes (cache placement and trust, retry, deadline),
-never what it produces or which implementation computes a stage — the
-reference implementations live in their own layers and are called by
-tests.
+Figure 8 it runs on and an initial state vector; the staged artifacts
+(:attr:`App.ets`, :attr:`App.nes`, :attr:`App.compiled`) all delegate
+to one :class:`~repro.pipeline.Pipeline` per app, built on first use.
+A caller who wants compile options (an artifact cache, a deadline)
+builds ``Pipeline(app.program, app.topology, app.initial_state,
+options)`` itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict
 
 from ..events.nes import NES
 from ..netkat.ast import Policy
-from ..pipeline import CompileOptions, Pipeline, _topology_fingerprint
+from ..pipeline import Pipeline
 from ..runtime.compiler import CompiledNES
 from ..runtime.semantics import Runtime
 from ..stateful.ast import StateVector
@@ -43,33 +40,13 @@ class App:
     topology: Topology
     initial_state: StateVector
     description: str = ""
-    options: CompileOptions = CompileOptions()
 
-    @property
+    @cached_property
     def pipeline(self) -> Pipeline:
-        """The staged compilation pipeline for this app.
-
-        Memoized **keyed on the pipeline's inputs**, not unconditionally:
-        an app whose ``options`` (or other frozen fields) are replaced
-        via ``dataclasses.replace``-style surgery, or whose topology is
-        mutated in place, gets a fresh pipeline instead of stale staged
-        artifacts.  Unchanged inputs keep returning the same pipeline
-        object, so the staged work and the timing report stay shared.
-        """
-        key = (
-            id(self.program),
-            self.initial_state,
-            self.options,
-            _topology_fingerprint(self.topology),
-        )
-        memo = self.__dict__.get("_pipeline_memo")
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        pipeline = Pipeline(
-            self.program, self.topology, self.initial_state, self.options
-        )
-        object.__setattr__(self, "_pipeline_memo", (key, pipeline))
-        return pipeline
+        """The staged compilation pipeline for this app, built once per
+        app object, so the staged work and the timing report are
+        shared by every reader."""
+        return Pipeline(self.program, self.topology, self.initial_state)
 
     @property
     def ets(self) -> ETS:

@@ -13,14 +13,14 @@ Every flag of ``compile`` sets an option two real callers need
 different values for (cache placement and trust, output format);
 there is one compile path and one executor, so no flag selects an
 implementation.  ``--report`` prints the per-stage timing report
-including the pipeline ``health`` counters (per-configuration
-compile retries, cache integrity rejections, swallowed cache errors) and the artifact-cache hit/miss load counts; ``health ok``
-means nothing was absorbed.  ``--report
+including the pipeline ``health`` counters (cache integrity
+rejections, swallowed cache errors) and the artifact-cache hit/miss
+load counts; ``health ok`` means nothing was absorbed.  ``--report
 --json`` emits the report as one JSON object (the same shape the
 compilation service serves) instead of the human-readable output.
 ``--trace OUT.json`` records a :mod:`repro.obs.trace` span tree of the
 compile (every pipeline stage, cache access, and per-configuration
-compile attempt) and writes it in Chrome trace event format —
+compile) and writes it in Chrome trace event format —
 drag-and-drop loadable in Perfetto, or fold it into a self-time
 breakdown with ``trace summarize``.
     python -m repro serve     [--host HOST] [--port PORT] \
@@ -54,6 +54,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 from typing import List, Optional, Sequence
 
@@ -87,12 +88,23 @@ _TOPOLOGIES = {
 }
 
 
+def _ascii_int(text: str, signed: bool = True) -> Optional[int]:
+    """``text`` as an int when it is spelled like a number of the program
+    syntax -- ASCII digits, after one leading ``-`` when ``signed`` --
+    else ``None``.  (``int()`` would also take ``"1_0"``, ``" 3"`` and
+    non-ASCII decimal digits.)"""
+    if re.fullmatch(r"-?[0-9]+" if signed else r"[0-9]+", text) is None:
+        return None
+    return int(text)
+
+
 def _topology_of(spec: str) -> Topology:
     if spec in _TOPOLOGIES:
         return _TOPOLOGIES[spec]()
     kind, _, diameter = spec.partition(":")
-    if kind == "ring" and diameter.isdecimal() and int(diameter) >= 1:
-        return ring_topology(int(diameter))
+    size = _ascii_int(diameter, signed=False)
+    if kind == "ring" and size is not None and size >= 1:
+        return ring_topology(size)
     raise SystemExit(
         f"unknown topology {spec!r}; choose from "
         f"{sorted(_TOPOLOGIES)} or ring:N"
@@ -100,10 +112,10 @@ def _topology_of(spec: str) -> Topology:
 
 
 def _initial_of(spec: str) -> StateVector:
-    try:
-        return tuple(int(part) for part in spec.split(","))
-    except ValueError:
+    state = tuple(_ascii_int(part) for part in spec.split(","))
+    if None in state:
         raise SystemExit(f"--initial must be comma-separated ints, got {spec!r}")
+    return state
 
 
 def _load_program(path: str):
@@ -214,14 +226,12 @@ def _set_state_of(specs: Sequence[str]):
     updates = []
     for spec in specs:
         component, sep, value = spec.partition("=")
-        try:
-            if not sep:
-                raise ValueError(spec)
-            updates.append((int(component), int(value)))
-        except ValueError:
+        update = (_ascii_int(component), _ascii_int(value))
+        if not sep or None in update:
             raise SystemExit(
                 f"--set-state must be COMPONENT=VALUE with ints, got {spec!r}"
             )
+        updates.append(update)
     return tuple(updates)
 
 

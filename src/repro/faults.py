@@ -7,16 +7,17 @@ the call is a single global read and an immediate return — zero
 overhead.  With a :class:`FaultPlan` installed, each hit of a site is
 deterministically evaluated against the plan's per-site rule and may
 raise :class:`FaultInjected`, which the instrumented layer then has to
-survive: retry, or fail with a typed error.  The chaos suite
-(``tests/test_faults.py``) is built on exactly that contract.
+survive: absorb it as a counted cache miss, or fail with a typed
+error.  The chaos suite (``tests/test_faults.py``) is built on exactly
+that contract.
 
 Sites (see :data:`SITES`):
 
 - ``cache.load`` / ``cache.store`` — inside
   :meth:`~repro.pipeline.ArtifactCache.load` / ``store``; an injected
   fault models an unreadable or unwritable cache entry.
-- ``executor.worker`` — at the top of every per-configuration compile
-  attempt; models a crashing compile.
+- ``executor.worker`` — at the top of every per-configuration
+  compile; models a crashing compile.
 - ``stage.ets`` / ``stage.nes`` / ``stage.compile`` — at each
   :class:`~repro.pipeline.Pipeline` stage boundary; models a stage that
   cannot start.
@@ -36,7 +37,10 @@ Usage::
 
     plan = faults.FaultPlan({"executor.worker": faults.FaultRule(max_fires=1)})
     with faults.injected(plan):
-        tables = Pipeline(program, topo, (0,), options).compiled
+        try:
+            Pipeline(program, topo, (0,)).compiled
+        except StageError:
+            pass  # the first configuration's compile raised, once
     assert plan.fires("executor.worker") == 1
 """
 
@@ -94,7 +98,8 @@ class FaultRule:
       eligible hit; draws come from the plan's per-site seeded stream).
     - ``max_fires``: stop firing after this many injections (``None`` =
       unbounded).  Bounded rules are how chaos tests model *transient*
-      faults that a retry must absorb.
+      faults: the run they hit fails or degrades, the next one is
+      clean.
     - ``skip``: let the first N hits through before becoming eligible
       (models a fault that appears mid-run, e.g. only on the warm load).
     """

@@ -447,9 +447,9 @@ def observe(name: str, value: float, help: str = "", **labels) -> None:
 # The installed-registry series of every pipeline health counter.
 HEALTH_METRIC = "repro_pipeline_health_total"
 _HEALTH_HELP = (
-    "Absorbed pipeline failure/recovery events (executor retries, "
-    "cache integrity rejections and quarantines, swallowed cache "
-    "errors), by health-counter name"
+    "Absorbed pipeline failure/recovery events (cache integrity "
+    "rejections and quarantines, swallowed cache errors), by "
+    "health-counter name"
 )
 
 

@@ -37,7 +37,7 @@ entirely and unpickles the
 
 The artifact is a function of program, topology and initial state
 alone: every option is execution-only (cache placement and trust,
-retry, deadline) and cannot change the artifact bytes (the golden tests
+deadline) and cannot change the artifact bytes (the golden tests
 in ``tests/test_pipeline.py`` pin this), so none enters the key.
 
 The rule for future options: a :class:`CompileOptions` field -- like a
@@ -75,7 +75,7 @@ from .obs import trace as obs_trace
 from .events.nes import NES
 from .netkat import ast as _ast
 from .netkat.ast import Policy
-from .netkat.compiler import CompileError, Configuration, compile_policy
+from .netkat.compiler import Configuration, compile_policy
 from .netkat.fdd import FDDBuilder
 from .runtime.compiler import TAG_FIELD, CompiledNES, check_locally_determined
 from .stateful.ast import StateVector, vector_update
@@ -111,23 +111,12 @@ _SCALAR_FIELD_TYPES = (
     ("cache_dir", (str, os.PathLike), True),
     ("cache_hmac_key", (str, bytes), True),
     ("strict_cache", (bool,), False),
-    ("compile_retries", (int,), False),
     ("deadline_seconds", (int, float), True),
 )
 
 # Environment fallback for CompileOptions.cache_hmac_key, so a fleet can
 # be keyed without threading the secret through every construction site.
 CACHE_HMAC_KEY_ENV = "REPRO_CACHE_HMAC_KEY"
-
-# Deterministic exponential backoff between per-configuration retry
-# attempts: no jitter (chaos runs must replay), capped so an exhausted
-# retry budget costs milliseconds, not seconds.
-_BACKOFF_BASE_SECONDS = 0.001
-_BACKOFF_CAP_SECONDS = 0.05
-
-
-def _backoff_delay(attempt: int) -> float:
-    return min(_BACKOFF_BASE_SECONDS * (2 ** attempt), _BACKOFF_CAP_SECONDS)
 
 
 class PipelineError(Exception):
@@ -147,8 +136,8 @@ class PipelineError(Exception):
 
 
 class StageError(PipelineError):
-    """A pipeline stage failed irrecoverably (after any retry the
-    options allow)."""
+    """A pipeline stage failed on its first raise; nothing inside the
+    pipeline retries it."""
 
 
 class ArtifactIntegrityError(PipelineError):
@@ -192,9 +181,6 @@ class CompileOptions:
       miss to a hard :class:`ArtifactIntegrityError` (for deployments
       where silently recompiling over a tampered cache is itself a
       signal worth stopping on).
-    - ``compile_retries``: per-configuration compile attempts beyond the
-      first (deterministic exponential backoff between attempts); ``0``
-      disables retry.
     - ``deadline_seconds``: wall-clock budget for the compile stage, a
       finite number of seconds > 0, checked between per-configuration
       compiles (cooperative — one configuration is never preempted);
@@ -206,7 +192,6 @@ class CompileOptions:
     cache_dir: Optional[Union[str, Path]] = None
     cache_hmac_key: Optional[Union[str, bytes]] = None
     strict_cache: bool = False
-    compile_retries: int = 2
     deadline_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -220,10 +205,6 @@ class CompileOptions:
             ):
                 expected = " or ".join(t.__name__ for t in types)
                 raise TypeError(f"{name} must be {expected}, got {value!r}")
-        if self.compile_retries < 0:
-            raise ValueError(
-                f"compile_retries must be >= 0, got {self.compile_retries}"
-            )
         deadline = self.deadline_seconds
         # NaN compares false with everything: "<= 0" alone would let it
         # through and switch the budget off.
@@ -631,10 +612,10 @@ class PipelineReport:
     # + warm-artifact check) and "update.*" entries in stats
     # (reinstantiation/recompile/reuse counters).
     substages: Tuple[Tuple[str, float], ...] = ()
-    # Failure/recovery counters: per-configuration compile retries,
-    # cache integrity rejections/quarantines, swallowed load/store
-    # errors.  Empty = nothing went wrong *and* nothing was absorbed;
-    # every absorbed failure shows up here, so nothing fails silently.
+    # Failure/recovery counters: cache integrity rejections and
+    # quarantines, swallowed load/store errors.  Empty = nothing went
+    # wrong *and* nothing was absorbed; every absorbed failure shows up
+    # here, so nothing fails silently.
     health: Mapping[str, int] = dataclasses.field(default_factory=dict)
 
     def stage(self, name: str) -> Optional[float]:
@@ -927,56 +908,35 @@ class Pipeline:
         per *distinct* policy (a cap-N chain has N+2 states and two
         policies); the runs are counted in ``_configurations_compiled``.
 
-        Failure discipline (the fault-tolerance layer):
-
-        - every compile attempt passes the ``executor.worker`` fault
-          site and is retried up to ``options.compile_retries`` times
-          with deterministic backoff (counted in health), except after a
-          :class:`~repro.netkat.compiler.CompileError`, which is
-          deterministic and fails on its first attempt;
-        - ``options.deadline_seconds`` bounds the stage wall clock,
-          checked between attempts (one configuration is never
-          preempted);
-        - a failure that survives retry surfaces as a typed
-          :class:`StageError` with stage provenance, never as a bare
-          exception.
+        Each configuration compiles once: the same inputs give the same
+        tables or the same exception, so nothing is retried.  Every
+        compile passes the ``executor.worker`` fault site;
+        ``options.deadline_seconds`` bounds the stage wall clock,
+        checked before each compile (one configuration is never
+        preempted); any failure surfaces as a typed :class:`StageError`
+        with stage provenance, never as a bare exception.
         """
         pending = len(states) - len(reuse)
-        retries = self.options.compile_retries
         budget = self.options.deadline_seconds
         deadline = None if budget is None else time.monotonic() + budget
 
         def compile_one(policy: Policy, name: str) -> Configuration:
-            attempt = 0
-            while True:
-                if deadline is not None and time.monotonic() > deadline:
-                    raise StageError(
-                        "compile",
-                        f"deadline_seconds={budget} exceeded "
-                        f"with {pending} configuration(s) in flight",
+            if deadline is not None and time.monotonic() > deadline:
+                raise StageError(
+                    "compile",
+                    f"deadline_seconds={budget} exceeded "
+                    f"with {pending} configuration(s) in flight",
+                )
+            try:
+                with obs_trace.span("compile.configuration", configuration=name):
+                    faults.check("executor.worker")
+                    return compile_policy(
+                        policy, self.topology, builder=builder, name=name
                     )
-                try:
-                    with obs_trace.span(
-                        "compile.configuration", configuration=name, attempt=attempt
-                    ):
-                        faults.check("executor.worker")
-                        return compile_policy(
-                            policy, self.topology, builder=builder, name=name
-                        )
-                except Exception as exc:
-                    # A CompileError says the program is outside the
-                    # compilable fragment: a property of the input,
-                    # which no further attempt changes.
-                    if attempt >= retries or isinstance(exc, CompileError):
-                        raise StageError(
-                            "compile",
-                            f"configuration {name} failed after "
-                            f"{attempt + 1} attempt(s): {exc!r}",
-                        ) from exc
-                    self._count("executor.retries")
-                    with obs_trace.span("compile.backoff", attempt=attempt):
-                        time.sleep(_backoff_delay(attempt))
-                    attempt += 1
+            except Exception as exc:
+                raise StageError(
+                    "compile", f"configuration {name} failed: {exc!r}"
+                ) from exc
 
         first: Dict[Policy, Configuration] = {}
         configurations: Dict[StateVector, Configuration] = {}

@@ -12,6 +12,7 @@ hard, health-visible failure instead of a recompile.
 from __future__ import annotations
 
 import argparse
+from typing import Optional
 
 from ..obs import metrics as obs_metrics
 from ..pipeline import CompileOptions
@@ -24,6 +25,24 @@ DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8008
 
 
+def _int_in(low: int, high: Optional[int] = None):
+    """An argparse ``type`` for an int in ``[low, high]``: anything else
+    is a usage error (exit 2) instead of a traceback from the socket or
+    the server state."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low or (high is not None and value > high):
+            bound = f"between {low} and {high}" if high is not None else f">= {low}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     """The daemon flags of ``python -m repro serve``."""
     parser.add_argument(
@@ -31,7 +50,7 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         help=f"bind address (default: {DEFAULT_HOST})",
     )
     parser.add_argument(
-        "--port", type=int, default=DEFAULT_PORT,
+        "--port", type=_int_in(0, 65535), default=DEFAULT_PORT,
         help=f"bind port, 0 = ephemeral (default: {DEFAULT_PORT})",
     )
     parser.add_argument(
@@ -46,7 +65,7 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "(surfaced by /health as non-200)",
     )
     parser.add_argument(
-        "--memo-size", type=int, default=DEFAULT_MEMO_SIZE, metavar="N",
+        "--memo-size", type=_int_in(1), default=DEFAULT_MEMO_SIZE, metavar="N",
         help=f"in-process compiled-pipeline LRU capacity "
         f"(default: {DEFAULT_MEMO_SIZE})",
     )

@@ -15,7 +15,7 @@ objects, used by both the server handlers and the client:
 - **topologies** travel as ``{"links", "hosts", "switches"}`` objects
   mirroring :func:`repro.pipeline._topology_fingerprint`;
 - **options** do not travel: a request says *what* to compile and the
-  server decides *how* (cache placement and trust, retries); only the
+  server decides *how* (cache placement and trust); only the
   per-request wall-clock budget travels, as a top-level
   ``deadline_seconds`` field mapped onto
   ``CompileOptions.deadline_seconds`` server-side;

@@ -95,7 +95,7 @@ class ServiceState:
     """Everything the request handlers share.
 
     ``base_options`` carries the server's deployment policy (cache
-    directory, HMAC key resolution, strict-cache, retries); a request's
+    directory, HMAC key resolution, strict-cache); a request's
     deadline is layered on top of it by :meth:`effective_options`.
     """
 

@@ -1,22 +1,12 @@
 """Verification extras: bounded model checking of the runtime against
-Definition 6, and semantic equivalence checks (the paper's section 7
-future-work items, realized for finite instances)."""
+Definition 6, and semantic equivalence of flow tables (the paper's
+section 7 future-work items, realized for finite instances)."""
 
-from .equiv import (
-    configurations_equivalent,
-    policies_equivalent,
-    predicates_equivalent,
-    stateful_projections_equivalent,
-    tables_equivalent,
-)
+from .equiv import tables_equivalent
 from .explore import ExplorationResult, explore_all_interleavings
 
 __all__ = [
     "explore_all_interleavings",
     "ExplorationResult",
-    "policies_equivalent",
-    "predicates_equivalent",
     "tables_equivalent",
-    "configurations_equivalent",
-    "stateful_projections_equivalent",
 ]

@@ -54,7 +54,6 @@ def cold_after(app, delta: Delta) -> Pipeline:
         delta.apply_program(app.program),
         delta.apply_topology(app.topology),
         delta.apply_initial_state(app.initial_state),
-        app.options,
     )
 
 

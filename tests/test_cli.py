@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import main
+from repro.cli import build_arg_parser, main
 
 FIREWALL_SOURCE = """
 pt=2 & ip_dst=4; pt<-1;
@@ -221,6 +221,29 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit):
             main(["show-ets", firewall_file, "--initial", "a,b"])
 
+    # Numbers are spelled as in the program syntax (ASCII digits): int()
+    # alone would also take digit separators, signs, padding and
+    # non-ASCII decimal digits (ARABIC-INDIC / FULLWIDTH here).
+    NOT_ASCII_INTS = ["\u0663", "\uff11", "1_0", "+1", " 1"]
+
+    @pytest.mark.parametrize("spec", NOT_ASCII_INTS)
+    def test_initial_state_is_ascii_digits(self, firewall_file, spec):
+        with pytest.raises(SystemExit, match="--initial must be comma-separated ints"):
+            main(["check", firewall_file, "--initial", spec])
+
+    @pytest.mark.parametrize("spec", ["ring:\u0663", "ring:\uff13"])
+    def test_ring_size_is_ascii_digits(self, firewall_file, spec):
+        with pytest.raises(SystemExit, match="unknown topology"):
+            main(["check", firewall_file, "--topology", spec])
+
+    @pytest.mark.parametrize(
+        "spec", ["0=" + text for text in NOT_ASCII_INTS] + ["\u0660=1"]
+    )
+    def test_set_state_is_ascii_digits(self, firewall_file, spec):
+        with pytest.raises(SystemExit, match="--set-state must be COMPONENT=VALUE"):
+            main(["update", firewall_file, "--topology", "firewall",
+                  "--set-state", spec])
+
     def test_multi_component_initial(self, tmp_path, capsys):
         src = tmp_path / "two.snk"
         src.write_text("state(0)=0 & state(1)=0; (1:1)->(4:1)<state(1)<-1>")
@@ -300,6 +323,30 @@ class TestServeAddress:
         done = self.run_python("-m", "repro", "apps")
         assert done.returncode == 0, done.stderr
         assert "stateful-firewall" in done.stdout
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--port", "70000"],
+            ["--port", "65536"],
+            ["--port", "-1"],
+            ["--memo-size", "0"],
+            ["--memo-size", "-3"],
+        ],
+        ids=" ".join,
+    )
+    def test_an_out_of_range_flag_is_a_usage_error(self, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_arg_parser().parse_args(["serve", *flags])
+        assert exit_info.value.code == 2
+        assert f"argument {flags[0]}: must be" in capsys.readouterr().err
+
+    def test_the_flag_ranges_include_their_bounds(self):
+        for port, memo_size in (("0", "1"), ("65535", "4096")):
+            args = build_arg_parser().parse_args(
+                ["serve", "--port", port, "--memo-size", memo_size]
+            )
+            assert (args.port, args.memo_size) == (int(port), int(memo_size))
 
     def test_a_malformed_port_flag_is_a_usage_error(self):
         done = self.run_python("-m", "repro", "serve", "--port", "abc")

@@ -2,7 +2,7 @@
 equal policies share the first one's tables.  Sharing must mean *equal*
 (what a direct compile of each state's policy gives), not merely
 aliased — and must be invisible to everything downstream of the
-configurations: guarded tables, artifacts, updates, retries, the checker.
+configurations: guarded tables, artifacts, updates, failures, the checker.
 """
 
 import copy
@@ -16,7 +16,7 @@ from repro.consistency.checker import NESChecker
 from repro.netkat.ast import Filter, conj, test as field_test
 from repro.netkat.compiler import compile_policy
 from repro.obs import metrics
-from repro.pipeline import Delta, Pipeline
+from repro.pipeline import ArtifactCache, CompileOptions, Delta, Pipeline, StageError
 from seed_apps import APPS, cold_after, guarded_bytes, switch_preserving_edits
 from test_theorem1 import H1, H4, run_workload
 
@@ -126,17 +126,25 @@ def test_updates_stay_byte_equal_to_a_cold_rebuild(name, make, policy_delta):
         ) == total
 
 
-def test_first_attempt_fault_retries_once():
+def test_a_first_compile_fault_fails_the_stage_once(tmp_path):
+    """A fault on the first ``compile_policy`` fails the compile on its
+    first raise: the states that would share its tables are never
+    reached, nothing is absorbed, and nothing is stored."""
+    app = bandwidth_cap_app(8)
+    options = CompileOptions(cache_dir=tmp_path)
     plan = faults.FaultPlan({"executor.worker": faults.FaultRule(max_fires=1)})
     with faults.injected(plan):
-        pipeline = fresh_pipeline(bandwidth_cap_app(8))
-        compiled = pipeline.compiled
-    assert plan.fires("executor.worker") == 1
-    assert pipeline.report().health == {"executor.retries": 1}
-    assert pipeline._configurations_compiled == 2
-    assert guarded_bytes(compiled) == guarded_bytes(
-        fresh_pipeline(bandwidth_cap_app(8)).compiled
-    )
+        pipeline = Pipeline(app.program, app.topology, app.initial_state, options)
+        with pytest.raises(StageError) as info:
+            pipeline.compiled
+    assert info.value.stage == "compile"
+    assert plan.hits("executor.worker") == 1
+    assert pipeline.report().health == {}
+    assert not ArtifactCache(tmp_path).path(pipeline.artifact_key()).exists()
+
+    rerun = Pipeline(app.program, app.topology, app.initial_state, options)
+    assert guarded_bytes(rerun.compiled) == guarded_bytes(fresh_pipeline(app).compiled)
+    assert rerun._configurations_compiled == 2
 
 
 def exchanges(count):

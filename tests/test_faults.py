@@ -1,14 +1,12 @@
 """The seeded chaos suite for the fault-tolerance layer.
 
-Every injected fault must end in exactly one of three outcomes:
+Every injected fault must end in exactly one of two outcomes:
 
-1. **retry-success** — the executor's bounded retry absorbs it and the
-   tables are byte-identical to a fault-free compile;
-2. **clean degradation** — the cache path absorbs it (recorded miss,
+1. **clean degradation** — the cache path absorbs it (recorded miss,
    quarantine, one-shot warning, health counter) and the pipeline
    recompiles to byte-identical tables;
-3. **a typed error** — ``StageError`` / ``ArtifactIntegrityError`` with
-   stage provenance.
+2. **a typed error** — ``StageError`` / ``ArtifactIntegrityError`` with
+   stage provenance.  Nothing is retried: a compile runs once.
 
 Never wrong tables, and never a stale/forged artifact served.  Fast
 deterministic cases run in the smoke target; the deep randomized plans
@@ -169,39 +167,39 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Executor: retry, deadline
+# Executor: one run per configuration, deadline
 # ---------------------------------------------------------------------------
 
 
 class TestExecutorRecovery:
-    def test_serial_retry_absorbs_a_transient_worker_fault(self, reference_tables):
-        plan = faults.FaultPlan({"executor.worker": faults.FaultRule(max_fires=1)})
-        with faults.injected(plan):
-            pipeline = fresh_pipeline(firewall_app())
-            assert guarded_bytes(pipeline.compiled) == reference_tables
-        assert plan.fires("executor.worker") == 1
-        assert pipeline.report().health["executor.retries"] == 1
-
     def test_unbounded_worker_faults_end_in_a_typed_error(self):
         with faults.injected(faults.FaultPlan({"executor.worker": 1.0})):
-            pipeline = fresh_pipeline(
-                firewall_app(), CompileOptions(compile_retries=1)
-            )
+            pipeline = fresh_pipeline(firewall_app())
             with pytest.raises(StageError) as info:
                 pipeline.compiled
         assert info.value.stage == "compile"
         assert isinstance(info.value, PipelineError)
 
-    def test_retries_are_bounded(self):
-        plan = faults.FaultPlan({"executor.worker": 1.0})
-        with faults.injected(plan):
-            pipeline = fresh_pipeline(
-                firewall_app(), CompileOptions(compile_retries=3)
-            )
-            with pytest.raises(StageError):
-                pipeline.compiled
-        # First configuration: 1 attempt + 3 retries, then typed failure.
-        assert plan.fires("executor.worker") == 4
+    def test_a_failing_compile_runs_once(self, monkeypatch):
+        """Tables are a pure function of their inputs, so a compile that
+        raised would raise again: ``compile_policy`` runs once and its
+        exception is the stage's typed error."""
+        import repro.pipeline as pipeline_module
+
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(kwargs["name"])
+            raise ValueError("deterministic")
+
+        monkeypatch.setattr(pipeline_module, "compile_policy", failing)
+        pipeline = fresh_pipeline(firewall_app())
+        with pytest.raises(StageError) as info:
+            pipeline.compiled
+        assert calls == ["C[0]"]
+        assert str(info.value).startswith("configuration C[0] failed: ValueError")
+        assert isinstance(info.value.__cause__, ValueError)
+        assert pipeline.report().health == {}
 
     def test_deadline_exceeded_is_a_typed_error(self):
         pipeline = fresh_pipeline(
@@ -219,20 +217,20 @@ class TestExecutorRecovery:
         assert pipeline.report().health == {}
 
     def test_deadline_does_not_retry(self):
-        """A deadline miss is not transient: no retry burn-down."""
+        """A deadline miss stops the stage before the next compile."""
         plan = faults.FaultPlan({})
         with faults.injected(plan):
             pipeline = fresh_pipeline(
-                firewall_app(),
-                CompileOptions(deadline_seconds=1e-9, compile_retries=5),
+                firewall_app(), CompileOptions(deadline_seconds=1e-9)
             )
             with pytest.raises(StageError):
                 pipeline.compiled
-        assert "executor.retries" not in pipeline.report().health
+        assert plan.hits("executor.worker") == 0
+        assert pipeline.report().health == {}
 
     def test_a_compile_error_is_not_retried(self, monkeypatch):
-        """A program outside the compilable fragment fails the same way
-        on every attempt: one attempt, no backoff, nothing absorbed."""
+        """A program outside the compilable fragment fails on its one
+        compile, with nothing absorbed."""
         from repro.netkat.compiler import CompileError
         from repro.netkat.parser import parse_policy
         import repro.pipeline as pipeline_module
@@ -245,12 +243,9 @@ class TestExecutorRecovery:
             return compile_policy(*args, **kwargs)
 
         monkeypatch.setattr(pipeline_module, "compile_policy", counting)
-        monkeypatch.setattr(
-            pipeline_module.time, "sleep", lambda s: pytest.fail("backed off")
-        )
         star_over_a_link = parse_policy("(pt=2; pt<-1; (1:1)->(4:1); pt<-2)*")
         pipeline = Pipeline(star_over_a_link, firewall_app().topology, ())
-        with pytest.raises(StageError, match="1 attempt") as info:
+        with pytest.raises(StageError, match=r"configuration C\[\] failed") as info:
             pipeline.compiled
         assert info.value.stage == "compile"
         assert isinstance(info.value.__cause__, CompileError)
@@ -260,17 +255,13 @@ class TestExecutorRecovery:
     def test_the_symbolic_frontier_bound_is_not_retried(self, monkeypatch):
         """A policy whose next hop carries more knowledge states than
         ``MAX_FRONTIER`` is outside the compilable fragment: one
-        attempt, no backoff, nothing absorbed."""
+        compile, nothing absorbed."""
         from repro.netkat import compiler as netkat_compiler
         from repro.netkat.compiler import CompileError
-        import repro.pipeline as pipeline_module
 
         monkeypatch.setattr(netkat_compiler, "MAX_FRONTIER", 0)
-        monkeypatch.setattr(
-            pipeline_module.time, "sleep", lambda s: pytest.fail("backed off")
-        )
         pipeline = fresh_pipeline(firewall_app())
-        with pytest.raises(StageError, match="1 attempt") as info:
+        with pytest.raises(StageError, match=r"configuration C\[0\] failed") as info:
             pipeline.compiled
         assert info.value.stage == "compile"
         assert isinstance(info.value.__cause__, CompileError)
@@ -278,8 +269,6 @@ class TestExecutorRecovery:
         assert pipeline.report().health == {}
 
     def test_new_knob_validation(self):
-        with pytest.raises(ValueError):
-            CompileOptions(compile_retries=-1)
         with pytest.raises(ValueError):
             CompileOptions(deadline_seconds=0)
         with pytest.raises(ValueError):
@@ -344,30 +333,34 @@ class TestUpdateFaults:
             cold_after(app, self.DELTA).compiled
         )
 
-    def test_transient_worker_fault_is_retried_in_the_updated_pipeline(self):
+    def test_a_worker_fault_fails_the_update_and_spares_the_base(self):
         app = firewall_app()
         base = fresh_pipeline(app)
         base.compiled
         delta = firewall_policy_delta()
         plan = faults.FaultPlan({"executor.worker": faults.FaultRule(max_fires=1)})
         with faults.injected(plan):
-            updated = base.update(delta)
-        assert plan.fires("executor.worker") == 1
-        assert updated.report().health == {"executor.retries": 1}
+            with pytest.raises(StageError) as info:
+                base.update(delta)
+        assert info.value.stage == "compile"
+        assert plan.hits("executor.worker") == 1
+        assert info.value.health == {}
         assert base.report().health == {}
-        assert guarded_bytes(updated.compiled) == guarded_bytes(
+        assert guarded_bytes(base.update(delta).compiled) == guarded_bytes(
             cold_after(app, delta).compiled
         )
 
-    def test_exhausted_retries_surface_the_discarded_results_health(self):
+    @pytest.mark.filterwarnings("ignore::repro.pipeline.ArtifactCacheWarning")
+    def test_a_failed_update_surfaces_the_discarded_results_health(self, tmp_path):
         app = firewall_app()
-        base = fresh_pipeline(app)
+        base = fresh_pipeline(app, CompileOptions(cache_dir=tmp_path))
         base.compiled
-        with faults.injected(faults.FaultPlan({"executor.worker": 1.0})):
+        plan = faults.FaultPlan({"cache.load": 1.0, "executor.worker": 1.0})
+        with faults.injected(plan):
             with pytest.raises(StageError) as info:
                 base.update(firewall_policy_delta())
         assert info.value.stage == "compile"
-        assert info.value.health == {"executor.retries": 2}
+        assert info.value.health == {"cache.load_error": 1}
         assert base.report().health == {}
 
     def test_update_chain_does_not_retain_predecessors(self):
@@ -515,7 +508,7 @@ class TestSignedArtifacts:
         app = firewall_app()
         store_dir = tmp_path / "stored-under-this-path"
         cold = fresh_pipeline(
-            app, self.options(store_dir, compile_retries=0, strict_cache=True)
+            app, self.options(store_dir, deadline_seconds=60.0, strict_cache=True)
         )
         cold.compiled
         blob = ArtifactCache(store_dir).path(cold.artifact_key()).read_bytes()
@@ -527,7 +520,7 @@ class TestSignedArtifacts:
         warm = fresh_pipeline(app, self.options(load_dir))
         assert guarded_bytes(warm.compiled) == reference_tables
         assert warm.report().artifact_cache == "hit"
-        assert warm.compiled.options.compile_retries == 2
+        assert warm.compiled.options.deadline_seconds is None
         assert warm.compiled.options.cache_dir == load_dir
         assert warm.compiled.options.cache_hmac_key == KEY
         assert warm.compiled.options.strict_cache is False
@@ -660,8 +653,6 @@ class TestKnobsAreExecutionOnly:
             CompileOptions(),
             CompileOptions(cache_hmac_key=KEY, cache_dir=tmp_path / "signed"),
             CompileOptions(strict_cache=True),
-            CompileOptions(compile_retries=0),
-            CompileOptions(compile_retries=7),
             CompileOptions(deadline_seconds=600.0),
         ):
             assert guarded_bytes(fresh_pipeline(app, options).compiled) == reference_tables
@@ -673,7 +664,6 @@ class TestKnobsAreExecutionOnly:
         for variant in (
             base.replace(cache_hmac_key=KEY),
             base.replace(strict_cache=True),
-            base.replace(compile_retries=9),
             base.replace(deadline_seconds=1.5),
         ):
             assert fresh_pipeline(app, variant).artifact_key() == reference
@@ -692,18 +682,19 @@ def test_clean_run_reports_empty_health_and_ok_line():
     assert "health ok" in str(report)
 
 
-def test_health_counters_render_in_the_report():
-    plan = faults.FaultPlan({"executor.worker": faults.FaultRule(max_fires=1)})
+@pytest.mark.filterwarnings("ignore::repro.pipeline.ArtifactCacheWarning")
+def test_health_counters_render_in_the_report(tmp_path):
+    plan = faults.FaultPlan({"cache.store": faults.FaultRule(max_fires=1)})
     with faults.injected(plan):
-        pipeline = fresh_pipeline(firewall_app())
+        pipeline = fresh_pipeline(firewall_app(), CompileOptions(cache_dir=tmp_path))
         pipeline.compiled
     rendered = str(pipeline.report())
-    assert "health executor.retries" in rendered
+    assert "health cache.store_error" in rendered
     assert "health ok" not in rendered
 
 
 # ---------------------------------------------------------------------------
-# Randomized chaos: any plan, one of the three sanctioned outcomes
+# Randomized chaos: any plan, one of the two sanctioned outcomes
 # ---------------------------------------------------------------------------
 
 
@@ -725,7 +716,6 @@ def run_chaos(seed: int, tmp_path, reference: bytes) -> None:
     options = CompileOptions(
         cache_dir=tmp_path / f"cache{seed}",
         cache_hmac_key=KEY,
-        compile_retries=rng.choice([0, 1, 2]),
     )
     with faults.injected(faults.FaultPlan(rules, seed=seed)):
         with warnings.catch_warnings():

@@ -152,13 +152,13 @@ class TestMetricsRegistry:
     def test_count_health_mirrors_into_registry(self):
         health = {}
         with metrics.collecting() as reg:
-            metrics.count_health(health, "executor.retries")
-            metrics.count_health(health, "executor.retries")
-        assert health == {"executor.retries": 2}
-        assert reg.value(metrics.HEALTH_METRIC, counter="executor.retries") == 2
+            metrics.count_health(health, "cache.store_error")
+            metrics.count_health(health, "cache.store_error")
+        assert health == {"cache.store_error": 2}
+        assert reg.value(metrics.HEALTH_METRIC, counter="cache.store_error") == 2
         # Uninstalled: the legacy dict still counts, nothing else does.
-        metrics.count_health(health, "executor.retries")
-        assert health["executor.retries"] == 3
+        metrics.count_health(health, "cache.store_error")
+        assert health["cache.store_error"] == 3
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ application.  The deprecation shims and the thread backend are gone:
 the old spellings fail loudly instead of being tolerated.
 """
 
+import dataclasses
 import pickle
 import warnings
 from pathlib import Path
@@ -163,12 +164,12 @@ class TestArtifactCache:
         assert warm.nes is warm.compiled.nes
         assert [name for name, _ in warm.report().stage_seconds] == ["compile"]
         # Execution-only fields reflect this run, not the storing one.
-        no_retry_store = CompileOptions(compile_retries=0, cache_dir=tmp_path)
+        deadline_store = CompileOptions(deadline_seconds=60.0, cache_dir=tmp_path)
         Pipeline(
-            app.program, app.topology, app.initial_state, no_retry_store
+            app.program, app.topology, app.initial_state, deadline_store
         ).compiled
         load = Pipeline(app.program, app.topology, app.initial_state, options)
-        assert load.compiled.options.compile_retries == 2
+        assert load.compiled.options.deadline_seconds is None
         assert load.compiled.options.cache_dir == options.cache_dir
 
     def test_warm_hit_serves_nes_without_building_the_ets(self, tmp_path):
@@ -269,7 +270,6 @@ class TestArtifactCache:
             CompileOptions(cache_dir=tmp_path),
             CompileOptions(cache_hmac_key="secret-signing-key"),
             CompileOptions(strict_cache=True),
-            CompileOptions(compile_retries=0),
             CompileOptions(deadline_seconds=30),
         ):
             pipeline = Pipeline(app.program, app.topology, app.initial_state, options)
@@ -367,8 +367,6 @@ class TestArtifactCache:
 class TestCompileOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
-            CompileOptions(compile_retries=-1)
-        with pytest.raises(ValueError):
             CompileOptions(deadline_seconds=0)
 
     @pytest.mark.parametrize("name", ["backend", "max_workers"])
@@ -392,7 +390,6 @@ class TestCompileOptions:
             {"strict_cache": 0},
             {"max_frontier": True},
             {"max_frontier": "17"},
-            {"compile_retries": False},
             {"deadline_seconds": True},
             {"cache_hmac_key": 5},
         ],
@@ -406,9 +403,9 @@ class TestCompileOptions:
 
     def test_replace_revalidates(self):
         options = CompileOptions()
-        assert options.replace(compile_retries=0).compile_retries == 0
+        assert options.replace(deadline_seconds=5).deadline_seconds == 5
         with pytest.raises(ValueError):
-            options.replace(compile_retries=-1)
+            options.replace(deadline_seconds=-1)
 
     def test_cache_dir_is_tilde_expanded(self):
         expanded = CompileOptions(cache_dir="~/repro-cache").cache_dir
@@ -969,29 +966,20 @@ class TestReportShapes:
 
 
 # ---------------------------------------------------------------------------
-# App.pipeline memoization is keyed on the pipeline's inputs
+# App.pipeline is built once per App object
 # ---------------------------------------------------------------------------
 
 
-class TestAppPipelineMemo:
-    def test_replaced_options_invalidate_the_memo(self):
-        app = firewall_app()
-        first = app.pipeline
-        assert app.pipeline is first  # unchanged inputs share the pipeline
-        fresh = CompileOptions(compile_retries=0)
-        object.__setattr__(app, "options", fresh)
-        second = app.pipeline
-        assert second is not first
-        assert second.options is fresh
-        assert app.pipeline is second
-
-    def test_replaced_initial_state_invalidates_the_memo(self):
-        app = firewall_app()
-        first = app.pipeline
-        object.__setattr__(app, "initial_state", (1,))
-        second = app.pipeline
-        assert second is not first
-        assert second.initial_state == (1,)
+def test_an_app_builds_its_pipeline_once():
+    app = firewall_app()
+    pipeline = app.pipeline
+    assert app.pipeline is pipeline
+    assert app.compiled is pipeline.compiled
+    assert pipeline.options == CompileOptions()
+    # Another App object (e.g. dataclasses.replace) gets its own.
+    other = dataclasses.replace(app, initial_state=(1,))
+    assert other.pipeline is not pipeline
+    assert other.pipeline.initial_state == (1,)
 
 
 # ---------------------------------------------------------------------------

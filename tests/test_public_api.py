@@ -55,7 +55,6 @@ def test_compile_options_surface_is_pinned():
         "cache_dir",
         "cache_hmac_key",
         "strict_cache",
-        "compile_retries",
         "deadline_seconds",
     ]
     assert CompileOptions.tag_field == CompileOptions().tag_field == TAG_FIELD
@@ -156,7 +155,6 @@ REMOVED_PARAMETERS = [
     ("repro.netkat.fdd:FDDBuilder.star", 2, "fuel"),
     ("repro.netkat.flowtable:table_of_fdd", 2, "base_priority"),
     ("repro.verify:tables_equivalent", 2, "max_probes"),
-    ("repro.verify:predicates_equivalent", 2, "builder"),
     ("repro.verify:explore_all_interleavings", 2, "max_executions"),
     ("repro.runtime.semantics:Runtime.drain_controller", 1, "max_steps"),
     ("repro.consistency.traces:packet_trace_in_traces", 2, "require_complete"),
@@ -169,6 +167,8 @@ REMOVED_PARAMETERS = [
     ("repro.runtime.compiler:CompiledNES", 3, "options"),
     ("repro.runtime.compiler:CompiledNES", 3, "health"),
     ("repro.runtime.compiler:CompiledNES", 3, "reuse_configurations"),
+    ("repro.pipeline:CompileOptions", 0, "compile_retries"),
+    ("repro.apps.base:App", 4, "options"),
 ]
 
 
@@ -217,6 +217,11 @@ REMOVED_NAMES = [
     "repro.consistency:first_occurrences",
     "repro.consistency:check_update_correctness",
     "repro.consistency.traces:packet_trace_follows",
+    "repro.pipeline:_backoff_delay",
+    "repro.verify:policies_equivalent",
+    "repro.verify:predicates_equivalent",
+    "repro.verify:configurations_equivalent",
+    "repro.verify:stateful_projections_equivalent",
 ]
 
 

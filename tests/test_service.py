@@ -379,8 +379,8 @@ def test_injected_stage_fault_is_a_typed_error_with_provenance():
 
 
 def test_uncompilable_program_is_a_422_that_absorbed_nothing():
-    """A ``CompileError`` is deterministic: one attempt, a typed
-    ``compile``-stage error, and no retry in /health."""
+    """A ``CompileError`` is deterministic: one compile, a typed
+    ``compile``-stage error, and nothing in /health."""
     star_over_a_link = parse_policy(STAR_OVER_A_LINK)
     with fresh_service() as (client, _):
         with pytest.raises(ServiceError) as excinfo:
@@ -388,39 +388,65 @@ def test_uncompilable_program_is_a_422_that_absorbed_nothing():
         assert excinfo.value.status == 422
         assert excinfo.value.error["type"] == "StageError"
         assert excinfo.value.stage == "compile"
-        assert "1 attempt" in excinfo.value.error["message"]
+        assert "configuration C[] failed" in excinfo.value.error["message"]
         assert client.health()[1]["health"] == {}
 
 
-def test_failed_compile_and_update_still_count_their_retries():
-    """Contract (c): a compile that exhausts its retries never reaches
-    the memo, but what it absorbed on the way is still in /health."""
+def test_a_worker_fault_is_a_422_and_the_next_request_compiles():
+    """A fault on a per-configuration compile fails that request on its
+    first raise: a structured error, no memo entry, nothing absorbed —
+    and the identical request after it compiles cleanly."""
     app = firewall_app()
-    always = faults.FaultPlan({"executor.worker": 1.0})
-    with fresh_service() as (client, server):
-        with faults.injected(always):
+    direct = Pipeline(app.program, app.topology, app.initial_state)
+    plan = faults.FaultPlan({"executor.worker": faults.FaultRule(max_fires=1)})
+    with fresh_service() as (client, _):
+        with faults.injected(plan):
+            with pytest.raises(ServiceError) as excinfo:
+                client.compile(app.program, app.topology, app.initial_state)
+        assert plan.hits("executor.worker") == 1
+        assert excinfo.value.status == 422
+        assert excinfo.value.error["type"] == "StageError"
+        assert excinfo.value.stage == "compile"
+        stats = client.stats()
+        assert stats["memo"]["size"] == 0
+        assert stats["health"] == {}
+
+        result = client.compile(app.program, app.topology, app.initial_state)
+        assert result["source"] == "cold"
+        assert result["tables"] == protocol.tables_to_wire(direct.compiled)
+
+
+@pytest.mark.filterwarnings("ignore::repro.pipeline.ArtifactCacheWarning")
+def test_failed_compile_and_update_still_count_what_they_absorbed(tmp_path):
+    """Contract (c): a failed compile never reaches the memo, but what
+    it absorbed on the way is still in /health."""
+    app = firewall_app()
+    failing = {"cache.load": 1.0, "executor.worker": 1.0}
+    options = CompileOptions(cache_dir=str(tmp_path))
+    with fresh_service(options=options) as (client, server):
+        with faults.injected(faults.FaultPlan(failing)):
             with pytest.raises(ServiceError) as excinfo:
                 client.compile(app.program, app.topology, app.initial_state)
         assert excinfo.value.status == 422
         assert excinfo.value.stage == "compile"
         _, body = client.health()
-        assert body["health"] == {"executor.retries": 2}
-        assert client.stats()["health"] == {"executor.retries": 2}
+        assert body["health"] == {"cache.load_error": 1}
+        assert client.stats()["health"] == {"cache.load_error": 1}
 
         base = client.compile(app.program, app.topology, app.initial_state)
-        with faults.injected(faults.FaultPlan({"executor.worker": 1.0})):
+        with faults.injected(faults.FaultPlan(failing)):
             with pytest.raises(ServiceError) as excinfo:
                 client.update(base["artifact_key"], firewall_policy_delta())
         assert excinfo.value.status == 422
         assert excinfo.value.stage == "compile"
         _, body = client.health()
         # Folded exactly once each; the clean compile in between added none.
-        assert body["health"] == {"executor.retries": 4}
+        assert body["health"] == {"cache.load_error": 2}
         exposition = service_server.obs_export.prometheus_text(
             server.state.registry
         )
         assert (
-            'repro_service_health_total{counter="executor.retries"} 4'
+            'repro_service_health_total{counter="cache.load_error"} 2'
             in exposition
         )
 
@@ -1050,6 +1076,7 @@ def exposition_samples(text):
     return samples
 
 
+@pytest.mark.filterwarnings("ignore::repro.pipeline.ArtifactCacheWarning")
 def test_stats_health_and_metrics_are_views_of_one_store(tmp_path):
     """One scripted pass over every way a request can end; afterwards
     each number /stats and /health report is the number /metrics
@@ -1083,7 +1110,8 @@ def test_stats_health_and_metrics_are_views_of_one_store(tmp_path):
                 request()
             assert excinfo.value.status == status
         assert raw_request(client, "GET", "/nope")[0] == 404
-        with faults.injected(faults.FaultPlan({"executor.worker": 1.0})):
+        failing = {"cache.load": 1.0, "executor.worker": 1.0}
+        with faults.injected(faults.FaultPlan(failing)):
             with pytest.raises(ServiceError) as excinfo:
                 client.compile(third.program, third.topology, third.initial_state)
         assert excinfo.value.stage == "compile"
@@ -1100,7 +1128,7 @@ def test_stats_health_and_metrics_are_views_of_one_store(tmp_path):
         "singleflight_coalesced": 0, "updates": 1,
     }
     assert stats["memo"]["evictions"] == 3
-    assert stats["health"] == {"executor.retries": 2}
+    assert stats["health"] == {"cache.load_error": 1}
     assert stats["endpoints"]["compile"]["errors"] == 2
     assert stats["endpoints"]["update"] == {
         **stats["endpoints"]["update"], "count": 2, "errors": 1,

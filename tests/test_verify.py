@@ -1,5 +1,7 @@
 """Tests for the verification extras: exhaustive interleaving
-exploration (bounded Theorem 1) and semantic equivalence checks."""
+exploration (bounded Theorem 1) and table equivalence; the policy,
+configuration and per-state laws are checked on the canonical FDDs and
+per-switch tables they rest on."""
 
 import pytest
 
@@ -18,21 +20,43 @@ from repro.netkat.ast import (
 )
 from repro.netkat.compiler import compile_policy
 from repro.netkat.flowtable import FlowTable, Match, Rule
-from repro.netkat.fdd import mod_of
+from repro.netkat.fdd import FDDBuilder, mod_of
 from repro.runtime.model import RuntimePacket
 from repro.runtime.semantics import Runtime
 from repro.stateful.ast import link_update, state_eq
+from repro.stateful.projection import project
 from repro.topology import firewall_topology
-from repro.verify import (
-    configurations_equivalent,
-    explore_all_interleavings,
-    policies_equivalent,
-    predicates_equivalent,
-    stateful_projections_equivalent,
-    tables_equivalent,
-)
+from repro.verify import explore_all_interleavings, tables_equivalent
 
 H1, H4 = 1, 4
+
+
+def policies_equivalent(p, q):
+    """``p == q`` for link-free policies: FDDs are hash-consed over a
+    fixed field order, so semantic equality is node identity."""
+    builder = FDDBuilder()
+    return builder.of_policy(p) is builder.of_policy(q)
+
+
+def predicates_equivalent(a, b):
+    builder = FDDBuilder()
+    return builder.of_predicate(a) is builder.of_predicate(b)
+
+
+def configurations_equivalent(c1, c2):
+    """Same switches, and every switch's tables behave alike."""
+    return c1.topology.switches == c2.topology.switches and all(
+        tables_equivalent(c1.table(switch), c2.table(switch))
+        for switch in c1.topology.switches
+    )
+
+
+def states_where_projections_differ(p, q, states):
+    return [
+        state
+        for state in states
+        if not policies_equivalent(project(p, state), project(q, state))
+    ]
 
 
 class TestExhaustiveExploration:
@@ -256,10 +280,10 @@ class TestStatefulEquivalence:
             seq(filter_(state_eq([0])), assign("a", 1)),
             seq(filter_(state_eq([1])), assign("a", 3)),  # differs at [1]
         )
-        differing = stateful_projections_equivalent(p, q, [(0,), (1,)])
+        differing = states_where_projections_differ(p, q, [(0,), (1,)])
         assert differing == [(1,)]
 
     def test_equivalent_programs(self):
         p = seq(filter_(state_eq([0])), assign("a", 1))
         q = seq(filter_(state_eq([0])), assign("a", 1), filter_(field_test("a", 1)))
-        assert stateful_projections_equivalent(p, q, [(0,), (1,)]) == []
+        assert states_where_projections_differ(p, q, [(0,), (1,)]) == []
