@@ -13,12 +13,17 @@ demand, on a builder made at the first miss.
 
 Both definitions are decided on interned event bitmasks in
 :class:`NESChecker` alone: per-position match masks are computed once
-per trace, candidate sequences are enumerated lazily as tuples of event
-bits, so a correct trace stops at its first match (``sequences_tried``
-counts the Definition 2 checks the last :meth:`NESChecker.check` ran),
-and ``Traces(C)`` membership is memoized across the candidates, whose
-chains share prefixes.  The frozenset reference the tests hold these verdicts and
-reasons equal to lives in ``tests/naive_oracles.py``.
+per trace (each position testing only the guards located there),
+happens-before is one int bitset of successors per position, and
+candidate sequences are enumerated lazily as tuples of event bits, so a
+correct trace stops at its first match (``sequences_tried`` counts the
+Definition 2 checks the last :meth:`NESChecker.check` ran).
+``Traces(C)`` membership is memoized for one check, keyed by the
+configuration's table dict and the packet trace: candidate chains share
+prefixes, and states with one policy share one table dict, so each
+(tables, packet trace) pair is walked once.  The frozenset reference the
+tests hold these verdicts and reasons equal to lives in
+``tests/naive_oracles.py``.
 """
 
 from __future__ import annotations
@@ -159,12 +164,17 @@ class NESChecker:
     def _membership_memo(self, trace: NetworkTrace) -> Callable:
         """A per-check ``Traces(C)`` membership memo: candidate chains
         share configuration prefixes, so the same (configuration,
-        packet-trace) pairs recur across sequences.  The chain's
-        configurations are memoized by mask, so their ids are stable."""
+        packet-trace) pairs recur across sequences.  It is keyed by the
+        configuration's table dict, not the configuration: states with
+        one policy are distinct configurations over the same tables, and
+        walk each packet trace once.  That key is sound because every
+        configuration of this checker is on its topology, and membership
+        reads only tables and topology.  The chain's configurations are
+        memoized by mask and hold their tables, so the ids are stable."""
         memo: Dict[Tuple[int, Tuple[int, ...]], bool] = {}
 
         def member(config: Configuration, t: Tuple[int, ...]) -> bool:
-            key = (id(config), t)
+            key = (id(config._tables), t)
             hit = memo.get(key)
             if hit is None:
                 hit = packet_trace_in_traces(config, trace.packet_trace(t))

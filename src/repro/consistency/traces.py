@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..formula import Formula
 from ..netkat.compiler import Configuration
 from ..netkat.packet import LocatedPacket, Location
 from ..topology import Topology
@@ -84,14 +85,22 @@ def position_event_masks(
     every downstream scan -- the quiet case, candidate-sequence pruning,
     first-occurrence search, and the trailing ambient-event check -- is
     then a single int operation per position instead of an
-    events × positions match loop per candidate sequence.
+    events × positions match loop per candidate sequence.  The universe
+    is indexed by location first, so a position tests only the guards
+    located there, each once for all of its renamed copies.
     """
+    # Keyed by (switch, port): a tuple hashes faster than a Location.
+    located: Dict[Tuple[int, int], Dict[Formula, int]] = {}
+    for index, event in enumerate(universe):
+        at = event.location
+        guards = located.setdefault((at.switch, at.port), {})
+        guards[event.guard] = guards.get(event.guard, 0) | 1 << index
     masks: List[int] = []
     for lp in trace.packets:
-        mask = 0
-        for index, event in enumerate(universe):
-            if event.matches(lp):
-                mask |= 1 << index
+        at, mask = lp.location, 0
+        for guard, bits in located.get((at.switch, at.port), {}).items():
+            if guard.holds(lp.packet):
+                mask |= bits
         masks.append(mask)
     return tuple(masks)
 
@@ -123,45 +132,46 @@ def _check_tree_condition(trace_indices: FrozenSet[Tuple[int, ...]]) -> None:
 
 
 class HappensBefore:
-    """The happens-before partial order ``≺ntr`` on trace positions."""
+    """The happens-before partial order ``≺ntr`` on trace positions, kept
+    as one int per position: bit ``j`` of ``_reach[i]`` is ``lp_i ≺ lp_j``."""
 
     def __init__(self, trace: NetworkTrace):
-        self._trace = trace
         n = len(trace.packets)
-        successors: List[Set[int]] = [set() for _ in range(n)]
+        successors: List[List[int]] = [[] for _ in range(n)]
         # (a) total order per switch, in trace order.
-        by_switch: Dict[int, List[int]] = {}
+        last_at: Dict[int, int] = {}
         for index, lp in enumerate(trace.packets):
-            by_switch.setdefault(lp.location.switch, []).append(index)
-        for indices in by_switch.values():
-            for i in range(len(indices) - 1):
-                successors[indices[i]].add(indices[i + 1])
+            previous = last_at.get(lp.location.switch)
+            if previous is not None:
+                successors[previous].append(index)
+            last_at[lp.location.switch] = index
         # (b) order within each packet trace.
         for t in trace.trace_indices:
             for i in range(len(t) - 1):
-                successors[t[i]].add(t[i + 1])
-        # Transitive closure by reverse-order DFS (edges always go from
-        # smaller to larger indices, so a reverse sweep suffices).
-        reachable: List[Set[int]] = [set() for _ in range(n)]
+                successors[t[i]].append(t[i + 1])
+        # Edges always go from smaller to larger indices, so one reverse
+        # sweep closes them transitively.
+        reach = [0] * n
         for index in range(n - 1, -1, -1):
-            acc: Set[int] = set()
+            acc = 0
             for nxt in successors[index]:
-                acc.add(nxt)
-                acc |= reachable[nxt]
-            reachable[index] = acc
-        self._reachable = tuple(frozenset(r) for r in reachable)
+                acc |= reach[nxt] | 1 << nxt
+            reach[index] = acc
+        self._reach = reach
 
     def before(self, i: int, j: int) -> bool:
         """``lp_i ≺ lp_j``."""
-        return j in self._reachable[i]
+        return bool(self._reach[i] >> j & 1)
 
     def all_before(self, indices: Iterable[int], j: int) -> bool:
         """Do all of ``indices`` happen before position j?"""
-        return all(self.before(i, j) for i in indices)
+        reach = self._reach
+        return all(reach[i] >> j & 1 for i in indices)
 
     def all_after(self, i: int, indices: Iterable[int]) -> bool:
         """Does position i happen before all of ``indices``?"""
-        return all(self.before(i, j) for j in indices)
+        after = self._reach[i]
+        return all(after >> j & 1 for j in indices)
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +199,13 @@ def packet_trace_in_traces(
     first = packet_trace[0]
     if topology.host_at(first.location) is None:
         return False
-    if not all(
-        config.relates(packet_trace[i], packet_trace[i + 1])
-        for i in range(len(packet_trace) - 1)
-    ):
-        return False
+    relates = config.relates
+    for lp, lp2 in zip(packet_trace, packet_trace[1:]):
+        if not relates(lp, lp2):
+            return False
     last = packet_trace[-1]
     if len(packet_trace) > 1 and topology.host_at(last.location) is not None:
         return True  # delivered to a host
     # Dropped (or never forwarded): correct only if C agrees there is no
     # continuation from the final position.
-    return not config.step(last)
+    return not config.moves(last)

@@ -285,22 +285,23 @@ class Configuration:
 
     # -- the step relation C -------------------------------------------------
 
-    def _switch_outputs(self, lp: LocatedPacket) -> Iterator[Packet]:
-        """The winning rule's outputs at ``lp``'s switch, ``pt`` naming each
-        one's egress port, minus the packet left in place: a switch step
-        must move the packet, so a rule changing nothing is a no-op."""
-        packet = lp.packet.at(lp.location)
-        rule = self.table(lp.location.switch).lookup(packet)
+    def _moving_mods(self, packet: Packet) -> Iterator[Mod]:
+        """The winning rule's modifications at the switch of ``packet``
+        (which is at its location) that move it: a switch step must move
+        the packet, so a modification changing nothing is a no-op.  A
+        ``Mod`` is a partial map, so it moves the packet exactly when one
+        of its writes differs from the packet's value."""
+        rule = self.table(packet._swpt[0]).lookup(packet)
         for mod in rule.actions if rule is not None else ():
-            out = packet._with(mod)
-            if out != packet:
-                yield out
+            if any(packet.get(field) != value for field, value in mod):
+                yield mod
 
     def switch_step(self, lp: LocatedPacket) -> FrozenSet[LocatedPacket]:
         """Forward within a switch: table lookup, outputs at egress ports."""
+        packet = lp.packet.at(lp.location)
         return frozenset(
             LocatedPacket(out, Location(lp.location.switch, out[PT]))
-            for out in self._switch_outputs(lp)
+            for out in map(packet._with, self._moving_mods(packet))
         )
 
     def link_step(self, lp: LocatedPacket) -> FrozenSet[LocatedPacket]:
@@ -316,13 +317,30 @@ class Configuration:
         return self.switch_step(lp) | self.link_step(lp)
 
     def relates(self, lp: LocatedPacket, lp2: LocatedPacket) -> bool:
-        """``lp2 in self.step(lp)``, testing the pair alone."""
+        """``lp2 in self.step(lp)``, testing the pair alone and building
+        no packet: the winning rule is looked up once, and each of its
+        modifications (or the link's relocation) is compared with
+        ``lp2.packet`` field by field."""
         here, there = lp.location, lp2.location
-        if here.switch == there.switch:
-            for out in self._switch_outputs(lp):
-                if out[PT] == there.port and out == lp2.packet:
-                    return True
-        return self.topology.has_link(here, there) and lp2.packet == lp.packet.at(there)
+        target = lp2.packet
+        if here.switch == there.switch and target._swpt[1] == there.port:
+            packet = lp.packet.at(here)
+            # A modification writing ``target`` moves the packet unless
+            # ``target`` is the packet itself.
+            rule = self.table(here.switch).lookup(packet)
+            if rule is not None and target != packet:
+                for mod in rule.actions:
+                    if packet._is_with(mod, target):
+                        return True
+        return self.topology.has_link(here, there) and lp.packet._is_with(
+            ((PT, there.port), (SW, there.switch)), target
+        )
+
+    def moves(self, lp: LocatedPacket) -> bool:
+        """``bool(self.step(lp))``, building no successor."""
+        if self.topology.has_links_from(lp.location):
+            return True
+        return next(self._moving_mods(lp.packet.at(lp.location)), None) is not None
 
     def __repr__(self) -> str:
         label = self.name or "unnamed"

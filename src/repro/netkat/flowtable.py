@@ -165,9 +165,6 @@ class Rule:
     match: Match
     actions: ActionSet
 
-    def applies_to(self, packet: Packet) -> bool:
-        return self.match.matches(packet)
-
     def apply(self, packet: Packet) -> FrozenSet[Packet]:
         out = set()
         for mod in self.actions:
@@ -207,7 +204,7 @@ class FlowTable:
     def lookup(self, packet: Packet) -> Optional[Rule]:
         """The highest-priority rule matching ``packet``, or None."""
         for rule in self._rules:
-            if rule.applies_to(packet):
+            if rule.match.matches(packet):
                 return rule
         return None
 

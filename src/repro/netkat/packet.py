@@ -141,6 +141,20 @@ class Packet:
         updated.update(pairs)
         return Packet._of(updated)
 
+    def _is_with(self, pairs: Tuple[Tuple[str, int], ...], other: "Packet") -> bool:
+        """``self._with(pairs) == other`` for ``pairs`` naming each field
+        once, decided field by field without building the copy: every
+        write is in ``other``, and apart from the written fields the two
+        packets agree."""
+        theirs = other._fields
+        for pair in pairs:
+            if pair not in theirs:
+                return False
+        written = [name for name, _ in pairs]
+        return [p for p in theirs if p[0] not in written] == [
+            p for p in self._fields if p[0] not in written
+        ]
+
     def without(self, field: str) -> "Packet":
         """Return a copy with ``field`` removed (used by `(exists f: phi)`)."""
         return Packet._of({k: v for k, v in self._fields if k != field})

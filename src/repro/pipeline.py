@@ -1216,11 +1216,12 @@ class Pipeline:
                         strict=self.options.strict_cache,
                         health=self._health,
                     )
-                except Exception as exc:
+                except OSError as exc:
                     # An uncreatable cache_dir (read-only filesystem,
-                    # bad parent) disables the cache; it never aborts
-                    # the compile — but it is counted and warned, not
-                    # silently dropped.
+                    # bad parent: mkdir's OSError) disables the cache;
+                    # it never aborts the compile — but it is counted
+                    # and warned, not silently dropped.  Anything else
+                    # is a bug and propagates.
                     self._cache = None
                     self._count("cache.disabled")
                     warnings.warn(

@@ -104,6 +104,9 @@ class Topology:
     def has_link(self, src: Location, dst: Location) -> bool:
         return dst in self._links.get(src, ())
 
+    def has_links_from(self, src: Location) -> bool:
+        return src in self._links
+
     def edge_locations(self) -> Tuple[Location, ...]:
         """All host attachment points (network ingress/egress ports)."""
         return tuple(sorted(self._host_ports, key=lambda l: (l.switch, l.port)))

@@ -6,24 +6,30 @@ minimally-inconsistent-set enumeration, moved verbatim out of
 ``test_finite_complete_property.py`` and ``test_locality_bitset.py``;
 ``ETS(p)`` by one Figure 5-6 walk per state, the reference the
 symbolic engine of ``repro.stateful.symbolic`` is compared against;
-an FDD builder with every cache of the compile path off; and
-Definition 2 on frozensets, the reference for ``NESChecker``'s masks.
+an FDD builder with every cache of the compile path off;
+Definition 2 on frozensets, the reference for ``NESChecker``'s masks;
+and the pieces it is built from, each the reference for its fast
+counterpart in ``repro.consistency.traces``: happens-before as a
+frozenset transitive closure, per-position event masks by one
+``Event.matches`` per event, and ``Traces(C)`` membership by
+materialising ``Configuration.step``.
 """
 
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from operator import attrgetter
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.consistency.checker import CorrectnessReport
-from repro.consistency.traces import NetworkTrace, packet_trace_in_traces
+from repro.consistency.traces import NetworkTrace
 from repro.events.event import Event, EventSet
 from repro.events.ets_to_nes import _sorted_masks
 from repro.events.structure import EventStructure
 from repro.netkat.ast import Policy
 from repro.netkat.compiler import Configuration
 from repro.netkat.fdd import FDD, FDDBuilder
+from repro.netkat.packet import LocatedPacket
 from repro.stateful.ast import StateVector, validate_state_references
 from repro.stateful.ets import ETS
 from repro.stateful.events import extract
@@ -143,6 +149,65 @@ class ReferenceFDDBuilder(FDDBuilder):
         return self.union(self.mask(guard, hi), self.mask(n_guard, lo))
 
 
+def reachable_naive(trace: NetworkTrace) -> Tuple[FrozenSet[int], ...]:
+    """Happens-before (Definition 1) as a frozenset closure: entry ``i``
+    holds every ``j`` with ``lp_i ≺ lp_j``."""
+    n = len(trace.packets)
+    successors: List[Set[int]] = [set() for _ in range(n)]
+    # (a) total order per switch, in trace order.
+    by_switch: Dict[int, List[int]] = {}
+    for index, lp in enumerate(trace.packets):
+        by_switch.setdefault(lp.location.switch, []).append(index)
+    for indices in by_switch.values():
+        for i in range(len(indices) - 1):
+            successors[indices[i]].add(indices[i + 1])
+    # (b) order within each packet trace.
+    for t in trace.trace_indices:
+        for i in range(len(t) - 1):
+            successors[t[i]].add(t[i + 1])
+    # Edges go from smaller to larger indices: one reverse sweep closes them.
+    reachable: List[Set[int]] = [set() for _ in range(n)]
+    for index in range(n - 1, -1, -1):
+        acc: Set[int] = set()
+        for nxt in successors[index]:
+            acc.add(nxt)
+            acc |= reachable[nxt]
+        reachable[index] = acc
+    return tuple(frozenset(r) for r in reachable)
+
+
+def position_event_masks_naive(
+    trace: NetworkTrace, universe: Sequence[Event]
+) -> Tuple[int, ...]:
+    """Per-position bitmask of matching events, one ``Event.matches``
+    per (position, event)."""
+    masks: List[int] = []
+    for lp in trace.packets:
+        mask = 0
+        for index, event in enumerate(universe):
+            if event.matches(lp):
+                mask |= 1 << index
+        masks.append(mask)
+    return tuple(masks)
+
+
+def packet_trace_in_traces_naive(
+    config: Configuration, packet_trace: Sequence[LocatedPacket]
+) -> bool:
+    """``Traces(C)`` membership on the materialised successor sets: from a
+    host port, each position in ``step`` of the one before, and maximal
+    (delivered to a host, or ``step`` is empty at the end)."""
+    if not packet_trace or config.topology.host_at(packet_trace[0].location) is None:
+        return False
+    for a, b in zip(packet_trace, packet_trace[1:]):
+        if b not in config.step(a):
+            return False
+    last = packet_trace[-1]
+    if len(packet_trace) > 1 and config.topology.host_at(last.location) is not None:
+        return True
+    return not config.step(last)
+
+
 NO_FO = "FO(ntr, U) does not exist"
 
 
@@ -179,7 +244,7 @@ def first_occurrences(
         later = [j for j in range(previous + 1, len(packets))
                  if event.matches(packets[j])]
         if not later or not any(
-            packet_trace_in_traces(config, trace.packet_trace(t))
+            packet_trace_in_traces_naive(config, trace.packet_trace(t))
             for t in trace.traces_through(later[0])
         ):
             return None
@@ -198,13 +263,13 @@ def check_update_correctness(
     fo = first_occurrences(trace, update)
     if fo is None:
         return CorrectnessReport(False, NO_FO)
-    happens_before = trace.happens_before()
+    reachable = reachable_naive(trace)
     last = len(update.configurations) - 1
     for t in sorted(trace.trace_indices):
         processed_by = [
             idx
             for idx, config in enumerate(update.configurations)
-            if packet_trace_in_traces(config, trace.packet_trace(t))
+            if packet_trace_in_traces_naive(config, trace.packet_trace(t))
         ]
         if not processed_by:
             return CorrectnessReport(
@@ -215,14 +280,14 @@ def check_update_correctness(
         for i, ki in enumerate(fo):
             where = (f"event {i} (position {ki}) "
                      f"but is only in configurations {processed_by}")
-            if happens_before.all_before(t, ki) and min(processed_by) > i:
+            if all(ki in reachable[j] for j in t) and min(processed_by) > i:
                 return CorrectnessReport(
                     False,
                     f"packet trace precedes {where}; "
                     f"expected one of C_0..C_{i} (update happened too early)",
                     t,
                 )
-            if happens_before.all_after(ki, t) and max(processed_by) <= i:
+            if reachable[ki].issuperset(t) and max(processed_by) <= i:
                 return CorrectnessReport(
                     False,
                     f"packet trace follows {where}; "

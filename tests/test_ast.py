@@ -17,7 +17,7 @@ from repro.netkat.ast import (
     PTrue,
     Seq,
     Star,
-    Test,
+    Test as FieldTest,
     TRUE,
     Union,
     assign,
@@ -136,7 +136,7 @@ class TestStructuralQueries:
         assert policy_size(filter_(field_test("a", 1) & field_test("b", 2))) == 4
 
     def test_immutability(self):
-        node = Test("f", 1)
+        node = FieldTest("f", 1)
         with pytest.raises(Exception):
             node.value = 2
 

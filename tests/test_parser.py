@@ -9,7 +9,7 @@ from repro.netkat.ast import (
     Dup,
     Filter,
     Link,
-    Test,
+    Test as FieldTest,
     assign,
     conj,
     disj,
@@ -29,7 +29,7 @@ from repro.stateful.ast import LinkUpdate, StateTest, link_update, state_test
 
 class TestParseAtoms:
     def test_test(self):
-        assert parse_policy("ip_dst=4") == Filter(Test("ip_dst", 4))
+        assert parse_policy("ip_dst=4") == Filter(FieldTest("ip_dst", 4))
 
     def test_assign(self):
         assert parse_policy("pt<-2") == Assign("pt", 2)

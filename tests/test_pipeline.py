@@ -21,7 +21,7 @@ from repro.events.ets_to_nes import nes_of_ets
 from repro.formula import EQ, NE, Formula, Literal
 from repro.netkat.compiler import compile_policy
 from repro.netkat.fdd import FDDBuilder
-from repro.pipeline import ArtifactCache, artifact_digest
+from repro.pipeline import ArtifactCache, ArtifactCacheWarning, artifact_digest
 from repro.runtime.compiler import TAG_FIELD, CompiledNES
 from repro.stateful.ets import build_ets
 
@@ -190,15 +190,29 @@ class TestArtifactCache:
         app = firewall_app()
         options = CompileOptions(cache_dir=tmp_path / "cache")
 
-        def broken_init(self, root):
+        def broken_init(self, root, hmac_key=None, strict=False, health=None):
             raise OSError("read-only filesystem")
 
         monkeypatch.setattr(ArtifactCache, "__init__", broken_init)
         pipeline = Pipeline(app.program, app.topology, app.initial_state, options)
-        assert guarded_bytes(pipeline.compiled) == guarded_bytes(
-            legacy_compile(app)
-        )
+        with pytest.warns(ArtifactCacheWarning, match="read-only filesystem"):
+            compiled = pipeline.compiled
+        assert guarded_bytes(compiled) == guarded_bytes(legacy_compile(app))
         assert pipeline.report().artifact_cache is None
+
+    def test_cache_construction_bug_propagates(self, tmp_path, monkeypatch):
+        """Only an unusable cache_dir disables the cache: a programming
+        error in ArtifactCache's construction is not a cold cache."""
+        app = firewall_app()
+        options = CompileOptions(cache_dir=tmp_path / "cache")
+
+        def buggy_init(self, root, hmac_key=None, strict=False, health=None):
+            raise TypeError("a bug, not a filesystem")
+
+        monkeypatch.setattr(ArtifactCache, "__init__", buggy_init)
+        pipeline = Pipeline(app.program, app.topology, app.initial_state, options)
+        with pytest.raises(TypeError, match="a bug"):
+            pipeline.compiled
 
     def test_artifact_survives_a_different_hash_seed(self, tmp_path):
         """Events/formulas cache PYTHONHASHSEED-dependent hashes; a warm
@@ -292,9 +306,9 @@ class TestArtifactCache:
         key = pipeline.artifact_key()
         ArtifactCache(tmp_path).path(key).write_bytes(b"not a pickle")
 
-        assert guarded_bytes(pipeline.compiled) == guarded_bytes(
-            legacy_compile(app)
-        )
+        with pytest.warns(ArtifactCacheWarning, match="corrupt artifact cache entry"):
+            compiled = pipeline.compiled
+        assert guarded_bytes(compiled) == guarded_bytes(legacy_compile(app))
         assert pipeline.report().artifact_cache == "miss"
         # The store overwrote the corrupt entry; the next pipeline hits.
         rerun = Pipeline(app.program, app.topology, app.initial_state, options)
@@ -327,9 +341,9 @@ class TestArtifactCache:
             raise OSError("disk full")
 
         monkeypatch.setattr(ArtifactCache, "store", broken_store)
-        assert guarded_bytes(pipeline.compiled) == guarded_bytes(
-            legacy_compile(app)
-        )
+        with pytest.warns(ArtifactCacheWarning, match="disk full"):
+            compiled = pipeline.compiled
+        assert guarded_bytes(compiled) == guarded_bytes(legacy_compile(app))
 
     def test_store_failure_leaves_no_tmp_file(self, tmp_path, monkeypatch):
         compiled = firewall_app().compiled

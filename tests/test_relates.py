@@ -22,6 +22,7 @@ from seed_apps import APPS
 
 def assert_agree(config, a, b):
     assert config.relates(a, b) == (b in config.step(a)), (a, b)
+    assert config.moves(a) == bool(config.step(a)), a
 
 
 def neighbours(config, a):
@@ -110,6 +111,45 @@ def test_generated_pairs(table1, table2, links, a, b):
             topology.add_link(src, dst)
     config = Configuration({1: table1, 2: table2}, topology)
     assert_agree(config, a, b)
+    for near in neighbours(config, a):
+        assert_agree(config, a, near)
+
+
+# A rule may write ``b``, a field no generated packet carries, and a
+# multicast action set always includes the identity action ().
+ADDING_MODS = st.dictionaries(st.sampled_from(("a", "b", PT)), VALUES, max_size=2).map(
+    lambda writes: tuple(sorted(writes.items()))
+)
+ADDING_TABLES = st.lists(
+    st.tuples(
+        st.dictionaries(st.sampled_from(FIELDS), VALUES, max_size=2),
+        st.frozensets(ADDING_MODS, min_size=1, max_size=3).map(lambda a: a | {()}),
+    ),
+    min_size=1,
+    max_size=4,
+).map(
+    lambda rules: FlowTable(
+        Rule(len(rules) - position, Match(constraints), actions)
+        for position, (constraints, actions) in enumerate(rules)
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ADDING_TABLES, LINKS, LOCATED)
+def test_generated_added_fields_and_identity_multicast(table, links, a):
+    topology = Topology().add_switch(1).add_switch(2)
+    for src, dst in links:
+        if 3 not in (src.switch, dst.switch):
+            topology.add_link(src, dst)
+    config = Configuration({1: table, 2: table}, topology)
+    for b in config.step(a):
+        # Each output, and the same output without field ``b`` or with
+        # ``b`` at either value, whether or not the rule wrote it.
+        assert_agree(config, a, b)
+        assert_agree(config, a, LocatedPacket(b.packet.without("b"), b.location))
+        for value in (1, 2):
+            assert_agree(config, a, LocatedPacket(b.packet.set("b", value), b.location))
     for near in neighbours(config, a):
         assert_agree(config, a, near)
 

@@ -1,17 +1,23 @@
 """Tests for network traces, happens-before, and Traces(C) membership."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.consistency.traces import (
     HappensBefore,
     NetworkTrace,
     TraceValidationError,
     packet_trace_in_traces,
+    position_event_masks,
 )
+from repro.events.event import Event
+from repro.formula import EQ, NE, Formula, Literal
 from repro.netkat.ast import assign, filter_, link, seq, test as field_test, union
 from repro.netkat.compiler import compile_policy
 from repro.netkat.packet import LocatedPacket, Location, Packet
 from repro.topology import firewall_topology
+
+from naive_oracles import position_event_masks_naive, reachable_naive
 
 
 def lp(sw, pt, **fields):
@@ -118,6 +124,83 @@ class TestHappensBefore:
         hb = trace.happens_before()
         assert hb.all_before([0, 1], 2)
         assert hb.all_after(0, [1, 2])
+
+
+# -- generated valid traces against the references ------------------------
+
+VALUES = st.sampled_from((1, 2))
+LOCATIONS = st.builds(Location, st.sampled_from((1, 2, 3)), VALUES)
+# Field ``a`` may be missing, which a ``!=`` guard then fails.
+LOCATED = st.builds(
+    lambda a, location: LocatedPacket(
+        Packet({"sw": location.switch, "pt": location.port, **a}), location
+    ),
+    st.dictionaries(st.just("a"), VALUES),
+    LOCATIONS,
+)
+GUARDS = st.one_of(
+    st.just(Formula()),
+    st.builds(
+        lambda op, value: Formula((Literal("a", op, value),)),
+        st.sampled_from((EQ, NE)),
+        VALUES,
+    ),
+)
+# Renamed copies (eid > 0) share a guard and location with the original.
+EVENTS = st.lists(
+    st.builds(Event, GUARDS, LOCATIONS, st.integers(0, 2)), unique=True, max_size=8
+)
+
+
+@st.composite
+def network_traces(draw):
+    """A valid trace: a forest over the positions, each parent earlier
+    than its child, with one index sequence per root-to-leaf path."""
+    n = draw(st.integers(1, 16))
+    children = {}
+    roots = [0]
+    for index in range(1, n):
+        parent = draw(st.one_of(st.none(), st.integers(0, index - 1)))
+        if parent is None:
+            roots.append(index)
+        else:
+            children.setdefault(parent, []).append(index)
+    paths = set()
+
+    def walk(index, path):
+        path += (index,)
+        for child in children.get(index, ()):
+            walk(child, path)
+        if index not in children:
+            paths.add(path)
+
+    for root in roots:
+        walk(root, ())
+    packets = tuple(draw(LOCATED) for _ in range(n))
+    return NetworkTrace(packets, frozenset(paths))
+
+
+@settings(max_examples=200, deadline=None)
+@given(network_traces())
+def test_happens_before_equals_the_closure(trace):
+    hb = trace.happens_before()
+    reachable = reachable_naive(trace)
+    n = len(trace)
+    for i in range(n):
+        for j in range(n):
+            assert hb.before(i, j) == (j in reachable[i]), (i, j)
+    for t in trace.trace_indices:
+        for k in range(n):
+            assert hb.all_before(t, k) == all(k in reachable[i] for i in t)
+            assert hb.all_after(k, t) == reachable[k].issuperset(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(network_traces(), EVENTS)
+def test_position_masks_equal_the_reference(trace, universe):
+    assert position_event_masks(trace, universe) == position_event_masks_naive(
+        trace, universe
+    )
 
 
 FIREWALL_POLICY = union(

@@ -5,7 +5,8 @@ hand-built traces covering both correct and incorrect behaviors."""
 
 import pytest
 
-from repro.apps import firewall_app
+from repro.apps import bandwidth_cap_app, firewall_app
+from repro.consistency import checker as checker_module
 from repro.consistency.checker import NESChecker, check_trace_against_nes
 from repro.consistency.traces import NetworkTrace
 from repro.events.event import Event
@@ -145,3 +146,29 @@ class TestDefinition6:
         c1 = checker.config_of_event_set(frozenset())
         c2 = checker.config_of_event_set(frozenset())
         assert c1 is c2
+
+
+def test_membership_runs_once_per_tables_and_packet_trace(monkeypatch):
+    """States sharing a policy are distinct configurations over one table
+    dict; the per-check memo walks each (tables, packet trace) pair once."""
+    app = bandwidth_cap_app(4)
+    runtime = app.runtime(seed=3)
+    for ident in range(6):
+        runtime.inject("H1", {"ip_dst": 4, "ip_src": 1, "ident": ident})
+        runtime.inject("H4", {"ip_dst": 1, "ip_src": 4, "ident": 100 + ident})
+        runtime.run_until_quiescent()
+    trace = runtime.network_trace()
+    runs = []
+    real = checker_module.packet_trace_in_traces
+
+    def counted(config, packet_trace):
+        runs.append((config, packet_trace))
+        return real(config, packet_trace)
+
+    monkeypatch.setattr(checker_module, "packet_trace_in_traces", counted)
+    assert NESChecker(app.nes, app.topology).check(trace)
+    pairs = {(id(config._tables), packet_trace) for config, packet_trace in runs}
+    assert len(runs) == len(pairs)
+    # The trace does reach states whose configurations share tables.
+    configs = {id(config) for config, _ in runs}
+    assert len(configs) > len({id(config._tables) for config, _ in runs})
