@@ -199,6 +199,25 @@ def disj(*operands: Predicate) -> Predicate:
 # ---------------------------------------------------------------------------
 
 
+def _cached_hash(p: "Policy") -> int:
+    """A composite policy's hash, cached on the node hashed directly (a
+    configuration policy) and on none below it: that of its canonical
+    text, which equal policies share (as the artifact key assumes)."""
+    try:
+        return p.__dict__["_hash"]
+    except KeyError:
+        h = hash(repr(p))
+        object.__setattr__(p, "_hash", h)
+        return h
+
+
+def _state_without_hash(p: "Policy") -> dict:
+    # PYTHONHASHSEED-dependent: the loading process recomputes it.
+    state = dict(p.__dict__)
+    state.pop("_hash", None)
+    return state
+
+
 class Policy:
     """Base class for NetKAT policies."""
 
@@ -240,6 +259,8 @@ class Union(Policy):
     left: Policy
     right: Policy
 
+    __hash__ = _cached_hash
+    __getstate__ = _state_without_hash
 
     def __repr__(self) -> str:
         return f"({self.left!r} + {self.right!r})"
@@ -252,6 +273,8 @@ class Seq(Policy):
     left: Policy
     right: Policy
 
+    __hash__ = _cached_hash
+    __getstate__ = _state_without_hash
 
     def __repr__(self) -> str:
         return f"({self.left!r} ; {self.right!r})"
@@ -263,6 +286,8 @@ class Star(Policy):
 
     operand: Policy
 
+    __hash__ = _cached_hash
+    __getstate__ = _state_without_hash
 
     def __repr__(self) -> str:
         return f"({self.operand!r})*"

@@ -15,15 +15,14 @@ it compiles, and each property borrows by what its stage actually
 reads — the partial evaluation when the program is the same object; the
 event structure when the ETS kept its initial state and edges (the
 whole NES when it kept its vertex labels too); the tables of every
-configuration whose policy is equal while the switch set is unchanged
-(hosts and links are not compile inputs: the program spells its own
-links); and, when every table was adopted under the same state tuple,
-the guarded merge.  Within a stage, a successor also starts from its
-lineage root's work: its partial evaluation from the root engine's
-walk memos, its compile on a fork of the root's builder.
+policy it compiled, by policy, while the switch set is unchanged; and
+its guarded merge when the states and every table dict are its own.
+Within a stage, a successor also starts from its lineage root's work:
+its partial evaluation from the root engine's walk memos, its compile
+on a fork of the root's builder.
 
 There is one executor, the loop of :class:`Pipeline`'s compile stage:
-it adopts, shares or compiles each configuration, the
+it finds each configuration by policy, or compiles it, the
 ``compile_policy`` calls running one after another on one
 :class:`FDDBuilder` in configuration-state order, and hands the
 finished configurations to :class:`~repro.runtime.compiler.CompiledNES`,
@@ -857,76 +856,65 @@ class Pipeline:
                     nes = self.nes
                     with self._stage("compile") as stage_span:
                         check_locally_determined(nes)
-                        reuse = self._reusable_configurations(nes)
                         states = nes.configuration_states()
-                        builder = None
-                        if self._lineage is None:
-                            builder = self._builder = FDDBuilder()
-                        elif len(reuse) < len(states):
-                            # A successor compiles on a fork of the
-                            # root's builder and drops it afterwards.
-                            root = self._lineage[1]
-                            builder = root.fork() if root else FDDBuilder()
-                        inherited = builder.node_count if builder else 0
                         compiled = CompiledNES(
-                            nes,
-                            self.topology,
-                            self._configurations_of(nes, states, builder, reuse),
+                            nes, self.topology, self._configurations_of(nes, states)
                         )
-                        if builder is not None:
-                            self._fdd_nodes_new = builder.node_count - inherited
-                        if reuse and len(reuse) == len(states):
-                            lender = self._predecessor.compiled
-                            if compiled.states == lender.states:
-                                # Every table adopted under the same
-                                # state tuple, hence the same config ids
-                                # and guards: the predecessor's merge,
-                                # shared whether or not it is built yet.
-                                compiled.adopt_guarded_tables(lender)
+                        if self._predecessor:
+                            compiled.share_merge(self._predecessor.compiled)
+                        runs = self._configurations_compiled
                         stage_span.set(
                             configurations=len(states),
-                            reused_configurations=len(reuse),
-                            compiled_configurations=self._configurations_compiled,
+                            reused_configurations=len(states) - runs,
+                            compiled_configurations=runs,
                         )
                     self._hold(compiled)
                     self._store_artifact()
         return self._compiled
 
     def _configurations_of(
-        self,
-        nes: NES,
-        states: Tuple[StateVector, ...],
-        builder: Optional[FDDBuilder],
-        reuse: Mapping[StateVector, Configuration],
+        self, nes: NES, states: Tuple[StateVector, ...]
     ) -> Dict[StateVector, Configuration]:
-        """The configuration of each of ``states``, in order: adopted from
-        ``reuse``, else holding the tables of an equal policy compiled
-        earlier in this loop, else compiled on ``builder``.
+        """The configuration of each of ``states``, in order, found by its
+        policy: among those this loop produced, else (once per policy)
+        in the predecessor's :attr:`~CompiledNES.configurations_by_policy`
+        when the switch set is unchanged, else compiled.  Tables are a
+        pure function of (policy, switch set), so a found configuration
+        is byte-identical to a compiled one; each state holds its tables
+        under its own name.  ``compile_policy`` runs once per policy
+        found nowhere (``_configurations_compiled``), on a builder made
+        at the first miss: a root's own (``_builder``), or a successor's
+        fork of its root's, dropped after.
 
-        Tables are a pure function of (policy, switch set), so sharing
-        is byte-identical to compiling, and ``compile_policy`` runs once
-        per *distinct* policy (a cap-N chain has N+2 states and two
-        policies); the runs are counted in ``_configurations_compiled``.
-
-        Each configuration compiles once: the same inputs give the same
-        tables or the same exception, so nothing is retried.  Every
-        compile passes the ``executor.worker`` fault site;
-        ``options.deadline_seconds`` bounds the stage wall clock,
-        checked before each compile (one configuration is never
-        preempted); any failure surfaces as a typed :class:`StageError`
-        with stage provenance, never as a bare exception.
+        Each compile runs once (the same inputs give the same tables or
+        the same exception) and passes the ``executor.worker`` fault
+        site; ``options.deadline_seconds`` bounds the stage wall clock,
+        checked before each compile (one is never preempted); any
+        failure is a typed :class:`StageError`, never a bare exception.
         """
-        pending = len(states) - len(reuse)
+        previous = self._predecessor
+        lent = {}
+        if previous and previous.topology.switches == self.topology.switches:
+            lent = previous.compiled.configurations_by_policy
         budget = self.options.deadline_seconds
         deadline = None if budget is None else time.monotonic() + budget
+        builder: Optional[FDDBuilder] = None
+        inherited = compiled = adopted = 0
 
-        def compile_one(policy: Policy, name: str) -> Configuration:
+        def compile_one(policy: Policy, name: str, left: int) -> Configuration:
+            nonlocal builder, inherited
             if deadline is not None and time.monotonic() > deadline:
                 raise StageError(
                     "compile",
-                    f"deadline_seconds={budget} exceeded "
-                    f"with {pending} configuration(s) in flight",
+                    f"deadline_seconds={budget} exceeded after {compiled} "
+                    f"compile(s), with {left} state(s) left",
                 )
+            if builder is None:
+                root = self._lineage and self._lineage[1]
+                builder = root.fork() if root else FDDBuilder()
+                if self._lineage is None:
+                    self._builder = builder
+                inherited = builder.node_count
             try:
                 with obs_trace.span("compile.configuration", configuration=name):
                     faults.check("executor.worker")
@@ -938,60 +926,36 @@ class Pipeline:
                     "compile", f"configuration {name} failed: {exc!r}"
                 ) from exc
 
-        first: Dict[Policy, Configuration] = {}
+        found: Dict[Policy, Configuration] = {}
         configurations: Dict[StateVector, Configuration] = {}
-        for state in states:
-            if state in reuse:
-                configurations[state] = reuse[state]
-                continue
+        for done, state in enumerate(states):
             name = f"C{list(state)}"
             policy = nes.configuration_policy(state)
-            shared = first.get(policy)
-            if shared is None:
-                configurations[state] = first[policy] = compile_one(policy, name)
-            else:
-                configurations[state] = shared.named(name)
+            configuration = found.get(policy)
+            if configuration is None:
+                configuration = lent.get(policy)
+                if configuration is None:
+                    configuration = compile_one(policy, name, len(states) - done)
+                    compiled += 1
+                else:
+                    adopted += 1
+                    configuration = configuration.on_topology(self.topology)
+                found[policy] = configuration
+            configurations[state] = configuration.named(name)
         if obs_metrics.active() is not None:
             for result, count in (
-                ("compiled", len(first)),
-                ("shared", pending - len(first)),
-                ("adopted", len(reuse)),
+                ("compiled", compiled),
+                ("shared", len(states) - compiled - adopted),
+                ("adopted", adopted),
             ):
                 obs_metrics.inc(
                     "repro_compile_configurations_total", count, result=result,
                     help="Configurations by how the compile obtained their tables",
                 )
-        self._configurations_compiled = len(first)
+        self._configurations_compiled = compiled
+        if builder is not None:
+            self._fdd_nodes_new = builder.node_count - inherited
         return configurations
-
-    def _reusable_configurations(
-        self, nes: NES
-    ) -> Dict[StateVector, Configuration]:
-        """The predecessor's compiled configurations this pipeline may
-        adopt.  Tables are a pure function of the configuration policy
-        and the topology's *switch set* — links live in the program, and
-        hosts are not a compile input — so a state qualifies when its
-        policy is equal and the switch set is unchanged.  Under a new
-        topology object the adopted configuration is re-homed on it,
-        sharing its tables."""
-        previous = self._predecessor
-        if previous is None:
-            return {}
-        rehome = previous.topology is not self.topology
-        if rehome and previous.topology.switches != self.topology.switches:
-            return {}
-        old_policy = previous.nes.configuration_policy
-        configurations = previous.compiled.configurations
-        return {
-            state: (
-                configurations[state].on_topology(self.topology)
-                if rehome
-                else configurations[state]
-            )
-            for state in nes.configuration_states()
-            if state in configurations
-            and nes.configuration_policy(state) == old_policy(state)
-        }
 
     def _store_artifact(self) -> None:
         """Best-effort store of ``_compiled`` under this pipeline's key."""
@@ -1085,18 +1049,13 @@ class Pipeline:
           condition 1 re-checked) when only vertex labels changed; the
           conversion reruns whenever the delta touched an edge;
         - :attr:`compiled` reads each configuration policy and the
-          topology's switch set (links live in the program; hosts are
-          no compile input): it adopts
-          the tables of every state whose policy is equal while the
-          switch set is unchanged, re-homed on the post-delta topology — so a host or link delta
-          compiles nothing, and a switch delta every distinct policy —
-          and compiles the rest on a fork of the lineage root's
-          :class:`FDDBuilder`, dropped afterwards, so FDDs of unchanged
-          sub-policies are found, not rebuilt;
-        - the guarded merge reads the state tuple, the tables and the
-          switch set: when every table was adopted and the states are
-          the same, the result shares the predecessor's merge, built
-          once by whichever side first needs it.
+          switch set (links live in the program, hosts are no compile
+          input): with the same switches, a policy this pipeline
+          compiled for any state is found by policy — so a host or link
+          delta compiles nothing, a switch delta every policy — and the
+          rest compile on a fork of the lineage root's builder;
+        - the guarded merge reads the states and the tables: the same
+          states, each holding this pipeline's table dict, share it.
 
         The contract is byte identity with a cold pipeline on the
         post-delta inputs.  A warm artifact under the post-delta
@@ -1118,8 +1077,7 @@ class Pipeline:
         and configuration equal this pipeline's, ``states_reinstantiated``
         the rest; ``configurations_recompiled`` the ``compile_policy``
         runs the compile stage took (none on a warm-artifact hit, which
-        builds no ETS), ``configurations_reused`` the rest: adopted, or
-        sharing the tables of an equal policy compiled alongside.  Any
+        builds no ETS), ``configurations_reused`` the rest.  Any
         exception leaving ``update()`` — typed or not (a
         ``LocalityError`` is a plain ``Exception``) — carries the
         discarded result's absorbed-failure counters as ``exc.health``:

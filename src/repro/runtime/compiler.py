@@ -20,12 +20,14 @@ counts include them.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ..events.event import Event
 from ..events.locality import locality_violations
 from ..events.nes import NES
 from ..formula import EQ, Literal
+from ..netkat.ast import Policy
 from ..netkat.compiler import Configuration
 from ..netkat.flowtable import FlowTable, Rule
 from ..netkat.packet import PT, Packet
@@ -162,7 +164,7 @@ class CompiledNES:
         }
         self.configurations: Dict[StateVector, Configuration] = dict(configurations)
         # The guarded merge, built on first use, in a one-item cell that
-        # artifacts with the same merge share (adopt_guarded_tables).
+        # every artifact with the same merge inputs shares (share_merge).
         self._merge: List[Optional[Dict[int, FlowTable]]] = [None]
         # What the simulator forwards by (see :meth:`classify`): tag
         # mask -> switch -> decision tree over the merge.
@@ -257,23 +259,31 @@ class CompiledNES:
         self._roots[tag_mask] = root
         return root
 
-    def adopt_guarded_tables(self, other: "CompiledNES") -> None:
-        """Share ``other``'s merge: whichever side needs it first builds
-        it, once, for both (and for every other artifact sharing it).
+    def share_merge(self, lender: "CompiledNES") -> None:
+        """Share ``lender``'s guarded merge when its inputs are this
+        artifact's: the same states (hence the same tags) and, for every
+        state, the lender's own table dict (hence the same switch set).
+        Whichever sharer needs the merge first builds it for all; once
+        built it is never mutated."""
+        if self.states == lender.states and all(
+            config._tables is lender.configurations[state]._tables
+            for state, config in self.configurations.items()
+        ):
+            self._merge = lender._merge
 
-        The merge is a function of the state tuple (hence the config
-        ids guarding each rule), the per-configuration tables and the
-        switch set; the caller vouches that all three are ``other``'s.
-        The memo dict is never mutated once built, so every sharer holds
-        the same immutable :class:`FlowTable` values.
-        """
-        self._merge = other._merge
+    @cached_property
+    def configurations_by_policy(self) -> Dict[Policy, Configuration]:
+        """A configuration per distinct configuration policy, the map a
+        successor's compile looks policies up in; derived once, never
+        pickled."""
+        policy = self.nes.configuration_policy
+        return {policy(s): c for s, c in self.configurations.items()}
 
     # -- persistence ------------------------------------------------------------
 
     def __getstate__(self):
-        """Pickle the artifact alone, without the merged-table memo or
-        its trees (derived on demand after a load).
+        """Pickle the artifact alone, without the merged-table memo, its
+        trees or the policy map (derived on demand after a load).
 
         No option value is persisted: options describe how the storing
         run executed (the cache-signing key among them, which must

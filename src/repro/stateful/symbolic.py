@@ -503,6 +503,7 @@ class SymbolicProgram:
         self._cell_index = _by_literal(self.cells, itemgetter(0))
         self._edges_at: Dict[StateVector, FrozenSet[EventEdge]] = {}
         self._configuration_at: Dict[StateVector, Policy] = {}
+        self._policies: Dict[Policy, Policy] = {}
 
     def lendable(self) -> Tuple[dict, dict]:
         """The ``_sx`` / ``_sp`` memos of a walk of ``program``.
@@ -551,6 +552,8 @@ class SymbolicProgram:
             for g, policy in _candidates(self._cell_index, state):
                 if g.holds(state):
                     if not self._frozen:
+                        # One object per distinct policy (compile lookups).
+                        policy = self._policies.setdefault(policy, policy)
                         self._configuration_at[state] = policy
                     return policy
             raise RuntimeError(  # pragma: no cover - the cells cover all states

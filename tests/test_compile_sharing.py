@@ -11,12 +11,13 @@ import pickle
 import pytest
 
 from repro import faults
-from repro.apps import bandwidth_cap_app, ids_app, ring_app
+from repro.apps import bandwidth_cap_app, firewall_app, ids_app, ring_app
 from repro.consistency.checker import NESChecker
 from repro.netkat.ast import Filter, conj, test as field_test
 from repro.netkat.compiler import compile_policy
 from repro.obs import metrics
 from repro.pipeline import ArtifactCache, CompileOptions, Delta, Pipeline, StageError
+from repro.runtime.compiler import CompiledNES
 from seed_apps import APPS, cold_after, guarded_bytes, switch_preserving_edits
 from test_theorem1 import H1, H4, run_workload
 
@@ -215,3 +216,68 @@ def test_update_counts_compiled_shared_and_adopted():
     stats = dict(updated.report().stats)
     assert stats["update.configurations_recompiled"] == 1
     assert stats["update.configurations_reused"] == 25
+
+
+# -- one policy-keyed lookup across updates -----------------------------------
+
+
+@pytest.mark.parametrize(
+    "make,writes",
+    [(ids_app, ((0, 3),)), (firewall_app, ((0, 2),))],
+    ids=["ids", "firewall"],
+)
+def test_a_state_new_to_the_lineage_finds_its_policy(make, writes):
+    """Every state the delta reaches is new to the lineage, but each
+    one's policy is one the base compiled for another state: nothing
+    compiles, and the tables are a cold rebuild's."""
+    app = make()
+    base = fresh_pipeline(app)
+    delta = Delta(set_state=writes)
+    updated = base.update(delta)
+    assert not set(updated.compiled.states) & set(base.compiled.states)
+    stats = dict(updated.report().stats)
+    assert stats["update.configurations_recompiled"] == 0
+    assert updated._builder is None and updated._fdd_nodes_new == 0
+    assert guarded_bytes(updated.compiled) == guarded_bytes(
+        cold_after(app, delta).compiled
+    )
+    lent = base.compiled.configurations_by_policy
+    for state, configuration in updated.compiled.configurations.items():
+        found = lent[updated.nes.configuration_policy(state)]
+        assert configuration._tables is found._tables
+        assert configuration.name == f"C{list(state)}"
+
+
+def test_the_merge_is_shared_exactly_when_its_inputs_are():
+    app = bandwidth_cap_app(24)
+    base = fresh_pipeline(app)
+    lender = base.compiled
+    merged = lender.guarded_tables()
+    # The base's state tuple, one of its two policies changed: the
+    # successor builds its own merge.
+    delta = reply_filter_delta(2, 1)
+    changed = base.update(delta).compiled
+    assert changed.states == lender.states
+    assert changed._merge is not lender._merge
+    assert guarded_bytes(changed) == guarded_bytes(cold_after(app, delta).compiled)
+    # Every base table dict under the base's states: the base's merge.
+    held = base.update(
+        Delta(topology=switch_preserving_edits(app)["attach_host"])
+    ).compiled
+    assert all(
+        held.configurations[state]._tables is lender.configurations[state]._tables
+        for state in lender.states
+    )
+    assert held._merge is lender._merge
+    assert all(held.guarded_tables()[sw] is merged[sw] for sw in merged)
+    # Equal tables in another dict are not the lender's: no sharing.
+    first = lender.states[0]
+    configurations = dict(lender.configurations)
+    configurations[first] = compile_policy(
+        lender.nes.configuration_policy(first), lender.topology,
+        name=f"C{list(first)}",
+    )
+    recompiled = CompiledNES(lender.nes, lender.topology, configurations)
+    recompiled.share_merge(lender)
+    assert recompiled._merge is not lender._merge
+    assert guarded_bytes(recompiled) == guarded_bytes(lender)

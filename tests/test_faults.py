@@ -205,9 +205,39 @@ class TestExecutorRecovery:
         pipeline = fresh_pipeline(
             firewall_app(), CompileOptions(deadline_seconds=1e-9)
         )
-        with pytest.raises(StageError, match="deadline_seconds"):
+        # The budget ran out before the first compile: none finished,
+        # and both of the firewall's states were still to find.
+        with pytest.raises(
+            StageError,
+            match=r"^deadline_seconds=1e-09 exceeded after 0 compile\(s\), "
+            r"with 2 state\(s\) left$",
+        ):
             pipeline.compiled
         assert pipeline.report().health == {}
+
+    def test_deadline_reports_compiles_finished_and_states_left(self, monkeypatch):
+        """A cap-8 chain has ten states and two policies: the second
+        compile is the last state's, so a budget that runs out after the
+        first compile leaves one state, not ten configurations, to go."""
+        import types
+
+        import repro.pipeline as pipeline_module
+        from repro.apps import bandwidth_cap_app
+
+        ticks = iter(range(100))  # each clock read advances one second
+        clock = types.SimpleNamespace(
+            monotonic=lambda: next(ticks),
+            perf_counter=pipeline_module.time.perf_counter,
+        )
+        monkeypatch.setattr(pipeline_module, "time", clock)
+        pipeline = fresh_pipeline(
+            bandwidth_cap_app(8), CompileOptions(deadline_seconds=1.5)
+        )
+        with pytest.raises(
+            StageError,
+            match=r"exceeded after 1 compile\(s\), with 1 state\(s\) left$",
+        ):
+            pipeline.compiled
 
     def test_generous_deadline_is_invisible(self, reference_tables):
         pipeline = fresh_pipeline(

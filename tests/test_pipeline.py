@@ -263,6 +263,17 @@ class TestArtifactCache:
                     assert guard.conjoin(implied) is guard
         assert pinned  # some loaded guard had a positive map to rebuild
         assert guarded_bytes(loaded) == guarded_bytes(legacy_compile(app))
+        # Configuration policies cache their hash once hashed (the store
+        # hashed them); the loaded ones hash as this process's do, so
+        # an update finds every policy in the loaded artifact.
+        fresh = Pipeline(app.program, app.topology, app.initial_state).nes
+        for state in loaded.states:
+            policy = loaded.nes.configuration_policy(state)
+            assert hash(policy) == hash(fresh.configuration_policy(state))
+        updated = warm.update(
+            Delta(topology=switch_preserving_edits(app)["attach_host"])
+        )
+        assert dict(updated.report().stats)["update.configurations_recompiled"] == 0
 
     def test_key_covers_program_state_and_semantic_options(self):
         app = firewall_app()
@@ -558,10 +569,13 @@ class TestPipelineUpdate:
         # leaves every surviving state's guard untouched.
         assert stats["update.configurations_reused"] > 0
         assert stats["update.configurations_recompiled"] == 0
+        # What is reused is the table dict, found by policy; each state
+        # holds it under its own name.
         reused = updated.compiled.configurations
         for state, configuration in base.compiled.configurations.items():
             if state in reused:
-                assert reused[state] is configuration
+                assert reused[state]._tables is configuration._tables
+                assert reused[state].name == f"C{list(state)}"
 
     def test_artifact_key_reflects_the_post_delta_program(self):
         app = firewall_app()

@@ -212,6 +212,8 @@ REMOVED_NAMES = [
     "repro.runtime.compiler:compile_nes",
     "repro.runtime.compiler:CompiledNES.invalidate_guarded_tables",
     "repro.runtime.compiler:CompiledNES.config_rule_count",
+    "repro.runtime.compiler:CompiledNES.adopt_guarded_tables",
+    "repro.pipeline:Pipeline._reusable_configurations",
     "repro.pipeline:Pipeline.guarded_tables",
     "repro.consistency:EventDrivenUpdate",
     "repro.consistency:first_occurrences",

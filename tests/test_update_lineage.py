@@ -40,7 +40,9 @@ from repro.service.protocol import topology_to_wire
 from repro.stateful.ast import LinkUpdate, StateTest
 from repro.topology import Topology
 
-from seed_apps import edited_topology, guarded_bytes
+from seed_apps import (
+    cold_after, edited_topology, guarded_bytes, switch_preserving_edits,
+)
 from test_differential import STATE_WIDTH, VALUES, random_stateful_policy
 
 
@@ -377,6 +379,44 @@ def test_two_threads_update_one_base():
     assert not any(thread.is_alive() for thread in threads)
     assert right == [50, 50]
     assert root_sizes(base) == before  # neither thread wrote to the root
+
+
+def test_two_threads_derive_the_policy_map_at_once():
+    """The base's policy -> configuration map is derived by whichever
+    update needs it first; two at once derive equal maps, and every
+    update finds every policy in one."""
+    app = bandwidth_cap_app(8)
+    base = Pipeline(app.program, app.topology, app.initial_state)
+    base.compiled  # the map is not derived yet
+    deltas = [Delta(set_state=((0, value),)) for value in range(1, 8)] + [
+        Delta(topology=topology) for topology in switch_preserving_edits(app).values()
+    ]
+    expected = [guarded_bytes(cold_after(app, delta).compiled) for delta in deltas]
+    barrier = threading.Barrier(2)
+    right = [0, 0]
+
+    def worker(slot):
+        order = range(len(deltas)) if slot == 0 else reversed(range(len(deltas)))
+        barrier.wait()
+        for k in order:
+            updated = base.update(deltas[k])
+            right[slot] += (
+                guarded_bytes(updated.compiled) == expected[k]
+                and updated._configurations_compiled == 0
+            )
+
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert right == [len(deltas), len(deltas)]
 
 
 # ---------------------------------------------------------------------------
