@@ -14,6 +14,7 @@ configuration tag and an event digest (section 4.1); those live on
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
@@ -44,11 +45,14 @@ class Location:
 
     @staticmethod
     def parse(text: str) -> "Location":
-        """Parse ``"n:m"`` into a :class:`Location`."""
-        switch_text, _, port_text = text.partition(":")
-        if not port_text:
+        """Parse ``"n:m"``, each an ASCII digit string, into a
+        :class:`Location`.  (``int()`` would also take ``"1_0"``,
+        ``" 10"``, ``"+10"`` and non-ASCII digits, so other spellings
+        would name the same location.)"""
+        match = re.fullmatch(r"([0-9]+):([0-9]+)", text)
+        if match is None:
             raise ValueError(f"malformed location {text!r}; expected 'sw:pt'")
-        return Location(int(switch_text), int(port_text))
+        return Location(int(match[1]), int(match[2]))
 
 
 def check_field(name: object, value: object) -> None:

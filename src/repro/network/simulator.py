@@ -24,7 +24,7 @@ long stream costs one heap entry.  One shortcut is taken from what the
 plugged-in logic publishes, never from a setting: emission plans (see
 :class:`_Plan`) when it has ``classify``, ``plan_generations`` and
 ``header_overhead``.  A logic that publishes none (the baselines, and
-``Figure7Logic``, the frozenset reference the record goldens compare
+the frozenset reference the record goldens of the tests compare
 against) runs the same loop without them.
 
 The per-hop path keeps one plan store, keyed by the leaf that one

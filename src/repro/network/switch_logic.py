@@ -1,46 +1,35 @@
 """The correct (tag-and-digest) switch logic for the simulator.
 
-This is the timed counterpart of the SWITCH/IN rules of Figure 7,
-embedded in the discrete-event world: per-switch event registers,
-ingress stamping, digest gossip, optional controller assistance
-(CTRLSEND broadcasts after :data:`CONTROLLER_LATENCY`), and measurable
-header overhead for the tag and digest fields (Figure 16a's ~6%
-bandwidth cost).
+This is the timed counterpart of the rules of Figure 7 -- IN, SWITCH,
+CTRLRECV and CTRLSEND -- embedded in the discrete-event world:
+per-switch event registers, ingress stamping, digest gossip, optional
+controller assistance (CTRLSEND broadcasts after
+:data:`CONTROLLER_LATENCY`), and measurable header overhead for the tag
+and digest fields (Figure 16a's ~6% bandwidth cost).
 
-:class:`Figure7Logic` is the rule as the figure writes it: frozenset
-registers, tags and digests, detection and the CTRLSEND merge taken from
-:mod:`repro.runtime.semantics`, forwarding by ``tag -> Configuration ->
-table.apply``.  Frames carry their tag and digest as interned bitmasks
-only, so it decodes a frame's masks on entry and encodes them on exit.
-It keeps no memo and publishes none of the simulator's plan-cache
-protocol, and is the reference that ``tests/test_sim_streaming.py``
-compares records against.  :class:`CorrectLogic` is the same rule on
-interned event bitmasks, run off the artifact the daemon serves:
-registers are ints, the frame's masks are read and written as they
-are, and one descent of the switch's guarded table (:meth:`CompiledNES.classify
+:class:`CorrectLogic` runs every rule on interned event bitmasks, off the
+artifact the daemon serves: registers and the controller's view are
+ints, the frame's masks are read and written as they are, and one
+descent of the switch's guarded table (:meth:`CompiledNES.classify
 <repro.runtime.compiler.CompiledNES.classify>`, published to the
 simulator as ``classify``) yields both the rule to forward by and the
 mask of events the packet matches, which ``enables_mask``/``con_mask``
 then detect from.  Nothing is remembered between packets here; the
 decision trees live on the ``CompiledNES`` and the emission plans in the
-simulator.  Its ``registers`` attribute is a mapping of set-like views
-backed by the masks, so code (and tests) that mutate
-``logic.registers[sw]`` sees and drives the same state.
+simulator.  The frozenset reference it is compared against,
+``Figure7Logic``, lives in ``tests/naive_oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import MutableSet
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..events.event import Event, EventSet
-from ..netkat.packet import Location, Packet, PT
+from ..netkat.packet import Location, Packet
 from ..runtime.compiler import CompiledNES
-from ..runtime.semantics import detect_events, merge_in_enabling_order
 from .simulator import Frame, SimNetwork
 
-__all__ = ["CorrectLogic", "Figure7Logic", "BASE_HEADER_BYTES"]
+__all__ = ["CorrectLogic", "BASE_HEADER_BYTES"]
 
 # A plausible L2+L3+L4 header for an untagged packet (Ethernet + IPv4 +
 # TCP).  The baselines import this one definition, so the Fig. 16a
@@ -59,71 +48,9 @@ CONTROLLER_LATENCY = 0.05
 EXTRA_PROCESSING_DELAY = 6e-6
 
 
-class _MaskRegister(MutableSet):
-    """A set-like view of one switch's register bitmask.
-
-    The mask dict is the single source of truth (shared with the hot
-    path); every set operation reads or rewrites the int, so external
-    mutation (``logic.registers[sw].add(event)``) is visible to masked
-    processing and vice versa.
-    """
-
-    __slots__ = ("_masks", "_switch", "_structure", "_generations")
-
-    def __init__(self, masks: Dict[int, int], switch: int, structure, generations):
-        self._masks = masks
-        self._switch = switch
-        self._structure = structure
-        # Shared plan-generation counters: any register mutation must
-        # invalidate the simulator's cached emission plans.
-        self._generations = generations
-
-    # Set operators on views return plain sets, not registers.
-    @classmethod
-    def _from_iterable(cls, iterable) -> Set[Event]:
-        return set(iterable)
-
-    @property
-    def mask(self) -> int:
-        return self._masks[self._switch]
-
-    def __contains__(self, event: object) -> bool:
-        index = self._structure.event_index.get(event)
-        return index is not None and bool(self._masks[self._switch] >> index & 1)
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self._structure.decode(self._masks[self._switch]))
-
-    def __len__(self) -> int:
-        return self._masks[self._switch].bit_count()
-
-    def add(self, event: Event) -> None:
-        index = self._structure.event_index.get(event)
-        if index is None:
-            raise KeyError(f"{event!r} is not an event of this structure")
-        self._masks[self._switch] |= 1 << index
-        self._generations[self._switch] += 1
-
-    def discard(self, event: Event) -> None:
-        index = self._structure.event_index.get(event)
-        if index is not None:
-            self._masks[self._switch] &= ~(1 << index)
-            self._generations[self._switch] += 1
-
-    def clear(self) -> None:
-        self._masks[self._switch] = 0
-        self._generations[self._switch] += 1
-
-    def update(self, events) -> None:
-        for event in events:
-            self.add(event)
-
-    def __repr__(self) -> str:
-        return repr(set(self))
-
-
-class Figure7Logic:
-    """The SWITCH/IN/CTRLSEND rules of Figure 7 on frozensets."""
+class CorrectLogic:
+    """Tag-based forwarding with event detection, digest gossip and
+    controller assistance, on interned event bitmasks."""
 
     # Read by the simulator as the per-hop processing cost.
     extra_processing_delay = EXTRA_PROCESSING_DELAY
@@ -131,119 +58,28 @@ class Figure7Logic:
     def __init__(self, compiled: CompiledNES, controller_assist: bool = False):
         self.compiled = compiled
         self.controller_assist = controller_assist
-        self.registers: Dict[int, Set[Event]] = {
-            n: set() for n in compiled.topology.switches
-        }
-        self.controller_view: Set[Event] = set()
+        structure = compiled.nes.structure
+        self._structure = structure
+        self._universe = structure.universe
+        switches = compiled.topology.switches
         # Tag (one config id) + digest (one bit per event), rounded up to
         # whole bytes -- the "single unused header field" of section 4.1.
         n_events = max(1, len(compiled.nes.events))
         n_states = max(2, len(compiled.states))
         self.tag_bytes = max(1, math.ceil(math.log2(n_states) / 8))
         self.digest_bytes = max(1, math.ceil(n_events / 8))
-
-    # -- SwitchLogic interface -------------------------------------------------
-
-    def header_bytes(self, frame: Frame) -> int:
-        return BASE_HEADER_BYTES + self.tag_bytes + self.digest_bytes
-
-    def ingress_frame(
-        self, location: Location, packet: Packet, payload_bytes: int, flow: Tuple,
-        ident: int, now: float,
-    ) -> Frame:
-        """The IN rule: stamp the tag of the local event-set."""
-        structure = self.compiled.nes.structure
-        return Frame(
-            packet.at(location),
-            payload_bytes,
-            flow=flow,
-            ident=ident,
-            injected_at=now,
-            tag_mask=structure.encode(self.registers[location.switch]),
-            structure=structure,
-        )
-
-    def process(
-        self, net: SimNetwork, location: Location, frame: Frame
-    ) -> List[Tuple[int, Frame]]:
-        """The SWITCH rule: learn, detect, forward by the packet's tag."""
-        structure = self.compiled.nes.structure
-        switch_id = location.switch
-        register = self.registers[switch_id]
-        combined = frozenset(register) | frame.digest
-        detected = detect_events(self.compiled.nes, combined, frame.packet, location)
-        new_known = combined | frozenset(detected)
-        register.update(new_known)
-        for event in new_known:
-            net.note_event_learned(switch_id, event)
-        for event in detected:
-            self._notify_controller(net, event)
-
-        tag = frame.tag or frozenset()
-        table = self.compiled.config_for_event_set(tag).table(switch_id)
-        outputs = sorted(table.apply(frame.packet.at(location)), key=repr)
-        tag_mask = structure.encode(tag)
-        digest_mask = structure.encode(new_known)
-        return [
-            (
-                out[PT],
-                frame.replace(
-                    packet=out,
-                    tag_mask=tag_mask,
-                    digest_mask=digest_mask,
-                    structure=structure,
-                ),
-            )
-            for out in outputs
-        ]
-
-    # -- controller ---------------------------------------------------------------
-
-    def _notify_controller(self, net: SimNetwork, event: Event) -> None:
-        def receive() -> None:
-            self.controller_view.add(event)
-            if self.controller_assist:
-                net.sim.schedule(CONTROLLER_LATENCY, lambda: self._broadcast(net))
-
-        net.sim.schedule(EVENT_NOTIFY_LATENCY, receive)
-
-    def _broadcast(self, net: SimNetwork) -> None:
-        """CTRLSEND to every switch, merging in enabling order."""
-        structure = self.compiled.nes.structure
-        for switch_id, register in self.registers.items():
-            known = merge_in_enabling_order(structure, register, self.controller_view)
-            if known != register:
-                register.update(known)
-                for event in known:
-                    net.note_event_learned(switch_id, event)
-
-
-class CorrectLogic(Figure7Logic):
-    """Tag-based forwarding with event detection and digest gossip, on
-    interned event bitmasks."""
-
-    def __init__(self, compiled: CompiledNES, controller_assist: bool = False):
-        super().__init__(compiled, controller_assist)
-        structure = compiled.nes.structure
-        self._structure = structure
-        self._universe = structure.universe
-        switches = compiled.topology.switches
         # classify/last_plan/plan_generations/header_overhead are the
         # simulator's plan-cache protocol (see simulator._Plan).
+        self.header_overhead = BASE_HEADER_BYTES + self.tag_bytes + self.digest_bytes
         self.classify = compiled.classify
         self.last_plan: Optional[Tuple] = None
         self.plan_generations: Dict[int, int] = {n: 0 for n in switches}
         self._register_masks: Dict[int, int] = {n: 0 for n in switches}
-        self.registers = {
-            n: _MaskRegister(self._register_masks, n, structure, self.plan_generations)
-            for n in switches
-        }
-        # Events already reported to net.note_event_learned per switch
-        # (only never-before-noted bits are decoded).
-        self._noted_masks: Dict[int, int] = {n: 0 for n in switches}
-        # header_bytes is frame-independent; publishing the constant
-        # lets the simulator's plan replay skip the per-frame call.
-        self.header_overhead = BASE_HEADER_BYTES + self.tag_bytes + self.digest_bytes
+        # The events the controller has heard of (CTRLRECV).
+        self._controller_mask = 0
+
+    def header_bytes(self, frame: Frame) -> int:
+        return self.header_overhead
 
     def ingress_frame(
         self, location: Location, packet: Packet, payload_bytes: int, flow: Tuple,
@@ -273,8 +109,7 @@ class CorrectLogic(Figure7Logic):
         packet = frame.packet.at(location)
         tag_mask = frame.tag_mask
         digest_mask = frame.digest_mask
-        register_masks = self._register_masks
-        register_mask = register_masks[switch_id]
+        register_mask = self._register_masks[switch_id]
         combined = register_mask | digest_mask
         # One descent of the guarded table: the rule to forward by and
         # the events this packet matches.
@@ -297,36 +132,17 @@ class CorrectLogic(Figure7Logic):
 
         new_known = combined | detected_mask
         if new_known != register_mask:
-            register_masks[switch_id] = new_known
-            self.plan_generations[switch_id] += 1
-        noted = self._noted_masks[switch_id]
-        fresh = new_known & ~noted
-        if fresh:
-            self._noted_masks[switch_id] = noted | fresh
-            self.plan_generations[switch_id] += 1
-            universe = self._universe
-            scan = fresh
-            while scan:
-                low = scan & -scan
-                scan ^= low
-                net.note_event_learned(switch_id, universe[low.bit_length() - 1])
-        if detected_mask:
-            universe = self._universe
-            scan = detected_mask
-            while scan:
-                low = scan & -scan
-                scan ^= low
-                self._notify_controller(net, universe[low.bit_length() - 1])
+            self._learn(net, switch_id, new_known)
+        scan = detected_mask
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            self._notify_controller(net, low)
 
         # Side-effect-free run with outputs in a fixed order: offer the
         # outcome to the simulator's emission-plan cache (valid until
-        # this switch's generation bumps on any register/noted mutation).
-        if (
-            leaf.ordered
-            and detected_mask == 0
-            and fresh == 0
-            and new_known == register_mask
-        ):
+        # this switch's generation bumps on a register write).
+        if leaf.ordered and new_known == register_mask:
             self.last_plan = (leaf, tag_mask, digest_mask)
         if tag_mask is None:
             tag_mask = 0
@@ -347,3 +163,55 @@ class CorrectLogic(Figure7Logic):
             out.structure = structure
             results.append((out_packet._swpt[1], out))
         return results
+
+    def _learn(self, net: SimNetwork, switch_id: int, known: int) -> None:
+        """Grow ``switch_id``'s register to ``known``: the one register
+        write, so it invalidates the switch's plans and reports each new
+        event to the network."""
+        fresh = known & ~self._register_masks[switch_id]
+        self._register_masks[switch_id] = known
+        self.plan_generations[switch_id] += 1
+        universe = self._universe
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            net.note_event_learned(switch_id, universe[low.bit_length() - 1])
+
+    # -- controller ---------------------------------------------------------------
+
+    def _notify_controller(self, net: SimNetwork, event_bit: int) -> None:
+        """CTRLRECV: the controller hears of the event after
+        :data:`EVENT_NOTIFY_LATENCY`."""
+
+        def receive() -> None:
+            self._controller_mask |= event_bit
+            if self.controller_assist:
+                net.sim.schedule(CONTROLLER_LATENCY, lambda: self._broadcast(net))
+
+        net.sim.schedule(EVENT_NOTIFY_LATENCY, receive)
+
+    def _broadcast(self, net: SimNetwork) -> None:
+        """CTRLSEND to every switch: merge the controller's events into
+        each register in enabling order, to a fixpoint (the bit order is
+        the universe's repr order, as in the frozenset merge), so every
+        register stays a valid event-set."""
+        structure = self._structure
+        incoming = self._controller_mask
+        for switch_id, register in self._register_masks.items():
+            known = register
+            remaining = incoming & ~known
+            progress = True
+            while progress and remaining:
+                progress = False
+                scan = remaining
+                while scan:
+                    low = scan & -scan
+                    scan ^= low
+                    if structure.enables_mask(
+                        known, low.bit_length() - 1
+                    ) and structure.con_mask(known | low):
+                        known |= low
+                        remaining ^= low
+                        progress = True
+            if known != register:
+                self._learn(net, switch_id, known)

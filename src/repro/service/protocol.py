@@ -114,6 +114,14 @@ def _json_int(value: Any) -> int:
     return value
 
 
+def _json_str(value: Any) -> str:
+    """``value`` when it is a JSON string.  ``str()`` would turn ``null``
+    or ``7`` into the host names ``"None"`` and ``"7"``."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a JSON string, got {value!r}")
+    return value
+
+
 def _expect_mapping(obj: Any, what: str) -> Mapping[str, Any]:
     if not isinstance(obj, Mapping):
         raise ProtocolError(
@@ -175,10 +183,10 @@ def topology_from_wire(obj: Any) -> Topology:
     try:
         for pair in wire.get("links", ()):
             src, dst = pair
-            topology.add_link(str(src), str(dst))
+            topology.add_link(_json_str(src), _json_str(dst))
         for pair in wire.get("hosts", ()):
             name, attachment = pair
-            topology.add_host(str(name), str(attachment))
+            topology.add_host(_json_str(name), _json_str(attachment))
         for switch in wire.get("switches", ()):
             topology.add_switch(_json_int(switch))
     except (TypeError, ValueError) as exc:

@@ -12,9 +12,12 @@ and the pieces it is built from, each the reference for its fast
 counterpart in ``repro.consistency.traces``: happens-before as a
 frozenset transitive closure, per-position event masks by one
 ``Event.matches`` per event, and ``Traces(C)`` membership by
-materialising ``Configuration.step``.
+materialising ``Configuration.step``; and ``Figure7Logic``, the IN,
+SWITCH, CTRLRECV and CTRLSEND rules of Figure 7 on frozenset registers,
+the reference the simulator's ``CorrectLogic`` is compared against.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -29,7 +32,16 @@ from repro.events.structure import EventStructure
 from repro.netkat.ast import Policy
 from repro.netkat.compiler import Configuration
 from repro.netkat.fdd import FDD, FDDBuilder
-from repro.netkat.packet import LocatedPacket
+from repro.netkat.packet import LocatedPacket, Location, Packet, PT
+from repro.network.simulator import Frame, SimNetwork
+from repro.network.switch_logic import (
+    BASE_HEADER_BYTES,
+    CONTROLLER_LATENCY,
+    EVENT_NOTIFY_LATENCY,
+    EXTRA_PROCESSING_DELAY,
+)
+from repro.runtime.compiler import CompiledNES
+from repro.runtime.semantics import detect_events, merge_in_enabling_order
 from repro.stateful.ast import StateVector, validate_state_references
 from repro.stateful.ets import ETS
 from repro.stateful.events import extract
@@ -295,3 +307,99 @@ def check_update_correctness(
                     t,
                 )
     return CorrectnessReport(True)
+
+
+class Figure7Logic:
+    """The SWITCH/IN/CTRLSEND rules of Figure 7 on frozensets."""
+
+    # Read by the simulator as the per-hop processing cost.
+    extra_processing_delay = EXTRA_PROCESSING_DELAY
+
+    def __init__(self, compiled: CompiledNES, controller_assist: bool = False):
+        self.compiled = compiled
+        self.controller_assist = controller_assist
+        self.registers: Dict[int, Set[Event]] = {
+            n: set() for n in compiled.topology.switches
+        }
+        self.controller_view: Set[Event] = set()
+        # Tag (one config id) + digest (one bit per event), rounded up to
+        # whole bytes -- the "single unused header field" of section 4.1.
+        n_events = max(1, len(compiled.nes.events))
+        n_states = max(2, len(compiled.states))
+        self.tag_bytes = max(1, math.ceil(math.log2(n_states) / 8))
+        self.digest_bytes = max(1, math.ceil(n_events / 8))
+
+    # -- SwitchLogic interface -------------------------------------------------
+
+    def header_bytes(self, frame: Frame) -> int:
+        return BASE_HEADER_BYTES + self.tag_bytes + self.digest_bytes
+
+    def ingress_frame(
+        self, location: Location, packet: Packet, payload_bytes: int, flow: Tuple,
+        ident: int, now: float,
+    ) -> Frame:
+        """The IN rule: stamp the tag of the local event-set."""
+        structure = self.compiled.nes.structure
+        return Frame(
+            packet.at(location),
+            payload_bytes,
+            flow=flow,
+            ident=ident,
+            injected_at=now,
+            tag_mask=structure.encode(self.registers[location.switch]),
+            structure=structure,
+        )
+
+    def process(
+        self, net: SimNetwork, location: Location, frame: Frame
+    ) -> List[Tuple[int, Frame]]:
+        """The SWITCH rule: learn, detect, forward by the packet's tag."""
+        structure = self.compiled.nes.structure
+        switch_id = location.switch
+        register = self.registers[switch_id]
+        combined = frozenset(register) | frame.digest
+        detected = detect_events(self.compiled.nes, combined, frame.packet, location)
+        new_known = combined | frozenset(detected)
+        register.update(new_known)
+        for event in new_known:
+            net.note_event_learned(switch_id, event)
+        for event in detected:
+            self._notify_controller(net, event)
+
+        tag = frame.tag or frozenset()
+        table = self.compiled.config_for_event_set(tag).table(switch_id)
+        outputs = sorted(table.apply(frame.packet.at(location)), key=repr)
+        tag_mask = structure.encode(tag)
+        digest_mask = structure.encode(new_known)
+        return [
+            (
+                out[PT],
+                frame.replace(
+                    packet=out,
+                    tag_mask=tag_mask,
+                    digest_mask=digest_mask,
+                    structure=structure,
+                ),
+            )
+            for out in outputs
+        ]
+
+    # -- controller ---------------------------------------------------------------
+
+    def _notify_controller(self, net: SimNetwork, event: Event) -> None:
+        def receive() -> None:
+            self.controller_view.add(event)
+            if self.controller_assist:
+                net.sim.schedule(CONTROLLER_LATENCY, lambda: self._broadcast(net))
+
+        net.sim.schedule(EVENT_NOTIFY_LATENCY, receive)
+
+    def _broadcast(self, net: SimNetwork) -> None:
+        """CTRLSEND to every switch, merging in enabling order."""
+        structure = self.compiled.nes.structure
+        for switch_id, register in self.registers.items():
+            known = merge_in_enabling_order(structure, register, self.controller_view)
+            if known != register:
+                register.update(known)
+                for event in known:
+                    net.note_event_learned(switch_id, event)

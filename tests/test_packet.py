@@ -24,6 +24,16 @@ class TestLocation:
         with pytest.raises(ValueError):
             Location.parse("a:b")
 
+    @pytest.mark.parametrize(
+        "text", ["2:1_0", "2: 10", "2:+10", "2:١٠", " 2:10", "2:10\n", "-2:10"]
+    )
+    def test_parse_takes_only_ascii_digits(self, text):
+        # int() read each of these as 2:10 (or -2:10), so other spellings
+        # named the same location.
+        with pytest.raises(ValueError, match="malformed location"):
+            Location.parse(text)
+        assert Location.parse("2:10") == Location(2, 10)
+
     def test_ordering(self):
         assert Location(1, 2) < Location(1, 3) < Location(2, 0)
 

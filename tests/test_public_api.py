@@ -133,10 +133,11 @@ def _resolve(spec):
 
 # (callable, positional arguments it takes, a parameter no caller outside
 # the tests set): the default became the behaviour, the spelling is gone.
+# Figure7Logic, the frozenset reference, lives in tests/naive_oracles.py.
 REMOVED_PARAMETERS = [
-    ("repro.network.switch_logic:Figure7Logic", 1, "controller_latency"),
-    ("repro.network.switch_logic:Figure7Logic", 1, "event_notify_latency"),
-    ("repro.network.switch_logic:Figure7Logic", 1, "extra_processing_delay"),
+    ("naive_oracles:Figure7Logic", 1, "controller_latency"),
+    ("naive_oracles:Figure7Logic", 1, "event_notify_latency"),
+    ("naive_oracles:Figure7Logic", 1, "extra_processing_delay"),
     ("repro.network.switch_logic:CorrectLogic", 1, "controller_latency"),
     ("repro.network.switch_logic:CorrectLogic", 1, "event_notify_latency"),
     ("repro.network.switch_logic:CorrectLogic", 1, "extra_processing_delay"),
@@ -205,6 +206,9 @@ REMOVED_NAMES = [
     "repro.network:Frame.masks",
     "repro.network:CorrectLogic.on_ingress",
     "repro.network.switch_logic:Figure7Logic.on_ingress",
+    "repro.network.switch_logic:Figure7Logic",
+    "repro.network:CorrectLogic.registers",
+    "repro.network:CorrectLogic.controller_view",
     "repro.baselines:ReferenceLogic.on_ingress",
     "repro.baselines:UncoordinatedLogic.on_ingress",
     "repro.baselines:TwoPhaseLogic.on_ingress",
@@ -233,6 +237,18 @@ def test_removed_names_are_gone(spec):
     owner, _, name = path.rpartition(".")
     with pytest.raises(AttributeError):
         getattr(_resolve(f"{module}:{owner}"), name)
+
+
+def test_correct_logic_stands_alone_on_masks():
+    """``CorrectLogic`` subclasses no reference: its registers and the
+    controller's view are masks, with no set-valued view beside them."""
+    from repro.apps import authentication_app
+    from repro.network import CorrectLogic
+
+    assert CorrectLogic.__bases__ == (object,)
+    logic = CorrectLogic(authentication_app().compiled, controller_assist=True)
+    for name in ("registers", "controller_view"):
+        assert not hasattr(logic, name)
 
 
 def test_definition_2_has_no_second_module():

@@ -43,6 +43,7 @@ import pytest
 from repro import CompileOptions, Delta, Pipeline, faults
 from repro.apps import firewall_app, ids_app, ring_app
 from repro.netkat.ast import conj, filter_, seq, test as field_test, union
+from repro.netkat.packet import Location
 from repro.netkat.parser import parse_policy
 from repro.pipeline import ArtifactCache, StageError, _topology_fingerprint
 from repro.service import (
@@ -666,15 +667,16 @@ class TestProtocolErrors:
             assert (status, body["error"]["code"]) == (400, code), extra
             assert "tables" not in body
 
-    @pytest.mark.parametrize("switch", [1.9, True, "7"], ids=repr)
-    def test_ill_typed_switch_ids_are_a_400(self, switch, shared_service):
-        """``int()`` used to turn these into switches 1 and 7: a topology
-        nobody sent, compiled under its artifact key."""
+    @staticmethod
+    def _assert_bad_topology(shared_service, edit):
+        """``edit`` of the firewall's wire topology is a ``bad_topology``
+        from ``topology_from_wire``, and a 400 on ``/compile`` and on an
+        ``/update`` topology delta."""
         app = firewall_app()
         wire = protocol.compile_request_to_wire(
             app.program, app.topology, app.initial_state
         )
-        topology = {**wire["topology"], "switches": [switch]}
+        topology = edit(wire["topology"])
         with pytest.raises(protocol.ProtocolError) as excinfo:
             protocol.topology_from_wire(topology)
         assert excinfo.value.code == "bad_topology"
@@ -693,6 +695,37 @@ class TestProtocolErrors:
             shared_service, "POST", "/update", data=json.dumps(update).encode()
         )
         assert (status, body["error"]["code"]) == (400, "bad_topology")
+
+    @pytest.mark.parametrize("switch", [1.9, True, "7"], ids=repr)
+    def test_ill_typed_switch_ids_are_a_400(self, switch, shared_service):
+        """``int()`` used to turn these into switches 1 and 7: a topology
+        nobody sent, compiled under its artifact key."""
+        self._assert_bad_topology(
+            shared_service, lambda topology: {**topology, "switches": [switch]}
+        )
+
+    @pytest.mark.parametrize("endpoint", ["2:1_0", "2: 10", "2:+10", "2:١٠"])
+    def test_other_spellings_of_a_location_are_a_400(self, endpoint, shared_service):
+        """``int()`` used to read each of these as ``"2:10"``: the same
+        topology, fingerprint and artifact key as a request that wrote
+        that link."""
+        link = [endpoint, "1:3"]
+        self._assert_bad_topology(
+            shared_service,
+            lambda topology: {**topology, "links": [*topology["links"], link]},
+        )
+        written = protocol.topology_to_wire(firewall_app().topology)
+        written["links"].append(["2:10", "1:3"])
+        links = set(protocol.topology_from_wire(written).links())
+        assert (Location(2, 10), Location(1, 3)) in links
+
+    @pytest.mark.parametrize("name", [None, 7], ids=repr)
+    def test_non_string_host_names_are_a_400(self, name, shared_service):
+        """``str()`` used to name these hosts ``"None"`` and ``"7"``."""
+        self._assert_bad_topology(
+            shared_service,
+            lambda topology: {**topology, "hosts": [*topology["hosts"], [name, "1:3"]]},
+        )
 
     def test_state_references_past_the_state_vector_are_a_400(
         self, shared_service

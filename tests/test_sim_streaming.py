@@ -3,8 +3,10 @@
 Every record-identity test here runs its scenario through the one
 ``SimNetwork`` and checks the ``DeliveryRecord``/``DropRecord``
 sequences of the default ``CorrectLogic`` against (i) the frozenset
-``Figure7Logic`` (the SWITCH/IN rules as Figure 7 writes them, no memo,
-no plan cache), (ii) one ``inject`` per frame in place of
+``Figure7Logic`` of ``tests/naive_oracles.py`` (the rules as Figure 7
+writes them, no memo, no plan cache; under controller assistance its
+CTRLRECV and CTRLSEND too, ``event_learned_at`` included), (ii) one
+``inject`` per frame in place of
 ``inject_stream``, which must also agree with the stream under each
 baseline logic, and (iii) a SHA-256 digest recorded from the
 eager-heap, no-memo frozenset simulator before it was deleted.  The
@@ -15,6 +17,7 @@ delivery accessors, the plan-cache bound, and seeded determinism.
 """
 
 import hashlib
+from functools import partial
 
 import pytest
 
@@ -34,15 +37,22 @@ from repro.consistency import CorrectnessReport, NESChecker
 from repro.consistency.traces import NetworkTrace, position_event_masks
 from repro.netkat.flowtable import FlowTable, Rule
 from repro.netkat.packet import LocatedPacket, Location, Packet
-from repro.network import CorrectLogic, Frame, FrameBatch, SimNetwork
+from repro.network import (
+    CorrectLogic,
+    Frame,
+    FrameBatch,
+    SimNetwork,
+    install_ping_responders,
+    send_ping,
+)
 from repro.network import simulator
-from repro.network.switch_logic import Figure7Logic
 from repro.obs import metrics as obs_metrics
 from repro.topology import Host
 
 from naive_oracles import (
     NO_FO,
     EventDrivenUpdate,
+    Figure7Logic,
     check_update_correctness,
     packet_trace_in_traces_naive,
 )
@@ -213,6 +223,110 @@ class TestRecordIdentityGoldens:
         assert [d.frame.injected_at for d in deliveries] == sorted(
             d.frame.injected_at for d in deliveries
         )
+
+
+# Digests (see _assist_digest) of the controller-assisted scenarios
+# below, generated from CorrectLogic(controller_assist=True) before its
+# CTRLRECV and CTRLSEND ran on masks (when it inherited both from
+# Figure7Logic).
+PINNED_ASSIST = {
+    "ring2": "db1be0e4d212f5b2e85a06bdbc01741b9d13f1e608e8d22391fd4861597ef7c4",
+    "ring4": "3f2de8261c16ad29d9970940932440684fe2d3bfcf1ae75a8cfe82e41f5104a4",
+    "ring8": "8d638de416e46c6ebf97eeb5072c2d0d2c8fd3a89822d586edf1e1da55b142e2",
+    "firewall": "d51363aa11e01a5f6f4bbeaf7662dbcd5e783e6a75629e831eeb44f60857b45e",
+    "authentication": "66366377defee83c4f0b45f86dadeadbfe7aeddc4bda6c873503d69222cbf9e0",
+}
+
+
+def _assist_digest(net):
+    """SHA-256 over the record digest and every (switch, event, time)
+    of ``event_learned_at``."""
+    learned = sorted(
+        (switch, repr(event), at)
+        for (switch, event), at in net.event_learned_at.items()
+    )
+    records = _record_digest(net.deliveries, net.drops)
+    return hashlib.sha256(f"{records}\n{learned!r}".encode()).hexdigest()
+
+
+def _ring_convergence(diameter, logic):
+    """Figure 16b's ring convergence run, as ``benchmarks/_scenarios.py``
+    sets it up: a signal frame at 1 s under 120 background pings."""
+    app = ring_app(diameter)
+    net = SimNetwork(app.topology, logic(app.compiled), seed=5)
+    install_ping_responders(net)
+    signal = Frame(
+        packet=Packet({"ip_src": 1, SIGNAL_FIELD: 1, "kind": 0, "ident": 0}),
+        flow=("signal",),
+    )
+    net.inject("H1", signal, at=1.0)
+    for i in range(120):
+        send_ping(net, "H1", "H2", 100 + i, at=0.5 + i * 0.1)
+    net.run(until=30.0)
+    return net
+
+
+class TestControllerAssistGoldens:
+    """CTRLRECV and CTRLSEND on masks against the frozenset reference:
+    with ``controller_assist=True`` the two logics agree on deliveries,
+    drops and ``event_learned_at``, and both on the pinned digest."""
+
+    @staticmethod
+    def _check(pinned, run):
+        correct, reference = (
+            run(partial(logic, controller_assist=True))
+            for logic in (CorrectLogic, Figure7Logic)
+        )
+        assert _records(correct) == _records(reference)
+        assert correct.event_learned_at == reference.event_learned_at
+        assert _assist_digest(correct) == PINNED_ASSIST[pinned]
+        return correct
+
+    @pytest.mark.parametrize("diameter", (2, 4, 8))
+    def test_ring_convergence(self, diameter):
+        net = self._check(
+            f"ring{diameter}", lambda logic: _ring_convergence(diameter, logic)
+        )
+        assert {switch for switch, _ in net.event_learned_at} == set(
+            net.topology.switches
+        )
+
+    def test_firewall_stream(self):
+        # The firewall golden, spread over 120 ms: CTRLSEND installs the
+        # event at s1 mid-stream, so later frames leave it tagged.
+        net = self._check(
+            "firewall",
+            lambda logic: _stream_records(
+                firewall_app, "H1", "H4", 120, logic=logic, spacing=1e-3
+            )[0],
+        )
+        assert len({d.frame.tag for d in net.deliveries}) == 2
+
+    def test_authentication_knocks(self):
+        # The authentication golden stream, H1 -> H4, while H4 knocks on
+        # H1 and then H2.  s4 learns the first event from the stream's
+        # digests and the second only by CTRLSEND, with frames stamped
+        # before it still on the s1 -> s4 link.
+        def run(logic):
+            app = authentication_app()
+            net = SimNetwork(app.topology, logic(app.compiled), seed=7)
+            batch = FrameBatch(
+                {"ip_src": 1, "ip_dst": 4, "kind": 0, "ident": 0},
+                800,
+                payload_bytes=64,
+                flow=("bulk", "H1", "H4"),
+                spacing=2.5e-4,
+            )
+            net.inject_stream("H1", batch)
+            for at, dst in ((1e-3, "H1"), (80e-3, "H2")):
+                knock = {"ip_src": 4, "ip_dst": HOSTS[dst], "kind": 0, "ident": 0}
+                net.inject("H4", Frame(Packet(knock), flow=("knock", dst)), at=at)
+            net.run()
+            return net
+
+        net = self._check("authentication", run)
+        assert len(net.deliveries) == 802
+        assert len({d.frame.digest for d in net.deliveries_to("H4")}) == 3
 
 
 def _allowed_sequences(structure, events, prefix=()):
@@ -422,17 +536,31 @@ class TestDeterminismAndOptions:
         assert runs[0][2] == runs[1][2]
         assert runs[0][0].sim.events_processed == runs[1][0].sim.events_processed
 
-    def test_plan_cache_invalidated_by_external_register_mutation(self):
-        # Mutating logic.registers[sw] directly (the documented test
-        # surface) must bump the plan generation so stale emission plans
-        # are never replayed.
-        net, _, _ = _stream_records(lambda: ring_app(2), "H1", "H2", 20)
+    def test_ctrlsend_bumps_the_generation_of_each_register_it_changes(self):
+        # CTRLSEND must bump the plan generation of each switch whose
+        # register it writes, so stale emission plans are never
+        # replayed, and of no other.  The signal frame fires the event at
+        # s5, H2's switch; the stream carries no digest back, so no other
+        # switch knows it before CTRLSEND.
+        signal = (0.0, "H1", {"ip_src": 1, SIGNAL_FIELD: 1, "kind": 0, "ident": 0})
+        net, _, _ = _stream_records(
+            lambda: ring_app(4), "H1", "H2", 20, signal=signal
+        )
         logic = net.logic
-        switch = net.topology.hosts[0].attachment.switch
-        before = logic.plan_generations[switch]
-        event = next(iter(logic.compiled.nes.events))
-        logic.registers[switch].add(event)
-        assert logic.plan_generations[switch] > before
+        (event,) = logic.compiled.nes.events
+        knew = {switch for switch, _ in net.event_learned_at}
+        assert knew and knew != set(net.topology.switches)
+        before = dict(logic.plan_generations)
+        logic._controller_mask = logic.compiled.nes.structure.encode({event})
+        logic._broadcast(net)
+        assert {
+            switch
+            for switch, generation in logic.plan_generations.items()
+            if generation != before[switch]
+        } == set(net.topology.switches) - knew
+        after = dict(logic.plan_generations)
+        logic._broadcast(net)
+        assert logic.plan_generations == after
 
     def test_each_switch_on_the_path_misses_its_plan_exactly_once(self):
         # An event-free constant-header stream: every switch runs the
@@ -453,31 +581,34 @@ class TestDeterminismAndOptions:
         assert registry.value(plan_cache, result="hit") == 48 * on_path
 
     def test_register_mutation_mid_stream_invalidates_recorded_plans(self):
+        # Under assist, a signal frame at 10.5 ms fires the ring event at
+        # s3; CTRLSEND then writes the registers of s1, s2 and s4 while
+        # frames stamped before it are still on the clockwise path.
         def run(logic_class):
             app = ring_app(2)
-            logic = logic_class(app.compiled)
+            logic = logic_class(app.compiled, controller_assist=True)
             net = SimNetwork(app.topology, logic, seed=7)
-            switch = app.topology.host("H1").attachment.switch
-            event = min(app.compiled.nes.events, key=repr)
             net.inject_stream(
                 "H1",
                 FrameBatch(
                     {"ip_src": 1, "ip_dst": 2, "kind": 0, "ident": 0},
-                    20,
+                    400,
                     payload_bytes=64,
-                    spacing=1e-3,
+                    spacing=2.5e-4,
                 ),
             )
-            net.sim.schedule(10.5e-3, lambda: logic.registers[switch].add(event))
+            signal = Packet({"ip_src": 1, SIGNAL_FIELD: 1, "kind": 0, "ident": 0})
+            net.inject("H1", Frame(signal, flow=("signal",)), at=10.5e-3)
             net.run()
             return tuple(net.deliveries), tuple(net.drops)
 
         with obs_metrics.collecting() as registry:
             records = run(CorrectLogic)
-        assert len(records[0]) + len(records[1]) == 20
+        assert len(records[0]) + len(records[1]) == 401
+        assert len({d.frame.tag for d in records[0]}) == 2
         # Three switches on the path: more than three misses means the
         # stale plans were not replayed; equal records mean the re-run
-        # logic saw the mutated register.
+        # logic saw the written register.
         assert registry.value("repro_sim_plan_cache_total", result="miss") > 3
         assert records == run(Figure7Logic)
 
@@ -664,11 +795,12 @@ class TestServedArtifact:
         # (no plan), after which the register covers it.
         assert [hop(5, digest_mask=1), hop(6, digest_mask=1), hop(7, digest_mask=1)] == [1, 1, 0]
         assert [hop(8), hop(9)] == [1, 0]
-        # An external register write bumps the generation.
-        logic.registers[switch].discard(event)
-        assert [hop(10), hop(11)] == [1, 0]
-        logic.registers[switch].add(event)
-        assert [hop(12), hop(13)] == [1, 0]
+        # A CTRLSEND of an event the register already holds writes
+        # nothing, so the plan survives.  (No rule of Figure 7 removes an
+        # event from a register.)
+        logic._controller_mask = structure.encode({event})
+        logic._broadcast(net)
+        assert [hop(10), hop(11)] == [0, 0]
 
     def test_one_packet_object_in_two_networks(self):
         def net_of(app):
