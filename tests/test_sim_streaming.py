@@ -536,7 +536,7 @@ class TestDeterminismAndOptions:
         assert runs[0][2] == runs[1][2]
         assert runs[0][0].sim.events_processed == runs[1][0].sim.events_processed
 
-    def test_ctrlsend_bumps_the_generation_of_each_register_it_changes(self):
+    def test_plan_cache_invalidated_by_external_register_mutation(self):
         # CTRLSEND must bump the plan generation of each switch whose
         # register it writes, so stale emission plans are never
         # replayed, and of no other.  The signal frame fires the event at
