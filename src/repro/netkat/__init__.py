@@ -54,7 +54,7 @@ from .flowtable import FlowTable, Match, PrefixMatch, Rule, table_of_fdd
 from .packet import History, LocatedPacket, Location, Packet, PT, SW
 from .parser import ParseError, parse_policy, parse_predicate
 from .pretty import pretty_policy, pretty_predicate
-from .semantics import eval_packet, eval_policy, eval_predicate, step_relation
+from .semantics import eval_packet, eval_policy, eval_predicate
 
 __all__ = [
     # packets
@@ -101,7 +101,6 @@ __all__ = [
     "eval_predicate",
     "eval_policy",
     "eval_packet",
-    "step_relation",
     # fdd + tables
     "FDD",
     "FDDBuilder",

@@ -97,9 +97,6 @@ class FDD:
 
     __slots__ = ("_id",)
 
-    def is_leaf(self) -> bool:
-        return isinstance(self, Leaf)
-
 
 class Leaf(FDD):
     """A leaf holding an action set (empty set = drop)."""

@@ -6,14 +6,12 @@ direct -- it is the ground truth against which the FDD compiler
 (:mod:`repro.netkat.fdd`) is validated by the test suite.
 
 For convenience we also expose a packet-level wrapper (:func:`eval_packet`)
-that ignores histories, and a configuration view (:func:`step_relation`)
-that presents a policy as the relation ``C`` on located packets used in
-section 2 of the paper.
+that ignores histories.
 """
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Set
+from typing import FrozenSet, Set
 
 from .ast import (
     Assign,
@@ -32,13 +30,12 @@ from .ast import (
     Test,
     Union,
 )
-from .packet import History, LocatedPacket, Packet, PT, SW
+from .packet import History, Packet, PT, SW
 
 __all__ = [
     "eval_predicate",
     "eval_policy",
     "eval_packet",
-    "step_relation",
     "STAR_FUEL",
 ]
 
@@ -121,19 +118,3 @@ def eval_packet(p: Policy, packet: Packet) -> FrozenSet[Packet]:
     """Packet-level evaluation: run ``p`` and return the head packets."""
     return frozenset(h.head for h in eval_policy(p, History.of(packet)))
 
-
-def step_relation(p: Policy) -> Callable[[LocatedPacket], FrozenSet[LocatedPacket]]:
-    """View a policy as the configuration relation ``C`` on located packets.
-
-    ``C(lp, lp')`` holds iff ``lp'`` is in the returned set for ``lp``.
-    Output packets that are unchanged *and* unmoved are still reported;
-    the caller decides whether self-loops are meaningful.
-    """
-
-    def apply(lp: LocatedPacket) -> FrozenSet[LocatedPacket]:
-        packet = lp.packet.at(lp.location)
-        return frozenset(
-            LocatedPacket.of(out) for out in eval_packet(p, packet)
-        )
-
-    return apply

@@ -41,7 +41,6 @@ Usage::
     registry = metrics.MetricsRegistry()
     with metrics.collecting(registry):
         ...  # instrumented code records into `registry`
-    print(registry.snapshot())
 
 Scrape-time **collectors** expose values derived from a structure that
 is itself the store (the daemon's memo size, its uptime) and so have no
@@ -338,25 +337,6 @@ class MetricsRegistry:
                 samples.append((name, kind, _label_key(labels), float(value), help))
         samples.sort(key=lambda s: (s[0], s[2]))
         return samples
-
-    def snapshot(self) -> Dict[str, float]:
-        """A flat ``{"name{k=v,...}": value}`` view (histograms appear
-        as ``_count`` / ``_sum``) — the test/debug convenience."""
-        out: Dict[str, float] = {}
-        for name, kind, label_items, metric, _ in self.collect():
-            suffix = (
-                "{" + ",".join(f"{k}={v}" for k, v in label_items) + "}"
-                if label_items
-                else ""
-            )
-            if isinstance(metric, Histogram):
-                out[f"{name}_count{suffix}"] = metric.count
-                out[f"{name}_sum{suffix}"] = metric.sum
-            elif isinstance(metric, (Counter, Gauge)):
-                out[f"{name}{suffix}"] = metric.value
-            else:
-                out[f"{name}{suffix}"] = metric  # collector value
-        return out
 
     def value(self, name: str, **labels) -> float:
         """The current value of one counter/gauge (0 when never touched)."""

@@ -74,9 +74,6 @@ class TrieNode:
     children: Tuple["TrieNode", ...] = ()
     leaf_index: Optional[int] = None  # position in the *input* config list
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 def _intersect(a: MaybeRules, b: MaybeRules) -> MaybeRules:
     if a is None:

@@ -1,7 +1,14 @@
 """The public API surface: everything advertised in ``__all__`` exists,
-and the README quickstart runs as documented."""
+the package docstring's quickstart runs as written, and what a change
+deleted stays deleted (the ``DELETED`` table)."""
 
+import collections
+import functools
 import importlib
+import inspect
+import re
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -63,18 +70,11 @@ def test_compile_options_surface_is_pinned():
 
 
 def test_sim_options_are_gone():
-    """One simulator path: no ``SimOptions`` name, module or parameter."""
-    import inspect
-
-    import repro
+    """One simulator path: no callable takes an ``options`` object."""
     from repro.apps import firewall_app
     from repro.consistency import NESChecker, check_trace_against_nes
     from repro.network import CorrectLogic, SimNetwork
 
-    assert "SimOptions" not in repro.__all__ + repro.network.__all__
-    assert not hasattr(repro, "SimOptions")
-    with pytest.raises(ImportError):
-        importlib.import_module("repro.sim_options")
     app = firewall_app()
     for fn, args in (
         (SimNetwork, (app.topology, None)),
@@ -87,22 +87,17 @@ def test_sim_options_are_gone():
             fn(*args, options=None)
 
 
-def test_readme_quickstart():
-    """The exact quickstart from README.md."""
-    from repro.apps import firewall_app
-    from repro.consistency import check_trace_against_nes
+def test_package_docstring_quickstart_runs(monkeypatch, tmp_path):
+    """The two ``::`` blocks of ``repro.__doc__`` run as written (the second,
+    which writes an artifact cache, in a scratch directory)."""
+    import repro
 
-    app = firewall_app()
-    rt = app.runtime(seed=0)
-    rt.inject("H4", {"ip_dst": 1, "ip_src": 4})
-    rt.run_until_quiescent()
-    rt.inject("H1", {"ip_dst": 4, "ip_src": 1})
-    rt.run_until_quiescent()
-    rt.inject("H4", {"ip_dst": 1, "ip_src": 4})
-    rt.run_until_quiescent()
-
-    report = check_trace_against_nes(rt.network_trace(), app.nes, app.topology)
-    assert report.correct
+    first, second = re.findall(r"::\n\n((?: {4}.*\n|\n)*)", repro.__doc__)
+    namespace = {}
+    exec(textwrap.dedent(first), namespace)
+    monkeypatch.chdir(tmp_path)
+    exec(textwrap.dedent(second), namespace)
+    assert namespace["tables"] and (tmp_path / ".repro-cache").is_dir()
 
 
 def test_readme_parse_example():
@@ -122,153 +117,20 @@ def test_readme_parse_example():
     assert program == firewall_app().program
 
 
-def _resolve(spec):
-    """``"module:Attr.path"`` -> the object it names."""
-    module, _, path = spec.partition(":")
-    obj = importlib.import_module(module)
-    for part in filter(None, path.split(".")):
-        obj = getattr(obj, part)
-    return obj
-
-
-# (callable, positional arguments it takes, a parameter no caller outside
-# the tests set): the default became the behaviour, the spelling is gone.
-# Figure7Logic, the frozenset reference, lives in tests/naive_oracles.py.
-REMOVED_PARAMETERS = [
-    ("naive_oracles:Figure7Logic", 1, "controller_latency"),
-    ("naive_oracles:Figure7Logic", 1, "event_notify_latency"),
-    ("naive_oracles:Figure7Logic", 1, "extra_processing_delay"),
-    ("repro.network.switch_logic:CorrectLogic", 1, "controller_latency"),
-    ("repro.network.switch_logic:CorrectLogic", 1, "event_notify_latency"),
-    ("repro.network.switch_logic:CorrectLogic", 1, "extra_processing_delay"),
-    ("repro.baselines:UncoordinatedLogic", 1, "push_gap"),
-    ("repro.baselines:UncoordinatedLogic", 1, "event_notify_latency"),
-    ("repro.baselines:TwoPhaseLogic", 1, "flip_gap"),
-    ("repro.baselines:TwoPhaseLogic", 1, "event_notify_latency"),
-    ("repro.network:SimNetwork", 2, "link_params"),
-    ("repro.network:send_bulk", 4, "at"),
-    ("repro.network:send_bulk", 4, "extra_fields"),
-    ("repro.network:send_ping", 5, "payload_bytes"),
-    ("repro.network:install_ping_responders", 1, "hosts"),
-    ("repro.network:goodput", 3, "payload_bytes"),
-    ("repro.stateful.ets:build_ets", 2, "state_space"),
-    ("repro.stateful.ets:build_ets", 2, "max_states"),
-    ("repro.netkat.fdd:FDDBuilder.star", 2, "fuel"),
-    ("repro.netkat.flowtable:table_of_fdd", 2, "base_priority"),
-    ("repro.verify:tables_equivalent", 2, "max_probes"),
-    ("repro.verify:explore_all_interleavings", 2, "max_executions"),
-    ("repro.runtime.semantics:Runtime.drain_controller", 1, "max_steps"),
-    ("repro.consistency.traces:packet_trace_in_traces", 2, "require_complete"),
-    ("repro.events.structure:EventStructure.event_sets", 1, "limit"),
-    ("repro.events.structure:EventStructure.event_sets_masks", 1, "limit"),
-    ("repro.events.locality:locality_violations", 1, "max_size"),
-    ("repro.events.locality:is_locally_determined", 1, "max_size"),
-    ("repro.netkat.compiler:compile_policy", 2, "guard"),
-    ("repro.runtime.compiler:CompiledNES", 3, "builder"),
-    ("repro.runtime.compiler:CompiledNES", 3, "options"),
-    ("repro.runtime.compiler:CompiledNES", 3, "health"),
-    ("repro.runtime.compiler:CompiledNES", 3, "reuse_configurations"),
-    ("repro.pipeline:CompileOptions", 0, "compile_retries"),
-    ("repro.apps.base:App", 4, "options"),
-]
-
-
-@pytest.mark.parametrize(
-    "target, positional, keyword",
-    REMOVED_PARAMETERS,
-    ids=[f"{target.partition(':')[2]}-{kw}" for target, _, kw in REMOVED_PARAMETERS],
-)
-def test_removed_parameters_raise(target, positional, keyword):
-    with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
-        _resolve(target)(*[None] * positional, **{keyword: None})
-
-
-REMOVED_NAMES = [
-    "repro:compile_app",
-    "repro.pipeline:compile_app",
-    "repro.events.nes:NES.newly_enabled",
-    "repro.netkat.semantics:reachable_packets",
-    "repro.netkat:policy_links",
-    "repro.netkat.ast:policy_links",
-    "repro.topology:Topology.ports_of",
-    "repro.topology:Topology.link_sources",
-    "repro.service:ServiceClient.compile_request",
-    "repro.runtime.compiler:CompiledNES.encode_digest",
-    "repro.runtime.compiler:CompiledNES.decode_digest",
-    "repro.netkat.flowtable:Match.specificity",
-    "repro.netkat.flowtable:Rule.is_drop",
-    "repro.netkat.flowtable:FlowTable.merged_with",
-    "repro.formula:Conjunction.is_true",
-    "repro.apps.base:App.host_address",
-    "repro.service:launcher_main",
-    "repro.service.launcher:main",
-    "repro.service.launcher:build_arg_parser",
-    "repro.network:Frame.masks",
-    "repro.network:CorrectLogic.on_ingress",
-    "repro.network.switch_logic:Figure7Logic.on_ingress",
-    "repro.network.switch_logic:Figure7Logic",
-    "repro.network:CorrectLogic.registers",
-    "repro.network:CorrectLogic.controller_view",
-    "repro.baselines:ReferenceLogic.on_ingress",
-    "repro.baselines:UncoordinatedLogic.on_ingress",
-    "repro.baselines:TwoPhaseLogic.on_ingress",
-    "repro.runtime:compile_nes",
-    "repro.runtime.compiler:compile_nes",
-    "repro.runtime.compiler:CompiledNES.invalidate_guarded_tables",
-    "repro.runtime.compiler:CompiledNES.config_rule_count",
-    "repro.runtime.compiler:CompiledNES.adopt_guarded_tables",
-    "repro.pipeline:Pipeline._reusable_configurations",
-    "repro.pipeline:Pipeline.guarded_tables",
-    "repro.consistency:EventDrivenUpdate",
-    "repro.consistency:first_occurrences",
-    "repro.consistency:check_update_correctness",
-    "repro.consistency.traces:packet_trace_follows",
-    "repro.pipeline:_backoff_delay",
-    "repro.verify:policies_equivalent",
-    "repro.verify:predicates_equivalent",
-    "repro.verify:configurations_equivalent",
-    "repro.verify:stateful_projections_equivalent",
-]
-
-
-@pytest.mark.parametrize("spec", REMOVED_NAMES)
-def test_removed_names_are_gone(spec):
-    module, _, path = spec.partition(":")
-    owner, _, name = path.rpartition(".")
-    with pytest.raises(AttributeError):
-        getattr(_resolve(f"{module}:{owner}"), name)
-
-
 def test_correct_logic_stands_alone_on_masks():
-    """``CorrectLogic`` subclasses no reference: its registers and the
-    controller's view are masks, with no set-valued view beside them."""
-    from repro.apps import authentication_app
+    """``CorrectLogic`` subclasses no reference (its set-valued views are
+    ``DELETED`` rows, looked up on an instance)."""
     from repro.network import CorrectLogic
 
     assert CorrectLogic.__bases__ == (object,)
-    logic = CorrectLogic(authentication_app().compiled, controller_assist=True)
-    for name in ("registers", "controller_view"):
-        assert not hasattr(logic, name)
-
-
-def test_definition_2_has_no_second_module():
-    """Definitions 2 and 6 are decided in ``repro.consistency.checker``;
-    the module that held a second, frozenset Definition 2 is gone."""
-    with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("repro.consistency.update")
 
 
 def test_the_artifact_holds_only_artifact_fields():
-    """``CompiledNES`` is the artifact: the unread event-set encodings and
-    the per-run compile count are gone, and its pickle is exactly its
-    fields, so a fact about one run cannot creep back into it."""
+    """``CompiledNES`` is the artifact: its pickle is exactly its fields,
+    so a fact about one run cannot creep back into it."""
     from repro.apps import firewall_app
 
-    compiled = firewall_app().compiled
-    for name in ("event_sets", "event_set_ids", "event_bits", "compiled_configurations"):
-        with pytest.raises(AttributeError):
-            getattr(compiled, name)
-    assert set(compiled.__getstate__()) == {
+    assert set(firewall_app().compiled.__getstate__()) == {
         "nes", "topology", "states", "config_ids", "configurations",
     }
 
@@ -293,34 +155,339 @@ def test_frame_tag_and_digest_spellings_are_gone():
         frame.tag = frozenset()
 
 
-def test_compile_app_is_not_advertised():
-    import repro
+# What was deleted, one row per deleted thing: extend it whenever a change
+# deletes a path.  Targets are "module:Attr.path" ("module" for a module-level
+# name); a scan (regex, paths) matches no line under the paths, this file aside.
+#   ("name", name, owners, *scans)       no owner has it, no PACKAGES __all__ does
+#   ("param", keyword, targets, *scans)  each target raises TypeError on it
+#   ("text", regex, paths)               one scan
+#   ("count", needle, path, n)           exactly n lines under path hold it
+#   ("module", dotted)                   neither the module nor its file exists
+#   ("default", target, value)           a removed parameter's default, now a constant
+SRC = ("src/repro",)
+ALL = ("src/repro", "examples", "benchmarks")
+SERVICE = ("src/repro/service",)
+PIPELINE = "src/repro/pipeline.py"
+CNES = "repro.runtime.compiler:CompiledNES"
+LOGICS = "naive_oracles:Figure7Logic repro.network.switch_logic:CorrectLogic"
 
-    assert "compile_app" not in repro.__all__
+
+def _method(name):  # a removed method is neither called nor defined
+    return (rf"\.{name}\(|def {name}\b", ALL)
 
 
-FORMER_DEFAULTS = [
-    ("repro.network.switch_logic:EVENT_NOTIFY_LATENCY", 0.01),
-    ("repro.network.switch_logic:CONTROLLER_LATENCY", 0.05),
-    ("repro.network.switch_logic:EXTRA_PROCESSING_DELAY", 6e-6),
-    ("repro.network.switch_logic:CorrectLogic.extra_processing_delay", 6e-6),
-    ("repro.baselines.uncoordinated:PUSH_GAP", 0.02),
-    ("repro.baselines.two_phase:FLIP_GAP", 0.01),
-    ("repro.network.traffic:PING_PAYLOAD_BYTES", 64),
-    ("repro.stateful.ets:MAX_STATES", 10_000),
-    ("repro.netkat.fdd:STAR_FUEL", 200),
-    ("repro.verify.equiv:MAX_PROBES", 200_000),
-    ("repro.verify.explore:MAX_EXECUTIONS", 100_000),
-    ("repro.runtime.semantics:MAX_DRAIN_STEPS", 10_000),
-    ("repro.events.structure:MAX_EVENT_SETS", 100_000),
+DELETED = [
+    # No deprecation shim, no implementation switch of the compiler.
+    ("text", "DeprecationWarning", SRC),
+    ("text", "symbolic_extract|knowledge_cache|ordered_insert|ast_memo", SRC),
+    # The builder's reference switches live in tests/naive_oracles.py.
+    ("text", r"_memo_mask|_memo_negate|def mask\(", ("src/repro/netkat",)),
+    # One simulator path: no options object, module or parameter.
+    ("name", "SimOptions", "repro repro.network", ("SimOptions", ALL)),
+    ("text", "sim_options|mask_digests|REFERENCE_SIM_OPTIONS", ALL),
+    ("module", "repro.sim_options"),
+    # One frame format, one ingress: frames carry only the interned
+    # tag/digest masks and every logic stamps through ingress_frame.
+    ("text", "_UNSET|_arrive_at_switch|_ingress_fast", SRC),
+    ("name", "masks", "repro.network:Frame", (r"def masks\(", SRC)),
+    ("name", "on_ingress", "repro.network:CorrectLogic repro.network.switch_logic:Figure7Logic "
+     "repro.baselines:ReferenceLogic repro.baselines:UncoordinatedLogic "
+     "repro.baselines:TwoPhaseLogic", ("def on_ingress", SRC), ("on_ingress", ALL[1:])),
+    # One switch logic: CorrectLogic runs Figure 7 on masks; the frozenset
+    # Figure7Logic is a reference in tests/naive_oracles.py.
+    ("name", "Figure7Logic", "repro.network.switch_logic",
+     ("class Figure7Logic", ("src/repro/network",))),
+    ("text", r"_MaskRegister|runtime\.semantics", ("src/repro/network",)),
+    ("name", "registers", "repro.network:CorrectLogic"),
+    ("name", "controller_view", "repro.network:CorrectLogic"),
+    # CompiledNES is the artifact and the compile stage is Pipeline's; the
+    # runtime imports nothing from the pipeline.  (\b keeps the
+    # repro_compile_configurations_total metric.)
+    ("name", "compile_nes", "repro.runtime repro.runtime.compiler", ("compile_nes", SRC)),
+    ("text", r"\b_compile_configurations\b|_default_options|_pipeline_errors", SRC),
+    ("name", "invalidate_guarded_tables", CNES, ("invalidate_guarded_tables", SRC)),
+    ("name", "event_set_ids", CNES, ("event_set_ids", SRC)),
+    ("name", "config_rule_count", CNES, ("config_rule_count", SRC)),
+    ("name", "event_sets", CNES),
+    ("name", "event_bits", CNES),
+    ("name", "compiled_configurations", CNES),
+    ("param", "reuse_configurations", CNES, ("reuse_configurations", SRC)),
+    ("param", "builder", CNES),
+    ("param", "health", CNES),
+    ("param", "options", CNES + " repro.apps.base:App"),
+    ("text", "pipeline import", ("src/repro/runtime",)),
+    # One table store, keyed by configuration policy.
+    ("name", "_reusable_configurations", "repro.pipeline:Pipeline",
+     ("_reusable_configurations", ALL)),
+    ("name", "adopt_guarded_tables", CNES, ("adopt_guarded_tables", ALL)),
+    ("name", "guarded_tables", "repro.pipeline:Pipeline", ("def guarded_tables", (PIPELINE,))),
+    # One executor, a plain loop; a compile runs once, nothing retries.
+    ("text", "ThreadPoolExecutor|BACKENDS|max_workers|backend=", SRC),
+    ("param", "compile_retries", "repro.pipeline:CompileOptions", ("compile_retries", ALL)),
+    ("name", "_backoff_delay", "repro.pipeline", ("_backoff_delay", ALL)),
+    ("text", r"executor\.retries|compile\.backoff|_pipeline_memo", ALL),
+    # The test-only equivalence deciders stay out of repro.verify.
+    ("name", "policies_equivalent", "repro.verify", ("policies_equivalent", ALL)),
+    ("name", "predicates_equivalent", "repro.verify", ("predicates_equivalent", ALL)),
+    ("name", "configurations_equivalent", "repro.verify", ("configurations_equivalent", ALL)),
+    ("name", "stateful_projections_equivalent", "repro.verify",
+     ("stateful_projections_equivalent", ALL)),
+    # One stage sequence: update() seeds an ordinary lazy Pipeline.
+    ("text", r"_PatchedInstantiation|changed_edge_guards|changed_cell_guards|def _update\(",
+     SRC),
+    ("count", "build_ets(", PIPELINE, 1),
+    ("count", "nes_of_ets(", PIPELINE, 1),
+    ("count", "CompiledNES(", PIPELINE, 1),
+    ("count", '_stage("ets")', PIPELINE, 1),
+    ("count", '_stage("nes")', PIPELINE, 1),
+    ("count", '_stage("compile")', PIPELINE, 1),
+    # Table reuse is keyed on the switch set; the whole-topology
+    # fingerprint is the artifact key's alone (definition, artifact_digest).
+    ("count", "_topology_fingerprint(", PIPELINE, 2),
+    # One client transport and one HTTP framing, both the service's own.
+    ("text", "urllib", SERVICE),
+    ("text", r"http\.client|HTTPConnection|parse_headers", SERVICE),
+    # One telemetry store: the service registry.
+    ("text", "ServiceStats|_fold_health|_fold_failed|_evicted_health|_metric_samples"
+     "|_run_instrumented|_LATENCY_WINDOW|request_latency_seconds|heap_depth_high_water",
+     ("src/repro", "examples")),
+    ("name", "snapshot", "repro.obs.metrics:MetricsRegistry"),
+    # One cache per decision on the per-hop path.
+    ("text", "_match_memo|_forward_memo|move_memo|_index_deliveries|_deliveries_by_"
+     r"|_flow_buckets|_foreign_pins|_intern_foreign|_knowledge_caches|def _emit\(", SRC),
+    ("count", "ports.get(port)", "src/repro/network/simulator.py", 1),
+    # One plan store keyed by leaf, unbounded by construction.
+    ("text", "_config_memo|_MEMO_LIMIT|_record_plan", SRC),
+    ("text", r"id\(packet\)", ("src/repro/network/simulator.py",)),
+    # One conjunction algebra (repro/formula.py), no third table cache.
+    ("text", "StateLiteral|conjoin_guard|_guard_canonicalize|_guard_contradictory"
+     "|_MemoEntry|wire_tables", SRC),
+    ("module", "repro.stateful.formula"),
+    ("count", "def _canonicalize", "src/repro", 1),
+    ("count", "def _contradictory", "src/repro", 1),
+    # One compile per distinct policy, one family construction.
+    ("text", "check_finite_complete_naive|minimally_inconsistent_sets_naive", SRC),
+    ("count", "compile_one(", PIPELINE, 2),
+    ("count", "def _extremal", "src/repro/events/structure.py", 1),
+    # One candidate search, unbounded.
+    ("text", "max_sequence_length", ALL),
+    # One Definition 2, on masks in NESChecker.
+    ("module", "repro.consistency.update"),
+    ("name", "EventDrivenUpdate", "repro.consistency", ("EventDrivenUpdate", ALL)),
+    ("name", "first_occurrences", "repro.consistency", ("first_occurrences", ALL)),
+    ("name", "check_update_correctness", "repro.consistency", ("check_update_correctness", ALL)),
+    ("name", "packet_trace_follows", "repro.consistency.traces", ("packet_trace_follows", ALL)),
+    ("param", "require_complete", "repro.consistency.traces:packet_trace_in_traces",
+     ("require_complete", ALL)),
+    ("text", "position_masks=|event_bits=|ambient_mask=|_update_of_sequence", ALL),
+    # Definition 6 at table-index speed: bitset happens-before, pairwise
+    # Traces(C) membership.
+    ("text", r"_reachable|config\.step\(", ("src/repro/consistency",)),
+    # A cold chain compile is linear in chain depth.
+    ("text", "symbolic_extract=|symbolic_extract: bool", ("src/repro", "tests")),
+    ("text", r"repr\(e\) for e in", ("src/repro/events",)),
+    ("text", r"self\._base\b", ("src/repro/events/structure.py",)),
+    # The artifact is a function of program, topology and initial state.
+    ("text", "semantic_fingerprint|output_affecting|_EXECUTION_ONLY_FIELDS|make_builder"
+     "|REQUESTABLE_OPTION_FIELDS|options_from_wire|options_to_wire|clear_ast_memos", ALL),
+    ("text", "max_frontier|enforce_locality|field_order",
+     (PIPELINE, "src/repro/service", "src/repro/runtime", "src/repro/cli.py", "src/repro/apps")),
+    # No name and no parameter without a caller outside tests: a value no
+    # caller set is a module constant (the "default" rows).
+    ("name", "newly_enabled", "repro.events.nes:NES", _method("newly_enabled")),
+    ("name", "ports_of", "repro.topology:Topology", _method("ports_of")),
+    ("name", "link_sources", "repro.topology:Topology", _method("link_sources")),
+    ("name", "compile_request", "repro.service:ServiceClient", _method("compile_request")),
+    ("name", "encode_digest", CNES, _method("encode_digest")),
+    ("name", "decode_digest", CNES, _method("decode_digest")),
+    ("name", "specificity", "repro.netkat.flowtable:Match", _method("specificity")),
+    ("name", "is_drop", "repro.netkat.flowtable:Rule", _method("is_drop")),
+    ("name", "merged_with", "repro.netkat.flowtable:FlowTable", _method("merged_with")),
+    ("name", "is_true", "repro.formula:Conjunction", _method("is_true")),
+    ("name", "host_address", "repro.apps.base:App", _method("host_address")),
+    ("name", "compile_app", "repro repro.pipeline", (r"compile_app\(", ALL)),
+    ("name", "reachable_packets", "repro.netkat.semantics", ("reachable_packets", ALL)),
+    ("name", "policy_links", "repro.netkat repro.netkat.ast", ("policy_links", ALL)),
+    ("name", "step_relation", "repro.netkat repro.netkat.semantics"),
+    ("name", "is_leaf", "repro.netkat.fdd:FDD repro.optimize.trie:TrieNode"),
+    ("param", "limit", "repro.events.structure:EventStructure.event_sets "
+     "repro.events.structure:EventStructure.event_sets_masks",
+     (r"def event_sets(_masks)?\(self, ", SRC)),
+    ("param", "max_size", "repro.events.locality:locality_violations "
+     "repro.events.locality:is_locally_determined",
+     (r"def (locality_violations|is_locally_determined)\(nes: NES, ", SRC)),
+    ("param", "state_space", "repro.stateful.ets:build_ets", ("state_space", ALL)),
+    ("param", "link_params", "repro.network:SimNetwork", ("link_params", ALL)),
+    ("param", "max_states", "repro.stateful.ets:build_ets", ("max_states", ALL)),
+    ("param", "base_priority", "repro.netkat.flowtable:table_of_fdd", ("base_priority", ALL)),
+    ("param", "max_probes", "repro.verify:tables_equivalent", ("max_probes:", ALL)),
+    ("param", "max_executions", "repro.verify:explore_all_interleavings",
+     ("max_executions", ALL)),
+    ("param", "push_gap", "repro.baselines:UncoordinatedLogic", ("push_gap", ALL)),
+    ("param", "flip_gap", "repro.baselines:TwoPhaseLogic", ("flip_gap", ALL)),
+    ("param", "controller_latency", LOGICS, ("controller_latency", ALL)),
+    ("param", "event_notify_latency", LOGICS + " repro.baselines:UncoordinatedLogic "
+     "repro.baselines:TwoPhaseLogic", ("event_notify_latency", ALL)),
+    ("param", "fuel", "repro.netkat.fdd:FDDBuilder.star", (r"\bfuel\b", ALL)),
+    ("param", "extra_processing_delay", LOGICS, ("extra_processing_delay:", ALL)),
+    ("param", "hosts", "repro.network:install_ping_responders", ("hosts: Optional", ALL)),
+    ("param", "max_steps", "repro.runtime.semantics:Runtime.drain_controller",
+     (r"def drain_controller\(self, ", ALL)),
+    ("param", "at", "repro.network:send_bulk"),
+    ("param", "extra_fields", "repro.network:send_bulk"),
+    ("param", "payload_bytes", "repro.network:send_ping repro.network:goodput"),
+    ("param", "guard", "repro.netkat.compiler:compile_policy"),
+    ("default", "repro.network.switch_logic:EVENT_NOTIFY_LATENCY", 0.01),
+    ("default", "repro.network.switch_logic:CONTROLLER_LATENCY", 0.05),
+    ("default", "repro.network.switch_logic:EXTRA_PROCESSING_DELAY", 6e-6),
+    ("default", "repro.network.switch_logic:CorrectLogic.extra_processing_delay", 6e-6),
+    ("default", "repro.baselines.uncoordinated:PUSH_GAP", 0.02),
+    ("default", "repro.baselines.two_phase:FLIP_GAP", 0.01),
+    ("default", "repro.network.traffic:PING_PAYLOAD_BYTES", 64),
+    ("default", "repro.stateful.ets:MAX_STATES", 10_000),
+    ("default", "repro.netkat.fdd:STAR_FUEL", 200),
+    ("default", "repro.verify.equiv:MAX_PROBES", 200_000),
+    ("default", "repro.verify.explore:MAX_EXECUTIONS", 100_000),
+    ("default", "repro.runtime.semantics:MAX_DRAIN_STEPS", 10_000),
+    ("default", "repro.events.structure:MAX_EVENT_SETS", 100_000),
+    # One daemon entry point, `python -m repro serve`, whose flags are the
+    # one spelling of the bind address.
+    ("text", "REPRO_SERVICE_(HOST|PORT)", ALL),
+    ("name", "launcher_main", "repro.service", ("launcher_main", ALL)),
+    ("name", "main", "repro.service.launcher", (r"def main\(", SERVICE)),
+    ("name", "build_arg_parser", "repro.service.launcher", ("build_arg_parser", SERVICE)),
+    ("text", 'prog="repro-service"|__main__', SERVICE),
+    # One measurement harness, repobench/run.py: the second harness, its
+    # record and the uncalled network.stats helpers.
+    ("text", "run_perf|BENCH_compiler_perf",
+     ("src", "tests", "benchmarks", "examples", ".github", ".claude")),
+    ("text", "deliveries_per_second|loss_rate|LatencySummary|latency_summary|success_timeline",
+     ("src", "tests", "benchmarks", "examples")),
+    ("module", "repro.network.stats"),
 ]
 
 
+def _rows(kind):
+    return [fields for row_kind, *fields in DELETED if row_kind == kind]
+
+
+def _resolve(spec):
+    """``"module:Attr.path"`` -> the object it names."""
+    module, _, path = spec.partition(":")
+    obj = importlib.import_module(module)
+    for part in filter(None, path.split(".")):
+        obj = getattr(obj, part)
+    return obj
+
+
+REMOVED_NAMES = [f"{owner}.{name}" if ":" in owner else f"{owner}:{name}"
+                 for name, owners, *_ in _rows("name") for owner in owners.split()]
+REMOVED_PARAMETERS = [
+    (target, keyword) for keyword, targets, *_ in _rows("param") for target in targets.split()
+]
+SCANS = _rows("text") + [
+    scan for kind in ("name", "param") for _, _, *scans in _rows(kind) for scan in scans
+]
+THIS = Path(__file__).resolve()
+ROOT = THIS.parents[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _instance(owner):
+    """A built ``owner``, for the owners whose removed names were instance
+    attributes (a lookup on the class would miss those)."""
+    from repro.apps import authentication_app, firewall_app
+    from repro.network import CorrectLogic
+
+    if owner == "repro.network:CorrectLogic":
+        return CorrectLogic(authentication_app().compiled, controller_assist=True)
+    return firewall_app().compiled if owner == CNES else None
+
+
+@pytest.mark.parametrize("spec", REMOVED_NAMES)
+def test_removed_names_are_gone(spec):
+    module, _, path = spec.partition(":")
+    owner, _, name = path.rpartition(".")
+    instance = _instance(f"{module}:{owner}")
+    with pytest.raises(AttributeError):
+        getattr(_resolve(f"{module}:{owner}") if instance is None else instance, name)
+    for package in PACKAGES:
+        assert name not in importlib.import_module(package).__all__, package
+
+
 @pytest.mark.parametrize(
-    "spec, value",
-    FORMER_DEFAULTS,
-    ids=[spec.partition(":")[2] for spec, _ in FORMER_DEFAULTS],
+    "target, keyword",
+    REMOVED_PARAMETERS,
+    ids=[f"{target.partition(':')[2]}-{kw}" for target, kw in REMOVED_PARAMETERS],
+)
+def test_removed_parameters_raise(target, keyword):
+    fn = _resolve(target)
+    positional = [
+        p for p in inspect.signature(fn).parameters.values()
+        if p.default is p.empty and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+    ]
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+        fn(*[None] * len(positional), **{keyword: None})
+
+
+@functools.lru_cache(maxsize=None)
+def _texts(path):
+    """``(file, text)`` for each text file under ``path``, this one aside."""
+    top = ROOT / path
+    assert top.exists(), f"{path} does not exist"
+    out = []
+    for file in [top] if top.is_file() else sorted(top.rglob("*")):
+        if file.is_file() and "__pycache__" not in file.parts and file != THIS:
+            try:
+                out.append((file.relative_to(ROOT), file.read_text(encoding="utf-8")))
+            except UnicodeDecodeError:
+                pass  # not a text file
+    return out
+
+
+@pytest.mark.parametrize("pattern, paths", SCANS, ids=[pattern for pattern, _ in SCANS])
+def test_removed_text_is_absent(pattern, paths):
+    hits = [
+        f"{file}:{text.count(chr(10), 0, match.start()) + 1}: {match.group()}"
+        for path in paths
+        for file, text in _texts(path)
+        for match in re.finditer(pattern, text)
+    ]
+    assert not hits
+
+
+@pytest.mark.parametrize(
+    "needle, path, count", _rows("count"), ids=[f"{p}:{n}" for n, p, _ in _rows("count")]
+)
+def test_call_sites_are_counted(needle, path, count):
+    lines = [line for _, text in _texts(path) for line in text.splitlines() if needle in line]
+    assert len(lines) == count, lines
+
+
+@pytest.mark.parametrize("module", [module for module, in _rows("module")])
+def test_removed_modules_are_gone(module):
+    assert not (ROOT / "src" / module.replace(".", "/")).with_suffix(".py").exists()
+    with pytest.raises(ModuleNotFoundError) as caught:
+        importlib.import_module(module)
+    assert caught.value.name == module
+
+
+@pytest.mark.parametrize(
+    "spec, value", _rows("default"), ids=[spec.partition(":")[2] for spec, _ in _rows("default")]
 )
 def test_former_defaults_are_the_constants(spec, value):
     """A removed parameter's default is the behaviour, unchanged."""
     assert _resolve(spec) == value
+
+
+def test_no_row_is_listed_twice():
+    """A name, keyword, module, count or default is one row, and no branch of a
+    scan's regex (a ``|`` outside parentheses; none nest) is scanned twice on a path."""
+    keys = [(kind, fields[0]) for kind, *fields in DELETED if kind != "text"]
+    keys += [
+        (branch, path)
+        for pattern, paths in SCANS
+        for branch in re.split(r"\|(?![^(]*\))", pattern)
+        for path in paths
+    ]
+    assert [key for key, n in collections.Counter(keys).items() if n > 1] == []
