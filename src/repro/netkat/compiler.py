@@ -537,8 +537,12 @@ def compile_policy(
                 if not frontier:
                     break  # no packet reaches the next hop on this branch
 
-    tables = {
-        switch: _prune_table(table_of_fdd(builder, fdd_n))
-        for switch, fdd_n in per_switch_fdd.items()
-    }
+    tables = {}
+    memo = builder._node_tables
+    for switch, fdd_n in per_switch_fdd.items():
+        table = memo.get(fdd_n._id)
+        if table is None:
+            table = _prune_table(table_of_fdd(builder, fdd_n))
+            memo[fdd_n._id] = table
+        tables[switch] = table
     return Configuration(tables, topology, name=name)

@@ -194,6 +194,10 @@ class FDDBuilder:
         # netkat.compiler.knowledge_fdd; nodes of this builder, so it
         # lives and dies with it.
         self.knowledge_fdds: Dict[Tuple, FDD] = {}
+        # Node id -> pruned flow table (netkat.compiler.compile_policy).
+        # A fork numbers on from its root's ids, so a root's entry holds
+        # in every fork: an unchanged switch FDD keeps its table object.
+        self._node_tables: Dict[int, object] = {}
         self.drop = self.leaf(frozenset())
         self.id = self.leaf(frozenset((IDENTITY_MOD,)))
 

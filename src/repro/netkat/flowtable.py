@@ -14,6 +14,7 @@ configuration IDs).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .fdd import ActionSet, FDD, FDDBuilder, Leaf, Mod
@@ -174,15 +175,17 @@ class Rule:
             out.add(result)
         return frozenset(out)
 
+    def _tail(self) -> str:
+        """The text after the match, which a guard leaves as it is."""
+        if not self.actions:
+            return " -> drop"
+        return " -> " + " | ".join(
+            ",".join(f"{f}<-{v}" for f, v in mod) or "id"
+            for mod in sorted(self.actions)
+        )
+
     def __repr__(self) -> str:
-        if self.actions:
-            acts = " | ".join(
-                ",".join(f"{f}<-{v}" for f, v in mod) or "id"
-                for mod in sorted(self.actions)
-            )
-        else:
-            acts = "drop"
-        return f"[{self.priority}] {self.match!r} -> {acts}"
+        return f"[{self.priority}] {self.match!r}{self._tail()}"
 
 
 class FlowTable:
@@ -216,9 +219,37 @@ class FlowTable:
         return rule.apply(packet)
 
     def __getstate__(self):
-        # Only the rules: the cached repr is derived text that would
-        # bloat every artifact holding this table.
+        # Only the rules: the cached repr and guarded rules are derived
+        # and would bloat every artifact holding this table.
         return {"_rules": self._rules}
+
+    def _guarded(self, field: str, tag: int) -> List[Tuple[int, Rule, str]]:
+        """The rules guarded by ``field = tag``, as (negated priority,
+        rule, wire line): made, and checked for :class:`TagFieldError`,
+        once per tag, since a table is immutable."""
+        try:
+            by_tag, tails = self._by_tag, self._tails
+        except AttributeError:
+            by_tag, tails = self._by_tag, self._tails = {}, [r._tail() for r in self._rules]
+        guarded = by_tag.get((field, tag))
+        if guarded is None:
+            guarded = []
+            for rule, tail in zip(self._rules, tails):
+                match = rule.match.guarded(field, tag)
+                line = f"  [{rule.priority}] {match!r}{tail}"
+                guarded.append((-rule.priority, Rule(rule.priority, match, rule.actions), line))
+            by_tag[field, tag] = guarded
+        return guarded
+
+    @staticmethod
+    def _merged(guarded: List[Tuple[int, Rule, str]]) -> "FlowTable":
+        """The table of :meth:`_guarded` entries listed partition by
+        partition: one stable sort by priority, the text joined."""
+        guarded.sort(key=itemgetter(0))
+        table = FlowTable.__new__(FlowTable)
+        table._rules = [rule for _, rule, _ in guarded]
+        table._repr = "FlowTable(\n" + "\n".join([line for _, _, line in guarded]) + "\n)"
+        return table
 
     def __repr__(self) -> str:
         # The canonical wire form (``protocol.tables_to_wire``); a table

@@ -1115,10 +1115,12 @@ class Pipeline:
             if old_ets is not None and states:
                 old_policy = dict(old_ets.vertices)
                 moved = {edge.src for edge in old_ets.edges ^ new_ets.edges}
-                states_reused = sum(
-                    state not in moved and policy == old_policy.get(state)
-                    for state, policy in states
-                )
+                for state, policy in states:
+                    old = old_policy.get(state)
+                    # Identity, then the cached hashes, then a deep compare.
+                    states_reused += state not in moved and old is not None and (
+                        policy is old or (hash(policy) == hash(old) and policy == old)
+                    )
             total = len(compiled.states)
             reused = total - updated._configurations_compiled
             symbolic = updated._symbolic

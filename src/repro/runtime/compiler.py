@@ -202,23 +202,21 @@ class CompiledNES:
         configuration are preserved.
 
         The merged tables are memoized (the runtime, the simulator and
-        the wire all re-read them).  A fresh dict over the immutable
+        the wire all re-read them), and each table keeps its rules as
+        guarded by each tag it was given.  A fresh dict over the immutable
         :class:`FlowTable` values is returned each call, so callers may
         mutate the mapping without corrupting the cache.
         """
         memo = self._merge[0]
         if memo is None:
-            tables: Dict[int, List[Rule]] = {n: [] for n in self.topology.switches}
+            merged: Dict[int, List] = {n: [] for n in self.topology.switches}
             for state in self.states:
                 config_id = self.config_ids[state]
-                config = self.configurations[state]
-                for switch, table in config.tables.items():
-                    for rule in table:
-                        guarded_match = rule.match.guarded(TAG_FIELD, config_id)
-                        tables.setdefault(switch, []).append(
-                            Rule(rule.priority, guarded_match, rule.actions)
-                        )
-            memo = {n: FlowTable(rules) for n, rules in tables.items()}
+                for switch, table in self.configurations[state]._tables.items():
+                    merged.setdefault(switch, []).extend(
+                        table._guarded(TAG_FIELD, config_id)
+                    )
+            memo = {n: FlowTable._merged(guarded) for n, guarded in merged.items()}
             self._merge[0] = memo
         return dict(memo)
 

@@ -6,7 +6,8 @@ minimally-inconsistent-set enumeration, moved verbatim out of
 ``test_finite_complete_property.py`` and ``test_locality_bitset.py``;
 ``ETS(p)`` by one Figure 5-6 walk per state, the reference the
 symbolic engine of ``repro.stateful.symbolic`` is compared against;
-an FDD builder with every cache of the compile path off;
+an FDD builder with every cache of the compile path off; the guarded
+merge rule by rule;
 Definition 2 on frozensets, the reference for ``NESChecker``'s masks;
 and the pieces it is built from, each the reference for its fast
 counterpart in ``repro.consistency.traces``: happens-before as a
@@ -32,6 +33,7 @@ from repro.events.structure import EventStructure
 from repro.netkat.ast import Policy
 from repro.netkat.compiler import Configuration
 from repro.netkat.fdd import FDD, FDDBuilder
+from repro.netkat.flowtable import FlowTable, Rule
 from repro.netkat.packet import LocatedPacket, Location, Packet, PT
 from repro.network.simulator import Frame, SimNetwork
 from repro.network.switch_logic import (
@@ -40,7 +42,7 @@ from repro.network.switch_logic import (
     EVENT_NOTIFY_LATENCY,
     EXTRA_PROCESSING_DELAY,
 )
-from repro.runtime.compiler import CompiledNES
+from repro.runtime.compiler import TAG_FIELD, CompiledNES
 from repro.runtime.semantics import detect_events, merge_in_enabling_order
 from repro.stateful.ast import StateVector, validate_state_references
 from repro.stateful.ets import ETS
@@ -135,9 +137,10 @@ class ReferenceFDDBuilder(FDDBuilder):
     union) instead of the ordered-insert walk, ``of_policy`` /
     ``of_predicate`` keep no id-keyed memo, and
     ``netkat.compiler.knowledge_fdd`` recompiles every knowledge
-    predicate from a fresh AST.  Hash-consing and the operation memos
-    stay: they make FDDs canonical, so both builders must produce the
-    same diagrams."""
+    predicate from a fresh AST, and ``compile_policy`` converts every
+    switch FDD to a table, converted before or not.  Hash-consing and
+    the operation memos stay: they make FDDs canonical, so both
+    builders must produce the same diagrams."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -145,6 +148,7 @@ class ReferenceFDDBuilder(FDDBuilder):
         self._memo_of_policy = _Forgetful()
         self._memo_of_predicate = _Forgetful()
         self.knowledge_fdds = _Forgetful()
+        self._node_tables = _Forgetful()
 
     def mask(self, guard: FDD, d: FDD) -> FDD:
         """Behave as ``d`` where the predicate ``guard`` passes, drop
@@ -159,6 +163,23 @@ class ReferenceFDDBuilder(FDDBuilder):
         guard = self.branch(field, value, self.id, self.drop)
         n_guard = self.branch(field, value, self.drop, self.id)
         return self.union(self.mask(guard, hi), self.mask(n_guard, lo))
+
+
+def guarded_tables_naive(compiled: CompiledNES) -> Dict[int, FlowTable]:
+    """The guarded merge rule by rule: every configuration's rules, each
+    guarded by its tag and formatted afresh; the reference for
+    :meth:`CompiledNES.guarded_tables`, which guards each table once per
+    tag."""
+    tables: Dict[int, List[Rule]] = {n: [] for n in compiled.topology.switches}
+    for state in compiled.states:
+        config_id = compiled.config_ids[state]
+        for switch, table in compiled.configurations[state].tables.items():
+            for rule in table:
+                guarded_match = rule.match.guarded(TAG_FIELD, config_id)
+                tables.setdefault(switch, []).append(
+                    Rule(rule.priority, guarded_match, rule.actions)
+                )
+    return {n: FlowTable(rules) for n, rules in tables.items()}
 
 
 def reachable_naive(trace: NetworkTrace) -> Tuple[FrozenSet[int], ...]:

@@ -16,8 +16,17 @@ from repro.consistency.checker import NESChecker
 from repro.netkat.ast import Filter, conj, test as field_test
 from repro.netkat.compiler import compile_policy
 from repro.obs import metrics
-from repro.pipeline import ArtifactCache, CompileOptions, Delta, Pipeline, StageError
+from repro.pipeline import (
+    ARTIFACT_FORMAT,
+    ArtifactCache,
+    CompileOptions,
+    Delta,
+    Pipeline,
+    StageError,
+)
 from repro.runtime.compiler import CompiledNES
+from repro.service.protocol import tables_to_wire
+from naive_oracles import guarded_tables_naive
 from seed_apps import APPS, cold_after, guarded_bytes, switch_preserving_edits
 from test_theorem1 import H1, H4, run_workload
 
@@ -27,16 +36,28 @@ def fresh_pipeline(app):
 
 
 def assert_shared_by_policy(compiled):
-    """Equal policies hold the same ``FlowTable`` objects; different
-    policies hold none in common."""
+    """Equal policies hold the same ``FlowTable`` objects, and a table
+    two states share has the text a direct compile of either state's
+    policy gives.  Different policies may share a table: the builder
+    converts each FDD node once, so policies whose FDD at a switch is
+    one node hold that node's table."""
     nes, states = compiled.nes, compiled.states
+    direct = {}
+    for state in states:
+        policy = nes.configuration_policy(state)
+        if policy not in direct:
+            direct[policy] = compile_policy(policy, compiled.topology)
     for a in states:
         for b in states:
-            same_policy = nes.configuration_policy(a) == nes.configuration_policy(b)
+            policy_a, policy_b = nes.configuration_policy(a), nes.configuration_policy(b)
             for switch in compiled.topology.switches:
                 table_a = compiled.configurations[a].table(switch)
                 table_b = compiled.configurations[b].table(switch)
-                assert (table_a is table_b) == same_policy
+                if policy_a == policy_b:
+                    assert table_a is table_b
+                if table_a is table_b:
+                    assert repr(table_a) == repr(direct[policy_a].table(switch))
+                    assert repr(table_a) == repr(direct[policy_b].table(switch))
 
 
 @pytest.mark.parametrize("name,make", APPS, ids=[name for name, _ in APPS])
@@ -281,3 +302,86 @@ def test_the_merge_is_shared_exactly_when_its_inputs_are():
     recompiled.share_merge(lender)
     assert recompiled._merge is not lender._merge
     assert guarded_bytes(recompiled) == guarded_bytes(lender)
+
+
+# -- each FDD node converted once, each table guarded once per tag ------------
+
+
+def reference_wire(compiled):
+    tables = guarded_tables_naive(compiled)
+    return {str(switch): repr(tables[switch]) for switch in sorted(tables)}
+
+
+WIRE_APPS = APPS + (("cap24", lambda: bandwidth_cap_app(24)),)
+
+
+@pytest.mark.parametrize("name,make", WIRE_APPS, ids=[name for name, _ in WIRE_APPS])
+def test_the_wire_is_the_per_rule_merge(name, make):
+    compiled = fresh_pipeline(make()).compiled
+    assert tables_to_wire(compiled) == reference_wire(compiled)
+
+
+@pytest.mark.parametrize(
+    "name,make,policy_delta", UPDATE_BASES, ids=[name for name, _, _ in UPDATE_BASES]
+)
+def test_an_updated_wire_is_the_per_rule_merge(name, make, policy_delta):
+    """After the base's tables have been guarded, a successor that shifts
+    the tags (``set_state``), keeps some tables (``replace_policy``) or
+    keeps all of them (a host) still serialises to the per-rule merge."""
+    app = make()
+    base = fresh_pipeline(app)
+    assert tables_to_wire(base.compiled) == reference_wire(base.compiled)
+    for delta in (
+        Delta(set_state=((0, 1),)),
+        policy_delta,
+        Delta(topology=switch_preserving_edits(app)["attach_host"]),
+    ):
+        updated = base.update(delta).compiled
+        assert tables_to_wire(updated) == reference_wire(updated)
+
+
+def conversions(monkeypatch):
+    """The ``table_of_fdd`` runs of ``compile_policy``, as a one-item list."""
+    import repro.netkat.compiler as compiler_module
+
+    runs = [0]
+    real = compiler_module.table_of_fdd
+
+    def counted(*args):
+        runs[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(compiler_module, "table_of_fdd", counted)
+    return runs
+
+
+def test_each_fdd_node_is_converted_once_per_lineage(monkeypatch):
+    """Exact-count guard: a cold ring8 holds 8 distinct switch FDDs (32
+    conversions when each compile converted its own), cap-48 4, and a
+    ring8 policy update converts only the 6 nodes its root never saw."""
+    runs = conversions(monkeypatch)
+    ring8 = fresh_pipeline(ring_app(8))
+    ring8.compiled
+    assert runs == [8]
+    runs[0] = 0
+    fresh_pipeline(bandwidth_cap_app(48)).compiled
+    assert runs == [4]
+    runs[0] = 0
+    updated = ring8.update(reply_filter_delta(3, 1))
+    assert runs == [6]
+    assert updated._configurations_compiled > 0
+    assert guarded_bytes(updated.compiled) == guarded_bytes(
+        cold_after(ring_app(8), reply_filter_delta(3, 1)).compiled
+    )
+
+
+def test_serialising_leaves_the_artifact_bytes_alone():
+    """The per-tag guard cache is never pickled: an artifact's bytes are
+    the same before and after its tables go on the wire."""
+    compiled = fresh_pipeline(bandwidth_cap_app(8)).compiled
+    before = pickle.dumps(compiled)
+    wire = tables_to_wire(compiled)
+    assert pickle.dumps(compiled) == before
+    assert b"_by_tag" not in before
+    assert tables_to_wire(pickle.loads(before)) == wire
+    assert ARTIFACT_FORMAT == 6

@@ -497,11 +497,16 @@ class TestGuardedTablesPerOptionsMemo:
         from repro.netkat.flowtable import TagFieldError
         from repro.netkat.parser import parse_policy
         from repro.optimize.sharing import optimize_compiled_nes
+        from repro.service.protocol import tables_to_wire
 
         clash = parse_policy(f"{TAG_FIELD}=1; pt<-2")
         compiled = Pipeline(clash, firewall_app().topology, ()).compiled
-        with pytest.raises(TagFieldError, match="collides"):
-            compiled.guarded_tables()
+        # On every call: a failed guard leaves nothing cached.
+        for _ in range(2):
+            with pytest.raises(TagFieldError, match="collides"):
+                compiled.guarded_tables()
+            with pytest.raises(TagFieldError, match="collides"):
+                tables_to_wire(compiled)
         with pytest.raises(TagFieldError, match="collides"):
             optimize_compiled_nes(compiled)
         assert "CompiledNES" in repr(compiled)
