@@ -12,7 +12,7 @@ This walks the full pipeline of the paper on its running example:
 4. execute the operational semantics on a ping workload;
 5. check the resulting network trace against Definition 6;
 6. stream 20k frames through the discrete-event simulator with
-   ``FrameBatch``/``inject_stream`` and report events/sec;
+   ``FrameBatch``/``inject_stream`` and report frames/sec;
 7. re-run the compile under the observability layer (``repro.obs``):
    record a span trace, export it as a Perfetto-loadable Chrome trace
    file, and print the self-time summary tree next to the metrics the
@@ -136,6 +136,11 @@ def main() -> None:
     # and inject_stream schedules them one ahead of the clock.  The
     # records are those of calling inject once per frame, and of the
     # frozenset Figure-7 logic (tests/test_sim_streaming.py pins both).
+    # Once every pending frame of a lone stream replays one path, the
+    # simulator finishes them in one step instead of event by event, so
+    # events_processed counts logical events (two per switch a frame
+    # crosses), most of which were never scheduled: the rate to read is
+    # frames per second.
     import time
 
     from repro.network import CorrectLogic, FrameBatch, SimNetwork
@@ -157,9 +162,9 @@ def main() -> None:
     elapsed = time.perf_counter() - start
     events = stream_net.sim.events_processed
     print(f"\nStreamed {frames} frames H1->H4: "
-          f"{len(stream_net.deliveries_to('H4'))} delivered, "
-          f"{events} events in {elapsed:.3f}s "
-          f"({events / elapsed:,.0f} events/sec)")
+          f"{len(stream_net.deliveries_to('H4'))} delivered in {elapsed:.3f}s "
+          f"({frames / elapsed:,.0f} frames/sec; "
+          f"{events} logical events)")
 
     # -- observability: span traces + metrics --------------------------------
     # Everything above ran with the obs layer uninstalled (each hook is

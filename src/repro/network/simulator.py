@@ -42,6 +42,40 @@ all but a few dozen of several ten thousand hops; ``sim_churn``: one
 descent per hop, 97 % of them replays; counted in CHANGES.md, PR 22).
 The delivery statistics accessors scan ``deliveries``: they are called
 once per scenario.
+
+A lone stream drains in one step.  While :meth:`Simulator.run` goes to
+quiescence (no ``until``), a replayed hop that ends its frame's path --
+a host delivery, a ``no-link-at-port`` or a ``no-matching-rule`` drop --
+now and then calls :meth:`SimNetwork._drain`, which finishes every
+pending frame at once when all of these hold:
+
+- every pending heap or FIFO entry is one of this network's frame
+  events (no controller callback, no other scheduled action);
+- at most one :meth:`SimNetwork.inject_stream` chain is unfinished, and
+  all its rows carry one interned packet (a constant-header batch);
+- no ``auto_reply`` handler waits at the path's end host;
+- the drained events fit under ``max_events``;
+- every pending frame stands on one loop-free path, and every hop of it
+  replays a valid single-output plan from its packet's ``_replay`` slot
+  (the frame's masks, the switch's current generation, this store).
+
+Then the frames are finished most-advanced first, each across its
+remaining hops with the float expressions of ``_StreamArrival``,
+``_Arrival`` and ``_Process``; the same records are appended, the seq
+counter skips the pushes the event loop would have made, the skipped
+events count in ``events_processed``, ``repro_sim_events_processed_total``
+and the plan-cache ``hit`` counter, and the clock ends at the last
+event's time.  This is exact: a replay writes no register, generation
+or ingress stamp, so nothing the frames read can change; each switch
+and link on the path serves only this path's frames, in path order,
+and equal-time arrivals at a switch are ordered by transmit order,
+which is frame order (a frame's serialisation time exceeds the clock's
+rounding error, so arrival times do not invert); and the only records
+are the path's terminal ones, whose time order is frame order.  Any
+other state declines, and the per-event loop runs unchanged; a decline
+doubles the number of path ends until the next attempt, so a network
+where the conditions never hold makes O(log frames) attempts of
+O(pending events) each.
 """
 
 from __future__ import annotations
@@ -50,6 +84,7 @@ import heapq
 import itertools
 import random
 from collections import deque
+from operator import length_hint
 
 # Bound once: the scheduler hot path calls this per event.
 from heapq import heappush as _heappush
@@ -338,7 +373,9 @@ class Simulator:
 
     # Every event body reads now/_heap/_counter; slots keep those loads
     # off the instance-dict path.
-    __slots__ = ("now", "random", "_heap", "_counter", "events_processed")
+    __slots__ = (
+        "now", "random", "_heap", "_counter", "events_processed", "_ticks", "_skipped",
+    )
 
     def __init__(self, seed: int = 0):
         self.now: float = 0.0
@@ -346,6 +383,12 @@ class Simulator:
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
         self._counter = itertools.count()
         self.events_processed = 0
+        # While run() goes to quiescence: its event-count iterator, whose
+        # length hint is how many more events it may process.  An event
+        # that finishes others itself (SimNetwork._drain) adds them to
+        # ``_skipped``, which run() counts as processed.
+        self._ticks: Optional[Iterator[int]] = None
+        self._skipped = 0
 
     def schedule(self, delay: float, action: Callable[[], None]) -> None:
         if delay < 0:
@@ -366,7 +409,8 @@ class Simulator:
                 # raises).  A range loop keeps the event-count
                 # bookkeeping in the iterator instead of a per-event
                 # compare+add.
-                for processed in range(processed + 1, max_events + 1):
+                ticks = self._ticks = iter(range(processed + 1, max_events + 1))
+                for processed in ticks:
                     try:
                         time, _seq, action = pop(heap)
                     except IndexError:
@@ -386,6 +430,9 @@ class Simulator:
                     processed += 1
                     action()
         finally:
+            self._ticks = None
+            processed += self._skipped
+            self._skipped = 0
             self.events_processed = processed
             # Once per call, never per event: the loops above are the
             # same with or without a registry installed.
@@ -429,6 +476,23 @@ class SwitchLogic(Protocol):
         ...
 
 
+class _Chain:
+    """The shared state of a lazily scheduled stream (see
+    :meth:`SimNetwork.inject_stream`): the rows still to emit, the clock
+    when it was injected, the tie-break seq reserved for the next row
+    and the end of that reserved range, and whether every row carries
+    one interned packet (a constant-header batch)."""
+
+    __slots__ = ("rows", "start", "seq", "end", "one_header")
+
+    def __init__(self, rows, start, seq, end, one_header):
+        self.rows = rows
+        self.start = start
+        self.seq = seq
+        self.end = end
+        self.one_header = one_header
+
+
 class _StreamArrival:
     """One scheduled host emission: a frame of an
     :meth:`SimNetwork.inject_stream` batch, or one :meth:`SimNetwork.inject`.
@@ -446,9 +510,9 @@ class _StreamArrival:
         # Packed (packet, payload_bytes, flow, ident, chain): sharing
         # the three-slot layout of _Process lets __call__ rebirth this
         # object as the processing event instead of allocating one.
-        # ``chain`` is the shared [rows_iterator, inject_time, next_seq]
-        # state of a lazily scheduled stream, or None for a row pushed
-        # on its own (an inject, or a batch that cannot chain).
+        # ``chain`` is the shared _Chain of a lazily scheduled stream,
+        # or None for a row pushed on its own (an inject, or a batch
+        # that cannot chain).
         self.frame = packed
 
     def __call__(self) -> None:
@@ -462,15 +526,15 @@ class _StreamArrival:
             # Push the successor arrival now, with its pre-reserved
             # tie-break seq: the heap holds one pending entry per
             # stream instead of the whole remaining batch.
-            row = next(chain[0], None)
+            row = next(chain.rows, None)
             if row is not None:
                 at, npacket, npayload, nflow, nident = row
-                now0 = chain[1]
+                now0 = chain.start
                 delay = at - now0
                 if delay < 0.0:
                     delay = 0.0
-                seq = chain[2]
-                chain[2] = seq + 1
+                seq = chain.seq
+                chain.seq = seq + 1
                 nxt = _StreamArrival.__new__(_StreamArrival)
                 nxt.net = net
                 nxt.location = location
@@ -495,6 +559,8 @@ class _LinkState:
         self.capacity = params.capacity
         self.free_at = 0.0
 
+
+_DRAIN_HELP = "Simulator drains of a lone stream, by result"
 
 # Emission-plan target kinds.
 _PLAN_LINK = 0
@@ -534,6 +600,15 @@ class _Plan:
     plan store (one packet may cross two networks); the plan points at
     the store and never at the network, which would then sit in a
     reference cycle and wait for the cyclic collector.
+
+    The same slots chain a path: a frame whose packet's slot holds a
+    valid single-output plan goes on to the packet that plan emitted,
+    whose slot holds the next hop's, up to a delivery or drop.  When
+    every pending frame stands on one such chain, ``SimNetwork._drain``
+    replays them all without the event loop (module docstring).  It
+    asks ``ingress_frame`` for a stream's next frame before it decides,
+    so a logic that publishes plans stamps frames without side effects
+    (``CorrectLogic`` reads one register).
     """
 
     __slots__ = (
@@ -668,37 +743,43 @@ class _Process:
                             self,
                         ),
                     )
-                elif kind == _PLAN_HOST:
+                    return
+                if kind == _PLAN_HOST:
                     net._deliver(target, frame)
                 else:
                     net.drops.append(
                         DropRecord(now, target, frame, reason="no-link-at-port")
                     )
+            elif plan.emits:
+                for (kind, target, _), out_packet in zip(plan.emits, outs):
+                    out = frame.replace(
+                        packet=out_packet,
+                        tag_mask=plan.out_tag_mask,
+                        digest_mask=plan.out_digest_mask,
+                        structure=plan.structure,
+                    )
+                    if kind == _PLAN_LINK:
+                        net._transmit(target, out)
+                    elif kind == _PLAN_HOST:
+                        net._deliver(target, out)
+                    else:
+                        net.drops.append(
+                            DropRecord(now, target, out, reason="no-link-at-port")
+                        )
                 return
-            emits = plan.emits
-            if not emits:
+            else:
                 net.drops.append(
                     tuple.__new__(
                         DropRecord,
                         (now, location, frame, "no-matching-rule"),
                     )
                 )
-                return
-            for (kind, target, _), out_packet in zip(emits, outs):
-                out = frame.replace(
-                    packet=out_packet,
-                    tag_mask=plan.out_tag_mask,
-                    digest_mask=plan.out_digest_mask,
-                    structure=plan.structure,
-                )
-                if kind == _PLAN_LINK:
-                    net._transmit(target, out)
-                elif kind == _PLAN_HOST:
-                    net._deliver(target, out)
-                else:
-                    net.drops.append(
-                        DropRecord(now, target, out, reason="no-link-at-port")
-                    )
+            # The replay ended its frame's path.  While the clock runs to
+            # quiescence, now and then try to finish every pending frame
+            # at once (SimNetwork._drain; a decline doubles the wait).
+            net._drain_due -= 1
+            if net._drain_due <= 0 and sim._ticks is not None:
+                net._drain()
             return
         self._full(net, location, frame, plans)
 
@@ -869,6 +950,9 @@ class SimNetwork:
                 )
                 for result in ("hit", "leaf", "miss")
             )
+        # Replays that end a path before the next drain attempt, and the
+        # wait after a decline (see _drain).
+        self._drain_due = self._drain_backoff = 1
 
     # -- time -----------------------------------------------------------------
 
@@ -934,7 +1018,13 @@ class SimNetwork:
             delay = at - now0
             if delay < 0.0:
                 delay = 0.0
-            chain = [rows, now0, first_seq + 1]
+            chain = _Chain(
+                rows,
+                now0,
+                first_seq + 1,
+                first_seq + batch.count,
+                all(isinstance(c, int) for c in batch.columns.values()),
+            )
             _heappush(
                 sim._heap,
                 (
@@ -965,6 +1055,251 @@ class SimNetwork:
         dst = link.dst
         arrival = _Arrival(self, dst, frame.with_location(dst))
         sim.schedule((finish - now) + link.latency, arrival)
+
+    # -- draining a lone stream ---------------------------------------------------
+
+    def _drain(self) -> None:
+        """Finish every pending frame now if they are one lone stream's
+        frames on one replayed path (the conditions and why the result
+        is exact are in the module docstring); otherwise decline and
+        leave the event loop to it.
+
+        Called by a replayed hop that ended its frame's path while
+        :meth:`Simulator.run` goes to quiescence.  The frames are
+        finished most-advanced first -- at each switch its backlog, then
+        the link arrivals due there in (time, seq) order, and the
+        stream's unemitted rows last -- each across its remaining hops
+        with the expressions of ``_StreamArrival``, ``_Arrival`` and
+        ``_Process``.
+        """
+        sim = self.sim
+        heap = sim._heap
+        if not heap:
+            return
+        chain_entry = None
+        arrivals = []
+        for entry in heap:
+            action = entry[2]
+            cls = action.__class__
+            if cls is _Arrival:
+                arrivals.append(entry)
+            elif cls is _StreamArrival:
+                chain = action.frame[4]
+                if chain_entry is not None or chain is None or not chain.one_header:
+                    return self._decline()
+                chain_entry = entry
+            elif cls is not _Process:
+                return self._decline()
+            if action.net is not self:
+                return self._decline()
+        # One frame per switch: the link arrivals, each backlog's head,
+        # and the stream's next emission as it will be stamped when it
+        # fires (the register it reads cannot change before then).
+        fifos = [fifo for fifo in self._switch_fifo.values() if fifo]
+        heads = [
+            (entry[2].location, entry[2].frame)
+            for entry in itertools.chain(arrivals, (fifo[0] for fifo in fifos))
+        ]
+        if chain_entry is not None:
+            stream = chain_entry[2]
+            packet, payload_bytes, flow, ident, chain = stream.frame
+            first = self.logic.ingress_frame(
+                stream.location, packet, payload_bytes, flow, ident, chain_entry[0]
+            )
+            heads.append((stream.location, first))
+        # The path is the longest walk from one of them, and every
+        # pending frame must stand on it as the walk passes there.
+        path: List[Tuple] = []
+        walked = set()
+        for location, frame in heads:
+            if location.switch not in walked:
+                walked.add(location.switch)
+                hops = self._replayed_path(
+                    location, frame.packet, frame.tag_mask, frame.digest_mask
+                )
+                if hops is None:
+                    return self._decline()
+                if len(hops) > len(path):
+                    path = hops
+        index = {hop[0].switch: h for h, hop in enumerate(path)}
+        backlog = (
+            (entry[2].location, entry[2].frame) for fifo in fifos for entry in fifo
+        )
+        for location, frame in itertools.chain(heads, backlog):
+            h = index.get(location.switch)
+            if h is None:
+                return self._decline()
+            hop_location, packet, plan, _ = path[h]
+            if (
+                frame.packet is not packet
+                or frame.tag_mask != plan.tag_mask
+                or frame.digest_mask != plan.digest_mask
+                or (location is not hop_location and location != hop_location)
+            ):
+                return self._decline()
+        # Count what the event loop would do, and stay inside max_events.
+        last = len(path) - 1
+        queued: List[deque] = [deque() for _ in path]
+        incoming: List[List] = [[] for _ in path]
+        for fifo in fifos:
+            queued[index[fifo[0][2].location.switch]] = fifo
+        for entry in sorted(arrivals):
+            incoming[index[entry[2].location.switch]].append(entry)
+        events = draws = replays = 0
+        for h in range(len(path)):
+            left = len(path) - h
+            waiting, arriving = len(queued[h]), len(incoming[h])
+            replays += (waiting + arriving) * left
+            events += waiting * (2 * left - 1) + arriving * 2 * left
+            draws += waiting * 2 * (left - 1) + arriving * (2 * left - 1)
+        if chain_entry is not None:
+            rows = 1 + chain.end - chain.seq
+            replays += rows * len(path)
+            events += rows * 2 * len(path)
+            draws += rows * (2 * len(path) - 1)
+        if events > length_hint(sim._ticks):
+            return self._decline()
+
+        # -- taken: run each frame to the end of the path --------------------
+        switch_free = self._switch_free_at
+        busy = [switch_free[hop[0].switch] for hop in path]
+        links = [hop[2].single[1] for hop in path[:last]]
+        link_free = [link.free_at for link in links]
+        capacity = [link.capacity for link in links]
+        latency = [link.latency for link in links]
+        switch_delay = self.switch_delay
+        hop_extra = self._hop_extra
+        overhead = self._header_overhead
+        end_location, end_packet, end_plan, end_outs = path[last]
+        if end_plan.single is None:
+            records, target, reason = self.drops, end_location, "no-matching-rule"
+            out_tag, out_digest = end_plan.tag_mask, end_plan.digest_mask
+        else:
+            kind, target, _ = end_plan.single
+            records = self.deliveries if kind == _PLAN_HOST else self.drops
+            reason = None if kind == _PLAN_HOST else "no-link-at-port"
+            end_packet = end_outs
+            out_tag, out_digest = end_plan.out_tag_mask, end_plan.out_digest_mask
+        append = records.append
+
+        def travel(frame, h, now, waiting):
+            # ``waiting``: queued at hop h already, ``now`` its processing
+            # time; otherwise ``now`` is its arrival there.
+            wire_bytes = frame.payload_bytes + overhead
+            while True:
+                if waiting:
+                    waiting = False
+                else:
+                    start = busy[h]
+                    if now > start:
+                        start = now
+                    finish = start + switch_delay + hop_extra
+                    busy[h] = finish
+                    now = now + (finish - now)
+                if h == last:
+                    break
+                start = link_free[h]
+                if now > start:
+                    start = now
+                finish = start + wire_bytes / capacity[h]
+                link_free[h] = finish
+                now = now + ((finish - now) + latency[h])
+                h += 1
+            frame.packet = end_packet
+            frame.tag_mask = out_tag
+            frame.digest_mask = out_digest
+            if reason is None:
+                append(tuple.__new__(DeliveryRecord, (now, target, frame)))
+            else:
+                append(tuple.__new__(DropRecord, (now, target, frame, reason)))
+            return now
+
+        now = sim.now
+        for h in range(last, -1, -1):
+            backlog = queued[h]
+            while backlog:
+                entry = backlog.popleft()
+                now = travel(entry[2].frame, h, entry[0], True)
+            for entry in incoming[h]:
+                now = travel(entry[2].frame, h, entry[0], False)
+        if chain_entry is not None:
+            now = travel(first, 0, chain_entry[0], False)
+            location = stream.location
+            ingress = self.logic.ingress_frame
+            start0 = chain.start
+            for at, packet, payload_bytes, flow, ident in chain.rows:
+                delay = at - start0
+                if delay < 0.0:
+                    delay = 0.0
+                at = start0 + delay
+                now = travel(
+                    ingress(location, packet, payload_bytes, flow, ident, at),
+                    0, at, False,
+                )
+            chain.seq = chain.end
+        for hop, free_at in zip(path, busy):
+            switch_free[hop[0].switch] = free_at
+        for link, free_at in zip(links, link_free):
+            link.free_at = free_at
+        heap.clear()
+        sim._counter = itertools.count(next(sim._counter) + draws)
+        sim._skipped += events
+        sim.now = now
+        if self._m_plan_hit is not None:
+            self._m_plan_hit.inc(replays)
+        obs_metrics.inc("repro_sim_drain_total", 1, _DRAIN_HELP, result="taken")
+        obs_metrics.inc(
+            "repro_sim_drained_events_total", events,
+            "Discrete events a drain finished without the event loop",
+        )
+        self._drain_due = self._drain_backoff = 1
+
+    def _decline(self) -> None:
+        obs_metrics.inc("repro_sim_drain_total", 1, _DRAIN_HELP, result="declined")
+        self._drain_backoff *= 2
+        self._drain_due = self._drain_backoff
+
+    def _replayed_path(
+        self, location: Location, packet: Packet, tag_mask: int, digest_mask: int
+    ) -> Optional[List[Tuple]]:
+        """The hops a frame at ``location`` carrying ``packet`` and these
+        masks goes on to replay, ``(location, packet, plan, outs)`` each,
+        to the end of its path; None unless every hop replays a valid
+        single-output plan from its packet's slot, no switch repeats and
+        no ``auto_reply`` handler waits at the end."""
+        plans = self._plans
+        generations = self._plan_gens
+        hops: List[Tuple] = []
+        seen = set()
+        while True:
+            switch = location.switch
+            replay = packet._replay
+            if replay is None or switch in seen or packet._swpt != (
+                switch, location.port
+            ):
+                return None
+            plan, outs = replay
+            if (
+                plan.tag_mask != tag_mask
+                or plan.digest_mask != digest_mask
+                or plan.generation != generations[switch]
+                or plan.store is not plans
+            ):
+                return None
+            seen.add(switch)
+            hops.append((location, packet, plan, outs))
+            single = plan.single
+            if single is None:
+                return None if plan.emits else hops
+            kind, target, _ = single
+            if kind != _PLAN_LINK:
+                if kind == _PLAN_HOST and self.auto_reply.get(target) is not None:
+                    return None
+                return hops
+            location = target.dst
+            packet = outs
+            tag_mask = plan.out_tag_mask
+            digest_mask = plan.out_digest_mask
 
     # -- delivery ----------------------------------------------------------------
 

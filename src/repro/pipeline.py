@@ -721,6 +721,9 @@ class Pipeline:
         self._stage_seconds: Dict[str, float] = {}
         self._substage_seconds: Dict[str, float] = {}
         self._update_stats: Dict[str, int] = {}
+        # Set only by update(): the predecessor's ETS, which the
+        # update.states_* stats compare against when report() asks.
+        self._reuse_base: Optional[ETS] = None
         self._artifact_cache_state: Optional[str] = None
         self._artifact_key: Optional[str] = None
         self._cache: Optional[ArtifactCache] = None
@@ -1109,18 +1112,9 @@ class Pipeline:
                 raise
             finally:
                 updated._predecessor = None
-            old_ets, new_ets = self._ets, updated._ets
-            states = new_ets.vertices if new_ets is not None else ()
-            states_reused = 0
-            if old_ets is not None and states:
-                old_policy = dict(old_ets.vertices)
-                moved = {edge.src for edge in old_ets.edges ^ new_ets.edges}
-                for state, policy in states:
-                    old = old_policy.get(state)
-                    # Identity, then the cached hashes, then a deep compare.
-                    states_reused += state not in moved and old is not None and (
-                        policy is old or (hash(policy) == hash(old) and policy == old)
-                    )
+            new_ets = updated._ets
+            if self._ets is not None and new_ets is not None:
+                updated._reuse_base = self._ets
             total = len(compiled.states)
             reused = total - updated._configurations_compiled
             symbolic = updated._symbolic
@@ -1141,8 +1135,11 @@ class Pipeline:
                     )
             updated._update_stats = {
                 **traffic,
-                "update.states_reinstantiated": len(states) - states_reused,
-                "update.states_reused": states_reused,
+                # Nothing reused until report() compares with _reuse_base.
+                "update.states_reinstantiated": (
+                    len(new_ets.vertices) if new_ets is not None else 0
+                ),
+                "update.states_reused": 0,
                 "update.configurations_recompiled": total - reused,
                 "update.configurations_reused": reused,
                 "update.reuse_percent": (
@@ -1210,6 +1207,9 @@ class Pipeline:
             stats["forwarding_rules"] = forwarding
             stats["total_rules"] = forwarding + compiled.stamp_rule_count()
         if self._update_stats:
+            base = self._reuse_base
+            if base is not None:
+                self._count_states_reused(base)
             stats.update(self._update_stats)
         order = {"ets": 0, "nes": 1, "compile": 2}
         timings = tuple(
@@ -1229,6 +1229,24 @@ class Pipeline:
             substages=substages,
             health=dict(self._health),
         )
+
+    def _count_states_reused(self, old_ets: ETS) -> None:
+        """Fill the ``update.states_*`` stats: the ETS states whose
+        out-edges and configuration equal those of ``old_ets``, the
+        predecessor's.  Done once, when a report first asks."""
+        states = self._ets.vertices
+        old_policy = dict(old_ets.vertices)
+        moved = {edge.src for edge in old_ets.edges ^ self._ets.edges}
+        reused = 0
+        for state, policy in states:
+            old = old_policy.get(state)
+            # Identity, then the cached hashes, then a deep compare.
+            reused += state not in moved and old is not None and (
+                policy is old or (hash(policy) == hash(old) and policy == old)
+            )
+        self._update_stats["update.states_reinstantiated"] = len(states) - reused
+        self._update_stats["update.states_reused"] = reused
+        self._reuse_base = None
 
     def __repr__(self) -> str:
         ran = [name for name, _ in self.report().stage_seconds]

@@ -428,8 +428,12 @@ class TestSimulatorMetrics:
         leaves = reg.value(plan_cache, result="leaf")
         misses = reg.value(plan_cache, result="miss")
         assert hits > 0 and leaves > 0 and misses > 0
-        # Every hop is one of the three: slot replay, leaf replay, logic.
+        # Every hop is one of the three: slot replay, leaf replay, logic,
+        # also the hops a drain finished without the event loop.
         assert hits + leaves + misses == net.sim.events_processed // 2
+        assert reg.value("repro_sim_drain_total", result="taken") == 1
+        drained = reg.value("repro_sim_drained_events_total")
+        assert 0 < drained < net.sim.events_processed
 
     def test_events_counter_tracks_partial_runs_and_the_event_cap(self):
         with metrics.collecting() as reg:
