@@ -14,6 +14,7 @@ configuration IDs).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -72,6 +73,7 @@ class PrefixMatch:
 
 
 Constraint = Union[int, PrefixMatch]
+_HOLE = "\0"  # where a guarded wire line takes its tag value
 
 
 class Match:
@@ -107,9 +109,6 @@ class Match:
 
     def entries(self) -> Tuple[Tuple[str, Constraint], ...]:
         return self._entries
-
-    def fields(self) -> FrozenSet[str]:
-        return frozenset(field for field, _ in self._entries)
 
     def get(self, field: str) -> Optional[Constraint]:
         for name, constraint in self._entries:
@@ -219,36 +218,40 @@ class FlowTable:
         return rule.apply(packet)
 
     def __getstate__(self):
-        # Only the rules: the cached repr and guarded rules are derived
+        # Only the rules: the cached repr and guard split are derived
         # and would bloat every artifact holding this table.
         return {"_rules": self._rules}
 
-    def _guarded(self, field: str, tag: int) -> List[Tuple[int, Rule, str]]:
-        """The rules guarded by ``field = tag``, as (negated priority,
-        rule, wire line): made, and checked for :class:`TagFieldError`,
-        once per tag, since a table is immutable."""
-        try:
-            by_tag, tails = self._by_tag, self._tails
-        except AttributeError:
-            by_tag, tails = self._by_tag, self._tails = {}, [r._tail() for r in self._rules]
-        guarded = by_tag.get((field, tag))
+    @cached_property
+    def _rules(self) -> List[Rule]:
+        # A ``_merged`` table's guarded rules, made when first read.
+        field, sources = self._sources
+        return [Rule(r.priority, r.match.extended(field, tag), r.actions) for r, tag in sources]
+
+    def _guarded(self, field: str) -> List[Tuple[int, str, str, Rule]]:
+        """Each rule as (negated priority, its wire line guarded by
+        ``field`` split where the tag goes, rule): made, and checked for
+        :class:`TagFieldError`, once per table, since it is immutable."""
+        split = self.__dict__.setdefault("_guard_split", {})
+        guarded = split.get(field)
         if guarded is None:
             guarded = []
-            for rule, tail in zip(self._rules, tails):
-                match = rule.match.guarded(field, tag)
-                line = f"  [{rule.priority}] {match!r}{tail}"
-                guarded.append((-rule.priority, Rule(rule.priority, match, rule.actions), line))
-            by_tag[field, tag] = guarded
+            for rule in self._rules:
+                line = f"  [{rule.priority}] {rule.match.guarded(field, _HOLE)!r}{rule._tail()}"
+                guarded.append((-rule.priority, *line.split(_HOLE), rule))
+            split[field] = guarded
         return guarded
 
     @staticmethod
-    def _merged(guarded: List[Tuple[int, Rule, str]]) -> "FlowTable":
-        """The table of :meth:`_guarded` entries listed partition by
-        partition: one stable sort by priority, the text joined."""
-        guarded.sort(key=itemgetter(0))
+    def _merged(field: str, partitions: Iterable[Tuple[int, list]]) -> "FlowTable":
+        """The table of ``(tag, _guarded(field))`` partitions in order:
+        one stable sort by priority, the text joined now."""
+        entries = [(p, f"{head}{tag}{tail}", rule, tag)
+                   for tag, guarded in partitions for p, head, tail, rule in guarded]
+        entries.sort(key=itemgetter(0))
         table = FlowTable.__new__(FlowTable)
-        table._rules = [rule for _, rule, _ in guarded]
-        table._repr = "FlowTable(\n" + "\n".join([line for _, _, line in guarded]) + "\n)"
+        table._repr = "FlowTable(\n" + "\n".join([line for _, line, _, _ in entries]) + "\n)"
+        table._sources = (field, [(rule, tag) for _, _, rule, tag in entries])
         return table
 
     def __repr__(self) -> str:

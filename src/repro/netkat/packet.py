@@ -127,9 +127,6 @@ class Packet:
     def items(self) -> Iterator[Tuple[str, int]]:
         return iter(self._fields)
 
-    def fields(self) -> Tuple[str, ...]:
-        return tuple(name for name, _ in self._fields)
-
     # -- functional update --------------------------------------------------
 
     def set(self, field: str, value: int) -> "Packet":

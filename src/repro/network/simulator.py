@@ -30,11 +30,13 @@ against) runs the same loop without them.
 The per-hop path keeps one plan store, keyed by the leaf that one
 descent of the switch's guarded table ends at (``classify``), so headers
 that differ only in fields no rule or event reads share a plan and the
-store is bounded by the leaves of the decision trees.  A hop whose
-(leaf, tag, digest) was seen under the switch's current generation
-replays the plan on its own packet -- one construction per output, the
-link's far end folded in -- and any other hop runs
-:meth:`_Process._full`, the single loop that resolves egress ports.
+store is bounded by the leaves of the decision trees, one per (switch,
+table): a leaf may be reached under several tags, and a plan is valid
+only for the tag it recorded.  A hop whose (leaf, tag, digest) was seen
+under the switch's current generation replays the plan on its own
+packet -- one construction per output, the link's far end folded in --
+and any other hop runs :meth:`_Process._full`, the single loop that
+resolves egress ports.
 Before descending, the hop asks the packet object itself: a packet
 remembers the plan it last replayed and what that emitted, so a stream
 of one interned header neither descends nor allocates (``sim_stream``:
@@ -571,7 +573,9 @@ _PLAN_DROP = 2
 class _Plan:
     """A cached, fully resolved processing outcome for one (leaf,
     tag_mask, digest_mask) input class, the leaf being where one descent
-    of the switch's guarded table ends for the packet.
+    of the switch's guarded table ends for the packet.  A leaf belongs
+    to a (switch, table) tree and may be reached under several tags, so
+    a plan is valid only for the tag it recorded.
 
     The contract, which a logic opts into by publishing ``classify``,
     ``plan_generations`` and ``header_overhead`` (only ``CorrectLogic``

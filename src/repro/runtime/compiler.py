@@ -166,8 +166,9 @@ class CompiledNES:
         # The guarded merge, built on first use, in a one-item cell that
         # every artifact with the same merge inputs shares (share_merge).
         self._merge: List[Optional[Dict[int, FlowTable]]] = [None]
-        # What the simulator forwards by (see :meth:`classify`): tag
-        # mask -> switch -> decision tree over the merge.
+        # What the simulator forwards by (:meth:`classify`): a decision
+        # tree per (switch, table), viewed per tag mask.
+        self._trees: Dict[Tuple[int, FlowTable], object] = {}
         self._roots: Dict[Optional[int], Dict[int, object]] = {}
         self._deposit()
 
@@ -176,12 +177,6 @@ class CompiledNES:
         ``g``: a copy, so that replacing an entry of ``configurations``
         never changes what the checker holds traces against."""
         self.nes.compiled = (self.topology.switches, dict(self.configurations))
-
-    # -- tag encoding -----------------------------------------------------------
-
-    def tag_of_event_set(self, event_set: Iterable[Event]) -> int:
-        """The configuration tag stamped on packets entering at this event-set."""
-        return self.config_ids[self.nes.state_of(frozenset(event_set))]
 
     # -- configuration access ---------------------------------------------------
 
@@ -201,22 +196,19 @@ class CompiledNES:
         partitions disjoint, so relative priorities within each
         configuration are preserved.
 
-        The merged tables are memoized (the runtime, the simulator and
-        the wire all re-read them), and each table keeps its rules as
-        guarded by each tag it was given.  A fresh dict over the immutable
-        :class:`FlowTable` values is returned each call, so callers may
-        mutate the mapping without corrupting the cache.
+        The merged tables are memoized, and each table keeps its rules'
+        wire lines once, split where the tag goes; a merged table makes
+        its guarded rules when first iterated.  A fresh dict over the
+        immutable :class:`FlowTable` values is returned each call, so
+        callers may mutate the mapping without corrupting the cache.
         """
         memo = self._merge[0]
         if memo is None:
             merged: Dict[int, List] = {n: [] for n in self.topology.switches}
-            for state in self.states:
-                config_id = self.config_ids[state]
+            for state, config_id in self.config_ids.items():
                 for switch, table in self.configurations[state]._tables.items():
-                    merged.setdefault(switch, []).extend(
-                        table._guarded(TAG_FIELD, config_id)
-                    )
-            memo = {n: FlowTable._merged(guarded) for n, guarded in merged.items()}
+                    merged.setdefault(switch, []).append((config_id, table._guarded(TAG_FIELD)))
+            memo = {n: FlowTable._merged(TAG_FIELD, parts) for n, parts in merged.items()}
             self._merge[0] = memo
         return dict(memo)
 
@@ -235,25 +227,28 @@ class CompiledNES:
         return node
 
     def _root(self, tag_mask: Optional[int]) -> Dict[int, object]:
-        """Build the decision trees, switch -> root, of the configuration
-        ``tag_mask`` stamps from the guarded merge, every rule of which
-        must be guarded by a plain configuration id."""
-        config_id = self.tag_of_event_set(self.nes.structure.decode(tag_mask or 0))
+        """The decision trees, switch -> root, of the configuration
+        ``tag_mask`` stamps: its table at each switch, whose rules must
+        be exact matches, indexed once per (switch, table)."""
+        self.guarded_tables()  # refuse what cannot be served
+        state = self.nes.state_of(self.nes.structure.decode(tag_mask or 0))
         root: Dict[int, object] = {}
-        for switch, table in self.guarded_tables().items():
-            events = [
-                (1 << index, (Literal(PT, EQ, e.location.port), *e.guard.literals))
-                for index, e in enumerate(self.nes.structure.universe)
-                if e.location.switch == switch
-            ]
-            rules = []
-            for rule in table:
-                constraints = dict(rule.match.entries())
-                if not all(c.__class__ is int for c in constraints.values()):
-                    raise ValueError(f"cannot index non-exact match of {rule!r}")
-                if constraints.pop(TAG_FIELD) == config_id:
+        for switch, table in self.configurations[state]._tables.items():
+            tree = self._trees.get((switch, table))
+            if tree is None:
+                events = [
+                    (1 << index, (Literal(PT, EQ, e.location.port), *e.guard.literals))
+                    for index, e in enumerate(self.nes.structure.universe)
+                    if e.location.switch == switch
+                ]
+                rules = []
+                for rule in table:
+                    constraints = dict(rule.match.entries())
+                    if not all(c.__class__ is int for c in constraints.values()):
+                        raise ValueError(f"cannot index non-exact match of {rule!r}")
                     rules.append((constraints, rule.actions))
-            root[switch] = _decision_tree(rules, events, {})
+                tree = self._trees[switch, table] = _decision_tree(rules, events, {})
+            root[switch] = tree
         self._roots[tag_mask] = root
         return root
 
@@ -296,6 +291,7 @@ class CompiledNES:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._merge = [None]
+        self._trees = {}
         self._roots = {}
         self._deposit()
 

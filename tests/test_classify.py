@@ -1,12 +1,13 @@
 """The decision walk against the linear scan, differentially.
 
 ``CompiledNES.classify`` resolves a hop in one descent of a tree built
-from the guarded table and the events located at the switch.  Here every
-descent is compared with the same answer computed the linear way: the
-first rule of the guarded ``FlowTable`` that matches the tagged packet,
-its ``Rule.apply`` outputs sorted by ``repr``, and the mask of the
-events whose ``matches_packet`` holds -- on the seven seed apps (every
-configuration, every switch) and on seeded random tables and events.
+from the tag's configuration table and the events located at the switch.
+Here every descent is compared with the same answer computed the linear
+way: the first rule of the served guarded merge that matches the tagged
+packet, its ``Rule.apply`` outputs sorted by ``repr``, and the mask of
+the events whose ``matches_packet`` holds -- on the seven seed apps
+(every configuration, every switch) and on seeded random tables and
+events.
 """
 
 import itertools
@@ -15,15 +16,17 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.apps import bandwidth_cap_app, ids_app, ring_app
 from repro.events.event import Event
 from repro.events.nes import NES
 from repro.events.structure import EventStructure
 from repro.formula import EQ, NE, Formula, Literal
 from repro.netkat.ast import DROP
-from repro.netkat.flowtable import FlowTable, Match, PrefixMatch, Rule
+from repro.netkat.compiler import Configuration
+from repro.netkat.flowtable import FlowTable, Match, PrefixMatch, Rule, TagFieldError
 from repro.netkat.packet import Location, Packet, PT, SW
-from repro.pipeline import CompileOptions
 from repro.runtime.compiler import CompiledNES, TAG_FIELD
+from repro.topology import Topology
 
 from seed_apps import APPS
 
@@ -31,7 +34,7 @@ from seed_apps import APPS
 def linear(compiled, switch, tag_mask, packet):
     """``(outputs in emission order, matched-event mask)`` by scanning."""
     structure = compiled.nes.structure
-    config_id = compiled.tag_of_event_set(structure.decode(tag_mask))
+    config_id = compiled.config_ids[compiled.nes.state_of(structure.decode(tag_mask))]
     table = compiled.guarded_tables()[switch]
     rule = table.lookup(packet.set(TAG_FIELD, config_id))
     outputs = sorted(rule.apply(packet), key=repr) if rule is not None else []
@@ -91,6 +94,30 @@ def test_seed_apps_every_configuration_every_switch(name, make_app):
                 assert_walk_equals_scan(compiled, switch, tag_mask, packet)
 
 
+@pytest.mark.parametrize(
+    "make_app,trees",
+    [(lambda: bandwidth_cap_app(48), 4), (ids_app, 6), (lambda: ring_app(8), 32)],
+    ids=["cap48", "ids", "ring8"],
+)
+def test_one_tree_per_distinct_switch_and_table(make_app, trees):
+    """Descents under every tag at every switch build one tree per
+    distinct (switch, table) pair, which every tag whose configuration
+    holds that table there shares: cap-48 has 50 tags over 2 switches
+    but 2 distinct tables at each."""
+    compiled = make_app().compiled
+    structure = compiled.nes.structure
+    for event_set in compiled.nes.event_sets():
+        for switch in compiled.topology.switches:
+            compiled.classify(switch, structure.encode(event_set), Packet({SW: switch, PT: 1}))
+    pairs = {
+        (switch, id(table))
+        for config in compiled.configurations.values()
+        for switch, table in config.tables.items()
+    }
+    built = {id(root[switch]) for root in compiled._roots.values() for switch in root}
+    assert len(pairs) == len(built) == len(compiled._trees) == trees
+
+
 # -- seeded random guarded tables ---------------------------------------------------
 
 SWITCH = 1
@@ -121,9 +148,10 @@ PACKETS = st.dictionaries(
 
 
 def planted(rules, events):
-    """A ``CompiledNES`` whose memoised guarded table and event universe
-    are the given ones: two configurations, ids 0 (at the empty
-    event-set) and 1 (at every singleton)."""
+    """A ``CompiledNES`` over one switch whose event universe is the
+    given one and whose two configurations, ids 0 (at the empty
+    event-set) and 1 (at every singleton), hold the given rules of
+    their id; the scan oracle reads the guarded merge built from them."""
     universe = set()
     for literals, port, eid in events:
         guard = Formula.true().conjoin_all(literals)
@@ -133,16 +161,21 @@ def planted(rules, events):
         universe, [universe], [(frozenset(), e) for e in universe]
     )
     g = {frozenset(): (0,), **{frozenset({e}): (1,) for e in universe}}
-    compiled = CompiledNES.__new__(CompiledNES)
-    compiled.options = CompileOptions()
-    compiled.nes = NES(structure, g, {(0,): DROP, (1,): DROP})
-    compiled.config_ids = {(0,): 0, (1,): 1}
-    table = FlowTable(
-        Rule(len(rules) - position, Match({**constraints, TAG_FIELD: tag}), actions)
-        for position, (tag, constraints, actions) in enumerate(rules)
-    )
-    compiled._merge = [{SWITCH: table}]
-    compiled._roots = {}
+    topology = Topology().add_switch(SWITCH)
+    configurations = {
+        (config_id,): Configuration(
+            {SWITCH: FlowTable(
+                Rule(len(rules) - position, Match(constraints), actions)
+                for position, (tag, constraints, actions) in enumerate(rules)
+                if tag == config_id
+            )},
+            topology,
+        )
+        for config_id in (0, 1)
+    }
+    nes = NES(structure, g, {(0,): DROP, (1,): DROP})
+    compiled = CompiledNES(nes, topology, configurations)
+    assert compiled.config_ids == {(0,): 0, (1,): 1}
     return compiled
 
 
@@ -198,13 +231,23 @@ def test_the_generator_reaches_the_cases_it_is_for():
     assert [universe[i].location.port for i in range(len(universe)) if leaf.events >> i & 1] == [2]
 
 
-def test_a_tag_guard_that_is_no_configuration_id_raises_at_build():
-    for guard in (PrefixMatch(0, 1, 2), True):
-        compiled = planted([], [])
-        rule = Rule(1, Match({TAG_FIELD: guard}), frozenset({(("pt", 1),)}))
-        compiled._merge[0][SWITCH] = FlowTable([rule])
+def test_a_non_exact_match_in_a_configuration_table_raises_at_build():
+    for constraint in (PrefixMatch(0, 1, 2), True):
+        compiled = planted([(0, {"a": constraint}, frozenset({(("pt", 1),)}))], [])
         with pytest.raises(ValueError, match="non-exact match"):
             compiled.classify(SWITCH, 0, Packet({SW: 1, PT: 1}))
+
+
+def test_a_program_matching_on_the_tag_field_is_refused():
+    """The simulator refuses what cannot be served: a configuration rule
+    on the tag field raises ``TagFieldError`` as the guarded merge does,
+    under every tag and whichever configuration holds the rule."""
+    for config_id in (0, 1):
+        rules = [(config_id, {TAG_FIELD: 1}, frozenset({(("pt", 1),)}))]
+        compiled = planted(rules, [([Literal("a", EQ, 1)], 1, 0)])
+        for tag_mask in (0, 1):
+            with pytest.raises(TagFieldError, match="collides"):
+                compiled.classify(SWITCH, tag_mask, Packet({SW: 1, PT: 1}))
 
 
 def test_a_tag_that_is_no_event_set_raises_key_error():

@@ -15,6 +15,7 @@ from repro.apps import bandwidth_cap_app, firewall_app, ids_app, ring_app
 from repro.consistency.checker import NESChecker
 from repro.netkat.ast import Filter, conj, test as field_test
 from repro.netkat.compiler import compile_policy
+from repro.netkat.flowtable import Rule
 from repro.obs import metrics
 from repro.pipeline import (
     ARTIFACT_FORMAT,
@@ -304,7 +305,7 @@ def test_the_merge_is_shared_exactly_when_its_inputs_are():
     assert guarded_bytes(recompiled) == guarded_bytes(lender)
 
 
-# -- each FDD node converted once, each table guarded once per tag ------------
+# -- each FDD node converted once, each table guarded once ---------------------
 
 
 def reference_wire(compiled):
@@ -338,6 +339,41 @@ def test_an_updated_wire_is_the_per_rule_merge(name, make, policy_delta):
     ):
         updated = base.update(delta).compiled
         assert tables_to_wire(updated) == reference_wire(updated)
+
+
+@pytest.mark.parametrize("name,make", WIRE_APPS, ids=[name for name, _ in WIRE_APPS])
+def test_a_merged_table_makes_the_per_rule_merge_when_iterated(name, make):
+    """A merged table holds its text; its guarded rules are made on the
+    first iteration and are the reference merge's, rule for rule."""
+    compiled = fresh_pipeline(make()).compiled
+    reference = guarded_tables_naive(compiled)
+    tables = compiled.guarded_tables()
+    assert tables.keys() == reference.keys()
+    for switch, table in tables.items():
+        assert "_rules" not in vars(table)
+        assert list(table) == list(reference[switch])
+        assert repr(table) == repr(reference[switch])
+
+
+def test_the_wire_builds_no_guarded_rule(monkeypatch):
+    """``tables_to_wire`` reads each merged table's text alone: it
+    constructs no ``Rule`` and leaves no rules on a merged table."""
+    compiled = fresh_pipeline(bandwidth_cap_app(24)).compiled
+    made = [0]
+    real = Rule.__init__
+
+    def counted(self, *args, **kwargs):
+        made[0] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Rule, "__init__", counted)
+    guarded_tables_naive(compiled)
+    assert made[0] > 0  # the hook sees a guarded rule being made
+    made[0] = 0
+    wire = tables_to_wire(compiled)
+    assert made == [0]
+    assert wire == reference_wire(compiled)
+    assert not any("_rules" in vars(table) for table in compiled.guarded_tables().values())
 
 
 def conversions(monkeypatch):
@@ -376,12 +412,16 @@ def test_each_fdd_node_is_converted_once_per_lineage(monkeypatch):
 
 
 def test_serialising_leaves_the_artifact_bytes_alone():
-    """The per-tag guard cache is never pickled: an artifact's bytes are
-    the same before and after its tables go on the wire."""
+    """The per-table guard split and text are never pickled: an
+    artifact's bytes are the same before and after its tables go on the
+    wire."""
     compiled = fresh_pipeline(bandwidth_cap_app(8)).compiled
     before = pickle.dumps(compiled)
     wire = tables_to_wire(compiled)
-    assert pickle.dumps(compiled) == before
-    assert b"_by_tag" not in before
+    tables = [t for c in compiled.configurations.values() for t in c._tables.values()]
+    assert all("_guard_split" in vars(table) for table in tables)
+    after = pickle.dumps(compiled)
+    assert after == before
+    assert b"_guard_split" not in after
     assert tables_to_wire(pickle.loads(before)) == wire
     assert ARTIFACT_FORMAT == 6

@@ -221,6 +221,8 @@ DELETED = [
      ("_reusable_configurations", ALL)),
     ("name", "adopt_guarded_tables", CNES, ("adopt_guarded_tables", ALL)),
     ("name", "guarded_tables", "repro.pipeline:Pipeline", ("def guarded_tables", (PIPELINE,))),
+    # Each distinct table is guarded once, not once per tag.
+    ("text", "_by_tag|_tails", ("src/repro/netkat",)),
     # One executor, a plain loop; a compile runs once, nothing retries.
     ("text", "ThreadPoolExecutor|BACKENDS|max_workers|backend=", SRC),
     ("param", "compile_retries", "repro.pipeline:CompileOptions", ("compile_retries", ALL)),
@@ -303,6 +305,9 @@ DELETED = [
     ("name", "specificity", "repro.netkat.flowtable:Match", _method("specificity")),
     ("name", "is_drop", "repro.netkat.flowtable:Rule", _method("is_drop")),
     ("name", "merged_with", "repro.netkat.flowtable:FlowTable", _method("merged_with")),
+    ("name", "tag_of_event_set", CNES, _method("tag_of_event_set")),
+    ("name", "fields", "repro.netkat.flowtable:Match repro.netkat.packet:Packet",
+     _method("fields")),
     ("name", "is_true", "repro.formula:Conjunction", _method("is_true")),
     ("name", "host_address", "repro.apps.base:App", _method("host_address")),
     ("name", "compile_app", "repro repro.pipeline", (r"compile_app\(", ALL)),

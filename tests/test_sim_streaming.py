@@ -35,6 +35,7 @@ from repro.apps.base import HOSTS
 from repro.baselines import ReferenceLogic, TwoPhaseLogic, UncoordinatedLogic
 from repro.consistency import CorrectnessReport, NESChecker
 from repro.consistency.traces import NetworkTrace, position_event_masks
+from repro.netkat.compiler import Configuration
 from repro.netkat.flowtable import FlowTable, Rule
 from repro.netkat.packet import LocatedPacket, Location, Packet
 from repro.network import (
@@ -47,6 +48,7 @@ from repro.network import (
 )
 from repro.network import simulator
 from repro.obs import metrics as obs_metrics
+from repro.service.protocol import tables_to_wire
 from repro.topology import Host
 
 from naive_oracles import (
@@ -683,8 +685,9 @@ class TestFrameBatchValidation:
 
 
 class TestServedArtifact:
-    """``CorrectLogic`` runs ``CompiledNES.guarded_tables()`` -- what the
-    daemon serves -- and the plans mean what ``_Plan`` says."""
+    """``CorrectLogic`` runs the configuration tables that
+    ``CompiledNES.guarded_tables()`` merges -- what the daemon serves --
+    and the plans mean what ``_Plan`` says."""
 
     def test_correct_logic_forwards_by_the_memoised_guarded_table(self):
         def run(compiled, logic_class):
@@ -701,28 +704,39 @@ class TestServedArtifact:
             net.run()
             return _records(net)
 
-        def plant(compiled, switch, table):
-            compiled._merge[0][switch] = table
-            compiled._roots = {}
+        def plant(compiled, configurations):
+            compiled.configurations = configurations
+            compiled._merge, compiled._trees, compiled._roots = [None], {}, {}
 
         compiled = firewall_app().compiled
         served = run(compiled, CorrectLogic)
         assert served == run(compiled, Figure7Logic) and served[0]
-        # Send every rule of the ingress switch out of a dead port.
+        wire = tables_to_wire(compiled)
+        # Send every rule of the ingress switch out of a dead port, in
+        # every configuration.
         switch = compiled.topology.host("H1").attachment.switch
-        original = compiled.guarded_tables()[switch]
+        original = compiled.configurations
         dead_end = frozenset({(("pt", 99),)})
-        plant(
-            compiled,
-            switch,
-            FlowTable(Rule(r.priority, r.match, dead_end) for r in original),
-        )
+        plant(compiled, {
+            state: Configuration(
+                {**config.tables, switch: FlowTable(
+                    Rule(r.priority, r.match, dead_end) for r in config.table(switch)
+                )},
+                config.topology,
+                config.name,
+            )
+            for state, config in original.items()
+        })
+        planted_wire = tables_to_wire(compiled)
+        assert planted_wire[str(switch)] != wire[str(switch)]
+        assert {**planted_wire, str(switch): None} == {**wire, str(switch): None}
         mutated = run(compiled, CorrectLogic)
         assert mutated != served and not mutated[0]
         assert {d.reason for d in mutated[1]} == {"no-link-at-port"}
-        assert run(compiled, Figure7Logic) == served  # forwards by configuration
-        plant(compiled, switch, original)
+        assert run(compiled, Figure7Logic) == mutated
+        plant(compiled, original)
         assert run(compiled, CorrectLogic) == served
+        assert tables_to_wire(compiled) == wire
 
     @staticmethod
     def _varied_net(logic_class, frames=40):
