@@ -12,16 +12,16 @@ Links are sugar for ``sw=n ∧ pt=m ; dup ; sw<-n' ; pt<-m'`` but we keep
 them as first-class constructors because the compiler and the Stateful
 NetKAT event-extraction both treat links specially.
 
-All nodes are immutable and hashable, so they can be memoized by the FDD
-compiler.  Smart constructors perform cheap local simplifications
+Nodes are hash-consed (:mod:`repro.netkat.hashcons`), so equality is
+identity.  Smart constructors perform cheap local simplifications
 (identity/annihilator laws) to keep programmatically-built policies small.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterator
+from typing import FrozenSet
 
+from .hashcons import HashConsed
 from .packet import Location, PT, SW
 
 __all__ = [
@@ -65,7 +65,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class Predicate:
+class Predicate(HashConsed):
     """Base class for NetKAT predicates."""
 
     # Operator sugar so programs read close to the paper's notation.
@@ -79,66 +79,54 @@ class Predicate:
         return neg(self)
 
 
-@dataclass(frozen=True)
 class PTrue(Predicate):
     """The predicate ``true`` (policy identity)."""
-
 
     def __repr__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
 class PFalse(Predicate):
     """The predicate ``false`` (policy drop)."""
-
 
     def __repr__(self) -> str:
         return "false"
 
 
-@dataclass(frozen=True)
 class Test(Predicate):
     """The field test ``f = n``."""
 
     field: str
     value: int
 
-
     def __repr__(self) -> str:
         return f"{self.field}={self.value}"
 
 
-@dataclass(frozen=True)
 class Neg(Predicate):
     """Negation ``¬a``."""
 
     operand: Predicate
 
-
     def __repr__(self) -> str:
         return f"~({self.operand!r})"
 
 
-@dataclass(frozen=True)
 class Conj(Predicate):
     """Conjunction ``a ∧ b``."""
 
     left: Predicate
     right: Predicate
 
-
     def __repr__(self) -> str:
         return f"({self.left!r} & {self.right!r})"
 
 
-@dataclass(frozen=True)
 class Disj(Predicate):
     """Disjunction ``a ∨ b``."""
 
     left: Predicate
     right: Predicate
-
 
     def __repr__(self) -> str:
         return f"({self.left!r} | {self.right!r})"
@@ -155,9 +143,9 @@ def test(field_name: str, value: int) -> Predicate:
 
 def neg(a: Predicate) -> Predicate:
     """Build ``¬a`` with double-negation and constant elimination."""
-    if isinstance(a, PTrue):
+    if a is TRUE:
         return FALSE
-    if isinstance(a, PFalse):
+    if a is FALSE:
         return TRUE
     if isinstance(a, Neg):
         return a.operand
@@ -168,11 +156,11 @@ def conj(*operands: Predicate) -> Predicate:
     """Build the conjunction of ``operands`` with unit/zero laws applied."""
     result: Predicate = TRUE
     for a in operands:
-        if isinstance(a, PFalse) or isinstance(result, PFalse):
+        if a is FALSE or result is FALSE:
             return FALSE
-        if isinstance(a, PTrue):
+        if a is TRUE:
             continue
-        if isinstance(result, PTrue):
+        if result is TRUE:
             result = a
         else:
             result = Conj(result, a)
@@ -183,11 +171,11 @@ def disj(*operands: Predicate) -> Predicate:
     """Build the disjunction of ``operands`` with unit/zero laws applied."""
     result: Predicate = FALSE
     for a in operands:
-        if isinstance(a, PTrue) or isinstance(result, PTrue):
+        if a is TRUE or result is TRUE:
             return TRUE
-        if isinstance(a, PFalse):
+        if a is FALSE:
             continue
-        if isinstance(result, PFalse):
+        if result is FALSE:
             result = a
         else:
             result = Disj(result, a)
@@ -199,26 +187,7 @@ def disj(*operands: Predicate) -> Predicate:
 # ---------------------------------------------------------------------------
 
 
-def _cached_hash(p: "Policy") -> int:
-    """A composite policy's hash, cached on the node hashed directly (a
-    configuration policy) and on none below it: that of its canonical
-    text, which equal policies share (as the artifact key assumes)."""
-    try:
-        return p.__dict__["_hash"]
-    except KeyError:
-        h = hash(repr(p))
-        object.__setattr__(p, "_hash", h)
-        return h
-
-
-def _state_without_hash(p: "Policy") -> dict:
-    # PYTHONHASHSEED-dependent: the loading process recomputes it.
-    state = dict(p.__dict__)
-    state.pop("_hash", None)
-    return state
-
-
-class Policy:
+class Policy(HashConsed):
     """Base class for NetKAT policies."""
 
     def __add__(self, other: "Policy") -> "Policy":
@@ -229,80 +198,61 @@ class Policy:
         return seq(self, other)
 
 
-@dataclass(frozen=True)
 class Filter(Policy):
     """A predicate used as a policy (pass packets satisfying it)."""
 
     predicate: Predicate
 
-
     def __repr__(self) -> str:
         return f"filter({self.predicate!r})"
 
 
-@dataclass(frozen=True)
 class Assign(Policy):
     """The field assignment ``f <- n``."""
 
     field: str
     value: int
 
-
     def __repr__(self) -> str:
         return f"{self.field}<-{self.value}"
 
 
-@dataclass(frozen=True)
 class Union(Policy):
     """Parallel composition ``p + q``."""
 
     left: Policy
     right: Policy
 
-    __hash__ = _cached_hash
-    __getstate__ = _state_without_hash
-
     def __repr__(self) -> str:
         return f"({self.left!r} + {self.right!r})"
 
 
-@dataclass(frozen=True)
 class Seq(Policy):
     """Sequential composition ``p ; q``."""
 
     left: Policy
     right: Policy
 
-    __hash__ = _cached_hash
-    __getstate__ = _state_without_hash
-
     def __repr__(self) -> str:
         return f"({self.left!r} ; {self.right!r})"
 
 
-@dataclass(frozen=True)
 class Star(Policy):
     """Kleene iteration ``p*``."""
 
     operand: Policy
 
-    __hash__ = _cached_hash
-    __getstate__ = _state_without_hash
-
     def __repr__(self) -> str:
         return f"({self.operand!r})*"
 
 
-@dataclass(frozen=True)
 class Dup(Policy):
     """``dup`` -- record the current packet in the history."""
-
 
     def __repr__(self) -> str:
         return "dup"
 
 
-@dataclass(frozen=True)
 class Link(Policy):
     """A physical link ``(n1:m1) -> (n2:m2)``.
 
@@ -312,7 +262,6 @@ class Link(Policy):
 
     src: Location
     dst: Location
-
 
     def __repr__(self) -> str:
         return f"({self.src})->({self.dst})"
@@ -336,9 +285,9 @@ def union(*operands: Policy) -> Policy:
     """Build ``p1 + p2 + ...`` with drop elimination."""
     result: Policy = DROP
     for p in operands:
-        if _is_drop(p):
+        if p is DROP:
             continue
-        if _is_drop(result):
+        if result is DROP:
             result = p
         else:
             result = Union(result, p)
@@ -349,13 +298,13 @@ def seq(*operands: Policy) -> Policy:
     """Build ``p1 ; p2 ; ...`` with identity/drop elimination."""
     result: Policy = ID
     for p in operands:
-        if _is_drop(result):
+        if result is DROP:
             return DROP
-        if _is_drop(p):
+        if p is DROP:
             return DROP
-        if _is_id(p):
+        if p is ID:
             continue
-        if _is_id(result):
+        if result is ID:
             result = p
         else:
             result = Seq(result, p)
@@ -364,7 +313,7 @@ def seq(*operands: Policy) -> Policy:
 
 def star(p: Policy) -> Policy:
     """Build ``p*`` (with ``drop* = id`` and ``id* = id``)."""
-    if _is_drop(p) or _is_id(p):
+    if p is DROP or p is ID:
         return ID
     return Star(p)
 
@@ -379,14 +328,6 @@ def link(src: str | Location, dst: str | Location) -> Policy:
 def at_location(location: Location) -> Predicate:
     """The predicate ``sw=n ∧ pt=m`` for a location."""
     return conj(Test(SW, location.switch), Test(PT, location.port))
-
-
-def _is_drop(p: Policy) -> bool:
-    return isinstance(p, Filter) and isinstance(p.predicate, PFalse)
-
-
-def _is_id(p: Policy) -> bool:
-    return isinstance(p, Filter) and isinstance(p.predicate, PTrue)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ switch steps come from the tables, link steps from the topology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .ast import (
@@ -89,9 +89,7 @@ def link_free(p: Policy) -> bool:
 def strip_dup(p: Policy) -> Policy:
     """Replace ``dup`` by the identity (dup only affects histories).
 
-    Identity-preserving: dup-free subtrees come back as the same object,
-    so the builder's id-keyed ``of_policy`` memo keeps hitting on the
-    subtrees that per-state projections share.
+    Dup-free subtrees come back as they are, without being rebuilt.
     """
     if isinstance(p, Dup):
         return ID
@@ -441,25 +439,6 @@ def _matches_overlap(m1: Match, m2: Match) -> bool:
     return True
 
 
-_at_location_predicates: Dict[Location, Predicate] = {}
-
-
-def _at_location_interned(location: Location) -> Predicate:
-    """A canonical ``at_location`` predicate AST per location.
-
-    ``compile_policy`` builds one reach-link guard per hop per call; the
-    builder's id-keyed ``of_predicate`` memo would pin a fresh throwaway
-    AST per compile, so the predicate objects are interned here (bounded
-    by the distinct locations ever compiled) and every compile hits the
-    same memo entry.
-    """
-    a = _at_location_predicates.get(location)
-    if a is None:
-        a = at_location(location)
-        _at_location_predicates[location] = a
-    return a
-
-
 def knowledge_fdd(builder: FDDBuilder, knowledge: Knowledge) -> FDD:
     """The predicate FDD of a :class:`Knowledge`, cached on the builder.
 
@@ -500,7 +479,7 @@ def compile_policy(
             hop_fdd = builder.of_policy(segment)
             if not is_final:
                 link_ = alt.links[hop_index]
-                reach_link = builder.of_predicate(_at_location_interned(link_.src))
+                reach_link = builder.of_predicate(at_location(link_.src))
                 hop_fdd = builder.seq(hop_fdd, reach_link)
             next_frontier: Set[Knowledge] = set()
             for knowledge in frontier:

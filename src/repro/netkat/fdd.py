@@ -181,15 +181,11 @@ class FDDBuilder:
         self._memo_seq: Dict[Tuple[int, int], FDD] = {}
         self._memo_seq_mod: Dict[Tuple[Mod, int], FDD] = {}
         self._memo_ite: Dict[Tuple[str, int, int, int], FDD] = {}
-        # AST-compilation memos, keyed on node identity.  The value keeps
-        # the AST node alive so its id cannot be recycled while the memo
-        # can still serve it.  Configurations projected from one stateful
-        # program share subtree objects, so these hit across the per-state
-        # compiles of a CompiledNES.  Like the hash-consing caches above
-        # they grow for the builder's lifetime: a lineage root's, or one
-        # compile on a fork.
-        self._memo_of_policy: Dict[int, Tuple[object, FDD]] = {}
-        self._memo_of_predicate: Dict[int, Tuple[object, FDD]] = {}
+        # AST-compilation memos, keyed on the (hash-consed) node, so an
+        # equal term hits wherever it was built.  Like the caches above
+        # they grow for the builder's lifetime (a root's, or a fork's).
+        self._memo_of_policy: Dict[Policy, FDD] = {}
+        self._memo_of_predicate: Dict[Predicate, FDD] = {}
         # Knowledge (pos, neg) -> predicate FDD, filled by
         # netkat.compiler.knowledge_fdd; nodes of this builder, so it
         # lives and dies with it.
@@ -504,9 +500,9 @@ class FDDBuilder:
 
     def of_predicate(self, a: Predicate) -> FDD:
         """Compile a predicate to a 0/1-valued FDD."""
-        cached = self._memo_of_predicate.get(id(a))
+        cached = self._memo_of_predicate.get(a)
         if cached is not None:
-            return cached[1]
+            return cached
         if isinstance(a, PTrue):
             result = self.id
         elif isinstance(a, PFalse):
@@ -526,7 +522,7 @@ class FDDBuilder:
             result = self.negate(self.seq(self.negate(left), self.negate(right)))
         else:
             raise TypeError(f"not a predicate: {a!r}")
-        self._memo_of_predicate[id(a)] = (a, result)
+        self._memo_of_predicate[a] = result
         return result
 
     def of_policy(self, p: Policy) -> FDD:
@@ -536,9 +532,9 @@ class FDDBuilder:
         with no flow-table meaning, and links are split out by the path
         compiler before FDDs are built.
         """
-        cached = self._memo_of_policy.get(id(p))
+        cached = self._memo_of_policy.get(p)
         if cached is not None:
-            return cached[1]
+            return cached
         if isinstance(p, Filter):
             result = self.of_predicate(p.predicate)
         elif isinstance(p, Assign):
@@ -558,7 +554,7 @@ class FDDBuilder:
             )
         else:
             raise TypeError(f"not a policy: {p!r}")
-        self._memo_of_policy[id(p)] = (p, result)
+        self._memo_of_policy[p] = result
         return result
 
     # -- evaluation and extraction ---------------------------------------------

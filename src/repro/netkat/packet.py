@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import total_ordering
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+
+from .hashcons import HashConsed
 
 __all__ = [
     "Location",
@@ -33,15 +36,23 @@ SW = "sw"
 PT = "pt"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Location:
-    """A switch-port pair ``n:m``."""
+@total_ordering
+class Location(HashConsed, salted=False):
+    """A switch-port pair ``n:m`` (hash-consed, hashed as ``(switch, port)``)."""
 
     switch: int
     port: int
 
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.switch, self.port) < (other.switch, other.port)
+
     def __str__(self) -> str:
         return f"{self.switch}:{self.port}"
+
+    def __repr__(self) -> str:
+        return f"Location(switch={self.switch!r}, port={self.port!r})"
 
     @staticmethod
     def parse(text: str) -> "Location":

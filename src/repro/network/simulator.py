@@ -542,6 +542,8 @@ class _StreamArrival:
                 nxt.location = location
                 nxt.frame = (npacket, npayload, nflow, nident, chain)
                 _heappush(heap, (now0 + delay, seq, nxt))
+            elif not chain.one_header:
+                net._varying_chains -= 1
         self.frame = net.logic.ingress_frame(
             location, packet, payload_bytes, flow, ident, now
         )
@@ -954,9 +956,10 @@ class SimNetwork:
                 )
                 for result in ("hit", "leaf", "miss")
             )
-        # Replays that end a path before the next drain attempt, and the
-        # wait after a decline (see _drain).
+        # Replays that end a path before the next drain attempt, the wait
+        # after a decline, and the unfinished varying-header chains (_drain).
         self._drain_due = self._drain_backoff = 1
+        self._varying_chains = 0
 
     # -- time -----------------------------------------------------------------
 
@@ -1029,6 +1032,7 @@ class SimNetwork:
                 first_seq + batch.count,
                 all(isinstance(c, int) for c in batch.columns.values()),
             )
+            self._varying_chains += not chain.one_header
             _heappush(
                 sim._heap,
                 (
@@ -1080,6 +1084,8 @@ class SimNetwork:
         heap = sim._heap
         if not heap:
             return
+        if self._varying_chains:  # such a chain's next arrival is pending
+            return self._decline()
         chain_entry = None
         arrivals = []
         for entry in heap:

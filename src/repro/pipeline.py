@@ -102,8 +102,8 @@ __all__ = [
 # dropped the options from the key and from the artifact altogether;
 # format 5 stopped pickling the event structure's decoded enablers;
 # format 6 pickles only the artifact's own fields (the unread event-set
-# encodings and the per-run compile count are gone).
-ARTIFACT_FORMAT = 6
+# encodings and the per-run compile count are gone); format 7 re-interns terms.
+ARTIFACT_FORMAT = 7
 
 # (field, accepted types, None allowed) for every CompileOptions field.
 _SCALAR_FIELD_TYPES = (
@@ -503,17 +503,13 @@ def _substitute_policy(
     with the original, so an unchanged program stays the *same object*
     (what :attr:`Pipeline.ets` checks before borrowing the engine).
     """
-    if p == old:
+    if p is old:
         hits[0] += 1
-        return p if new == old else new  # X -> X keeps the same object
-    if isinstance(p, _ast.Seq):
+        return new
+    if isinstance(p, (_ast.Seq, _ast.Union)):
         left = _substitute_policy(p.left, old, new, hits)
         right = _substitute_policy(p.right, old, new, hits)
-        return p if left is p.left and right is p.right else _ast.Seq(left, right)
-    if isinstance(p, _ast.Union):
-        left = _substitute_policy(p.left, old, new, hits)
-        right = _substitute_policy(p.right, old, new, hits)
-        return p if left is p.left and right is p.right else _ast.Union(left, right)
+        return p if left is p.left and right is p.right else type(p)(left, right)
     if isinstance(p, _ast.Star):
         operand = _substitute_policy(p.operand, old, new, hits)
         return p if operand is p.operand else _ast.Star(operand)
@@ -529,8 +525,8 @@ class Delta:
       initial state vector (the same shape as a link update's state
       writes).
     - ``replace_policy`` / ``with_policy``: substitute every occurrence
-      of one sub-policy (matched by structural equality) with another;
-      both must be given together, and the old sub-policy must occur.
+      of one sub-policy (the very object: terms are hash-consed) with
+      another; both must be given together, and the old one must occur.
     - ``topology``: a replacement topology (``None`` = unchanged).
 
     An all-defaults delta is a valid no-op (everything reuses).
@@ -1240,10 +1236,7 @@ class Pipeline:
         reused = 0
         for state, policy in states:
             old = old_policy.get(state)
-            # Identity, then the cached hashes, then a deep compare.
-            reused += state not in moved and old is not None and (
-                policy is old or (hash(policy) == hash(old) and policy == old)
-            )
+            reused += state not in moved and policy is old
         self._update_stats["update.states_reinstantiated"] = len(states) - reused
         self._update_stats["update.states_reused"] = reused
         self._reuse_base = None

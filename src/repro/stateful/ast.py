@@ -21,7 +21,6 @@ whole-vector sugar used throughout Figure 9.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 from ..netkat.ast import Conj, Disj, Filter, Neg, Policy, Predicate, Seq, Star, Union, conj
@@ -43,7 +42,6 @@ __all__ = [
 StateVector = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class StateTest(Predicate):
     """The test ``state(component) = value``."""
 
@@ -54,7 +52,6 @@ class StateTest(Predicate):
         return f"state({self.component})={self.value}"
 
 
-@dataclass(frozen=True)
 class LinkUpdate(Policy):
     """A link that also performs state updates: ``(src)->(dst)<state(m)<-n>``.
 
@@ -139,8 +136,8 @@ _UNCOMPUTED = object()
 def _state_use(node: Policy | Predicate) -> Optional[Tuple[int, ...]]:
     """``None`` for a state-free (sub)program; else the (min, max)
     component indices it references, or ``()`` when it references none
-    (a state-updating link with no updates).  Cached on the (frozen,
-    immutable) AST node: one walk answers both questions above."""
+    (a state-updating link with no updates).  Cached on the (immutable,
+    hash-consed) AST node: one walk answers both questions above."""
     cached = node.__dict__.get("_state_use", _UNCOMPUTED)
     if cached is not _UNCOMPUTED:
         return cached

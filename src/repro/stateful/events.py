@@ -97,17 +97,15 @@ def extract(
 ) -> ExtractResult:
     """Compute ``⟬p⟭~k phi``.
 
-    Results are memoized per top-level call on ``(id(subterm), phi)`` --
+    Results are memoized per top-level call on ``(subterm, phi)`` --
     the state is fixed for the whole walk, and the star fixpoint
     re-extracts its body for formulas already seen in earlier iterates.
-    Keying on object identity is safe here because every subterm stays
-    reachable from ``p`` for the memo's lifetime.
     """
     if phi is None:
         phi = Formula.true()
     if _memo is None:
         _memo = {}
-    key = (id(p), phi)
+    key = (p, phi)
     result = _memo.get(key)
     if result is not None:
         return result

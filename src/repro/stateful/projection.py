@@ -100,7 +100,7 @@ def _project(p: Policy, state: StateVector) -> Policy:
         return union(_project(p.left, state), _project(p.right, state))
     if isinstance(p, Seq):
         left = _project(p.left, state)
-        if isinstance(left, Filter) and isinstance(left.predicate, PFalse):
+        if left is DROP:
             # drop ; q = drop: a resolved-false state guard kills its
             # whole segment without walking the body.
             return DROP

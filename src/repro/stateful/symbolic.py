@@ -144,7 +144,7 @@ def _sx(p: Policy, guard: StateGuard, phi: Formula, memo: dict) -> SymbolicExtra
     test refines the guard (both outcomes stay live, each under its own
     constraint) instead of resolving to keep/drop.  Memoized in ``memo``
     on ``(id(subterm), guard, phi)``, the guarded analogue of the
-    concrete walk's ``(id(subterm), phi)`` key.
+    concrete walk's ``(subterm, phi)`` key.
     """
     key = (id(p), guard, phi)
     result = memo.get(key)
@@ -320,8 +320,8 @@ def _sp(p: Policy, memo: dict) -> GuardedCells:
     Each cell's policy is built by the *same* smart-constructor calls
     the per-state walk makes (including its short-circuits: a false
     conjunct kills its conjunction, a drop kills its sequence), so it is
-    structurally identical to ``project(p, state)``.  Memoized in
-    ``memo`` on ``id(subterm)``.
+    identical to ``project(p, state)``.  Memoized in ``memo`` on
+    ``id(subterm)``.
     """
     if not uses_state(p):
         # State-free subtrees project to themselves under every state.
@@ -341,7 +341,7 @@ def _sp(p: Policy, memo: dict) -> GuardedCells:
     elif isinstance(p, Seq):
         out: List[Tuple[StateGuard, Policy]] = []
         for g, left in _sp(p.left, memo):
-            if isinstance(left, Filter) and isinstance(left.predicate, PFalse):
+            if left is DROP:
                 # drop ; q = drop: a resolved-false state guard kills its
                 # whole segment without touching the body's cells.
                 out.append((g, DROP))
@@ -503,7 +503,6 @@ class SymbolicProgram:
         self._cell_index = _by_literal(self.cells, itemgetter(0))
         self._edges_at: Dict[StateVector, FrozenSet[EventEdge]] = {}
         self._configuration_at: Dict[StateVector, Policy] = {}
-        self._policies: Dict[Policy, Policy] = {}
 
     def lendable(self) -> Tuple[dict, dict]:
         """The ``_sx`` / ``_sp`` memos of a walk of ``program``.
@@ -512,8 +511,8 @@ class SymbolicProgram:
         assignment (a racing duplicate builds equal memos) -- and never
         written again; a cold engine that lends nothing keeps none.  The
         keys are the ``id()`` values of this program's nodes, which
-        ``self.program`` keeps alive, so no node of a borrower's program
-        can collide with one.
+        ``self.program`` keeps alive; a borrower's node with such an id is
+        that node, the same (hash-consed) term, whose entry it may read.
         """
         memos = self._lendable
         if memos is None:
@@ -552,8 +551,6 @@ class SymbolicProgram:
             for g, policy in _candidates(self._cell_index, state):
                 if g.holds(state):
                     if not self._frozen:
-                        # One object per distinct policy (compile lookups).
-                        policy = self._policies.setdefault(policy, policy)
                         self._configuration_at[state] = policy
                     return policy
             raise RuntimeError(  # pragma: no cover - the cells cover all states

@@ -93,13 +93,16 @@ def test_symbolic_extract_byte_identical(name, make):
 def test_vertex_order_does_not_depend_on_the_hash_seed(hash_seed):
     """The BFS visits destinations in sorted order, not frozenset order:
     under these seeds the symbolic and per-state walks used to order
-    learning_multi's states [0,1] and [1,0] differently (~3 % of seeds)."""
+    learning_multi's states [0,1] and [1,0] differently (~3 % of seeds).
+    The guarded tables on the wire do not depend on the seed either."""
     import os
     import subprocess
     import sys
 
     script = (
+        "import json\n"
         "from repro.apps import learning_multi_app as make\n"
+        "from repro.service.protocol import tables_to_wire\n"
         "from repro.stateful.ets import build_ets\n"
         "from naive_oracles import build_ets_naive\n"
         "app = make()\n"
@@ -107,6 +110,7 @@ def test_vertex_order_does_not_depend_on_the_hash_seed(hash_seed):
         "ref = build_ets_naive(app.program, app.initial_state)\n"
         "assert fast.vertices == ref.vertices\n"
         "print(fast.states())\n"
+        "print(json.dumps(tables_to_wire(app.compiled)))\n"
     )
     here = os.path.dirname(__file__)
     path = os.pathsep.join((os.path.join(here, os.pardir, "src"), here))
@@ -116,9 +120,15 @@ def test_vertex_order_does_not_depend_on_the_hash_seed(hash_seed):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    from repro.apps import learning_multi_app
+    import json
 
-    assert done.stdout.strip() == str(learning_multi_app().ets.states())
+    from repro.apps import learning_multi_app
+    from repro.service.protocol import tables_to_wire
+
+    app = learning_multi_app()
+    assert done.stdout.splitlines() == [
+        str(app.ets.states()), json.dumps(tables_to_wire(app.compiled))
+    ]
 
 
 def test_report_shows_the_symbolic_vs_instantiate_split():
@@ -217,7 +227,8 @@ class TestArtifactCache:
     def test_artifact_survives_a_different_hash_seed(self, tmp_path):
         """Events/formulas cache PYTHONHASHSEED-dependent hashes; a warm
         artifact stored under another seed must still interoperate with
-        freshly built equal events in this process."""
+        freshly built equal events in this process, and its policies and
+        locations load as the very terms a fresh build makes here."""
         import os
         import subprocess
         import sys
@@ -263,6 +274,15 @@ class TestArtifactCache:
                     assert guard.conjoin(implied) is guard
         assert pinned  # some loaded guard had a positive map to rebuild
         assert guarded_bytes(loaded) == guarded_bytes(legacy_compile(app))
+        fresh = Pipeline(app.program, app.topology, app.initial_state).nes
+        for state in loaded.states:
+            assert loaded.nes.configuration_policy(state) is (
+                fresh.configuration_policy(state)
+            )
+        fresh_events = {event: event for event in fresh.events}
+        assert fresh_events.keys() == loaded.nes.events
+        for event in loaded.nes.events:
+            assert event.location is fresh_events[event].location
         # Configuration policies cache their hash once hashed (the store
         # hashed them); the loaded ones hash as this process's do, so
         # an update finds every policy in the loaded artifact.

@@ -170,6 +170,7 @@ SERVICE = ("src/repro/service",)
 PIPELINE = "src/repro/pipeline.py"
 CNES = "repro.runtime.compiler:CompiledNES"
 LOGICS = "naive_oracles:Figure7Logic repro.network.switch_logic:CorrectLogic"
+SYMBOLIC = "repro.stateful.symbolic:SymbolicProgram"
 
 
 def _method(name):  # a removed method is neither called nor defined
@@ -369,6 +370,17 @@ DELETED = [
     ("text", "deliveries_per_second|loss_rate|LatencySummary|latency_summary|success_timeline",
      ("src", "tests", "benchmarks", "examples")),
     ("module", "repro.network.stats"),
+    # Terms and locations are hash-consed: equality is identity, so no
+    # cached structural hash, no interning beside the term table, and
+    # the FDD memos are keyed by the node, which they keep alive.
+    ("name", "_cached_hash", "repro.netkat.ast", ("_cached_hash", ALL)),
+    ("name", "_state_without_hash", "repro.netkat.ast", ("_state_without_hash", ALL)),
+    ("name", "_at_location_interned", "repro.netkat.compiler", ("_at_location_interned", ALL)),
+    ("name", "_at_location_predicates", "repro.netkat.compiler",
+     ("_at_location_predicates", ALL)),
+    ("name", "_policies", SYMBOLIC, (r"_policies\.setdefault", SRC)),
+    ("text", r"id\((p|a)\)|\((p|a), result\)", ("src/repro/netkat/fdd.py",)),
+    ("text", r"hash\(policy\) == hash\(old\)", (PIPELINE,)),
 ]
 
 
@@ -403,9 +415,12 @@ def _instance(owner):
     attributes (a lookup on the class would miss those)."""
     from repro.apps import authentication_app, firewall_app
     from repro.network import CorrectLogic
+    from repro.stateful.symbolic import SymbolicProgram
 
     if owner == "repro.network:CorrectLogic":
         return CorrectLogic(authentication_app().compiled, controller_assist=True)
+    if owner == SYMBOLIC:
+        return SymbolicProgram(firewall_app().program)
     return firewall_app().compiled if owner == CNES else None
 
 
