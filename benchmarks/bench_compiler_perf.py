@@ -3,7 +3,8 @@
 Unlike the figure benches (single-shot scenario reproductions), these
 use pytest-benchmark's statistical timing to track the toolchain's
 hot paths: FDD construction, full app compilation, NES conversion, the
-trace checker, and the uninstalled cost of the ``repro.obs`` sites.
+trace checker, and the uninstalled cost of the ``repro.obs`` sites; one
+untimed lane pins the union operands a policy update compiles.
 They guard against performance regressions in the substrate the
 reproductions run on.
 """
@@ -12,14 +13,17 @@ import random
 
 import pytest
 
-from repro.apps import bandwidth_cap_app, firewall_app, ids_app
+from repro.apps import bandwidth_cap_app, firewall_app, ids_app, ring_app
 from repro.consistency.checker import NESChecker
 from repro.events.ets_to_nes import nes_of_ets
-from repro.netkat.ast import assign, filter_, seq, test as field_test, union
+from repro.netkat import compiler as netkat_compiler
+from repro.netkat.ast import assign, conj, filter_, seq, test as field_test, union
 from repro.netkat.fdd import FDDBuilder
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.optimize.trie import heuristic_order, build_trie, trie_rule_count
+from repro.pipeline import Delta, Pipeline
+from repro.service.protocol import tables_to_wire
 from repro.stateful.ets import build_ets
 
 
@@ -80,6 +84,43 @@ def test_cap_chain_nes_conversion_speed(benchmark):
 
     nes = benchmark(convert)
     assert len(nes.events) == 21
+
+
+def test_policy_update_compiles_only_the_touched_operands(monkeypatch):
+    """Untimed: a ring8 reply-path update looks up the 5 union operands
+    of its two changed configuration policies and compiles only the one
+    the delta rewrote (both policies hold it); its tables are a cold
+    rebuild's."""
+    app = ring_app(8)
+    base = Pipeline(app.program, app.topology, app.initial_state)
+    base.compiled
+    old = filter_(conj(field_test("pt", 3), field_test("ip_dst", 1)))
+    delta = Delta(
+        replace_policy=old,
+        with_policy=filter_(conj(field_test("pt", 3), field_test("ip_dst", 11))),
+    )
+    traffic = {"lookups": 0, "compiles": 0}
+    split = netkat_compiler._union_operands
+    compile_operand = netkat_compiler._compile_operand
+
+    def looked_up(policy):
+        operands = split(policy)
+        traffic["lookups"] += len(operands)
+        return operands
+
+    def compiled(*args):
+        traffic["compiles"] += 1
+        return compile_operand(*args)
+
+    monkeypatch.setattr(netkat_compiler, "_union_operands", looked_up)
+    monkeypatch.setattr(netkat_compiler, "_compile_operand", compiled)
+    updated = base.update(delta).compiled
+    assert traffic == {"lookups": 5, "compiles": 1}
+    monkeypatch.undo()
+    cold = Pipeline(
+        delta.apply_program(app.program), app.topology, app.initial_state
+    ).compiled
+    assert tables_to_wire(updated) == tables_to_wire(cold)
 
 
 def test_trace_checker_speed(benchmark):

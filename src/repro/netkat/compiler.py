@@ -6,11 +6,13 @@ alternating with physical link crossings.  This module splits such a
 policy at its links and compiles each hop into rules for the switch where
 the hop executes, yielding a :class:`Configuration`:
 
-1. normalize the policy into *alternations* -- sequences
-   ``q0 ; L1 ; q1 ; ... ; Ln ; qn`` with link-free ``qi``;
-2. symbolically execute each alternation hop by hop, carrying the
-   *knowledge* (field constraints established by earlier hops, translated
-   through modifications) forward across links;
+1. split the policy at its top-level unions into operands;
+2. read each operand's per-switch FDDs from the builder's memo, or on a
+   miss normalize the operand into *alternations* -- sequences
+   ``q0 ; L1 ; q1 ; ... ; Ln ; qn`` with link-free ``qi`` -- and
+   symbolically execute each alternation hop by hop, carrying the
+   *knowledge* (field constraints established by earlier hops,
+   translated through modifications) forward across links;
 3. build one FDD per switch (unioning all hops that execute there, which
    realizes NetKAT's multicast union semantics) and extract prioritized
    rules.
@@ -458,19 +460,31 @@ def knowledge_fdd(builder: FDDBuilder, knowledge: Knowledge) -> FDD:
     return d
 
 
-def compile_policy(
-    policy: Policy,
-    topology: Topology,
-    builder: Optional[FDDBuilder] = None,
-    name: str = "",
-) -> Configuration:
-    """Compile a configuration policy to per-switch flow tables.  The
-    configuration tag guards the merged tables only
-    (:meth:`repro.runtime.compiler.CompiledNES.guarded_tables`)."""
-    builder = builder or FDDBuilder()
-    per_switch_fdd: Dict[int, FDD] = {n: builder.drop for n in topology.switches}
+def _union_operands(p: Policy) -> List[Policy]:
+    """The operands of ``p``'s top-level unions, left to right."""
+    operands: List[Policy] = []
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, Union):
+            stack.append(q.right)
+            stack.append(q.left)
+        else:
+            operands.append(q)
+    return operands
 
-    for alt in alternations(strip_dup(policy)):
+
+def _compile_operand(
+    builder: FDDBuilder, operand: Policy, switches: FrozenSet[int]
+) -> Tuple:
+    """One union operand's per-switch FDDs: the hops of each of its
+    alternations, compiled under the knowledge their path established
+    and unioned at the switch where they execute.  Returned flat, as
+    ``(switch, fdd, switch, fdd, ...)``, which a lineage holds in less
+    memory than pairs, leaving out switches the operand sends nothing
+    through."""
+    per_switch_fdd: Dict[int, FDD] = {n: builder.drop for n in switches}
+    for alt in alternations(strip_dup(operand)):
         frontier: List[Knowledge] = [Knowledge.empty()]
         for hop_index, segment in enumerate(alt.segments):
             is_final = hop_index == len(alt.links)
@@ -515,6 +529,42 @@ def compile_policy(
                 frontier = sorted(next_frontier, key=lambda k: (k.pos, k.neg))
                 if not frontier:
                     break  # no packet reaches the next hop on this branch
+    drop = builder.drop
+    return tuple(
+        x for n, d in per_switch_fdd.items() if d is not drop for x in (n, d)
+    )
+
+
+def compile_policy(
+    policy: Policy,
+    topology: Topology,
+    builder: Optional[FDDBuilder] = None,
+    name: str = "",
+) -> Configuration:
+    """Compile a configuration policy to per-switch flow tables.
+
+    The policy is split at its top-level unions, and each operand's
+    per-switch FDDs are read from the builder's ``_contributions`` memo,
+    keyed by ``(operand, switch set)``, or compiled on a miss (steps 1
+    and 2 of the module docstring) and remembered there.  Operands are
+    hash-consed, so the lookup is by identity, and FDD union is
+    canonical under regrouping, so the unioned diagrams are the ones a
+    compile of the whole policy gives.  The configuration tag guards
+    the merged tables only
+    (:meth:`repro.runtime.compiler.CompiledNES.guarded_tables`)."""
+    builder = builder or FDDBuilder()
+    switches = topology.switches
+    per_switch_fdd: Dict[int, FDD] = {n: builder.drop for n in switches}
+    contributions = builder._contributions
+    for operand in _union_operands(policy):
+        key = (operand, switches)
+        contribution = contributions.get(key)
+        if contribution is None:
+            contribution = _compile_operand(builder, operand, switches)
+            contributions[key] = contribution
+        pairs = iter(contribution)
+        for switch, fdd_n in zip(pairs, pairs):
+            per_switch_fdd[switch] = builder.union(per_switch_fdd[switch], fdd_n)
 
     tables = {}
     memo = builder._node_tables

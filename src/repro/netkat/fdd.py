@@ -194,6 +194,11 @@ class FDDBuilder:
         # A fork numbers on from its root's ids, so a root's entry holds
         # in every fork: an unchanged switch FDD keeps its table object.
         self._node_tables: Dict[int, object] = {}
+        # (union operand, switch set) -> (switch, FDD, switch, FDD, ...),
+        # the operand's per-switch contribution (compile_policy).  Keyed
+        # on the hash-consed term, so it holds in every fork as the node
+        # tables do; a fork's own entries go with the fork.
+        self._contributions: Dict[Tuple[Policy, FrozenSet[int]], Tuple] = {}
         self.drop = self.leaf(frozenset())
         self.id = self.leaf(frozenset((IDENTITY_MOD,)))
 

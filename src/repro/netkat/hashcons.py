@@ -5,8 +5,8 @@ per-process weak table keyed on the class and each field (a child, i.e.
 a field annotated with a hash-consed class, by identity).  So equality
 is identity; the hash is fixed at construction from the class name and
 the fields' hashes, never an address; pickling and copying rebuild
-through the constructor; and a lock gives threads that build equal
-terms at once one object."""
+through the constructor; and threads that build equal terms at once
+get one object, the first one published."""
 
 from __future__ import annotations
 
@@ -32,19 +32,31 @@ _NEW = """def __new__(_cls, {args}):
 
 
 def _enter(key, term):
-    """Table ``term``, unless another thread tabled an equal one first."""
+    """Table ``term``, unless another thread tabled an equal one first.
+
+    ``setdefault`` publishes a new key in one step, so only replacing a
+    dead entry, and the sweep, take the lock."""
     global _sweep_at
-    with _MISS:
-        ref = _TERMS.get(key)
-        live = None if ref is None else ref()
-        if live is not None:
-            return live
-        _TERMS[key] = weakref.ref(term)
-        if len(_TERMS) > _sweep_at:
-            for dead in [k for k, r in _TERMS.items() if r() is None]:
-                del _TERMS[dead]
-            _sweep_at = 2 * len(_TERMS) + 1024
-    return term
+    ref = weakref.ref(term)
+    live = _TERMS.setdefault(key, ref)()
+    if live is None:  # a dead term was left under the key
+        with _MISS:
+            found = _TERMS.get(key)
+            live = None if found is None else found()
+            if live is None:
+                _TERMS[key] = ref
+                live = term
+    if len(_TERMS) > _sweep_at:
+        with _MISS:
+            if len(_TERMS) > _sweep_at:
+                # The keys, listed in one step: unlocked publishers may
+                # add keys while the sweep runs, but only the lock's
+                # holder replaces or deletes an entry.
+                for k in list(_TERMS):
+                    if _TERMS[k]() is None:
+                        del _TERMS[k]
+                _sweep_at = 2 * len(_TERMS) + 1024
+    return live
 
 
 class HashConsed:

@@ -137,8 +137,9 @@ class ReferenceFDDBuilder(FDDBuilder):
     union) instead of the ordered-insert walk, ``of_policy`` /
     ``of_predicate`` keep no id-keyed memo, and
     ``netkat.compiler.knowledge_fdd`` recompiles every knowledge
-    predicate from a fresh AST, and ``compile_policy`` converts every
-    switch FDD to a table, converted before or not.  Hash-consing and
+    predicate from a fresh AST, and ``compile_policy`` compiles every
+    union operand and converts every switch FDD to a table, compiled
+    or converted before or not.  Hash-consing and
     the operation memos stay: they make FDDs canonical, so both
     builders must produce the same diagrams."""
 
@@ -149,6 +150,7 @@ class ReferenceFDDBuilder(FDDBuilder):
         self._memo_of_predicate = _Forgetful()
         self.knowledge_fdds = _Forgetful()
         self._node_tables = _Forgetful()
+        self._contributions = _Forgetful()
 
     def mask(self, guard: FDD, d: FDD) -> FDD:
         """Behave as ``d`` where the predicate ``guard`` passes, drop

@@ -6,15 +6,26 @@ configurations: guarded tables, artifacts, updates, failures, the checker.
 """
 
 import copy
+import functools
 import pickle
+import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro import faults
 from repro.apps import bandwidth_cap_app, firewall_app, ids_app, ring_app
 from repro.consistency.checker import NESChecker
-from repro.netkat.ast import Filter, conj, test as field_test
-from repro.netkat.compiler import compile_policy
+from repro.netkat.ast import Filter, Union, conj, test as field_test
+from repro.netkat.compiler import (
+    CompileError,
+    _compile_operand,
+    _union_operands,
+    alternations,
+    compile_policy,
+    strip_dup,
+)
+from repro.netkat.fdd import FDDBuilder
 from repro.netkat.flowtable import Rule
 from repro.obs import metrics
 from repro.pipeline import (
@@ -27,8 +38,10 @@ from repro.pipeline import (
 )
 from repro.runtime.compiler import CompiledNES
 from repro.service.protocol import tables_to_wire
+from repro.stateful.projection import project
 from naive_oracles import guarded_tables_naive
 from seed_apps import APPS, cold_after, guarded_bytes, switch_preserving_edits
+from test_differential import STATE_BOX, random_stateful_policy
 from test_theorem1 import H1, H4, run_workload
 
 
@@ -425,3 +438,161 @@ def test_serialising_leaves_the_artifact_bytes_alone():
     assert b"_guard_split" not in after
     assert tables_to_wire(pickle.loads(before)) == wire
     assert ARTIFACT_FORMAT == 7
+
+
+# -- each union operand compiled once per lineage ------------------------------
+
+
+def operand_traffic(monkeypatch):
+    """``compile_policy``'s operand memo traffic, as a dict counting the
+    operands looked up and the misses compiled."""
+    import repro.netkat.compiler as compiler_module
+
+    traffic = {"lookups": 0, "compiles": 0}
+    split, compile_operand = (
+        compiler_module._union_operands, compiler_module._compile_operand
+    )
+
+    def looked_up(policy):
+        operands = split(policy)
+        traffic["lookups"] += len(operands)
+        return operands
+
+    def compiled(*args):
+        traffic["compiles"] += 1
+        return compile_operand(*args)
+
+    monkeypatch.setattr(compiler_module, "_union_operands", looked_up)
+    monkeypatch.setattr(compiler_module, "_compile_operand", compiled)
+    return traffic
+
+
+# Exact counts: the operand each base's reply-path delta rewrites.  ring8's
+# two policies hold the same rewritten operand, so the second one's lookup
+# finds the fork's own entry.
+POLICY_DELTA_TRAFFIC = {"cap24": (1, 2), "ids": (1, 4), "ring8": (1, 5)}
+
+
+@pytest.mark.parametrize(
+    "name,make,policy_delta", UPDATE_BASES, ids=[name for name, _, _ in UPDATE_BASES]
+)
+def test_an_update_compiles_only_the_operands_its_delta_touched(
+    monkeypatch, name, make, policy_delta
+):
+    app = make()
+    base = fresh_pipeline(app)
+    base.compiled
+    traffic = operand_traffic(monkeypatch)
+    base.update(policy_delta).compiled
+    assert (traffic["compiles"], traffic["lookups"]) == POLICY_DELTA_TRAFFIC[name]
+    # A state or host delta finds every policy compiled: no operand is
+    # even looked up.
+    for delta in (
+        Delta(set_state=((0, 1),)),
+        Delta(topology=switch_preserving_edits(app)["attach_host"]),
+    ):
+        base.update(delta).compiled
+    assert (traffic["compiles"], traffic["lookups"]) == POLICY_DELTA_TRAFFIC[name]
+
+
+def test_a_cold_compile_shares_operands_across_its_policies(monkeypatch):
+    """Exact-count guard: cap-48's two configuration policies hold three
+    union operands, two of them distinct."""
+    traffic = operand_traffic(monkeypatch)
+    fresh_pipeline(bandwidth_cap_app(48)).compiled
+    assert traffic == {"lookups": 3, "compiles": 2}
+
+
+@pytest.mark.parametrize(
+    "name,make,policy_delta", UPDATE_BASES, ids=[name for name, _, _ in UPDATE_BASES]
+)
+def test_reordered_operands_give_a_cold_rebuild_s_bytes(
+    monkeypatch, name, make, policy_delta
+):
+    """A delta that only swaps the program's top-level union operands
+    changes the order in which the update unions the contributions its
+    root compiled: it compiles none, and the tables are still a cold
+    rebuild's."""
+    app = make()
+    base = fresh_pipeline(app)
+    base.compiled
+    program = app.program
+    assert isinstance(program, Union)
+    delta = Delta(
+        replace_policy=program, with_policy=Union(program.right, program.left)
+    )
+    traffic = operand_traffic(monkeypatch)
+    updated = base.update(delta)
+    assert traffic["lookups"] > 0 and traffic["compiles"] == 0
+    assert guarded_bytes(updated.compiled) == guarded_bytes(
+        cold_after(app, delta).compiled
+    )
+
+
+def union_in(builder, fdds, data):
+    """The union of ``fdds`` in a drawn order under a drawn grouping."""
+    if len(fdds) == 1:
+        return fdds[0]
+    cut = data.draw(st.integers(1, len(fdds) - 1))
+    return builder.union(
+        union_in(builder, fdds[:cut], data), union_in(builder, fdds[cut:], data)
+    )
+
+
+def hop_fdds(builder, policy):
+    """The FDD of every hop segment of ``policy``'s alternations."""
+    try:
+        chains = alternations(strip_dup(policy))
+    except CompileError:  # a star over links: no hops to compile
+        return []
+    return [builder.of_policy(segment) for alt in chains for segment in alt.segments]
+
+
+def assert_union_is_canonical(builder, fdds, data):
+    """Any order and grouping of ``fdds`` unions to the left fold's node."""
+    folded = builder.drop
+    for d in fdds:
+        folded = builder.union(folded, d)
+    shuffled = data.draw(st.permutations(fdds))
+    assert union_in(builder, shuffled, data) is folded
+
+
+@given(st.integers(0, 10**9), st.data())
+@settings(max_examples=100, deadline=None)
+def test_union_is_one_node_under_any_grouping_of_random_hops(seed, data):
+    """What the operand memo rests on: unioning per-operand FDDs
+    instead of the whole policy's gives the same node."""
+    rng = random.Random(seed)
+    program = random_stateful_policy(rng, 3)
+    builder = FDDBuilder()
+    fdds = [
+        d
+        for state in STATE_BOX[:3]
+        for d in hop_fdds(builder, project(program, state))
+    ]
+    assume(fdds)
+    assert_union_is_canonical(builder, fdds, data)
+
+
+@functools.lru_cache(maxsize=None)
+def app_policies(index):
+    """The switch set and the distinct configuration policies of an app."""
+    compiled = fresh_pipeline(APPS[index][1]()).compiled
+    policies = {compiled.nes.configuration_policy(s): None for s in compiled.states}
+    return compiled.topology.switches, tuple(policies)
+
+
+@given(st.integers(0, len(APPS) - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_union_is_one_node_under_any_grouping_of_app_operands(index, data):
+    switches, policies = app_policies(index)
+    policy = data.draw(st.sampled_from(policies))
+    builder = FDDBuilder()
+    by_switch = {}
+    for operand in _union_operands(policy):
+        contribution = _compile_operand(builder, operand, switches)
+        for switch, d in zip(contribution[::2], contribution[1::2]):
+            by_switch.setdefault(switch, []).append(d)
+    assert by_switch
+    for fdds in by_switch.values():
+        assert_union_is_canonical(builder, fdds, data)

@@ -139,6 +139,44 @@ def test_threads_building_one_program_get_one_object():
     assert_one_object_per_term(*results)
 
 
+def test_threads_replacing_dead_terms_get_one_object():
+    """Round after round, eight threads rebuild terms whose objects all
+    died in the round before: a dead entry is replaced under the table's
+    lock, so every thread still gets one object per term."""
+    workers, rounds = 8, 10
+    key = (FieldTest, "hashcons_dead_probe", 0)
+    barrier = threading.Barrier(workers)
+    built = [None] * workers
+    agreed = []
+
+    def build(i):
+        for _ in range(rounds):
+            barrier.wait(timeout=60)
+            built[i] = [FieldTest("hashcons_dead_probe", n) for n in range(300)]
+            barrier.wait(timeout=60)
+            if i == 0:
+                agreed.append(all(
+                    all(mine is first for mine, first in zip(terms, built[0]))
+                    for terms in built
+                ))
+            barrier.wait(timeout=60)
+            built[i] = None
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert agreed == [True] * rounds
+    assert hashcons._TERMS.get(key, lambda: None)() is None  # they died
+
+
 def test_the_table_holds_terms_weakly():
     key = (FieldTest, "hashcons_weakness_probe", 7)
     term = FieldTest("hashcons_weakness_probe", 7)
