@@ -10,11 +10,15 @@ Two stress axes the brute-force engine could not handle:
   events each (covers = one event per switch), giving ``m^k`` maximal
   covers and ``k * C(m, 2)`` minimally-inconsistent pairs -- the
   Berge-enumeration-heavy regime.
+
+One lane is untimed: it converts cap-100 (a chain deeper than the loop
+bound) so the ETS -> NES mask walk runs at depth on every push.
 """
 
 import pytest
 
 from repro.apps import bandwidth_cap_app
+from repro.events.ets_to_nes import nes_of_ets
 from repro.events.event import Event
 from repro.stateful.ets import build_ets
 from repro.events.locality import (
@@ -66,7 +70,7 @@ def wide_structure(switches: int, per_switch: int) -> NES:
         covers,
         [(frozenset(), e) for e in events],
     )
-    return NES(structure, {frozenset(): (0,)}, {(0,): ID})
+    return NES(structure, {0: (0,)}, {(0,): ID})
 
 
 @pytest.mark.parametrize("depth", CHAIN_DEPTHS)
@@ -94,6 +98,26 @@ def test_chain_ets_stage_scales(benchmark, depth):
     # One chain state per counter value, plus the capped terminal state.
     assert len(ets.states()) == depth + 2
     assert len(ets.edges) == depth + 1
+
+
+def test_deep_chain_converts_on_masks():
+    """cap-100: 101 renamed occurrences of one event, 102 event-sets,
+    and each occurrence enabled by exactly the chain below it."""
+    app = bandwidth_cap_app(100)
+    nes = nes_of_ets(build_ets(app.program, app.initial_state))
+    structure = nes.structure
+    assert len(nes.event_set_masks()) == 102
+    assert len(structure.universe) == 101
+    assert len(structure.maximal_cover_masks) == 1
+    enablers = structure._base_masks
+    assert sorted(enablers) == list(range(101))
+    assert all(len(masks) == 1 for masks in enablers.values())
+    # The chain: occurrence k is enabled by occurrences 0 .. k-1.
+    by_eid = {e.eid: structure.event_index[e] for e in structure.universe}
+    below = 0
+    for eid in range(101):
+        assert enablers[by_eid[eid]] == (below,)
+        below |= 1 << by_eid[eid]
 
 
 @pytest.mark.parametrize("switches,per_switch", [(6, 2), (8, 2), (5, 3)])

@@ -150,7 +150,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except ETSConversionError as exc:
         print(f"FAIL: {exc}")
         return 1
-    print(f"family F(T): {len(nes.event_sets())} event-sets  [ok]")
+    print(f"family F(T): {len(nes.event_set_masks())} event-sets  [ok]")
     bad_locality = locality_violations(nes)
     if bad_locality:
         sample = next(iter(bad_locality))

@@ -108,8 +108,7 @@ class NESChecker:
         visit of a collected-mask, and its ``id`` is stable."""
         cached = self._configs_by_mask.get(mask)
         if cached is None:
-            event_set = self.nes.structure.decode(mask)
-            cached = self.configuration(self.nes.state_of(event_set))
+            cached = self.configuration(self.nes.state_of_mask(mask))
             self._configs_by_mask[mask] = cached
         return cached
 

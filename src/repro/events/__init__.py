@@ -5,8 +5,6 @@ from .ets_to_nes import (
     ETSConversionError,
     FiniteCompletenessError,
     UniqueConfigurationError,
-    check_finite_complete,
-    family_of_ets,
     nes_of_ets,
 )
 from .locality import (
@@ -24,8 +22,6 @@ __all__ = [
     "EventStructure",
     "NES",
     "nes_of_ets",
-    "family_of_ets",
-    "check_finite_complete",
     "ETSConversionError",
     "UniqueConfigurationError",
     "FiniteCompletenessError",

@@ -10,31 +10,44 @@ required for chains and loops); form the candidate family
 2. *finite completeness*: the family is closed under existing least
    upper bounds;
 
-then build ``con`` and ``⊢`` from the family (Winskel, Theorem 1.1.12;
-:meth:`EventStructure.of_family <repro.events.structure.EventStructure.of_family>`):
+then build ``con`` and ``⊢`` from the family (Winskel, Theorem 1.1.12):
 a set is consistent iff it is covered by a family member, and
 ``X ⊢ e`` iff some ``E ∖ {e}`` with ``e ∈ E ∈ F`` is contained in ``X``.
+
+All of it is one depth-first walk on int masks (:func:`_masks_of_ets`):
+an event gets a bit when first discovered, and the walk records each
+new member's parent and the event that extended it.  The members are
+re-bitted once, parent before child, into the :class:`EventStructure`'s
+repr order; finite completeness is checked and the structure built on
+those masks, with no event-set ever a frozenset.
+
+The recorded parents give the enablers exactly.  Each parent ``P``
+recorded for ``e`` is ``M ∖ {e}`` for the member ``M = P ∪ {e}``.  And
+every member ``M`` holding ``e`` lies above one: if ``e`` extended
+``M``'s own parent, that parent is ``M ∖ {e}``; otherwise the parent
+holds ``e`` and was discovered earlier, so by induction on discovery
+order it -- hence ``M`` -- lies above a parent recorded for ``e``, which
+lacks ``e``.  So ``e``'s minimal enablers are its recorded parents'
+minimal elements, found without visiting every member that holds ``e``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..netkat.ast import Policy
 from ..stateful.ast import StateVector
-from .event import Event, EventSet
+from .event import Event
 
 if TYPE_CHECKING:  # avoid a circular import: stateful.ets uses events.event
     from ..stateful.ets import ETS
 from .nes import NES
-from .structure import EventStructure, _extremal
+from .structure import EventStructure
 
 __all__ = [
     "ETSConversionError",
     "UniqueConfigurationError",
     "FiniteCompletenessError",
-    "family_of_ets",
-    "check_finite_complete",
     "nes_of_ets",
 ]
 
@@ -59,36 +72,33 @@ def _occurrence_bound(ets: "ETS", max_occurrences: Optional[int]) -> int:
     return 64 if ets.has_loops() else len(ets.edges) + 1
 
 
-def family_of_ets(
-    ets: "ETS",
-    max_occurrences: Optional[int] = None,
-    compared: Optional[Set[Tuple[StateVector, StateVector]]] = None,
-) -> Dict[EventSet, StateVector]:
-    """Compute ``F(T)``: the event-sets collected along paths from ``v0``.
+def _masks_of_ets(
+    ets: "ETS", bound: int, compared: Set[Tuple[StateVector, StateVector]]
+) -> Tuple[List[Event], Dict[int, StateVector], List[Tuple[int, int]]]:
+    """``F(T)`` by one depth-first walk of ``(state, collected)`` pairs,
+    each event-set an int mask over the events in discovery order.
 
-    Repeated occurrences of the same base event along a path are renamed
-    with increasing occurrence indices, so a chain (or unrolled loop)
-    labeled with one syntactic event yields distinct NES events.  Loops
-    are unrolled until an event would occur more than ``max_occurrences``
-    times, which raises (the paper restricts attention to loop-free ETSs;
-    bounded unrolling approximates the lazily-computed infinite NES).
-    By default only a cyclic ETS is bounded (:func:`_occurrence_bound`).
+    Repeated occurrences of a base event along a path are renamed with
+    increasing occurrence indices, so a chain (or unrolled loop) labeled
+    with one syntactic event yields distinct NES events; an occurrence
+    past ``bound`` raises (the paper restricts attention to loop-free
+    ETSs; bounded unrolling approximates the lazily-computed infinite
+    NES).  Vertex labels are read only where condition 1 has something
+    to compare -- two paths collecting one event-set at different
+    states -- and those state pairs are added to ``compared``.
 
-    The traversal reads the initial vertex and the edges; it reads the
-    vertex *labels* only where condition 1 has something to compare —
-    two paths collecting one event-set at different state vectors.
-    Those state pairs are added to ``compared`` when given: they are all
-    a re-labelled ETS has to re-check (:func:`nes_of_ets`).
+    Returns the events (bit ``i`` is ``events[i]``), the family
+    (mask -> state, in discovery order), and each member but ``∅``'s
+    ``(parent mask, bit)`` in that order.
     """
-    bound = _occurrence_bound(ets, max_occurrences)
-    family: Dict[EventSet, StateVector] = {frozenset(): ets.initial}
-    visited: Set[Tuple[StateVector, EventSet]] = set()
-    stack: List[Tuple[StateVector, EventSet, Dict[Event, int]]]
-    stack = [(ets.initial, frozenset(), {})]  # + occurrences per base event
-    # Intern renamed events: equal occurrences reached along different
-    # paths become the identical object, so the family's frozensets hash
-    # cached events and the NES interning can use identity lookups.
-    interned: Dict[Event, Event] = {}
+    events: List[Event] = []
+    kinds: Dict[Event, int] = {}  # base event -> a small int standing for it
+    bits: Dict[Tuple[int, int], int] = {}  # (kind, occurrence) -> bit
+    family: Dict[int, StateVector] = {0: ets.initial}
+    links: List[Tuple[int, int]] = []
+    visited: Set[Tuple[StateVector, int]] = set()
+    stack: List[Tuple[StateVector, int, Dict[int, int]]]
+    stack = [(ets.initial, 0, {})]  # + occurrences per kind
     while stack:
         state, collected, counts = stack.pop()
         if (state, collected) in visited:
@@ -96,91 +106,78 @@ def family_of_ets(
         visited.add((state, collected))
         for edge in ets.out_edges(state):
             base = edge.event.base()
-            occurrence = counts.get(base, 0)
-            if occurrence >= bound:
-                raise ETSConversionError(
-                    f"event {base!r} occurred more than {bound} "
-                    "times along a path; is the ETS an unbounded loop?"
-                )
-            renamed = base.renamed(occurrence)
-            renamed = interned.setdefault(renamed, renamed)
-            extended = collected | {renamed}
-            previous = family.get(extended)
-            if previous is None:
+            kind = kinds.setdefault(base, len(kinds))
+            occurrence = counts.get(kind, 0)
+            bit = bits.get((kind, occurrence))
+            if bit is None:  # a bit is only ever made within the bound
+                if occurrence >= bound:
+                    raise ETSConversionError(
+                        f"event {base!r} occurred more than {bound} "
+                        "times along a path; is the ETS an unbounded loop?"
+                    )
+                bit = bits[kind, occurrence] = 1 << len(events)
+                events.append(base.renamed(occurrence))
+            extended = collected | bit
+            known = family.get(extended)
+            if known is None:
                 family[extended] = edge.dst
-            elif previous != edge.dst:
-                if compared is not None:
-                    compared.add((previous, edge.dst))
-                if ets.configuration(previous) != ets.configuration(edge.dst):
+                links.append((collected, bit))
+            elif known != edge.dst:
+                compared.add((known, edge.dst))
+                if ets.configuration(known) != ets.configuration(edge.dst):
+                    members = {events[b.bit_length() - 1] for b in _bits(extended)}
                     raise UniqueConfigurationError(
-                        f"event-set {set(extended)} is reached at state "
-                        f"{previous} and at state {edge.dst}, whose "
+                        f"event-set {members} is reached at state "
+                        f"{known} and at state {edge.dst}, whose "
                         "configurations differ (condition 1 of section 3.1)"
                     )
-            stack.append((edge.dst, extended, {**counts, base: occurrence + 1}))
-    return family
+            stack.append((edge.dst, extended, {**counts, kind: occurrence + 1}))
+    return events, family, links
 
 
-def _sorted_masks(
-    family: Dict[EventSet, StateVector]
-) -> Tuple[List[EventSet], List[int]]:
-    """Family members in canonical order (by size, then by the sorted
-    ranks of their events' reprs), and their bitmask encodings."""
-    text = {event: repr(event) for event in frozenset().union(*family)}
-    rank = {r: i for i, r in enumerate(sorted(set(text.values())))}
-    order = {event: rank[r] for event, r in text.items()}
-    sets = sorted(family, key=lambda s: (len(s), sorted(map(order.__getitem__, s))))
-    index: Dict[Event, int] = {}
-    for member in sets:
-        for event in member:
-            index.setdefault(event, len(index))
-    return sets, [sum(1 << index[event] for event in member) for member in sets]
+def _bits(mask: int) -> List[int]:
+    """The set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
 
 
-def check_finite_complete(
-    family: Dict[EventSet, StateVector]
-) -> List[Tuple[EventSet, EventSet]]:
-    """Return the pairs violating finite completeness (empty = OK).
+def _finite_completeness_violations(
+    masks: Iterable[int], maximal: Sequence[int]
+) -> List[Tuple[int, int]]:
+    """The pairs of family ``masks`` violating finite completeness, in
+    order (empty = OK), given the family's ``maximal`` elements.
 
     Pairwise closure implies n-ary closure: if ``E1..En`` share an upper
-    bound, so do ``E1 union E2`` and ``E3``, and so on inductively.
-
-    An LUB-closure check driven by the maximal antichain: two members
-    have an upper bound in the family iff both lie below one of its
-    maximal elements.  Members are grouped by *signature* -- the bitmask
-    of maximal elements above them -- and pairs are enumerated once per
-    pair of intersecting signature classes, so every pair with a common
-    upper bound is visited exactly once (never more pairs than the
-    global quadratic scan) and cross-block pairs in wide families --
-    disjoint signatures -- are never enumerated at all.
+    bound, so do ``E1 union E2`` and ``E3``, and so on inductively.  Two
+    members have an upper bound in the family iff both lie below one of
+    its maximal elements, so members are grouped by *signature* -- the
+    bitmask of maximal elements above them -- and pairs are enumerated
+    once per pair of intersecting signature classes: every pair with a
+    common upper bound is visited exactly once, and cross-block pairs
+    in wide families -- disjoint signatures -- never.  A member is in
+    the family, so a comparable pair's lub is too.
     """
-    sets, masks = _sorted_masks(family)
-    mask_family = set(masks)
-    set_of_mask = dict(zip(masks, sets))
-    maximal = _extremal(mask_family, True)  # the maximal antichain
-    # Signature classes, in the canonical member order.
-    classes: Dict[int, List[int]] = {}
+    family = set(masks)
+    classes: Dict[int, List[int]] = {}  # signature -> members, in order
     for m in masks:
         signature = 0
         for t, big in enumerate(maximal):
             if m | big == big:
                 signature |= 1 << t
         classes.setdefault(signature, []).append(m)
-    violations: List[Tuple[EventSet, EventSet]] = []
+    violations: List[Tuple[int, int]] = []
     class_list = list(classes.items())
     for a, (sig_a, members_a) in enumerate(class_list):
-        for b in range(a, len(class_list)):
-            sig_b, members_b = class_list[b]
+        for sig_b, members_b in class_list[a:]:
             if not sig_a & sig_b:
                 continue  # no shared upper bound: no closure obligation
             for i, m1 in enumerate(members_a):
-                others = members_a[i + 1 :] if b == a else members_b
-                for m2 in others:
-                    lub = m1 | m2
-                    # Comparable pairs have their lub in the family.
-                    if lub == m1 or lub == m2 or lub in mask_family:
-                        continue
-                    violations.append((set_of_mask[m1], set_of_mask[m2]))
+                others = members_a[i + 1 :] if members_b is members_a else members_b
+                violations += [(m1, m2) for m2 in others if m1 | m2 not in family]
     return violations
 
 
@@ -238,23 +235,39 @@ def nes_of_ets(
         if adopted is not None:
             return adopted
     compared: Set[Tuple[StateVector, StateVector]] = set()
-    family = family_of_ets(ets, max_occurrences=bound, compared=compared)
-    violations = check_finite_complete(family)
+    events, family, links = _masks_of_ets(ets, bound, compared)
+    # Re-bit once into the structure's repr order, each member from its
+    # parent (discovery order puts a parent first), and collect each
+    # event's recorded parents: its enablers (see the module docstring).
+    order = sorted(range(len(events)), key=lambda i: repr(events[i]))
+    rank = {1 << i: r for r, i in enumerate(order)}
+    remap = {0: 0}
+    enablers: Dict[int, List[int]] = {r: [] for r in range(len(order))}
+    for parent, bit in links:
+        r, mask = rank[bit], remap[parent]
+        enablers[r].append(mask)
+        remap[parent | bit] = mask | 1 << r
+    g = {remap[mask]: state for mask, state in family.items()}
+    structure = EventStructure.of_masks([events[i] for i in order], g, enablers)
+    maximal = structure.maximal_cover_masks
+    violations = _finite_completeness_violations(g, maximal)
     if violations:
-        e1, e2 = violations[0]
+        # The first pair in the canonical member order: by size, then by
+        # the sorted repr ranks -- the bit positions -- of the events.
+        canonical = sorted(g, key=lambda m: (m.bit_count(), _bits(m)))
+        first = _finite_completeness_violations(canonical, maximal)[0]
+        e1, e2 = map(structure.decode, first)
         raise FiniteCompletenessError(
             f"event-sets {set(e1)} and {set(e2)} have an upper bound in "
             f"F(T) but their union is not in F(T) "
             f"({len(violations)} violating pair(s) total; condition 2 of "
             "section 3.1, e.g. Figure 3(c))"
         )
-
-    structure = EventStructure.of_family(family)
     configurations: Dict[StateVector, Policy] = {
         state: ets.configuration(state) for state in ets.states()
     }
     # States referenced by the family but outside ets.states() cannot occur
     # (family destinations always come from ETS edges), so this is total.
-    nes = NES(structure, family, configurations)
+    nes = NES(structure, g, configurations)
     object.__setattr__(ets, "_condition1_pairs", frozenset(compared))
     return nes

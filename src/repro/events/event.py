@@ -26,17 +26,22 @@ class Event:
     guard: Formula
     location: Location
     eid: int = 0
+    # Made on first use (an instance attribute then shadows these): a
+    # class default rather than a caught AttributeError, so the first
+    # use of a new event -- the conversion makes and sorts every renamed
+    # occurrence -- costs no exception.
+    _hash = None
+    _repr = None
 
     def __hash__(self) -> int:
         # Events live in frozensets (event-sets, covers, enabling bases)
         # and as dict keys throughout the pipeline; the generated
         # dataclass hash re-hashes the guard tuple on every lookup.
-        try:
-            return self._hash
-        except AttributeError:
+        h = self._hash
+        if h is None:
             h = hash((self.guard, self.location, self.eid))
             object.__setattr__(self, "_hash", h)
-            return h
+        return h
 
     def __getstate__(self):
         # The cached hash is PYTHONHASHSEED-dependent; pickling it would
@@ -72,13 +77,12 @@ class Event:
     def __repr__(self) -> str:
         # repr is the deterministic sort key for event interning and edge
         # ordering, so it is on the NES-construction hot path.
-        try:
-            return self._repr
-        except AttributeError:
+        r = self._repr
+        if r is None:
             suffix = f"_{self.eid}" if self.eid else ""
             r = f"({self.guard!r}, {self.location}){suffix}"
             object.__setattr__(self, "_repr", r)
-            return r
+        return r
 
 
 EventSet = FrozenSet[Event]

@@ -2,17 +2,18 @@
 
 An NES is an event structure over network events together with a map
 ``g`` assigning a network configuration to every event-set.  In this
-reproduction ``g`` maps each event-set to the ETS state vector it came
-from, and the NES carries the per-state configuration policies alongside
-(two views of the same ``g``: ``state_of`` and ``config_of``) and, once
-compiled, the per-state :class:`~repro.netkat.compiler.Configuration`
-(``compiled``, which the Definition 6 checker reads).
+reproduction ``g`` maps each event-set -- encoded as its structure's
+bitmask -- to the ETS state vector it came from, and the NES carries the
+per-state configuration policies alongside (two views of the same
+``g``: ``state_of`` and ``config_of``) and, once compiled, the per-state
+:class:`~repro.netkat.compiler.Configuration` (``compiled``, which the
+Definition 6 checker reads).  The compiler and the checker look masks
+up directly (``state_of_mask``); the frozenset views encode or decode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, KeysView, Mapping, Optional, Tuple
 
 from ..netkat.ast import Policy
 from ..stateful.ast import StateVector
@@ -33,21 +34,21 @@ class NES:
     def __init__(
         self,
         structure: EventStructure,
-        g_states: Mapping[EventSet, StateVector],
+        g_states: Mapping[int, StateVector],
         configurations: Mapping[StateVector, Policy],
     ):
+        """``g_states`` maps each event-set, encoded by ``structure``, to
+        its state."""
         self.structure = structure
-        self._g: Dict[EventSet, StateVector] = {
-            frozenset(k): v for k, v in g_states.items()
-        }
+        self._g: Dict[int, StateVector] = dict(g_states)
         self._configurations: Dict[StateVector, Policy] = dict(configurations)
-        if frozenset() not in self._g:
+        if 0 not in self._g:
             raise ValueError("g must be defined on the empty event-set")
-        for event_set, state in self._g.items():
+        for mask, state in self._g.items():
             if state not in self._configurations:
                 raise ValueError(
-                    f"event-set {set(event_set)} maps to state {state} "
-                    "with no configuration"
+                    f"event-set {set(structure.decode(mask))} maps to state "
+                    f"{state} with no configuration"
                 )
 
     def __getstate__(self):
@@ -62,14 +63,23 @@ class NES:
         return self.structure.events
 
     def event_sets(self) -> FrozenSet[EventSet]:
-        return frozenset(self._g)
+        return frozenset(map(self.structure.decode, self._g))
+
+    def event_set_masks(self) -> KeysView[int]:
+        """The event-sets, encoded."""
+        return self._g.keys()
 
     def state_of(self, event_set: Iterable[Event]) -> StateVector:
         """The ETS state vector for an event-set."""
         key = frozenset(event_set)
-        if key not in self._g:
+        state = self._g.get(self.structure._try_encode(key))
+        if state is None:
             raise KeyError(f"{set(key)} is not an event-set of this NES")
-        return self._g[key]
+        return state
+
+    def state_of_mask(self, mask: int) -> StateVector:
+        """:meth:`state_of` an encoded event-set (``KeyError`` off ``g``)."""
+        return self._g[mask]
 
     def config_of(self, event_set: Iterable[Event]) -> Policy:
         """``g(X)``: the configuration policy active at an event-set."""
@@ -83,7 +93,7 @@ class NES:
 
     @property
     def initial_state(self) -> StateVector:
-        return self._g[frozenset()]
+        return self._g[0]
 
     def with_configurations(
         self, configurations: Mapping[StateVector, Policy]

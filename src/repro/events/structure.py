@@ -11,9 +11,9 @@ represented by a family of *covers* -- ``X`` is consistent iff it is a
 subset of some cover -- which is automatically downward closed.
 Enabling is represented by base pairs ``(X0, e)`` -- ``X ⊢ e`` iff some
 ``X0 ⊆ X`` is a base -- which is automatically upward closed.
-:meth:`EventStructure.of_family` derives both from a family of
-configurations (Winskel, Theorem 1.1.12), which is how the ETS
-conversion (:mod:`repro.events.ets_to_nes`) makes its structure.
+:meth:`EventStructure.of_masks` takes both already encoded, which is how
+the ETS conversion (:mod:`repro.events.ets_to_nes`) makes its structure
+from a family of configurations (Winskel, Theorem 1.1.12).
 
 Internally events are interned to integer indices (in deterministic
 ``repr`` order) and every event set -- covers, enabling bases, the
@@ -21,14 +21,17 @@ arguments of ``con``/``enables``, the frontier of the event-set search
 -- is a Python int bitmask.  Subset tests, unions, and intersections are
 single machine-word-ish operations instead of frozenset scans, which is
 what lets the locality pipeline (:mod:`repro.events.locality`) scale.
-The public API still speaks frozensets; ``encode``/``decode`` translate
-at the boundary.
+Every relation has a ``_mask`` form that the conversion, the compiler
+and the checker use; the frozenset forms (the constructor, ``con``,
+``enables``, ``covers``, ``event_sets``) encode or decode at the
+boundary, for callers that speak events.
 """
 
 from __future__ import annotations
 
 from typing import (
     AbstractSet,
+    Collection,
     Dict,
     FrozenSet,
     Generic,
@@ -61,12 +64,9 @@ class EventStructure(Generic[E]):
         consistency_covers: Iterable[AbstractSet[E]],
         enabling_base: Iterable[Tuple[AbstractSet[E], E]],
     ):
-        self._intern(events)
-        self._covers: FrozenSet[FrozenSet[E]] = frozenset(
-            frozenset(c) for c in consistency_covers
-        )
+        self._intern(sorted(frozenset(events), key=repr))
         cover_masks: Set[int] = set()
-        for cover in self._covers:
+        for cover in consistency_covers:
             try:
                 cover_masks.add(self.encode(cover))
             except KeyError:
@@ -88,36 +88,25 @@ class EventStructure(Generic[E]):
         self._set_relations(cover_masks, base)
 
     @classmethod
-    def of_family(cls, family: Iterable[AbstractSet[E]]) -> "EventStructure[E]":
-        """The event structure of a family of configurations (Winskel,
-        Theorem 1.1.12): the events are the members' events, a set is
-        consistent iff some member covers it, and ``X ⊢ e`` iff some
-        member containing ``e``, less ``e``, lies in ``X``.
-
-        Equal to ``EventStructure(events, family, [(m - {e}, e) ...])``
-        over every member ``m`` and ``e ∈ m``, but each member is encoded
-        once and its enablers are ``mask ^ bit`` per set bit.
-        """
+    def of_masks(
+        cls,
+        universe: Sequence[E],
+        cover_masks: Iterable[int],
+        base: Mapping[int, Iterable[int]],
+    ) -> "EventStructure[E]":
+        """The structure whose bit ``i`` is ``universe[i]`` -- which must
+        be in repr order, the order every structure interns in -- with
+        encoded covers ``cover_masks`` and enablers ``event index ->
+        enabler masks``, neither necessarily extremal."""
         self = cls.__new__(cls)
-        covers = frozenset(frozenset(member) for member in family)
-        self._intern(frozenset().union(*covers))
-        self._covers = covers
-        cover_masks = {self.encode(member) for member in self._covers}
-        base: Dict[int, Set[int]] = {}
-        for mask in cover_masks:
-            rest = mask
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                base.setdefault(bit.bit_length() - 1, set()).add(mask ^ bit)
+        self._intern(universe)
         self._set_relations(cover_masks, base)
         return self
 
-    def _intern(self, events: Iterable[E]) -> None:
-        self._events: FrozenSet[E] = frozenset(events)
-        # Intern events in deterministic (repr) order; bit i of every mask
-        # in this structure stands for self._universe[i].
-        self._universe: Tuple[E, ...] = tuple(sorted(self._events, key=repr))
+    def _intern(self, universe: Sequence[E]) -> None:
+        # Bit i of every mask in this structure stands for universe[i].
+        self._universe: Tuple[E, ...] = tuple(universe)
+        self._events: FrozenSet[E] = frozenset(self._universe)
         self._index: Dict[E, int] = {e: i for i, e in enumerate(self._universe)}
         # id()-keyed shadow of the interning map: most encode() calls pass
         # the very objects interned in the universe, and an identity lookup
@@ -132,13 +121,14 @@ class EventStructure(Generic[E]):
         self._all_mask: int = (1 << len(self._universe)) - 1
 
     def _set_relations(
-        self, cover_masks: Set[int], base: Dict[int, Set[int]]
+        self, cover_masks: Iterable[int], base: Mapping[int, Iterable[int]]
     ) -> None:
         """``con`` and ``⊢`` from encoded covers and ``event index ->
         enabler masks``.  Only maximal covers matter for ``X ⊆ some
         cover`` queries, and only minimal enablers for ``⊢``: supersets
         are implied by monotonicity."""
-        self._maximal_cover_masks: Tuple[int, ...] = _extremal(cover_masks, True)
+        self._cover_masks: FrozenSet[int] = frozenset(cover_masks)
+        self._maximal_cover_masks: Tuple[int, ...] = _extremal(self._cover_masks, True)
         self._base_masks: Dict[int, Tuple[int, ...]] = {
             event_index: _extremal(enabler_masks, False)
             for event_index, enabler_masks in base.items()
@@ -213,7 +203,8 @@ class EventStructure(Generic[E]):
 
     @property
     def covers(self) -> FrozenSet[FrozenSet[E]]:
-        return self._covers
+        """The covers, decoded (``con`` reads the maximal cover masks)."""
+        return frozenset(map(self.decode, self._cover_masks))
 
     def con(self, subset: AbstractSet[E]) -> bool:
         """The consistency predicate (downward closed by construction)."""
@@ -384,16 +375,18 @@ class EventStructure(Generic[E]):
     def __repr__(self) -> str:
         return (
             f"EventStructure({len(self._events)} events, "
-            f"{len(self._covers)} covers, "
+            f"{len(self._cover_masks)} covers, "
             f"{sum(map(len, self._base_masks.values()))} enabling bases)"
         )
 
 
-def _extremal(masks: Iterable[int], maximal: bool) -> Tuple[int, ...]:
+def _extremal(masks: Collection[int], maximal: bool) -> Tuple[int, ...]:
     """The maximal (else minimal) elements of a set of bitmasks under
     ``⊆``, sorted.  One scan in popcount order: an element can only lie
     below (above) one with more (fewer) bits, so it is compared with the
     extremal elements kept so far, never with every other mask."""
+    if len(masks) < 2:
+        return tuple(masks)  # a chain's events have one enabler each
     kept: List[int] = []
     for m in sorted(masks, key=int.bit_count, reverse=maximal):
         for k in kept:

@@ -102,8 +102,9 @@ __all__ = [
 # dropped the options from the key and from the artifact altogether;
 # format 5 stopped pickling the event structure's decoded enablers;
 # format 6 pickles only the artifact's own fields (the unread event-set
-# encodings and the per-run compile count are gone); format 7 re-interns terms.
-ARTIFACT_FORMAT = 7
+# encodings and the per-run compile count are gone); format 7 re-interns terms;
+# format 8 keys the NES's g by event-set mask and keeps covers as masks.
+ARTIFACT_FORMAT = 8
 
 # (field, accepted types, None allowed) for every CompileOptions field.
 _SCALAR_FIELD_TYPES = (
@@ -1195,7 +1196,7 @@ class Pipeline:
             stats["ets_edges"] = len(self._ets.edges)
         if self._nes is not None:
             stats["nes_events"] = len(self._nes.events)
-            stats["nes_event_sets"] = len(self._nes.event_sets())
+            stats["nes_event_sets"] = len(self._nes.event_set_masks())
         if self._compiled is not None:
             compiled = self._compiled
             stats["configurations"] = len(compiled.states)

@@ -231,7 +231,7 @@ class CompiledNES:
         ``tag_mask`` stamps: its table at each switch, whose rules must
         be exact matches, indexed once per (switch, table)."""
         self.guarded_tables()  # refuse what cannot be served
-        state = self.nes.state_of(self.nes.structure.decode(tag_mask or 0))
+        state = self.nes.state_of_mask(tag_mask or 0)
         root: Dict[int, object] = {}
         for switch, table in self.configurations[state]._tables.items():
             tree = self._trees.get((switch, table))

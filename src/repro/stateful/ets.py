@@ -59,7 +59,7 @@ class ETS:
         return tuple(state for state, _ in self.vertices)
 
     def out_edges(self, state: StateVector) -> Tuple[EventEdge, ...]:
-        # family_of_ets asks for a state's out-edges once per path visit;
+        # The ETS -> NES walk asks for a state's out-edges once per path visit;
         # index and sort the edge set per source state on first use.
         index = self.__dict__.get("_out_edges")
         if index is None:

@@ -36,6 +36,11 @@ LinkSpec = Tuple[Location, Location]
 class Topology:
     """A directed multigraph of switch ports plus host attachment points."""
 
+    # ``switches`` as made on first read since the last mutation: every
+    # compile keys its per-switch-set memos with it, so one topology
+    # hands out one frozenset rather than a copy per call.
+    _switch_set: Optional[FrozenSet[int]] = None
+
     def __init__(self) -> None:
         self._switches: Set[int] = set()
         self._links: Dict[Location, Set[Location]] = {}
@@ -46,6 +51,7 @@ class Topology:
 
     def add_switch(self, switch: int) -> "Topology":
         self._switches.add(switch)
+        self._switch_set = None
         return self
 
     def add_link(self, src: str | Location, dst: str | Location) -> "Topology":
@@ -53,6 +59,7 @@ class Topology:
         dst_loc = dst if isinstance(dst, Location) else Location.parse(dst)
         self._switches.add(src_loc.switch)
         self._switches.add(dst_loc.switch)
+        self._switch_set = None
         self._links.setdefault(src_loc, set()).add(dst_loc)
         return self
 
@@ -75,13 +82,16 @@ class Topology:
         self._hosts[name] = host
         self._host_ports[loc] = host
         self._switches.add(loc.switch)
+        self._switch_set = None
         return self
 
     # -- queries ------------------------------------------------------------
 
     @property
     def switches(self) -> FrozenSet[int]:
-        return frozenset(self._switches)
+        if self._switch_set is None:
+            self._switch_set = frozenset(self._switches)
+        return self._switch_set
 
     @property
     def hosts(self) -> Tuple[Host, ...]:

@@ -1,6 +1,10 @@
 """Tests-only reference implementations.
 
-The quadratic finite-completeness check and the brute-force
+The frozenset ETS -> NES conversion (``F(T)`` as a dict of frozensets,
+the antichain finite-completeness check over them, and the family
+construction that visits every member), the reference the mask walk of
+``repro.events.ets_to_nes`` is held equal to; the quadratic
+finite-completeness check and the brute-force
 minimally-inconsistent-set enumeration, moved verbatim out of
 ``repro.events``: the differential oracles of
 ``test_finite_complete_property.py`` and ``test_locality_bitset.py``;
@@ -23,13 +27,19 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from operator import attrgetter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.consistency.checker import CorrectnessReport
 from repro.consistency.traces import NetworkTrace
 from repro.events.event import Event, EventSet
-from repro.events.ets_to_nes import _sorted_masks
-from repro.events.structure import EventStructure
+from repro.events.ets_to_nes import (
+    ETSConversionError,
+    FiniteCompletenessError,
+    UniqueConfigurationError,
+    _occurrence_bound,
+)
+from repro.events.nes import NES
+from repro.events.structure import EventStructure, _extremal
 from repro.netkat.ast import Policy
 from repro.netkat.compiler import Configuration
 from repro.netkat.fdd import FDD, FDDBuilder
@@ -71,6 +81,182 @@ def build_ets_naive(program: Policy, initial: StateVector) -> ETS:
                 queue.append(edge.dst)
     vertices = tuple((state, project(program, state)) for state in order)
     return ETS(initial=initial, vertices=vertices, edges=frozenset(edges))
+
+
+def family_of_ets(
+    ets: ETS,
+    max_occurrences: Optional[int] = None,
+    compared: Optional[Set[Tuple[StateVector, StateVector]]] = None,
+) -> Dict[EventSet, StateVector]:
+    """Compute ``F(T)``: the event-sets collected along paths from ``v0``.
+
+    Repeated occurrences of the same base event along a path are renamed
+    with increasing occurrence indices, so a chain (or unrolled loop)
+    labeled with one syntactic event yields distinct NES events.  Loops
+    are unrolled until an event would occur more than ``max_occurrences``
+    times, which raises (the paper restricts attention to loop-free ETSs;
+    bounded unrolling approximates the lazily-computed infinite NES).
+    By default only a cyclic ETS is bounded (``_occurrence_bound``).
+
+    The traversal reads the initial vertex and the edges; it reads the
+    vertex *labels* only where condition 1 has something to compare —
+    two paths collecting one event-set at different state vectors.
+    Those state pairs are added to ``compared`` when given: they are all
+    a re-labelled ETS has to re-check (``nes_of_ets``).
+
+    The frozenset reference for the mask walk of ``nes_of_ets``.
+    """
+    bound = _occurrence_bound(ets, max_occurrences)
+    family: Dict[EventSet, StateVector] = {frozenset(): ets.initial}
+    visited: Set[Tuple[StateVector, EventSet]] = set()
+    stack: List[Tuple[StateVector, EventSet, Dict[Event, int]]]
+    stack = [(ets.initial, frozenset(), {})]  # + occurrences per base event
+    # Intern renamed events: equal occurrences reached along different
+    # paths become the identical object, so the family's frozensets hash
+    # cached events and the NES interning can use identity lookups.
+    interned: Dict[Event, Event] = {}
+    while stack:
+        state, collected, counts = stack.pop()
+        if (state, collected) in visited:
+            continue
+        visited.add((state, collected))
+        for edge in ets.out_edges(state):
+            base = edge.event.base()
+            occurrence = counts.get(base, 0)
+            if occurrence >= bound:
+                raise ETSConversionError(
+                    f"event {base!r} occurred more than {bound} "
+                    "times along a path; is the ETS an unbounded loop?"
+                )
+            renamed = base.renamed(occurrence)
+            renamed = interned.setdefault(renamed, renamed)
+            extended = collected | {renamed}
+            previous = family.get(extended)
+            if previous is None:
+                family[extended] = edge.dst
+            elif previous != edge.dst:
+                if compared is not None:
+                    compared.add((previous, edge.dst))
+                if ets.configuration(previous) != ets.configuration(edge.dst):
+                    raise UniqueConfigurationError(
+                        f"event-set {set(extended)} is reached at state "
+                        f"{previous} and at state {edge.dst}, whose "
+                        "configurations differ (condition 1 of section 3.1)"
+                    )
+            stack.append((edge.dst, extended, {**counts, base: occurrence + 1}))
+    return family
+
+
+def _sorted_masks(
+    family: Dict[EventSet, StateVector]
+) -> Tuple[List[EventSet], List[int]]:
+    """Family members in canonical order (by size, then by the sorted
+    ranks of their events' reprs), and their bitmask encodings."""
+    text = {event: repr(event) for event in frozenset().union(*family)}
+    rank = {r: i for i, r in enumerate(sorted(set(text.values())))}
+    order = {event: rank[r] for event, r in text.items()}
+    sets = sorted(family, key=lambda s: (len(s), sorted(map(order.__getitem__, s))))
+    index: Dict[Event, int] = {}
+    for member in sets:
+        for event in member:
+            index.setdefault(event, len(index))
+    return sets, [sum(1 << index[event] for event in member) for member in sets]
+
+
+def check_finite_complete(
+    family: Dict[EventSet, StateVector]
+) -> List[Tuple[EventSet, EventSet]]:
+    """Return the pairs violating finite completeness (empty = OK).
+
+    Pairwise closure implies n-ary closure: if ``E1..En`` share an upper
+    bound, so do ``E1 union E2`` and ``E3``, and so on inductively.
+
+    An LUB-closure check driven by the maximal antichain: two members
+    have an upper bound in the family iff both lie below one of its
+    maximal elements.  Members are grouped by *signature* -- the bitmask
+    of maximal elements above them -- and pairs are enumerated once per
+    pair of intersecting signature classes, so every pair with a common
+    upper bound is visited exactly once (never more pairs than the
+    global quadratic scan) and cross-block pairs in wide families --
+    disjoint signatures -- are never enumerated at all.
+    """
+    sets, masks = _sorted_masks(family)
+    mask_family = set(masks)
+    set_of_mask = dict(zip(masks, sets))
+    maximal = _extremal(mask_family, True)  # the maximal antichain
+    # Signature classes, in the canonical member order.
+    classes: Dict[int, List[int]] = {}
+    for m in masks:
+        signature = 0
+        for t, big in enumerate(maximal):
+            if m | big == big:
+                signature |= 1 << t
+        classes.setdefault(signature, []).append(m)
+    violations: List[Tuple[EventSet, EventSet]] = []
+    class_list = list(classes.items())
+    for a, (sig_a, members_a) in enumerate(class_list):
+        for b in range(a, len(class_list)):
+            sig_b, members_b = class_list[b]
+            if not sig_a & sig_b:
+                continue  # no shared upper bound: no closure obligation
+            for i, m1 in enumerate(members_a):
+                others = members_a[i + 1 :] if b == a else members_b
+                for m2 in others:
+                    lub = m1 | m2
+                    # Comparable pairs have their lub in the family.
+                    if lub == m1 or lub == m2 or lub in mask_family:
+                        continue
+                    violations.append((set_of_mask[m1], set_of_mask[m2]))
+    return violations
+
+
+def of_family(family: Iterable[AbstractSet]) -> EventStructure:
+    """The event structure of a family of configurations (Winskel,
+    Theorem 1.1.12): the events are the members' events, a set is
+    consistent iff some member covers it, and ``X ⊢ e`` iff some
+    member containing ``e``, less ``e``, lies in ``X``.
+
+    Each member is encoded once and its enablers are ``mask ^ bit`` per
+    set bit: every member holding ``e`` is visited, where ``nes_of_ets``
+    reads ``e``'s enablers off the walk's recorded parents.
+    """
+    covers = frozenset(frozenset(member) for member in family)
+    universe = sorted(frozenset().union(*covers), key=repr)
+    index = {event: i for i, event in enumerate(universe)}
+    cover_masks = {sum(1 << index[event] for event in member) for member in covers}
+    base: Dict[int, Set[int]] = {}
+    for mask in cover_masks:
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            base.setdefault(bit.bit_length() - 1, set()).add(mask ^ bit)
+    return EventStructure.of_masks(universe, cover_masks, base)
+
+
+def nes_of_ets_naive(ets: ETS, max_occurrences: Optional[int] = None) -> NES:
+    """``nes_of_ets`` without a ``previous`` conversion, on frozensets:
+    :func:`family_of_ets`, :func:`check_finite_complete` and
+    :func:`of_family`, each event-set encoded once for ``g``.  Raises
+    what the mask conversion raises, and records the same
+    ``_condition1_pairs``."""
+    compared: Set[Tuple[StateVector, StateVector]] = set()
+    bound = _occurrence_bound(ets, max_occurrences)
+    family = family_of_ets(ets, max_occurrences=bound, compared=compared)
+    violations = check_finite_complete(family)
+    if violations:
+        e1, e2 = violations[0]
+        raise FiniteCompletenessError(
+            f"event-sets {set(e1)} and {set(e2)} have an upper bound in "
+            f"F(T) but their union is not in F(T) "
+            f"({len(violations)} violating pair(s) total; condition 2 of "
+            "section 3.1, e.g. Figure 3(c))"
+        )
+    structure = of_family(family)
+    configurations = {state: ets.configuration(state) for state in ets.states()}
+    g = {structure.encode(event_set): state for event_set, state in family.items()}
+    object.__setattr__(ets, "_condition1_pairs", frozenset(compared))
+    return NES(structure, g, configurations)
 
 
 def check_finite_complete_naive(

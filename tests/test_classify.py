@@ -160,7 +160,7 @@ def planted(rules, events):
     structure = EventStructure(
         universe, [universe], [(frozenset(), e) for e in universe]
     )
-    g = {frozenset(): (0,), **{frozenset({e}): (1,) for e in universe}}
+    g = {0: (0,), **{structure.encode({e}): (1,) for e in universe}}
     topology = Topology().add_switch(SWITCH)
     configurations = {
         (config_id,): Configuration(

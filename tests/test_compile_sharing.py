@@ -437,7 +437,7 @@ def test_serialising_leaves_the_artifact_bytes_alone():
     assert after == before
     assert b"_guard_split" not in after
     assert tables_to_wire(pickle.loads(before)) == wire
-    assert ARTIFACT_FORMAT == 7
+    assert ARTIFACT_FORMAT == 8
 
 
 # -- each union operand compiled once per lineage ------------------------------

@@ -4,11 +4,10 @@ transition systems and the P1/P2 locality programs."""
 
 import pytest
 
+from naive_oracles import check_finite_complete, family_of_ets
 from repro.events.ets_to_nes import (
     FiniteCompletenessError,
     UniqueConfigurationError,
-    check_finite_complete,
-    family_of_ets,
     nes_of_ets,
 )
 from repro.events.event import Event

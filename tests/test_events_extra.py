@@ -4,7 +4,7 @@ property-based check that random well-formed ETSs convert soundly."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.events.ets_to_nes import ETSConversionError, family_of_ets, nes_of_ets
+from repro.events.ets_to_nes import ETSConversionError, nes_of_ets
 from repro.events.event import Event
 from repro.formula import EQ, Formula, Literal, NE
 from repro.netkat.ast import assign

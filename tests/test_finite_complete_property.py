@@ -4,7 +4,9 @@ retained quadratic reference on randomized event-set families.
 ``check_finite_complete`` only inspects family keys (hashable,
 repr-sortable elements), so the strategies build families of integer
 sets directly; a final test runs both checkers over the real
-``family_of_ets`` output of seed applications.
+``family_of_ets`` output of seed applications.  Both are the
+frozenset references in ``naive_oracles``; the conversion's own check
+on masks is held to them on the random families.
 """
 
 import random
@@ -13,13 +15,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps import bandwidth_cap_app, firewall_app, ids_app
-from naive_oracles import check_finite_complete_naive
-from repro.events.ets_to_nes import check_finite_complete, family_of_ets
+from repro.events.ets_to_nes import _finite_completeness_violations
+from repro.events.structure import _extremal
+from naive_oracles import (
+    check_finite_complete,
+    check_finite_complete_naive,
+    family_of_ets,
+)
 
 
 def normalized(violations):
     """Violations as an order-insensitive set of unordered pairs."""
     return {frozenset((a, b)) for a, b in violations}
+
+
+def mask_violations(family):
+    """The conversion's own check, on the members encoded in repr order."""
+    universe = sorted(frozenset().union(*family), key=repr)
+    index = {element: i for i, element in enumerate(universe)}
+    encoded = {sum(1 << index[e] for e in member): member for member in family}
+    masks = list(encoded)
+    pairs = _finite_completeness_violations(masks, _extremal(masks, True))
+    return [(encoded[m1], encoded[m2]) for m1, m2 in pairs]
 
 
 def as_family(members):
@@ -32,6 +49,9 @@ def as_family(members):
 def test_agrees_with_naive_on_random_families(members):
     family = as_family(members)
     assert normalized(check_finite_complete(family)) == normalized(
+        check_finite_complete_naive(family)
+    )
+    assert normalized(mask_violations(family)) == normalized(
         check_finite_complete_naive(family)
     )
 

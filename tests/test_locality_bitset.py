@@ -139,7 +139,7 @@ def random_nes(rng: random.Random) -> NES:
         for _ in range(rng.randint(0, 8))
     ]
     structure = EventStructure(events, covers, base)
-    return NES(structure, {frozenset(): (0,)}, {(0,): ID})
+    return NES(structure, {0: (0,)}, {(0,): ID})
 
 
 @pytest.mark.parametrize("seed", range(60))

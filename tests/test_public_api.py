@@ -381,6 +381,15 @@ DELETED = [
     ("name", "_policies", SYMBOLIC, (r"_policies\.setdefault", SRC)),
     ("text", r"id\((p|a)\)|\((p|a), result\)", ("src/repro/netkat/fdd.py",)),
     ("text", r"hash\(policy\) == hash\(old\)", (PIPELINE,)),
+    # One ETS -> NES conversion, one walk on masks: the frozenset family,
+    # its completeness check and its structure are the references in
+    # tests/naive_oracles.py, and g is keyed by mask.
+    ("name", "family_of_ets", "repro.events repro.events.ets_to_nes", ("family_of_ets", SRC)),
+    ("name", "check_finite_complete", "repro.events repro.events.ets_to_nes",
+     (r"check_finite_complete\b", SRC)),
+    ("name", "_sorted_masks", "repro.events.ets_to_nes", ("_sorted_masks", SRC)),
+    ("name", "of_family", "repro.events.structure:EventStructure", ("of_family", SRC)),
+    ("text", r"self\._covers\b|_g\[frozenset|structure\.decode\(tag_mask", SRC),
 ]
 
 
