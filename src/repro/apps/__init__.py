@@ -23,11 +23,3 @@ __all__ = [
     "ring_app",
     "SIGNAL_FIELD",
 ]
-
-ALL_CASE_STUDIES = (
-    firewall_app,
-    learning_switch_app,
-    authentication_app,
-    bandwidth_cap_app,
-    ids_app,
-)

@@ -29,9 +29,8 @@ tests hold these verdicts and reasons equal to lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..events.event import Event
 from ..events.nes import NES
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
@@ -98,9 +97,6 @@ class NESChecker:
             builder=self._builder,
             name=f"C{list(state)}",
         )
-
-    def config_of_event_set(self, event_set: FrozenSet[Event]) -> Configuration:
-        return self._config_of_mask(self.nes.structure.encode(event_set))
 
     def _config_of_mask(self, mask: int) -> Configuration:
         """The configuration of an encoded event-set, memoized: no

@@ -159,10 +159,6 @@ class HappensBefore:
             reach[index] = acc
         self._reach = reach
 
-    def before(self, i: int, j: int) -> bool:
-        """``lp_i ≺ lp_j``."""
-        return bool(self._reach[i] >> j & 1)
-
     def all_before(self, indices: Iterable[int], j: int) -> bool:
         """Do all of ``indices`` happen before position j?"""
         reach = self._reach

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, TypeVar, Union
 
-from .netkat.ast import Predicate, TRUE, conj, neg, test
 from .netkat.packet import Packet
 
 __all__ = ["Literal", "Formula", "StateGuard", "EQ", "NE"]
@@ -123,14 +122,6 @@ class Conjunction:
             return None  # k=a AND k=b, or k!=v AND k=v
         return self._of_canonical(_canonicalize(self._literals | {literal}))
 
-    def conjoin_all(self: _C, literals: Iterable[Literal]) -> Optional[_C]:
-        out: Optional[_C] = self
-        for literal in literals:
-            if out is None:
-                return None
-            out = out.conjoin(literal)
-        return out
-
     def meet(self: _C, other: _C) -> Optional[_C]:
         """``self AND other`` for a conjunction over the same key space,
         or None when contradictory.
@@ -189,11 +180,6 @@ class Conjunction:
             return self
         return self._of_canonical(kept)
 
-    def implies(self: _C, other: _C) -> bool:
-        """Syntactic implication: every literal of ``other`` follows from
-        self, i.e. meeting it adds nothing."""
-        return self.meet(other) is self
-
     def __eq__(self, other: object) -> bool:
         # Same key space only: a Formula never equals a StateGuard.
         if other.__class__ is not self.__class__:
@@ -227,14 +213,6 @@ class Formula(Conjunction):
 
     def holds(self, packet: Packet) -> bool:
         return all(l.holds(packet) for l in self._literals)
-
-    def to_predicate(self) -> Predicate:
-        """Render as a NetKAT predicate."""
-        terms = []
-        for l in sorted(self._literals):
-            t = test(l.field, l.value)
-            terms.append(t if l.op == EQ else neg(t))
-        return conj(*terms) if terms else TRUE
 
 
 class StateGuard(Conjunction):

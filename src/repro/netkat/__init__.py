@@ -33,8 +33,6 @@ from .ast import (
     filter_,
     link,
     neg,
-    policy_fields,
-    policy_size,
     seq,
     star,
     test,
@@ -95,8 +93,6 @@ __all__ = [
     "star",
     "link",
     "at_location",
-    "policy_fields",
-    "policy_size",
     # semantics
     "eval_predicate",
     "eval_policy",

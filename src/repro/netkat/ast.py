@@ -19,8 +19,6 @@ identity.  Smart constructors perform cheap local simplifications
 
 from __future__ import annotations
 
-from typing import FrozenSet
-
 from .hashcons import HashConsed
 from .packet import Location, PT, SW
 
@@ -55,8 +53,6 @@ __all__ = [
     "star",
     "link",
     "at_location",
-    "policy_fields",
-    "policy_size",
 ]
 
 
@@ -329,60 +325,3 @@ def at_location(location: Location) -> Predicate:
     """The predicate ``sw=n ∧ pt=m`` for a location."""
     return conj(Test(SW, location.switch), Test(PT, location.port))
 
-
-# ---------------------------------------------------------------------------
-# Structural queries
-# ---------------------------------------------------------------------------
-
-
-def predicate_fields(a: Predicate) -> FrozenSet[str]:
-    """The set of field names tested by a predicate."""
-    if isinstance(a, (PTrue, PFalse)):
-        return frozenset()
-    if isinstance(a, Test):
-        return frozenset((a.field,))
-    if isinstance(a, Neg):
-        return predicate_fields(a.operand)
-    if isinstance(a, (Conj, Disj)):
-        return predicate_fields(a.left) | predicate_fields(a.right)
-    raise TypeError(f"not a predicate: {a!r}")
-
-
-def policy_fields(p: Policy) -> FrozenSet[str]:
-    """All field names tested or assigned by a policy (including sw/pt)."""
-    if isinstance(p, Filter):
-        return predicate_fields(p.predicate)
-    if isinstance(p, Assign):
-        return frozenset((p.field,))
-    if isinstance(p, (Union, Seq)):
-        return policy_fields(p.left) | policy_fields(p.right)
-    if isinstance(p, Star):
-        return policy_fields(p.operand)
-    if isinstance(p, Dup):
-        return frozenset()
-    if isinstance(p, Link):
-        return frozenset((SW, PT))
-    raise TypeError(f"not a policy: {p!r}")
-
-
-def policy_size(p: Policy) -> int:
-    """Number of AST nodes (predicates count as one node per connective)."""
-
-    def pred_size(a: Predicate) -> int:
-        if isinstance(a, (PTrue, PFalse, Test)):
-            return 1
-        if isinstance(a, Neg):
-            return 1 + pred_size(a.operand)
-        if isinstance(a, (Conj, Disj)):
-            return 1 + pred_size(a.left) + pred_size(a.right)
-        raise TypeError(f"not a predicate: {a!r}")
-
-    if isinstance(p, Filter):
-        return 1 + pred_size(p.predicate)
-    if isinstance(p, (Assign, Dup, Link)):
-        return 1
-    if isinstance(p, (Union, Seq)):
-        return 1 + policy_size(p.left) + policy_size(p.right)
-    if isinstance(p, Star):
-        return 1 + policy_size(p.operand)
-    raise TypeError(f"not a policy: {p!r}")

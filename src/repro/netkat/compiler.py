@@ -167,7 +167,7 @@ class Knowledge:
     (unmodified fields keep their values across hops).
 
     Deliberately not a :class:`repro.formula.Formula`, though
-    ``predicate()`` is its ``to_predicate()``: in ``compile_policy``'s
+    ``predicate()`` renders it the same way: in ``compile_policy``'s
     per-hop loop sorted tuples build, hash and order faster than
     frozen-dataclass literals (replacing it measured -16 % / -10 % ops/s
     on ``compile_chain`` / ``compile_apps``; CHANGES.md, PR 20).

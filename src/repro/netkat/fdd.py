@@ -564,22 +564,6 @@ class FDDBuilder:
 
     # -- evaluation and extraction ---------------------------------------------
 
-    def eval(self, d: FDD, packet) -> FrozenSet:
-        """Evaluate an FDD on a packet, returning the set of output packets."""
-        node = d
-        while isinstance(node, Branch):
-            if packet.get(node.field) == node.value:
-                node = node.hi
-            else:
-                node = node.lo
-        out = set()
-        for mod in node.actions:
-            result = packet
-            for field, value in mod:
-                result = result.set(field, value)
-            out.add(result)
-        return frozenset(out)
-
     def paths(self, d: FDD) -> Iterator[Tuple[Tuple[Tuple[str, int, bool], ...], ActionSet]]:
         """Enumerate (constraints, actions) pairs; constraint bools mean eq/neq.
 

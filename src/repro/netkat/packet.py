@@ -224,10 +224,6 @@ class LocatedPacket:
         """Build a located packet from a packet carrying sw/pt fields."""
         return LocatedPacket(packet, packet.location)
 
-    def normalized(self) -> "LocatedPacket":
-        """Force the packet's sw/pt fields to agree with ``location``."""
-        return LocatedPacket(self.packet.at(self.location), self.location)
-
     def __str__(self) -> str:
         return f"({self.packet!r} @ {self.location})"
 

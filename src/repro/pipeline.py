@@ -617,9 +617,6 @@ class PipelineReport:
     def stage(self, name: str) -> Optional[float]:
         return dict(self.stage_seconds).get(name)
 
-    def substage(self, name: str) -> Optional[float]:
-        return dict(self.substages).get(name)
-
     def total_seconds(self) -> float:
         return sum(seconds for _, seconds in self.stage_seconds)
 

@@ -39,17 +39,6 @@ class RuntimePacket:
     digest: EventSet = frozenset()
     trace_path: Tuple[int, ...] = ()
 
-    def with_digest(self, digest: EventSet) -> "RuntimePacket":
-        return RuntimePacket(self.packet, self.tag, digest, self.trace_path)
-
-    def with_packet(self, packet: Packet) -> "RuntimePacket":
-        return RuntimePacket(packet, self.tag, self.digest, self.trace_path)
-
-    def extend_path(self, index: int) -> "RuntimePacket":
-        return RuntimePacket(
-            self.packet, self.tag, self.digest, self.trace_path + (index,)
-        )
-
 
 class SwitchState:
     """One switch: ``(n, qm_in, E, qm_out)``."""
@@ -103,9 +92,6 @@ class NetworkState:
     def quiescent(self) -> bool:
         """No packets in any queue (controller events may remain)."""
         return all(s.pending_packets() == 0 for s in self.switches.values())
-
-    def total_pending(self) -> int:
-        return sum(s.pending_packets() for s in self.switches.values())
 
     def __repr__(self) -> str:
         return (

@@ -2,7 +2,9 @@
 
 Programs mix plain NetKAT with tests and link-triggered updates of a
 global state vector.  Projection recovers the per-state configurations;
-event extraction recovers the ETS edges.
+event extraction (Figure 6, for every state at once in
+:class:`SymbolicProgram`) recovers the ETS edges.  The per-state
+extraction walk is a reference in ``tests/naive_oracles.py``.
 """
 
 from .ast import (
@@ -16,10 +18,10 @@ from .ast import (
     vector_update,
 )
 from .ets import ETS, build_ets
-from .events import EventEdge, ExtractResult, extract
 from ..formula import EQ, Formula, Literal, NE
 from .projection import project, project_predicate
 from .symbolic import (
+    EventEdge,
     GuardedEdge,
     StateGuard,
     SymbolicExtract,
@@ -39,8 +41,6 @@ __all__ = [
     "Literal",
     "EQ",
     "NE",
-    "extract",
-    "ExtractResult",
     "EventEdge",
     "ETS",
     "build_ets",

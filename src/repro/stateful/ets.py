@@ -19,8 +19,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..netkat.ast import Policy
 from .ast import StateVector, validate_state_references
-from .events import EventEdge
-from .symbolic import SymbolicProgram
+from .symbolic import EventEdge, SymbolicProgram
 
 __all__ = ["ETS", "build_ets"]
 
@@ -118,8 +117,7 @@ def build_ets(
     BFS instantiates each state's edges and configuration from the
     guarded result -- linear in the chain depth for the cap apps, and
     byte-identical to a BFS over the per-state Figure 5-6 walks
-    (:func:`~repro.stateful.events.extract` /
-    :func:`~repro.stateful.projection.project`).
+    (``build_ets_naive`` in ``tests/naive_oracles.py``).
 
     ``symbolic`` is a prebuilt
     :class:`~repro.stateful.symbolic.SymbolicProgram` for ``program``:

@@ -1,11 +1,11 @@
 """Symbolic all-states extraction and projection: one partial-evaluation
-pass over the program instead of one ``extract``/``project`` walk per
-state vector.
+pass over the program instead of one Figure-6 extraction and one
+:func:`~repro.stateful.projection.project` walk per state vector.
 
 The per-state construction of Figures 5-6 resolves every ``state(m)=n``
 test against a concrete ``~k``, so building ``ETS(p)`` costs
 O(states x program size) -- the dominant ``ets``-stage cost on the deep
-bandwidth-cap chains (~7k ``extract`` calls at cap 24).  This module
+bandwidth-cap chains (~7k per-state extraction calls at cap 24).  This module
 walks the program **once**, treating each state test as a constraint on
 a symbolic state vector:
 
@@ -24,12 +24,13 @@ of a fresh AST walk.  Both halves are linear in the chain depth of the
 cap apps: a cold ``Pipeline(...).nes`` on cap-24 / cap-48 makes 136 /
 256 ``meet`` and 51 / 99 ``holds`` calls.
 
-Byte identity with the per-state walks (``extract`` / ``project``) is
-load-bearing: both apply the *same* smart constructors and formula
-combinators in the *same* order, so for every state consistent with a
-guard the instantiated edges, formulas, and configuration policies are
-equal -- the goldens in ``tests/test_pipeline.py`` and the seeded
-property tests in ``tests/test_differential.py`` pin this.
+Byte identity with the per-state walks is load-bearing: the Figure-6
+walk ``extract`` (a reference in ``tests/naive_oracles.py``) and
+``project`` apply the *same* smart constructors and formula combinators
+in the *same* order, so for every state consistent with a guard the
+instantiated edges, formulas, and configuration policies are equal --
+the goldens in ``tests/test_pipeline.py`` and the seeded property tests
+in ``tests/test_differential.py`` pin this.
 """
 
 from __future__ import annotations
@@ -69,17 +70,31 @@ from ..netkat.ast import (
 )
 from ..netkat.packet import PT, SW
 from .ast import LinkUpdate, StateTest, StateVector, uses_state, vector_update
-from .events import EventEdge, STAR_EXTRACT_FUEL
 
 __all__ = [
+    "EventEdge",
     "StateGuard",
     "GuardedEdge",
     "SymbolicExtract",
     "SymbolicProgram",
 ]
 
+# The most iterates one ``p*`` fixpoint of the extraction may take.
+STAR_EXTRACT_FUEL = 100
 
 _TRUE_GUARD = StateGuard.true()
+
+
+@dataclass(frozen=True)
+class EventEdge:
+    """An ETS edge: state ``src`` transitions to ``dst`` on ``event``."""
+
+    src: StateVector
+    event: Event
+    dst: StateVector
+
+    def __repr__(self) -> str:
+        return f"{list(self.src)} --{self.event!r}--> {list(self.dst)}"
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +124,9 @@ class SymbolicExtract:
     """The guarded pair ``(D, P)``: Figure 6's result for every state.
 
     Restricting to the items whose guard a concrete state satisfies
-    yields exactly ``extract(p, state)`` (see
-    :meth:`SymbolicProgram.edges_at` / :meth:`.formulas_at`).
+    yields exactly the per-state walk's ``extract(p, state)`` (the
+    reference in ``tests/naive_oracles.py``; see
+    :meth:`SymbolicProgram.edges_at`).
     """
 
     edges: FrozenSet[GuardedEdge]
@@ -139,10 +155,11 @@ _EMPTY = SymbolicExtract(frozenset(), frozenset())
 def _sx(p: Policy, guard: StateGuard, phi: Formula, memo: dict) -> SymbolicExtract:
     """Compute ``⟬p⟭~k phi`` for every ``~k`` in one walk.
 
-    The walk is :func:`repro.stateful.events.extract` with the fixed
-    concrete state replaced by a threaded :class:`StateGuard`: a state
-    test refines the guard (both outcomes stay live, each under its own
-    constraint) instead of resolving to keep/drop.  Memoized in ``memo``
+    The walk is the per-state ``extract`` of ``tests/naive_oracles.py``
+    with the fixed concrete state replaced by a threaded
+    :class:`StateGuard`: a state test refines the guard (both outcomes
+    stay live, each under its own constraint) instead of resolving to
+    keep/drop.  Memoized in ``memo``
     on ``(id(subterm), guard, phi)``, the guarded analogue of the
     concrete walk's ``(subterm, phi)`` key.
     """
@@ -537,12 +554,6 @@ class SymbolicProgram:
             if not self._frozen:
                 self._edges_at[state] = edges
         return edges
-
-    def formulas_at(self, state: StateVector) -> FrozenSet[Formula]:
-        """``snd(⟬p⟭~k true)``: the concrete path formulas at ``state``."""
-        return frozenset(
-            phi for g, phi in self.extraction.formulas if g.holds(state)
-        )
 
     def configuration_at(self, state: StateVector) -> Policy:
         """``⟦p⟧~k``: the configuration policy at ``state``."""

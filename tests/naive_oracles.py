@@ -8,8 +8,10 @@ finite-completeness check and the brute-force
 minimally-inconsistent-set enumeration, moved verbatim out of
 ``repro.events``: the differential oracles of
 ``test_finite_complete_property.py`` and ``test_locality_bitset.py``;
-``ETS(p)`` by one Figure 5-6 walk per state, the reference the
-symbolic engine of ``repro.stateful.symbolic`` is compared against;
+the Figure 6 event extraction ``extract`` for one state vector and
+``ETS(p)`` by one Figure 5-6 walk per state, the references the
+symbolic engine of ``repro.stateful.symbolic`` is compared against
+(with ``formulas_at``, the engine's path formulas at one state);
 an FDD builder with every cache of the compile path off; the guarded
 merge rule by rule;
 Definition 2 on frozensets, the reference for ``NESChecker``'s masks;
@@ -20,6 +22,11 @@ frozenset transitive closure, per-position event masks by one
 materialising ``Configuration.step``; and ``Figure7Logic``, the IN,
 SWITCH, CTRLRECV and CTRLSEND rules of Figure 7 on frozenset registers,
 the reference the simulator's ``CorrectLogic`` is compared against.
+
+Helpers that only tests call live here too, not in ``src/``:
+``conjoin_all``, ``implies`` and ``to_predicate`` on conjunctions,
+``eval_fdd``, an FDD applied to one packet, and the structural queries
+``policy_fields`` and ``policy_size``.
 """
 
 import math
@@ -40,11 +47,32 @@ from repro.events.ets_to_nes import (
 )
 from repro.events.nes import NES
 from repro.events.structure import EventStructure, _extremal
-from repro.netkat.ast import Policy
+from repro.formula import EQ, Formula, Literal, NE
+from repro.netkat.ast import (
+    Assign,
+    Conj,
+    Disj,
+    Dup,
+    Filter,
+    Link,
+    Neg,
+    PFalse,
+    PTrue,
+    Policy,
+    Predicate,
+    Seq,
+    Star,
+    TRUE,
+    Test,
+    Union,
+    conj,
+    neg,
+    test,
+)
 from repro.netkat.compiler import Configuration
-from repro.netkat.fdd import FDD, FDDBuilder
+from repro.netkat.fdd import FDD, Branch, FDDBuilder
 from repro.netkat.flowtable import FlowTable, Rule
-from repro.netkat.packet import LocatedPacket, Location, Packet, PT
+from repro.netkat.packet import LocatedPacket, Location, Packet, PT, SW
 from repro.network.simulator import Frame, SimNetwork
 from repro.network.switch_logic import (
     BASE_HEADER_BYTES,
@@ -54,10 +82,258 @@ from repro.network.switch_logic import (
 )
 from repro.runtime.compiler import TAG_FIELD, CompiledNES
 from repro.runtime.semantics import detect_events, merge_in_enabling_order
-from repro.stateful.ast import StateVector, validate_state_references
+from repro.stateful.ast import (
+    LinkUpdate,
+    StateTest,
+    StateVector,
+    validate_state_references,
+    vector_update,
+)
 from repro.stateful.ets import ETS
-from repro.stateful.events import extract
 from repro.stateful.projection import project
+from repro.stateful.symbolic import STAR_EXTRACT_FUEL, EventEdge, SymbolicProgram
+
+
+@dataclass(frozen=True)
+class ExtractResult:
+    """The pair ``(D, P)`` of Figure 6: event edges and path formulas."""
+
+    edges: FrozenSet[EventEdge]
+    formulas: FrozenSet[Formula]
+
+    @staticmethod
+    def of(phi: Optional[Formula]) -> "ExtractResult":
+        if phi is None:
+            return _EMPTY
+        return ExtractResult(frozenset(), frozenset((phi,)))
+
+    def join(self, other: "ExtractResult") -> "ExtractResult":
+        """Pointwise union (the figure's ⊔)."""
+        if not self.edges and not self.formulas:
+            return other
+        if not other.edges and not other.formulas:
+            return self
+        return ExtractResult(self.edges | other.edges, self.formulas | other.formulas)
+
+
+_EMPTY = ExtractResult(frozenset(), frozenset())
+
+
+def extract(
+    p: Policy, state: StateVector, phi: Optional[Formula] = None, _memo: Optional[dict] = None
+) -> ExtractResult:
+    """``⟬p⟭~k phi`` by the Figure 6 walk for one fixed state vector ``~k``.
+
+    Collects the conjunction ``phi`` of header-field tests along each
+    control path and records an event edge ``(~k, (phi, s2, p2), ~k')``
+    at every state-updating link.  ``sw``/``pt`` tests and assignments
+    do not refine ``phi``; ``f <- n`` replaces what ``phi`` knows of
+    ``f``; state tests are resolved against ``~k``; negation is pushed
+    to literals; ``a AND b`` extracts like ``a ; b`` and ``a OR b``
+    like ``a + b``; ``p*`` is the join of its iterates, to fixpoint.
+    Memoized per top-level call on ``(subterm, phi)``.
+
+    The per-state reference for ``repro.stateful.symbolic``, which
+    computes the same pair for every state in one walk.
+    """
+    if phi is None:
+        phi = Formula.true()
+    if _memo is None:
+        _memo = {}
+    key = (p, phi)
+    result = _memo.get(key)
+    if result is not None:
+        return result
+    if isinstance(p, Seq):
+        result = _kleisli(p.left, p.right, state, phi, _memo)
+    elif isinstance(p, Filter):
+        result = _extract_predicate(p.predicate, state, phi, positive=True)
+    elif isinstance(p, Union):
+        result = extract(p.left, state, phi, _memo).join(extract(p.right, state, phi, _memo))
+    elif isinstance(p, Assign):
+        if p.field in (SW, PT):
+            result = ExtractResult.of(phi)
+        else:
+            updated = phi.without_field(p.field).conjoin(Literal(p.field, EQ, p.value))
+            result = ExtractResult.of(updated)
+    elif isinstance(p, LinkUpdate):
+        edge = EventEdge(state, Event(phi, p.dst), vector_update(state, p.updates))
+        result = ExtractResult(frozenset((edge,)), frozenset((phi,)))
+    elif isinstance(p, (Link, Dup)):
+        result = ExtractResult.of(phi)
+    elif isinstance(p, Star):
+        result = _extract_star(p.operand, state, phi, _memo)
+    else:
+        raise TypeError(f"not a stateful policy: {p!r}")
+    _memo[key] = result
+    return result
+
+
+def _kleisli(
+    left: Policy, right: Policy, state: StateVector, phi: Formula, memo: dict
+) -> ExtractResult:
+    """``(⟬left⟭ ‚ ⟬right⟭) phi`` -- thread each left formula through right."""
+    first = extract(left, state, phi, memo)
+    edges = set(first.edges)
+    formulas: Set[Formula] = set()
+    for psi in first.formulas:
+        threaded = extract(right, state, psi, memo)
+        edges.update(threaded.edges)
+        formulas.update(threaded.formulas)
+    return ExtractResult(frozenset(edges), frozenset(formulas))
+
+
+def _extract_star(body: Policy, state: StateVector, phi: Formula, memo: dict) -> ExtractResult:
+    """``⟬p*⟭ phi = ⊔_j F_p^j(phi, ~k)`` iterated to fixpoint."""
+    total = ExtractResult.of(phi)
+    frontier: FrozenSet[Formula] = frozenset((phi,))
+    for _ in range(STAR_EXTRACT_FUEL):
+        step = _EMPTY
+        for psi in frontier:
+            step = step.join(extract(body, state, psi, memo))
+        new_total = total.join(step)
+        if new_total == total and not step.formulas - total.formulas:
+            return total
+        total, frontier = new_total, step.formulas
+        if not frontier:
+            return total
+    raise RuntimeError(f"event extraction for p* did not converge in {STAR_EXTRACT_FUEL} steps")
+
+
+def _extract_predicate(
+    a: Predicate, state: StateVector, phi: Formula, positive: bool
+) -> ExtractResult:
+    """Extract from a test, with negation pushed down to literals."""
+    if isinstance(a, PTrue):
+        return ExtractResult.of(phi) if positive else _EMPTY
+    if isinstance(a, PFalse):
+        return _EMPTY if positive else ExtractResult.of(phi)
+    if isinstance(a, Test):
+        if a.field in (SW, PT):
+            return ExtractResult.of(phi)  # location tests never refine the guard
+        return ExtractResult.of(phi.conjoin(Literal(a.field, EQ if positive else NE, a.value)))
+    if isinstance(a, StateTest):
+        holds = (state[a.component] == a.value) == positive
+        return ExtractResult.of(phi) if holds else _EMPTY
+    if isinstance(a, Neg):
+        return _extract_predicate(a.operand, state, phi, not positive)
+    if isinstance(a, (Conj, Disj)):
+        if isinstance(a, Conj) == positive:
+            # a AND b, and not (a OR b) = (not a) AND (not b): sequencing.
+            return _pred_seq(a.left, a.right, state, phi, positive)
+        # a OR b, and not (a AND b) = (not a) OR (not b): a join.
+        return _extract_predicate(a.left, state, phi, positive).join(
+            _extract_predicate(a.right, state, phi, positive)
+        )
+    raise TypeError(f"not a predicate: {a!r}")
+
+
+def _pred_seq(
+    left: Predicate, right: Predicate, state: StateVector, phi: Formula, positive: bool
+) -> ExtractResult:
+    """Conjunction as sequencing: thread left's formulas through right."""
+    first = _extract_predicate(left, state, phi, positive)
+    edges = set(first.edges)
+    formulas: Set[Formula] = set()
+    for psi in first.formulas:
+        threaded = _extract_predicate(right, state, psi, positive)
+        edges.update(threaded.edges)
+        formulas.update(threaded.formulas)
+    return ExtractResult(frozenset(edges), frozenset(formulas))
+
+
+def formulas_at(symbolic: SymbolicProgram, state: StateVector) -> FrozenSet[Formula]:
+    """``snd(⟬p⟭~k true)`` read off the symbolic walk: the path formulas
+    whose guard holds at ``state``, to compare with ``extract``'s."""
+    return frozenset(phi for g, phi in symbolic.extraction.formulas if g.holds(state))
+
+
+def conjoin_all(conjunction, literals: Iterable[Literal]):
+    """``conjunction`` with every literal conjoined, or ``None`` once contradictory."""
+    for literal in literals:
+        if conjunction is None:
+            return None
+        conjunction = conjunction.conjoin(literal)
+    return conjunction
+
+
+def implies(a, b) -> bool:
+    """Syntactic implication of two conjunctions: meeting ``b`` adds nothing to ``a``."""
+    return a.meet(b) is a
+
+
+def to_predicate(phi: Formula) -> Predicate:
+    """An event guard rendered as a NetKAT predicate."""
+    terms = []
+    for l in sorted(phi.literals):
+        t = test(l.field, l.value)
+        terms.append(t if l.op == EQ else neg(t))
+    return conj(*terms) if terms else TRUE
+
+
+def eval_fdd(d: FDD, packet: Packet) -> FrozenSet[Packet]:
+    """An FDD applied to a packet: the set of output packets."""
+    while isinstance(d, Branch):
+        d = d.hi if packet.get(d.field) == d.value else d.lo
+    out = set()
+    for mod in d.actions:
+        result = packet
+        for field, value in mod:
+            result = result.set(field, value)
+        out.add(result)
+    return frozenset(out)
+
+
+def _predicate_fields(a: Predicate) -> FrozenSet[str]:
+    if isinstance(a, (PTrue, PFalse)):
+        return frozenset()
+    if isinstance(a, Test):
+        return frozenset((a.field,))
+    if isinstance(a, Neg):
+        return _predicate_fields(a.operand)
+    if isinstance(a, (Conj, Disj)):
+        return _predicate_fields(a.left) | _predicate_fields(a.right)
+    raise TypeError(f"not a predicate: {a!r}")
+
+
+def policy_fields(p: Policy) -> FrozenSet[str]:
+    """All field names a policy tests or assigns (a link's are sw and pt)."""
+    if isinstance(p, Filter):
+        return _predicate_fields(p.predicate)
+    if isinstance(p, Assign):
+        return frozenset((p.field,))
+    if isinstance(p, (Union, Seq)):
+        return policy_fields(p.left) | policy_fields(p.right)
+    if isinstance(p, Star):
+        return policy_fields(p.operand)
+    if isinstance(p, Dup):
+        return frozenset()
+    if isinstance(p, Link):
+        return frozenset((SW, PT))
+    raise TypeError(f"not a policy: {p!r}")
+
+
+def _predicate_size(a: Predicate) -> int:
+    if isinstance(a, (PTrue, PFalse, Test)):
+        return 1
+    if isinstance(a, Neg):
+        return 1 + _predicate_size(a.operand)
+    if isinstance(a, (Conj, Disj)):
+        return 1 + _predicate_size(a.left) + _predicate_size(a.right)
+    raise TypeError(f"not a predicate: {a!r}")
+
+
+def policy_size(p: Policy) -> int:
+    """Number of AST nodes (predicates count one node per connective)."""
+    if isinstance(p, Filter):
+        return 1 + _predicate_size(p.predicate)
+    if isinstance(p, (Assign, Dup, Link)):
+        return 1
+    if isinstance(p, (Union, Seq)):
+        return 1 + policy_size(p.left) + policy_size(p.right)
+    if isinstance(p, Star):
+        return 1 + policy_size(p.operand)
+    raise TypeError(f"not a policy: {p!r}")
 
 
 def build_ets_naive(program: Policy, initial: StateVector) -> ETS:

@@ -135,7 +135,7 @@ def test_adoption_follows_the_switch_set(compiles):
     # the link relation is the checker's topology's, not the deposit's.
     cut = switch_preserving_edits(app)["remove_used_link"]
     checker = NESChecker(app.nes, cut)
-    initial = checker.config_of_event_set(frozenset())
+    initial = checker._config_of_mask(0)
     assert compiles == []
     deposited = compiled.config_for_event_set(frozenset())
     assert initial.topology is cut and deposited.topology is app.topology

@@ -28,6 +28,7 @@ from repro.netkat.packet import Location, Packet, PT, SW
 from repro.runtime.compiler import CompiledNES, TAG_FIELD
 from repro.topology import Topology
 
+from naive_oracles import conjoin_all
 from seed_apps import APPS
 
 
@@ -154,7 +155,7 @@ def planted(rules, events):
     their id; the scan oracle reads the guarded merge built from them."""
     universe = set()
     for literals, port, eid in events:
-        guard = Formula.true().conjoin_all(literals)
+        guard = conjoin_all(Formula.true(), literals)
         if guard is not None:
             universe.add(Event(guard, Location(SWITCH, port), eid))
     structure = EventStructure(

@@ -12,6 +12,8 @@ import pytest
 from repro.formula import EQ, NE, Formula, Literal, StateGuard
 from repro.netkat.packet import Packet
 
+from naive_oracles import conjoin_all, implies
+
 VALUES = range(3)
 
 # (type, its keys, an environment for ``holds`` from a key -> value map)
@@ -55,7 +57,7 @@ def test_every_way_to_build_a_conjunction_agrees(kind, keys, environment):
             for _ in range(rng.randrange(7))
         ]
         folded = fold(kind, literals)
-        assert kind.true().conjoin_all(literals) == folded
+        assert conjoin_all(kind.true(), literals) == folded
         cut = rng.randrange(len(literals) + 1)
         left, right = fold(kind, literals[:cut]), fold(kind, literals[cut:])
         met = left.meet(right) if left and right else None
@@ -83,8 +85,8 @@ def test_every_way_to_build_a_conjunction_agrees(kind, keys, environment):
                 (env[l.field] == l.value) == (l.op == EQ) for l in literals
             )
             assert whole.holds(environment(env)) == expected
-        assert whole.implies(left) and whole.implies(right)
-        assert left.implies(whole) == (left == whole)
+        assert implies(whole, left) and implies(whole, right)
+        assert implies(left, whole) == (left == whole)
         key = rng.choice(keys)
         assert whole.without_field(key) == kind(
             l for l in whole.literals if l.field != key

@@ -43,11 +43,10 @@ from repro.netkat.flowtable import table_of_fdd
 from repro.netkat.packet import Packet
 from repro.netkat.semantics import eval_packet
 from repro.stateful.ast import StateTest, link_update
-from repro.stateful.events import extract
 from repro.stateful.projection import project
 from repro.stateful.symbolic import SymbolicProgram
 
-from naive_oracles import ReferenceFDDBuilder
+from naive_oracles import ReferenceFDDBuilder, eval_fdd, extract, formulas_at
 
 # The field vocabulary shared by the seed applications (plus the two
 # location fields, which exercise the head of the FDD field order).
@@ -110,8 +109,8 @@ def assert_differential(policy: Policy, packets) -> None:
     table = table_of_fdd(fast, d_fast)
     for packet in packets:
         expected = eval_packet(policy, packet)
-        assert fast.eval(d_fast, packet) == expected
-        assert ref.eval(d_ref, packet) == expected
+        assert eval_fdd(d_fast, packet) == expected
+        assert eval_fdd(d_ref, packet) == expected
         assert table.apply(packet) == expected
 
 
@@ -223,7 +222,7 @@ def assert_symbolic_matches_per_state(program: Policy) -> None:
     for state in STATE_BOX:
         concrete = extract(program, state)
         assert symbolic.edges_at(state) == concrete.edges
-        assert symbolic.formulas_at(state) == concrete.formulas
+        assert formulas_at(symbolic, state) == concrete.formulas
         assert symbolic.configuration_at(state) == project(program, state)
         # The per-state memo serves the very same objects on a revisit.
         assert symbolic.edges_at(state) is symbolic.edges_at(state)

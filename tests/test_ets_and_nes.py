@@ -23,7 +23,7 @@ from repro.netkat.packet import Location
 from repro.pipeline import Pipeline
 from repro.stateful.ast import link_update, state_eq
 from repro.stateful.ets import ETS, build_ets
-from repro.stateful.events import EventEdge
+from repro.stateful import EventEdge
 
 
 def ev(field, value, sw, pt, eid=0):

@@ -10,7 +10,7 @@ from repro.formula import EQ, Formula, Literal, NE
 from repro.netkat.ast import assign
 from repro.netkat.packet import LocatedPacket, Location, Packet
 from repro.stateful.ets import ETS
-from repro.stateful.events import EventEdge
+from repro.stateful import EventEdge
 
 
 def lp(sw, pt, **fields):

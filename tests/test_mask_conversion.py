@@ -35,7 +35,7 @@ from repro.netkat.ast import assign
 from repro.netkat.packet import Location
 from repro.pipeline import Pipeline
 from repro.stateful.ets import ETS, build_ets
-from repro.stateful.events import EventEdge
+from repro.stateful import EventEdge
 from seed_apps import APPS
 from test_differential import random_stateful_policy
 

@@ -114,8 +114,9 @@ class TestLocatedPacket:
         assert lp.location == Location(2, 3)
 
     def test_normalized_syncs_fields(self):
-        lp = LocatedPacket(Packet({SW: 1, PT: 1}), Location(9, 9)).normalized()
-        assert lp.packet.switch == 9 and lp.packet.port == 9
+        lp = LocatedPacket(Packet({SW: 1, PT: 1}), Location(9, 9))
+        packet = lp.packet.at(lp.location)
+        assert packet.switch == 9 and packet.port == 9
 
 
 class TestHistory:

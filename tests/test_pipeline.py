@@ -138,7 +138,7 @@ def test_report_shows_the_symbolic_vs_instantiate_split():
     report = fast.report()
     subs = [name for name, _ in report.substages]
     assert subs == ["ets.symbolic", "ets.instantiate"]
-    assert report.substage("ets.symbolic") is not None
+    assert "ets.symbolic" in dict(report.substages)
     # The substages refine the ets stage; total_seconds() counts each
     # stage once.
     assert report.total_seconds() == pytest.approx(

@@ -1,7 +1,9 @@
 """The public API surface: everything advertised in ``__all__`` exists,
-the package docstring's quickstart runs as written, and what a change
-deleted stays deleted (the ``DELETED`` table)."""
+the package docstring's quickstart runs as written, what a change
+deleted stays deleted (the ``DELETED`` table), and every public name has
+a caller outside ``tests/`` (the census)."""
 
+import ast
 import collections
 import functools
 import importlib
@@ -390,7 +392,167 @@ DELETED = [
     ("name", "_sorted_masks", "repro.events.ets_to_nes", ("_sorted_masks", SRC)),
     ("name", "of_family", "repro.events.structure:EventStructure", ("of_family", SRC)),
     ("text", r"self\._covers\b|_g\[frozenset|structure\.decode\(tag_mask", SRC),
+    # src/ ships no test-only code (the census below keeps it so): the
+    # per-state Figure 6 walk and the helpers only tests called live in
+    # tests/naive_oracles.py, and names nothing called are deleted.
+    ("module", "repro.stateful.events"),
+    ("name", "extract", "repro.stateful", (r"def extract\b", SRC)),
+    ("name", "ExtractResult", "repro.stateful", ("ExtractResult", SRC)),
+    ("name", "formulas_at", SYMBOLIC, _method("formulas_at")),
+    ("name", "eval", "repro.netkat.fdd:FDDBuilder", _method("eval")),
+    ("name", "conjoin_all", "repro.formula:Formula repro.formula:StateGuard",
+     _method("conjoin_all")),
+    ("name", "implies", "repro.formula:Formula repro.formula:StateGuard", _method("implies")),
+    ("name", "to_predicate", "repro.formula:Formula", _method("to_predicate")),
+    ("name", "normalized", "repro.netkat.packet:LocatedPacket", _method("normalized")),
+    ("name", "config_of_event_set", "repro.consistency:NESChecker",
+     _method("config_of_event_set")),
+    ("name", "before", "repro.consistency.traces:HappensBefore", _method("before")),
+    ("name", "substage", "repro.pipeline:PipelineReport", _method("substage")),
+    ("name", "with_digest", "repro.runtime.model:RuntimePacket", _method("with_digest")),
+    ("name", "with_packet", "repro.runtime.model:RuntimePacket", _method("with_packet")),
+    ("name", "extend_path", "repro.runtime.model:RuntimePacket", _method("extend_path")),
+    ("name", "total_pending", "repro.runtime.model:NetworkState", _method("total_pending")),
+    ("name", "ALL_CASE_STUDIES", "repro.apps", ("ALL_CASE_STUDIES", ALL)),
+    ("name", "policy_fields", "repro.netkat repro.netkat.ast", ("policy_fields", ALL)),
+    ("name", "policy_size", "repro.netkat repro.netkat.ast", ("policy_size", ALL)),
+    ("name", "predicate_fields", "repro.netkat.ast", ("predicate_fields", ALL)),
 ]
+
+
+# The census: every public module-level function, class and constant of
+# src/repro, and every public method of a public class, has a caller outside
+# tests/ -- code under CALLERS reads its identifier outside its own definition.
+# Imports and __all__ strings are not callers.  It matches identifiers, not
+# objects, so a name that only another test-only name reads goes unnoticed.
+CALLERS = ("src", "repobench", "benchmarks", "examples")
+# The public names that only tests call, kept on purpose, each with its reason.
+TEST_ONLY_KEPT = {
+    **dict.fromkeys(
+        ("repro.events.structure:EventStructure.minimal_enablers",
+         "repro.events.structure:EventStructure.allowed_sequences",
+         "repro.events.structure:EventStructure.is_event_set",
+         "repro.events.nes:NES.allows_sequence",
+         "repro.events.nes:NES.config_of"),
+        "the frozenset-valued event-set API, which moves to tests/naive_oracles.py "
+        "together with the rest of it once Runtime is gone (ROADMAP item 15)"),
+    "repro.runtime.semantics:Runtime.drain_controller":
+        "drives the Figure 7 reference runtime in tests; it goes with Runtime (item 15)",
+    "repro.faults:FaultPlan.fires":
+        "what an installed fault plan injected; only chaos tests install plans",
+    "repro.netkat.parser:parse_predicate":
+        "the concrete syntax's predicate entry point, advertised in repro.netkat",
+    "repro.stateful.projection:project_predicate":
+        "Figure 5's projection of a predicate, advertised beside project in repro.stateful",
+    "repro.optimize.sharing:optimized_table_equivalent":
+        "section 5.3's exact check of an optimized table; moving it would leave "
+        "repro.verify.equiv without a src caller, which the exact-check work of "
+        "ROADMAP item 10 is to reuse",
+}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _reads(tree):
+    """How often each identifier is read (a name or an attribute) in ``tree``."""
+    return collections.Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Store)
+    )
+
+
+def _public_definitions(tree):
+    """``(qualified name, identifier, node)`` for each name the census covers."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id, target.id, node
+        elif isinstance(node, (*FUNCTIONS, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, FUNCTIONS) and not method.name.startswith("_"):
+                        yield f"{node.name}.{method.name}", method.name, method
+
+
+def census(root, kept):
+    """``(unused, stale)`` for the tree at ``root``: the public names of
+    ``src/repro`` that no code under CALLERS reads and ``kept`` does not list,
+    and the ``kept`` entries that are not defined or that now have a caller."""
+    reads = collections.Counter()
+    defined = {}
+    for top in CALLERS:
+        for file in sorted((root / top).rglob("*.py")):
+            parts = file.relative_to(root).parts
+            if any(part.startswith(".") or part == "__pycache__" for part in parts):
+                continue  # e.g. the benchmark's checkout of another revision
+            tree = ast.parse(file.read_text(encoding="utf-8"), str(file))
+            reads.update(_reads(tree))
+            if parts[:2] == ("src", "repro"):
+                module = ".".join(parts[1:]).removesuffix(".py").removesuffix(".__init__")
+                for qualified, identifier, node in _public_definitions(tree):
+                    defined[f"{module}:{qualified}"] = (identifier, _reads(node)[identifier])
+    used = {name for name, (identifier, own) in defined.items() if reads[identifier] > own}
+    unused = sorted(set(defined) - used - set(kept))
+    stale = sorted(name for name in kept if name not in defined or name in used)
+    return unused, stale
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    assert census(ROOT, TEST_ONLY_KEPT) == ([], [])
+
+
+def test_every_kept_test_only_name_has_a_reason():
+    assert all(isinstance(why, str) and why.strip() for why in TEST_ONLY_KEPT.values())
+
+
+CENSUS_TREE = {
+    "src/repro/__init__.py": "from .mod import Box, LIMIT, only_tested, used\n",
+    "src/repro/mod.py": """
+        __all__ = ["Box", "LIMIT", "only_tested", "used"]
+        LIMIT = 3
+
+
+        def used():
+            return LIMIT
+
+
+        def only_tested():
+            return only_tested  # a read inside its own definition
+
+
+        class Box:
+            def opened(self):
+                return self.sealed()
+
+            def sealed(self):
+                return used()
+    """,
+    "examples/demo.py": "from repro.mod import Box\nprint(f'{Box().opened()}')\n",
+    "tests/test_mod.py": "from repro.mod import only_tested\n\nonly_tested()\n",
+}
+
+
+def _plant(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text))
+    return root
+
+
+def test_census_finds_a_name_only_tests_call(tmp_path):
+    root = _plant(tmp_path, CENSUS_TREE)
+    assert census(root, {}) == (["repro.mod:only_tested"], [])
+    assert census(root, {"repro.mod:only_tested": "kept"}) == ([], [])
+
+
+def test_census_finds_stale_kept_entries(tmp_path):
+    root = _plant(tmp_path, CENSUS_TREE)
+    kept = {"repro.mod:only_tested": "kept", "repro.mod:gone": "deleted since",
+            "repro.mod:Box.sealed": "has a caller now"}
+    assert census(root, kept) == ([], ["repro.mod:Box.sealed", "repro.mod:gone"])
 
 
 def _rows(kind):

@@ -19,19 +19,6 @@ def make_packet(**fields) -> RuntimePacket:
 
 
 class TestRuntimePacket:
-    def test_with_digest(self):
-        e = Event(Formula(), Location(1, 1))
-        p = make_packet(a=1).with_digest(frozenset({e}))
-        assert p.digest == frozenset({e})
-
-    def test_with_packet(self):
-        p = make_packet(a=1).with_packet(Packet({"a": 2}))
-        assert p.packet["a"] == 2
-
-    def test_extend_path(self):
-        p = make_packet(a=1).extend_path(3).extend_path(7)
-        assert p.trace_path == (3, 7)
-
     def test_immutability(self):
         p = make_packet(a=1)
         with pytest.raises(Exception):
@@ -64,7 +51,6 @@ class TestNetworkState:
     def test_quiescent_initially(self):
         state = NetworkState([1, 4])
         assert state.quiescent()
-        assert state.total_pending() == 0
 
     def test_quiescent_ignores_controller(self):
         state = NetworkState([1])

@@ -354,7 +354,7 @@ def _reference_check(checker, trace):
         e for e in nes.structure.universe if any(map(e.matches, trace.packets))
     ]
     if not matched:
-        initial = checker.config_of_event_set(frozenset())
+        initial = checker._config_of_mask(0)
         for t in sorted(trace.trace_indices):
             if not packet_trace_in_traces_naive(initial, trace.packet_trace(t)):
                 return CorrectnessReport(
@@ -366,7 +366,7 @@ def _reference_check(checker, trace):
     reports = []
     for sequence in _allowed_sequences(nes.structure, matched):
         chain = tuple(
-            checker.config_of_event_set(frozenset(sequence[:n]))
+            checker._config_of_mask(checker.nes.structure.encode(frozenset(sequence[:n])))
             for n in range(len(sequence) + 1)
         )
         update = EventDrivenUpdate(chain, sequence, nes.events)

@@ -28,8 +28,9 @@ from repro.stateful.ast import (
     uses_state,
     vector_update,
 )
-from repro.stateful.events import extract
 from repro.stateful.projection import project, project_predicate
+
+from naive_oracles import extract
 
 
 class TestStatefulAST:

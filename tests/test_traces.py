@@ -83,15 +83,15 @@ class TestHappensBefore:
             frozenset({(0,), (1,)}),
         )
         hb = trace.happens_before()
-        assert hb.before(0, 1)
-        assert not hb.before(1, 0)
+        assert hb.all_before((0,), 1)
+        assert not hb.all_before((1,), 0)
 
     def test_same_packet_order_across_switches(self):
         trace = NetworkTrace(
             (lp(1, 2), lp(4, 1)), frozenset({(0, 1)})
         )
         hb = trace.happens_before()
-        assert hb.before(0, 1)
+        assert hb.all_before((0,), 1)
 
     def test_unrelated_positions_incomparable(self):
         trace = NetworkTrace(
@@ -99,7 +99,7 @@ class TestHappensBefore:
             frozenset({(0,), (1,)}),
         )
         hb = trace.happens_before()
-        assert not hb.before(0, 1) and not hb.before(1, 0)
+        assert not hb.all_before((0,), 1) and not hb.all_before((1,), 0)
 
     def test_transitivity(self):
         # pkt A: 1:2 -> 4:1 ; pkt B enters at s4 afterwards
@@ -108,13 +108,13 @@ class TestHappensBefore:
             frozenset({(0, 1), (2,)}),
         )
         hb = trace.happens_before()
-        assert hb.before(0, 1)
-        assert hb.before(1, 2)  # same switch order at s4
-        assert hb.before(0, 2)  # transitive closure
+        assert hb.all_before((0,), 1)
+        assert hb.all_before((1,), 2)  # same switch order at s4
+        assert hb.all_before((0,), 2)  # transitive closure
 
     def test_irreflexive(self):
         trace = NetworkTrace((lp(1, 2),), frozenset({(0,)}))
-        assert not trace.happens_before().before(0, 0)
+        assert not trace.happens_before().all_before((0,), 0)
 
     def test_all_before_and_all_after(self):
         trace = NetworkTrace(
@@ -188,7 +188,7 @@ def test_happens_before_equals_the_closure(trace):
     n = len(trace)
     for i in range(n):
         for j in range(n):
-            assert hb.before(i, j) == (j in reachable[i]), (i, j)
+            assert hb.all_before((i,), j) == (j in reachable[i]), (i, j)
     for t in trace.trace_indices:
         for k in range(n):
             assert hb.all_before(t, k) == all(k in reachable[i] for i in t)

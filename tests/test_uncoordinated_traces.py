@@ -10,6 +10,8 @@ yields "too early" -- demonstrating the checker separates correct from
 incorrect implementations in both directions.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.apps import bandwidth_cap_app, firewall_app
@@ -54,7 +56,9 @@ class StaleConfigRuntime(Runtime):
         for out_packet in sorted(outputs, key=repr):
             egress = Location(switch_id, out_packet["pt"])
             index = self.recorder.record(out_packet, egress)
-            child = packet.with_packet(out_packet.at(egress)).extend_path(index)
+            child = dataclasses.replace(
+                packet, packet=out_packet.at(egress), trace_path=packet.trace_path + (index,)
+            )
             switch.enqueue_out(egress.port, child)
 
 

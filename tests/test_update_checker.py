@@ -42,8 +42,8 @@ def checker(app):
 
 @pytest.fixture(scope="module")
 def update(app, checker):
-    ci = checker.config_of_event_set(frozenset())
-    cf = checker.config_of_event_set(frozenset({EVENT}))
+    ci = checker._config_of_mask(0)
+    cf = checker._config_of_mask(checker.nes.structure.encode(frozenset({EVENT})))
     return EventDrivenUpdate.single(ci, EVENT, cf)
 
 
@@ -82,8 +82,8 @@ class TestFirstOccurrences:
 
     def test_fo_requires_trigger_in_preceding_config(self, app, checker):
         """The event-matching packet must have been processed by Ci."""
-        ci = checker.config_of_event_set(frozenset())
-        cf = checker.config_of_event_set(frozenset({EVENT}))
+        ci = checker._config_of_mask(0)
+        cf = checker._config_of_mask(checker.nes.structure.encode(frozenset({EVENT})))
         update = EventDrivenUpdate.single(ci, EVENT, cf)
         # A is cut short (dropped mid-path): its trace is in no Traces(Ci).
         packets = tuple(A[:3])
@@ -143,8 +143,8 @@ class TestDefinition6:
         assert check_trace_against_nes(good_trace(), app.nes, app.topology)
 
     def test_config_cache_reused(self, checker):
-        c1 = checker.config_of_event_set(frozenset())
-        c2 = checker.config_of_event_set(frozenset())
+        c1 = checker._config_of_mask(0)
+        c2 = checker._config_of_mask(0)
         assert c1 is c2
 
 
