@@ -56,7 +56,7 @@ import contextlib
 import json
 import re
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .events.ets_to_nes import ETSConversionError, nes_of_ets
 from .events.locality import locality_violations

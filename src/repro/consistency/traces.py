@@ -14,12 +14,11 @@ and (b) the order within each packet trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from ..formula import Formula
 from ..netkat.compiler import Configuration
-from ..netkat.packet import LocatedPacket, Location
-from ..topology import Topology
+from ..netkat.packet import LocatedPacket
 
 __all__ = [
     "NetworkTrace",

@@ -64,16 +64,20 @@ class FiniteCompletenessError(ETSConversionError):
     """The family F(T) is not closed under existing least upper bounds."""
 
 
-def _occurrence_bound(ets: "ETS", max_occurrences: Optional[int]) -> int:
-    """``max_occurrences`` when given, else 64 on a cyclic ETS; an acyclic
-    one has no path longer than its edge count, so that never trips."""
+def _past_bound(ets: "ETS", occurrence: int, max_occurrences: Optional[int]) -> bool:
+    """Is occurrence index ``occurrence`` past the bound: ``max_occurrences``
+    when given, else 64 on a cyclic ETS?  An acyclic ETS has no path
+    longer than its edge count, so by default it has no bound, and
+    cyclicity is asked only once an occurrence reaches 64."""
     if max_occurrences is not None:
-        return max_occurrences
-    return 64 if ets.has_loops() else len(ets.edges) + 1
+        return occurrence >= max_occurrences
+    return occurrence >= 64 and ets.has_loops()
 
 
 def _masks_of_ets(
-    ets: "ETS", bound: int, compared: Set[Tuple[StateVector, StateVector]]
+    ets: "ETS",
+    max_occurrences: Optional[int],
+    compared: Set[Tuple[StateVector, StateVector]],
 ) -> Tuple[List[Event], Dict[int, StateVector], List[Tuple[int, int]]]:
     """``F(T)`` by one depth-first walk of ``(state, collected)`` pairs,
     each event-set an int mask over the events in discovery order.
@@ -81,11 +85,12 @@ def _masks_of_ets(
     Repeated occurrences of a base event along a path are renamed with
     increasing occurrence indices, so a chain (or unrolled loop) labeled
     with one syntactic event yields distinct NES events; an occurrence
-    past ``bound`` raises (the paper restricts attention to loop-free
-    ETSs; bounded unrolling approximates the lazily-computed infinite
-    NES).  Vertex labels are read only where condition 1 has something
-    to compare -- two paths collecting one event-set at different
-    states -- and those state pairs are added to ``compared``.
+    past the bound (:func:`_past_bound`) raises (the paper restricts
+    attention to loop-free ETSs; bounded unrolling approximates the
+    lazily-computed infinite NES).  Vertex labels are read only where
+    condition 1 has something to compare -- two paths collecting one
+    event-set at different states -- and those state pairs are added to
+    ``compared``.
 
     Returns the events (bit ``i`` is ``events[i]``), the family
     (mask -> state, in discovery order), and each member but ``∅``'s
@@ -110,7 +115,8 @@ def _masks_of_ets(
             occurrence = counts.get(kind, 0)
             bit = bits.get((kind, occurrence))
             if bit is None:  # a bit is only ever made within the bound
-                if occurrence >= bound:
+                if _past_bound(ets, occurrence, max_occurrences):
+                    bound = 64 if max_occurrences is None else max_occurrences
                     raise ETSConversionError(
                         f"event {base!r} occurred more than {bound} "
                         "times along a path; is the ETS an unbounded loop?"
@@ -158,8 +164,10 @@ def _finite_completeness_violations(
     bitmask of maximal elements above them -- and pairs are enumerated
     once per pair of intersecting signature classes: every pair with a
     common upper bound is visited exactly once, and cross-block pairs
-    in wide families -- disjoint signatures -- never.  A member is in
-    the family, so a comparable pair's lub is too.
+    in wide families -- disjoint signatures -- never.  A comparable
+    pair's lub is its larger member, so it never violates: a class
+    whose members form a chain is skipped whole, and a chain family
+    (every cap-N app) checks no pair at all.
     """
     family = set(masks)
     classes: Dict[int, List[int]] = {}  # signature -> members, in order
@@ -175,15 +183,23 @@ def _finite_completeness_violations(
         for sig_b, members_b in class_list[a:]:
             if not sig_a & sig_b:
                 continue  # no shared upper bound: no closure obligation
+            if members_b is members_a and _is_chain(members_a):
+                continue
             for i, m1 in enumerate(members_a):
                 others = members_a[i + 1 :] if members_b is members_a else members_b
                 violations += [(m1, m2) for m2 in others if m1 | m2 not in family]
     return violations
 
 
+def _is_chain(masks: List[int]) -> bool:
+    """Are ``masks`` totally ordered by inclusion?"""
+    ordered = sorted(masks, key=int.bit_count)
+    return all(low | high == high for low, high in zip(ordered, ordered[1:]))
+
+
 def _adopted_nes(
     ets: "ETS",
-    bound: int,
+    max_occurrences: Optional[int],
     previous_ets: Optional["ETS"],
     previous_nes: NES,
 ) -> Optional[NES]:
@@ -196,7 +212,9 @@ def _adopted_nes(
         or ets.initial != previous_ets.initial
         or ets.edges != previous_ets.edges
         or ets.states() != previous_ets.states()
-        or any(event.eid >= bound for event in previous_nes.events)
+        or _past_bound(
+            ets, max((e.eid for e in previous_nes.events), default=0), max_occurrences
+        )
         or any(ets.configuration(a) != ets.configuration(b) for a, b in pairs)
     ):
         return None
@@ -214,10 +232,10 @@ def nes_of_ets(
     """Convert an ETS to an NES, enforcing both section 3.1 conditions.
 
     ``previous`` is an ``(ets, nes)`` pair from an earlier conversion
-    (the pre-delta one of :meth:`repro.pipeline.Pipeline.update`; a
-    ``None`` ETS — an NES that came out of a warm artifact — lends
-    nothing).  The construction reads the initial vertex and the edges,
-    and the vertex labels only through condition 1 — so when ``ets`` has
+    (the one a :class:`repro.pipeline.Pipeline` stored for the same
+    initial state and edges; a ``None`` ETS lends nothing).  The
+    construction reads the initial vertex and the edges, and the vertex
+    labels only through condition 1 — so when ``ets`` has
     the earlier ETS's initial state, edges and states, the family, the
     finite-completeness check and the :class:`EventStructure` are the
     ones already computed, and the result shares them: the earlier
@@ -229,13 +247,12 @@ def nes_of_ets(
     or anything else differs, the full conversion below runs, and its
     result or error is the answer.
     """
-    bound = _occurrence_bound(ets, max_occurrences)
     if previous is not None:
-        adopted = _adopted_nes(ets, bound, *previous)
+        adopted = _adopted_nes(ets, max_occurrences, *previous)
         if adopted is not None:
             return adopted
     compared: Set[Tuple[StateVector, StateVector]] = set()
-    events, family, links = _masks_of_ets(ets, bound, compared)
+    events, family, links = _masks_of_ets(ets, max_occurrences, compared)
     # Re-bit once into the structure's repr order, each member from its
     # parent (discovery order puts a parent first), and collect each
     # event's recorded parents: its enablers (see the module docstring).

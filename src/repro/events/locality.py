@@ -33,7 +33,7 @@ consistent, so there are no inconsistent sets).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .event import EventSet
 from .nes import NES

@@ -27,22 +27,13 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .ast import (
-    Assign,
-    Conj,
-    Disj,
     Dup,
-    FALSE,
     ID,
     Link,
-    Neg,
-    PFalse,
-    PTrue,
     Policy,
     Predicate,
     Seq,
     Star,
-    Test,
-    TRUE,
     Union,
     at_location,
     conj,

@@ -18,7 +18,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .fdd import ActionSet, FDD, FDDBuilder, Leaf, Mod
+from .fdd import ActionSet, FDD, FDDBuilder
 from .packet import Packet
 
 __all__ = [

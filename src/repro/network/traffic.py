@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..apps.base import HOSTS
 from ..netkat.packet import Packet
-from .simulator import DeliveryRecord, Frame, FrameBatch, SimNetwork
+from .simulator import Frame, FrameBatch, SimNetwork
 
 __all__ = [
     "KIND_REQUEST",

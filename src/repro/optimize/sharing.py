@@ -18,7 +18,6 @@ from ..netkat.flowtable import FlowTable, PrefixMatch, Rule
 from ..runtime.compiler import CompiledNES, TAG_FIELD
 from ..verify.equiv import tables_equivalent
 from .trie import (
-    OptimizationResult,
     TrieNode,
     build_trie,
     heuristic_order,

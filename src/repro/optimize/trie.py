@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 from itertools import permutations
 from typing import (
-    Dict,
     FrozenSet,
     Hashable,
     List,

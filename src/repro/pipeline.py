@@ -8,31 +8,26 @@ and frozen, and :class:`Pipeline` exposes the staged artifacts
 lazily, with per-stage wall-clock timings and stats available via
 :meth:`Pipeline.report`.
 
-The stage sequence is written once, in those three properties.
-:meth:`Pipeline.update` has no copy of it: it constructs an ordinary
-pipeline for the post-delta inputs, points it at its predecessor while
-it compiles, and each property borrows by what its stage actually
-reads — the partial evaluation when the program is the same object; the
-event structure when the ETS kept its initial state and edges (the
-whole NES when it kept its vertex labels too); the tables of every
-policy it compiled, by policy, while the switch set is unchanged; and
-its guarded merge when the states and every table dict are its own.
-Within a stage, a successor also starts from its lineage root's work:
-its partial evaluation from the root engine's walk memos, its compile
-on a fork of the root's builder.
+The stage sequence is written once, in those three properties, and
+each stage first looks its value up in a store, ``(stage, key) ->
+value``, keyed by what it reads: the partial evaluation by the program;
+the ETS by the program and initial state; the event structure by the
+initial state and edges (condition 1 re-checked when the vertex labels
+differ); each configuration by its policy and the switch set; the
+guarded merge by the states, the switch set and the states' policies.
+Terms are hash-consed, so every key is made of identities that already
+exist.  :meth:`Pipeline.update` has no copy of the sequence: it builds
+an ordinary pipeline on the post-delta inputs whose store reads through
+its lineage's.
 
-There is one executor, the loop of :class:`Pipeline`'s compile stage:
-it finds each configuration by policy, or compiles it, the
-``compile_policy`` calls running one after another on one
-:class:`FDDBuilder` in configuration-state order, and hands the
-finished configurations to :class:`~repro.runtime.compiler.CompiledNES`,
-the artifact.  ``cache_dir`` enables a content-addressed
-on-disk artifact cache: the key is a SHA-256 digest of the program AST,
-the topology, the initial state and the package version (see
-:meth:`Pipeline.artifact_key`), so a repeated
-:class:`Pipeline`/``App`` construction skips the ETS/NES/compile stages
-entirely and unpickles the
-:class:`~repro.runtime.compiler.CompiledNES` directly.
+There is one executor, the compile stage's loop: it finds each
+configuration in the store or compiles it, one ``compile_policy`` call
+after another on one :class:`FDDBuilder`, and hands the configurations
+to :class:`~repro.runtime.compiler.CompiledNES`, the artifact.
+``cache_dir`` enables a content-addressed on-disk artifact cache keyed
+by a SHA-256 digest of the program, topology, initial state and package
+version (:meth:`Pipeline.artifact_key`): a repeated construction skips
+the ETS/NES/compile stages and unpickles the artifact.
 
 The artifact is a function of program, topology and initial state
 alone: every option is execution-only (cache placement and trust,
@@ -501,8 +496,7 @@ def _substitute_policy(
     The walk is deterministic and shape-preserving (plain constructors,
     no smart-constructor normalization), and returns untouched subtrees
     by identity — the post-delta program shares every unchanged node
-    with the original, so an unchanged program stays the *same object*
-    (what :attr:`Pipeline.ets` checks before borrowing the engine).
+    with the original, so an unchanged program stays the *same object*.
     """
     if p is old:
         hits[0] += 1
@@ -662,6 +656,19 @@ class PipelineReport:
         return "\n".join(lines)
 
 
+def _states_reused(old: Optional[ETS], new: Optional[ETS]) -> int:
+    """The states of ``new`` whose out-edges and configuration are
+    those of ``old`` (0 when either was not built)."""
+    if old is None or new is None:
+        return 0
+    moved = {edge.src for edge in old.edges ^ new.edges}
+    old_policy = dict(old.vertices)
+    return sum(
+        state not in moved and policy is old_policy.get(state)
+        for state, policy in new.vertices
+    )
+
+
 class Pipeline:
     """The staged toolchain of Figure 7 behind one façade.
 
@@ -698,26 +705,20 @@ class Pipeline:
         self._ets: Optional[ETS] = None
         self._nes: Optional[NES] = None
         self._compiled: Optional[CompiledNES] = None
-        self._symbolic: Optional[SymbolicProgram] = None
-        # Set only by update(), and only while the result is being
-        # built: the pipeline whose stages this one may borrow from.
-        self._predecessor: Optional[Pipeline] = None
-        # A pipeline update() did not make is a lineage root and keeps
-        # the builder it compiled on; update() hands a successor the
-        # root's engine and builder (never the root pipeline), which
-        # are read-only once the root's own build has finished.
-        self._builder: Optional[FDDBuilder] = None
-        self._lineage: Optional[tuple] = None  # (engine, builder)
+        self._symbolic: Optional[SymbolicProgram] = None  # the program's engine
+        # The stage store, (stage, key) -> value: every stage value this
+        # pipeline uses, found or made; only this pipeline writes to it.
+        # ``_below`` are the stores read after it, the last its lineage
+        # root's.  A root (a pipeline update() did not make) reads through
+        # none and keeps the engine and builder its successors start from
+        # under "engine" and "builder".
+        self._store: Dict[object, object] = {}
+        self._below: Tuple[Dict[object, object], ...] = ()
+        self._lookups: Dict[Tuple[str, str], int] = {}  # (stage, result) -> count
         self._fdd_nodes_new = 0
-        # compile_policy runs of this pipeline's compile stage (none on
-        # a warm-artifact hit).
-        self._configurations_compiled = 0
         self._stage_seconds: Dict[str, float] = {}
         self._substage_seconds: Dict[str, float] = {}
         self._update_stats: Dict[str, int] = {}
-        # Set only by update(): the predecessor's ETS, which the
-        # update.states_* stats compare against when report() asks.
-        self._reuse_base: Optional[ETS] = None
         self._artifact_cache_state: Optional[str] = None
         self._artifact_key: Optional[str] = None
         self._cache: Optional[ArtifactCache] = None
@@ -762,6 +763,27 @@ class Pipeline:
             seconds = time.perf_counter() - start
         self._record_stage(name, seconds)
 
+    def _stored(self, stage: str, key, make=None):
+        """The one reader of the stores: the value of ``stage`` under
+        ``key`` in this pipeline's store or the nearest one below it,
+        else ``make()`` (``None`` without ``make``), kept in this
+        pipeline's store; counted by stage and result."""
+        for store in (self._store, *self._below):
+            value = store.get((stage, key))
+            if value is not None:
+                break
+        result = "miss" if value is None else "hit"
+        self._lookups[stage, result] = self._lookups.get((stage, result), 0) + 1
+        obs_metrics.inc(
+            "repro_stage_memo_total", stage=stage, result=result,
+            help="Stage store lookups, by stage and result",
+        )
+        if value is None and make is not None:
+            value = make()
+        if value is not None:
+            self._store[stage, key] = value
+        return value
+
     # -- staged artifacts ---------------------------------------------------
 
     @property
@@ -769,79 +791,69 @@ class Pipeline:
         if self._ets is None:
             with self._memo_lock:
                 if self._ets is None:
-                    # One symbolic partial evaluation, then the per-state
-                    # BFS instantiation (the report's "ets.*" substages).
-                    # The engine is retained for a successor to borrow
-                    # when update() leaves the program untouched.
-                    previous = self._predecessor
-                    with self._stage("ets") as stage_span:
-                        start = time.perf_counter()
-                        with obs_trace.span("ets.symbolic"):
-                            symbolic = None
-                            if (
-                                previous is not None
-                                and previous.program is self.program
-                            ):
-                                symbolic = previous._symbolic
-                            if symbolic is None:
-                                symbolic = SymbolicProgram(
-                                    self.program,
-                                    self._lineage and self._lineage[0],
-                                )
-                        mid = time.perf_counter()
-                        with obs_trace.span("ets.instantiate"):
-                            ets = build_ets(
-                                self.program,
-                                self.initial_state,
-                                symbolic=symbolic,
-                            )
-                        symbolic.freeze()
-                        if previous is not None and ets == previous._ets:
-                            # Equal in every field: keep the one object,
-                            # with the indexes (and the conversion's
-                            # condition-1 pairs) already derived on it.
-                            ets = previous._ets
-                        end = time.perf_counter()
-                        stage_span.set(states=len(ets.states()))
-                    self._substage_seconds["ets.symbolic"] = mid - start
-                    self._substage_seconds["ets.instantiate"] = end - mid
-                    self._symbolic = symbolic
-                    self._ets = ets
+                    # The engine first: a pipeline that finds its ETS
+                    # still keeps the engine for its successors.
+                    self._symbolic = self._stored("symbolic", self.program)
+                    self._ets = self._stored(
+                        "ets", (self.program, self.initial_state), self._ets_stage
+                    )
         return self._ets
+
+    def _ets_stage(self) -> ETS:
+        """One symbolic partial evaluation unless the engine was found
+        (a new one starts from the root engine's walk memos), then the
+        per-state BFS instantiation: the report's ``ets.*`` substages.
+        The engine is frozen after, so every finder may share it."""
+        with self._stage("ets") as stage_span:
+            start = time.perf_counter()
+            with obs_trace.span("ets.symbolic"):
+                if self._symbolic is None:
+                    lender = self._below[-1].get("engine") if self._below else None
+                    self._symbolic = SymbolicProgram(self.program, lender)
+                    self._store["symbolic", self.program] = self._symbolic
+                    if not self._below:
+                        self._store["engine"] = self._symbolic
+            mid = time.perf_counter()
+            with obs_trace.span("ets.instantiate"):
+                ets = build_ets(
+                    self.program, self.initial_state, symbolic=self._symbolic
+                )
+            self._symbolic.freeze()
+            stage_span.set(states=len(ets.states()))
+        self._substage_seconds["ets.symbolic"] = mid - start
+        self._substage_seconds["ets.instantiate"] = time.perf_counter() - mid
+        return ets
 
     @property
     def nes(self) -> NES:
         if self._nes is None:
             with self._memo_lock:
                 if self._nes is None:
-                    if self._compiled is None:
-                        # A warm artifact carries its NES, so consult
-                        # the cache before paying for the ETS and NES
-                        # stages.  (The ETS is not part of the artifact;
-                        # pipeline.ets always builds.)
-                        self._load_artifact()
-                    if self._compiled is not None:
-                        self._nes = self._compiled.nes
-                    else:
-                        ets = self.ets
-                        previous = self._predecessor
-                        if previous is not None and ets is previous._ets:
-                            # Same initial state, vertex labeling and
-                            # edge set (the ets stage kept the equal
-                            # object): the conversion and its checks
-                            # would reproduce the predecessor's NES.
-                            self._nes = previous.nes
-                        else:
-                            with self._stage("nes") as stage_span:
-                                # Same initial state and edges under
-                                # other labels: the conversion adopts
-                                # the predecessor's event structure (a
-                                # warm-cache source has no ETS to lend).
-                                lender = previous and (previous._ets, previous.nes)
-                                nes = nes_of_ets(ets, previous=lender)
-                                stage_span.set(events=len(nes.events))
-                            self._nes = nes
+                    # A warm artifact carries its NES, so consult the
+                    # cache before paying for the ETS and NES stages.
+                    # (The ETS is not part of the artifact; pipeline.ets
+                    # always builds.)
+                    self._load_artifact()
+                    self._nes = (
+                        self._compiled.nes if self._compiled is not None
+                        else self._convert(self.ets)
+                    )
         return self._nes
+
+    def _convert(self, ets: ETS) -> NES:
+        """The ``(ets, nes)`` stored for ``ets``'s initial state and edges
+        gives the NES whole when it holds this very ETS, and otherwise
+        lends ``nes_of_ets`` its event structure to adopt (the vertex
+        labels are read only through condition 1)."""
+        key = (ets.initial, ets.edges)
+        found = self._stored("nes", key)
+        if found is not None and found[0] is ets:
+            return found[1]
+        with self._stage("nes") as stage_span:
+            nes = nes_of_ets(ets, previous=found)
+            stage_span.set(events=len(nes.events))
+        self._store["nes", key] = (ets, nes)
+        return nes
 
     @property
     def compiled(self) -> CompiledNES:
@@ -854,12 +866,14 @@ class Pipeline:
                     with self._stage("compile") as stage_span:
                         check_locally_determined(nes)
                         states = nes.configuration_states()
-                        compiled = CompiledNES(
-                            nes, self.topology, self._configurations_of(nes, states)
+                        configurations = self._configurations_of(nes, states)
+                        merge = self._stored(
+                            "merge", self._merge_key(nes, states), lambda: [None]
                         )
-                        if self._predecessor:
-                            compiled.share_merge(self._predecessor.compiled)
-                        runs = self._configurations_compiled
+                        compiled = CompiledNES(
+                            nes, self.topology, configurations, merge
+                        )
+                        runs = self._lookups.get(("configuration", "miss"), 0)
                         stage_span.set(
                             configurations=len(states),
                             reused_configurations=len(states) - runs,
@@ -869,34 +883,34 @@ class Pipeline:
                     self._store_artifact()
         return self._compiled
 
+    def _merge_key(self, nes: NES, states: Tuple[StateVector, ...]) -> tuple:
+        """What the guarded merge reads: the states, whose positions are
+        the tags, and each one's tables, a pure function of its policy
+        and the switch set."""
+        return states, self.topology.switches, *map(nes.configuration_policy, states)
+
     def _configurations_of(
         self, nes: NES, states: Tuple[StateVector, ...]
     ) -> Dict[StateVector, Configuration]:
-        """The configuration of each of ``states``, in order, found by its
-        policy: among those this loop produced, else (once per policy)
-        in the predecessor's :attr:`~CompiledNES.configurations_by_policy`
-        when the switch set is unchanged, else compiled.  Tables are a
-        pure function of (policy, switch set), so a found configuration
-        is byte-identical to a compiled one; each state holds its tables
-        under its own name.  ``compile_policy`` runs once per policy
-        found nowhere (``_configurations_compiled``), on a builder made
-        at the first miss: a root's own (``_builder``), or a successor's
-        fork of its root's, dropped after.
+        """The configuration of each of ``states``, in order: the one
+        stored for its policy and the switch set, re-homed on this
+        topology, else compiled.  Tables are a pure function of those
+        two (links live in the program, hosts are no compile input), so
+        a found configuration is byte-identical to a compiled one; each
+        state holds its tables under its own name.  Compiles run on a
+        builder made at the first miss: a root's own, kept, or a fork
+        of its root's.
 
         Each compile runs once (the same inputs give the same tables or
         the same exception) and passes the ``executor.worker`` fault
-        site; ``options.deadline_seconds`` bounds the stage wall clock,
-        checked before each compile (one is never preempted); any
-        failure is a typed :class:`StageError`, never a bare exception.
+        site, after a check of ``options.deadline_seconds`` against the
+        stage's wall clock (a compile is never preempted); any failure is
+        a typed :class:`StageError`.
         """
-        previous = self._predecessor
-        lent = {}
-        if previous and previous.topology.switches == self.topology.switches:
-            lent = previous.compiled.configurations_by_policy
         budget = self.options.deadline_seconds
         deadline = None if budget is None else time.monotonic() + budget
         builder: Optional[FDDBuilder] = None
-        inherited = compiled = adopted = 0
+        inherited = compiled = 0
 
         def compile_one(policy: Policy, name: str, left: int) -> Configuration:
             nonlocal builder, inherited
@@ -907,10 +921,10 @@ class Pipeline:
                     f"compile(s), with {left} state(s) left",
                 )
             if builder is None:
-                root = self._lineage and self._lineage[1]
-                builder = root.fork() if root else FDDBuilder()
-                if self._lineage is None:
-                    self._builder = builder
+                lender = self._below[-1].get("builder") if self._below else None
+                builder = lender.fork() if lender else FDDBuilder()
+                if not self._below:
+                    self._store["builder"] = builder
                 inherited = builder.node_count
             try:
                 with obs_trace.span("compile.configuration", configuration=name):
@@ -923,33 +937,22 @@ class Pipeline:
                     "compile", f"configuration {name} failed: {exc!r}"
                 ) from exc
 
-        found: Dict[Policy, Configuration] = {}
         configurations: Dict[StateVector, Configuration] = {}
         for done, state in enumerate(states):
             name = f"C{list(state)}"
             policy = nes.configuration_policy(state)
-            configuration = found.get(policy)
+            key = (policy, self.topology.switches)
+            # A policy this loop already holds is not looked up again.
+            configuration = self._store.get(("configuration", key))
             if configuration is None:
-                configuration = lent.get(policy)
+                configuration = self._stored("configuration", key)
                 if configuration is None:
                     configuration = compile_one(policy, name, len(states) - done)
                     compiled += 1
-                else:
-                    adopted += 1
+                elif configuration.topology is not self.topology:
                     configuration = configuration.on_topology(self.topology)
-                found[policy] = configuration
+                self._store["configuration", key] = configuration
             configurations[state] = configuration.named(name)
-        if obs_metrics.active() is not None:
-            for result, count in (
-                ("compiled", compiled),
-                ("shared", len(states) - compiled - adopted),
-                ("adopted", adopted),
-            ):
-                obs_metrics.inc(
-                    "repro_compile_configurations_total", count, result=result,
-                    help="Configurations by how the compile obtained their tables",
-                )
-        self._configurations_compiled = compiled
         if builder is not None:
             self._fdd_nodes_new = builder.node_count - inherited
         return configurations
@@ -1009,8 +1012,15 @@ class Pipeline:
         )
         if loaded is not None:
             self._artifact_cache_state = "hit"
-            # On a hit the load *is* this pipeline's compile stage.
+            # On a hit the load *is* this pipeline's compile stage, and
+            # keeps what a compile would have: each configuration by its
+            # policy and switch set, and the merge.
             self._record_stage("compile", time.perf_counter() - start)
+            nes, switches = loaded.nes, self.topology.switches
+            for state, configuration in loaded.configurations.items():
+                key = (nes.configuration_policy(state), switches)
+                self._store["configuration", key] = configuration
+            self._store["merge", self._merge_key(nes, loaded.states)] = loaded._merge
             self._hold(loaded)
         else:
             self._artifact_cache_state = "miss"
@@ -1026,59 +1036,33 @@ class Pipeline:
     # -- incremental recompilation ------------------------------------------
 
     def update(self, delta: Delta) -> "Pipeline":
-        """Recompile after ``delta``, borrowing what the change cannot reach.
+        """Recompile after ``delta``, finding what the change cannot reach.
 
         Returns a **new**, compiled :class:`Pipeline` for the post-delta
-        inputs; this one is untouched and stays valid for the pre-delta
-        program.  The result is an ordinary pipeline running the one
-        stage sequence above, and while it is built each stage may
-        borrow from this one:
-
-        - :attr:`ets` takes the retained :class:`SymbolicProgram` (and
-          its frozen per-state memo) when the program is the same
-          object, and otherwise starts the partial evaluation from the
-          lineage root engine's walk memos, so only the spine the delta
-          changed is walked again;
-        - :attr:`nes` reads the ETS's initial state and edges, and its
-          vertex labels only through condition 1 of section 3.1: it
-          takes the whole NES when the new ETS equals the old one, and
-          the event structure (re-labelled with the new configurations,
-          condition 1 re-checked) when only vertex labels changed; the
-          conversion reruns whenever the delta touched an edge;
-        - :attr:`compiled` reads each configuration policy and the
-          switch set (links live in the program, hosts are no compile
-          input): with the same switches, a policy this pipeline
-          compiled for any state is found by policy — so a host or link
-          delta compiles nothing, a switch delta every policy — and the
-          rest compile on a fork of the lineage root's builder;
-        - the guarded merge reads the states and the tables: the same
-          states, each holding this pipeline's table dict, share it.
-
-        The contract is byte identity with a cold pipeline on the
-        post-delta inputs.  A warm artifact under the post-delta
-        :meth:`artifact_key` beats all of it, and a compiled result is
-        stored under that key.  The reference back to this pipeline is
-        dropped before returning.  The lineage root is this pipeline, or
-        the first pipeline of the chain that made it, and a chain of any
-        length keeps alive only that root's engine and builder — never
-        an intermediate ancestor, never the root pipeline itself.
-        Neither is written to after the root's own build, so updates
-        from one base may run on several threads at once.
+        inputs, byte-identical to a cold one; this one is untouched.  The
+        result runs the one stage sequence above, its store reading,
+        while it is built, through this pipeline's and then the lineage
+        root's, so every stage whose inputs the delta left unchanged
+        finds its value (see the module docstring); a new program's
+        engine starts from the root engine's walk memos, and compiles
+        run on a fork of the root's builder.  A warm artifact under the
+        post-delta :meth:`artifact_key` beats all of it, and a compiled
+        result is stored under that key.  Once built, the result reads
+        through the root's store alone, keeping its own entries (as a
+        fork keeps its own FDD nodes) and no other pipeline's; stores
+        are written only by their own pipeline, so updates from one
+        base may run on several threads at once.
 
         The result's :meth:`report` carries an ``update.delta`` substage
         (delta application + warm-artifact check) and seven ``update.*``
-        stats: ``symbolic_entries_new`` counts the walk memo entries its
-        engine added to the root's, ``fdd_nodes_new`` the nodes its fork
-        added to the root builder (both 0 when nothing was rebuilt);
-        ``states_reused`` counts the ETS states whose out-edges
-        and configuration equal this pipeline's, ``states_reinstantiated``
-        the rest; ``configurations_recompiled`` the ``compile_policy``
-        runs the compile stage took (none on a warm-artifact hit, which
-        builds no ETS), ``configurations_reused`` the rest.  Any
-        exception leaving ``update()`` — typed or not (a
-        ``LocalityError`` is a plain ``Exception``) — carries the
-        discarded result's absorbed-failure counters as ``exc.health``:
-        the caller has no pipeline to ask.
+        stats: the walk memo entries its engine added to the root's and
+        the nodes its fork added to the root builder (0 when nothing was
+        rebuilt); the ETS states whose out-edges and configuration are
+        this pipeline's, and the rest; the configuration store misses,
+        each a ``compile_policy`` run (none on a warm-artifact hit), the
+        rest, and their percentage.  Any exception leaving ``update()``
+        carries the discarded result's absorbed-failure counters as
+        ``exc.health``: the caller has no pipeline to ask.
         """
         with obs_trace.span("pipeline.update"):
             start = time.perf_counter()
@@ -1089,57 +1073,43 @@ class Pipeline:
                 self.options,
             )
             # Force the source once (the production shape: updates
-            # arrive at an already-compiled pipeline).  Its ETS and
-            # engine are lent only if it ran those stages itself — a
-            # warm-cache source never did.
+            # arrive at an already-compiled pipeline).
             self.compiled
-            updated._predecessor = self
-            updated._lineage = self._lineage or (self._symbolic, self._builder)
+            updated._below = (self._store, *self._below[-1:])
             try:
                 updated._load_artifact()
-                updated._substage_seconds["update.delta"] = (
-                    time.perf_counter() - start
-                )
-                compiled = updated.compiled
+                updated._substage_seconds["update.delta"] = time.perf_counter() - start
+                total = len(updated.compiled.states)
             except Exception as exc:
                 exc.health = dict(updated._health)
                 raise
             finally:
-                updated._predecessor = None
-            new_ets = updated._ets
-            if self._ets is not None and new_ets is not None:
-                updated._reuse_base = self._ets
-            total = len(compiled.states)
-            reused = total - updated._configurations_compiled
-            symbolic = updated._symbolic
-            traffic = {
+                updated._below = updated._below[-1:]
+            lookups, new_ets = updated._lookups, updated._ets
+            built_engine = lookups.get(("symbolic", "miss"))
+            states_reused = _states_reused(self._ets, new_ets)
+            recompiled = lookups.get(("configuration", "miss"), 0)
+            updated._update_stats = stats = {
                 "update.symbolic_entries_new": (
-                    symbolic.entries_new
-                    if symbolic is not None and symbolic is not self._symbolic
-                    else 0
+                    updated._symbolic.entries_new if built_engine else 0
                 ),
                 "update.fdd_nodes_new": updated._fdd_nodes_new,
-            }
-            if obs_metrics.active() is not None:
-                for name, value in traffic.items():
-                    obs_metrics.inc(
-                        f"repro_{name.replace('.', '_')}_total", value,
-                        help="Walk memo entries / FDD nodes an update "
-                        "added to its lineage root's",
-                    )
-            updated._update_stats = {
-                **traffic,
-                # Nothing reused until report() compares with _reuse_base.
                 "update.states_reinstantiated": (
-                    len(new_ets.vertices) if new_ets is not None else 0
+                    len(new_ets.vertices) - states_reused if new_ets else 0
                 ),
-                "update.states_reused": 0,
-                "update.configurations_recompiled": total - reused,
-                "update.configurations_reused": reused,
+                "update.states_reused": states_reused,
+                "update.configurations_recompiled": recompiled,
+                "update.configurations_reused": total - recompiled,
                 "update.reuse_percent": (
-                    int(round(100 * reused / total)) if total else 100
+                    round(100 * (total - recompiled) / total) if total else 100
                 ),
             }
+            for name in ("update.symbolic_entries_new", "update.fdd_nodes_new"):
+                obs_metrics.inc(
+                    f"repro_{name.replace('.', '_')}_total", stats[name],
+                    help="Walk memo entries / FDD nodes an update added to "
+                    "its lineage root's",
+                )
             return updated
 
     # -- artifact cache -----------------------------------------------------
@@ -1200,11 +1170,7 @@ class Pipeline:
             forwarding = compiled.forwarding_rule_count()
             stats["forwarding_rules"] = forwarding
             stats["total_rules"] = forwarding + compiled.stamp_rule_count()
-        if self._update_stats:
-            base = self._reuse_base
-            if base is not None:
-                self._count_states_reused(base)
-            stats.update(self._update_stats)
+        stats.update(self._update_stats)
         order = {"ets": 0, "nes": 1, "compile": 2}
         timings = tuple(
             sorted(self._stage_seconds.items(), key=lambda kv: order[kv[0]])
@@ -1223,21 +1189,6 @@ class Pipeline:
             substages=substages,
             health=dict(self._health),
         )
-
-    def _count_states_reused(self, old_ets: ETS) -> None:
-        """Fill the ``update.states_*`` stats: the ETS states whose
-        out-edges and configuration equal those of ``old_ets``, the
-        predecessor's.  Done once, when a report first asks."""
-        states = self._ets.vertices
-        old_policy = dict(old_ets.vertices)
-        moved = {edge.src for edge in old_ets.edges ^ self._ets.edges}
-        reused = 0
-        for state, policy in states:
-            old = old_policy.get(state)
-            reused += state not in moved and policy is old
-        self._update_stats["update.states_reinstantiated"] = len(states) - reused
-        self._update_stats["update.states_reused"] = reused
-        self._reuse_base = None
 
     def __repr__(self) -> str:
         ran = [name for name, _ in self.report().stage_seconds]

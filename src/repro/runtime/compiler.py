@@ -20,14 +20,12 @@ counts include them.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ..events.event import Event
 from ..events.locality import locality_violations
 from ..events.nes import NES
 from ..formula import EQ, Literal
-from ..netkat.ast import Policy
 from ..netkat.compiler import Configuration
 from ..netkat.flowtable import FlowTable, Rule
 from ..netkat.packet import PT, Packet
@@ -150,9 +148,12 @@ class CompiledNES:
         nes: NES,
         topology: Topology,
         configurations: Mapping[StateVector, Configuration],
+        merge: Optional[List[Optional[Dict[int, FlowTable]]]] = None,
     ):
         """The artifact of ``nes`` over ``topology``, given the compiled
-        configuration of every configuration state.  Whether the NES is
+        configuration of every configuration state, and optionally the
+        one-item cell of its guarded merge, which every artifact with
+        the same states and tables may share.  Whether the NES is
         locally determined is not checked here;
         :func:`check_locally_determined` does."""
         self.nes = nes
@@ -163,9 +164,9 @@ class CompiledNES:
             state: i for i, state in enumerate(self.states)
         }
         self.configurations: Dict[StateVector, Configuration] = dict(configurations)
-        # The guarded merge, built on first use, in a one-item cell that
-        # every artifact with the same merge inputs shares (share_merge).
-        self._merge: List[Optional[Dict[int, FlowTable]]] = [None]
+        # The guarded merge, built on first use by whichever sharer of
+        # the cell needs it first.
+        self._merge = [None] if merge is None else merge
         # What the simulator forwards by (:meth:`classify`): a decision
         # tree per (switch, table), viewed per tag mask.
         self._trees: Dict[Tuple[int, FlowTable], object] = {}
@@ -252,31 +253,11 @@ class CompiledNES:
         self._roots[tag_mask] = root
         return root
 
-    def share_merge(self, lender: "CompiledNES") -> None:
-        """Share ``lender``'s guarded merge when its inputs are this
-        artifact's: the same states (hence the same tags) and, for every
-        state, the lender's own table dict (hence the same switch set).
-        Whichever sharer needs the merge first builds it for all; once
-        built it is never mutated."""
-        if self.states == lender.states and all(
-            config._tables is lender.configurations[state]._tables
-            for state, config in self.configurations.items()
-        ):
-            self._merge = lender._merge
-
-    @cached_property
-    def configurations_by_policy(self) -> Dict[Policy, Configuration]:
-        """A configuration per distinct configuration policy, the map a
-        successor's compile looks policies up in; derived once, never
-        pickled."""
-        policy = self.nes.configuration_policy
-        return {policy(s): c for s, c in self.configurations.items()}
-
     # -- persistence ------------------------------------------------------------
 
     def __getstate__(self):
-        """Pickle the artifact alone, without the merged-table memo, its
-        trees or the policy map (derived on demand after a load).
+        """Pickle the artifact alone, without the merged-table memo or
+        its trees (derived on demand after a load).
 
         No option value is persisted: options describe how the storing
         run executed (the cache-signing key among them, which must

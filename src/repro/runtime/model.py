@@ -16,8 +16,8 @@ two pieces of metadata invisible to user policies:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from ..events.event import Event, EventSet
 from ..netkat.packet import LocatedPacket, Location, Packet

@@ -15,10 +15,9 @@ from typing import Iterable, List, Mapping, Set, Tuple
 
 from ..consistency.traces import NetworkTrace
 from ..events.event import Event, EventSet
-from ..netkat.packet import LocatedPacket, Location, Packet, PT, SW
-from ..topology import Topology
+from ..netkat.packet import Location, Packet, PT
 from .compiler import CompiledNES
-from .model import NetworkState, RuntimePacket, SwitchState, TraceRecorder
+from .model import NetworkState, RuntimePacket, TraceRecorder
 
 __all__ = [
     "RuntimeInvariantError",

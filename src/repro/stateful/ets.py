@@ -78,7 +78,11 @@ class ETS:
         Kahn's peeling, iterative (deep state chains would overflow
         CPython's recursion limit in a recursive DFS): states with no
         remaining in-edge are removed; one on or behind a cycle never is.
+        The answer is kept on the ETS, like its other derived indexes.
         """
+        cyclic = self.__dict__.get("_has_loops")
+        if cyclic is not None:
+            return cyclic
         successors: Dict[StateVector, List[StateVector]] = {}
         indegree: Dict[StateVector, int] = {}
         for e in self.edges:
@@ -90,7 +94,9 @@ class ETS:
                 indegree[nxt] -= 1
                 if not indegree[nxt]:
                     ready.append(nxt)
-        return any(indegree.values())
+        cyclic = any(indegree.values())
+        object.__setattr__(self, "_has_loops", cyclic)
+        return cyclic
 
     def __repr__(self) -> str:
         lines = [f"ETS(initial={list(self.initial)})"]

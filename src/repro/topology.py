@@ -11,12 +11,20 @@ All links are unidirectional ``(src_location, dst_location)`` pairs;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+import weakref
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterator, Optional, Set, Tuple
 
 from .netkat.packet import Location
 
 __all__ = ["Host", "Topology", "LinkSpec"]
+
+# One live frozenset per distinct switch set, keyed by its sorted
+# switches: every compile memo keyed by a switch set then holds one
+# object per value, however many topologies share it.
+_SWITCH_SETS: "weakref.WeakValueDictionary[Tuple[int, ...], FrozenSet[int]]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 @dataclass(frozen=True)
@@ -36,9 +44,9 @@ LinkSpec = Tuple[Location, Location]
 class Topology:
     """A directed multigraph of switch ports plus host attachment points."""
 
-    # ``switches`` as made on first read since the last mutation: every
-    # compile keys its per-switch-set memos with it, so one topology
-    # hands out one frozenset rather than a copy per call.
+    # ``switches`` as found on first read since the last mutation: every
+    # compile keys its per-switch-set memos with it, so every topology
+    # with these switches hands out one frozenset.
     _switch_set: Optional[FrozenSet[int]] = None
 
     def __init__(self) -> None:
@@ -90,7 +98,9 @@ class Topology:
     @property
     def switches(self) -> FrozenSet[int]:
         if self._switch_set is None:
-            self._switch_set = frozenset(self._switches)
+            switches = frozenset(self._switches)
+            key = tuple(sorted(switches))
+            self._switch_set = _SWITCH_SETS.setdefault(key, switches)
         return self._switch_set
 
     @property

@@ -16,9 +16,8 @@ all of them (for small workloads).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import List, Mapping, Sequence, Set, Tuple
 
 from ..apps.base import App
 from ..consistency.checker import CorrectnessReport, NESChecker

@@ -43,7 +43,6 @@ from repro.events.ets_to_nes import (
     ETSConversionError,
     FiniteCompletenessError,
     UniqueConfigurationError,
-    _occurrence_bound,
 )
 from repro.events.nes import NES
 from repro.events.structure import EventStructure, _extremal
@@ -357,6 +356,16 @@ def build_ets_naive(program: Policy, initial: StateVector) -> ETS:
                 queue.append(edge.dst)
     vertices = tuple((state, project(program, state)) for state in order)
     return ETS(initial=initial, vertices=vertices, edges=frozenset(edges))
+
+
+def _occurrence_bound(ets: ETS, max_occurrences: Optional[int]) -> int:
+    """The bound the reference walk unrolls to: ``max_occurrences`` when
+    given, else 64 on a cyclic ETS and the edge count + 1 on an acyclic
+    one, whose paths are no longer (the conversion asks for cyclicity
+    only once an occurrence reaches 64)."""
+    if max_occurrences is not None:
+        return max_occurrences
+    return 64 if ets.has_loops() else len(ets.edges) + 1
 
 
 def family_of_ets(

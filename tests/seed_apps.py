@@ -57,6 +57,12 @@ def cold_after(app, delta: Delta) -> Pipeline:
     )
 
 
+def compiles(pipeline: Pipeline) -> int:
+    """The ``compile_policy`` runs of ``pipeline``'s compile stage: its
+    configuration store misses."""
+    return pipeline._lookups.get(("configuration", "miss"), 0)
+
+
 def edited_topology(topology: Topology, **parts) -> Topology:
     """A new topology: ``topology``'s wire form with ``links`` /
     ``hosts`` / ``switches`` replaced by the given lists."""

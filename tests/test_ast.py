@@ -3,23 +3,14 @@
 import pytest
 
 from repro.netkat.ast import (
-    Assign,
     Conj,
     DROP,
-    Disj,
-    Dup,
     FALSE,
-    Filter,
     ID,
     Link,
-    Neg,
-    PFalse,
-    PTrue,
-    Seq,
     Star,
     Test as FieldTest,
     TRUE,
-    Union,
     assign,
     at_location,
     conj,

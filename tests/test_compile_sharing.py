@@ -36,11 +36,12 @@ from repro.pipeline import (
     Pipeline,
     StageError,
 )
-from repro.runtime.compiler import CompiledNES
 from repro.service.protocol import tables_to_wire
 from repro.stateful.projection import project
 from naive_oracles import guarded_tables_naive
-from seed_apps import APPS, cold_after, guarded_bytes, switch_preserving_edits
+from seed_apps import (
+    APPS, cold_after, compiles, edited_topology, guarded_bytes, switch_preserving_edits,
+)
 from test_differential import STATE_BOX, random_stateful_policy
 from test_theorem1 import H1, H4, run_workload
 
@@ -88,7 +89,7 @@ def test_shared_tables_equal_a_direct_compile(name, make):
             assert repr(config.table(switch)) == repr(direct.table(switch))
     assert_shared_by_policy(compiled)
     policies = {compiled.nes.configuration_policy(s) for s in compiled.states}
-    assert pipeline._configurations_compiled == len(policies)
+    assert compiles(pipeline) == len(policies)
 
 
 @pytest.mark.parametrize("name,make", APPS, ids=[name for name, _ in APPS])
@@ -150,9 +151,7 @@ def test_updates_stay_byte_equal_to_a_cold_rebuild(name, make, policy_delta):
         assert guarded_bytes(updated.compiled) == guarded_bytes(cold.compiled)
         stats = dict(updated.report().stats)
         total = len(updated.compiled.states)
-        assert stats["update.configurations_recompiled"] == (
-            updated._configurations_compiled
-        )
+        assert stats["update.configurations_recompiled"] == compiles(updated)
         assert stats["update.configurations_recompiled"] <= len(
             {updated.nes.configuration_policy(s) for s in updated.compiled.states}
         )
@@ -180,7 +179,7 @@ def test_a_first_compile_fault_fails_the_stage_once(tmp_path):
 
     rerun = Pipeline(app.program, app.topology, app.initial_state, options)
     assert guarded_bytes(rerun.compiled) == guarded_bytes(fresh_pipeline(app).compiled)
-    assert rerun._configurations_compiled == 2
+    assert compiles(rerun) == 2
 
 
 def exchanges(count):
@@ -211,7 +210,9 @@ def test_checker_verdicts_on_deposited_shared_configurations(seed):
 
 
 def count_of(registry, result):
-    return registry.value("repro_compile_configurations_total", result=result)
+    return registry.value(
+        "repro_stage_memo_total", stage="configuration", result=result
+    )
 
 
 def test_cap48_runs_compile_policy_twice(monkeypatch):
@@ -231,9 +232,9 @@ def test_cap48_runs_compile_policy_twice(monkeypatch):
         compiled = fresh_pipeline(bandwidth_cap_app(48)).compiled
     assert len(compiled.states) == 50
     assert len(runs) == 2
-    assert count_of(registry, "compiled") == 2
-    assert count_of(registry, "shared") == 48
-    assert count_of(registry, "adopted") == 0
+    # One store lookup per distinct policy: two misses on a cold compile.
+    assert count_of(registry, "miss") == 2
+    assert count_of(registry, "hit") == 0
 
 
 def test_update_counts_compiled_shared_and_adopted():
@@ -244,10 +245,16 @@ def test_update_counts_compiled_shared_and_adopted():
     with metrics.collecting(registry):
         updated = base.update(reply_filter_delta(2, 1))
     # Every state but the last (reply path already closed) changes
-    # policy, and the changed ones hold one policy between them.
-    assert count_of(registry, "compiled") == 1
-    assert count_of(registry, "shared") == 24
-    assert count_of(registry, "adopted") == 1
+    # policy, and the changed ones hold one policy between them: it
+    # misses and compiles once for 25 states, and the last state's
+    # policy is found in the base's store.
+    assert count_of(registry, "miss") == 1
+    assert count_of(registry, "hit") == 1
+    last = base.compiled.states[-1]
+    assert (
+        updated.compiled.configurations[last]._tables
+        is base.compiled.configurations[last]._tables
+    )
     stats = dict(updated.report().stats)
     assert stats["update.configurations_recompiled"] == 1
     assert stats["update.configurations_reused"] == 25
@@ -272,11 +279,14 @@ def test_a_state_new_to_the_lineage_finds_its_policy(make, writes):
     assert not set(updated.compiled.states) & set(base.compiled.states)
     stats = dict(updated.report().stats)
     assert stats["update.configurations_recompiled"] == 0
-    assert updated._builder is None and updated._fdd_nodes_new == 0
+    assert "builder" not in updated._store and updated._fdd_nodes_new == 0
     assert guarded_bytes(updated.compiled) == guarded_bytes(
         cold_after(app, delta).compiled
     )
-    lent = base.compiled.configurations_by_policy
+    lent = {
+        base.nes.configuration_policy(state): configuration
+        for state, configuration in base.compiled.configurations.items()
+    }
     for state, configuration in updated.compiled.configurations.items():
         found = lent[updated.nes.configuration_policy(state)]
         assert configuration._tables is found._tables
@@ -305,17 +315,14 @@ def test_the_merge_is_shared_exactly_when_its_inputs_are():
     )
     assert held._merge is lender._merge
     assert all(held.guarded_tables()[sw] is merged[sw] for sw in merged)
-    # Equal tables in another dict are not the lender's: no sharing.
-    first = lender.states[0]
-    configurations = dict(lender.configurations)
-    configurations[first] = compile_policy(
-        lender.nes.configuration_policy(first), lender.topology,
-        name=f"C{list(first)}",
-    )
-    recompiled = CompiledNES(lender.nes, lender.topology, configurations)
-    recompiled.share_merge(lender)
-    assert recompiled._merge is not lender._merge
-    assert guarded_bytes(recompiled) == guarded_bytes(lender)
+    # The base's states and policies on another switch set: the tables
+    # differ, and so does the merge.
+    switches = sorted(app.topology.switches)
+    wider = Delta(topology=edited_topology(app.topology, switches=switches + [99]))
+    widened = base.update(wider).compiled
+    assert widened.states == lender.states
+    assert widened._merge is not lender._merge
+    assert guarded_bytes(widened) == guarded_bytes(cold_after(app, wider).compiled)
 
 
 # -- each FDD node converted once, each table guarded once ---------------------
@@ -418,7 +425,7 @@ def test_each_fdd_node_is_converted_once_per_lineage(monkeypatch):
     runs[0] = 0
     updated = ring8.update(reply_filter_delta(3, 1))
     assert runs == [6]
-    assert updated._configurations_compiled > 0
+    assert compiles(updated) > 0
     assert guarded_bytes(updated.compiled) == guarded_bytes(
         cold_after(ring_app(8), reply_filter_delta(3, 1)).compiled
     )

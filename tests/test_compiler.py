@@ -5,7 +5,6 @@ denotational semantics."""
 import pytest
 
 from repro.netkat.ast import (
-    DROP,
     ID,
     assign,
     filter_,

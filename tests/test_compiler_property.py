@@ -5,9 +5,7 @@ packets the policy's denotational semantics produces."""
 from hypothesis import given, settings, strategies as st
 
 from repro.netkat.ast import (
-    Policy,
     assign,
-    at_location,
     conj,
     filter_,
     link,

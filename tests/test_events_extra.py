@@ -1,10 +1,9 @@
 """Additional event-layer tests: Event matching, NES edge cases, and a
 property-based check that random well-formed ETSs convert soundly."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.events.ets_to_nes import ETSConversionError, nes_of_ets
+from repro.events.ets_to_nes import nes_of_ets
 from repro.events.event import Event
 from repro.formula import EQ, Formula, Literal, NE
 from repro.netkat.ast import assign

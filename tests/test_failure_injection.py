@@ -8,7 +8,7 @@ from repro.events.event import Event
 from repro.formula import EQ, Formula, Literal
 from repro.netkat.packet import Location, Packet
 from repro.runtime.model import RuntimePacket
-from repro.runtime.semantics import Runtime, RuntimeInvariantError, Transition
+from repro.runtime.semantics import RuntimeInvariantError, Transition
 
 H1, H4 = 1, 4
 

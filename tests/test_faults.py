@@ -14,14 +14,12 @@ carry ``slow`` on top of ``chaos``.
 """
 
 import gc
-import os
 import pickle
 import warnings
 import weakref
 
 import pytest
 
-import repro
 from repro import faults
 from repro.apps import firewall_app, ids_app
 from repro.pipeline import (

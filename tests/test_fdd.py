@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.netkat.ast import (
     DROP,
     ID,
-    Policy,
-    Predicate,
     assign,
     conj,
     disj,

@@ -27,6 +27,7 @@ from repro.events.ets_to_nes import (
     ETSConversionError,
     FiniteCompletenessError,
     UniqueConfigurationError,
+    _is_chain,
     nes_of_ets,
 )
 from repro.events.event import Event
@@ -250,6 +251,62 @@ def test_condition_2_counts_every_violation_and_names_the_first():
         "but their union is not in F(T) (4 violating pair(s) total; condition 2 "
         "of section 3.1, e.g. Figure 3(c))"
     )
+
+
+def test_a_chain_class_beside_a_violation_keeps_the_count_and_first_pair():
+    """Figure 3(c) beside a chain e < f < g < h: the chain's members form
+    a class of their own, skipped whole, and the one violation is still
+    counted and named."""
+    e, f, g, h = ev("e"), ev("f"), ev("g"), ev("h")
+    ets = make_ets((0,), distinct(9), [
+        ((0,), A, (1,)), ((0,), C, (2,)), ((1,), D, (3,)), ((3,), C, (4,)),
+        ((0,), e, (5,)), ((5,), f, (6,)), ((6,), g, (7,)), ((7,), h, (8,)),
+    ])
+    assert assert_same_conversion(ets) is FiniteCompletenessError
+    with pytest.raises(FiniteCompletenessError) as caught:
+        nes_of_ets(fresh(ets))
+    assert str(caught.value) == (
+        "event-sets {(a=1, 1:1)} and {(c=1, 1:1)} have an upper bound in F(T) "
+        "but their union is not in F(T) (1 violating pair(s) total; condition 2 "
+        "of section 3.1, e.g. Figure 3(c))"
+    )
+
+
+def test_a_chain_family_checks_no_pair(monkeypatch):
+    """Every pair of a chain is comparable, so cap-48's 1 225 pairs are
+    skipped whole: its one class is a chain, and no union is formed."""
+    import repro.events.ets_to_nes as ets_to_nes
+
+    chains = []
+    real = ets_to_nes._is_chain
+    monkeypatch.setattr(
+        ets_to_nes, "_is_chain", lambda masks: chains.append(len(masks)) or real(masks)
+    )
+    nes_of_ets(fresh(Pipeline(*_cap48_inputs()).ets))
+    assert chains == [50]
+    assert _is_chain([0, 1, 3, 7]) and not _is_chain([0, 1, 2, 3])
+
+
+def _cap48_inputs():
+    app = bandwidth_cap_app(48)
+    return app.program, app.topology, app.initial_state
+
+
+def test_an_acyclic_conversion_never_asks_for_cycles(monkeypatch):
+    """The default occurrence bound matters only once an occurrence
+    reaches 64, so a cold conversion below that never runs the Kahn
+    peel; a deeper chain runs it once, kept on the ETS, and converts."""
+    peels = []
+    real = ETS.has_loops
+    monkeypatch.setattr(
+        ETS, "has_loops",
+        lambda self: peels.append("_has_loops" not in vars(self)) or real(self),
+    )
+    nes_of_ets(fresh(Pipeline(*_cap48_inputs()).ets))
+    assert peels == []
+    app = bandwidth_cap_app(70)
+    nes = nes_of_ets(Pipeline(app.program, app.topology, app.initial_state).ets)
+    assert len(nes.events) == 71 and peels[0] and not any(peels[1:])
 
 
 # -- events with several minimal enablers ----------------------------------------

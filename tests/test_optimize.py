@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps import authentication_app, bandwidth_cap_app, firewall_app
-from repro.netkat.packet import Packet
 from repro.optimize.sharing import (
     optimize_compiled_nes,
     optimized_table_equivalent,

@@ -14,7 +14,6 @@ from repro.netkat.ast import (
     conj,
     disj,
     filter_,
-    link,
     neg,
     seq,
     star,
@@ -23,8 +22,8 @@ from repro.netkat.ast import (
 )
 from repro.netkat.packet import Location
 from repro.netkat.parser import ParseError, parse_policy, parse_predicate
-from repro.netkat.pretty import pretty_policy, pretty_predicate
-from repro.stateful.ast import LinkUpdate, StateTest, link_update, state_test
+from repro.netkat.pretty import pretty_policy
+from repro.stateful.ast import LinkUpdate, StateTest
 
 
 class TestParseAtoms:

@@ -990,13 +990,17 @@ class TestReportShapes:
         app = bandwidth_cap_app()
         base = Pipeline(app.program, app.topology, app.initial_state)
         updated = base.update(Delta())
-        # Same program object -> the engine; equal ETS -> the NES (no
-        # nes stage ran); equal policies + topology -> every table.
+        # Same program -> the engine; and initial state -> the ETS (no
+        # ets stage ran); the same ETS -> the NES (no nes stage ran); the
+        # same policies and switch set -> every table, and the merge.
         assert updated._symbolic is base._symbolic
+        assert updated.ets is base.ets
         assert updated.nes is base.nes
+        assert updated.compiled._merge is base.compiled._merge
         report = updated.report()
-        assert [name for name, _ in report.stage_seconds] == ["ets", "compile"]
-        assert updated._predecessor is None
+        assert [name for name, _ in report.stage_seconds] == ["compile"]
+        # Built, it reads through its root's store alone: the base's.
+        assert updated._below == (base._store,)
 
     def test_update_state_stats_compare_against_the_predecessor_ets(self):
         app = firewall_app()

@@ -417,14 +417,25 @@ DELETED = [
     ("name", "policy_fields", "repro.netkat repro.netkat.ast", ("policy_fields", ALL)),
     ("name", "policy_size", "repro.netkat repro.netkat.ast", ("policy_size", ALL)),
     ("name", "predicate_fields", "repro.netkat.ast", ("predicate_fields", ALL)),
+    # One content-keyed stage store per lineage: each stage looks its value
+    # up by what it reads, so update() borrows nothing from its predecessor
+    # and no ETS is built only to be compared with the predecessor's.
+    ("name", "share_merge", CNES, _method("share_merge")),
+    ("name", "configurations_by_policy", CNES, ("configurations_by_policy", ALL)),
+    ("text", r"_predecessor|_reuse_base|_lineage\b|_count_states_reused|previous\._ets"
+     r"|_configurations_compiled|repro_compile_configurations_total", ALL),
+    # The default occurrence bound asks for cycles only once it matters.
+    ("name", "_occurrence_bound", "repro.events.ets_to_nes", ("_occurrence_bound", SRC)),
 ]
 
 
 # The census: every public module-level function, class and constant of
 # src/repro, and every public method of a public class, has a caller outside
-# tests/ -- code under CALLERS reads its identifier outside its own definition.
-# Imports and __all__ strings are not callers.  It matches identifiers, not
-# objects, so a name that only another test-only name reads goes unnoticed.
+# tests/ -- live code under CALLERS reads its identifier.  Code outside every
+# such definition is live, and so, to a fixpoint, is each definition whose
+# identifier live code reads; a definition only tests (or a kept name) read
+# is not.  Imports and __all__ strings are not callers.  It matches
+# identifiers, not objects, so it is conservative.
 CALLERS = ("src", "repobench", "benchmarks", "examples")
 # The public names that only tests call, kept on purpose, each with its reason.
 TEST_ONLY_KEPT = {
@@ -433,21 +444,30 @@ TEST_ONLY_KEPT = {
          "repro.events.structure:EventStructure.allowed_sequences",
          "repro.events.structure:EventStructure.is_event_set",
          "repro.events.nes:NES.allows_sequence",
-         "repro.events.nes:NES.config_of"),
+         "repro.events.nes:NES.config_of",
+         "repro.events.structure:EventStructure.allows_sequence",
+         "repro.events.structure:EventStructure.is_event_set_mask"),
         "the frozenset-valued event-set API, which moves to tests/naive_oracles.py "
-        "together with the rest of it once Runtime is gone (ROADMAP item 15)"),
-    "repro.runtime.semantics:Runtime.drain_controller":
-        "drives the Figure 7 reference runtime in tests; it goes with Runtime (item 15)",
+        "together with the rest of it once Runtime is gone (ROADMAP item 15); "
+        "the mask check and the structure's sequence check are read only by it"),
+    **dict.fromkeys(
+        ("repro.runtime.semantics:Runtime.drain_controller",
+         "repro.runtime.semantics:MAX_DRAIN_STEPS"),
+        "drives the Figure 7 reference runtime in tests (the bound of its loop); "
+        "it goes with Runtime (item 15)"),
     "repro.faults:FaultPlan.fires":
         "what an installed fault plan injected; only chaos tests install plans",
     "repro.netkat.parser:parse_predicate":
         "the concrete syntax's predicate entry point, advertised in repro.netkat",
     "repro.stateful.projection:project_predicate":
         "Figure 5's projection of a predicate, advertised beside project in repro.stateful",
-    "repro.optimize.sharing:optimized_table_equivalent":
-        "section 5.3's exact check of an optimized table; moving it would leave "
-        "repro.verify.equiv without a src caller, which the exact-check work of "
-        "ROADMAP item 10 is to reuse",
+    **dict.fromkeys(
+        ("repro.optimize.sharing:optimized_table_equivalent",
+         "repro.verify.equiv:tables_equivalent",
+         "repro.verify.equiv:MAX_PROBES"),
+        "section 5.3's exact check of an optimized table, and the probing "
+        "equivalence (with its probe bound) that only it reads; the exact-check "
+        "work of ROADMAP item 10 is to reuse them"),
 }
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -478,22 +498,38 @@ def _public_definitions(tree):
 
 def census(root, kept):
     """``(unused, stale)`` for the tree at ``root``: the public names of
-    ``src/repro`` that no code under CALLERS reads and ``kept`` does not list,
-    and the ``kept`` entries that are not defined or that now have a caller."""
-    reads = collections.Counter()
-    defined = {}
+    ``src/repro`` that no live code under CALLERS reads and ``kept`` does not
+    list, and the ``kept`` entries that are not defined or that now have a
+    live caller."""
+    live = collections.Counter()  # reads of the code found live so far
+    defined = {}  # qualified name -> (identifier, reads of its own body)
     for top in CALLERS:
         for file in sorted((root / top).rglob("*.py")):
             parts = file.relative_to(root).parts
             if any(part.startswith(".") or part == "__pycache__" for part in parts):
                 continue  # e.g. the benchmark's checkout of another revision
             tree = ast.parse(file.read_text(encoding="utf-8"), str(file))
-            reads.update(_reads(tree))
+            outside = _reads(tree)
             if parts[:2] == ("src", "repro"):
                 module = ".".join(parts[1:]).removesuffix(".py").removesuffix(".__init__")
                 for qualified, identifier, node in _public_definitions(tree):
-                    defined[f"{module}:{qualified}"] = (identifier, _reads(node)[identifier])
-    used = {name for name, (identifier, own) in defined.items() if reads[identifier] > own}
+                    body = _reads(node)
+                    if isinstance(node, ast.ClassDef):  # public methods count apart
+                        for method in node.body:
+                            if isinstance(method, FUNCTIONS) and not method.name.startswith("_"):
+                                body -= _reads(method)
+                    defined[f"{module}:{qualified}"] = (identifier, body)
+                    outside -= body
+            live.update(outside)
+    used = set()
+    while True:
+        found = {name for name, (identifier, _) in defined.items()
+                 if name not in used and live[identifier]}
+        if not found:
+            break
+        used |= found
+        for name in found:
+            live.update(defined[name][1])
     unused = sorted(set(defined) - used - set(kept))
     stale = sorted(name for name in kept if name not in defined or name in used)
     return unused, stale
@@ -546,6 +582,32 @@ def test_census_finds_a_name_only_tests_call(tmp_path):
     root = _plant(tmp_path, CENSUS_TREE)
     assert census(root, {}) == (["repro.mod:only_tested"], [])
     assert census(root, {"repro.mod:only_tested": "kept"}) == ([], [])
+
+
+def test_census_counts_no_read_by_a_test_only_name(tmp_path):
+    """A name read only by a kept name, or by a name nothing live reads,
+    is itself test-only: the fixpoint finds it, where counting every read
+    would not."""
+    root = _plant(tmp_path, {**CENSUS_TREE, "src/repro/extra.py": """
+        def kept_only():
+            return helper()
+
+
+        def helper():
+            return 1
+
+
+        def dead():
+            return deeper()
+
+
+        def deeper():
+            return 2
+    """})
+    kept = {"repro.mod:only_tested": "kept", "repro.extra:kept_only": "kept"}
+    assert census(root, kept) == (
+        ["repro.extra:dead", "repro.extra:deeper", "repro.extra:helper"], []
+    )
 
 
 def test_census_finds_stale_kept_entries(tmp_path):

@@ -12,7 +12,6 @@ from repro.apps import (
     learning_switch_app,
 )
 from repro.runtime.compiler import TAG_FIELD, LocalityError
-from repro.runtime.semantics import Runtime, RuntimeInvariantError
 
 from seed_apps import APPS
 

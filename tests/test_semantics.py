@@ -1,7 +1,6 @@
 """Tests for the denotational semantics of NetKAT."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.netkat.ast import (
     DROP,
@@ -10,7 +9,6 @@ from repro.netkat.ast import (
     assign,
     filter_,
     link,
-    neg,
     seq,
     star,
     test as field_test,

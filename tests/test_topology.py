@@ -48,6 +48,21 @@ class TestTopologyBasics:
         topo = Topology().add_host("B", "2:1").add_host("A", "1:1")
         assert topo.edge_locations() == (Location(1, 1), Location(2, 1))
 
+    def test_equal_switch_sets_are_one_object(self):
+        """Every topology with the same switches hands out one frozenset,
+        however it was built (the compile memos key by it); a mutation
+        moves to another."""
+        from repro.service.protocol import topology_from_wire, topology_to_wire
+
+        built = Topology().add_link("2:1", "1:1").add_host("H", "1:2")
+        other = Topology().add_switch(1).add_switch(2)
+        wire = topology_to_wire(firewall_topology())
+        assert built.switches is other.switches
+        assert topology_from_wire(wire).switches is topology_from_wire(wire).switches
+        before = other.switches
+        other.add_switch(3)
+        assert other.switches == frozenset({1, 2, 3}) and before == frozenset({1, 2})
+
     def test_links_iteration_deterministic(self):
         topo = Topology().add_duplex_link("1:1", "2:2").add_duplex_link("2:1", "3:2")
         assert list(topo.links()) == list(topo.links())

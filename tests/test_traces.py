@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.consistency.traces import (
-    HappensBefore,
     NetworkTrace,
     TraceValidationError,
     packet_trace_in_traces,

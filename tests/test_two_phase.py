@@ -1,6 +1,5 @@
 """Tests for the two-phase per-packet consistent update baseline."""
 
-import pytest
 
 from repro.apps import bandwidth_cap_app, firewall_app
 from repro.baselines import TwoPhaseLogic, VERSION_FIELD

@@ -12,7 +12,6 @@ incorrect implementations in both directions.
 
 import dataclasses
 
-import pytest
 
 from repro.apps import bandwidth_cap_app, firewall_app
 from repro.consistency.checker import NESChecker

@@ -41,7 +41,7 @@ from repro.stateful.ast import LinkUpdate, StateTest
 from repro.topology import Topology
 
 from seed_apps import (
-    cold_after, edited_topology, guarded_bytes, switch_preserving_edits,
+    cold_after, compiles, edited_topology, guarded_bytes, switch_preserving_edits,
 )
 from test_differential import STATE_WIDTH, VALUES, random_stateful_policy
 
@@ -159,12 +159,12 @@ class _Traffic:
         )
         # A borrowed memo entry is one the walk did not make again.
         assert entries <= cold._symbolic.entries_new
-        assert nodes <= cold._builder.node_count
+        assert nodes <= cold._store["builder"].node_count
         self.updates += 1
         self.entries_new += entries
         self.entries_cold += cold._symbolic.entries_new
         self.nodes_new += nodes
-        self.nodes_cold += cold._builder.node_count
+        self.nodes_cold += cold._store["builder"].node_count
 
 
 def _checked_update(source: Pipeline, delta: Delta, traffic: _Traffic):
@@ -250,7 +250,7 @@ def ids_replacement(k: int) -> Delta:
 
 
 def root_sizes(root: Pipeline):
-    builder = root._builder
+    builder = root._store["builder"]
     tables = {
         name: len(value) for name, value in vars(builder).items()
         if isinstance(value, dict)
@@ -302,13 +302,14 @@ def test_a_chain_keeps_only_its_roots_engine_and_builder():
     app = bandwidth_cap_app(8)
     root = Pipeline(app.program, app.topology, app.initial_state)
     root.compiled
-    engine, builder = root._symbolic, root._builder
+    store = root._store
+    assert store["engine"] is root._symbolic
     chain = [root]
     for k in range(5):
         chain.append(chain[-1].update(first_address_replacement(chain[-1], k)))
     last = chain[-1]
-    assert last._lineage == (engine, builder)
-    assert all(p._builder is None for p in chain[1:])
+    assert last._below == (store,)
+    assert not any({"engine", "builder"} & p._store.keys() for p in chain[1:])
     root_ref, middle_ref = weakref.ref(root), weakref.ref(chain[2])
     del root, chain
     gc.collect()
@@ -382,12 +383,11 @@ def test_two_threads_update_one_base():
 
 
 def test_two_threads_derive_the_policy_map_at_once():
-    """The base's policy -> configuration map is derived by whichever
-    update needs it first; two at once derive equal maps, and every
-    update finds every policy in one."""
+    """Two threads updating one base at once both find every policy in
+    the base's store, which neither writes to."""
     app = bandwidth_cap_app(8)
     base = Pipeline(app.program, app.topology, app.initial_state)
-    base.compiled  # the map is not derived yet
+    base.compiled
     deltas = [Delta(set_state=((0, value),)) for value in range(1, 8)] + [
         Delta(topology=topology) for topology in switch_preserving_edits(app).values()
     ]
@@ -402,7 +402,7 @@ def test_two_threads_derive_the_policy_map_at_once():
             updated = base.update(deltas[k])
             right[slot] += (
                 guarded_bytes(updated.compiled) == expected[k]
-                and updated._configurations_compiled == 0
+                and compiles(updated) == 0
             )
 
     threads = [threading.Thread(target=worker, args=(slot,)) for slot in (0, 1)]

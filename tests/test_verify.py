@@ -3,11 +3,9 @@ exploration (bounded Theorem 1) and table equivalence; the policy,
 configuration and per-state laws are checked on the canonical FDDs and
 per-switch tables they rest on."""
 
-import pytest
 
 from repro.apps import bandwidth_cap_app, firewall_app, learning_switch_app
 from repro.netkat.ast import (
-    DROP,
     ID,
     assign,
     filter_,
@@ -23,7 +21,7 @@ from repro.netkat.flowtable import FlowTable, Match, Rule
 from repro.netkat.fdd import FDDBuilder, mod_of
 from repro.runtime.model import RuntimePacket
 from repro.runtime.semantics import Runtime
-from repro.stateful.ast import link_update, state_eq
+from repro.stateful.ast import state_eq
 from repro.stateful.projection import project
 from repro.topology import firewall_topology
 from repro.verify import explore_all_interleavings, tables_equivalent
