@@ -13,7 +13,8 @@ Invariants:
 - A node's ``hi`` child never re-tests the node's field (the value is
   known there); the ``lo`` child may test the same field with a larger
   value.
-- No node has identical children.
+- No node has identical children, and no test is redundant: a node's
+  ``hi`` is never what its ``lo`` already does at the tested value.
 
 Nodes are hash-consed, and the binary operations are memoized, so
 structurally equal FDDs are pointer-equal.
@@ -175,7 +176,7 @@ class FDDBuilder:
     def __init__(self, order: Optional[FieldOrder] = None):
         self.order = order or FieldOrder()
         self._leaf_cache: Dict[ActionSet, Leaf] = {}
-        self._branch_cache: Dict[Tuple[str, int, int, int], Branch] = {}
+        self._branch_cache: Dict[Tuple[str, int, int, int], FDD] = {}
         self._next_id = 0
         self._memo_union: Dict[Tuple[int, int], FDD] = {}
         self._memo_seq: Dict[Tuple[int, int], FDD] = {}
@@ -242,6 +243,12 @@ class FDDBuilder:
         cached = self._branch_cache.get(key)
         if cached is not None:
             return cached
+        if hi is self.assume_true(lo, field, value):
+            # ``lo`` already does ``hi`` where field == value, so the test
+            # is redundant; keeping it would give one function two nodes,
+            # e.g. (f=0 ? x : (f=2 ? y : x)) beside (f=2 ? y : x).
+            self._branch_cache[key] = lo
+            return lo
         node = Branch(field, value, hi, lo, self._next_id)
         self._next_id += 1
         self._branch_cache[key] = node

@@ -80,6 +80,27 @@ class TestBuilderBasics:
         b = FDDBuilder()
         assert b.branch("f", 1, b.id, b.id) is b.id
 
+    def test_branch_drops_a_test_its_else_branch_already_decides(self):
+        b = FDDBuilder()
+        x = b.of_policy(assign("pt", 1))
+        rest = b.branch("f", 2, b.id, x)
+        assert b.branch("f", 0, x, rest) is rest
+
+    def test_union_order_gives_one_node(self):
+        """Left fold and the reverse fold meet on one node even when an
+        early operand tests a value the later ones make redundant."""
+        b = FDDBuilder()
+        guarded = lambda v, p: b.of_policy(seq(filter_(field_test("f", v)), p))
+        fdds = [guarded(0, ID), b.of_policy(assign("pt", 1)),
+                guarded(2, assign("f", 1)), b.id]
+        forward = backward = b.drop
+        for d in fdds:
+            forward = b.union(forward, d)
+        for d in reversed(fdds):
+            backward = b.union(d, backward)
+        assert forward is backward
+        assert b.size(forward) == b.size(b.union(fdds[1], b.union(fdds[2], fdds[3])))
+
     def test_hash_consing(self):
         b = FDDBuilder()
         d1 = b.of_policy(seq(filter_(field_test("a", 1)), assign("b", 2)))
